@@ -1,0 +1,311 @@
+"""Command-line front end.
+
+Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  Flags mirror the
+config keys; precedence is built-in defaults < config file < flags.  The
+output directory resolves as --out, then [output] dir, then the
+CVTELEPORT_OUTDIR environment variable, then the working directory.
+
+Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
+code for bad flags), 3 physics-invariant violation, 4 reference-comparison
+failure in paper-repro.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from ._version import __version__
+from .gaussian import PhysicsError
+from .harness import (
+    OUTDIR_ENV_VAR,
+    BENCHMARK_SOURCE_ANTISQ_DB,
+    BENCHMARK_SOURCE_SQ_DB,
+    BENCHMARK_TARGET_EPR_DB,
+    ConfigError,
+    ExperimentConfig,
+    calibrate_losses,
+    format_repro_table,
+    paper_repro,
+    parse_config,
+    run,
+    write_json,
+    write_report_json,
+    write_trace_csv,
+    write_wigner_csv,
+)
+from .teleporter import cascade
+
+# (flag dest, config attribute, cast applied to parsed flag values)
+_OVERRIDES = [
+    ("scenario", "scenario", str),
+    ("alpha", "alpha", float),
+    ("input_sq_db", "input_sq_db", float),
+    ("input_antisq_db", "input_antisq_db", float),
+    ("method", "method", str),
+    ("shots", "shots", int),
+    ("seed", "seed", int),
+    ("epr_sq_db", "epr_sq_db", tuple),
+    ("epr_antisq_db", "epr_antisq_db", tuple),
+    ("g_x", "g_x", float),
+    ("g_p", "g_p", float),
+    ("eta_source", "eta_source", tuple),
+    ("eta_prop", "eta_prop", tuple),
+    ("eta_hom", "eta_hom", float),
+    ("n_points", "trace_points", int),
+    ("averages", "trace_averages", int),
+    ("sampled", "trace_sampled", bool),
+    ("samples", "tomo_samples", int),
+    ("grid_points", "grid_points", int),
+    ("grid_pad", "grid_pad", float),
+    ("cutoff", "cutoff", lambda v: None if v.strip().lower() == "auto" else float(v)),
+]
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", metavar="FILE", help="config file to load")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--scenario", choices=("coherent", "squeezed_x", "squeezed_p", "vacuum"))
+    parser.add_argument("--alpha", type=float, help="coherent amplitude")
+    parser.add_argument("--input-sq-db", type=float, dest="input_sq_db")
+    parser.add_argument("--input-antisq-db", type=float, dest="input_antisq_db")
+    parser.add_argument("--method", choices=("analytic", "mc"))
+    parser.add_argument("--shots", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--epr-sq-db", type=float, nargs=2, dest="epr_sq_db",
+                        metavar=("DB1", "DB2"))
+    parser.add_argument("--epr-antisq-db", type=float, nargs=2, dest="epr_antisq_db",
+                        metavar=("DB1", "DB2"))
+    parser.add_argument("--g-x", type=float, dest="g_x")
+    parser.add_argument("--g-p", type=float, dest="g_p")
+    parser.add_argument("--eta-source", type=float, nargs=2, dest="eta_source",
+                        metavar=("ETA1", "ETA2"))
+    parser.add_argument("--eta-prop", type=float, nargs=2, dest="eta_prop",
+                        metavar=("ETA1", "ETA2"))
+    parser.add_argument("--eta-hom", type=float, dest="eta_hom")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cvteleport",
+        description="Broadband continuous-variable teleportation simulator.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    subparsers = parser.add_subparsers(dest="verb", required=True)
+
+    p_run = subparsers.add_parser("run", help="teleport one scenario, write report.json")
+    _add_scenario_flags(p_run)
+
+    p_trace = subparsers.add_parser("trace", help="also write a phase-scan trace.csv")
+    _add_scenario_flags(p_trace)
+    p_trace.add_argument("--n-points", type=int, dest="n_points")
+    p_trace.add_argument("--averages", type=int)
+    p_trace.add_argument("--sampled", action=argparse.BooleanOptionalAction,
+                         default=None, help="emulate finite trace averaging")
+
+    p_wigner = subparsers.add_parser(
+        "wigner", help="reconstruct the output Wigner function, write wigner.csv"
+    )
+    _add_scenario_flags(p_wigner)
+    p_wigner.add_argument("--samples", type=int)
+    p_wigner.add_argument("--grid-points", type=int, dest="grid_points")
+    p_wigner.add_argument("--grid-pad", type=float, dest="grid_pad")
+    p_wigner.add_argument("--cutoff", type=str,
+                          help="ramp filter cutoff, or 'auto'")
+
+    p_cascade = subparsers.add_parser("cascade", help="teleport through repeated stages")
+    _add_scenario_flags(p_cascade)
+    p_cascade.add_argument("--stages", type=int, default=4)
+
+    p_cal = subparsers.add_parser(
+        "calibrate", help="fit source efficiencies to measured correlations"
+    )
+    p_cal.add_argument("--out", metavar="DIR", help="output directory")
+    p_cal.add_argument("--target-epr-db", type=float, nargs=2, dest="target_epr_db",
+                       default=list(BENCHMARK_TARGET_EPR_DB), metavar=("XDB", "PDB"))
+    p_cal.add_argument("--source-sq-db", type=float, nargs=2, dest="source_sq_db",
+                       default=list(BENCHMARK_SOURCE_SQ_DB), metavar=("DB1", "DB2"))
+    p_cal.add_argument("--source-antisq-db", type=float, nargs=2,
+                       dest="source_antisq_db",
+                       default=list(BENCHMARK_SOURCE_ANTISQ_DB), metavar=("DB1", "DB2"))
+    p_cal.add_argument("--pure-sources", action="store_true",
+                       help="treat the squeezers as pure (ignore anti-squeezing)")
+
+    p_repro = subparsers.add_parser(
+        "paper-repro", help="recompute the reference table; exit 4 on failure"
+    )
+    p_repro.add_argument("--out", metavar="DIR", help="output directory")
+    return parser
+
+
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    if args.config is not None:
+        text = Path(args.config).read_text(encoding="utf-8")
+    else:
+        text = ""
+    config = parse_config(text)
+    overrides = {}
+    for dest, attr, cast in _OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is not None:
+            overrides[attr] = cast(value)
+    if overrides:
+        try:
+            config = replace(config, **overrides)
+        except (PhysicsError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return config
+
+
+def _output_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Path:
+    if getattr(args, "out", None):
+        directory = args.out
+    elif config is not None and config.output_dir:
+        directory = config.output_dir
+    else:
+        directory = os.environ.get(OUTDIR_ENV_VAR, ".")
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _print_report(result) -> None:
+    report = result.report
+    print(f"scenario: {result.config.scenario} ({report.method})")
+    print(f"Vx: {report.vx:.6g} ({report.vx_db:+.3f} dB)  "
+          f"Vp: {report.vp:.6g} ({report.vp_db:+.3f} dB)")
+    if report.fidelity_coherent is not None:
+        print(f"fidelity: {report.fidelity_coherent:.5f}")
+    print(f"delta_sq_out: {report.delta_sq_out:.5f} "
+          f"({'entangled' if report.delta_sq_out < 1 else 'not entangled'})")
+
+
+def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
+    config = _load_config(args)
+    outdir = _output_dir(args, config)
+    result = run(
+        config, include_trace=(verb == "trace"), include_wigner=(verb == "wigner")
+    )
+    _print_report(result)
+    report_path = outdir / "report.json"
+    write_report_json(result, report_path)
+    written = [report_path]
+    if result.trace is not None:
+        trace_path = outdir / "trace.csv"
+        write_trace_csv(result.trace, trace_path)
+        written.append(trace_path)
+    if result.wigner is not None:
+        wigner_path = outdir / "wigner.csv"
+        write_wigner_csv(result.wigner, wigner_path)
+        written.append(wigner_path)
+    for path in written:
+        print(f"wrote {path}")
+    return 0
+
+
+def _cmd_cascade(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    outdir = _output_dir(args, config)
+    stages = cascade(config.teleporter_params(), args.stages)
+    print("stage  fidelity  Vx        Vp")
+    for stage in stages:
+        print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
+              f"{stage.vx:.6f}  {stage.vp:.6f}")
+    payload = {
+        "cascade": [
+            {"stage": s.stage, "fidelity": s.fidelity, "vx": s.vx, "vp": s.vp}
+            for s in stages
+        ],
+        "seed": config.seed,
+        "version": __version__,
+    }
+    path = outdir / "report.json"
+    write_json(payload, path)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    antisq = None if args.pure_sources else tuple(args.source_antisq_db)
+    result = calibrate_losses(
+        tuple(args.target_epr_db), tuple(args.source_sq_db), antisq
+    )
+    print(f"eta_source: {result.eta_source[0]:.6f} (p path), "
+          f"{result.eta_source[1]:.6f} (x path)")
+    print(f"achieved: {result.achieved_x_db:.4f} dB (x), "
+          f"{result.achieved_p_db:.4f} dB (p)")
+    print(f"residuals: {result.residual_x_db:.2e} dB (x), "
+          f"{result.residual_p_db:.2e} dB (p)")
+    if args.out:
+        path = _output_dir(args, None) / "report.json"
+        write_json(
+            {
+                "calibration": {
+                    "eta_source": list(result.eta_source),
+                    "achieved_x_db": result.achieved_x_db,
+                    "achieved_p_db": result.achieved_p_db,
+                    "residual_x_db": result.residual_x_db,
+                    "residual_p_db": result.residual_p_db,
+                },
+                "version": __version__,
+            },
+            path,
+        )
+        print(f"wrote {path}")
+    return 0
+
+
+def _cmd_paper_repro(args: argparse.Namespace) -> int:
+    rows = paper_repro()
+    print(format_repro_table(rows))
+    if args.out:
+        path = _output_dir(args, None) / "report.json"
+        write_json(
+            {
+                "reference_comparison": [
+                    {
+                        "criterion": row.criterion,
+                        "quantity": row.quantity,
+                        "reference": row.reference,
+                        "simulated": row.value,
+                        "passed": row.passed,
+                    }
+                    for row in rows
+                ],
+                "version": __version__,
+            },
+            path,
+        )
+        print(f"wrote {path}")
+    return 0 if all(row.passed for row in rows) else 4
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.verb in ("run", "trace", "wigner"):
+            return _cmd_scenario(args, args.verb)
+        if args.verb == "cascade":
+            return _cmd_cascade(args)
+        if args.verb == "calibrate":
+            return _cmd_calibrate(args)
+        return _cmd_paper_repro(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except PhysicsError as exc:
+        print(f"physics error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

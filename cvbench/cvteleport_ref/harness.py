@@ -1,0 +1,843 @@
+"""Experiment orchestration: configs, scenario runs, loss calibration, and the
+reference-reproduction table.
+
+Config grammar (INI-style, parsed by configparser; ``#`` and ``;`` start
+comments; unknown sections or keys are rejected with a line number):
+
+    [run]
+    scenario = coherent            # coherent | squeezed_x | squeezed_p | vacuum
+    alpha = 3.5                    # coherent amplitude, mean (alpha, 0)
+    input_sq_db = -6.2             # squeezed input level
+    input_antisq_db = 12.0
+    method = analytic              # analytic | mc
+    shots = 100000                 # mc only
+    seed = 0
+
+    [teleporter]
+    epr_sq_db = -6.0 -6.0          # one value applies to both squeezers
+    epr_antisq_db = 6.0 6.0        # omit for pure partners
+    g_x = 1.0
+    g_p = 1.0
+    eta_source = 1.0 1.0
+    eta_prop = 1.0 1.0
+    eta_hom = 1.0
+
+    [trace]
+    n_points = 240
+    averages = 30
+    sampled = false                # true emulates finite averaging
+
+    [tomography]
+    samples = 100000
+    grid_points = 81
+    grid_pad = 4.5
+    cutoff = auto                  # or a positive frequency
+
+    [output]
+    dir = .
+
+Input keys not used by the selected scenario are accepted and ignored, so a
+config stays valid when only the scenario changes.
+
+Randomness: the single config seed feeds numpy's SeedSequence; children are
+spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
+2: tomography record), so each artifact is individually reproducible.
+"""
+
+from __future__ import annotations
+
+import configparser
+import hashlib
+import json
+import time
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+from scipy.optimize import brentq
+
+from ._version import __version__
+from .gaussian import (
+    GaussianState,
+    PhysicsError,
+    coherent_state,
+    impure_squeezed_vacuum,
+    rotate,
+    vacuum,
+)
+from .sideband import delta_sq, is_entangled, sidebands_from_single_mode
+from .teleporter import (
+    EprCorrelations,
+    TeleporterParams,
+    TeleportReport,
+    cascade,
+    coherent_fidelity,
+    epr_correlations,
+    make_epr,
+    output_variances_pure,
+    squeezing_threshold_db,
+    teleport_analytic,
+    teleport_mc,
+)
+from .tomography import (
+    GridSpec,
+    PhaseScanTrace,
+    WignerGrid,
+    inverse_radon,
+    sample_record,
+    spectrum_trace,
+    wigner_moments,
+)
+
+SCENARIOS = ("coherent", "squeezed_x", "squeezed_p", "vacuum")
+METHODS = ("analytic", "mc")
+OUTDIR_ENV_VAR = "CVTELEPORT_OUTDIR"
+
+# Calibration defaults: squeezer levels as measured on the input state and
+# entanglement-correlation targets as measured on the beam pair.
+BENCHMARK_SOURCE_SQ_DB = (-6.2, -6.2)
+BENCHMARK_SOURCE_ANTISQ_DB = (12.0, 12.0)
+BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
+CALIBRATION_TOL_DB = 0.05
+
+
+class ConfigError(ValueError):
+    """Invalid configuration text or values; maps to exit code 2."""
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _parse_int(text: str) -> int:
+    return int(text, 10)
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_pair(text: str) -> tuple[float, float]:
+    parts = text.replace(",", " ").split()
+    values = tuple(_parse_float(p) for p in parts)
+    if len(values) == 1:
+        return (values[0], values[0])
+    if len(values) == 2:
+        return values
+    raise ValueError(f"expected one or two numbers, got {text!r}")
+
+
+def _parse_choice(choices):
+    def parse(text: str) -> str:
+        value = text.strip().lower()
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}; got {text!r}")
+        return value
+
+    return parse
+
+
+def _parse_cutoff(text: str) -> float | None:
+    if text.strip().lower() == "auto":
+        return None
+    value = _parse_float(text)
+    if value <= 0:
+        raise ValueError("cutoff must be positive or 'auto'")
+    return value
+
+
+# section -> key -> (ExperimentConfig attribute, parser)
+_SCHEMA = {
+    "run": {
+        "scenario": ("scenario", _parse_choice(SCENARIOS)),
+        "alpha": ("alpha", _parse_float),
+        "input_sq_db": ("input_sq_db", _parse_float),
+        "input_antisq_db": ("input_antisq_db", _parse_float),
+        "method": ("method", _parse_choice(METHODS)),
+        "shots": ("shots", _parse_int),
+        "seed": ("seed", _parse_int),
+    },
+    "teleporter": {
+        "epr_sq_db": ("epr_sq_db", _parse_pair),
+        "epr_antisq_db": ("epr_antisq_db", _parse_pair),
+        "g_x": ("g_x", _parse_float),
+        "g_p": ("g_p", _parse_float),
+        "eta_source": ("eta_source", _parse_pair),
+        "eta_prop": ("eta_prop", _parse_pair),
+        "eta_hom": ("eta_hom", _parse_float),
+    },
+    "trace": {
+        "n_points": ("trace_points", _parse_int),
+        "averages": ("trace_averages", _parse_int),
+        "sampled": ("trace_sampled", _parse_bool),
+    },
+    "tomography": {
+        "samples": ("tomo_samples", _parse_int),
+        "grid_points": ("grid_points", _parse_int),
+        "grid_pad": ("grid_pad", _parse_float),
+        "cutoff": ("cutoff", _parse_cutoff),
+    },
+    "output": {
+        "dir": ("output_dir", str),
+    },
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated scenario description; builds the TeleporterParams it names."""
+
+    scenario: str = "coherent"
+    alpha: float = 3.5
+    input_sq_db: float = -6.2
+    input_antisq_db: float = 12.0
+    method: str = "analytic"
+    shots: int = 100_000
+    seed: int = 0
+    epr_sq_db: tuple[float, float] = (-6.0, -6.0)
+    epr_antisq_db: tuple[float, float] | None = None
+    g_x: float = 1.0
+    g_p: float = 1.0
+    eta_source: tuple[float, float] = (1.0, 1.0)
+    eta_prop: tuple[float, float] = (1.0, 1.0)
+    eta_hom: float = 1.0
+    trace_points: int = 240
+    trace_averages: int = 30
+    trace_sampled: bool = False
+    tomo_samples: int = 100_000
+    grid_points: int = 81
+    grid_pad: float = 4.5
+    cutoff: float | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "input_sq_db", "input_antisq_db", "g_x", "g_p",
+                     "eta_hom", "grid_pad"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("shots", "seed", "trace_points", "trace_averages",
+                     "tomo_samples", "grid_points"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("epr_sq_db", "eta_source", "eta_prop"):
+            pair = getattr(self, name)
+            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
+        if self.epr_antisq_db is not None:
+            object.__setattr__(
+                self,
+                "epr_antisq_db",
+                (float(self.epr_antisq_db[0]), float(self.epr_antisq_db[1])),
+            )
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", float(self.cutoff))
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.shots < 2:
+            raise ValueError("shots must be >= 2")
+        if self.trace_points < 2:
+            raise ValueError("trace n_points must be >= 2")
+        if self.trace_averages < 1:
+            raise ValueError("trace averages must be >= 1")
+        if self.tomo_samples < 1:
+            raise ValueError("tomography samples must be >= 1")
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be >= 2")
+        if self.grid_pad <= 0:
+            raise ValueError("grid_pad must be positive")
+        if self.cutoff is not None and self.cutoff <= 0:
+            raise ValueError("cutoff must be positive or None")
+        # Surface physics violations (bad dB pairs, efficiencies, gains) now.
+        self.teleporter_params()
+
+    def input_state(self) -> GaussianState:
+        if self.scenario == "coherent":
+            return coherent_state(complex(self.alpha))
+        if self.scenario == "squeezed_x":
+            return impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
+        if self.scenario == "squeezed_p":
+            squeezed = impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
+            return rotate(squeezed, 0, np.pi / 2)
+        return vacuum(1)
+
+    def teleporter_params(self) -> TeleporterParams:
+        return TeleporterParams(
+            input_state=self.input_state(),
+            epr_sq_db=self.epr_sq_db,
+            epr_antisq_db=self.epr_antisq_db,
+            g_x=self.g_x,
+            g_p=self.g_p,
+            eta_source=self.eta_source,
+            eta_prop=self.eta_prop,
+            eta_hom=self.eta_hom,
+            seed=self.seed,
+        )
+
+
+def _find_line(text: str, section: str, key: str | None) -> int | None:
+    """Best-effort line number of a key (or section header) in config text."""
+    current = None
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            if key is None and current == section:
+                return number
+            continue
+        if key is None or current != section or not line or line[0] in "#;":
+            continue
+        name = line.split("=", 1)[0].split(":", 1)[0].strip().lower()
+        if name == key:
+            return number
+    return None
+
+
+def _config_error(text: str, section: str, key: str | None, message: str) -> ConfigError:
+    line = _find_line(text, section, key)
+    location = f"[{section}]" + (f" {key}" if key else "")
+    suffix = f" (line {line})" if line is not None else ""
+    return ConfigError(f"{location}{suffix}: {message}")
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate config text; raises ConfigError with location info."""
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#", ";")
+    )
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    kwargs = {}
+    for section in parser.sections():
+        name = section.strip().lower()
+        if name not in _SCHEMA:
+            raise _config_error(text, name, None, "unknown section")
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA[name]:
+                raise _config_error(text, name, key, "unknown key")
+            attr, convert = _SCHEMA[name][key]
+            try:
+                kwargs[attr] = convert(raw)
+            except ValueError as exc:
+                raise _config_error(text, name, key, str(exc)) from exc
+    try:
+        return ExperimentConfig(**kwargs)
+    except (PhysicsError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def emit_config(config: ExperimentConfig) -> str:
+    """Canonical config text; parse_config(emit_config(c)) == c."""
+    lines = [
+        "[run]",
+        f"scenario = {config.scenario}",
+        f"alpha = {config.alpha!r}",
+        f"input_sq_db = {config.input_sq_db!r}",
+        f"input_antisq_db = {config.input_antisq_db!r}",
+        f"method = {config.method}",
+        f"shots = {config.shots}",
+        f"seed = {config.seed}",
+        "",
+        "[teleporter]",
+        f"epr_sq_db = {config.epr_sq_db[0]!r} {config.epr_sq_db[1]!r}",
+    ]
+    if config.epr_antisq_db is not None:
+        lines.append(
+            f"epr_antisq_db = {config.epr_antisq_db[0]!r} {config.epr_antisq_db[1]!r}"
+        )
+    lines += [
+        f"g_x = {config.g_x!r}",
+        f"g_p = {config.g_p!r}",
+        f"eta_source = {config.eta_source[0]!r} {config.eta_source[1]!r}",
+        f"eta_prop = {config.eta_prop[0]!r} {config.eta_prop[1]!r}",
+        f"eta_hom = {config.eta_hom!r}",
+        "",
+        "[trace]",
+        f"n_points = {config.trace_points}",
+        f"averages = {config.trace_averages}",
+        f"sampled = {'true' if config.trace_sampled else 'false'}",
+        "",
+        "[tomography]",
+        f"samples = {config.tomo_samples}",
+        f"grid_points = {config.grid_points}",
+        f"grid_pad = {config.grid_pad!r}",
+        f"cutoff = {'auto' if config.cutoff is None else repr(config.cutoff)}",
+    ]
+    if config.output_dir is not None:
+        lines += ["", "[output]", f"dir = {config.output_dir}"]
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One scenario execution: report plus optional measurement artifacts."""
+
+    config: ExperimentConfig
+    report: TeleportReport
+    trace: PhaseScanTrace | None
+    wigner: WignerGrid | None
+    provenance: dict
+
+
+def run(
+    config: ExperimentConfig,
+    include_trace: bool = False,
+    include_wigner: bool = False,
+) -> RunResult:
+    """Execute one scenario; deterministic for a fixed config."""
+    params = config.teleporter_params()
+    children = np.random.SeedSequence(config.seed).spawn(3)
+    if config.method == "mc":
+        report = teleport_mc(params, config.shots, np.random.default_rng(children[0]))
+    else:
+        report = teleport_analytic(params)
+    trace = None
+    if include_trace:
+        trace_rng = np.random.default_rng(children[1]) if config.trace_sampled else None
+        trace = spectrum_trace(
+            report, n_points=config.trace_points,
+            averages=config.trace_averages, rng=trace_rng,
+        )
+    wigner = None
+    if include_wigner:
+        record = sample_record(
+            report.output_state,
+            config.tomo_samples,
+            np.random.default_rng(children[2]),
+            source=config.scenario,
+            seed=config.seed,
+        )
+        spec = GridSpec.from_state(
+            report.output_state, n=config.grid_points, pad=config.grid_pad
+        )
+        wigner = inverse_radon(record, spec, filter_cutoff=config.cutoff)
+    provenance = {
+        "config_sha256": hashlib.sha256(emit_config(config).encode()).hexdigest(),
+        "seed": config.seed,
+        "version": __version__,
+    }
+    return RunResult(config, report, trace, wigner, provenance)
+
+
+# --- serialization ---------------------------------------------------------
+
+def _state_to_dict(state: GaussianState) -> dict:
+    return {"mean": state.mean.tolist(), "cov": state.cov.tolist()}
+
+
+def _state_from_dict(data: dict) -> GaussianState:
+    # Empirical states can sit marginally outside the physicality bound.
+    return GaussianState(
+        np.array(data["mean"]), np.array(data["cov"]), validate=False
+    )
+
+
+def result_to_json_dict(result: RunResult) -> dict:
+    report = result.report
+    payload = {
+        "config_text": emit_config(result.config),
+        "report": {
+            "output_state": _state_to_dict(report.output_state),
+            "vx": report.vx,
+            "vp": report.vp,
+            "vx_db": report.vx_db,
+            "vp_db": report.vp_db,
+            "fidelity_coherent": report.fidelity_coherent,
+            "delta_sq_out": report.delta_sq_out,
+            "epr": report.epr._asdict(),
+            "gains": list(report.gains),
+            "method": report.method,
+            "shots": report.shots,
+        },
+        "provenance": result.provenance,
+    }
+    if result.trace is not None:
+        payload["trace"] = {
+            "thetas": result.trace.thetas.tolist(),
+            "power_db": result.trace.power_db.tolist(),
+            "averages": result.trace.averages,
+            "span": list(result.trace.span),
+        }
+    if result.wigner is not None:
+        grid = result.wigner
+        payload["wigner"] = {
+            "x_min": grid.x_min,
+            "x_max": grid.x_max,
+            "p_min": grid.p_min,
+            "p_max": grid.p_max,
+            "n_x": grid.n_x,
+            "n_p": grid.n_p,
+            "values": grid.values.tolist(),
+        }
+    return payload
+
+
+def result_from_json_dict(payload: dict) -> RunResult:
+    config = parse_config(payload["config_text"])
+    rep = payload["report"]
+    report = TeleportReport(
+        output_state=_state_from_dict(rep["output_state"]),
+        vx=rep["vx"],
+        vp=rep["vp"],
+        vx_db=rep["vx_db"],
+        vp_db=rep["vp_db"],
+        fidelity_coherent=rep["fidelity_coherent"],
+        delta_sq_out=rep["delta_sq_out"],
+        epr=EprCorrelations(**rep["epr"]),
+        gains=tuple(rep["gains"]),
+        method=rep["method"],
+        shots=rep["shots"],
+    )
+    trace = None
+    if "trace" in payload:
+        tr = payload["trace"]
+        trace = PhaseScanTrace(
+            np.array(tr["thetas"]),
+            np.array(tr["power_db"]),
+            tr["averages"],
+            tuple(tr["span"]),
+        )
+    wigner = None
+    if "wigner" in payload:
+        wg = payload["wigner"]
+        wigner = WignerGrid(
+            wg["x_min"], wg["x_max"], wg["p_min"], wg["p_max"],
+            wg["n_x"], wg["n_p"], np.array(wg["values"]),
+        )
+    return RunResult(config, report, trace, wigner, payload["provenance"])
+
+
+def write_report_json(result: RunResult, path) -> None:
+    text = json.dumps(result_to_json_dict(result), sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(payload: dict, path) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def write_trace_csv(trace: PhaseScanTrace, path) -> None:
+    lines = ["theta_rad,power_db"]
+    for theta, power in zip(trace.thetas, trace.power_db):
+        lines.append(f"{float(theta)!r},{float(power)!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_wigner_csv(grid: WignerGrid, path) -> None:
+    lines = [
+        "x0,x1,nx,p0,p1,np",
+        f"{grid.x_min!r},{grid.x_max!r},{grid.n_x},"
+        f"{grid.p_min!r},{grid.p_max!r},{grid.n_p}",
+    ]
+    for row in grid.values:
+        lines.append(",".join(repr(float(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+# --- loss calibration ------------------------------------------------------
+
+class CalibrationResult(NamedTuple):
+    """Fitted source efficiencies, ordered as TeleporterParams.eta_source
+    (first the p-correlation path, then the x-correlation path)."""
+
+    eta_source: tuple[float, float]
+    achieved_x_db: float
+    achieved_p_db: float
+    residual_x_db: float
+    residual_p_db: float
+
+
+def _correlation_db(
+    eta_p: float,
+    eta_x: float,
+    source_sq_db: tuple[float, float],
+    source_antisq_db: tuple[float, float] | None,
+) -> tuple[float, float]:
+    params = TeleporterParams(
+        input_state=vacuum(1),
+        epr_sq_db=source_sq_db,
+        epr_antisq_db=source_antisq_db,
+        eta_source=(eta_p, eta_x),
+    )
+    corr = epr_correlations(make_epr(params))
+    return corr.x_diff_db, corr.p_sum_db
+
+
+def calibrate_losses(
+    target_db: tuple[float, float],
+    source_sq_db: tuple[float, float] = BENCHMARK_SOURCE_SQ_DB,
+    source_antisq_db: tuple[float, float] | None = BENCHMARK_SOURCE_ANTISQ_DB,
+    tol_db: float = CALIBRATION_TOL_DB,
+) -> CalibrationResult:
+    """Fit per-path source efficiencies to measured beam-pair correlations.
+
+    target_db is the measured (x_diff, p_sum) correlation pair in dB relative
+    to the two-mode vacuum level.  Each path is a one-dimensional root-find:
+    the x correlation depends only on the second squeezer's efficiency and
+    the p correlation only on the first's.  Raises PhysicsError when a
+    target is unreachable (below the source limit or at/above vacuum).
+    """
+    target_x, target_p = float(target_db[0]), float(target_db[1])
+    lo, hi = 1e-9, 1.0
+
+    def solve(target: float, objective) -> float:
+        f_lo, f_hi = objective(lo) - target, objective(hi) - target
+        if f_hi > 0:
+            raise PhysicsError(
+                f"target {target} dB is below the {objective(hi):.3f} dB "
+                "limit set by the source squeezing"
+            )
+        if f_lo < 0:
+            raise PhysicsError(
+                f"target {target} dB is not below the vacuum correlation level"
+            )
+        return float(brentq(lambda eta: objective(eta) - target, lo, hi, xtol=1e-12))
+
+    eta_x = solve(
+        target_x,
+        lambda eta: _correlation_db(1.0, eta, source_sq_db, source_antisq_db)[0],
+    )
+    eta_p = solve(
+        target_p,
+        lambda eta: _correlation_db(eta, 1.0, source_sq_db, source_antisq_db)[1],
+    )
+    achieved_x, achieved_p = _correlation_db(
+        eta_p, eta_x, source_sq_db, source_antisq_db
+    )
+    residual_x, residual_p = achieved_x - target_x, achieved_p - target_p
+    if max(abs(residual_x), abs(residual_p)) > tol_db:
+        raise PhysicsError(
+            f"calibration residuals ({residual_x:.3g}, {residual_p:.3g}) dB "
+            f"exceed {tol_db} dB"
+        )
+    return CalibrationResult(
+        (eta_p, eta_x), achieved_x, achieved_p, residual_x, residual_p
+    )
+
+
+def benchmark_config(scenario: str = "coherent", **overrides) -> ExperimentConfig:
+    """Scenario config with losses calibrated to the measured correlations."""
+    calibration = calibrate_losses(BENCHMARK_TARGET_EPR_DB)
+    base = dict(
+        scenario=scenario,
+        epr_sq_db=BENCHMARK_SOURCE_SQ_DB,
+        epr_antisq_db=BENCHMARK_SOURCE_ANTISQ_DB,
+        eta_source=calibration.eta_source,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+# --- reference reproduction -------------------------------------------------
+
+@dataclass(frozen=True)
+class ReproRow:
+    criterion: int
+    quantity: str
+    reference: str
+    value: float
+    passed: bool
+
+
+def _row_window(criterion, quantity, lo, hi, value) -> ReproRow:
+    return ReproRow(
+        criterion, quantity, f"[{lo:g}, {hi:g}]", float(value),
+        bool(lo <= value <= hi),
+    )
+
+
+def _row_tol(criterion, quantity, target, tol, value) -> ReproRow:
+    return ReproRow(
+        criterion, quantity, f"{target:g} +/- {tol:g}", float(value),
+        bool(abs(value - target) <= tol),
+    )
+
+
+def _mc_max_sigma(params: TeleporterParams, shots: int, seed: int) -> float:
+    """Largest |deviation| / standard-error over moments of one MC run."""
+    analytic = teleport_analytic(params)
+    empirical = teleport_mc(params, shots, np.random.default_rng(seed))
+    a_cov = analytic.output_state.cov
+    e_cov = empirical.output_state.cov
+    e_mean = empirical.output_state.mean
+    a_mean = analytic.output_state.mean
+    n = shots
+    scores = [
+        abs(e_mean[0] - a_mean[0]) / np.sqrt(a_cov[0, 0] / n),
+        abs(e_mean[1] - a_mean[1]) / np.sqrt(a_cov[1, 1] / n),
+        abs(e_cov[0, 0] - a_cov[0, 0]) / (a_cov[0, 0] * np.sqrt(2.0 / (n - 1))),
+        abs(e_cov[1, 1] - a_cov[1, 1]) / (a_cov[1, 1] * np.sqrt(2.0 / (n - 1))),
+        abs(e_cov[0, 1] - a_cov[0, 1])
+        / np.sqrt((a_cov[0, 0] * a_cov[1, 1] + a_cov[0, 1] ** 2) / n),
+    ]
+    return float(max(scores))
+
+
+def _db_from_r(r: float) -> float:
+    return float(10.0 * np.log10(np.exp(-2.0 * r)))
+
+
+def paper_repro() -> list[ReproRow]:
+    """Recompute every reference quantity and compare against its window.
+
+    Deterministic: stochastic rows use fixed internal seeds.
+    """
+    rows: list[ReproRow] = []
+
+    # 1: squeezing threshold and exact vacuum crossing
+    rows.append(
+        _row_tol(1, "threshold_db", -4.771212547196624, 1e-9, squeezing_threshold_db())
+    )
+    r_third = 0.5 * np.log(3.0)
+    vx_third, _ = output_variances_pure(r_third)
+    rows.append(_row_tol(1, "vx_at_threshold", 0.25, 1e-10, vx_third))
+
+    # 2: classical limit at r = 0
+    classical = teleport_analytic(
+        TeleporterParams(input_state=coherent_state(3.5 + 0j), epr_sq_db=(0.0, 0.0))
+    )
+    rows.append(_row_tol(2, "classical_fidelity", 0.5, 1e-10, classical.fidelity_coherent))
+    rows.append(_row_tol(2, "classical_vx", 0.75, 1e-10, classical.vx))
+    rows.append(_row_tol(2, "classical_vp", 0.75, 1e-10, classical.vp))
+
+    # 3: ideal -6 dB resource fidelity
+    ideal = teleport_analytic(TeleporterParams(input_state=coherent_state(3.5 + 0j)))
+    rows.append(
+        _row_tol(3, "ideal_6db_fidelity", 1.0 / (1.0 + 10.0**-0.6), 0.0005,
+                 ideal.fidelity_coherent)
+    )
+
+    # 4: fidelity formula at the measured output variances
+    measured_f = coherent_fidelity(0.25 * 10.0**0.20, 0.25 * 10.0**0.23)
+    rows.append(_row_tol(4, "measured_fidelity_formula", 0.757, 0.005, measured_f))
+
+    # 5: calibrated coherent scenario
+    coherent_run = teleport_analytic(benchmark_config("coherent").teleporter_params())
+    rows.append(_row_window(5, "coherent_vx_db", 1.8, 2.4, coherent_run.vx_db))
+    rows.append(_row_window(5, "coherent_vp_db", 1.8, 2.4, coherent_run.vp_db))
+    rows.append(
+        _row_window(5, "coherent_fidelity", 0.74, 0.79, coherent_run.fidelity_coherent)
+    )
+
+    # 6: calibrated squeezed scenario
+    squeezed_config = benchmark_config("squeezed_x")
+    squeezed_run = teleport_analytic(squeezed_config.teleporter_params())
+    rows.append(_row_window(6, "squeezed_vx_db", -1.2, -0.6, squeezed_run.vx_db))
+    rows.append(_row_window(6, "squeezed_vp_db", 11.9, 12.7, squeezed_run.vp_db))
+    rows.append(_row_window(6, "delta_sq_out", 0.76, 0.88, squeezed_run.delta_sq_out))
+    delta_in = delta_sq(sidebands_from_single_mode(squeezed_config.input_state()))
+    rows.append(_row_tol(6, "delta_sq_in", 0.240, 0.005, delta_in))
+    verdict = is_entangled(
+        sidebands_from_single_mode(squeezed_run.output_state)
+    )
+    rows.append(
+        ReproRow(6, "output_entangled", "true", float(verdict.entangled),
+                 verdict.entangled)
+    )
+
+    # 7: coherent signal calibration on the phase scan
+    trace = spectrum_trace(coherent_state(3.5 + 0j))
+    rows.append(_row_tol(7, "trace_peak_db", 17.0, 0.1, float(trace.power_db.max())))
+
+    # 8: Monte Carlo vs analytic across the standard sweep
+    start = time.perf_counter()
+    worst = 0.0
+    seed = 814
+    for r in (0.0, 0.35, 0.69):
+        for gain in (0.5, 1.0):
+            for eta in (0.9, 1.0):
+                params = TeleporterParams(
+                    input_state=coherent_state(3.5 + 0j),
+                    epr_sq_db=(_db_from_r(r), _db_from_r(r)),
+                    g_x=gain,
+                    g_p=gain,
+                    eta_prop=(eta, eta),
+                )
+                worst = max(worst, _mc_max_sigma(params, 100_000, seed))
+                seed += 1
+    elapsed = time.perf_counter() - start
+    rows.append(_row_window(8, "mc_max_sigma", 0.0, 5.0, worst))
+    rows.append(_row_window(8, "mc_sweep_seconds", 0.0, 60.0, elapsed))
+
+    # 9: tomography closure on the teleported squeezed state
+    state = squeezed_run.output_state
+    record = sample_record(state, 100_000, np.random.default_rng(901))
+    grid = inverse_radon(record, GridSpec.from_state(state))
+    moments = wigner_moments(grid)
+    var_err = max(
+        abs(moments.cov[0, 0] - squeezed_run.vx) / squeezed_run.vx,
+        abs(moments.cov[1, 1] - squeezed_run.vp) / squeezed_run.vp,
+    )
+    rows.append(_row_window(9, "tomography_var_rel_err", 0.0, 0.05, var_err))
+    rows.append(
+        _row_window(9, "tomography_mean_abs_err", 0.0, 0.05,
+                    float(np.abs(moments.mean).max()))
+    )
+
+    # 10: entanglement iff squeezing across the r sweep
+    consistent = 0
+    r_values = (0.0, 0.2, 0.4, 0.55, 0.7, 0.9)
+    for r in r_values:
+        report = teleport_analytic(
+            TeleporterParams(
+                input_state=impure_squeezed_vacuum(-6.2, 12.0),
+                epr_sq_db=(_db_from_r(r), _db_from_r(r)),
+            )
+        )
+        entangled = is_entangled(
+            sidebands_from_single_mode(report.output_state)
+        ).entangled
+        if entangled == (report.vx < 0.25):
+            consistent += 1
+    rows.append(
+        ReproRow(10, "entangled_iff_squeezed", f"{len(r_values)}/{len(r_values)}",
+                 float(consistent), consistent == len(r_values))
+    )
+
+    # 11: cascaded stages at pure -6 dB
+    stages = cascade(
+        TeleporterParams(input_state=coherent_state(3.5 + 0j)), 4
+    )
+    for stage, target in zip(stages, (0.799, 0.666, 0.570, 0.499)):
+        rows.append(
+            _row_tol(11, f"cascade_f{stage.stage}", target, 0.002, stage.fidelity)
+        )
+    return rows
+
+
+def format_repro_table(rows: list[ReproRow]) -> str:
+    header = ("crit", "quantity", "reference", "simulated", "status")
+    cells = [header]
+    for row in rows:
+        cells.append(
+            (
+                str(row.criterion),
+                row.quantity,
+                row.reference,
+                f"{row.value:.6g}",
+                "pass" if row.passed else "FAIL",
+            )
+        )
+    widths = [max(len(line[i]) for line in cells) for i in range(len(header))]
+    lines = []
+    for index, line in enumerate(cells):
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)))
+        if index == 0:
+            lines.append("  ".join("-" * width for width in widths))
+    failed = sum(1 for row in rows if not row.passed)
+    lines.append("")
+    lines.append(
+        f"{len(rows) - failed}/{len(rows)} rows pass"
+        + (f" ({failed} FAILED)" if failed else "")
+    )
+    return "\n".join(lines)
