@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  Flags mirror the
-config keys; precedence is built-in defaults < config file < flags.  The
-output directory resolves as --out, then [output] dir, then the
-CVTELEPORT_OUTDIR environment variable, then the working directory.
+Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  The scenario
+verbs (run, trace, wigner, cascade) take a flag for every [run] and
+[teleporter] config key; trace adds the [trace] keys and wigner the
+[tomography] keys.  A flag is its config key with "_" turned into "-"; pair
+keys take two values.  Flag values are parsed and checked exactly like config
+text, so a non-finite number is a config error.  Precedence is built-in
+defaults < config file < flags.  The output directory resolves as --out, then
+[output] dir, then the CVTELEPORT_OUTDIR environment variable, then the
+working directory.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -25,6 +30,7 @@ from .harness import (
     BENCHMARK_SOURCE_ANTISQ_DB,
     BENCHMARK_SOURCE_SQ_DB,
     BENCHMARK_TARGET_EPR_DB,
+    CONFIG_FIELDS,
     ConfigError,
     ExperimentConfig,
     calibrate_losses,
@@ -39,53 +45,14 @@ from .harness import (
 )
 from .teleporter import cascade
 
-# (flag dest, config attribute, cast applied to parsed flag values)
-_OVERRIDES = [
-    ("scenario", "scenario", str),
-    ("alpha", "alpha", float),
-    ("input_sq_db", "input_sq_db", float),
-    ("input_antisq_db", "input_antisq_db", float),
-    ("method", "method", str),
-    ("shots", "shots", int),
-    ("seed", "seed", int),
-    ("epr_sq_db", "epr_sq_db", tuple),
-    ("epr_antisq_db", "epr_antisq_db", tuple),
-    ("g_x", "g_x", float),
-    ("g_p", "g_p", float),
-    ("eta_source", "eta_source", tuple),
-    ("eta_prop", "eta_prop", tuple),
-    ("eta_hom", "eta_hom", float),
-    ("n_points", "trace_points", int),
-    ("averages", "trace_averages", int),
-    ("sampled", "trace_sampled", bool),
-    ("samples", "tomo_samples", int),
-    ("grid_points", "grid_points", int),
-    ("grid_pad", "grid_pad", float),
-    ("cutoff", "cutoff", lambda v: None if v.strip().lower() == "auto" else float(v)),
-]
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_flags(parser: argparse.ArgumentParser, section: str | None = None) -> None:
+    """--config, --out, and a flag for every [run], [teleporter] and
+    ``section`` config key."""
     parser.add_argument("--config", metavar="FILE", help="config file to load")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--scenario", choices=("coherent", "squeezed_x", "squeezed_p", "vacuum"))
-    parser.add_argument("--alpha", type=float, help="coherent amplitude")
-    parser.add_argument("--input-sq-db", type=float, dest="input_sq_db")
-    parser.add_argument("--input-antisq-db", type=float, dest="input_antisq_db")
-    parser.add_argument("--method", choices=("analytic", "mc"))
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--epr-sq-db", type=float, nargs=2, dest="epr_sq_db",
-                        metavar=("DB1", "DB2"))
-    parser.add_argument("--epr-antisq-db", type=float, nargs=2, dest="epr_antisq_db",
-                        metavar=("DB1", "DB2"))
-    parser.add_argument("--g-x", type=float, dest="g_x")
-    parser.add_argument("--g-p", type=float, dest="g_p")
-    parser.add_argument("--eta-source", type=float, nargs=2, dest="eta_source",
-                        metavar=("ETA1", "ETA2"))
-    parser.add_argument("--eta-prop", type=float, nargs=2, dest="eta_prop",
-                        metavar=("ETA1", "ETA2"))
-    parser.add_argument("--eta-hom", type=float, dest="eta_hom")
+    for field in CONFIG_FIELDS:
+        if field.section in ("run", "teleporter", section):
+            parser.add_argument(field.flag, help=field.help, **field.kind.flag_options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,21 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p_run)
 
     p_trace = subparsers.add_parser("trace", help="also write a phase-scan trace.csv")
-    _add_scenario_flags(p_trace)
-    p_trace.add_argument("--n-points", type=int, dest="n_points")
-    p_trace.add_argument("--averages", type=int)
-    p_trace.add_argument("--sampled", action=argparse.BooleanOptionalAction,
-                         default=None, help="emulate finite trace averaging")
+    _add_scenario_flags(p_trace, "trace")
 
     p_wigner = subparsers.add_parser(
         "wigner", help="reconstruct the output Wigner function, write wigner.csv"
     )
-    _add_scenario_flags(p_wigner)
-    p_wigner.add_argument("--samples", type=int)
-    p_wigner.add_argument("--grid-points", type=int, dest="grid_points")
-    p_wigner.add_argument("--grid-pad", type=float, dest="grid_pad")
-    p_wigner.add_argument("--cutoff", type=str,
-                          help="ramp filter cutoff, or 'auto'")
+    _add_scenario_flags(p_wigner, "tomography")
 
     p_cascade = subparsers.add_parser("cascade", help="teleport through repeated stages")
     _add_scenario_flags(p_cascade)
@@ -148,10 +106,18 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         text = ""
     config = parse_config(text)
     overrides = {}
-    for dest, attr, cast in _OVERRIDES:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[attr] = cast(value)
+    for field in CONFIG_FIELDS:
+        value = getattr(args, field.key, None)
+        if value is None:
+            continue
+        if isinstance(value, list):  # the two values of a pair flag
+            value = " ".join(value)
+        try:
+            overrides[field.attr] = (
+                value if isinstance(value, bool) else field.kind.parse(value)
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[{field.section}] {field.key} ({field.flag}): {exc}") from exc
     if overrides:
         try:
             config = replace(config, **overrides)

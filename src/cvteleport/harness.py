@@ -37,7 +37,12 @@ comments; unknown sections or keys are rejected with a line number):
     dir = .
 
 Input keys not used by the selected scenario are accepted and ignored, so a
-config stays valid when only the scenario changes.
+config stays valid when only the scenario changes.  Numbers must be finite.
+
+Every key but ``[output] dir`` (``--out``) is also a command-line flag: the
+key with ``_`` turned into ``-``, pair keys taking two values.  Flags, config
+text and values passed to ExperimentConfig share one set of checks, all
+generated from the table ``CONFIG_FIELDS``.
 
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
@@ -46,13 +51,15 @@ spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -106,15 +113,11 @@ class ConfigError(ValueError):
     """Invalid configuration text or values; maps to exit code 2."""
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
+def _finite(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
 
 
 def _parse_bool(text: str) -> bool:
@@ -128,7 +131,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.replace(",", " ").split()
-    values = tuple(_parse_float(p) for p in parts)
+    values = tuple(_finite(p) for p in parts)
     if len(values) == 1:
         return (values[0], values[0])
     if len(values) == 2:
@@ -136,60 +139,116 @@ def _parse_pair(text: str) -> tuple[float, float]:
     raise ValueError(f"expected one or two numbers, got {text!r}")
 
 
-def _parse_choice(choices):
-    def parse(text: str) -> str:
-        value = text.strip().lower()
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}; got {text!r}")
-        return value
-
-    return parse
-
-
-def _parse_cutoff(text: str) -> float | None:
-    if text.strip().lower() == "auto":
+def _coerce_cutoff(value) -> float | None:
+    if value is None:
         return None
-    value = _parse_float(text)
+    value = _finite(value)
     if value <= 0:
         raise ValueError("cutoff must be positive or 'auto'")
     return value
 
 
-# section -> key -> (ExperimentConfig attribute, parser)
-_SCHEMA = {
-    "run": {
-        "scenario": ("scenario", _parse_choice(SCENARIOS)),
-        "alpha": ("alpha", _parse_float),
-        "input_sq_db": ("input_sq_db", _parse_float),
-        "input_antisq_db": ("input_antisq_db", _parse_float),
-        "method": ("method", _parse_choice(METHODS)),
-        "shots": ("shots", _parse_int),
-        "seed": ("seed", _parse_int),
-    },
-    "teleporter": {
-        "epr_sq_db": ("epr_sq_db", _parse_pair),
-        "epr_antisq_db": ("epr_antisq_db", _parse_pair),
-        "g_x": ("g_x", _parse_float),
-        "g_p": ("g_p", _parse_float),
-        "eta_source": ("eta_source", _parse_pair),
-        "eta_prop": ("eta_prop", _parse_pair),
-        "eta_hom": ("eta_hom", _parse_float),
-    },
-    "trace": {
-        "n_points": ("trace_points", _parse_int),
-        "averages": ("trace_averages", _parse_int),
-        "sampled": ("trace_sampled", _parse_bool),
-    },
-    "tomography": {
-        "samples": ("tomo_samples", _parse_int),
-        "grid_points": ("grid_points", _parse_int),
-        "grid_pad": ("grid_pad", _parse_float),
-        "cutoff": ("cutoff", _parse_cutoff),
-    },
-    "output": {
-        "dir": ("output_dir", str),
-    },
-}
+class _Kind(NamedTuple):
+    """How one kind of config value is read, checked and written.
+
+    ``parse`` turns config text or a flag value into a checked value;
+    ``coerce`` checks and normalizes a value given to ExperimentConfig
+    directly; ``emit`` writes its canonical text, None leaving the key out.
+    ``flag_options`` holds the argparse options of the matching command-line flag.
+    """
+
+    parse: Callable[[str], Any]
+    coerce: Callable[[Any], Any]
+    emit: Callable[[Any], str | None]
+    flag_options: dict = {}
+
+
+def _choice(options: tuple[str, ...]) -> _Kind:
+    def parse(value) -> str:
+        text = str(value).strip().lower()
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}; got {value!r}")
+        return text
+
+    return _Kind(parse, parse, str, {"choices": options})
+
+
+def _pair(unit: str, optional: bool = False) -> _Kind:
+    def coerce(value):
+        if optional and value is None:
+            return None
+        first, second = value
+        return (_finite(first), _finite(second))
+
+    def emit(value):
+        return None if value is None else f"{value[0]!r} {value[1]!r}"
+
+    return _Kind(_parse_pair, coerce, emit, {"nargs": 2, "metavar": (f"{unit}1", f"{unit}2")})
+
+
+_FLOAT = _Kind(_finite, _finite, repr)
+_INT = _Kind(int, int, str)
+_BOOL = _Kind(
+    _parse_bool, bool, lambda value: "true" if value else "false",
+    {"action": argparse.BooleanOptionalAction},
+)
+_CUTOFF = _Kind(
+    lambda text: None if text.strip().lower() == "auto" else _coerce_cutoff(text),
+    _coerce_cutoff,
+    lambda value: "auto" if value is None else repr(value),
+)
+_STR = _Kind(str, lambda value: None if value is None else str(value), lambda value: value)
+
+
+class ConfigField(NamedTuple):
+    """One config key: its section, its kind and the ExperimentConfig
+    attribute it sets (``name``, when that differs from the key)."""
+
+    section: str
+    key: str
+    kind: _Kind
+    name: str | None = None
+    help: str | None = None
+
+    @property
+    def attr(self) -> str:
+        return self.name or self.key
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+# The config grammar, in emitted order.  ExperimentConfig coerces its fields,
+# parse_config reads, emit_config writes and the CLI builds its flags from
+# this table; the defaults live on ExperimentConfig.
+CONFIG_FIELDS = (
+    ConfigField("run", "scenario", _choice(SCENARIOS)),
+    ConfigField("run", "alpha", _FLOAT, help="coherent amplitude"),
+    ConfigField("run", "input_sq_db", _FLOAT),
+    ConfigField("run", "input_antisq_db", _FLOAT),
+    ConfigField("run", "method", _choice(METHODS)),
+    ConfigField("run", "shots", _INT),
+    ConfigField("run", "seed", _INT),
+    ConfigField("teleporter", "epr_sq_db", _pair("DB")),
+    ConfigField("teleporter", "epr_antisq_db", _pair("DB", optional=True)),
+    ConfigField("teleporter", "g_x", _FLOAT),
+    ConfigField("teleporter", "g_p", _FLOAT),
+    ConfigField("teleporter", "eta_source", _pair("ETA")),
+    ConfigField("teleporter", "eta_prop", _pair("ETA")),
+    ConfigField("teleporter", "eta_hom", _FLOAT),
+    ConfigField("trace", "n_points", _INT, "trace_points"),
+    ConfigField("trace", "averages", _INT, "trace_averages"),
+    ConfigField("trace", "sampled", _BOOL, "trace_sampled",
+                help="emulate finite trace averaging"),
+    ConfigField("tomography", "samples", _INT, "tomo_samples"),
+    ConfigField("tomography", "grid_points", _INT),
+    ConfigField("tomography", "grid_pad", _FLOAT),
+    ConfigField("tomography", "cutoff", _CUTOFF, help="ramp filter cutoff, or 'auto'"),
+    ConfigField("output", "dir", _STR, "output_dir"),
+)
+_FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
+_SECTIONS = {field.section for field in CONFIG_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -220,27 +279,12 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "input_sq_db", "input_antisq_db", "g_x", "g_p",
-                     "eta_hom", "grid_pad"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("shots", "seed", "trace_points", "trace_averages",
-                     "tomo_samples", "grid_points"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("epr_sq_db", "eta_source", "eta_prop"):
-            pair = getattr(self, name)
-            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
-        if self.epr_antisq_db is not None:
-            object.__setattr__(
-                self,
-                "epr_antisq_db",
-                (float(self.epr_antisq_db[0]), float(self.epr_antisq_db[1])),
-            )
-        if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", float(self.cutoff))
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        for field in CONFIG_FIELDS:
+            try:
+                value = field.kind.coerce(getattr(self, field.attr))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{field.attr}: {exc}") from exc
+            object.__setattr__(self, field.attr, value)
         if self.shots < 2:
             raise ValueError("shots must be >= 2")
         if self.trace_points < 2:
@@ -253,8 +297,6 @@ class ExperimentConfig:
             raise ValueError("grid_points must be >= 2")
         if self.grid_pad <= 0:
             raise ValueError("grid_pad must be positive")
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise ValueError("cutoff must be positive or None")
         # Surface physics violations (bad dB pairs, efficiencies, gains) now.
         self.teleporter_params()
 
@@ -319,14 +361,14 @@ def parse_config(text: str) -> ExperimentConfig:
     kwargs = {}
     for section in parser.sections():
         name = section.strip().lower()
-        if name not in _SCHEMA:
+        if name not in _SECTIONS:
             raise _config_error(text, name, None, "unknown section")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[name]:
+            field = _FIELDS_BY_KEY.get((name, key))
+            if field is None:
                 raise _config_error(text, name, key, "unknown key")
-            attr, convert = _SCHEMA[name][key]
             try:
-                kwargs[attr] = convert(raw)
+                kwargs[field.attr] = field.kind.parse(raw)
             except ValueError as exc:
                 raise _config_error(text, name, key, str(exc)) from exc
     try:
@@ -337,44 +379,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def emit_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse_config(emit_config(c)) == c."""
-    lines = [
-        "[run]",
-        f"scenario = {config.scenario}",
-        f"alpha = {config.alpha!r}",
-        f"input_sq_db = {config.input_sq_db!r}",
-        f"input_antisq_db = {config.input_antisq_db!r}",
-        f"method = {config.method}",
-        f"shots = {config.shots}",
-        f"seed = {config.seed}",
-        "",
-        "[teleporter]",
-        f"epr_sq_db = {config.epr_sq_db[0]!r} {config.epr_sq_db[1]!r}",
-    ]
-    if config.epr_antisq_db is not None:
-        lines.append(
-            f"epr_antisq_db = {config.epr_antisq_db[0]!r} {config.epr_antisq_db[1]!r}"
-        )
-    lines += [
-        f"g_x = {config.g_x!r}",
-        f"g_p = {config.g_p!r}",
-        f"eta_source = {config.eta_source[0]!r} {config.eta_source[1]!r}",
-        f"eta_prop = {config.eta_prop[0]!r} {config.eta_prop[1]!r}",
-        f"eta_hom = {config.eta_hom!r}",
-        "",
-        "[trace]",
-        f"n_points = {config.trace_points}",
-        f"averages = {config.trace_averages}",
-        f"sampled = {'true' if config.trace_sampled else 'false'}",
-        "",
-        "[tomography]",
-        f"samples = {config.tomo_samples}",
-        f"grid_points = {config.grid_points}",
-        f"grid_pad = {config.grid_pad!r}",
-        f"cutoff = {'auto' if config.cutoff is None else repr(config.cutoff)}",
-    ]
-    if config.output_dir is not None:
-        lines += ["", "[output]", f"dir = {config.output_dir}"]
-    return "\n".join(lines) + "\n"
+    sections: dict[str, list[str]] = {}
+    for field in CONFIG_FIELDS:
+        value = field.kind.emit(getattr(config, field.attr))
+        if value is not None:
+            sections.setdefault(field.section, [f"[{field.section}]"]).append(
+                f"{field.key} = {value}"
+            )
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -441,22 +453,21 @@ def _state_from_dict(data: dict) -> GaussianState:
     )
 
 
+# TeleportReport fields that are not plain JSON values: (encode, decode).
+_REPORT_CODECS = {
+    "output_state": (_state_to_dict, _state_from_dict),
+    "epr": (EprCorrelations._asdict, lambda data: EprCorrelations(**data)),
+    "gains": (list, tuple),
+}
+_PLAIN = (lambda value: value, lambda value: value)
+
+
 def result_to_json_dict(result: RunResult) -> dict:
-    report = result.report
     payload = {
         "config_text": emit_config(result.config),
         "report": {
-            "output_state": _state_to_dict(report.output_state),
-            "vx": report.vx,
-            "vp": report.vp,
-            "vx_db": report.vx_db,
-            "vp_db": report.vp_db,
-            "fidelity_coherent": report.fidelity_coherent,
-            "delta_sq_out": report.delta_sq_out,
-            "epr": report.epr._asdict(),
-            "gains": list(report.gains),
-            "method": report.method,
-            "shots": report.shots,
+            f.name: _REPORT_CODECS.get(f.name, _PLAIN)[0](getattr(result.report, f.name))
+            for f in fields(TeleportReport)
         },
         "provenance": result.provenance,
     }
@@ -468,15 +479,8 @@ def result_to_json_dict(result: RunResult) -> dict:
             "span": list(result.trace.span),
         }
     if result.wigner is not None:
-        grid = result.wigner
         payload["wigner"] = {
-            "x_min": grid.x_min,
-            "x_max": grid.x_max,
-            "p_min": grid.p_min,
-            "p_max": grid.p_max,
-            "n_x": grid.n_x,
-            "n_p": grid.n_p,
-            "values": grid.values.tolist(),
+            **asdict(result.wigner.spec), "values": result.wigner.values.tolist()
         }
     return payload
 
@@ -485,34 +489,16 @@ def result_from_json_dict(payload: dict) -> RunResult:
     config = parse_config(payload["config_text"])
     rep = payload["report"]
     report = TeleportReport(
-        output_state=_state_from_dict(rep["output_state"]),
-        vx=rep["vx"],
-        vp=rep["vp"],
-        vx_db=rep["vx_db"],
-        vp_db=rep["vp_db"],
-        fidelity_coherent=rep["fidelity_coherent"],
-        delta_sq_out=rep["delta_sq_out"],
-        epr=EprCorrelations(**rep["epr"]),
-        gains=tuple(rep["gains"]),
-        method=rep["method"],
-        shots=rep["shots"],
+        **{
+            f.name: _REPORT_CODECS.get(f.name, _PLAIN)[1](rep[f.name])
+            for f in fields(TeleportReport)
+        }
     )
-    trace = None
-    if "trace" in payload:
-        tr = payload["trace"]
-        trace = PhaseScanTrace(
-            np.array(tr["thetas"]),
-            np.array(tr["power_db"]),
-            tr["averages"],
-            tuple(tr["span"]),
-        )
+    trace = PhaseScanTrace(**payload["trace"]) if "trace" in payload else None
     wigner = None
     if "wigner" in payload:
-        wg = payload["wigner"]
-        wigner = WignerGrid(
-            wg["x_min"], wg["x_max"], wg["p_min"], wg["p_max"],
-            wg["n_x"], wg["n_p"], np.array(wg["values"]),
-        )
+        spec = {k: v for k, v in payload["wigner"].items() if k != "values"}
+        wigner = WignerGrid(GridSpec(**spec), payload["wigner"]["values"])
     return RunResult(config, report, trace, wigner, payload["provenance"])
 
 
@@ -534,10 +520,11 @@ def write_trace_csv(trace: PhaseScanTrace, path) -> None:
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
+    spec = grid.spec
     lines = [
         "x0,x1,nx,p0,p1,np",
-        f"{grid.x_min!r},{grid.x_max!r},{grid.n_x},"
-        f"{grid.p_min!r},{grid.p_max!r},{grid.n_p}",
+        f"{spec.x_min!r},{spec.x_max!r},{spec.n_x},"
+        f"{spec.p_min!r},{spec.p_max!r},{spec.n_p}",
     ]
     for row in grid.values:
         lines.append(",".join(repr(float(v)) for v in row))

@@ -187,61 +187,32 @@ class QuadratureRecord:
 class WignerGrid:
     """Wigner function samples on a rectangular grid.
 
-    values[i, j] = W(x_i, p_j).  For a state whose support fits the window,
-    the Riemann sum times the cell area lies in NORMALIZATION_WINDOW; the
-    bound is enforced where it matters, in wigner_moments.
+    values[i, j] = W(x_i, p_j) with x_i, p_j from spec's axes.  For a state
+    whose support fits the window, the Riemann sum times the cell area lies
+    in NORMALIZATION_WINDOW; the bound is enforced where it matters, in
+    wigner_moments.
     """
 
-    x_min: float
-    x_max: float
-    p_min: float
-    p_max: float
-    n_x: int
-    n_p: int
+    spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x_min", "x_max", "p_min", "p_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n_x", "n_p"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         values = _readonly(self.values)
-        if values.shape != (self.n_x, self.n_p):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({self.n_x}, {self.n_p})"
-            )
+        shape = (self.spec.n_x, self.spec.n_p)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match grid {shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def spec(self) -> GridSpec:
-        return GridSpec(self.x_min, self.x_max, self.p_min, self.p_max, self.n_x, self.n_p)
-
-    def x_axis(self) -> np.ndarray:
-        return self.spec.x_axis()
-
-    def p_axis(self) -> np.ndarray:
-        return self.spec.p_axis()
-
-    @property
-    def cell_area(self) -> float:
-        return self.spec.cell_area
-
     def normalization(self) -> float:
-        return float(self.values.sum() * self.cell_area)
+        return float(self.values.sum() * self.spec.cell_area)
 
 
 class WignerMoments(NamedTuple):
     mean: np.ndarray
     cov: np.ndarray
     normalization: float
-
-
-def _grid_from_spec(spec: GridSpec, values: np.ndarray) -> WignerGrid:
-    return WignerGrid(
-        spec.x_min, spec.x_max, spec.p_min, spec.p_max, spec.n_x, spec.n_p, values
-    )
 
 
 def _trace_state(state_or_report) -> GaussianState:
@@ -333,7 +304,7 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
     X, P = np.meshgrid(x, p, indexing="ij")
     quad = inv[0, 0] * X * X + 2.0 * inv[0, 1] * X * P + inv[1, 1] * P * P
     values = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
-    return _grid_from_spec(spec, values)
+    return WignerGrid(spec, values)
 
 
 def _fold_half_turn(thetas, values):
@@ -344,15 +315,19 @@ def _fold_half_turn(thetas, values):
     return folded, np.where(flip, -values, values)
 
 
-def _spec_from_record(folded_thetas, values, idx, counts, n_theta_bins):
+def _bin_variances(idx, counts, values, n_theta_bins):
+    """Sample variance of the values in each phase bin (nan for empty bins)."""
+    sums = np.bincount(idx, weights=values, minlength=n_theta_bins)
+    sqs = np.bincount(idx, weights=values * values, minlength=n_theta_bins)
+    with np.errstate(invalid="ignore"):
+        return sqs / counts - (sums / counts) ** 2
+
+
+def _spec_from_record(folded_thetas, values, variances, counts):
     """Data-driven window: fitted mean center, widest per-bin spread."""
     c, s = np.cos(folded_thetas), np.sin(folded_thetas)
     design = np.column_stack([c, s])
     center, *_ = np.linalg.lstsq(design, values, rcond=None)
-    sums = np.bincount(idx, weights=values, minlength=n_theta_bins)
-    sqs = np.bincount(idx, weights=values * values, minlength=n_theta_bins)
-    with np.errstate(invalid="ignore"):
-        variances = sqs / counts - (sums / counts) ** 2
     sigma_max = float(np.sqrt(np.nanmax(variances[counts >= 2])))
     half = DEFAULT_GRID_PAD_SIGMAS * sigma_max
     return GridSpec(
@@ -363,15 +338,11 @@ def _spec_from_record(folded_thetas, values, idx, counts, n_theta_bins):
     )
 
 
-def _record_sigma_min(idx, counts, values, n_theta_bins):
+def _record_sigma_min(variances, counts, n_samples):
     """Smallest per-bin sample standard deviation, from well-filled bins."""
-    sums = np.bincount(idx, weights=values, minlength=n_theta_bins)
-    sqs = np.bincount(idx, weights=values * values, minlength=n_theta_bins)
-    eligible = counts >= max(20, int(0.5 * values.size / n_theta_bins))
+    eligible = counts >= max(20, int(0.5 * n_samples / counts.size))
     if not np.any(eligible):
         eligible = counts >= 2
-    with np.errstate(invalid="ignore"):
-        variances = sqs / counts - (sums / counts) ** 2
     var_min = float(np.min(variances[eligible]))
     if var_min <= 0.0:
         raise PhysicsError("record has a zero-variance phase bin")
@@ -411,14 +382,14 @@ def inverse_radon(
             f"insufficient phase coverage: {coverage:.0%} of bins populated, "
             f"need >= {MIN_COVERAGE_FRACTION:.0%} of [0, pi)"
         )
+    if filter_cutoff is None or spec is None:
+        variances = _bin_variances(idx, counts, q, n_theta_bins)
     if filter_cutoff is None:
-        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(
-            idx, counts, q, n_theta_bins
-        )
+        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(variances, counts, q.size)
     if filter_cutoff <= 0.0:
         raise ValueError("filter_cutoff must be positive")
     if spec is None:
-        spec = _spec_from_record(folded, q, idx, counts, n_theta_bins)
+        spec = _spec_from_record(folded, q, variances, counts)
 
     x = spec.x_axis()
     p = spec.p_axis()
@@ -457,7 +428,7 @@ def inverse_radon(
         u = X * np.cos(bin_centers[b]) + P * np.sin(bin_centers[b])
         accum += np.interp(u, q_centers, filtered[row], left=0.0, right=0.0)
     values = accum / (2.0 * np.pi * populated.size)
-    return _grid_from_spec(spec, values)
+    return WignerGrid(spec, values)
 
 
 def wigner_moments(grid: WignerGrid) -> WignerMoments:
@@ -473,8 +444,8 @@ def wigner_moments(grid: WignerGrid) -> WignerMoments:
             f"grid normalization {norm:.4f} outside [{lo}, {hi}]; "
             "the state may not fit the window"
         )
-    X, P = np.meshgrid(grid.x_axis(), grid.p_axis(), indexing="ij")
-    w = grid.values * (grid.cell_area / norm)
+    X, P = np.meshgrid(grid.spec.x_axis(), grid.spec.p_axis(), indexing="ij")
+    w = grid.values * (grid.spec.cell_area / norm)
     mx = float((X * w).sum())
     mp = float((P * w).sum())
     dx = X - mx

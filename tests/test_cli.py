@@ -147,6 +147,25 @@ class TestErrorPaths:
         assert code == 2
         assert "eta_hom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--alpha", "nan"], "alpha"),
+            (["run", "--alpha", "inf"], "alpha"),
+            (["run", "--input-sq-db", "nan"], "input_sq_db"),
+            (["run", "--scenario", "squeezed_x", "--input-antisq-db", "inf"],
+             "input_antisq_db"),
+            (["wigner", "--grid-pad", "nan"], "grid_pad"),
+            (["wigner", "--cutoff", "nan"], "cutoff"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, argv, field, tmp_path, capsys):
+        code = invoke(*argv, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))
         assert code == 1

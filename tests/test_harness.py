@@ -143,6 +143,8 @@ class TestExperimentConfig:
             ExperimentConfig(shots=1)
         with pytest.raises(ValueError):
             ExperimentConfig(grid_pad=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(alpha=float("nan"))
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 

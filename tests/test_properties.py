@@ -1,0 +1,171 @@
+"""Property tests for the config grammar and the report JSON.
+
+The strategies below are written from the documented config grammar (the
+``harness`` module docstring), not derived from the code's own field table,
+so they check that table rather than restate it.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvteleport.harness import (
+    ExperimentConfig,
+    emit_config,
+    parse_config,
+    result_from_json_dict,
+    result_to_json_dict,
+    run,
+)
+
+# Documented grammar: (section, key) -> ExperimentConfig attribute.
+GRAMMAR = {
+    ("run", "scenario"): "scenario",
+    ("run", "alpha"): "alpha",
+    ("run", "input_sq_db"): "input_sq_db",
+    ("run", "input_antisq_db"): "input_antisq_db",
+    ("run", "method"): "method",
+    ("run", "shots"): "shots",
+    ("run", "seed"): "seed",
+    ("teleporter", "epr_sq_db"): "epr_sq_db",
+    ("teleporter", "epr_antisq_db"): "epr_antisq_db",
+    ("teleporter", "g_x"): "g_x",
+    ("teleporter", "g_p"): "g_p",
+    ("teleporter", "eta_source"): "eta_source",
+    ("teleporter", "eta_prop"): "eta_prop",
+    ("teleporter", "eta_hom"): "eta_hom",
+    ("trace", "n_points"): "trace_points",
+    ("trace", "averages"): "trace_averages",
+    ("trace", "sampled"): "trace_sampled",
+    ("tomography", "samples"): "tomo_samples",
+    ("tomography", "grid_points"): "grid_points",
+    ("tomography", "grid_pad"): "grid_pad",
+    ("tomography", "cutoff"): "cutoff",
+    ("output", "dir"): "output_dir",
+}
+
+# One non-default value per key, as config text, and the value it must set.
+NON_DEFAULT = {
+    ("run", "scenario"): ("squeezed_p", "squeezed_p"),
+    ("run", "alpha"): ("-1.5", -1.5),
+    ("run", "input_sq_db"): ("-3.0", -3.0),
+    ("run", "input_antisq_db"): ("7.5", 7.5),
+    ("run", "method"): ("mc", "mc"),
+    ("run", "shots"): ("77", 77),
+    ("run", "seed"): ("12", 12),
+    ("teleporter", "epr_sq_db"): ("-4.0 -5.0", (-4.0, -5.0)),
+    ("teleporter", "epr_antisq_db"): ("8.0", (8.0, 8.0)),
+    ("teleporter", "g_x"): ("0.5", 0.5),
+    ("teleporter", "g_p"): ("1.5", 1.5),
+    ("teleporter", "eta_source"): ("0.9, 0.8", (0.9, 0.8)),
+    ("teleporter", "eta_prop"): ("0.7 0.6", (0.7, 0.6)),
+    ("teleporter", "eta_hom"): ("0.85", 0.85),
+    ("trace", "n_points"): ("17", 17),
+    ("trace", "averages"): ("3", 3),
+    ("trace", "sampled"): ("yes", True),
+    ("tomography", "samples"): ("999", 999),
+    ("tomography", "grid_points"): ("9", 9),
+    ("tomography", "grid_pad"): ("2.5", 2.5),
+    ("tomography", "cutoff"): ("12.5", 12.5),
+    ("output", "dir"): ("results/a", "results/a"),
+}
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def db_pair(draw):
+    """A squeezed level <= 0 dB and an anti-squeezed level >= -squeezed."""
+    sq = draw(finite(-20.0, 0.0))
+    return sq, -sq + draw(finite(0.0, 20.0))
+
+
+@st.composite
+def configs(draw):
+    sq = [draw(db_pair()) for _ in range(2)]
+    input_sq, input_antisq = draw(db_pair())
+    path = st.text("abcxyz019_-./", min_size=1, max_size=12)
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(["coherent", "squeezed_x", "squeezed_p", "vacuum"])),
+        alpha=draw(finite(-1e6, 1e6)),
+        input_sq_db=input_sq,
+        input_antisq_db=input_antisq,
+        method=draw(st.sampled_from(["analytic", "mc"])),
+        shots=draw(st.integers(2, 10**7)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        epr_sq_db=(sq[0][0], sq[1][0]),
+        epr_antisq_db=draw(st.none() | st.just((sq[0][1], sq[1][1]))),
+        g_x=draw(finite(-3.0, 3.0)),
+        g_p=draw(finite(-3.0, 3.0)),
+        eta_source=(draw(finite(0.0, 1.0)), draw(finite(0.0, 1.0))),
+        eta_prop=(draw(finite(0.0, 1.0)), draw(finite(0.0, 1.0))),
+        eta_hom=draw(finite(1e-6, 1.0)),
+        trace_points=draw(st.integers(2, 10**5)),
+        trace_averages=draw(st.integers(1, 10**4)),
+        trace_sampled=draw(st.booleans()),
+        tomo_samples=draw(st.integers(1, 10**7)),
+        grid_points=draw(st.integers(2, 1001)),
+        grid_pad=draw(finite(1e-3, 50.0)),
+        cutoff=draw(st.none() | finite(1e-3, 1e3)),
+        output_dir=draw(st.none() | path),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_parse_of_emit_is_identity(config):
+    assert parse_config(emit_config(config)) == config
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    names = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert sorted(GRAMMAR.values()) == names
+    default = ExperimentConfig()
+    for (section, key), attr in GRAMMAR.items():
+        text, expected = NON_DEFAULT[(section, key)]
+        config = parse_config(f"[{section}]\n{key} = {text}\n")
+        changed = [name for name in names if getattr(config, name) != getattr(default, name)]
+        assert changed == [attr], (section, key)
+        assert getattr(config, attr) == expected
+
+
+@st.composite
+def runs(draw):
+    """Small, fast runs of random valid configs, with random artifacts."""
+    config = dataclasses.replace(
+        draw(configs()),
+        alpha=draw(finite(-5.0, 5.0)),
+        shots=draw(st.integers(500, 3000)),
+        trace_points=draw(st.integers(2, 40)),
+        tomo_samples=draw(st.integers(1000, 3000)),
+        grid_points=draw(st.integers(2, 15)),
+        grid_pad=draw(finite(3.0, 6.0)),
+        cutoff=None,
+    )
+    return run(config, include_trace=draw(st.booleans()), include_wigner=draw(st.booleans()))
+
+
+def _same(a, b):
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if hasattr(a, "mean") and hasattr(a, "cov"):  # GaussianState
+        return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    # JSON gives back plain floats for numpy scalars; ints must stay ints.
+    return a == b and isinstance(a, float) == isinstance(b, float)
+
+
+@settings(max_examples=25, deadline=None)
+@given(runs())
+def test_json_round_trip_is_lossless(result):
+    text = json.dumps(result_to_json_dict(result), sort_keys=True, allow_nan=False)
+    back = result_from_json_dict(json.loads(text))
+    assert _same(back, result)

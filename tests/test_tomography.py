@@ -143,7 +143,7 @@ class TestWignerAnalytic:
     def test_vacuum_peak_value(self):
         grid = wigner_analytic(vacuum(1), GridSpec.default())
         assert grid.values.max() == pytest.approx(VACUUM_PEAK, abs=1e-12)
-        center = (grid.n_x // 2, grid.n_p // 2)
+        center = (grid.spec.n_x // 2, grid.spec.n_p // 2)
         assert grid.values[center] == grid.values.max()
 
     def test_normalization_within_window(self):
@@ -154,8 +154,8 @@ class TestWignerAnalytic:
     def test_displaced_grid_peaks_at_mean(self):
         grid = wigner_analytic(coherent_state(3.5 + 0j))
         i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-        assert grid.x_axis()[i] == pytest.approx(3.5, abs=1e-9)
-        assert grid.p_axis()[j] == pytest.approx(0.0, abs=1e-9)
+        assert grid.spec.x_axis()[i] == pytest.approx(3.5, abs=1e-9)
+        assert grid.spec.p_axis()[j] == pytest.approx(0.0, abs=1e-9)
         assert grid.values.max() == pytest.approx(VACUUM_PEAK, abs=1e-12)
 
     def test_squeezed_axis_variance_ratio(self):
@@ -198,7 +198,7 @@ class TestGridSpec:
 
     def test_grid_shape_must_match(self):
         with pytest.raises(ValueError):
-            WignerGrid(-1.0, 1.0, -1.0, 1.0, 5, 5, np.zeros((4, 5)))
+            WignerGrid(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), np.zeros((4, 5)))
 
 
 class TestInverseRadon:
