@@ -4,11 +4,11 @@ Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  The scenario
 verbs (run, trace, wigner, cascade) take a flag for every [run] and
 [teleporter] config key; trace adds the [trace] keys and wigner the
 [tomography] keys.  A flag is its config key with "_" turned into "-"; pair
-keys take two values.  Flag values are parsed and checked exactly like config
-text, so a non-finite number is a config error.  Precedence is built-in
-defaults < config file < flags.  The output directory resolves as --out, then
-[output] dir, then the CVTELEPORT_OUTDIR environment variable, then the
-working directory.
+keys take two values.  Flag values, calibrate's pair flags among them, are
+parsed and checked exactly like config text, so a non-finite number is a
+config error.  Precedence is built-in defaults < config file < flags.  The
+output directory resolves as --out, then [output] dir, then the
+CVTELEPORT_OUTDIR environment variable, then the working directory.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -30,6 +30,7 @@ from .harness import (
     BENCHMARK_SOURCE_ANTISQ_DB,
     BENCHMARK_SOURCE_SQ_DB,
     BENCHMARK_TARGET_EPR_DB,
+    CALIBRATION_FIELDS,
     CONFIG_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -82,13 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "calibrate", help="fit source efficiencies to measured correlations"
     )
     p_cal.add_argument("--out", metavar="DIR", help="output directory")
-    p_cal.add_argument("--target-epr-db", type=float, nargs=2, dest="target_epr_db",
-                       default=list(BENCHMARK_TARGET_EPR_DB), metavar=("XDB", "PDB"))
-    p_cal.add_argument("--source-sq-db", type=float, nargs=2, dest="source_sq_db",
-                       default=list(BENCHMARK_SOURCE_SQ_DB), metavar=("DB1", "DB2"))
-    p_cal.add_argument("--source-antisq-db", type=float, nargs=2,
-                       dest="source_antisq_db",
-                       default=list(BENCHMARK_SOURCE_ANTISQ_DB), metavar=("DB1", "DB2"))
+    p_cal.add_argument("--target-epr-db", nargs=2, metavar=("XDB", "PDB"))
+    p_cal.add_argument("--source-sq-db", nargs=2, metavar=("DB1", "DB2"))
+    p_cal.add_argument("--source-antisq-db", nargs=2, metavar=("DB1", "DB2"))
     p_cal.add_argument("--pure-sources", action="store_true",
                        help="treat the squeezers as pure (ignore anti-squeezing)")
 
@@ -99,25 +96,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-    else:
-        text = ""
-    config = parse_config(text)
-    overrides = {}
-    for field in CONFIG_FIELDS:
+def _flag_values(args: argparse.Namespace, fields) -> dict:
+    """The given flags of ``fields``, parsed like config text, by attribute."""
+    values = {}
+    for field in fields:
         value = getattr(args, field.key, None)
         if value is None:
             continue
         if isinstance(value, list):  # the two values of a pair flag
             value = " ".join(value)
         try:
-            overrides[field.attr] = (
+            values[field.attr] = (
                 value if isinstance(value, bool) else field.kind.parse(value)
             )
         except ValueError as exc:
             raise ConfigError(f"[{field.section}] {field.key} ({field.flag}): {exc}") from exc
+    return values
+
+
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    if args.config is not None:
+        text = Path(args.config).read_text(encoding="utf-8")
+    else:
+        text = ""
+    config = parse_config(text)
+    overrides = _flag_values(args, CONFIG_FIELDS)
     if overrides:
         try:
             config = replace(config, **overrides)
@@ -195,9 +198,12 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    antisq = None if args.pure_sources else tuple(args.source_antisq_db)
+    inputs = _flag_values(args, CALIBRATION_FIELDS)
+    antisq = inputs.get("source_antisq_db", BENCHMARK_SOURCE_ANTISQ_DB)
     result = calibrate_losses(
-        tuple(args.target_epr_db), tuple(args.source_sq_db), antisq
+        inputs.get("target_epr_db", BENCHMARK_TARGET_EPR_DB),
+        inputs.get("source_sq_db", BENCHMARK_SOURCE_SQ_DB),
+        None if args.pure_sources else antisq,
     )
     print(f"eta_source: {result.eta_source[0]:.6f} (p path), "
           f"{result.eta_source[1]:.6f} (x path)")

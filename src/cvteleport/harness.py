@@ -10,7 +10,7 @@ comments; unknown sections or keys are rejected with a line number):
     input_sq_db = -6.2             # squeezed input level
     input_antisq_db = 12.0
     method = analytic              # analytic | mc
-    shots = 100000                 # mc only
+    shots = 100000                 # mc only; at most 20000000
     seed = 0
 
     [teleporter]
@@ -28,7 +28,7 @@ comments; unknown sections or keys are rejected with a line number):
     sampled = false                # true emulates finite averaging
 
     [tomography]
-    samples = 100000
+    samples = 100000               # at most 20000000
     grid_points = 81
     grid_pad = 4.5
     cutoff = auto                  # or a positive frequency
@@ -108,6 +108,12 @@ BENCHMARK_SOURCE_ANTISQ_DB = (12.0, 12.0)
 BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
 CALIBRATION_TOL_DB = 0.05
 
+# Upper bound on [tomography] samples and [run] shots, checked before anything
+# is allocated.  Peak memory measured on a 2-vCPU, 8 GB host: about 63 bytes
+# per sample for a wigner run (142 MB at 1M samples, 330 MB at 4M) and 31
+# bytes per Monte Carlo shot, so the bound keeps a run under ~1.4 GB.
+MAX_SAMPLES = 20_000_000
+
 
 class ConfigError(ValueError):
     """Invalid configuration text or values; maps to exit code 2."""
@@ -186,6 +192,20 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
     return _Kind(_parse_pair, coerce, emit, {"nargs": 2, "metavar": (f"{unit}1", f"{unit}2")})
 
 
+def _count(minimum: int, maximum: int | None = None) -> _Kind:
+    """An integer kind bounded below and, optionally, above."""
+
+    def coerce(value) -> int:
+        value = int(value)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be <= {maximum}")
+        return value
+
+    return _Kind(coerce, coerce, str)
+
+
 _FLOAT = _Kind(_finite, _finite, repr)
 _INT = _Kind(int, int, str)
 _BOOL = _Kind(
@@ -228,7 +248,7 @@ CONFIG_FIELDS = (
     ConfigField("run", "input_sq_db", _FLOAT),
     ConfigField("run", "input_antisq_db", _FLOAT),
     ConfigField("run", "method", _choice(METHODS)),
-    ConfigField("run", "shots", _INT),
+    ConfigField("run", "shots", _count(2, MAX_SAMPLES)),
     ConfigField("run", "seed", _INT),
     ConfigField("teleporter", "epr_sq_db", _pair("DB")),
     ConfigField("teleporter", "epr_antisq_db", _pair("DB", optional=True)),
@@ -237,15 +257,22 @@ CONFIG_FIELDS = (
     ConfigField("teleporter", "eta_source", _pair("ETA")),
     ConfigField("teleporter", "eta_prop", _pair("ETA")),
     ConfigField("teleporter", "eta_hom", _FLOAT),
-    ConfigField("trace", "n_points", _INT, "trace_points"),
-    ConfigField("trace", "averages", _INT, "trace_averages"),
+    ConfigField("trace", "n_points", _count(2), "trace_points"),
+    ConfigField("trace", "averages", _count(1), "trace_averages"),
     ConfigField("trace", "sampled", _BOOL, "trace_sampled",
                 help="emulate finite trace averaging"),
-    ConfigField("tomography", "samples", _INT, "tomo_samples"),
-    ConfigField("tomography", "grid_points", _INT),
+    ConfigField("tomography", "samples", _count(1, MAX_SAMPLES), "tomo_samples"),
+    ConfigField("tomography", "grid_points", _count(2)),
     ConfigField("tomography", "grid_pad", _FLOAT),
     ConfigField("tomography", "cutoff", _CUTOFF, help="ramp filter cutoff, or 'auto'"),
     ConfigField("output", "dir", _STR, "output_dir"),
+)
+# The calibrate verb's inputs: not config keys, but flags read and checked
+# like the config's pair keys.
+CALIBRATION_FIELDS = (
+    ConfigField("calibrate", "target_epr_db", _pair("DB")),
+    ConfigField("calibrate", "source_sq_db", _pair("DB")),
+    ConfigField("calibrate", "source_antisq_db", _pair("DB")),
 )
 _FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
 _SECTIONS = {field.section for field in CONFIG_FIELDS}
@@ -285,16 +312,6 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{field.attr}: {exc}") from exc
             object.__setattr__(self, field.attr, value)
-        if self.shots < 2:
-            raise ValueError("shots must be >= 2")
-        if self.trace_points < 2:
-            raise ValueError("trace n_points must be >= 2")
-        if self.trace_averages < 1:
-            raise ValueError("trace averages must be >= 1")
-        if self.tomo_samples < 1:
-            raise ValueError("tomography samples must be >= 1")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
         if self.grid_pad <= 0:
             raise ValueError("grid_pad must be positive")
         # Surface physics violations (bad dB pairs, efficiencies, gains) now.
@@ -503,12 +520,16 @@ def result_from_json_dict(payload: dict) -> RunResult:
 
 
 def write_report_json(result: RunResult, path) -> None:
-    text = json.dumps(result_to_json_dict(result), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    write_json(result_to_json_dict(result), path)
 
 
 def write_json(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write ``payload`` as sorted, indented JSON.  A non-finite number is a
+    PhysicsError raised before the file is opened: JSON has no NaN."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise PhysicsError(f"not writing {path}: {exc}") from exc
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 

@@ -308,11 +308,62 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
 
 
 def _fold_half_turn(thetas, values):
-    """Map (theta, q) onto theta in [0, pi); q flips sign each half turn."""
-    turns = np.floor_divide(thetas, np.pi)
-    folded = thetas - turns * np.pi
+    """Map (theta, q) onto theta in [0, pi); q flips sign each half turn.
+
+    Only samples outside [0, pi) are divided into half turns (-0.0 among
+    them: the division turns it into +0.0); the others already sit where the
+    division would leave them and are returned as they are, with the input
+    arrays themselves when no sample needs folding.
+    """
+    wrapped = np.flatnonzero(np.signbit(thetas) | (thetas >= np.pi))
+    if wrapped.size == 0:
+        return thetas, values
+    turns = np.floor_divide(thetas[wrapped], np.pi)
     flip = np.mod(turns.astype(np.int64), 2) == 1
-    return folded, np.where(flip, -values, values)
+    folded = thetas.copy()
+    folded[wrapped] = thetas[wrapped] - turns * np.pi
+    q = values.copy()
+    q[wrapped] = np.where(flip, -values[wrapped], values[wrapped])
+    return folded, q
+
+
+def _uniform_bin_index(values, edges):
+    """Bin of each value among the uniform ``edges``, as np.histogramdd bins it.
+
+    Bins are half-open, [edges[i], edges[i + 1]), except that a value equal
+    to the last edge falls in the last bin; values below or above the edges
+    map to -1 or n.  The index comes from the uniform spacing and is then
+    corrected by at most one bin against the edges themselves, as
+    np.histogram does for uniform bins, so it matches the searchsorted
+    result exactly.
+    """
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    idx = ((values - lo) * (n / (hi - lo))).astype(np.intp)
+    np.clip(idx, 0, n - 1, out=idx)
+    # Upper edge of each bin; the last bin is closed, so only values above
+    # the last edge move past it.
+    upper = edges[1:].copy()
+    upper[-1] = np.nextafter(hi, np.inf)
+    idx += values >= upper[idx]
+    idx -= values < edges[idx]
+    return idx
+
+
+def _sinogram(theta_bin, n_theta_bins, q, q_edges):
+    """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
+
+    One bincount over the flat cell index; a sample outside either set of
+    edges is left out (inverse_radon's phase counts still include it).
+    """
+    n_q = q_edges.size - 1
+    q_bin = _uniform_bin_index(q, q_edges)
+    cell = theta_bin * n_q + q_bin
+    if (theta_bin.min() < 0 or theta_bin.max() >= n_theta_bins
+            or q_bin.min() < 0 or q_bin.max() >= n_q):
+        inside = (theta_bin >= 0) & (theta_bin < n_theta_bins) & (q_bin >= 0) & (q_bin < n_q)
+        cell = cell[inside]
+    return np.bincount(cell, minlength=n_theta_bins * n_q).reshape(n_theta_bins, n_q)
 
 
 def _bin_variances(idx, counts, values, n_theta_bins):
@@ -359,6 +410,14 @@ def inverse_radon(
 
     Samples are folded onto theta in [0, pi) (values at theta + pi enter with
     flipped sign) and binned into a sinogram of ``n_theta_bins`` phase bins.
+    Bin convention: phase and quadrature bins are half-open, [lo, hi), on
+    uniform edges; the phase edges span [0, pi] and the quadrature edges
+    [-support, support], support being 1.05 times the larger of the grid's
+    corner radius and the largest |q| in the record.  A folded theta that
+    rounds to pi lands in the last phase bin.  A folded theta that rounds
+    past pi, or below 0, is counted in the nearest phase bin's sample count
+    (and variance) but left out of the sinogram.
+
     Each marginal histogram is ramp-filtered in the Fourier domain with a
     hard cutoff at ``filter_cutoff`` (default 6.5 / sigma_min, estimated from
     the record), then back-projected along its phase.  Raises if fewer than
@@ -374,7 +433,8 @@ def inverse_radon(
         raise ValueError("n_theta_bins must be >= 2")
     folded, q = _fold_half_turn(record.thetas, record.values)
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    idx = np.clip(np.digitize(folded, edges) - 1, 0, n_theta_bins - 1)
+    theta_bin = _uniform_bin_index(folded, edges)
+    idx = np.clip(theta_bin, 0, n_theta_bins - 1)
     counts = np.bincount(idx, minlength=n_theta_bins)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:
@@ -408,7 +468,7 @@ def inverse_radon(
     q_centers = 0.5 * (q_edges[:-1] + q_edges[1:])
     dq = q_edges[1] - q_edges[0]
 
-    sinogram, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
+    sinogram = _sinogram(theta_bin, n_theta_bins, q, q_edges)
     populated = np.flatnonzero(counts)
     profiles = sinogram[populated] / (counts[populated, None] * dq)
 

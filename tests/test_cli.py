@@ -166,6 +166,36 @@ class TestErrorPaths:
         assert "config error" in err and field in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--target-epr-db", ["nan", "-5.5"]),
+            ("--target-epr-db", ["-5.6", "inf"]),
+            ("--source-sq-db", ["nan", "-6"]),
+            ("--source-antisq-db", ["inf", "12"]),
+        ],
+    )
+    def test_non_finite_calibrate_flag_exits_2(self, flag, values, tmp_path, capsys):
+        code = invoke("calibrate", flag, *values, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"({flag}): must be finite" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["wigner", "--samples", "1000000000", "--grid-points", "3"], "--samples"),
+            (["run", "--method", "mc", "--shots", "1000000000"], "--shots"),
+        ],
+    )
+    def test_oversized_sample_count_exits_2(self, argv, flag, tmp_path, capsys):
+        code = invoke(*argv, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"({flag}): must be <=" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))
         assert code == 1

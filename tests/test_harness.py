@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario runs, serialization, and calibration."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cvteleport.gaussian import PhysicsError, vacuum
 from cvteleport.harness import (
+    MAX_SAMPLES,
     CalibrationResult,
     ConfigError,
     ExperimentConfig,
@@ -19,6 +21,7 @@ from cvteleport.harness import (
     result_from_json_dict,
     result_to_json_dict,
     run,
+    write_json,
     write_report_json,
     write_trace_csv,
     write_wigner_csv,
@@ -88,6 +91,18 @@ cutoff = 14.5
         with pytest.raises(ConfigError):
             parse_config("[tomography]\ncutoff = -2\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[tomography]\nsamples = 1000000000\n", "samples"),
+            ("[run]\nmethod = mc\nshots = 20000001\n", "shots"),
+        ],
+    )
+    def test_oversized_sample_count_rejected_with_line(self, text, key):
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=rf"{key} \(line {line}\): must be <= {MAX_SAMPLES}"):
+            parse_config(text)
+
     def test_comments_and_inline_comments(self):
         text = "# preset\n[run]\nseed = 9  # fixed\n; trailing\n"
         assert parse_config(text).seed == 9
@@ -145,6 +160,10 @@ class TestExperimentConfig:
             ExperimentConfig(grid_pad=0.0)
         with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(alpha=float("nan"))
+        with pytest.raises(ValueError, match="tomo_samples"):
+            ExperimentConfig(tomo_samples=MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="shots"):
+            ExperimentConfig(shots=MAX_SAMPLES + 1)
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 
@@ -240,6 +259,16 @@ class TestSerialization:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_json_writers_refuse_non_finite_numbers(self, bad, tmp_path):
+        with pytest.raises(PhysicsError, match="not writing"):
+            write_json({"cascade": [{"vx": bad}]}, tmp_path / "cascade.json")
+        result = run(ExperimentConfig(seed=8))
+        leaky = dataclasses.replace(result, provenance={**result.provenance, "seed": bad})
+        with pytest.raises(PhysicsError, match="not writing"):
+            write_report_json(leaky, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_shapes_and_headers(self, tmp_path):
         result = run(

@@ -19,6 +19,9 @@ from cvteleport.tomography import (
     inverse_radon,
     sample_record,
     spectrum_trace,
+    _fold_half_turn,
+    _sinogram,
+    _uniform_bin_index,
     wigner_analytic,
     wigner_moments,
 )
@@ -279,6 +282,86 @@ class TestInverseRadon:
             inverse_radon(record, spec, filter_cutoff=-1.0)
         with pytest.raises(ValueError):
             inverse_radon(record, spec, filter_cutoff=1e6)
+
+
+class TestSinogramBinning:
+    """Phase counts match np.digitize + clip and the sinogram matches
+    np.histogram2d, sample for sample, including samples on bin edges."""
+
+    N_THETA = 60
+    N_Q = 41
+
+    def edge_record(self, rng):
+        """Thetas on phase edges, at multiples of pi, negative and wrapped;
+        quadratures on every interior edge, both outer edges and beyond."""
+        edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
+        turns = np.concatenate([np.arange(-4, 5), [1e3, 1e6, -1e6]])
+        ties = (edges[None, :] + np.pi * turns[:, None]).ravel()
+        multiples = np.arange(1, 5001) * np.pi
+        specials = [np.pi, 2 * np.pi, -np.pi, -0.0, 0.0, np.nextafter(np.pi, 0.0),
+                    np.nextafter(np.pi, 4.0), np.nextafter(0.0, -1.0), -1e-300]
+        thetas = np.concatenate([
+            edges, ties, multiples, -multiples, specials,
+            rng.uniform(-6 * np.pi, 6 * np.pi, 20_000),
+        ])
+        q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
+        q_ties = np.concatenate([q_edges, [-2.6, 2.6, np.nextafter(2.5, 3.0)]])
+        values = rng.normal(0.0, 1.0, thetas.size)
+        values[: thetas.size // 2] = rng.choice(q_ties, thetas.size // 2)
+        return thetas, values, edges, q_edges
+
+    def test_fold_matches_floor_divide_bit_for_bit(self, rng):
+        thetas, values, _, _ = self.edge_record(rng)
+        turns = np.floor_divide(thetas, np.pi)
+        flip = np.mod(turns.astype(np.int64), 2) == 1
+        folded, q = _fold_half_turn(thetas, values)
+        assert folded.tobytes() == (thetas - turns * np.pi).tobytes()
+        assert q.tobytes() == np.where(flip, -values, values).tobytes()
+
+    def test_in_range_record_is_returned_unchanged(self, rng):
+        thetas = rng.uniform(1e-9, np.pi - 1e-9, 1000)
+        values = rng.normal(size=1000)
+        folded, q = _fold_half_turn(thetas, values)
+        assert folded is thetas and q is values
+
+    def test_index_matches_searchsorted(self, rng):
+        _, values, _, q_edges = self.edge_record(rng)
+        expected = np.searchsorted(q_edges, values, side="right") - 1
+        expected[values == q_edges[-1]] -= 1  # the last bin is closed
+        assert np.array_equal(_uniform_bin_index(values, q_edges), expected)
+
+    def test_counts_and_sinogram_match_reference(self, rng):
+        thetas, values, edges, q_edges = self.edge_record(rng)
+        folded, q = _fold_half_turn(thetas, values)
+        # The record must reach every convention the binning has to keep.
+        assert np.any(folded == np.pi) and np.any(folded > np.pi)
+        assert np.any(np.isin(folded, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
+        assert np.any(np.abs(q) > q_edges[-1])
+
+        theta_bin = _uniform_bin_index(folded, edges)
+        idx = np.clip(theta_bin, 0, self.N_THETA - 1)
+        # Same phase bin per sample, so the phase counts and variances match.
+        assert np.array_equal(idx, np.clip(np.digitize(folded, edges) - 1, 0, self.N_THETA - 1))
+        expected, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
+        assert np.array_equal(_sinogram(theta_bin, self.N_THETA, q, q_edges), expected)
+
+    @pytest.mark.parametrize(
+        "theta, value",
+        [
+            (np.nextafter(np.pi, 4.0), 0.0),
+            (np.nextafter(0.0, -1.0), 0.0),
+            (1.0, -2.6),
+            (1.0, np.nextafter(2.5, 3.0)),
+        ],
+    )
+    def test_lone_outlier_is_left_out_of_sinogram(self, theta, value):
+        edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
+        q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
+        thetas, values = np.array([0.5, theta]), np.array([0.1, value])
+        theta_bin = _uniform_bin_index(thetas, edges)
+        sinogram = _sinogram(theta_bin, self.N_THETA, values, q_edges)
+        expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
+        assert expected.sum() == 1 and np.array_equal(sinogram, expected)
 
 
 class TestWignerMoments:
