@@ -1,21 +1,17 @@
-"""Walk through one teleportation event, step by step.
+"""Walk through the teleportation protocol, step by step.
 
-Builds the entangled resource, performs the sender's joint measurement on a
-single shot, conditions the receiver mode, applies the feed-forward
-displacement, and finally checks that many such shots reproduce the exact
-moments of the analytic propagation.
+Builds the entangled resource and prints its correlations, then checks that
+many simulated measure-and-displace shots reproduce the exact moments of the
+analytic propagation.
 """
 
 import numpy as np
 
 from cvteleport import (
     TeleporterParams,
-    bell_measure,
     coherent_state,
     epr_correlations,
-    feed_forward,
     make_epr,
-    tensor,
     teleport_analytic,
     teleport_mc,
 )
@@ -30,16 +26,6 @@ pair = make_epr(params)
 corr = epr_correlations(pair)
 print(f"Var(x_A - x_B) = {corr.var_x_diff:.4f}  ({corr.x_diff_db:+.2f} dB vs 1/2)")
 print(f"Var(p_A + p_B) = {corr.var_p_sum:.4f}  ({corr.p_sum_db:+.2f} dB vs 1/2)")
-
-print("\n== one measured shot ==")
-rng = np.random.default_rng(1)
-joint = tensor(params.input_state, pair)
-outcome = bell_measure(joint, rng)
-print(f"sender outcomes: u = {outcome.u:+.3f}, v = {outcome.v:+.3f}")
-print(f"receiver mean before feed-forward: {np.round(outcome.bob.mean, 3)}")
-bob = feed_forward(outcome.bob, outcome.u, outcome.v, params.g_x, params.g_p)
-print(f"receiver mean after feed-forward:  {np.round(bob.mean, 3)}")
-print("(a single shot lands near the input mean (3.5, 0) only on average)")
 
 print("\n== many shots vs exact propagation ==")
 analytic = teleport_analytic(params)

@@ -4,11 +4,13 @@ Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  The scenario
 verbs (run, trace, wigner, cascade) take a flag for every [run] and
 [teleporter] config key; trace adds the [trace] keys and wigner the
 [tomography] keys.  A flag is its config key with "_" turned into "-"; pair
-keys take two values.  Flag values, calibrate's pair flags among them, are
-parsed and checked exactly like config text, so a non-finite number is a
-config error.  Precedence is built-in defaults < config file < flags.  The
-output directory resolves as --out, then [output] dir, then the
-CVTELEPORT_OUTDIR environment variable, then the working directory.
+keys take two values.  Flag values, calibrate's pair flags and cascade's
+--stages among them, are parsed and checked exactly like config text, so a
+non-finite or out-of-range number is a config error; a value that reads as a
+number, such as -1e-3 or -inf, is never taken for an option.  Precedence is
+built-in defaults < config file < flags.  The output directory resolves as
+--out, then [output] dir, then the CVTELEPORT_OUTDIR environment variable,
+then the working directory.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -31,6 +33,7 @@ from .harness import (
     BENCHMARK_SOURCE_SQ_DB,
     BENCHMARK_TARGET_EPR_DB,
     CALIBRATION_FIELDS,
+    CASCADE_FIELDS,
     CONFIG_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -46,6 +49,20 @@ from .harness import (
 )
 from .teleporter import cascade
 
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every number as a value, never as an
+    option, so ``--alpha -1e-3`` and ``--alpha -inf`` reach the config checks.
+    No cvteleport option looks like a number.  Subparsers share the class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser, section: str | None = None) -> None:
     """--config, --out, and a flag for every [run], [teleporter] and
     ``section`` config key."""
@@ -57,7 +74,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, section: str | None = N
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvteleport",
         description="Broadband continuous-variable teleportation simulator.",
     )
@@ -77,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cascade = subparsers.add_parser("cascade", help="teleport through repeated stages")
     _add_scenario_flags(p_cascade)
-    p_cascade.add_argument("--stages", type=int, default=4)
+    p_cascade.add_argument("--stages")
 
     p_cal = subparsers.add_parser(
         "calibrate", help="fit source efficiencies to measured correlations"
@@ -178,7 +195,8 @@ def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
 def _cmd_cascade(args: argparse.Namespace) -> int:
     config = _load_config(args)
     outdir = _output_dir(args, config)
-    stages = cascade(config.teleporter_params(), args.stages)
+    n_stages = _flag_values(args, CASCADE_FIELDS).get("stages", 4)
+    stages = cascade(config.teleporter_params(), n_stages)
     print("stage  fidelity  Vx        Vp")
     for stage in stages:
         print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "

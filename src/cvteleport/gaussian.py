@@ -331,26 +331,12 @@ def sample_quadrature(
 ):
     """Draw homodyne outcomes of q(theta) on one mode; normal marginal law.
 
-    This is the outcome distribution of `sample_homodyne` in vectorized form;
-    it does not condition the remaining modes.
+    The remaining modes are not conditioned; `homodyne_condition` gives the
+    state they are left in for one outcome.
     """
     mu = marginal_mean(state, mode, theta)
     sigma = np.sqrt(marginal_variance(state, mode, theta))
     return rng.normal(mu, sigma, size=size)
-
-
-def sample_homodyne(
-    state: GaussianState, mode: int, theta: float, rng: np.random.Generator
-) -> tuple[float, GaussianState | None]:
-    """Simulate one homodyne detection of q(theta) on one mode.
-
-    Draws the outcome from the marginal normal law, then conditions the
-    remaining modes on it.  For a single-mode state the remainder is None.
-    """
-    outcome = float(sample_quadrature(state, mode, theta, rng))
-    if state.n_modes == 1:
-        return outcome, None
-    return outcome, homodyne_condition(state, mode, theta, outcome)
 
 
 def sample_phase_space(

@@ -11,7 +11,7 @@ comments; unknown sections or keys are rejected with a line number):
     input_antisq_db = 12.0
     method = analytic              # analytic | mc
     shots = 100000                 # mc only; at most 20000000
-    seed = 0
+    seed = 0                       # non-negative
 
     [teleporter]
     epr_sq_db = -6.0 -6.0          # one value applies to both squeezers
@@ -114,6 +114,10 @@ CALIBRATION_TOL_DB = 0.05
 # bytes per Monte Carlo shot, so the bound keeps a run under ~1.4 GB.
 MAX_SAMPLES = 20_000_000
 
+# Upper bound on cascade --stages.  Each stage is one full analytic teleport,
+# about 0.4-0.5 ms on a 2-vCPU host, so the bound keeps a cascade near 5 s.
+MAX_STAGES = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid configuration text or values; maps to exit code 2."""
@@ -207,7 +211,6 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
 
 
 _FLOAT = _Kind(_finite, _finite, repr)
-_INT = _Kind(int, int, str)
 _BOOL = _Kind(
     _parse_bool, bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
@@ -249,7 +252,7 @@ CONFIG_FIELDS = (
     ConfigField("run", "input_antisq_db", _FLOAT),
     ConfigField("run", "method", _choice(METHODS)),
     ConfigField("run", "shots", _count(2, MAX_SAMPLES)),
-    ConfigField("run", "seed", _INT),
+    ConfigField("run", "seed", _count(0)),
     ConfigField("teleporter", "epr_sq_db", _pair("DB")),
     ConfigField("teleporter", "epr_antisq_db", _pair("DB", optional=True)),
     ConfigField("teleporter", "g_x", _FLOAT),
@@ -267,13 +270,14 @@ CONFIG_FIELDS = (
     ConfigField("tomography", "cutoff", _CUTOFF, help="ramp filter cutoff, or 'auto'"),
     ConfigField("output", "dir", _STR, "output_dir"),
 )
-# The calibrate verb's inputs: not config keys, but flags read and checked
-# like the config's pair keys.
+# The calibrate and cascade verbs' own inputs: not config keys, but flags
+# read and checked like the config's keys.
 CALIBRATION_FIELDS = (
     ConfigField("calibrate", "target_epr_db", _pair("DB")),
     ConfigField("calibrate", "source_sq_db", _pair("DB")),
     ConfigField("calibrate", "source_antisq_db", _pair("DB")),
 )
+CASCADE_FIELDS = (ConfigField("cascade", "stages", _count(1, MAX_STAGES)),)
 _FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
 _SECTIONS = {field.section for field in CONFIG_FIELDS}
 

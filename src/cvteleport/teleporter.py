@@ -19,12 +19,17 @@ one per entangled beam, and one per sender detector (detector inefficiency is
 compensated electronically so the configured gains are the realized
 mean-transfer ratios).
 
-The analytic path propagates moments through the explicit linear network,
-with the classical feed-forward expressed as a quadrature-addition symplectic
-so that gains other than one are handled exactly.  The Monte Carlo path
-simulates the measure-and-displace sequence shot by shot and reports
-empirical moments; it serves as an independent cross-check of the analytic
-covariance algebra.
+Both paths read the output off one Gaussian vector: the sender's two
+outcomes u, v and the receiver's beam B, whose moments `_readout` computes
+once.  The feed-forward is the linear map x_out = x_B + c_x u,
+p_out = p_B + c_p v with c = g sqrt(2 / eta_hom).  The analytic path applies
+that map to the moments; the Monte Carlo path draws shots of (u, v, B) in
+measurement order (u, then v given u, then B given both), displaces B shot by
+shot, and reports empirical moments and gains.  The Monte Carlo path thus
+checks the sampling, the per-shot feed-forward and the estimation of moments
+and gains.  It shares the state preparation (`make_epr`, the sender's mixer
+and the losses) with the analytic path, so an error there is not caught by
+comparing the two.
 """
 
 from __future__ import annotations
@@ -39,21 +44,13 @@ from cvteleport.gaussian import (
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
-    apply_symplectic,
     beamsplitter,
     coherent_state,
     db_from_variance,
-    displace,
-    homodyne_condition,
     impure_squeezed_vacuum,
     loss,
-    marginal_mean,
-    marginal_variance,
-    partial_trace,
     rotate,
-    sample_homodyne,
     tensor,
-    vacuum,
 )
 from cvteleport.sideband import delta_sq, sidebands_from_single_mode
 
@@ -143,12 +140,6 @@ class TeleportReport:
     shots: int | None = None
 
 
-class BellOutcome(NamedTuple):
-    u: float
-    v: float
-    bob: GaussianState
-
-
 def make_epr(params: TeleporterParams) -> GaussianState:
     """Entangled beam pair (A, B) from two lossy squeezers on a balanced mixer.
 
@@ -184,71 +175,36 @@ def epr_correlations(pair: GaussianState) -> EprCorrelations:
     )
 
 
-def _sender_mixed(params: TeleporterParams) -> GaussianState:
-    """Three-mode state (u port, v port, B) after the sender's mixer and
-    detector losses.  Port 0 carries (x_in - x_A)/sqrt(2) in x, port 1
-    carries (p_in + p_A)/sqrt(2) in p."""
-    full = tensor(params.input_state, make_epr(params))
-    full = beamsplitter(full, 1, 0, 0.5)
+# Quadratures of the mixed (u port, v port, B) state that the output reads:
+# x of the u port, p of the v port, x_B, p_B.
+_READOUT = np.array([0, 3, 4, 5])
+
+
+def _readout(
+    params: TeleporterParams,
+) -> tuple[GaussianState, np.ndarray, np.ndarray, np.ndarray]:
+    """The linear read-out the output is made of.
+
+    Returns the beam pair, the mean and covariance of (u, v, x_B, p_B) after
+    the sender's mixer and detector losses, and the 2 x 4 feed matrix F with
+    (x_out, p_out) = F (u, v, x_B, p_B).  The u port carries
+    (x_in - x_A)/sqrt(2) in x, the v port (p_in + p_A)/sqrt(2) in p.
+    """
+    pair = make_epr(params)
+    mixed = beamsplitter(tensor(params.input_state, pair), 1, 0, 0.5)
     if params.eta_hom < 1.0:
-        full = loss(full, 0, params.eta_hom)
-        full = loss(full, 1, params.eta_hom)
-    return full
-
-
-def bell_measure(
-    state: GaussianState, rng: np.random.Generator, eta_hom: float = 1.0
-) -> BellOutcome:
-    """Sample the sender's joint measurement on a (input, A, B) state.
-
-    Mixes modes 0 and 1 on a balanced beamsplitter, then homodynes x on the
-    difference port and p on the sum port, conditioning B on both outcomes.
-    """
-    if state.n_modes != 3:
-        raise ValueError("bell_measure expects the three modes (input, A, B)")
-    _validate_eta(eta_hom, "eta_hom")
-    mixed = beamsplitter(state, 1, 0, 0.5)
-    if eta_hom < 1.0:
-        mixed = loss(mixed, 0, eta_hom)
-        mixed = loss(mixed, 1, eta_hom)
-    u, rest = sample_homodyne(mixed, 0, 0.0, rng)
-    v, bob = sample_homodyne(rest, 0, np.pi / 2, rng)
-    return BellOutcome(u, v, bob)
-
-
-def feed_forward(
-    bob: GaussianState, u: float, v: float, g_x: float, g_p: float
-) -> GaussianState:
-    """Receiver displacement by (g_x sqrt(2) u, g_p sqrt(2) v)."""
-    if bob.n_modes != 1:
-        raise ValueError("feed_forward acts on the single receiver mode")
-    root2 = np.sqrt(2.0)
-    return displace(bob, 0, g_x * root2 * u, g_p * root2 * v)
-
-
-def _feed_forward_symplectic(c_x: float, c_p: float) -> np.ndarray:
-    """Quadrature addition x_B += c_x x_u, p_B += c_p p_v as a symplectic map.
-
-    Adding a measured quadrature to another mode has the same reduced moments
-    as this coupling; the backaction lands on the ports, which are discarded.
-    The two couplings are composed, which keeps the map symplectic.
-    """
-    s_x = np.eye(6)
-    s_x[4, 0] = c_x  # x_B += c_x * x_port0
-    s_x[1, 5] = -c_x
-    s_p = np.eye(6)
-    s_p[5, 3] = c_p  # p_B += c_p * p_port1
-    s_p[2, 4] = -c_p
-    return s_p @ s_x
-
-
-def _gain_compensation(params: TeleporterParams) -> tuple[float, float]:
+        mixed = loss(mixed, 0, params.eta_hom)
+        mixed = loss(mixed, 1, params.eta_hom)
     scale = np.sqrt(2.0 / params.eta_hom)
-    return params.g_x * scale, params.g_p * scale
+    feed = np.array(
+        [[params.g_x * scale, 0.0, 1.0, 0.0], [0.0, params.g_p * scale, 0.0, 1.0]]
+    )
+    return pair, mixed.mean[_READOUT], mixed.cov[np.ix_(_READOUT, _READOUT)], feed
 
 
 def _report(
     params: TeleporterParams,
+    pair: GaussianState,
     output: GaussianState,
     gains: tuple[float, float],
     method: str,
@@ -259,7 +215,6 @@ def _report(
     fidelity = None
     if _coherent_input(params) and params.g_x == params.g_p == 1.0:
         fidelity = coherent_fidelity(vx, vp)
-    epr = epr_correlations(make_epr(params))
     return TeleportReport(
         output_state=output,
         vx=vx,
@@ -268,7 +223,7 @@ def _report(
         vp_db=db_from_variance(vp, VACUUM_VARIANCE),
         fidelity_coherent=fidelity,
         delta_sq_out=delta_sq(sidebands_from_single_mode(output)),
-        epr=epr,
+        epr=epr_correlations(pair),
         gains=gains,
         method=method,
         shots=shots,
@@ -288,11 +243,9 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     likewise for p, so non-unity gains weight the EPR beams individually
     rather than through their correlated combinations only.
     """
-    mixed = _sender_mixed(params)
-    c_x, c_p = _gain_compensation(params)
-    coupled = apply_symplectic(mixed, _feed_forward_symplectic(c_x, c_p))
-    output = partial_trace(coupled, [2])
-    return _report(params, output, (params.g_x, params.g_p), "analytic")
+    pair, mean, cov, feed = _readout(params)
+    output = GaussianState(feed @ mean, feed @ cov @ feed.T, validate=False)
+    return _report(params, pair, output, (params.g_x, params.g_p), "analytic")
 
 
 def teleport_mc(
@@ -300,35 +253,19 @@ def teleport_mc(
 ) -> TeleportReport:
     """Empirical output moments from simulated measure-and-displace shots.
 
-    State preparation is deterministic, so it is computed once; per shot the
-    two sender outcomes are drawn sequentially (v conditioned on u), the
-    receiver mode is conditioned and displaced, and one phase-space point is
-    drawn from it.  The homodyne conditioning steps enter through probe
-    evaluations of `homodyne_condition`, whose mean response is affine in the
-    outcome; shots are processed in chunks with independently spawned
-    sub-streams.  If `rng` is given it replaces the seed-derived streams.
+    State preparation is deterministic, so it is computed once.  Per shot
+    the sender outcome u, then v given u, then the receiver mode given both
+    are drawn through the lower Cholesky factor of their joint covariance,
+    and the receiver mode is displaced by the feed-forward.  Shots are
+    processed in chunks with independently spawned sub-streams.  If `rng` is
+    given it replaces the seed-derived streams.
     """
     if shots < 2:
         raise ValueError("shots must be >= 2")
-    mixed = _sender_mixed(params)
-    c_x, c_p = _gain_compensation(params)
-
-    # u stage: marginal law of the difference port, response of the rest
-    mu_u = marginal_mean(mixed, 0, 0.0)
-    sd_u = np.sqrt(marginal_variance(mixed, 0, 0.0))
-    after_u0 = homodyne_condition(mixed, 0, 0.0, 0.0)
-    after_u1 = homodyne_condition(mixed, 0, 0.0, 1.0)
-
-    # v stage: marginal law of the sum port given u, response of the receiver
-    mu_v0 = marginal_mean(after_u0, 0, np.pi / 2)
-    dv_du = marginal_mean(after_u1, 0, np.pi / 2) - mu_v0
-    sd_v = np.sqrt(marginal_variance(after_u0, 0, np.pi / 2))
-    bob_00 = homodyne_condition(after_u0, 0, np.pi / 2, 0.0)
-    bob_10 = homodyne_condition(after_u1, 0, np.pi / 2, 0.0)
-    bob_01 = homodyne_condition(after_u0, 0, np.pi / 2, 1.0)
-    du = bob_10.mean - bob_00.mean
-    dv = bob_01.mean - bob_00.mean
-    chol = np.linalg.cholesky(bob_00.cov + 1e-14 * np.eye(2))
+    pair, mean, cov, feed = _readout(params)
+    center = feed @ mean
+    # jitter guards exactly-pure corner cases
+    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
 
     seeds = np.random.SeedSequence(params.seed).spawn(
         (shots + _MC_CHUNK - 1) // _MC_CHUNK
@@ -338,12 +275,9 @@ def teleport_mc(
     for seq in seeds:
         n = min(_MC_CHUNK, shots - done)
         gen = rng if rng is not None else np.random.default_rng(seq)
-        u = mu_u + sd_u * gen.standard_normal(n)
-        v = mu_v0 + dv_du * u + sd_v * gen.standard_normal(n)
-        mean = bob_00.mean + np.outer(u, du) + np.outer(v, dv)
-        mean[:, 0] += c_x * u
-        mean[:, 1] += c_p * v
-        samples[done : done + n] = mean + gen.standard_normal((n, 2)) @ chol.T
+        z = gen.standard_normal(4 * n)  # n for u, n for v, then (x_B, p_B) pairs
+        draws = np.column_stack((z[:n], z[n : 2 * n], z[2 * n :].reshape(n, 2)))
+        samples[done : done + n] = center + draws @ factor.T
         done += n
 
     emp_mean = samples.mean(axis=0)
@@ -354,7 +288,7 @@ def teleport_mc(
     for q in (0, 1):
         if abs(params.input_state.mean[q]) > 1e-9:
             gains[q] = float(emp_mean[q] / params.input_state.mean[q])
-    return _report(params, output, (gains[0], gains[1]), "monte_carlo", shots)
+    return _report(params, pair, output, (gains[0], gains[1]), "monte_carlo", shots)
 
 
 def coherent_fidelity(vx: float, vp: float) -> float:

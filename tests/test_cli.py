@@ -5,7 +5,7 @@ import json
 import pytest
 
 import cvteleport.cli as cli
-from cvteleport.harness import ReproRow
+from cvteleport.harness import MAX_STAGES, ReproRow
 
 
 def invoke(*argv):
@@ -107,6 +107,11 @@ class TestCascadeVerb:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert [row["stage"] for row in payload["cascade"]] == [1, 2, 3, 4]
 
+    def test_default_is_four_stages(self, tmp_path):
+        assert invoke("cascade", "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert len(payload["cascade"]) == 4
+
     def test_non_coherent_input_is_config_error(self, tmp_path, capsys):
         code = invoke(
             "cascade", "--scenario", "squeezed_x", "--out", str(tmp_path)
@@ -195,6 +200,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "config error" in err and f"({flag}): must be <=" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--seed", "-1"], "[run] seed (--seed): must be >= 0"),
+            (["cascade", "--stages", "0"], "[cascade] stages (--stages): must be >= 1"),
+            (["cascade", "--stages", "abc"], "[cascade] stages (--stages): invalid literal"),
+            (["cascade", "--stages", str(MAX_STAGES + 1)],
+             f"[cascade] stages (--stages): must be <= {MAX_STAGES}"),
+        ],
+        ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many"],
+    )
+    def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
+        code = invoke(*argv, "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            (["run", "--alpha", "-1e-3"], 0, "alpha = -0.001\n"),
+            (["run", "--epr-sq-db", "-1e-1", "-6"], 0, "epr_sq_db = -0.1 -6.0\n"),
+            (["run", "--alpha", "-inf"], 2, "[run] alpha (--alpha): must be finite"),
+            (["calibrate", "--target-epr-db", "-5.6", "-inf"], 2,
+             "[calibrate] target_epr_db (--target-epr-db): must be finite"),
+        ],
+        ids=["alpha-exponent", "pair-exponent", "alpha-minus-inf", "calibrate-minus-inf"],
+    )
+    def test_negative_number_is_a_flag_value(self, argv, code, text, tmp_path, capsys):
+        assert invoke(*argv, "--out", str(tmp_path)) == code
+        if code == 0:
+            payload = json.loads((tmp_path / "report.json").read_text())
+            assert text in payload["config_text"]
+        else:
+            assert capsys.readouterr().err.startswith(f"config error: {text}")
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))

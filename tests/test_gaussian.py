@@ -26,7 +26,6 @@ from cvteleport import (
     marginal_variance,
     partial_trace,
     rotate,
-    sample_homodyne,
     sample_phase_space,
     sample_quadrature,
     squeeze,
@@ -261,20 +260,6 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_quadrature(vacuum(1), 0, 0.3, np.random.default_rng(7), size=16)
     b = sample_quadrature(vacuum(1), 0, 0.3, np.random.default_rng(7), size=16)
     assert np.array_equal(a, b)
-
-
-def test_sample_homodyne_outcome_and_remainder(rng):
-    outcome, remainder = sample_homodyne(coherent_state(2.0 + 0j), 0, 0.0, rng)
-    assert remainder is None
-    state = _two_mode_squeezed(0.8)
-    outcomes = []
-    for _ in range(2000):
-        u, rest = sample_homodyne(state, 0, 0.0, rng)
-        outcomes.append(u)
-        assert rest.n_modes == 1
-    var_expected = np.cosh(1.6) / 4
-    bound = 5 * var_expected * np.sqrt(2.0 / 1999)
-    assert abs(np.var(outcomes) - var_expected) < bound
 
 
 def test_homodyne_mixture_reproduces_reduced_state(rng):

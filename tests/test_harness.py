@@ -103,6 +103,10 @@ cutoff = 14.5
         with pytest.raises(ConfigError, match=rf"{key} \(line {line}\): must be <= {MAX_SAMPLES}"):
             parse_config(text)
 
+    def test_negative_seed_rejected_with_line(self):
+        with pytest.raises(ConfigError, match=r"\[run\] seed \(line 3\): must be >= 0"):
+            parse_config("[run]\nmethod = mc\nseed = -1\n")
+
     def test_comments_and_inline_comments(self):
         text = "# preset\n[run]\nseed = 9  # fixed\n; trailing\n"
         assert parse_config(text).seed == 9
@@ -164,6 +168,8 @@ class TestExperimentConfig:
             ExperimentConfig(tomo_samples=MAX_SAMPLES + 1)
         with pytest.raises(ValueError, match="shots"):
             ExperimentConfig(shots=MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="seed: must be >= 0"):
+            ExperimentConfig(seed=-1)
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 

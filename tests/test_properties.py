@@ -1,8 +1,9 @@
-"""Property tests for the config grammar and the report JSON.
+"""Property tests for the config grammar, the report JSON and the agreement
+of the Monte Carlo and analytic teleporter paths.
 
-The strategies below are written from the documented config grammar (the
-``harness`` module docstring), not derived from the code's own field table,
-so they check that table rather than restate it.
+The config strategies below are written from the documented config grammar
+(the ``harness`` module docstring), not derived from the code's own field
+table, so they check that table rather than restate it.
 """
 
 import dataclasses
@@ -12,8 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate
 from cvteleport.harness import (
     ExperimentConfig,
+    _mc_max_sigma,
     emit_config,
     parse_config,
     result_from_json_dict,
@@ -169,3 +172,32 @@ def test_json_round_trip_is_lossless(result):
     text = json.dumps(result_to_json_dict(result), sort_keys=True, allow_nan=False)
     back = result_from_json_dict(json.loads(text))
     assert _same(back, result)
+
+
+@st.composite
+def teleporters(draw):
+    """Lossy teleporters at random gains: a coherent or a rotated impure
+    squeezed input, pure or impure resource squeezers."""
+    if draw(st.booleans()):
+        state = coherent_state(complex(draw(finite(-4.0, 4.0)), draw(finite(-4.0, 4.0))))
+    else:
+        sq, antisq = draw(db_pair())
+        state = rotate(impure_squeezed_vacuum(sq, antisq), 0, draw(finite(0.0, np.pi)))
+    pairs = [draw(db_pair()) for _ in range(2)]
+    unit = finite(0.5, 1.0)
+    return TeleporterParams(
+        input_state=state,
+        epr_sq_db=(pairs[0][0], pairs[1][0]),
+        epr_antisq_db=draw(st.none() | st.just((pairs[0][1], pairs[1][1]))),
+        g_x=draw(finite(0.3, 1.5)),
+        g_p=draw(finite(0.3, 1.5)),
+        eta_source=(draw(unit), draw(unit)),
+        eta_prop=(draw(unit), draw(unit)),
+        eta_hom=draw(finite(0.7, 1.0)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(teleporters(), st.integers(0, 2**32 - 1))
+def test_mc_agrees_with_analytic_within_five_sigma(params, seed):
+    assert _mc_max_sigma(params, 20_000, seed) <= 5.0

@@ -16,16 +16,13 @@ from cvteleport import (
     rotate,
     squeeze,
     symplectic_eigenvalues,
-    tensor,
     vacuum,
 )
 from cvteleport.teleporter import (
     TeleporterParams,
-    bell_measure,
     cascade,
     coherent_fidelity,
     epr_correlations,
-    feed_forward,
     make_epr,
     measure_gains,
     output_variances_pure,
@@ -79,44 +76,6 @@ def test_epr_pair_is_physical_and_entangled_only_when_squeezed():
     assert symplectic_eigenvalues(pair.cov).min() >= 0.25 - 1e-9
     corr = epr_correlations(pair)
     assert corr.var_x_diff < 0.5 and corr.var_p_sum < 0.5
-
-
-def test_bell_measure_vacuum_port_statistics(rng):
-    state = tensor(vacuum(1), make_epr(coherent_params(epr_sq_db=(0.0, 0.0))))
-    shots = 10_000
-    u = np.empty(shots)
-    v = np.empty(shots)
-    for k in range(shots):
-        outcome = bell_measure(state, rng)
-        u[k], v[k] = outcome.u, outcome.v
-        assert outcome.bob.n_modes == 1
-    bound = 5 * 0.25 * np.sqrt(2.0 / (shots - 1))
-    assert abs(np.var(u) - 0.25) < bound
-    assert abs(np.var(v) - 0.25) < bound
-    assert abs(np.mean(u)) < 5 * 0.5 / np.sqrt(shots)
-
-
-def test_bell_measure_coherent_mean_transfer(rng):
-    state = tensor(coherent_state(3.5 + 0j), make_epr(coherent_params()))
-    shots = 4000
-    u = np.array([bell_measure(state, rng).u for _ in range(shots)])
-    sigma_u = np.sqrt(np.cosh(2 * R_6DB) / 4 + 0.25) / np.sqrt(2)  # rough scale
-    assert abs(np.mean(u) - 3.5 / np.sqrt(2)) < 5 * sigma_u / np.sqrt(shots) + 0.05
-    # detector loss scales the measured mean by sqrt(eta)
-    eta = 0.81
-    u_lossy = np.array([bell_measure(state, rng, eta_hom=eta).u for _ in range(shots)])
-    assert abs(np.mean(u_lossy) - np.sqrt(eta) * 3.5 / np.sqrt(2)) < 0.08
-
-
-def test_feed_forward_zero_gain_is_identity_and_displacement_scale():
-    bob = vacuum(1)
-    same = feed_forward(bob, 1.3, -0.4, 0.0, 0.0)
-    assert np.allclose(same.mean, bob.mean, atol=ATOL)
-    moved = feed_forward(bob, 1.0, 2.0, 1.0, 0.5)
-    assert np.allclose(moved.mean, [np.sqrt(2.0), np.sqrt(2.0)], atol=ATOL)
-    assert np.allclose(moved.cov, bob.cov, atol=ATOL)
-    with pytest.raises(ValueError):
-        feed_forward(vacuum(2), 0.0, 0.0, 1.0, 1.0)
 
 
 def test_near_ideal_resource_reproduces_input_mean():
