@@ -62,7 +62,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._version import __version__
 from .gaussian import (
@@ -199,7 +198,7 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
 def _count(minimum: int, maximum: int | None = None) -> _Kind:
     """An integer kind bounded below and, optionally, above."""
 
-    def coerce(value) -> int:
+    def parse(value) -> int:
         value = int(value)
         if value < minimum:
             raise ValueError(f"must be >= {minimum}")
@@ -207,7 +206,12 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
             raise ValueError(f"must be <= {maximum}")
         return value
 
-    return _Kind(coerce, coerce, str)
+    def coerce(value) -> int:
+        if int(value) != value:
+            raise ValueError("must be an integer")
+        return parse(value)
+
+    return _Kind(parse, coerce, str)
 
 
 _FLOAT = _Kind(_finite, _finite, repr)
@@ -313,7 +317,7 @@ class ExperimentConfig:
         for field in CONFIG_FIELDS:
             try:
                 value = field.kind.coerce(getattr(self, field.attr))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{field.attr}: {exc}") from exc
             object.__setattr__(self, field.attr, value)
         if self.grid_pad <= 0:
@@ -594,35 +598,38 @@ def calibrate_losses(
     """Fit per-path source efficiencies to measured beam-pair correlations.
 
     target_db is the measured (x_diff, p_sum) correlation pair in dB relative
-    to the two-mode vacuum level.  Each path is a one-dimensional root-find:
-    the x correlation depends only on the second squeezer's efficiency and
-    the p correlation only on the first's.  Raises PhysicsError when a
-    target is unreachable (below the source limit or at/above vacuum).
+    to the two-mode vacuum level.  The x correlation depends only on the
+    second squeezer's efficiency and the p correlation only on the first's.
+    With lossless beams (eta_prop = 1) a path whose squeezer sits at s dB
+    correlates to 10^(t/10) = 1 - eta (1 - 10^(s/10)), whatever its
+    anti-squeezed level, so each efficiency is, in closed form,
+
+        eta = (1 - 10^(t/10)) / (1 - 10^(s/10)),
+
+    where s is the correlation of the lossless source (eta = 1), computed
+    once; it is also the lowest reachable target.  Raises PhysicsError when
+    a target is unreachable: below that limit, or at/above vacuum (an
+    efficiency below 1e-9).
     """
     target_x, target_p = float(target_db[0]), float(target_db[1])
-    lo, hi = 1e-9, 1.0
+    limit_x, limit_p = _correlation_db(1.0, 1.0, source_sq_db, source_antisq_db)
 
-    def solve(target: float, objective) -> float:
-        f_lo, f_hi = objective(lo) - target, objective(hi) - target
-        if f_hi > 0:
+    def solve(target: float, limit: float) -> float:
+        if target < limit:
             raise PhysicsError(
-                f"target {target} dB is below the {objective(hi):.3f} dB "
+                f"target {target} dB is below the {limit:.3f} dB "
                 "limit set by the source squeezing"
             )
-        if f_lo < 0:
+        reach = 1.0 - 10.0 ** (limit / 10.0)
+        depth = 1.0 - 10.0 ** (target / 10.0)
+        if reach <= 0.0 or depth < 1e-9 * reach:
             raise PhysicsError(
                 f"target {target} dB is not below the vacuum correlation level"
             )
-        return float(brentq(lambda eta: objective(eta) - target, lo, hi, xtol=1e-12))
+        return float(depth / reach)
 
-    eta_x = solve(
-        target_x,
-        lambda eta: _correlation_db(1.0, eta, source_sq_db, source_antisq_db)[0],
-    )
-    eta_p = solve(
-        target_p,
-        lambda eta: _correlation_db(eta, 1.0, source_sq_db, source_antisq_db)[1],
-    )
+    eta_x = solve(target_x, limit_x)
+    eta_p = solve(target_p, limit_p)
     achieved_x, achieved_p = _correlation_db(
         eta_p, eta_x, source_sq_db, source_antisq_db
     )

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,21 @@ class TestPaperReproVerb:
         assert "rows pass" in out and "FAIL" not in out
         payload = json.loads((tmp_path / "report.json").read_text())
         assert all(row["passed"] for row in payload["reference_comparison"])
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    """Every verb runs in a fresh process that pays for these imports."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cvteleport.cli\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.split() == ["cvteleport", "numpy"]

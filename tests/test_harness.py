@@ -170,6 +170,12 @@ class TestExperimentConfig:
             ExperimentConfig(shots=MAX_SAMPLES + 1)
         with pytest.raises(ValueError, match="seed: must be >= 0"):
             ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="shots: must be an integer"):
+            ExperimentConfig(shots=2.9)
+        with pytest.raises(ValueError, match="seed: must be an integer"):
+            ExperimentConfig(seed=1.9)
+        with pytest.raises(ValueError, match="shots: cannot convert"):
+            ExperimentConfig(shots=float("inf"))
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 
@@ -333,6 +339,28 @@ class TestCalibrateLosses:
             calibrate_losses((-7.0, -5.5), (-6.0, -6.0), None)
         with pytest.raises(PhysicsError, match="vacuum"):
             calibrate_losses((0.5, -5.5), (-6.0, -6.0), None)
+
+    @pytest.mark.parametrize(
+        "target, source_sq, source_antisq, message",
+        [
+            ((0.0, 0.0), (0.0, 0.0), None,
+             "target 0.0 dB is below the 0.000 dB limit set by the source squeezing"),
+            ((-5.6, -5.5), (1.0, -6.0), None,
+             "squeezer 1 noise pair (+1, -1) dB is not a valid squeezed/anti-squeezed combination"),
+            ((-1e-12, -3.0), (-6.0, -6.0), None,
+             "target -1e-12 dB is not below the vacuum correlation level"),
+            ((0.0, -1.0), (-6.0, -6.0), None,
+             "target 0.0 dB is not below the vacuum correlation level"),
+            ((-5.6, -5.5), (-6.0, -6.0), (12.0, 3.0),
+             "squeezer 2 noise pair (-6, +3) dB is not a valid squeezed/anti-squeezed combination"),
+        ],
+        ids=["unsqueezed-source", "invalid-source", "below-eta-floor", "vacuum-target",
+             "invalid-antisq-partner"],
+    )
+    def test_edge_cases_raise_physics_error(self, target, source_sq, source_antisq, message):
+        with pytest.raises(PhysicsError) as excinfo:
+            calibrate_losses(target, source_sq, source_antisq)
+        assert str(excinfo.value) == message
 
     def test_result_is_named(self):
         result = calibrate_losses((-5.6, -5.5))

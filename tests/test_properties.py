@@ -1,5 +1,5 @@
-"""Property tests for the config grammar, the report JSON and the agreement
-of the Monte Carlo and analytic teleporter paths.
+"""Property tests for the config grammar, the report JSON, the agreement
+of the Monte Carlo and analytic teleporter paths and the loss calibration.
 
 The config strategies below are written from the documented config grammar
 (the ``harness`` module docstring), not derived from the code's own field
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate
 from cvteleport.harness import (
     ExperimentConfig,
+    _correlation_db,
     _mc_max_sigma,
+    calibrate_losses,
     emit_config,
     parse_config,
     result_from_json_dict,
@@ -201,3 +203,25 @@ def teleporters(draw):
 @given(teleporters(), st.integers(0, 2**32 - 1))
 def test_mc_agrees_with_analytic_within_five_sigma(params, seed):
     assert _mc_max_sigma(params, 20_000, seed) <= 5.0
+
+
+@st.composite
+def calibrations(draw):
+    """Pure or impure source squeezers and targets between each path's
+    lossless limit and a millionth of it."""
+    source_sq = (draw(finite(-20.0, -1e-3)), draw(finite(-20.0, -1e-3)))
+    source_antisq = draw(st.none() | st.tuples(*(finite(-sq, 20.0 - sq) for sq in source_sq)))
+    limits = _correlation_db(1.0, 1.0, source_sq, source_antisq)
+    target = tuple(limit * draw(finite(1e-6, 1.0)) for limit in limits)
+    return target, source_sq, source_antisq
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(calibrations())
+def test_calibration_reproduces_reachable_targets(case):
+    target, source_sq, source_antisq = case
+    eta_source = calibrate_losses(target, source_sq, source_antisq).eta_source
+    achieved = _correlation_db(*eta_source, source_sq, source_antisq)
+    assert all(0.0 < eta <= 1.0 for eta in eta_source)
+    assert abs(achieved[0] - target[0]) <= 1e-9
+    assert abs(achieved[1] - target[1]) <= 1e-9
