@@ -15,19 +15,15 @@ Conventions
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 VACUUM_VARIANCE = 0.25
 TWO_MODE_VACUUM_VARIANCE = 0.5
-UNCERTAINTY_PRODUCT = 1.0 / 16.0
 
 # Constructor tolerances: measured covariances may carry tiny asymmetries and
 # eigenvalue dips from floating-point round-off, nothing larger.
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
-MIN_MEASURED_VARIANCE = 1e-15
 
 
 class PhysicsError(ValueError):
@@ -61,10 +57,11 @@ class GaussianState:
     Args:
         mean: length-2n quadrature expectation values, ordered (x1, p1, ...).
         cov: 2n x 2n covariance matrix.
-        validate: check symmetry and the bona fide condition (symplectic
-            eigenvalues >= 1/4 - PHYSICALITY_ATOL).  Operations in this module
-            skip the check on their outputs because completely positive maps
-            preserve physicality; empirical moment holders may also skip it.
+        validate: check finiteness, symmetry and the bona fide condition
+            (symplectic eigenvalues >= 1/4 - PHYSICALITY_ATOL).  Operations in
+            this module skip the check on their outputs because completely
+            positive maps preserve physicality; empirical moment holders may
+            also skip it.
     """
 
     __slots__ = ("mean", "cov")
@@ -77,6 +74,10 @@ class GaussianState:
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
         if validate:
+            if not np.all(np.isfinite(mean)):
+                raise ValueError("mean must be finite")
+            if not np.all(np.isfinite(cov)):
+                raise ValueError("cov must be finite")
             if not np.all(np.abs(cov - cov.T) <= SYMMETRY_ATOL):
                 raise PhysicsError("covariance matrix is not symmetric")
             cov = 0.5 * (cov + cov.T)
@@ -134,17 +135,6 @@ def tensor(*states: GaussianState) -> GaussianState:
         cov[lo:hi, lo:hi] = s.cov
         lo = hi
     return GaussianState(mean, cov, validate=False)
-
-
-def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Reduced state of the listed modes, in the listed order."""
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must list at least one mode")
-    if len(set(keep)) != len(keep) or min(keep) < 0 or max(keep) >= state.n_modes:
-        raise ValueError(f"invalid mode list {keep} for {state.n_modes} modes")
-    idx = np.array([2 * m + q for m in keep for q in (0, 1)])
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)], validate=False)
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
@@ -283,85 +273,6 @@ def marginal_variance(state: GaussianState, mode: int, theta: float) -> float:
     """
     v = _quadrature_vector(state, mode, theta)
     return float(v @ state.cov @ v)
-
-
-def marginal_mean(state: GaussianState, mode: int, theta: float) -> float:
-    """Mean of the rotated quadrature q(theta) on one mode."""
-    return float(_quadrature_vector(state, mode, theta) @ state.mean)
-
-
-def homodyne_condition(
-    state: GaussianState, mode: int, theta: float, outcome: float
-) -> GaussianState:
-    """State of the remaining modes after measuring q(theta) with result `outcome`.
-
-    Gaussian conditioning on the measured scalar: with measured variance
-    s2 = v' C v and cross covariance c = C_rest,v the update is
-
-        mean -> mean_rest + c (outcome - mean_meas) / s2
-        cov  -> cov_rest - (c c') / s2
-
-    The conditional covariance does not depend on the outcome and the
-    conditional mean is linear in it.  The measured mode is removed.
-    """
-    if state.n_modes < 2:
-        raise ValueError("homodyne_condition needs at least two modes")
-    v = _quadrature_vector(state, mode, theta)
-    var_meas = float(v @ state.cov @ v)
-    if var_meas < MIN_MEASURED_VARIANCE:
-        raise PhysicsError(
-            f"measured quadrature variance {var_meas:.3g} is numerically singular"
-        )
-    mean_meas = float(v @ state.mean)
-    keep = np.array(
-        [i for i in range(state.mean.size) if i not in (2 * mode, 2 * mode + 1)]
-    )
-    cross = state.cov[keep] @ v
-    mean = state.mean[keep] + cross * (outcome - mean_meas) / var_meas
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var_meas
-    return GaussianState(mean, cov, validate=False)
-
-
-def sample_quadrature(
-    state: GaussianState,
-    mode: int,
-    theta: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw homodyne outcomes of q(theta) on one mode; normal marginal law.
-
-    The remaining modes are not conditioned; `homodyne_condition` gives the
-    state they are left in for one outcome.
-    """
-    mu = marginal_mean(state, mode, theta)
-    sigma = np.sqrt(marginal_variance(state, mode, theta))
-    return rng.normal(mu, sigma, size=size)
-
-
-def sample_phase_space(
-    state: GaussianState, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw points from the state's Wigner distribution, shape (size, 2n).
-
-    The Wigner function of a Gaussian state is an ordinary normal density, so
-    every rotated-quadrature marginal of the draws reproduces the homodyne
-    statistics.
-    """
-    chol = np.linalg.cholesky(
-        state.cov + 1e-14 * np.eye(state.mean.size)
-    )  # jitter guards exactly-pure corner cases
-    return state.mean + rng.standard_normal((size, state.mean.size)) @ chol.T
-
-
-def total_mean_photons(state: GaussianState) -> float:
-    """Total mean photon number: sum over modes of Vx + Vp - 1/2 + <x>^2 + <p>^2.
-
-    Conserved by passive operations (beamsplitters and phase rotations).
-    """
-    return float(
-        np.trace(state.cov) - state.n_modes * 0.5 + np.dot(state.mean, state.mean)
-    )
 
 
 def db_from_variance(variance: float, reference: float) -> float:

@@ -138,6 +138,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _coerce_bool(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError("must be a boolean")
+    return bool(value)
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.replace(",", " ").split()
     values = tuple(_finite(p) for p in parts)
@@ -216,7 +222,7 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
 
 _FLOAT = _Kind(_finite, _finite, repr)
 _BOOL = _Kind(
-    _parse_bool, bool, lambda value: "true" if value else "false",
+    _parse_bool, _coerce_bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
 )
 _CUTOFF = _Kind(
@@ -441,7 +447,7 @@ def run(
     if include_trace:
         trace_rng = np.random.default_rng(children[1]) if config.trace_sampled else None
         trace = spectrum_trace(
-            report, n_points=config.trace_points,
+            report.output_state, n_points=config.trace_points,
             averages=config.trace_averages, rng=trace_rng,
         )
     wigner = None
@@ -450,8 +456,6 @@ def run(
             report.output_state,
             config.tomo_samples,
             np.random.default_rng(children[2]),
-            source=config.scenario,
-            seed=config.seed,
         )
         spec = GridSpec.from_state(
             report.output_state, n=config.grid_points, pad=config.grid_pad
@@ -593,7 +597,6 @@ def calibrate_losses(
     target_db: tuple[float, float],
     source_sq_db: tuple[float, float] = BENCHMARK_SOURCE_SQ_DB,
     source_antisq_db: tuple[float, float] | None = BENCHMARK_SOURCE_ANTISQ_DB,
-    tol_db: float = CALIBRATION_TOL_DB,
 ) -> CalibrationResult:
     """Fit per-path source efficiencies to measured beam-pair correlations.
 
@@ -609,7 +612,8 @@ def calibrate_losses(
     where s is the correlation of the lossless source (eta = 1), computed
     once; it is also the lowest reachable target.  Raises PhysicsError when
     a target is unreachable: below that limit, or at/above vacuum (an
-    efficiency below 1e-9).
+    efficiency below 1e-9); and when the fitted efficiencies miss either
+    target by more than CALIBRATION_TOL_DB.
     """
     target_x, target_p = float(target_db[0]), float(target_db[1])
     limit_x, limit_p = _correlation_db(1.0, 1.0, source_sq_db, source_antisq_db)
@@ -634,10 +638,10 @@ def calibrate_losses(
         eta_p, eta_x, source_sq_db, source_antisq_db
     )
     residual_x, residual_p = achieved_x - target_x, achieved_p - target_p
-    if max(abs(residual_x), abs(residual_p)) > tol_db:
+    if max(abs(residual_x), abs(residual_p)) > CALIBRATION_TOL_DB:
         raise PhysicsError(
             f"calibration residuals ({residual_x:.3g}, {residual_p:.3g}) dB "
-            f"exceed {tol_db} dB"
+            f"exceed {CALIBRATION_TOL_DB} dB"
         )
     return CalibrationResult(
         (eta_p, eta_x), achieved_x, achieved_p, residual_x, residual_p

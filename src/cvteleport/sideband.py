@@ -21,13 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.gaussian import (
-    GaussianState,
-    VACUUM_VARIANCE,
-    apply_symplectic,
-    marginal_variance,
-    tensor,
-)
+from cvteleport.gaussian import GaussianState, apply_symplectic, tensor
 
 # Combination variances are referenced to two-mode vacuum, which gives
 # Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
@@ -80,14 +74,6 @@ def delta_sq(pair: SidebandPair) -> float:
     """Sum criterion Var(x+ + x-) + Var(p+ - p-); vacuum sidebands give 1."""
     cov = pair.cov
     return float(_X_SUM @ cov @ _X_SUM + _P_DIFF @ cov @ _P_DIFF)
-
-
-def noise_power_from_single_mode(state: GaussianState, theta: float) -> float:
-    """Normalized noise power of q(theta): marginal variance over vacuum.
-
-    At theta = 0 this equals delta_sq of the derived sideband pair.
-    """
-    return marginal_variance(state, 0, theta) / VACUUM_VARIANCE
 
 
 class EntanglementVerdict(NamedTuple):

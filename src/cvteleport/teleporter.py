@@ -351,17 +351,9 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
     return stages
 
 
-def measure_gains(
-    params: TeleporterParams, probe_amplitude: float = 1.0
-) -> tuple[float, float]:
-    """Realized mean-transfer gains, probed with a displaced coherent input."""
-    if probe_amplitude == 0:
-        raise ValueError("probe_amplitude must be nonzero")
-    probe = replace(
-        params, input_state=coherent_state(probe_amplitude + 1j * probe_amplitude)
-    )
+def measure_gains(params: TeleporterParams) -> tuple[float, float]:
+    """Realized mean-transfer gains (x, p), read off the output mean of a
+    coherent probe with amplitude 1 + 1j teleported through ``params``."""
+    probe = replace(params, input_state=coherent_state(1 + 1j))
     out = teleport_analytic(probe).output_state
-    return (
-        float(out.mean[0] / probe_amplitude),
-        float(out.mean[1] / probe_amplitude),
-    )
+    return float(out.mean[0]), float(out.mean[1])

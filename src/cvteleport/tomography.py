@@ -35,10 +35,8 @@ import numpy as np
 from typing import NamedTuple
 
 from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
-from .teleporter import TeleportReport
 
 DEFAULT_GRID_POINTS = 81
-DEFAULT_GRID_HALF_WIDTH = 3.0
 DEFAULT_GRID_PAD_SIGMAS = 4.5
 DEFAULT_TRACE_POINTS = 240
 DEFAULT_TRACE_AVERAGES = 30
@@ -97,11 +95,6 @@ class GridSpec:
             raise ValueError("grid window must have positive extent")
         if self.n_x < 2 or self.n_p < 2:
             raise ValueError("grid needs at least 2 points per axis")
-
-    @classmethod
-    def default(cls) -> "GridSpec":
-        w = DEFAULT_GRID_HALF_WIDTH
-        return cls(-w, w, -w, w)
 
     @classmethod
     def from_state(
@@ -165,8 +158,6 @@ class QuadratureRecord:
 
     thetas: np.ndarray
     values: np.ndarray
-    source: str = ""
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         thetas = _readonly(self.thetas)
@@ -215,14 +206,8 @@ class WignerMoments(NamedTuple):
     normalization: float
 
 
-def _trace_state(state_or_report) -> GaussianState:
-    if isinstance(state_or_report, TeleportReport):
-        return state_or_report.output_state
-    return state_or_report
-
-
 def spectrum_trace(
-    state_or_report,
+    state: GaussianState,
     n_points: int = DEFAULT_TRACE_POINTS,
     averages: int = DEFAULT_TRACE_AVERAGES,
     rng: np.random.Generator | None = None,
@@ -230,12 +215,13 @@ def spectrum_trace(
 ) -> PhaseScanTrace:
     """Total noise power vs phase: (variance + mean^2) / vacuum, in dB.
 
-    The power at each theta includes the coherent signal, so a displaced
+    ``state`` is a single-mode GaussianState (for a teleporter, the report's
+    ``output_state``).  The power at each theta includes the coherent signal, so a displaced
     state shows a peak of 10 log10(1 + 4 |mean|^2 ... ) over the scan even
     when its variance is vacuum-like.  With ``rng`` the power is estimated
     from ``averages`` samples per point; with ``rng=None`` it is exact.
     """
-    state = _single_mode(_trace_state(state_or_report))
+    _single_mode(state)
     if n_points < 2:
         raise ValueError("a trace needs at least 2 points")
     start, stop = float(span[0]), float(span[1])
@@ -262,11 +248,10 @@ def sample_record(
     n_samples: int,
     rng: np.random.Generator,
     thetas: np.ndarray | None = None,
-    source: str = "",
-    seed: int | None = None,
 ) -> QuadratureRecord:
-    """Draw quadrature samples while scanning the phase.
+    """Draw quadrature samples of a single-mode state while scanning the phase.
 
+    Returns the (theta, value) samples as a QuadratureRecord.
     The default schedule is a uniform linear sweep over [0, pi), one sample
     per phase step, approximating a continuous scan.  An explicit ``thetas``
     array overrides the schedule (its length wins over ``n_samples``).
@@ -282,7 +267,7 @@ def sample_record(
             raise ValueError("thetas must be a non-empty 1-D array")
     mu, var = _marginal_arrays(state, thetas)
     values = mu + np.sqrt(var) * rng.standard_normal(thetas.size)
-    return QuadratureRecord(thetas, values, source=source, seed=seed)
+    return QuadratureRecord(thetas, values)
 
 
 def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> WignerGrid:
@@ -404,12 +389,11 @@ def inverse_radon(
     record: QuadratureRecord,
     spec: GridSpec | None = None,
     filter_cutoff: float | None = None,
-    n_theta_bins: int = DEFAULT_THETA_BINS,
 ) -> WignerGrid:
     """Reconstruct the Wigner function from a record by filtered back-projection.
 
     Samples are folded onto theta in [0, pi) (values at theta + pi enter with
-    flipped sign) and binned into a sinogram of ``n_theta_bins`` phase bins.
+    flipped sign) and binned into a sinogram of DEFAULT_THETA_BINS phase bins.
     Bin convention: phase and quadrature bins are half-open, [lo, hi), on
     uniform edges; the phase edges span [0, pi] and the quadrature edges
     [-support, support], support being 1.05 times the larger of the grid's
@@ -429,9 +413,8 @@ def inverse_radon(
             f"reconstruction needs >= {MIN_RECORD_SAMPLES} samples, "
             f"got {record.n_samples}"
         )
-    if n_theta_bins < 2:
-        raise ValueError("n_theta_bins must be >= 2")
     folded, q = _fold_half_turn(record.thetas, record.values)
+    n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
     theta_bin = _uniform_bin_index(folded, edges)
     idx = np.clip(theta_bin, 0, n_theta_bins - 1)
@@ -446,8 +429,8 @@ def inverse_radon(
         variances = _bin_variances(idx, counts, q, n_theta_bins)
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(variances, counts, q.size)
-    if filter_cutoff <= 0.0:
-        raise ValueError("filter_cutoff must be positive")
+    if not (np.isfinite(filter_cutoff) and filter_cutoff > 0.0):
+        raise ValueError("filter_cutoff must be positive and finite")
     if spec is None:
         spec = _spec_from_record(folded, q, variances, counts)
 

@@ -176,6 +176,8 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1.9)
         with pytest.raises(ValueError, match="shots: cannot convert"):
             ExperimentConfig(shots=float("inf"))
+        with pytest.raises(ValueError, match="trace_sampled: must be a boolean"):
+            ExperimentConfig(trace_sampled="false")
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 

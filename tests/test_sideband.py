@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvteleport import (
+    VACUUM_VARIANCE,
     displace,
     impure_squeezed_vacuum,
     rotate,
@@ -16,7 +17,6 @@ from cvteleport.sideband import (
     SidebandPair,
     delta_sq,
     is_entangled,
-    noise_power_from_single_mode,
     sidebands_from_single_mode,
 )
 from conftest import random_physical_state
@@ -60,6 +60,7 @@ def test_output_level_sideband_criterion():
 
 
 def test_criterion_equals_noise_power_identity(rng):
+    # Squeezing below vacuum <=> sideband entanglement: delta_sq = Vx / (1/4).
     states = [
         vacuum(1),
         impure_squeezed_vacuum(-6.2, 12.0),
@@ -68,9 +69,8 @@ def test_criterion_equals_noise_power_identity(rng):
     ]
     for state in states:
         lhs = delta_sq(sidebands_from_single_mode(state))
-        rhs = noise_power_from_single_mode(state, 0.0)
+        rhs = state.cov[0, 0] / VACUUM_VARIANCE
         assert lhs == pytest.approx(rhs, abs=ATOL)
-    assert noise_power_from_single_mode(vacuum(1), 1.1) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_entanglement_iff_squeezing_below_vacuum():

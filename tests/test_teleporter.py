@@ -177,8 +177,6 @@ def test_detector_inefficiency_is_gain_compensated():
 def test_measure_gains_matches_configuration():
     params = coherent_params(g_x=0.5, g_p=1.1, eta_prop=(0.9, 0.9), eta_hom=0.9604)
     assert measure_gains(params) == pytest.approx((0.5, 1.1), abs=1e-10)
-    with pytest.raises(ValueError):
-        measure_gains(params, probe_amplitude=0.0)
 
 
 def test_mc_matches_analytic_at_five_sigma():

@@ -1,5 +1,7 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ class TestSpectrumTrace:
 
     def test_accepts_teleport_report(self):
         report = teleported_squeezed()
-        trace = spectrum_trace(report)
+        trace = spectrum_trace(report.output_state)
         assert trace.power_db.min() == pytest.approx(report.vx_db, abs=1e-9)
 
     def test_rejects_bad_arguments(self, rng):
@@ -123,12 +125,11 @@ class TestSampleRecord:
 
     def test_explicit_schedule_and_metadata(self, rng):
         thetas = np.array([0.0, 0.5, 1.0])
-        record = sample_record(
-            vacuum(1), 0, rng, thetas=thetas, source="vacuum", seed=7
-        )
+        record = sample_record(vacuum(1), 0, rng, thetas=thetas)
         assert record.n_samples == 3
-        assert record.source == "vacuum"
-        assert record.seed == 7
+        assert np.array_equal(record.thetas, thetas)
+        # A record is its (theta, value) samples and carries no other metadata.
+        assert [f.name for f in dataclasses.fields(record)] == ["thetas", "values"]
 
     def test_deterministic_under_seed(self):
         state = impure_squeezed_vacuum(-6.0, 7.0)
@@ -144,7 +145,7 @@ class TestSampleRecord:
 
 class TestWignerAnalytic:
     def test_vacuum_peak_value(self):
-        grid = wigner_analytic(vacuum(1), GridSpec.default())
+        grid = wigner_analytic(vacuum(1), GridSpec(-3, 3, -3, 3))
         assert grid.values.max() == pytest.approx(VACUUM_PEAK, abs=1e-12)
         center = (grid.spec.n_x // 2, grid.spec.n_p // 2)
         assert grid.values[center] == grid.values.max()
@@ -184,8 +185,10 @@ class TestWignerAnalytic:
 
 class TestGridSpec:
     def test_default_window(self):
-        spec = GridSpec.default()
+        # Bounds are stored as floats; the point count defaults to 81 per axis.
+        spec = GridSpec(-3, 3, -3, 3)
         assert (spec.x_min, spec.x_max) == (-3.0, 3.0)
+        assert isinstance(spec.x_min, float) and isinstance(spec.p_max, float)
         assert spec.n_x == spec.n_p == 81
 
     def test_from_state_follows_mean_and_spread(self):
@@ -278,8 +281,9 @@ class TestInverseRadon:
         sharp = inverse_radon(record, spec)
         # A cutoff well below the state bandwidth blurs the peak down.
         assert low.values.max() < 0.85 * sharp.values.max()
-        with pytest.raises(ValueError):
-            inverse_radon(record, spec, filter_cutoff=-1.0)
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^filter_cutoff must be positive and finite$"):
+                inverse_radon(record, spec, filter_cutoff=bad)
         with pytest.raises(ValueError):
             inverse_radon(record, spec, filter_cutoff=1e6)
 
