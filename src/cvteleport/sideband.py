@@ -27,6 +27,10 @@ from cvteleport.gaussian import GaussianState, apply_symplectic, tensor
 # Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
 _X_SUM = np.array([1.0, 0.0, 1.0, 0.0])
 _P_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
+# Rotation by pi/2 that exchanges the x and p statistics of the mirror mode,
+# and the balanced split (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2).
+_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
+_SPLIT = np.sqrt(0.5) * np.block([[np.eye(2), np.eye(2)], [np.eye(2), -np.eye(2)]])
 
 
 @dataclass(frozen=True)
@@ -59,15 +63,8 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     """
     if state.n_modes != 1:
         raise ValueError("sidebands_from_single_mode requires a single-mode state")
-    flip = np.array([[0.0, -1.0], [1.0, 0.0]])
-    mirror = GaussianState(
-        np.zeros(2), flip @ state.cov @ flip.T, validate=False
-    )
-    joint = tensor(state, mirror)
-    h = np.sqrt(0.5) * np.block(
-        [[np.eye(2), np.eye(2)], [np.eye(2), -np.eye(2)]]
-    )
-    return SidebandPair(apply_symplectic(joint, h))
+    mirror = GaussianState(np.zeros(2), _FLIP @ state.cov @ _FLIP.T, validate=False)
+    return SidebandPair(apply_symplectic(tensor(state, mirror), _SPLIT))
 
 
 def delta_sq(pair: SidebandPair) -> float:

@@ -19,17 +19,39 @@ one per entangled beam, and one per sender detector (detector inefficiency is
 compensated electronically so the configured gains are the realized
 mean-transfer ratios).
 
-Both paths read the output off one Gaussian vector: the sender's two
-outcomes u, v and the receiver's beam B, whose moments `_readout` computes
-once.  The feed-forward is the linear map x_out = x_B + c_x u,
-p_out = p_B + c_p v with c = g sqrt(2 / eta_hom).  The analytic path applies
-that map to the moments; the Monte Carlo path draws shots of (u, v, B) in
-measurement order (u, then v given u, then B given both), displaces B shot by
-shot, and reports empirical moments and gains.  The Monte Carlo path thus
-checks the sampling, the per-shot feed-forward and the estimation of moments
-and gains.  It shares the state preparation (`make_epr`, the sender's mixer
-and the losses) with the analytic path, so an error there is not caught by
-comparing the two.
+Two derivations
+---------------
+The analytic path is the Heisenberg picture of this network.  Every squeezer
+and every loss acts along x or p, so x_out and p_out are each a weighted sum
+of independent sources: the input quadrature times its gain, the two
+squeezed modes after their source losses, and the vacuum ancillas of the two
+beam losses and the two detector losses.  `_source_map` writes the two sums
+out in closed form with plain arithmetic, elementwise in the parameters.
+With X the x-squeezed mode (squeezer 2) and P the p-squeezed mode
+(squeezer 1) at the mixer, A = (X + P)/sqrt(2) and B = (P - X)/sqrt(2)
+before the beam losses eta_A = eta_prop[0], eta_B = eta_prop[1], and
+
+    Var(q_B + c q_A) = [(c sqrt(eta_A) - sqrt(eta_B))^2 Var(q_X)
+                        + (c sqrt(eta_A) + sqrt(eta_B))^2 Var(q_P)] / 2
+                       + [(1 - eta_B) + c^2 (1 - eta_A)] / 4
+
+for q = x or p, where Var(q_S) = eta_S V_S + (1 - eta_S)/4 for a squeezer
+of variance V_S in q behind a source loss eta_S.  The output noise is
+N_x = Var(x_B - g_x x_A) + g_x^2 D and N_p = Var(p_B + g_p p_A) + g_p^2 D,
+with the detector term D = (1 - eta_hom) / (2 eta_hom); the EPR correlation
+variances are Var(x_A - x_B) and Var(p_A + p_B), the same sums at c = -1
+and c = +1.
+
+The Monte Carlo path samples the Schroedinger picture instead: `make_epr`
+builds the beam pair from Gaussian states and operations, `_readout` mixes it
+with the input and gives the moments of the sender's outcomes u, v and the
+receiver's beam B, and shots of (u, v, B) are drawn in measurement order (u,
+then v given u, then B given both).  B is displaced shot by shot by the
+feed-forward x_out = x_B + c_x u, p_out = p_B + c_p v with
+c = g sqrt(2 / eta_hom), and the report holds empirical moments and gains.
+The source map calls no Gaussian operation, so comparing the two paths
+checks the state preparation (squeezers, mixers, losses) as well as the
+sampling, the per-shot feed-forward and the estimation of moments and gains.
 """
 
 from __future__ import annotations
@@ -52,7 +74,6 @@ from cvteleport.gaussian import (
     rotate,
     tensor,
 )
-from cvteleport.sideband import delta_sq, sidebands_from_single_mode
 
 _MC_CHUNK = 1 << 14
 
@@ -165,8 +186,11 @@ def epr_correlations(pair: GaussianState) -> EprCorrelations:
         raise ValueError("epr_correlations requires a two-mode state")
     x_diff = np.array([1.0, 0.0, -1.0, 0.0])
     p_sum = np.array([0.0, 1.0, 0.0, 1.0])
-    var_x = float(x_diff @ pair.cov @ x_diff)
-    var_p = float(p_sum @ pair.cov @ p_sum)
+    return _correlations(x_diff @ pair.cov @ x_diff, p_sum @ pair.cov @ p_sum)
+
+
+def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
+    var_x, var_p = float(var_x_diff), float(var_p_sum)
     return EprCorrelations(
         var_x,
         var_p,
@@ -202,9 +226,50 @@ def _readout(
     return pair, mixed.mean[_READOUT], mixed.cov[np.ix_(_READOUT, _READOUT)], feed
 
 
+def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
+    """Output moments and EPR correlation variances in closed form.
+
+    Heisenberg-picture propagation of the network (module docstring): the
+    output mean is (g_x m_x, g_p m_p), the output covariance
+    [[g_x^2 C_xx + N_x, g_x g_p C_xp], [g_x g_p C_px, g_p^2 C_pp + N_p]].
+    Plain arithmetic, elementwise in every argument: each may be a scalar or
+    an array of points, with ``mean`` indexed [i], ``cov`` [i][j] and the
+    pairs [0], [1] in the order of `TeleporterParams`.  Returns the output
+    mean, the output covariance, Var(x_A - x_B) and Var(p_A + p_B).
+    """
+
+    def at_mixer(level_db, eta):
+        # one quadrature of a squeezer behind its source loss
+        return eta * VACUUM_VARIANCE * 10.0 ** (level_db / 10.0) + (1.0 - eta) * VACUUM_VARIANCE
+
+    # x and p of the x-squeezed mode X (squeezer 2) and of the p-squeezed
+    # mode P (squeezer 1, whose anti-squeezed quadrature is x)
+    x_of_x, p_of_x = at_mixer(sq_db[1], eta_source[1]), at_mixer(antisq_db[1], eta_source[1])
+    x_of_p, p_of_p = at_mixer(antisq_db[0], eta_source[0]), at_mixer(sq_db[0], eta_source[0])
+    root_a, root_b = np.sqrt(eta_prop[0]), np.sqrt(eta_prop[1])
+
+    def beams(c, var_x_mode, var_p_mode):
+        # Var(q_B + c q_A) for one quadrature q, given Var(q) of X and of P
+        return 0.5 * (
+            (c * root_a - root_b) ** 2 * var_x_mode + (c * root_a + root_b) ** 2 * var_p_mode
+        ) + VACUUM_VARIANCE * ((1.0 - eta_prop[1]) + c * c * (1.0 - eta_prop[0]))
+
+    detector = 2.0 * VACUUM_VARIANCE * (1.0 - eta_hom) / eta_hom
+    noise_x = beams(-g_x, x_of_x, x_of_p) + g_x * g_x * detector
+    noise_p = beams(g_p, p_of_x, p_of_p) + g_p * g_p * detector
+    out_mean = np.array([g_x * mean[0], g_p * mean[1]])
+    out_cov = np.array(
+        [
+            [g_x * g_x * cov[0][0] + noise_x, g_x * g_p * cov[0][1]],
+            [g_x * g_p * cov[1][0], g_p * g_p * cov[1][1] + noise_p],
+        ]
+    )
+    return out_mean, out_cov, beams(-1.0, x_of_x, x_of_p), beams(1.0, p_of_x, p_of_p)
+
+
 def _report(
     params: TeleporterParams,
-    pair: GaussianState,
+    epr: EprCorrelations,
     output: GaussianState,
     gains: tuple[float, float],
     method: str,
@@ -222,30 +287,50 @@ def _report(
         vx_db=db_from_variance(vx, VACUUM_VARIANCE),
         vp_db=db_from_variance(vp, VACUUM_VARIANCE),
         fidelity_coherent=fidelity,
-        delta_sq_out=delta_sq(sidebands_from_single_mode(output)),
-        epr=epr_correlations(pair),
+        # sideband identity: delta_sq = Vx / (1/4) for a single mode
+        delta_sq_out=vx / VACUUM_VARIANCE,
+        epr=epr,
         gains=gains,
         method=method,
         shots=shots,
     )
 
 
+_VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
+# np.allclose(cov, vacuum, atol=1e-9) with its default rtol of 1e-5, per element
+_COHERENT_TOL = 1e-9 + 1e-5 * _VACUUM_COV
+
+
 def _coherent_input(params: TeleporterParams) -> bool:
-    return bool(
-        np.allclose(params.input_state.cov, VACUUM_VARIANCE * np.eye(2), atol=1e-9)
-    )
+    return bool(np.all(np.abs(params.input_state.cov - _VACUUM_COV) <= _COHERENT_TOL))
 
 
 def teleport_analytic(params: TeleporterParams) -> TeleportReport:
-    """Exact output moments by linear-network propagation.
+    """Exact output moments from the closed-form source map.
 
     The output is x_out = g_x x_in + (x_B - g_x x_A) + detector terms, and
     likewise for p, so non-unity gains weight the EPR beams individually
-    rather than through their correlated combinations only.
+    rather than through their correlated combinations only.  The added
+    noise is
+
+        N_x = [(g_x sqrt(eta_A) + sqrt(eta_B))^2 Vx_X
+               + (g_x sqrt(eta_A) - sqrt(eta_B))^2 Vx_P] / 2
+              + [(1 - eta_B) + g_x^2 (1 - eta_A)] / 4
+              + g_x^2 (1 - eta_hom) / (2 eta_hom),
+
+    and N_p the same with g_p, Vp_X and Vp_P and the two squares swapped,
+    where eta_A, eta_B are the beam transmittances and Vq_X, Vq_P the
+    variances of q in the x-squeezed (squeezer 2) and p-squeezed
+    (squeezer 1) modes after their source losses.
     """
-    pair, mean, cov, feed = _readout(params)
-    output = GaussianState(feed @ mean, feed @ cov @ feed.T, validate=False)
-    return _report(params, pair, output, (params.g_x, params.g_p), "analytic")
+    state = params.input_state
+    mean, cov, var_x_diff, var_p_sum = _source_map(
+        state.mean, state.cov, params.epr_sq_db, params.epr_antisq_db,
+        params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
+    )
+    output = GaussianState(mean, cov, validate=False)
+    epr = _correlations(var_x_diff, var_p_sum)
+    return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
 
 
 def teleport_mc(
@@ -288,7 +373,9 @@ def teleport_mc(
     for q in (0, 1):
         if abs(params.input_state.mean[q]) > 1e-9:
             gains[q] = float(emp_mean[q] / params.input_state.mean[q])
-    return _report(params, pair, output, (gains[0], gains[1]), "monte_carlo", shots)
+    return _report(
+        params, epr_correlations(pair), output, (gains[0], gains[1]), "monte_carlo", shots
+    )
 
 
 def coherent_fidelity(vx: float, vp: float) -> float:
@@ -329,9 +416,12 @@ class CascadeStage:
 def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
     """Teleport a coherent input through n identical stages in series.
 
-    Each stage receives the previous analytic output.  Fidelity is evaluated
-    against the original coherent input, which at unity gain depends only on
-    the accumulated variances; with pure resource squeezers of parameter r it
+    Each stage receives the previous output.  At unity gain a stage keeps
+    the mean and adds the same noise (N_x, N_p) of `teleport_analytic`
+    whatever its input, so stage k has the input's variances plus
+    k (N_x, N_p), and the source map is evaluated once.  Fidelity is evaluated against the
+    original coherent input, which at unity gain depends only on the
+    accumulated variances; with pure resource squeezers of parameter r it
     follows 1 / (1 + n e^{-2r}).
     """
     if n_stages < 1:
@@ -340,14 +430,17 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
         raise ValueError("cascade is defined for a coherent input")
     if not (params.g_x == params.g_p == 1.0):
         raise ValueError("cascade fidelity is defined at unity gain")
+    # the map of a zero input is the noise one stage adds
+    _, noise, _, _ = _source_map(
+        np.zeros(2), np.zeros((2, 2)), params.epr_sq_db, params.epr_antisq_db,
+        params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
+    )
+    cov = params.input_state.cov
     stages = []
-    current = params
     for k in range(1, n_stages + 1):
-        report = teleport_analytic(current)
-        stages.append(
-            CascadeStage(k, coherent_fidelity(report.vx, report.vp), report.vx, report.vp)
-        )
-        current = replace(current, input_state=report.output_state)
+        vx = float(cov[0, 0] + k * noise[0, 0])
+        vp = float(cov[1, 1] + k * noise[1, 1])
+        stages.append(CascadeStage(k, coherent_fidelity(vx, vp), vx, vp))
     return stages
 
 

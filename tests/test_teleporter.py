@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvteleport import (
+    GaussianState,
     PhysicsError,
     coherent_state,
     impure_squeezed_vacuum,
@@ -18,6 +19,7 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
+from cvteleport import teleporter
 from cvteleport.teleporter import (
     TeleporterParams,
     cascade,
@@ -254,6 +256,62 @@ def test_cascade_fidelity_sequence_and_preconditions():
         cascade(TeleporterParams(input_state=impure_squeezed_vacuum(-6.0, 6.0)), 2)
     with pytest.raises(ValueError):
         cascade(coherent_params(g_x=0.9), 2)
+
+
+@pytest.mark.parametrize(
+    "diagonal, off_diagonal, coherent",
+    [(0.0, 0.9e-9, True), (0.0, 1.1e-9, False), (2.4e-6, 0.0, True), (2.6e-6, 0.0, False)],
+)
+def test_coherent_input_tolerance_edges(diagonal, off_diagonal, coherent):
+    # the tolerance of np.allclose(cov, I/4, atol=1e-9): 1e-9 + 1e-5 |I/4|
+    cov = 0.25 * np.eye(2) + np.array([[diagonal, off_diagonal], [off_diagonal, diagonal]])
+    params = TeleporterParams(input_state=GaussianState([1.0, -0.5], cov))
+    assert (teleport_analytic(params).fidelity_coherent is not None) == coherent
+    if coherent:
+        assert len(cascade(params, 2)) == 2
+    else:
+        with pytest.raises(ValueError, match="coherent input"):
+            cascade(params, 2)
+
+
+def test_analytic_path_does_not_use_the_gaussian_chain(monkeypatch):
+    def chain(*args, **kwargs):
+        raise AssertionError("the Gaussian-state chain was called")
+
+    monkeypatch.setattr(teleporter, "make_epr", chain)
+    monkeypatch.setattr(teleporter, "_readout", chain)
+    params = coherent_params(
+        epr_antisq_db=(12.0, 11.0), g_x=0.9, eta_source=(0.95, 0.9), eta_prop=(0.97, 0.96),
+        eta_hom=0.95,
+    )
+    report = teleport_analytic(params)
+    assert report.vx > 0.25 and report.epr.var_x_diff < 0.5
+    assert len(cascade(replace(params, g_x=1.0), 3)) == 3
+    with pytest.raises(AssertionError, match="chain was called"):
+        teleport_mc(params, 100)
+
+
+def test_source_map_is_elementwise_over_arrays(rng):
+    # a batch of points evaluates like the same points one at a time
+    n = 16
+    sq = rng.uniform(-12.0, 0.0, (2, n))
+    c_xp = rng.normal(0.0, 0.1, n)
+    args = (
+        rng.normal(0.0, 2.0, (2, n)),
+        np.array([[rng.uniform(0.3, 1.3, n), c_xp], [c_xp, rng.uniform(0.3, 1.3, n)]]),
+        sq,
+        -sq + rng.uniform(0.0, 6.0, (2, n)),
+        rng.uniform(0.3, 1.5, n),
+        rng.uniform(0.3, 1.5, n),
+        rng.uniform(0.5, 1.0, (2, n)),
+        rng.uniform(0.5, 1.0, (2, n)),
+        rng.uniform(0.7, 1.0, n),
+    )
+    batch = teleporter._source_map(*args)
+    for k in range(n):
+        point = teleporter._source_map(*(a[..., k] for a in args))
+        for got, want in zip(batch, point):
+            assert np.allclose(np.asarray(got)[..., k], want, rtol=1e-15, atol=0.0)
 
 
 def test_params_validation():
