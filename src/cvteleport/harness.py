@@ -688,7 +688,8 @@ def _row_tol(criterion, quantity, target, tol, value) -> ReproRow:
 
 
 def _mc_max_sigma(params: TeleporterParams, shots: int, seed: int) -> float:
-    """Largest |deviation| / standard-error over moments of one MC run."""
+    """Largest |deviation| / standard-error over moments of one MC run;
+    infinite when any score is not finite, so NaN moments fail a sigma gate."""
     analytic = teleport_analytic(params)
     empirical = teleport_mc(params, shots, np.random.default_rng(seed))
     a_cov = analytic.output_state.cov
@@ -704,7 +705,7 @@ def _mc_max_sigma(params: TeleporterParams, shots: int, seed: int) -> float:
         abs(e_cov[0, 1] - a_cov[0, 1])
         / np.sqrt((a_cov[0, 0] * a_cov[1, 1] + a_cov[0, 1] ** 2) / n),
     ]
-    return float(max(scores))
+    return float(max(scores)) if all(map(math.isfinite, scores)) else math.inf
 
 
 def _db_from_r(r: float) -> float:

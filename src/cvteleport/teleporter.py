@@ -46,12 +46,13 @@ The Monte Carlo path samples the Schroedinger picture instead: `make_epr`
 builds the beam pair from Gaussian states and operations, `_readout` mixes it
 with the input and gives the moments of the sender's outcomes u, v and the
 receiver's beam B, and shots of (u, v, B) are drawn in measurement order (u,
-then v given u, then B given both).  B is displaced shot by shot by the
-feed-forward x_out = x_B + c_x u, p_out = p_B + c_p v with
-c = g sqrt(2 / eta_hom), and the report holds empirical moments and gains.
-The source map calls no Gaussian operation, so comparing the two paths
-checks the state preparation (squeezers, mixers, losses) as well as the
-sampling, the per-shot feed-forward and the estimation of moments and gains.
+then v given u, then B given both).  The feed-forward x_out = x_B + c_x u,
+p_out = p_B + c_p v with c = g sqrt(2 / eta_hom) is linear, so it is applied
+to the first and second moments of the draws rather than to each shot, and
+the report holds the empirical output moments and gains.  The source map
+calls no Gaussian operation, so comparing the two paths checks the state
+preparation (squeezers, mixers, losses) as well as the sampling, the
+feed-forward and the estimation of moments and gains.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from cvteleport.gaussian import (
     db_from_variance,
     impure_squeezed_vacuum,
     loss,
-    rotate,
     tensor,
 )
 
@@ -169,7 +169,11 @@ def make_epr(params: TeleporterParams) -> GaussianState:
     the mixer, beam losses after.
     """
     anti = params.epr_antisq_db
-    sq_p = rotate(impure_squeezed_vacuum(params.epr_sq_db[0], anti[0]), 0, np.pi / 2)
+    squeezed = impure_squeezed_vacuum(params.epr_sq_db[0], anti[0])
+    # the pi/2 turn (x, p) -> (-p, x) swaps the variances of this zero-mean,
+    # diagonal state; done exactly, since rotate() would leave cos(pi/2) = 6e-17
+    # in its x-p covariance
+    sq_p = GaussianState(squeezed.mean, np.diag(squeezed.cov.diagonal()[::-1]), validate=False)
     sq_x = impure_squeezed_vacuum(params.epr_sq_db[1], anti[1])
     sq_p = loss(sq_p, 0, params.eta_source[0])
     sq_x = loss(sq_x, 0, params.eta_source[1])
@@ -340,10 +344,13 @@ def teleport_mc(
 
     State preparation is deterministic, so it is computed once.  Per shot
     the sender outcome u, then v given u, then the receiver mode given both
-    are drawn through the lower Cholesky factor of their joint covariance,
-    and the receiver mode is displaced by the feed-forward.  Shots are
-    processed in chunks with independently spawned sub-streams.  If `rng` is
-    given it replaces the seed-derived streams.
+    are drawn through the lower Cholesky factor of their joint covariance.
+    The feed-forward that displaces the receiver mode is linear, so it maps
+    the sample mean and covariance (ddof 1) of the standard-normal draws to
+    those of the output; only their sum and Gram matrix are accumulated, and
+    memory stays at one chunk whatever the shot count.  Shots are processed
+    in chunks with independently spawned sub-streams.  If `rng` is given it
+    replaces the seed-derived streams.
     """
     if shots < 2:
         raise ValueError("shots must be >= 2")
@@ -355,18 +362,28 @@ def teleport_mc(
     seeds = np.random.SeedSequence(params.seed).spawn(
         (shots + _MC_CHUNK - 1) // _MC_CHUNK
     )
-    samples = np.empty((shots, 2))
+    # sum and Gram matrix of the standard-normal draws of (u, v, x_B, p_B)
+    total = np.zeros(4)
+    gram = np.zeros((4, 4))
     done = 0
     for seq in seeds:
         n = min(_MC_CHUNK, shots - done)
         gen = rng if rng is not None else np.random.default_rng(seq)
         z = gen.standard_normal(4 * n)  # n for u, n for v, then (x_B, p_B) pairs
-        draws = np.column_stack((z[:n], z[n : 2 * n], z[2 * n :].reshape(n, 2)))
-        samples[done : done + n] = center + draws @ factor.T
+        rows = (z[:n], z[n : 2 * n], z[2 * n :: 2], z[2 * n + 1 :: 2])  # views, no copy
+        for i, row in enumerate(rows):
+            total[i] += row.sum()
+            for j in range(i, 4):
+                gram[i, j] += row @ rows[j]
         done += n
+    gram = np.triu(gram) + np.triu(gram, 1).T
 
-    emp_mean = samples.mean(axis=0)
-    emp_cov = np.cov(samples.T)
+    z_mean = total / shots
+    # np.cov's unbiased estimate (ddof = 1) of the draws' covariance
+    z_cov = (gram - shots * np.outer(z_mean, z_mean)) / (shots - 1)
+    emp_mean = center + factor @ z_mean
+    emp_cov = factor @ z_cov @ factor.T
+    emp_cov = 0.5 * (emp_cov + emp_cov.T)
     output = GaussianState(emp_mean, emp_cov, validate=False)
 
     gains = [params.g_x, params.g_p]

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from cvteleport.gaussian import PhysicsError, vacuum
+from cvteleport import harness, teleporter
+from cvteleport.gaussian import GaussianState, PhysicsError, beamsplitter, coherent_state, vacuum
 from cvteleport.harness import (
     MAX_SAMPLES,
     CalibrationResult,
@@ -25,6 +26,7 @@ from cvteleport.harness import (
     write_report_json,
     write_trace_csv,
     write_wigner_csv,
+    _mc_max_sigma,
 )
 from cvteleport.teleporter import TeleporterParams, epr_correlations, make_epr, teleport_analytic
 
@@ -394,3 +396,41 @@ class TestBenchmarkAndRepro:
         assert "quantity" in table.splitlines()[0]
         assert f"{len(rows)}/{len(rows)} rows pass" in table
         assert "FAIL" not in table
+
+
+class TestMcSigmaGate:
+    """`_mc_max_sigma`, the score of paper-repro criterion 8."""
+
+    # a point of the criterion-8 sweep: -6 dB resource, gain 1/2, no loss
+    PARAMS = TeleporterParams(
+        input_state=coherent_state(3.5 + 0j), epr_sq_db=(-6.0, -6.0), g_x=0.5, g_p=0.5
+    )
+
+    def test_non_finite_moments_fail(self, monkeypatch):
+        def nan_mc(params, shots, rng=None):
+            report = teleport_analytic(params)
+            nan_cov = np.full((2, 2), np.nan)
+            output = GaussianState(report.output_state.mean, nan_cov, validate=False)
+            return dataclasses.replace(report, output_state=output)
+
+        monkeypatch.setattr(harness, "teleport_mc", nan_mc)
+        sigma = _mc_max_sigma(self.PARAMS, 100_000, 814)
+        assert sigma == np.inf and not sigma <= 5.0
+
+    def test_state_preparation_bug_fails(self, monkeypatch):
+        # the EPR mixer at 0.45 instead of 0.5; the analytic source map does
+        # not read make_epr, so only the Monte Carlo comparison can see it
+        assert _mc_max_sigma(self.PARAMS, 100_000, 814) <= 5.0
+        make_epr_at_half = teleporter.make_epr
+
+        def mixer_at_045(state, mode_i, mode_j, transmittance):
+            return beamsplitter(state, mode_i, mode_j, 0.45)
+
+        def make_epr_at_045(params):
+            # make_epr's one beamsplitter is the EPR mixer
+            with monkeypatch.context() as inner:
+                inner.setattr(teleporter, "beamsplitter", mixer_at_045)
+                return make_epr_at_half(params)
+
+        monkeypatch.setattr(teleporter, "make_epr", make_epr_at_045)
+        assert _mc_max_sigma(self.PARAMS, 100_000, 814) > 5.0

@@ -73,6 +73,18 @@ def test_make_epr_each_squeezer_controls_one_combination():
     assert damped_x.var_x_diff > base.var_x_diff
 
 
+def test_make_epr_keeps_x_and_p_uncorrelated():
+    # every squeezer, mixer and loss acts along x or p
+    pair = make_epr(
+        coherent_params(
+            epr_sq_db=(-9.0, -7.5), epr_antisq_db=(20.0, 15.0),
+            eta_source=(0.9, 0.8), eta_prop=(0.97, 0.93),
+        )
+    )
+    assert np.all(pair.cov[np.ix_([0, 2], [1, 3])] == 0.0)
+    assert np.all(pair.cov[np.ix_([1, 3], [0, 2])] == 0.0)
+
+
 def test_epr_pair_is_physical_and_entangled_only_when_squeezed():
     pair = make_epr(coherent_params(eta_source=(0.9, 0.95), eta_prop=(0.98, 0.97)))
     assert symplectic_eigenvalues(pair.cov).min() >= 0.25 - 1e-9
@@ -216,6 +228,48 @@ def test_mc_is_deterministic_per_seed_and_reports_gains():
     assert a.shots == 5000 and a.method == "monte_carlo"
     with pytest.raises(ValueError):
         teleport_mc(params, 1)
+
+
+def _per_shot_moments(params, shots, rng=None):
+    """Reference for `teleport_mc`: every shot of the same streams kept as
+    center + draws @ factor.T, then the sample mean and np.cov."""
+    _, mean, cov, feed = teleporter._readout(params)
+    center = feed @ mean
+    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+    chunk = teleporter._MC_CHUNK
+    seeds = np.random.SeedSequence(params.seed).spawn((shots + chunk - 1) // chunk)
+    samples = []
+    for k, seq in enumerate(seeds):
+        n = min(chunk, shots - k * chunk)
+        gen = rng if rng is not None else np.random.default_rng(seq)
+        z = gen.standard_normal(4 * n)
+        draws = np.column_stack((z[:n], z[n : 2 * n], z[2 * n :].reshape(n, 2)))
+        samples.append(center + draws @ factor.T)
+    samples = np.concatenate(samples)
+    return samples.mean(axis=0), np.cov(samples.T)
+
+
+@pytest.mark.parametrize("shots", [5000, 3 * 2**14 + 7])
+@pytest.mark.parametrize("rng_seed", [None, 99])
+def test_mc_moments_match_the_per_shot_samples(shots, rng_seed):
+    # the moments come from the draws' sums; the per-shot record they replace
+    # differs only by rounding, also over a ragged last chunk
+    tilted = rotate(impure_squeezed_vacuum(-4.0, 7.0), 0, 0.6)
+    params = TeleporterParams(
+        input_state=GaussianState([1.2, -0.7], tilted.cov),
+        epr_antisq_db=(12.0, 11.0), g_x=0.9, g_p=1.1, eta_source=(0.95, 0.9),
+        eta_prop=(0.97, 0.96), eta_hom=0.95, seed=5,
+    )
+
+    def rng():
+        return None if rng_seed is None else np.random.default_rng(rng_seed)
+
+    report = teleport_mc(params, shots, rng())
+    mean, cov = _per_shot_moments(params, shots, rng())
+    got_mean, got_cov = report.output_state.mean, report.output_state.cov
+    assert np.max(np.abs(got_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+    assert np.max(np.abs(got_cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+    assert got_cov[0, 1] == got_cov[1, 0]
 
 
 def test_report_fields_are_consistent():
