@@ -4,13 +4,13 @@ Verbs: run, trace, wigner, cascade, calibrate, paper-repro.  The scenario
 verbs (run, trace, wigner, cascade) take a flag for every [run] and
 [teleporter] config key; trace adds the [trace] keys and wigner the
 [tomography] keys.  A flag is its config key with "_" turned into "-"; pair
-keys take two values.  Flag values, calibrate's pair flags and cascade's
---stages among them, are parsed and checked exactly like config text, so a
-non-finite or out-of-range number is a config error; a value that reads as a
-number, such as -1e-3 or -inf, is never taken for an option.  Precedence is
-built-in defaults < config file < flags.  The output directory resolves as
---out, then [output] dir, then the CVTELEPORT_OUTDIR environment variable,
-then the working directory.
+keys take two values.  These flags, calibrate's pair flags and cascade's
+--stages are built from the harness's field tables and parsed and checked
+exactly like config text, so a non-finite or out-of-range number is a config
+error; a value that reads as a number, such as -1e-3 or -inf, is never taken
+for an option.  Precedence is built-in defaults < config file < flags.  The
+output directory resolves as --out, then [output] dir, then the
+CVTELEPORT_OUTDIR environment variable, then the working directory.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -29,7 +29,6 @@ from ._version import __version__
 from .gaussian import PhysicsError
 from .harness import (
     OUTDIR_ENV_VAR,
-    BENCHMARK_SOURCE_ANTISQ_DB,
     BENCHMARK_SOURCE_SQ_DB,
     BENCHMARK_TARGET_EPR_DB,
     CALIBRATION_FIELDS,
@@ -63,14 +62,19 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, fields) -> None:
+    """A flag for every field of ``fields``."""
+    for field in fields:
+        parser.add_argument(field.flag, help=field.help, **field.kind.flag_options)
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser, section: str | None = None) -> None:
     """--config, --out, and a flag for every [run], [teleporter] and
     ``section`` config key."""
     parser.add_argument("--config", metavar="FILE", help="config file to load")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    for field in CONFIG_FIELDS:
-        if field.section in ("run", "teleporter", section):
-            parser.add_argument(field.flag, help=field.help, **field.kind.flag_options)
+    sections = ("run", "teleporter", section)
+    _add_field_flags(parser, [field for field in CONFIG_FIELDS if field.section in sections])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,17 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cascade = subparsers.add_parser("cascade", help="teleport through repeated stages")
     _add_scenario_flags(p_cascade)
-    p_cascade.add_argument("--stages")
+    _add_field_flags(p_cascade, CASCADE_FIELDS)
 
     p_cal = subparsers.add_parser(
         "calibrate", help="fit source efficiencies to measured correlations"
     )
     p_cal.add_argument("--out", metavar="DIR", help="output directory")
-    p_cal.add_argument("--target-epr-db", nargs=2, metavar=("XDB", "PDB"))
-    p_cal.add_argument("--source-sq-db", nargs=2, metavar=("DB1", "DB2"))
-    p_cal.add_argument("--source-antisq-db", nargs=2, metavar=("DB1", "DB2"))
-    p_cal.add_argument("--pure-sources", action="store_true",
-                       help="treat the squeezers as pure (ignore anti-squeezing)")
+    _add_field_flags(p_cal, CALIBRATION_FIELDS)
 
     p_repro = subparsers.add_parser(
         "paper-repro", help="recompute the reference table; exit 4 on failure"
@@ -217,11 +217,9 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     inputs = _flag_values(args, CALIBRATION_FIELDS)
-    antisq = inputs.get("source_antisq_db", BENCHMARK_SOURCE_ANTISQ_DB)
     result = calibrate_losses(
         inputs.get("target_epr_db", BENCHMARK_TARGET_EPR_DB),
         inputs.get("source_sq_db", BENCHMARK_SOURCE_SQ_DB),
-        None if args.pure_sources else antisq,
     )
     print(f"eta_source: {result.eta_source[0]:.6f} (p path), "
           f"{result.eta_source[1]:.6f} (x path)")

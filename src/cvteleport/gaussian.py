@@ -7,8 +7,8 @@ Conventions
 * Quadratures are ordered (x1, p1, x2, p2, ...); a state is a mean vector of
   length 2n plus a 2n x 2n covariance matrix.
 * A covariance matrix is physical iff all symplectic eigenvalues are >= 1/4.
-* Squeezing angle theta denotes the quadrature direction
-  q(theta) = x cos(theta) + p sin(theta); theta = 0 squeezes x.
+* A quadrature angle theta denotes the direction
+  q(theta) = x cos(theta) + p sin(theta); theta = 0 is x.
 * Noise levels in dB always carry an explicit variance reference:
   1/4 for single quadratures, 1/2 for two-mode sum/difference combinations.
 """
@@ -163,17 +163,6 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     return apply_symplectic(state, _embed_single(state.n_modes, mode, _rotation_2x2(phi)))
 
 
-def squeeze(state: GaussianState, mode: int, r: float, theta: float = 0.0) -> GaussianState:
-    """Squeeze one mode by parameter r along the quadrature at angle theta.
-
-    For theta = 0 the x variance scales by exp(-2r) and the p variance by
-    exp(+2r); vacuum squeezed by r has Var(x) = (1/4) exp(-2r).
-    """
-    rot = _rotation_2x2(theta)
-    block = rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
-    return apply_symplectic(state, _embed_single(state.n_modes, mode, block))
-
-
 def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     """Single-mode squeezed state specified by measured noise levels in dB.
 
@@ -197,16 +186,6 @@ def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     vx = variance_from_db(sq_db, VACUUM_VARIANCE)
     vp = variance_from_db(antisq_db, VACUUM_VARIANCE)
     return GaussianState(np.zeros(2), np.diag([vx, vp]), validate=False)
-
-
-def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Shift one mode's mean by (dx, dp); the covariance is untouched."""
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    mean = state.mean.copy()
-    mean[2 * mode] += dx
-    mean[2 * mode + 1] += dp
-    return GaussianState(mean, state.cov, validate=False)
 
 
 def beamsplitter(

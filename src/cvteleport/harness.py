@@ -67,7 +67,9 @@ from ._version import __version__
 from .gaussian import (
     GaussianState,
     PhysicsError,
+    TWO_MODE_VACUUM_VARIANCE,
     coherent_state,
+    db_from_variance,
     impure_squeezed_vacuum,
     rotate,
     vacuum,
@@ -77,10 +79,10 @@ from .teleporter import (
     EprCorrelations,
     TeleporterParams,
     TeleportReport,
+    _source_map,
+    _validate_db_pair,
     cascade,
     coherent_fidelity,
-    epr_correlations,
-    make_epr,
     output_variances_pure,
     squeezing_threshold_db,
     teleport_analytic,
@@ -284,11 +286,13 @@ CONFIG_FIELDS = (
 # The calibrate and cascade verbs' own inputs: not config keys, but flags
 # read and checked like the config's keys.
 CALIBRATION_FIELDS = (
-    ConfigField("calibrate", "target_epr_db", _pair("DB")),
-    ConfigField("calibrate", "source_sq_db", _pair("DB")),
-    ConfigField("calibrate", "source_antisq_db", _pair("DB")),
+    ConfigField("calibrate", "target_epr_db", _pair("DB"),
+                help="measured x and p correlations of the beam pair"),
+    ConfigField("calibrate", "source_sq_db", _pair("DB"), help="squeezed level of each squeezer"),
 )
-CASCADE_FIELDS = (ConfigField("cascade", "stages", _count(1, MAX_STAGES)),)
+CASCADE_FIELDS = (
+    ConfigField("cascade", "stages", _count(1, MAX_STAGES), help="number of stages"),
+)
 _FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
 _SECTIONS = {field.section for field in CONFIG_FIELDS}
 
@@ -578,66 +582,61 @@ class CalibrationResult(NamedTuple):
     residual_p_db: float
 
 
-def _correlation_db(
-    eta_p: float,
-    eta_x: float,
-    source_sq_db: tuple[float, float],
-    source_antisq_db: tuple[float, float] | None,
-) -> tuple[float, float]:
-    params = TeleporterParams(
-        input_state=vacuum(1),
-        epr_sq_db=source_sq_db,
-        epr_antisq_db=source_antisq_db,
-        eta_source=(eta_p, eta_x),
-    )
-    corr = epr_correlations(make_epr(params))
-    return corr.x_diff_db, corr.p_sum_db
-
-
 def calibrate_losses(
     target_db: tuple[float, float],
     source_sq_db: tuple[float, float] = BENCHMARK_SOURCE_SQ_DB,
-    source_antisq_db: tuple[float, float] | None = BENCHMARK_SOURCE_ANTISQ_DB,
 ) -> CalibrationResult:
     """Fit per-path source efficiencies to measured beam-pair correlations.
 
     target_db is the measured (x_diff, p_sum) correlation pair in dB relative
     to the two-mode vacuum level.  The x correlation depends only on the
     second squeezer's efficiency and the p correlation only on the first's.
-    With lossless beams (eta_prop = 1) a path whose squeezer sits at s dB
-    correlates to 10^(t/10) = 1 - eta (1 - 10^(s/10)), whatever its
-    anti-squeezed level, so each efficiency is, in closed form,
+    With lossless beams (eta_prop = 1) the anti-squeezed quadratures weigh
+    zero in both correlations (the `teleporter` module's source map), so a
+    path whose squeezer sits at s dB correlates to
+    10^(t/10) = 1 - eta (1 - 10^(s/10)) and each efficiency is, in closed
+    form,
 
-        eta = (1 - 10^(t/10)) / (1 - 10^(s/10)),
+        eta = (1 - 10^(t/10)) / (1 - 10^(s/10)).
 
-    where s is the correlation of the lossless source (eta = 1), computed
-    once; it is also the lowest reachable target.  Raises PhysicsError when
-    a target is unreachable: below that limit, or at/above vacuum (an
-    efficiency below 1e-9); and when the fitted efficiencies miss either
-    target by more than CALIBRATION_TOL_DB.
+    s is the correlation of the lossless source (eta = 1) and the lowest
+    reachable target.  The achieved correlations are read from the source map
+    at the fitted efficiencies.  Raises PhysicsError for a squeezer level
+    above 0 dB; when a target is unreachable: below s, from an unsqueezed
+    source (s = 0), or at/above vacuum (an efficiency below 1e-9); and when
+    the fitted efficiencies miss either target by more than
+    CALIBRATION_TOL_DB.
     """
     target_x, target_p = float(target_db[0]), float(target_db[1])
-    limit_x, limit_p = _correlation_db(1.0, 1.0, source_sq_db, source_antisq_db)
+    for k in (0, 1):
+        _validate_db_pair(source_sq_db[k], -source_sq_db[k], f"squeezer {k + 1}")
 
     def solve(target: float, limit: float) -> float:
-        if target < limit:
+        # an unsqueezed source correlates at vacuum whatever its efficiency
+        if target < limit or target == limit == 0.0:
             raise PhysicsError(
                 f"target {target} dB is below the {limit:.3f} dB "
                 "limit set by the source squeezing"
             )
         reach = 1.0 - 10.0 ** (limit / 10.0)
-        depth = 1.0 - 10.0 ** (target / 10.0)
+        # no depth at or above vacuum; 10^(t/10) would overflow for a large t
+        depth = 1.0 - 10.0 ** (target / 10.0) if target < 0.0 else 0.0
         if reach <= 0.0 or depth < 1e-9 * reach:
             raise PhysicsError(
                 f"target {target} dB is not below the vacuum correlation level"
             )
         return float(depth / reach)
 
-    eta_x = solve(target_x, limit_x)
-    eta_p = solve(target_p, limit_p)
-    achieved_x, achieved_p = _correlation_db(
-        eta_p, eta_x, source_sq_db, source_antisq_db
+    eta_x = solve(target_x, float(source_sq_db[1]))
+    eta_p = solve(target_p, float(source_sq_db[0]))
+    # lossless beams: a zero input through unit gains and ideal detectors;
+    # the anti-squeezed levels weigh zero, so 0 dB stands in for any level
+    _, _, var_x_diff, var_p_sum = _source_map(
+        np.zeros(2), np.zeros((2, 2)), source_sq_db, (0.0, 0.0),
+        1.0, 1.0, (eta_p, eta_x), (1.0, 1.0), 1.0,
     )
+    achieved_x = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
+    achieved_p = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
     residual_x, residual_p = achieved_x - target_x, achieved_p - target_p
     if max(abs(residual_x), abs(residual_p)) > CALIBRATION_TOL_DB:
         raise PhysicsError(

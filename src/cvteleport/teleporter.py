@@ -40,16 +40,21 @@ of variance V_S in q behind a source loss eta_S.  The output noise is
 N_x = Var(x_B - g_x x_A) + g_x^2 D and N_p = Var(p_B + g_p p_A) + g_p^2 D,
 with the detector term D = (1 - eta_hom) / (2 eta_hom); the EPR correlation
 variances are Var(x_A - x_B) and Var(p_A + p_B), the same sums at c = -1
-and c = +1.
+and c = +1.  With lossless beams (eta_A = eta_B = 1) the anti-squeezed
+quadratures drop out of both: x of P weighs (c + 1)^2 = 0 at c = -1 and p of
+X weighs (c - 1)^2 = 0 at c = +1.  So the loss calibration
+(`harness.calibrate_losses`) reads the correlations off this map, whatever
+the anti-squeezed levels.
 
-The Monte Carlo path samples the Schroedinger picture instead: `make_epr`
-builds the beam pair from Gaussian states and operations, `_readout` mixes it
-with the input and gives the moments of the sender's outcomes u, v and the
-receiver's beam B, and shots of (u, v, B) are drawn in measurement order (u,
-then v given u, then B given both).  The feed-forward x_out = x_B + c_x u,
-p_out = p_B + c_p v with c = g sqrt(2 / eta_hom) is linear, so it is applied
-to the first and second moments of the draws rather than to each shot, and
-the report holds the empirical output moments and gains.  The source map
+The Monte Carlo path, and only it, samples the Schroedinger picture:
+`make_epr` builds the beam pair from Gaussian states and operations,
+`_readout` mixes it with the input and gives the moments of the sender's
+outcomes u, v and the receiver's beam B, and shots of (u, v, B) are drawn in
+measurement order (u, then v given u, then B given both).  The feed-forward
+x_out = x_B + c_x u, p_out = p_B + c_p v with c = g sqrt(2 / eta_hom) is
+linear, so it is applied to the first and second moments of the draws rather
+than to each shot, and the report holds the empirical output moments and
+gains.  The source map
 calls no Gaussian operation, so comparing the two paths checks the state
 preparation (squeezers, mixers, losses) as well as the sampling, the
 feed-forward and the estimation of moments and gains.
@@ -57,7 +62,7 @@ feed-forward and the estimation of moments and gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +73,6 @@ from cvteleport.gaussian import (
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
     beamsplitter,
-    coherent_state,
     db_from_variance,
     impure_squeezed_vacuum,
     loss,
@@ -459,11 +463,3 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
         vp = float(cov[1, 1] + k * noise[1, 1])
         stages.append(CascadeStage(k, coherent_fidelity(vx, vp), vx, vp))
     return stages
-
-
-def measure_gains(params: TeleporterParams) -> tuple[float, float]:
-    """Realized mean-transfer gains (x, p), read off the output mean of a
-    coherent probe with amplitude 1 + 1j teleported through ``params``."""
-    probe = replace(params, input_state=coherent_state(1 + 1j))
-    out = teleport_analytic(probe).output_state
-    return float(out.mean[0]), float(out.mean[1])

@@ -136,10 +136,18 @@ class TestCalibrateVerb:
     def test_unreachable_target_is_physics_error(self, capsys):
         code = invoke(
             "calibrate", "--target-epr-db", "-7", "-7",
-            "--source-sq-db", "-6", "-6", "--pure-sources",
+            "--source-sq-db", "-6", "-6",
         )
         assert code == 3
         assert "physics error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--source-antisq-db", "12", "12"], ["--pure-sources"]])
+    def test_anti_squeezing_flags_are_gone(self, argv, capsys):
+        # the anti-squeezed level cannot move the fit, so calibrate takes none
+        with pytest.raises(SystemExit) as excinfo:
+            invoke("calibrate", *argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -181,7 +189,6 @@ class TestErrorPaths:
             ("--target-epr-db", ["nan", "-5.5"]),
             ("--target-epr-db", ["-5.6", "inf"]),
             ("--source-sq-db", ["nan", "-6"]),
-            ("--source-antisq-db", ["inf", "12"]),
         ],
     )
     def test_non_finite_calibrate_flag_exits_2(self, flag, values, tmp_path, capsys):

@@ -17,12 +17,10 @@ from cvteleport import (
     beamsplitter,
     coherent_state,
     db_from_variance,
-    displace,
     impure_squeezed_vacuum,
     loss,
     marginal_variance,
     rotate,
-    squeeze,
     symplectic_eigenvalues,
     tensor,
     vacuum,
@@ -73,21 +71,26 @@ def test_state_is_immutable():
 
 
 def test_squeeze_vacuum_variances():
+    # pure squeezed vacuum of parameter r: Var(x) = exp(-2r) / 4, Var(p) = exp(2r) / 4
     r = 0.3 * np.log(10)  # exp(-2r) = 10^-0.6, i.e. -6 dB
-    state = squeeze(vacuum(1), 0, r)
+    state = impure_squeezed_vacuum(-6.0, 6.0)
     assert np.isclose(state.cov[0, 0], VX_6DB, atol=ATOL)
+    assert np.isclose(state.cov[0, 0], 0.25 * np.exp(-2 * r), atol=ATOL)
     assert np.isclose(state.cov[1, 1], 0.0625 / VX_6DB, atol=ATOL)
     assert np.isclose(db_from_variance(state.cov[0, 0], VACUUM_VARIANCE), -6.0, atol=1e-10)
-    # r = 0 is the identity
-    assert np.allclose(squeeze(vacuum(1), 0, 0.0).cov, 0.25 * np.eye(2), atol=ATOL)
+    # r = 0 is the vacuum
+    assert np.allclose(impure_squeezed_vacuum(0.0, 0.0).cov, 0.25 * np.eye(2), atol=ATOL)
 
 
 def test_squeeze_along_p_and_inverse():
-    state = squeeze(vacuum(1), 0, 0.5, theta=np.pi / 2)
+    # a quarter turn carries the squeezing from x to p; turning back undoes it
+    db = 10.0 * np.log10(np.exp(-1.0))  # r = 0.5
+    along_x = impure_squeezed_vacuum(db, -db)
+    state = rotate(along_x, 0, np.pi / 2)
     assert np.isclose(state.cov[1, 1], 0.25 * np.exp(-1.0), atol=ATOL)
     assert np.isclose(state.cov[0, 0], 0.25 * np.exp(1.0), atol=ATOL)
-    undone = squeeze(state, 0, -0.5, theta=np.pi / 2)
-    assert np.allclose(undone.cov, 0.25 * np.eye(2), atol=ATOL)
+    undone = rotate(state, 0, -np.pi / 2)
+    assert np.allclose(undone.cov, along_x.cov, atol=ATOL)
 
 
 def test_impure_squeezed_vacuum_measured_noise_levels():
@@ -103,16 +106,15 @@ def test_impure_squeezed_vacuum_rejects_bad_pairs(pair):
         impure_squeezed_vacuum(*pair)
 
 
-def test_displace_shifts_mean_only():
-    state = displace(vacuum(2), 1, 1.5, -0.5)
-    assert np.allclose(state.mean, [0.0, 0.0, 1.5, -0.5], atol=ATOL)
-    assert np.allclose(state.cov, vacuum(2).cov, atol=ATOL)
+def test_coherent_state_is_displaced_vacuum():
     assert np.allclose(coherent_state(3.5 + 0j).mean, [3.5, 0.0], atol=ATOL)
     assert np.allclose(coherent_state(1 + 2j).mean, [1.0, 2.0], atol=ATOL)
+    assert np.array_equal(coherent_state(1 + 2j).cov, vacuum(1).cov)
 
 
 def test_beamsplitter_identity_and_swap():
-    state = displace(squeeze(vacuum(2), 0, 0.4), 0, 1.0, 0.0)
+    displaced = GaussianState([1.0, 0.0], impure_squeezed_vacuum(-3.5, 3.5).cov)
+    state = tensor(displaced, vacuum(1))
     passed = beamsplitter(state, 0, 1, 1.0)
     assert np.allclose(passed.cov, state.cov, atol=ATOL)
     assert np.allclose(passed.mean, state.mean, atol=ATOL)
@@ -169,7 +171,7 @@ def test_loss_limits_and_bs_plus_trace_oracle():
 
 def test_loss_scales_mean_and_cross_correlations():
     pair = beamsplitter(tensor(impure_squeezed_vacuum(-6.0, 6.0), vacuum(1)), 0, 1, 0.5)
-    pair = displace(pair, 0, 2.0, 0.0)
+    pair = GaussianState(pair.mean + [2.0, 0.0, 0.0, 0.0], pair.cov)
     eta = 0.7
     lossy = loss(pair, 0, eta)
     assert np.isclose(lossy.mean[0], 2.0 * np.sqrt(eta), atol=ATOL)
@@ -241,9 +243,7 @@ def test_symplectic_operations_preserve_purity_spectrum(rng):
         state = random_physical_state(rng, 2)
         nu = symplectic_eigenvalues(state.cov)
         candidates = [
-            squeeze(state, 0, 0.7, theta=0.3),
             rotate(state, 1, 1.1),
-            displace(state, 0, 0.5, -0.5),
             beamsplitter(state, 0, 1, 0.3),
         ]
         for out in candidates:

@@ -14,12 +14,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate
+from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate, vacuum
 from cvteleport import teleporter
-from cvteleport.teleporter import cascade, coherent_fidelity, teleport_analytic
+from cvteleport.teleporter import (
+    cascade,
+    coherent_fidelity,
+    epr_correlations,
+    make_epr,
+    teleport_analytic,
+)
 from cvteleport.harness import (
     ExperimentConfig,
-    _correlation_db,
     _mc_max_sigma,
     calibrate_losses,
     emit_config,
@@ -269,21 +274,30 @@ def test_cascade_matches_iterated_teleports(params, n_stages):
 
 @st.composite
 def calibrations(draw):
-    """Pure or impure source squeezers and targets between each path's
-    lossless limit and a millionth of it."""
+    """Source squeezers, targets between each path's lossless limit (the
+    squeezer's own level) and a millionth of it, and the anti-squeezed
+    levels, pure or impure, of the beam pair the fit is checked on."""
     source_sq = (draw(finite(-20.0, -1e-3)), draw(finite(-20.0, -1e-3)))
     source_antisq = draw(st.none() | st.tuples(*(finite(-sq, 20.0 - sq) for sq in source_sq)))
-    limits = _correlation_db(1.0, 1.0, source_sq, source_antisq)
-    target = tuple(limit * draw(finite(1e-6, 1.0)) for limit in limits)
+    # (x, p) targets: the x correlation is squeezer 2's, the p correlation squeezer 1's
+    target = tuple(source_sq[k] * draw(finite(1e-6, 1.0)) for k in (1, 0))
     return target, source_sq, source_antisq
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(calibrations())
 def test_calibration_reproduces_reachable_targets(case):
+    # the fit, made on the source map, hits the targets through the
+    # Gaussian-state chain whatever the anti-squeezed levels
     target, source_sq, source_antisq = case
-    eta_source = calibrate_losses(target, source_sq, source_antisq).eta_source
-    achieved = _correlation_db(*eta_source, source_sq, source_antisq)
+    eta_source = calibrate_losses(target, source_sq).eta_source
+    pair = make_epr(
+        TeleporterParams(
+            input_state=vacuum(1), epr_sq_db=source_sq, epr_antisq_db=source_antisq,
+            eta_source=eta_source,
+        )
+    )
+    achieved = epr_correlations(pair)
     assert all(0.0 < eta <= 1.0 for eta in eta_source)
-    assert abs(achieved[0] - target[0]) <= 1e-9
-    assert abs(achieved[1] - target[1]) <= 1e-9
+    assert abs(achieved.x_diff_db - target[0]) <= 1e-9
+    assert abs(achieved.p_sum_db - target[1]) <= 1e-9

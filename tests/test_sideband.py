@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cvteleport import (
+    GaussianState,
     VACUUM_VARIANCE,
-    displace,
     impure_squeezed_vacuum,
     rotate,
     symplectic_eigenvalues,
@@ -65,7 +65,7 @@ def test_criterion_equals_noise_power_identity(rng):
         vacuum(1),
         impure_squeezed_vacuum(-6.2, 12.0),
         impure_squeezed_vacuum(-3.0, 3.5),
-        displace(impure_squeezed_vacuum(-1.0, 2.0), 0, 1.0, -2.0),
+        GaussianState([1.0, -2.0], impure_squeezed_vacuum(-1.0, 2.0).cov),
     ]
     for state in states:
         lhs = delta_sq(sidebands_from_single_mode(state))
@@ -96,7 +96,7 @@ def test_derived_pair_is_physical(rng):
 
 def test_displacement_does_not_change_criterion():
     state = impure_squeezed_vacuum(-6.2, 12.0)
-    moved = displace(state, 0, 3.5, 1.0)
+    moved = GaussianState(state.mean + [3.5, 1.0], state.cov)
     assert delta_sq(sidebands_from_single_mode(moved)) == pytest.approx(
         delta_sq(sidebands_from_single_mode(state)), abs=ATOL
     )
