@@ -218,8 +218,14 @@ def test_mc_is_deterministic_per_seed_and_reports_gains():
     assert not np.allclose(a.output_state.mean, c.output_state.mean, atol=1e-12)
     assert a.gains[0] == pytest.approx(1.0, abs=0.05)
     assert a.shots == 5000 and a.method == "monte_carlo"
-    # realized gains away from unity, through lossy beams and detectors: a
-    # unit mean in each quadrature, so each gain is read within 5 sigma
+    with pytest.raises(ValueError):
+        teleport_mc(params, 1)
+
+
+def test_measure_gains_matches_configuration():
+    # realized gains away from unity, through lossy beams and detectors, as
+    # teleport_mc measures them: a unit mean in each quadrature, so each gain
+    # is read within 5 sigma
     probe = TeleporterParams(
         input_state=coherent_state(1 + 1j), g_x=0.5, g_p=1.1, eta_prop=(0.9, 0.9),
         eta_hom=0.9604, seed=42,
@@ -227,8 +233,6 @@ def test_mc_is_deterministic_per_seed_and_reports_gains():
     shots = 100_000
     sd = np.sqrt(np.diag(teleport_analytic(probe).output_state.cov) / shots)
     assert np.all(np.abs(np.subtract(teleport_mc(probe, shots).gains, (0.5, 1.1))) < 5 * sd)
-    with pytest.raises(ValueError):
-        teleport_mc(params, 1)
 
 
 def _per_shot_moments(params, shots, rng=None):
