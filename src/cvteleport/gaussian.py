@@ -24,6 +24,9 @@ TWO_MODE_VACUUM_VARIANCE = 0.5
 # eigenvalue dips from floating-point round-off, nothing larger.
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
+# Largest squeezer level accepted: the variance 10^(dB/10) overflows a float
+# from about 3082.547 dB on.
+MAX_LEVEL_DB = 3082.5
 
 
 class PhysicsError(ValueError):
@@ -163,6 +166,18 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     return apply_symplectic(state, _embed_single(state.n_modes, mode, _rotation_2x2(phi)))
 
 
+def check_noise_pair(sq_db: float, antisq_db: float, label: str) -> None:
+    """Raise PhysicsError unless (sq_db, antisq_db) is a squeezer's noise pair:
+    sq_db <= 0 <= antisq_db <= MAX_LEVEL_DB, so NaN and infinite levels fail,
+    and sq_db + antisq_db >= 0 to round-off, since a smaller sum would beat
+    the uncertainty bound.  ``label`` names the squeezer in the message."""
+    if not (sq_db <= 0.0 <= antisq_db <= MAX_LEVEL_DB) or sq_db + antisq_db < -1e-12:
+        raise PhysicsError(
+            f"{label} noise pair ({sq_db:+.3g}, {antisq_db:+.3g}) dB is not a "
+            "valid squeezed/anti-squeezed combination"
+        )
+
+
 def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     """Single-mode squeezed state specified by measured noise levels in dB.
 
@@ -170,22 +185,22 @@ def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
         sq_db: squeezed-quadrature level relative to vacuum, must be <= 0.
         antisq_db: anti-squeezed level relative to vacuum, must be >= 0.
 
-    The pair must satisfy sq_db + antisq_db >= 0, otherwise the implied
-    variance product would beat the uncertainty bound.  Returns an x-squeezed
-    state with Var(x) = (1/4) 10^(sq_db/10), Var(p) = (1/4) 10^(antisq_db/10).
+    The pair must pass check_noise_pair.  Returns an x-squeezed state with
+    Var(x) = (1/4) 10^(sq_db/10), Var(p) = (1/4) 10^(antisq_db/10).
     """
-    if not (sq_db <= 0.0 <= antisq_db):
-        raise PhysicsError(
-            f"need sq_db <= 0 <= antisq_db, got ({sq_db:+.3g}, {antisq_db:+.3g}) dB"
-        )
-    if sq_db + antisq_db < -SYMMETRY_ATOL:
-        raise PhysicsError(
-            f"noise pair ({sq_db:+.3g}, {antisq_db:+.3g}) dB violates the "
-            "uncertainty bound"
-        )
+    check_noise_pair(sq_db, antisq_db, "squeezed vacuum")
     vx = variance_from_db(sq_db, VACUUM_VARIANCE)
     vp = variance_from_db(antisq_db, VACUUM_VARIANCE)
     return GaussianState(np.zeros(2), np.diag([vx, vp]), validate=False)
+
+
+def quarter_turn(state: GaussianState) -> GaussianState:
+    """Phase rotation of a single-mode state by pi/2, (x, p) -> (-p, x), done
+    exactly: rotate(state, 0, np.pi / 2) would leave cos(pi/2) = 6e-17 terms
+    in the moments.  Negation is subtraction from +0.0, so a zero entry stays
+    +0.0 rather than turning into -0.0."""
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean, state.cov
+    return GaussianState([0.0 - mp, mx], [[cpp, 0.0 - cpx], [0.0 - cxp, cxx]], validate=False)
 
 
 def beamsplitter(
@@ -234,24 +249,6 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     cov[idx[0], idx[0]] += (1.0 - eta) * VACUUM_VARIANCE
     cov[idx[1], idx[1]] += (1.0 - eta) * VACUUM_VARIANCE
     return GaussianState(state.mean * scale, cov, validate=False)
-
-
-def _quadrature_vector(state: GaussianState, mode: int, theta: float) -> np.ndarray:
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    v = np.zeros(state.mean.size)
-    v[2 * mode] = np.cos(theta)
-    v[2 * mode + 1] = np.sin(theta)
-    return v
-
-
-def marginal_variance(state: GaussianState, mode: int, theta: float) -> float:
-    """Variance of q(theta) = x cos(theta) + p sin(theta) on one mode.
-
-    Periodic in theta with period pi.
-    """
-    v = _quadrature_vector(state, mode, theta)
-    return float(v @ state.cov @ v)
 
 
 def db_from_variance(variance: float, reference: float) -> float:

@@ -57,7 +57,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -67,11 +67,9 @@ from ._version import __version__
 from .gaussian import (
     GaussianState,
     PhysicsError,
-    TWO_MODE_VACUUM_VARIANCE,
     coherent_state,
-    db_from_variance,
     impure_squeezed_vacuum,
-    rotate,
+    quarter_turn,
     vacuum,
 )
 from .sideband import delta_sq, is_entangled, sidebands_from_single_mode
@@ -79,8 +77,6 @@ from .teleporter import (
     EprCorrelations,
     TeleporterParams,
     TeleportReport,
-    _source_map,
-    _validate_db_pair,
     cascade,
     coherent_fidelity,
     output_variances_pure,
@@ -157,6 +153,13 @@ def _parse_pair(text: str) -> tuple[float, float]:
     raise ValueError(f"expected one or two numbers, got {text!r}")
 
 
+def _positive(value) -> float:
+    value = _finite(value)
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
+
+
 def _coerce_cutoff(value) -> float | None:
     if value is None:
         return None
@@ -224,6 +227,7 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
 
 
 _FLOAT = _Kind(_finite, _finite, repr)
+_POSITIVE = _Kind(_positive, _positive, repr)
 _BOOL = _Kind(
     _parse_bool, _coerce_bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
@@ -279,7 +283,7 @@ CONFIG_FIELDS = (
                 help="emulate finite trace averaging"),
     ConfigField("tomography", "samples", _count(1, MAX_SAMPLES), "tomo_samples"),
     ConfigField("tomography", "grid_points", _count(2)),
-    ConfigField("tomography", "grid_pad", _FLOAT),
+    ConfigField("tomography", "grid_pad", _POSITIVE),
     ConfigField("tomography", "cutoff", _CUTOFF, help="ramp filter cutoff, or 'auto'"),
     ConfigField("output", "dir", _STR, "output_dir"),
 )
@@ -331,8 +335,6 @@ class ExperimentConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{field.attr}: {exc}") from exc
             object.__setattr__(self, field.attr, value)
-        if self.grid_pad <= 0:
-            raise ValueError("grid_pad must be positive")
         # Surface physics violations (bad dB pairs, efficiencies, gains) now.
         self.teleporter_params()
 
@@ -342,21 +344,14 @@ class ExperimentConfig:
         if self.scenario == "squeezed_x":
             return impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
         if self.scenario == "squeezed_p":
-            squeezed = impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
-            return rotate(squeezed, 0, np.pi / 2)
+            return quarter_turn(impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db))
         return vacuum(1)
 
     def teleporter_params(self) -> TeleporterParams:
         return TeleporterParams(
             input_state=self.input_state(),
-            epr_sq_db=self.epr_sq_db,
-            epr_antisq_db=self.epr_antisq_db,
-            g_x=self.g_x,
-            g_p=self.g_p,
-            eta_source=self.eta_source,
-            eta_prop=self.eta_prop,
-            eta_hom=self.eta_hom,
             seed=self.seed,
+            **{f.attr: getattr(self, f.attr) for f in CONFIG_FIELDS if f.section == "teleporter"},
         )
 
 
@@ -600,16 +595,16 @@ def calibrate_losses(
         eta = (1 - 10^(t/10)) / (1 - 10^(s/10)).
 
     s is the correlation of the lossless source (eta = 1) and the lowest
-    reachable target.  The achieved correlations are read from the source map
-    at the fitted efficiencies.  Raises PhysicsError for a squeezer level
-    above 0 dB; when a target is unreachable: below s, from an unsqueezed
-    source (s = 0), or at/above vacuum (an efficiency below 1e-9); and when
-    the fitted efficiencies miss either target by more than
-    CALIBRATION_TOL_DB.
+    reachable target.  The achieved correlations are those teleport_analytic
+    reports at the fitted efficiencies.  Raises PhysicsError for a squeezer
+    level that TeleporterParams rejects with its pure partner (above 0 dB,
+    non-finite, or a partner variance that overflows); when a target is
+    unreachable: below s, from an unsqueezed source (s = 0), or at/above
+    vacuum (an efficiency below 1e-9); and when the fitted efficiencies miss
+    either target by more than CALIBRATION_TOL_DB.
     """
     target_x, target_p = float(target_db[0]), float(target_db[1])
-    for k in (0, 1):
-        _validate_db_pair(source_sq_db[k], -source_sq_db[k], f"squeezer {k + 1}")
+    base = TeleporterParams(input_state=vacuum(1), epr_sq_db=source_sq_db)
 
     def solve(target: float, limit: float) -> float:
         # an unsqueezed source correlates at vacuum whatever its efficiency
@@ -629,14 +624,8 @@ def calibrate_losses(
 
     eta_x = solve(target_x, float(source_sq_db[1]))
     eta_p = solve(target_p, float(source_sq_db[0]))
-    # lossless beams: a zero input through unit gains and ideal detectors;
-    # the anti-squeezed levels weigh zero, so 0 dB stands in for any level
-    _, _, var_x_diff, var_p_sum = _source_map(
-        np.zeros(2), np.zeros((2, 2)), source_sq_db, (0.0, 0.0),
-        1.0, 1.0, (eta_p, eta_x), (1.0, 1.0), 1.0,
-    )
-    achieved_x = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
-    achieved_p = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
+    achieved = teleport_analytic(replace(base, eta_source=(eta_p, eta_x))).epr
+    achieved_x, achieved_p = achieved.x_diff_db, achieved.p_sum_db
     residual_x, residual_p = achieved_x - target_x, achieved_p - target_p
     if max(abs(residual_x), abs(residual_p)) > CALIBRATION_TOL_DB:
         raise PhysicsError(

@@ -62,6 +62,7 @@ feed-forward and the estimation of moments and gains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,21 +74,15 @@ from cvteleport.gaussian import (
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
     beamsplitter,
+    check_noise_pair,
     db_from_variance,
     impure_squeezed_vacuum,
     loss,
+    quarter_turn,
     tensor,
 )
 
 _MC_CHUNK = 1 << 14
-
-
-def _validate_db_pair(sq_db: float, antisq_db: float, label: str) -> None:
-    if not (sq_db <= 0.0 <= antisq_db) or sq_db + antisq_db < -1e-12:
-        raise PhysicsError(
-            f"{label} noise pair ({sq_db:+.3g}, {antisq_db:+.3g}) dB is not a "
-            "valid squeezed/anti-squeezed combination"
-        )
 
 
 def _validate_eta(value: float, label: str) -> None:
@@ -131,7 +126,7 @@ class TeleporterParams:
             anti = (-self.epr_sq_db[0], -self.epr_sq_db[1])
             object.__setattr__(self, "epr_antisq_db", anti)
         for k in (0, 1):
-            _validate_db_pair(self.epr_sq_db[k], anti[k], f"squeezer {k + 1}")
+            check_noise_pair(self.epr_sq_db[k], anti[k], f"squeezer {k + 1}")
             _validate_eta(self.eta_source[k], f"eta_source[{k}]")
             _validate_eta(self.eta_prop[k], f"eta_prop[{k}]")
         _validate_eta(self.eta_hom, "eta_hom")
@@ -168,16 +163,12 @@ class TeleportReport:
 def make_epr(params: TeleporterParams) -> GaussianState:
     """Entangled beam pair (A, B) from two lossy squeezers on a balanced mixer.
 
-    Squeezer 1 (p-squeezed after a pi/2 rotation) sets Var(p_A + p_B);
+    Squeezer 1 (p-squeezed after an exact quarter turn) sets Var(p_A + p_B);
     squeezer 2 (x-squeezed) sets Var(x_A - x_B).  Source losses act before
     the mixer, beam losses after.
     """
     anti = params.epr_antisq_db
-    squeezed = impure_squeezed_vacuum(params.epr_sq_db[0], anti[0])
-    # the pi/2 turn (x, p) -> (-p, x) swaps the variances of this zero-mean,
-    # diagonal state; done exactly, since rotate() would leave cos(pi/2) = 6e-17
-    # in its x-p covariance
-    sq_p = GaussianState(squeezed.mean, np.diag(squeezed.cov.diagonal()[::-1]), validate=False)
+    sq_p = quarter_turn(impure_squeezed_vacuum(params.epr_sq_db[0], anti[0]))
     sq_x = impure_squeezed_vacuum(params.epr_sq_db[1], anti[1])
     sq_p = loss(sq_p, 0, params.eta_source[0])
     sq_x = loss(sq_x, 0, params.eta_source[1])
@@ -283,8 +274,18 @@ def _report(
     method: str,
     shots: int | None = None,
 ) -> TeleportReport:
-    vx = float(output.cov[0, 0])
-    vp = float(output.cov[1, 1])
+    """The report of one run; raises PhysicsError when a number it would
+    hold is not finite, before any of it is printed or written."""
+    cov = output.cov.ravel().tolist()
+    for quantity, numbers in (
+        ("output mean", output.mean.tolist()),
+        ("output covariance", cov),
+        ("EPR correlations", epr),
+        ("gains", gains),
+    ):
+        if not all(map(math.isfinite, numbers)):
+            raise PhysicsError(f"teleporter {quantity} is not finite: {numbers}")
+    vx, vp = cov[0], cov[3]
     fidelity = None
     if _coherent_input(params) and params.g_x == params.g_p == 1.0:
         fidelity = coherent_fidelity(vx, vp)

@@ -10,9 +10,10 @@ This module emulates the measurement side of the experiment:
 * ``wigner_analytic`` evaluates the Gaussian Wigner function
   W(x, p) = exp(-delta^T Sigma^-1 delta / 2) / (2 pi sqrt(det Sigma))
   on a grid.  With hbar = 1/2 the vacuum peak is 2/pi.
-* ``inverse_radon`` reconstructs W from a sample record by filtered
-  back-projection: bin the record into a (theta, quadrature) sinogram, apply
-  a ramp filter with a hard frequency cutoff, and back-project.
+* ``inverse_radon`` reconstructs W from a sample record on a given window
+  by filtered back-projection: bin the record into a (theta, quadrature)
+  sinogram, apply a ramp filter with a hard frequency cutoff, and
+  back-project.
 * ``wigner_moments`` extracts mean and covariance from a grid so
   reconstructions can be compared against analytic states.
 
@@ -351,35 +352,15 @@ def _sinogram(theta_bin, n_theta_bins, q, q_edges):
     return np.bincount(cell, minlength=n_theta_bins * n_q).reshape(n_theta_bins, n_q)
 
 
-def _bin_variances(idx, counts, values, n_theta_bins):
-    """Sample variance of the values in each phase bin (nan for empty bins)."""
-    sums = np.bincount(idx, weights=values, minlength=n_theta_bins)
-    sqs = np.bincount(idx, weights=values * values, minlength=n_theta_bins)
-    with np.errstate(invalid="ignore"):
-        return sqs / counts - (sums / counts) ** 2
-
-
-def _spec_from_record(folded_thetas, values, variances, counts):
-    """Data-driven window: fitted mean center, widest per-bin spread."""
-    c, s = np.cos(folded_thetas), np.sin(folded_thetas)
-    design = np.column_stack([c, s])
-    center, *_ = np.linalg.lstsq(design, values, rcond=None)
-    sigma_max = float(np.sqrt(np.nanmax(variances[counts >= 2])))
-    half = DEFAULT_GRID_PAD_SIGMAS * sigma_max
-    return GridSpec(
-        float(center[0]) - half,
-        float(center[0]) + half,
-        float(center[1]) - half,
-        float(center[1]) + half,
-    )
-
-
-def _record_sigma_min(variances, counts, n_samples):
+def _record_sigma_min(idx, counts, values):
     """Smallest per-bin sample standard deviation, from well-filled bins."""
-    eligible = counts >= max(20, int(0.5 * n_samples / counts.size))
+    eligible = counts >= max(20, int(0.5 * values.size / counts.size))
     if not np.any(eligible):
         eligible = counts >= 2
-    var_min = float(np.min(variances[eligible]))
+    sums = np.bincount(idx, weights=values, minlength=counts.size)[eligible]
+    sqs = np.bincount(idx, weights=values * values, minlength=counts.size)[eligible]
+    n = counts[eligible]
+    var_min = float(np.min(sqs / n - (sums / n) ** 2))
     if var_min <= 0.0:
         raise PhysicsError("record has a zero-variance phase bin")
     return np.sqrt(var_min)
@@ -387,10 +368,11 @@ def _record_sigma_min(variances, counts, n_samples):
 
 def inverse_radon(
     record: QuadratureRecord,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     filter_cutoff: float | None = None,
 ) -> WignerGrid:
-    """Reconstruct the Wigner function from a record by filtered back-projection.
+    """Reconstruct the Wigner function from a record by filtered back-projection
+    on the caller's window ``spec`` (GridSpec.from_state of the recorded state).
 
     Samples are folded onto theta in [0, pi) (values at theta + pi enter with
     flipped sign) and binned into a sinogram of DEFAULT_THETA_BINS phase bins.
@@ -425,14 +407,10 @@ def inverse_radon(
             f"insufficient phase coverage: {coverage:.0%} of bins populated, "
             f"need >= {MIN_COVERAGE_FRACTION:.0%} of [0, pi)"
         )
-    if filter_cutoff is None or spec is None:
-        variances = _bin_variances(idx, counts, q, n_theta_bins)
     if filter_cutoff is None:
-        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(variances, counts, q.size)
+        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(idx, counts, q)
     if not (np.isfinite(filter_cutoff) and filter_cutoff > 0.0):
         raise ValueError("filter_cutoff must be positive and finite")
-    if spec is None:
-        spec = _spec_from_record(folded, q, variances, counts)
 
     x = spec.x_axis()
     p = spec.p_axis()

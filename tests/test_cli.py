@@ -220,8 +220,10 @@ class TestErrorPaths:
             (["cascade", "--stages", "abc"], "[cascade] stages (--stages): invalid literal"),
             (["cascade", "--stages", str(MAX_STAGES + 1)],
              f"[cascade] stages (--stages): must be <= {MAX_STAGES}"),
+            (["wigner", "--grid-pad", "-1"], "[tomography] grid_pad (--grid-pad): must be positive"),
         ],
-        ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many"],
+        ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many",
+             "grid-pad-negative"],
     )
     def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
         code = invoke(*argv, "--out", str(tmp_path))
@@ -247,6 +249,25 @@ class TestErrorPaths:
             assert text in payload["config_text"]
         else:
             assert capsys.readouterr().err.startswith(f"config error: {text}")
+
+    def test_overflowing_anti_squeezing_exits_2(self, tmp_path, capsys):
+        code = invoke("run", "--epr-antisq-db", "4000", "4000", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: squeezer 1 noise pair (-6, +4e+03) dB is not a valid "
+            "squeezed/anti-squeezed combination\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--method", "mc"], ["trace"], ["wigner"]])
+    def test_non_finite_result_exits_3_before_printing(self, argv, tmp_path, capsys):
+        code = invoke(*argv, "--g-x", "1e200", "--out", str(tmp_path))
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("physics error: teleporter output covariance is not finite")
+        assert not any(tmp_path.iterdir())
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))

@@ -1,8 +1,8 @@
 """Tests for the Gaussian-state core.
 
 Derived expectations are frozen from independent oracles: explicit matrix
-congruence for the beamsplitter, beamsplitter-plus-partial-trace for the loss
-channel, and a rotated-frame read-off for marginal variances.
+congruence for the beamsplitter and beamsplitter-plus-partial-trace for the
+loss channel.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from cvteleport import (
     db_from_variance,
     impure_squeezed_vacuum,
     loss,
-    marginal_variance,
     rotate,
     symplectic_eigenvalues,
     tensor,
     vacuum,
     variance_from_db,
 )
+from cvteleport.gaussian import MAX_LEVEL_DB, quarter_turn
 from conftest import random_physical_state
 
 ATOL = 1e-12
@@ -100,10 +100,30 @@ def test_impure_squeezed_vacuum_measured_noise_levels():
     assert np.allclose(impure_squeezed_vacuum(0.0, 0.0).cov, vacuum(1).cov, atol=ATOL)
 
 
-@pytest.mark.parametrize("pair", [(-1.0, 0.5), (0.5, 1.0), (-1.0, -0.5), (1.0, -1.0)])
+@pytest.mark.parametrize(
+    "pair",
+    [(-1.0, 0.5), (0.5, 1.0), (-1.0, -0.5), (1.0, -1.0), (-np.inf, np.inf), (-6.0, np.nan),
+     (-6.0, 4000.0)],
+)
 def test_impure_squeezed_vacuum_rejects_bad_pairs(pair):
-    with pytest.raises(PhysicsError):
+    with pytest.raises(PhysicsError, match="is not a valid squeezed/anti-squeezed combination"):
         impure_squeezed_vacuum(*pair)
+
+
+def test_largest_accepted_level_has_a_finite_variance():
+    state = impure_squeezed_vacuum(-MAX_LEVEL_DB, MAX_LEVEL_DB)
+    assert np.all(np.isfinite(state.cov)) and state.cov[1, 1] > 1e307
+
+
+def test_quarter_turn_is_exact():
+    state = GaussianState([1.5, 0.0], [[0.3, 0.1], [0.1, 0.9]])
+    turned = quarter_turn(state)
+    # rotate() by pi/2 agrees up to its cos(pi/2) = 6e-17 terms
+    assert np.allclose(turned.cov, rotate(state, 0, np.pi / 2).cov, atol=ATOL)
+    assert np.array_equal(turned.mean, [0.0, 1.5]) and not np.signbit(turned.mean[0])
+    assert np.array_equal(turned.cov, [[0.9, -0.1], [-0.1, 0.3]])
+    squeezed = quarter_turn(impure_squeezed_vacuum(-6.0, 6.0))
+    assert not np.any(np.signbit(squeezed.mean)) and not np.any(np.signbit(squeezed.cov))
 
 
 def test_coherent_state_is_displaced_vacuum():
@@ -178,25 +198,6 @@ def test_loss_scales_mean_and_cross_correlations():
     assert np.allclose(lossy.cov[:2, 2:], np.sqrt(eta) * pair.cov[:2, 2:], atol=ATOL)
 
 
-def test_marginal_variance_values_and_periodicity():
-    state = impure_squeezed_vacuum(-6.2, 12.0)
-    assert np.isclose(marginal_variance(state, 0, 0.0), VX_62DB, atol=ATOL)
-    assert np.isclose(marginal_variance(state, 0, np.pi / 2), VP_12DB, atol=ATOL)
-    # Oracle: rotate the state by -theta and read the x variance.
-    rotated = rotate(state, 0, -np.pi / 4)
-    assert np.isclose(
-        marginal_variance(state, 0, np.pi / 4), rotated.cov[0, 0], atol=ATOL
-    )
-    assert np.isclose(marginal_variance(state, 0, np.pi / 4), 2.011101902064135, atol=1e-9)
-    for theta in np.linspace(0, np.pi, 7):
-        assert np.isclose(
-            marginal_variance(state, 0, theta),
-            marginal_variance(state, 0, theta + np.pi),
-            atol=ATOL,
-        )
-    assert np.isclose(marginal_variance(vacuum(1), 0, 1.234), 0.25, atol=ATOL)
-
-
 def test_partial_trace_and_tensor_roundtrip():
     # Tracing out a mode of a product state is slicing out its block.
     a = impure_squeezed_vacuum(-4.0, 5.0)
@@ -233,8 +234,8 @@ def test_reachable_states_respect_uncertainty(rng):
             state = random_physical_state(rng, n_modes)
             assert symplectic_eigenvalues(state.cov).min() >= 0.25 - 1e-9
             for mode in range(n_modes):
-                vx = marginal_variance(state, mode, 0.0)
-                vp = marginal_variance(state, mode, np.pi / 2)
+                vx = state.cov[2 * mode, 2 * mode]
+                vp = state.cov[2 * mode + 1, 2 * mode + 1]
                 assert vx * vp >= 1.0 / 16.0 - 1e-9
 
 

@@ -155,6 +155,12 @@ class TestExperimentConfig:
         assert sx.cov[0, 0] < 0.25 < sx.cov[1, 1]
         assert np.allclose(sp.cov, np.diag([sx.cov[1, 1], sx.cov[0, 0]]), atol=1e-12)
 
+    def test_squeezed_p_turn_is_exact(self):
+        # the network couples no x to p, so the output's x-p covariance is 0
+        output = run(ExperimentConfig(scenario="squeezed_p")).report.output_state
+        assert output.cov[0, 1] == output.cov[1, 0] == 0.0
+        assert not np.any(np.signbit(output.cov)) and not np.any(np.signbit(output.mean))
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="thermal")
@@ -162,7 +168,7 @@ class TestExperimentConfig:
             ExperimentConfig(method="exact")
         with pytest.raises(ValueError):
             ExperimentConfig(shots=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid_pad: must be positive"):
             ExperimentConfig(grid_pad=0.0)
         with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(alpha=float("nan"))

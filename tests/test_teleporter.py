@@ -390,6 +390,28 @@ def test_params_validation():
     assert pure.epr_antisq_db == (6.0, 4.0)
 
 
+@pytest.mark.parametrize(
+    "levels",
+    [{"epr_sq_db": (-np.inf, -np.inf)},
+     {"epr_antisq_db": (np.inf, np.inf)},
+     {"epr_antisq_db": (4000.0, 4000.0)}],
+    ids=["minus-inf-squeezing", "inf-anti-squeezing", "overflowing-anti-squeezing"],
+)
+def test_params_reject_non_finite_and_overflowing_levels(levels):
+    with pytest.raises(PhysicsError, match=r"^squeezer 1 noise pair \(.*\) dB is not a valid"):
+        TeleporterParams(input_state=vacuum(1), **levels)
+
+
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+def test_non_finite_output_is_physics_error(method):
+    # g_x^2 = 1e400 overflows the added x noise
+    params = coherent_params(g_x=1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        PhysicsError, match="^teleporter output covariance is not finite"
+    ):
+        teleport_analytic(params) if method == "analytic" else teleport_mc(params, 1000)
+
+
 def test_output_remains_physical_under_losses(rng):
     for _ in range(20):
         sq_db = rng.uniform(-7.0, 0.0)

@@ -10,7 +10,7 @@ from cvteleport.gaussian import (
     PhysicsError,
     coherent_state,
     impure_squeezed_vacuum,
-    marginal_variance,
+    rotate,
     vacuum,
 )
 from cvteleport.teleporter import TeleporterParams, teleport_analytic
@@ -57,6 +57,15 @@ class TestSpectrumTrace:
         assert trace.power_db.min() == pytest.approx(-6.2, abs=1e-9)
         assert trace.power_db.max() == pytest.approx(12.0, abs=1e-9)
 
+    def test_squeezed_trace_at_quarter_turn_matches_oracle(self):
+        state = impure_squeezed_vacuum(-6.2, 12.0)
+        trace = spectrum_trace(state, n_points=8)
+        assert trace.thetas[1] == np.pi / 4
+        variance = 0.25 * 10.0 ** (trace.power_db[1] / 10.0)
+        # Oracle: rotate the state by -theta and read the x variance.
+        assert variance == pytest.approx(rotate(state, 0, -np.pi / 4).cov[0, 0], rel=1e-12)
+        assert variance == pytest.approx(2.011101902064135, abs=1e-9)
+
     def test_exact_trace_has_period_pi(self):
         trace = spectrum_trace(coherent_state(1.0 + 2.0j), n_points=240)
         half = trace.n_points // 2
@@ -99,7 +108,7 @@ class TestSampleRecord:
         # Keep the bin narrow: at 9 degrees the anti-squeezed quadrature
         # already leaks several percent into the marginal variance.
         sel = record.thetas < 0.01 * np.pi
-        target = marginal_variance(state, 0, 0.0)
+        target = state.cov[0, 0]
         assert target == pytest.approx(0.0627971607877395, abs=1e-12)
         assert np.var(record.values[sel]) == pytest.approx(target, rel=0.15)
 
@@ -226,14 +235,6 @@ class TestInverseRadon:
         ratio = moments.cov[1, 1] / moments.cov[0, 0]
         assert ratio == pytest.approx(10.0**1.82, rel=0.10)
 
-    def test_coherent_closure_with_data_driven_window(self, rng):
-        record = sample_record(coherent_state(3.5 + 0j), 100_000, rng)
-        grid = inverse_radon(record)
-        moments = wigner_moments(grid)
-        assert moments.mean[0] == pytest.approx(3.5, abs=MEAN_ATOL)
-        assert moments.mean[1] == pytest.approx(0.0, abs=MEAN_ATOL)
-        assert moments.cov[0, 0] == pytest.approx(0.25, rel=VAR_RTOL)
-
     def test_teleported_state_closure_against_report(self, rng):
         report = teleported_squeezed()
         state = report.output_state
@@ -256,12 +257,12 @@ class TestInverseRadon:
         thetas = rng.uniform(0.0, 0.5 * np.pi, 5000)
         record = sample_record(vacuum(1), 0, rng, thetas=thetas)
         with pytest.raises(ValueError, match="coverage"):
-            inverse_radon(record)
+            inverse_radon(record, GridSpec.from_state(vacuum(1)))
 
     def test_too_few_samples_rejected(self, rng):
         record = sample_record(vacuum(1), 999, rng)
         with pytest.raises(ValueError, match="samples"):
-            inverse_radon(record)
+            inverse_radon(record, GridSpec.from_state(vacuum(1)))
 
     def test_deterministic_reconstruction(self):
         state = impure_squeezed_vacuum(-6.0, 6.0)
