@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._version import __version__
@@ -192,6 +192,14 @@ def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
     return 0
 
 
+def _write_report(payload: dict, outdir: Path) -> None:
+    """Write ``payload``, stamped with the package version, to
+    ``outdir/report.json`` and say so."""
+    path = outdir / "report.json"
+    write_json({**payload, "version": __version__}, path)
+    print(f"wrote {path}")
+
+
 def _cmd_cascade(args: argparse.Namespace) -> int:
     config = _load_config(args)
     outdir = _output_dir(args, config)
@@ -201,17 +209,7 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
     for stage in stages:
         print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
               f"{stage.vx:.6f}  {stage.vp:.6f}")
-    payload = {
-        "cascade": [
-            {"stage": s.stage, "fidelity": s.fidelity, "vx": s.vx, "vp": s.vp}
-            for s in stages
-        ],
-        "seed": config.seed,
-        "version": __version__,
-    }
-    path = outdir / "report.json"
-    write_json(payload, path)
-    print(f"wrote {path}")
+    _write_report({"cascade": [asdict(stage) for stage in stages], "seed": config.seed}, outdir)
     return 0
 
 
@@ -228,21 +226,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"residuals: {result.residual_x_db:.2e} dB (x), "
           f"{result.residual_p_db:.2e} dB (p)")
     if args.out:
-        path = _output_dir(args, None) / "report.json"
-        write_json(
-            {
-                "calibration": {
-                    "eta_source": list(result.eta_source),
-                    "achieved_x_db": result.achieved_x_db,
-                    "achieved_p_db": result.achieved_p_db,
-                    "residual_x_db": result.residual_x_db,
-                    "residual_p_db": result.residual_p_db,
-                },
-                "version": __version__,
-            },
-            path,
-        )
-        print(f"wrote {path}")
+        _write_report({"calibration": result._asdict()}, _output_dir(args, None))
     return 0
 
 
@@ -250,24 +234,17 @@ def _cmd_paper_repro(args: argparse.Namespace) -> int:
     rows = paper_repro()
     print(format_repro_table(rows))
     if args.out:
-        path = _output_dir(args, None) / "report.json"
-        write_json(
+        comparison = [
             {
-                "reference_comparison": [
-                    {
-                        "criterion": row.criterion,
-                        "quantity": row.quantity,
-                        "reference": row.reference,
-                        "simulated": row.value,
-                        "passed": row.passed,
-                    }
-                    for row in rows
-                ],
-                "version": __version__,
-            },
-            path,
-        )
-        print(f"wrote {path}")
+                "criterion": row.criterion,
+                "quantity": row.quantity,
+                "reference": row.reference,
+                "simulated": row.value,
+                "passed": row.passed,
+            }
+            for row in rows
+        ]
+        _write_report({"reference_comparison": comparison}, _output_dir(args, None))
     return 0 if all(row.passed for row in rows) else 4
 
 

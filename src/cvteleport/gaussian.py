@@ -198,8 +198,9 @@ def quarter_turn(state: GaussianState) -> GaussianState:
     """Phase rotation of a single-mode state by pi/2, (x, p) -> (-p, x), done
     exactly: rotate(state, 0, np.pi / 2) would leave cos(pi/2) = 6e-17 terms
     in the moments.  Negation is subtraction from +0.0, so a zero entry stays
-    +0.0 rather than turning into -0.0."""
-    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean, state.cov
+    +0.0 rather than turning into -0.0.  The moments are read as Python
+    floats, which is exact and cheaper than numpy scalars."""
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
     return GaussianState([0.0 - mp, mx], [[cpp, 0.0 - cpx], [0.0 - cxp, cxx]], validate=False)
 
 

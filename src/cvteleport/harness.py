@@ -42,7 +42,8 @@ config stays valid when only the scenario changes.  Numbers must be finite.
 Every key but ``[output] dir`` (``--out``) is also a command-line flag: the
 key with ``_`` turned into ``-``, pair keys taking two values.  Flags, config
 text and values passed to ExperimentConfig share one set of checks, all
-generated from the table ``CONFIG_FIELDS``.
+generated from the config table ``CONFIG_FIELDS``, which the fields of
+ExperimentConfig declare together with their defaults.
 
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -85,6 +87,10 @@ from .teleporter import (
     teleport_mc,
 )
 from .tomography import (
+    DEFAULT_GRID_PAD_SIGMAS,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_TRACE_AVERAGES,
+    DEFAULT_TRACE_POINTS,
     GridSpec,
     PhaseScanTrace,
     WignerGrid,
@@ -106,9 +112,11 @@ BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
 CALIBRATION_TOL_DB = 0.05
 
 # Upper bound on [tomography] samples and [run] shots, checked before anything
-# is allocated.  Peak memory measured on a 2-vCPU, 8 GB host: about 63 bytes
-# per sample for a wigner run (142 MB at 1M samples, 330 MB at 4M) and 31
-# bytes per Monte Carlo shot, so the bound keeps a run under ~1.4 GB.
+# is allocated.  The samples bound limits memory: a wigner run peaks at about
+# 63 bytes per sample on a 2-vCPU, 8 GB host (142 MB at 1M samples, 330 MB at
+# 4M), under ~1.3 GB at the bound.  The Monte Carlo sampler holds one chunk
+# whatever the shot count, so the shots bound limits run time instead: 20M
+# shots take about 1.7 s on one core of that host.
 MAX_SAMPLES = 20_000_000
 
 # Upper bound on cascade --stages.  The noise of a stage is computed once and
@@ -259,74 +267,55 @@ class ConfigField(NamedTuple):
         return "--" + self.key.replace("_", "-")
 
 
-# The config grammar, in emitted order.  ExperimentConfig coerces its fields,
-# parse_config reads, emit_config writes and the CLI builds its flags from
-# this table; the defaults live on ExperimentConfig.
-CONFIG_FIELDS = (
-    ConfigField("run", "scenario", _choice(SCENARIOS)),
-    ConfigField("run", "alpha", _FLOAT, help="coherent amplitude"),
-    ConfigField("run", "input_sq_db", _FLOAT),
-    ConfigField("run", "input_antisq_db", _FLOAT),
-    ConfigField("run", "method", _choice(METHODS)),
-    ConfigField("run", "shots", _count(2, MAX_SAMPLES)),
-    ConfigField("run", "seed", _count(0)),
-    ConfigField("teleporter", "epr_sq_db", _pair("DB")),
-    ConfigField("teleporter", "epr_antisq_db", _pair("DB", optional=True)),
-    ConfigField("teleporter", "g_x", _FLOAT),
-    ConfigField("teleporter", "g_p", _FLOAT),
-    ConfigField("teleporter", "eta_source", _pair("ETA")),
-    ConfigField("teleporter", "eta_prop", _pair("ETA")),
-    ConfigField("teleporter", "eta_hom", _FLOAT),
-    ConfigField("trace", "n_points", _count(2), "trace_points"),
-    ConfigField("trace", "averages", _count(1), "trace_averages"),
-    ConfigField("trace", "sampled", _BOOL, "trace_sampled",
-                help="emulate finite trace averaging"),
-    ConfigField("tomography", "samples", _count(1, MAX_SAMPLES), "tomo_samples"),
-    ConfigField("tomography", "grid_points", _count(2)),
-    ConfigField("tomography", "grid_pad", _POSITIVE),
-    ConfigField("tomography", "cutoff", _CUTOFF, help="ramp filter cutoff, or 'auto'"),
-    ConfigField("output", "dir", _STR, "output_dir"),
-)
-# The calibrate and cascade verbs' own inputs: not config keys, but flags
-# read and checked like the config's keys.
-CALIBRATION_FIELDS = (
-    ConfigField("calibrate", "target_epr_db", _pair("DB"),
-                help="measured x and p correlations of the beam pair"),
-    ConfigField("calibrate", "source_sq_db", _pair("DB"), help="squeezed level of each squeezer"),
-)
-CASCADE_FIELDS = (
-    ConfigField("cascade", "stages", _count(1, MAX_STAGES), help="number of stages"),
-)
-_FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
-_SECTIONS = {field.section for field in CONFIG_FIELDS}
+def _key(section: str, kind: _Kind, default, key: str | None = None, help: str | None = None):
+    """An ExperimentConfig field that is a config key: its default, and its
+    row of the config table (section, kind, the key when it differs from the
+    field name, and the flag's help text) as the field's metadata."""
+    return dataclasses.field(
+        default=default, metadata={"section": section, "kind": kind, "key": key, "help": help}
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated scenario description; builds the TeleporterParams it names."""
+    """Validated scenario description; builds the TeleporterParams it names.
 
-    scenario: str = "coherent"
-    alpha: float = 3.5
-    input_sq_db: float = -6.2
-    input_antisq_db: float = 12.0
-    method: str = "analytic"
-    shots: int = 100_000
-    seed: int = 0
-    epr_sq_db: tuple[float, float] = (-6.0, -6.0)
-    epr_antisq_db: tuple[float, float] | None = None
-    g_x: float = 1.0
-    g_p: float = 1.0
-    eta_source: tuple[float, float] = (1.0, 1.0)
-    eta_prop: tuple[float, float] = (1.0, 1.0)
-    eta_hom: float = 1.0
-    trace_points: int = 240
-    trace_averages: int = 30
-    trace_sampled: bool = False
-    tomo_samples: int = 100_000
-    grid_points: int = 81
-    grid_pad: float = 4.5
-    cutoff: float | None = None
-    output_dir: str | None = None
+    Each field is one config key, declared with ``_key``; in declaration
+    order the fields are the config table ``CONFIG_FIELDS``, from which
+    ExperimentConfig coerces its fields, parse_config reads, emit_config
+    writes and the CLI builds its flags.  The teleporter, trace and
+    tomography defaults are those of TeleporterParams and `tomography`.
+    """
+
+    scenario: str = _key("run", _choice(SCENARIOS), "coherent")
+    alpha: float = _key("run", _FLOAT, 3.5, help="coherent amplitude")
+    input_sq_db: float = _key("run", _FLOAT, -6.2)
+    input_antisq_db: float = _key("run", _FLOAT, 12.0)
+    method: str = _key("run", _choice(METHODS), "analytic")
+    shots: int = _key("run", _count(2, MAX_SAMPLES), 100_000)
+    # seeds the trace and tomography streams too, so not a teleporter default
+    seed: int = _key("run", _count(0), 0)
+    epr_sq_db: tuple[float, float] = _key("teleporter", _pair("DB"), TeleporterParams.epr_sq_db)
+    epr_antisq_db: tuple[float, float] | None = _key(
+        "teleporter", _pair("DB", optional=True), TeleporterParams.epr_antisq_db
+    )
+    g_x: float = _key("teleporter", _FLOAT, TeleporterParams.g_x)
+    g_p: float = _key("teleporter", _FLOAT, TeleporterParams.g_p)
+    eta_source: tuple[float, float] = _key(
+        "teleporter", _pair("ETA"), TeleporterParams.eta_source
+    )
+    eta_prop: tuple[float, float] = _key("teleporter", _pair("ETA"), TeleporterParams.eta_prop)
+    eta_hom: float = _key("teleporter", _FLOAT, TeleporterParams.eta_hom)
+    trace_points: int = _key("trace", _count(2), DEFAULT_TRACE_POINTS, "n_points")
+    trace_averages: int = _key("trace", _count(1), DEFAULT_TRACE_AVERAGES, "averages")
+    trace_sampled: bool = _key(
+        "trace", _BOOL, False, "sampled", help="emulate finite trace averaging"
+    )
+    tomo_samples: int = _key("tomography", _count(1, MAX_SAMPLES), 100_000, "samples")
+    grid_points: int = _key("tomography", _count(2), DEFAULT_GRID_POINTS)
+    grid_pad: float = _key("tomography", _POSITIVE, DEFAULT_GRID_PAD_SIGMAS)
+    cutoff: float | None = _key("tomography", _CUTOFF, None, help="ramp filter cutoff, or 'auto'")
+    output_dir: str | None = _key("output", _STR, None, "dir")
 
     def __post_init__(self) -> None:
         for field in CONFIG_FIELDS:
@@ -353,6 +342,28 @@ class ExperimentConfig:
             seed=self.seed,
             **{f.attr: getattr(self, f.attr) for f in CONFIG_FIELDS if f.section == "teleporter"},
         )
+
+
+# The config grammar, in emitted order: one row per ExperimentConfig field.
+CONFIG_FIELDS = tuple(
+    ConfigField(
+        f.metadata["section"], f.metadata["key"] or f.name, f.metadata["kind"],
+        f.name if f.metadata["key"] else None, f.metadata["help"],
+    )
+    for f in fields(ExperimentConfig)
+)
+# The calibrate and cascade verbs' own inputs: not config keys, but flags
+# read and checked like the config's keys.
+CALIBRATION_FIELDS = (
+    ConfigField("calibrate", "target_epr_db", _pair("DB"),
+                help="measured x and p correlations of the beam pair"),
+    ConfigField("calibrate", "source_sq_db", _pair("DB"), help="squeezed level of each squeezer"),
+)
+CASCADE_FIELDS = (
+    ConfigField("cascade", "stages", _count(1, MAX_STAGES), help="number of stages"),
+)
+_FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
+_SECTIONS = {field.section for field in CONFIG_FIELDS}
 
 
 def _find_line(text: str, section: str, key: str | None) -> int | None:
@@ -637,17 +648,14 @@ def calibrate_losses(
     )
 
 
-def benchmark_config(scenario: str = "coherent", **overrides) -> ExperimentConfig:
+def benchmark_config(scenario: str = "coherent") -> ExperimentConfig:
     """Scenario config with losses calibrated to the measured correlations."""
-    calibration = calibrate_losses(BENCHMARK_TARGET_EPR_DB)
-    base = dict(
+    return ExperimentConfig(
         scenario=scenario,
         epr_sq_db=BENCHMARK_SOURCE_SQ_DB,
         epr_antisq_db=BENCHMARK_SOURCE_ANTISQ_DB,
-        eta_source=calibration.eta_source,
+        eta_source=calibrate_losses(BENCHMARK_TARGET_EPR_DB).eta_source,
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 # --- reference reproduction -------------------------------------------------

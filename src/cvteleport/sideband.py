@@ -21,15 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.gaussian import GaussianState, apply_symplectic, tensor
+from cvteleport.gaussian import GaussianState, apply_symplectic, quarter_turn, tensor
 
 # Combination variances are referenced to two-mode vacuum, which gives
 # Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
 _X_SUM = np.array([1.0, 0.0, 1.0, 0.0])
 _P_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
-# Rotation by pi/2 that exchanges the x and p statistics of the mirror mode,
-# and the balanced split (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2).
-_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])
+# The balanced split (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2).
 _SPLIT = np.sqrt(0.5) * np.block([[np.eye(2), np.eye(2)], [np.eye(2), -np.eye(2)]])
 
 
@@ -63,7 +61,7 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     """
     if state.n_modes != 1:
         raise ValueError("sidebands_from_single_mode requires a single-mode state")
-    mirror = GaussianState(np.zeros(2), _FLIP @ state.cov @ _FLIP.T, validate=False)
+    mirror = quarter_turn(GaussianState(np.zeros(2), state.cov, validate=False))
     return SidebandPair(apply_symplectic(tensor(state, mirror), _SPLIT))
 
 

@@ -218,13 +218,16 @@ def _readout(
     if params.eta_hom < 1.0:
         mixed = loss(mixed, 0, params.eta_hom)
         mixed = loss(mixed, 1, params.eta_hom)
-    scale = np.sqrt(2.0 / params.eta_hom)
+    # a float, not a numpy scalar: a huge gain times it is inf without a warning
+    scale = math.sqrt(2.0 / params.eta_hom)
     feed = np.array(
         [[params.g_x * scale, 0.0, 1.0, 0.0], [0.0, params.g_p * scale, 0.0, 1.0]]
     )
     return pair, mixed.mean[_READOUT], mixed.cov[np.ix_(_READOUT, _READOUT)], feed
 
 
+# A decorator rather than a with-block: half the cost per call.
+@np.errstate(over="ignore", invalid="ignore")
 def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
     """Output moments and EPR correlation variances in closed form.
 
@@ -234,7 +237,9 @@ def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta
     Plain arithmetic, elementwise in every argument: each may be a scalar or
     an array of points, with ``mean`` indexed [i], ``cov`` [i][j] and the
     pairs [0], [1] in the order of `TeleporterParams`.  Returns the output
-    mean, the output covariance, Var(x_A - x_B) and Var(p_A + p_B).
+    mean, the output covariance, Var(x_A - x_B) and Var(p_A + p_B).  A huge
+    gain or level overflows to inf or nan without a numpy warning; the
+    report (`_report`) or the JSON writer rejects it.
     """
 
     def at_mixer(level_db, eta):
@@ -355,14 +360,20 @@ def teleport_mc(
     those of the output; only their sum and Gram matrix are accumulated, and
     memory stays at one chunk whatever the shot count.  Shots are processed
     in chunks with independently spawned sub-streams.  If `rng` is given it
-    replaces the seed-derived streams.
+    replaces the seed-derived streams.  Raises PhysicsError when the joint
+    covariance has no Cholesky factor in double precision.
     """
     if shots < 2:
         raise ValueError("shots must be >= 2")
     pair, mean, cov, feed = _readout(params)
-    center = feed @ mean
-    # jitter guards exactly-pure corner cases
-    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+    try:
+        # jitter guards exactly-pure corner cases
+        root = np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+    except np.linalg.LinAlgError as exc:
+        raise PhysicsError(
+            "Monte Carlo read-out covariance of (u, v, x_B, p_B) has no Cholesky "
+            "factor: it is not positive definite in double precision"
+        ) from exc
 
     seeds = np.random.SeedSequence(params.seed).spawn(
         (shots + _MC_CHUNK - 1) // _MC_CHUNK
@@ -386,9 +397,12 @@ def teleport_mc(
     z_mean = total / shots
     # np.cov's unbiased estimate (ddof = 1) of the draws' covariance
     z_cov = (gram - shots * np.outer(z_mean, z_mean)) / (shots - 1)
-    emp_mean = center + factor @ z_mean
-    emp_cov = factor @ z_cov @ factor.T
-    emp_cov = 0.5 * (emp_cov + emp_cov.T)
+    # a huge gain overflows to inf or nan here, which _report rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = feed @ root
+        emp_mean = feed @ mean + factor @ z_mean
+        emp_cov = factor @ z_cov @ factor.T
+        emp_cov = 0.5 * (emp_cov + emp_cov.T)
     output = GaussianState(emp_mean, emp_cov, validate=False)
 
     gains = [params.g_x, params.g_p]

@@ -212,9 +212,9 @@ def spectrum_trace(
     n_points: int = DEFAULT_TRACE_POINTS,
     averages: int = DEFAULT_TRACE_AVERAGES,
     rng: np.random.Generator | None = None,
-    span: tuple[float, float] = (0.0, 2.0 * np.pi),
 ) -> PhaseScanTrace:
-    """Total noise power vs phase: (variance + mean^2) / vacuum, in dB.
+    """Total noise power vs phase over one turn, [0, 2 pi): (variance +
+    mean^2) / vacuum, in dB.
 
     ``state`` is a single-mode GaussianState (for a teleporter, the report's
     ``output_state``).  The power at each theta includes the coherent signal, so a displaced
@@ -225,10 +225,8 @@ def spectrum_trace(
     _single_mode(state)
     if n_points < 2:
         raise ValueError("a trace needs at least 2 points")
-    start, stop = float(span[0]), float(span[1])
-    if not stop > start:
-        raise ValueError("span must have positive extent")
-    thetas = np.linspace(start, stop, n_points, endpoint=False)
+    span = (0.0, 2.0 * np.pi)
+    thetas = np.linspace(*span, n_points, endpoint=False)
     mu, var = _marginal_arrays(state, thetas)
     if rng is None:
         power = (var + mu * mu) / VACUUM_VARIANCE
@@ -241,7 +239,7 @@ def spectrum_trace(
         )
         power = np.mean(draws * draws, axis=1) / VACUUM_VARIANCE
         used_averages = int(averages)
-    return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages, (start, stop))
+    return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages, span)
 
 
 def sample_record(

@@ -259,7 +259,7 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [["run"], ["run", "--method", "mc"], ["trace"], ["wigner"]])
     def test_non_finite_result_exits_3_before_printing(self, argv, tmp_path, capsys):
         code = invoke(*argv, "--g-x", "1e200", "--out", str(tmp_path))
@@ -268,6 +268,16 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("physics error: teleporter output covariance is not finite")
         assert not any(tmp_path.iterdir())
+
+    def test_unfactorable_mc_read_out_exits_3(self, tmp_path, capsys):
+        # 200 dB anti-squeezing leaves the read-out covariance numerically singular
+        code = invoke("run", "--method", "mc", "--epr-antisq-db", "200", "200",
+                      "--out", str(tmp_path))
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "physics error: Monte Carlo read-out covariance"
+        )
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))

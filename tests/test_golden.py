@@ -1,8 +1,9 @@
-"""Byte-for-byte regression of the files the scenario verbs write.
+"""Byte-for-byte regression of the files the CLI verbs write.
 
 Each case runs the CLI in-process and compares every file it writes with a
 fixture under ``tests/golden/<case>/``.  The fixtures pin the exact bytes of
-``report.json``, ``trace.csv`` and ``wigner.csv``, so a refactor of the
+``report.json``, ``trace.csv`` and ``wigner.csv`` of the scenario verbs and
+the ``report.json`` of ``cascade`` and ``calibrate``, so a refactor of the
 config, flag or report plumbing that changes any output shows up here.
 
 To regenerate the fixtures after a deliberate output change:
@@ -71,6 +72,14 @@ CASES = {
     "trace_mc_sampled": (
         ["trace", "--method", "mc", "--sampled", "--seed", "6"],
         ("report.json", "trace.csv"),
+    ),
+    "cascade_lossy": (
+        ["cascade", "--stages", "5", "--epr-sq-db", "-5", "-4", "--eta-prop", "0.9", "0.95"],
+        ("report.json",),
+    ),
+    "calibrate_targets": (
+        ["calibrate", "--target-epr-db", "-5.6", "-5.5"],
+        ("report.json",),
     ),
 }
 

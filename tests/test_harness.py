@@ -393,11 +393,6 @@ class TestBenchmarkAndRepro:
         assert corr.x_diff_db == pytest.approx(-5.6, abs=1e-6)
         assert corr.p_sum_db == pytest.approx(-5.5, abs=1e-6)
 
-    def test_benchmark_overrides_apply(self):
-        config = benchmark_config("squeezed_x", seed=77)
-        assert config.scenario == "squeezed_x"
-        assert config.seed == 77
-
     def test_paper_repro_all_rows_pass(self):
         rows = paper_repro()
         assert {row.criterion for row in rows} == set(range(1, 12))

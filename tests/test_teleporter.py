@@ -402,14 +402,20 @@ def test_params_reject_non_finite_and_overflowing_levels(levels):
         TeleporterParams(input_state=vacuum(1), **levels)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["analytic", "mc"])
 def test_non_finite_output_is_physics_error(method):
-    # g_x^2 = 1e400 overflows the added x noise
+    # g_x^2 = 1e400 overflows the added x noise, silently: the report rejects it
     params = coherent_params(g_x=1e200)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        PhysicsError, match="^teleporter output covariance is not finite"
-    ):
+    with pytest.raises(PhysicsError, match="^teleporter output covariance is not finite"):
         teleport_analytic(params) if method == "analytic" else teleport_mc(params, 1000)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gain_that_overflows_the_mc_feed_is_physics_error():
+    # sqrt(2) g_x overflows the feed matrix itself, not only the moments
+    with pytest.raises(PhysicsError, match="^teleporter output mean is not finite"):
+        teleport_mc(coherent_params(g_x=1.7e308), 1000)
 
 
 def test_output_remains_physical_under_losses(rng):

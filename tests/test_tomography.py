@@ -87,8 +87,6 @@ class TestSpectrumTrace:
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(1), n_points=1)
         with pytest.raises(ValueError):
-            spectrum_trace(vacuum(1), span=(1.0, 1.0))
-        with pytest.raises(ValueError):
             spectrum_trace(vacuum(1), averages=0, rng=rng)
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(2))
