@@ -23,13 +23,13 @@ comments; unknown sections or keys are rejected with a line number):
     eta_hom = 1.0
 
     [trace]
-    n_points = 240
+    n_points = 240                 # at most 1000000
     averages = 30
     sampled = false                # true emulates finite averaging
 
     [tomography]
     samples = 100000               # at most 20000000
-    grid_points = 81
+    grid_points = 81               # at most 2000
     grid_pad = 4.5
     cutoff = auto                  # or a positive frequency
 
@@ -111,13 +111,19 @@ BENCHMARK_SOURCE_ANTISQ_DB = (12.0, 12.0)
 BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
 CALIBRATION_TOL_DB = 0.05
 
-# Upper bound on [tomography] samples and [run] shots, checked before anything
-# is allocated.  The samples bound limits memory: a wigner run peaks at about
-# 63 bytes per sample on a 2-vCPU, 8 GB host (142 MB at 1M samples, 330 MB at
-# 4M), under ~1.3 GB at the bound.  The Monte Carlo sampler holds one chunk
-# whatever the shot count, so the shots bound limits run time instead: 20M
-# shots take about 1.7 s on one core of that host.
+# Upper bounds on counts, checked before anything is allocated; peaks are of
+# a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 63
+# bytes per sample (142 MB at 1M, 330 MB at 4M), under ~1.3 GB at the bound.
+# [run] shots shares it only to keep the config domain: the Monte Carlo
+# sampler draws the shots' sample moments, not the shots, so its time and
+# memory do not grow with the count.
 MAX_SAMPLES = 20_000_000
+# [trace] n_points: about 330 bytes per point, mostly the report's JSON
+# (354 MB, 3.6 s at the bound).  [trace] averages sizes no array (one draw
+# per point whatever its value), so it has no bound.
+MAX_TRACE_POINTS = 1_000_000
+# [tomography] grid_points: about 170 bytes per cell (712 MB, 9.7 s at 2000^2).
+MAX_GRID_POINTS = 2_000
 
 # Upper bound on cascade --stages.  The noise of a stage is computed once and
 # each stage adds it (about 5 us per stage on a 2-vCPU host), so the bound
@@ -306,13 +312,13 @@ class ExperimentConfig:
     )
     eta_prop: tuple[float, float] = _key("teleporter", _pair("ETA"), TeleporterParams.eta_prop)
     eta_hom: float = _key("teleporter", _FLOAT, TeleporterParams.eta_hom)
-    trace_points: int = _key("trace", _count(2), DEFAULT_TRACE_POINTS, "n_points")
+    trace_points: int = _key("trace", _count(2, MAX_TRACE_POINTS), DEFAULT_TRACE_POINTS, "n_points")
     trace_averages: int = _key("trace", _count(1), DEFAULT_TRACE_AVERAGES, "averages")
     trace_sampled: bool = _key(
         "trace", _BOOL, False, "sampled", help="emulate finite trace averaging"
     )
     tomo_samples: int = _key("tomography", _count(1, MAX_SAMPLES), 100_000, "samples")
-    grid_points: int = _key("tomography", _count(2), DEFAULT_GRID_POINTS)
+    grid_points: int = _key("tomography", _count(2, MAX_GRID_POINTS), DEFAULT_GRID_POINTS)
     grid_pad: float = _key("tomography", _POSITIVE, DEFAULT_GRID_PAD_SIGMAS)
     cutoff: float | None = _key("tomography", _CUTOFF, None, help="ramp filter cutoff, or 'auto'")
     output_dir: str | None = _key("output", _STR, None, "dir")
@@ -516,7 +522,6 @@ def result_to_json_dict(result: RunResult) -> dict:
             "thetas": result.trace.thetas.tolist(),
             "power_db": result.trace.power_db.tolist(),
             "averages": result.trace.averages,
-            "span": list(result.trace.span),
         }
     if result.wigner is not None:
         payload["wigner"] = {

@@ -49,15 +49,15 @@ the anti-squeezed levels.
 The Monte Carlo path, and only it, samples the Schroedinger picture:
 `make_epr` builds the beam pair from Gaussian states and operations,
 `_readout` mixes it with the input and gives the moments of the sender's
-outcomes u, v and the receiver's beam B, and shots of (u, v, B) are drawn in
-measurement order (u, then v given u, then B given both).  The feed-forward
-x_out = x_B + c_x u, p_out = p_B + c_p v with c = g sqrt(2 / eta_hom) is
-linear, so it is applied to the first and second moments of the draws rather
-than to each shot, and the report holds the empirical output moments and
-gains.  The source map
-calls no Gaussian operation, so comparing the two paths checks the state
-preparation (squeezers, mixers, losses) as well as the sampling, the
-feed-forward and the estimation of moments and gains.
+outcomes u, v and the receiver's beam B, and a shot of (u, v, B) is their
+mean plus their lower Cholesky factor times a standard normal 4-vector, i.e.
+drawn in measurement order (u, then v given u, then B given both).  The
+feed-forward x_out = x_B + c_x u, p_out = p_B + c_p v with
+c = g sqrt(2 / eta_hom) is linear, so only the sample mean and covariance of
+the standard normals are drawn, from their exact joint law, and mapped to
+the output's.  The source map calls no Gaussian operation, so comparing the
+two paths checks the state preparation (squeezers, mixers, losses) as well
+as the sampling, the feed-forward and the estimation of moments and gains.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ from cvteleport.gaussian import (
     tensor,
 )
 
-_MC_CHUNK = 1 << 14
-
-
 def _validate_eta(value: float, label: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{label} must lie in [0, 1], got {value}")
@@ -105,7 +102,7 @@ class TeleporterParams:
         eta_hom: sender homodyne efficiency (visibility squared); the
             electronic gain is raised by 1/sqrt(eta_hom) so the configured
             gains stay the realized ones.
-        seed: Monte Carlo seed; sub-streams are spawned per chunk.
+        seed: Monte Carlo seed of `teleport_mc`'s generator.
     """
 
     input_state: GaussianState
@@ -347,21 +344,39 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
 
 
+_BELOW_DIAGONAL = np.tril_indices(4, -1)
+
+
+def _standard_moments(shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance (ddof 1) of ``shots`` i.i.d. standard normal
+    4-vectors, drawn from their exact joint law instead of shot by shot.
+
+    The mean is N(0, I / shots).  Independently of it, (shots - 1) times the
+    covariance is Wishart(shots - 1, I), drawn as L L^T (Bartlett, Proc. R.
+    Soc. Edinb. 53, 260 (1933)): L is lower triangular with
+    L_ii^2 ~ chi^2(shots - 1 - i) and N(0, 1) below the diagonal, and below
+    5 shots only its first shots - 1 columns are kept (rank shots - 1).
+    """
+    mean = rng.standard_normal(4) / math.sqrt(shots)
+    # chi^2(k) = 2 Gamma(k / 2), which is 0 at k = 0
+    dof = np.maximum(shots - 1 - np.arange(4), 0)
+    lower = np.diag(np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)))
+    lower[_BELOW_DIAGONAL] = rng.standard_normal(6)
+    lower[:, shots - 1 :] = 0.0
+    return mean, lower @ lower.T / (shots - 1)
+
+
 def teleport_mc(
     params: TeleporterParams, shots: int, rng: np.random.Generator | None = None
 ) -> TeleportReport:
     """Empirical output moments from simulated measure-and-displace shots.
 
-    State preparation is deterministic, so it is computed once.  Per shot
-    the sender outcome u, then v given u, then the receiver mode given both
-    are drawn through the lower Cholesky factor of their joint covariance.
-    The feed-forward that displaces the receiver mode is linear, so it maps
-    the sample mean and covariance (ddof 1) of the standard-normal draws to
-    those of the output; only their sum and Gram matrix are accumulated, and
-    memory stays at one chunk whatever the shot count.  Shots are processed
-    in chunks with independently spawned sub-streams.  If `rng` is given it
-    replaces the seed-derived streams.  Raises PhysicsError when the joint
-    covariance has no Cholesky factor in double precision.
+    State preparation is deterministic, so it is computed once.  The output
+    is linear in each shot's standard normal draws (module docstring), so
+    its sample mean and covariance (ddof 1) follow from theirs, which
+    `_standard_moments` draws in O(1) time and memory whatever the shot
+    count.  ``rng`` defaults to ``default_rng(params.seed)``.  Raises
+    PhysicsError when the read-out covariance has no Cholesky factor.
     """
     if shots < 2:
         raise ValueError("shots must be >= 2")
@@ -375,28 +390,8 @@ def teleport_mc(
             "factor: it is not positive definite in double precision"
         ) from exc
 
-    seeds = np.random.SeedSequence(params.seed).spawn(
-        (shots + _MC_CHUNK - 1) // _MC_CHUNK
-    )
-    # sum and Gram matrix of the standard-normal draws of (u, v, x_B, p_B)
-    total = np.zeros(4)
-    gram = np.zeros((4, 4))
-    done = 0
-    for seq in seeds:
-        n = min(_MC_CHUNK, shots - done)
-        gen = rng if rng is not None else np.random.default_rng(seq)
-        z = gen.standard_normal(4 * n)  # n for u, n for v, then (x_B, p_B) pairs
-        rows = (z[:n], z[n : 2 * n], z[2 * n :: 2], z[2 * n + 1 :: 2])  # views, no copy
-        for i, row in enumerate(rows):
-            total[i] += row.sum()
-            for j in range(i, 4):
-                gram[i, j] += row @ rows[j]
-        done += n
-    gram = np.triu(gram) + np.triu(gram, 1).T
-
-    z_mean = total / shots
-    # np.cov's unbiased estimate (ddof = 1) of the draws' covariance
-    z_cov = (gram - shots * np.outer(z_mean, z_mean)) / (shots - 1)
+    rng = rng if rng is not None else np.random.default_rng(params.seed)
+    z_mean, z_cov = _standard_moments(shots, rng)
     # a huge gain overflows to inf or nan here, which _report rejects
     with np.errstate(over="ignore", invalid="ignore"):
         factor = feed @ root

@@ -135,7 +135,6 @@ class PhaseScanTrace:
     thetas: np.ndarray
     power_db: np.ndarray
     averages: int | None
-    span: tuple[float, float]
 
     def __post_init__(self) -> None:
         thetas = _readonly(self.thetas)
@@ -146,7 +145,6 @@ class PhaseScanTrace:
             raise ValueError("trace values must be finite")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "power_db", power_db)
-        object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
 
     @property
     def n_points(self) -> int:
@@ -225,21 +223,20 @@ def spectrum_trace(
     _single_mode(state)
     if n_points < 2:
         raise ValueError("a trace needs at least 2 points")
-    span = (0.0, 2.0 * np.pi)
-    thetas = np.linspace(*span, n_points, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     mu, var = _marginal_arrays(state, thetas)
     if rng is None:
         power = (var + mu * mu) / VACUUM_VARIANCE
         used_averages = None
     else:
-        if averages < 1:
-            raise ValueError("averages must be >= 1")
-        draws = mu[:, None] + np.sqrt(var)[:, None] * rng.standard_normal(
-            (n_points, averages)
-        )
-        power = np.mean(draws * draws, axis=1) / VACUUM_VARIANCE
+        if averages < 1 or averages != int(averages):
+            raise ValueError("averages must be an integer >= 1")
+        # the sum of `averages` squared N(mu, var) samples is var times a
+        # noncentral chi^2(averages, averages mu^2 / var): one draw per point
+        chi2 = rng.noncentral_chisquare(averages, averages * mu * mu / var)
+        power = var / averages * chi2 / VACUUM_VARIANCE
         used_averages = int(averages)
-    return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages, span)
+    return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages)
 
 
 def sample_record(

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded RNG and a generator of random physical states."""
+"""Shared helpers: seeded RNG, a generator of random physical states and a
+two-sample check of first and second moments."""
 
 from __future__ import annotations
 
@@ -53,3 +54,22 @@ def random_physical_state(rng: np.random.Generator, n_modes: int, n_ops: int = 1
             state = loss(state, mode, rng.uniform(0.2, 1.0))
     kept = slice(0, 2 * n_modes)
     return GaussianState(rng.normal(0, 2, 2 * n_modes), state.cov[kept, kept], validate=False)
+
+
+def assert_same_two_moments(a, b, limit: float = 5.0) -> None:
+    """Entry by entry, the mean and the variance of two independent samples
+    (trials along axis 0) agree within ``limit`` standard errors of their
+    difference, each error estimated from its own sample (the variance's
+    from the fourth central moment)."""
+
+    def moments(sample):
+        sample = np.asarray(sample).reshape(len(sample), -1)
+        centred = sample - sample.mean(axis=0)
+        var = np.mean(centred**2, axis=0)
+        m4 = np.mean(centred**4, axis=0)
+        return sample.mean(axis=0), var, var / len(sample), (m4 - var * var) / len(sample)
+
+    mean_a, var_a, se2_mean_a, se2_var_a = moments(a)
+    mean_b, var_b, se2_mean_b, se2_var_b = moments(b)
+    assert np.all(np.abs(mean_a - mean_b) <= limit * np.sqrt(se2_mean_a + se2_mean_b))
+    assert np.all(np.abs(var_a - var_b) <= limit * np.sqrt(se2_var_a + se2_var_b))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvteleport.cli as cli
-from cvteleport.harness import MAX_STAGES, ReproRow
+from cvteleport.harness import MAX_GRID_POINTS, MAX_STAGES, MAX_TRACE_POINTS, ReproRow
 
 
 def invoke(*argv):
@@ -221,9 +221,13 @@ class TestErrorPaths:
             (["cascade", "--stages", str(MAX_STAGES + 1)],
              f"[cascade] stages (--stages): must be <= {MAX_STAGES}"),
             (["wigner", "--grid-pad", "-1"], "[tomography] grid_pad (--grid-pad): must be positive"),
+            (["trace", "--n-points", str(MAX_TRACE_POINTS + 1)],
+             f"[trace] n_points (--n-points): must be <= {MAX_TRACE_POINTS}"),
+            (["wigner", "--grid-points", str(MAX_GRID_POINTS + 1)],
+             f"[tomography] grid_points (--grid-points): must be <= {MAX_GRID_POINTS}"),
         ],
         ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many",
-             "grid-pad-negative"],
+             "grid-pad-negative", "n-points-too-many", "grid-points-too-many"],
     )
     def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
         code = invoke(*argv, "--out", str(tmp_path))

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import assert_same_two_moments
 
 from cvteleport import (
     GaussianState,
@@ -19,6 +20,7 @@ from cvteleport import (
     vacuum,
 )
 from cvteleport import teleporter
+from cvteleport.harness import MAX_SAMPLES
 from cvteleport.teleporter import (
     TeleporterParams,
     cascade,
@@ -185,8 +187,7 @@ def test_detector_inefficiency_is_gain_compensated():
     assert report.vx == pytest.approx(clean.vx + penalty, abs=1e-10)
 
 
-def test_mc_matches_analytic_at_five_sigma():
-    shots = 100_000
+def _assert_mc_matches_analytic_at_five_sigma(shots):
     params = TeleporterParams(
         input_state=coherent_state(1.5 + 0.5j),
         epr_sq_db=(-6.0, -6.0),
@@ -206,6 +207,14 @@ def test_mc_matches_analytic_at_five_sigma():
         (exact.vx * exact.vp + exact.output_state.cov[0, 1] ** 2) / (shots - 1)
     )
     assert abs(mc.output_state.cov[0, 1] - exact.output_state.cov[0, 1]) < 5 * cross_sd
+
+
+def test_mc_matches_analytic_at_five_sigma():
+    _assert_mc_matches_analytic_at_five_sigma(100_000)
+
+
+def test_mc_at_the_shot_bound_matches_analytic_at_five_sigma():
+    _assert_mc_matches_analytic_at_five_sigma(MAX_SAMPLES)
 
 
 def test_mc_is_deterministic_per_seed_and_reports_gains():
@@ -235,46 +244,54 @@ def test_measure_gains_matches_configuration():
     assert np.all(np.abs(np.subtract(teleport_mc(probe, shots).gains, (0.5, 1.1))) < 5 * sd)
 
 
-def _per_shot_moments(params, shots, rng=None):
-    """Reference for `teleport_mc`: every shot of the same streams kept as
-    center + draws @ factor.T, then the sample mean and np.cov."""
-    _, mean, cov, feed = teleporter._readout(params)
-    center = feed @ mean
-    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
-    chunk = teleporter._MC_CHUNK
-    seeds = np.random.SeedSequence(params.seed).spawn((shots + chunk - 1) // chunk)
-    samples = []
-    for k, seq in enumerate(seeds):
-        n = min(chunk, shots - k * chunk)
-        gen = rng if rng is not None else np.random.default_rng(seq)
-        z = gen.standard_normal(4 * n)
-        draws = np.column_stack((z[:n], z[n : 2 * n], z[2 * n :].reshape(n, 2)))
-        samples.append(center + draws @ factor.T)
-    samples = np.concatenate(samples)
-    return samples.mean(axis=0), np.cov(samples.T)
+def _per_shot_moments(center, factor, rng, trials, shots):
+    """Reference for the Monte Carlo moments: per trial, ``shots`` shots kept
+    one by one as center + z @ factor.T with standard normal z, and their
+    sample mean and np.cov (ddof 1)."""
+    samples = center + rng.standard_normal((trials, shots, factor.shape[1])) @ factor.T
+    return samples.mean(axis=1), np.array([np.cov(trial.T) for trial in samples])
 
 
-@pytest.mark.parametrize("shots", [5000, 3 * 2**14 + 7])
-@pytest.mark.parametrize("rng_seed", [None, 99])
-def test_mc_moments_match_the_per_shot_samples(shots, rng_seed):
-    # the moments come from the draws' sums; the per-shot record they replace
-    # differs only by rounding, also over a ragged last chunk
+MOMENT_TRIALS = 2000
+ESTIMATOR_TRIALS = 1000
+
+
+def _ranks(covs) -> set[int]:
+    # singular values above 1e-10 of the largest count: that is above the
+    # rounding of a product of Cholesky factors with large anti-squeezed entries
+    values = np.linalg.svd(np.asarray(covs), compute_uv=False)
+    return set((values > 1e-10 * values[:, :1]).sum(axis=1).tolist())
+
+
+@pytest.mark.parametrize("shots", [2, 3, 4, 5, 50])
+def test_mc_moments_have_the_law_of_per_shot_samples(shots):
+    # the drawn sample moments of the standard normals, and teleport_mc's
+    # output moments, have the first two moments of every entry and the rank
+    # of a per-shot rebuild over as many fixed seeds
+    rebuild = np.random.default_rng(10_000 + shots)
+    drawn = [teleporter._standard_moments(shots, np.random.default_rng(seed))
+             for seed in range(MOMENT_TRIALS)]
+    ref_mean, ref_cov = _per_shot_moments(np.zeros(4), np.eye(4), rebuild, MOMENT_TRIALS, shots)
+    assert_same_two_moments([mean for mean, _ in drawn], ref_mean)
+    assert_same_two_moments([cov for _, cov in drawn], ref_cov)
+    assert _ranks([cov for _, cov in drawn]) == _ranks(ref_cov) == {min(shots - 1, 4)}
+
     tilted = rotate(impure_squeezed_vacuum(-4.0, 7.0), 0, 0.6)
     params = TeleporterParams(
         input_state=GaussianState([1.2, -0.7], tilted.cov),
         epr_antisq_db=(12.0, 11.0), g_x=0.9, g_p=1.1, eta_source=(0.95, 0.9),
         eta_prop=(0.97, 0.96), eta_hom=0.95, seed=5,
     )
-
-    def rng():
-        return None if rng_seed is None else np.random.default_rng(rng_seed)
-
-    report = teleport_mc(params, shots, rng())
-    mean, cov = _per_shot_moments(params, shots, rng())
-    got_mean, got_cov = report.output_state.mean, report.output_state.cov
-    assert np.max(np.abs(got_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
-    assert np.max(np.abs(got_cov - cov)) <= 1e-12 * np.max(np.abs(cov))
-    assert got_cov[0, 1] == got_cov[1, 0]
+    reports = [teleport_mc(params, shots, np.random.default_rng(seed))
+               for seed in range(ESTIMATOR_TRIALS)]
+    _, mean, cov, feed = teleporter._readout(params)
+    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+    ref_mean, ref_cov = _per_shot_moments(feed @ mean, factor, rebuild, ESTIMATOR_TRIALS, shots)
+    out_covs = np.array([r.output_state.cov for r in reports])
+    assert_same_two_moments([r.output_state.mean for r in reports], ref_mean)
+    assert_same_two_moments(out_covs, ref_cov)
+    assert np.array_equal(out_covs[:, 0, 1], out_covs[:, 1, 0])
+    assert _ranks(out_covs) == _ranks(ref_cov) == {min(shots - 1, 2)}
 
 
 def test_report_fields_are_consistent():

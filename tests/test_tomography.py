@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import assert_same_two_moments
 
 from cvteleport.gaussian import (
+    VACUUM_VARIANCE,
     GaussianState,
     PhysicsError,
     coherent_state,
@@ -78,6 +80,25 @@ class TestSpectrumTrace:
         assert np.abs(trace.power_db).max() < 0.6
         assert np.mean(trace.power_db) == pytest.approx(0.0, abs=0.05)
 
+    @pytest.mark.parametrize("averages", [1, 5])
+    def test_sampled_trace_has_the_law_of_a_direct_draw(self, averages):
+        # per point and over many seeds, the sampled power has the mean and
+        # variance of the mean of `averages` squared quadrature draws
+        tilted = rotate(impure_squeezed_vacuum(-4.0, 7.0), 0, 0.6)
+        state = GaussianState([0.8, -0.3], tilted.cov)
+        n_points, trials = 12, 2000
+        powers = [
+            10.0 ** (spectrum_trace(state, n_points, averages, np.random.default_rng(seed))
+                     .power_db / 10.0)
+            for seed in range(trials)
+        ]
+        thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+        c, s = np.cos(thetas), np.sin(thetas)
+        mu = 0.8 * c - 0.3 * s
+        sd = np.sqrt(np.einsum("in,ij,jn->n", np.array([c, s]), state.cov, np.array([c, s])))
+        draws = mu + sd * np.random.default_rng(99).standard_normal((trials, averages, n_points))
+        assert_same_two_moments(powers, np.mean(draws**2, axis=1) / VACUUM_VARIANCE)
+
     def test_accepts_teleport_report(self):
         report = teleported_squeezed()
         trace = spectrum_trace(report.output_state)
@@ -88,6 +109,8 @@ class TestSpectrumTrace:
             spectrum_trace(vacuum(1), n_points=1)
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(1), averages=0, rng=rng)
+        with pytest.raises(ValueError, match="integer"):
+            spectrum_trace(vacuum(1), averages=2.5, rng=rng)
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(2))
 
