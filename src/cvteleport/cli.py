@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
@@ -194,7 +194,7 @@ def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
 
 def _write_report(payload: dict, outdir: Path) -> None:
     """Write ``payload``, stamped with the package version, to
-    ``outdir/report.json`` and say so."""
+    ``outdir/report.json`` and say so; ``write_json`` encodes its results."""
     path = outdir / "report.json"
     write_json({**payload, "version": __version__}, path)
     print(f"wrote {path}")
@@ -209,7 +209,7 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
     for stage in stages:
         print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
               f"{stage.vx:.6f}  {stage.vp:.6f}")
-    _write_report({"cascade": [asdict(stage) for stage in stages], "seed": config.seed}, outdir)
+    _write_report({"cascade": stages, "seed": config.seed}, outdir)
     return 0
 
 
@@ -226,7 +226,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"residuals: {result.residual_x_db:.2e} dB (x), "
           f"{result.residual_p_db:.2e} dB (p)")
     if args.out:
-        _write_report({"calibration": result._asdict()}, _output_dir(args, None))
+        _write_report({"calibration": result}, _output_dir(args, None))
     return 0
 
 
@@ -234,17 +234,7 @@ def _cmd_paper_repro(args: argparse.Namespace) -> int:
     rows = paper_repro()
     print(format_repro_table(rows))
     if args.out:
-        comparison = [
-            {
-                "criterion": row.criterion,
-                "quantity": row.quantity,
-                "reference": row.reference,
-                "simulated": row.value,
-                "passed": row.passed,
-            }
-            for row in rows
-        ]
-        _write_report({"reference_comparison": comparison}, _output_dir(args, None))
+        _write_report({"reference_comparison": rows}, _output_dir(args, None))
     return 0 if all(row.passed for row in rows) else 4
 
 
@@ -258,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "calibrate":
             return _cmd_calibrate(args)
         return _cmd_paper_repro(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ comments; unknown sections or keys are rejected with a line number):
 
     [trace]
     n_points = 240                 # at most 1000000
-    averages = 30
+    averages = 30                  # at most 20000000
     sampled = false                # true emulates finite averaging
 
     [tomography]
@@ -48,6 +48,10 @@ ExperimentConfig declare together with their defaults.
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
 2: tomography record), so each artifact is individually reproducible.
+
+Reports: every ``report.json`` goes through ``write_json``, whose one encoder
+``_plain`` turns states, dataclasses, named tuples and arrays into JSON
+objects and lists, so each field of a result is a key of its report.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .gaussian import (
 )
 from .sideband import delta_sq, is_entangled, sidebands_from_single_mode
 from .teleporter import (
-    EprCorrelations,
     TeleporterParams,
     TeleportReport,
     cascade,
@@ -114,13 +117,13 @@ CALIBRATION_TOL_DB = 0.05
 # Upper bounds on counts, checked before anything is allocated; peaks are of
 # a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 63
 # bytes per sample (142 MB at 1M, 330 MB at 4M), under ~1.3 GB at the bound.
-# [run] shots shares it only to keep the config domain: the Monte Carlo
-# sampler draws the shots' sample moments, not the shots, so its time and
-# memory do not grow with the count.
+# [run] shots and [trace] averages share it only to keep the config domain:
+# the Monte Carlo sampler draws the shots' sample moments, not the shots, and
+# a sampled trace draws one number per point whatever its averages, so their
+# time and memory do not grow with the count.
 MAX_SAMPLES = 20_000_000
 # [trace] n_points: about 330 bytes per point, mostly the report's JSON
-# (354 MB, 3.6 s at the bound).  [trace] averages sizes no array (one draw
-# per point whatever its value), so it has no bound.
+# (354 MB, 3.6 s at the bound).
 MAX_TRACE_POINTS = 1_000_000
 # [tomography] grid_points: about 170 bytes per cell (712 MB, 9.7 s at 2000^2).
 MAX_GRID_POINTS = 2_000
@@ -171,15 +174,6 @@ def _positive(value) -> float:
     value = _finite(value)
     if value <= 0:
         raise ValueError("must be positive")
-    return value
-
-
-def _coerce_cutoff(value) -> float | None:
-    if value is None:
-        return None
-    value = _finite(value)
-    if value <= 0:
-        raise ValueError("cutoff must be positive or 'auto'")
     return value
 
 
@@ -247,8 +241,8 @@ _BOOL = _Kind(
     {"action": argparse.BooleanOptionalAction},
 )
 _CUTOFF = _Kind(
-    lambda text: None if text.strip().lower() == "auto" else _coerce_cutoff(text),
-    _coerce_cutoff,
+    lambda text: None if text.strip().lower() == "auto" else _positive(text),
+    lambda value: None if value is None else _positive(value),
     lambda value: "auto" if value is None else repr(value),
 )
 _STR = _Kind(str, lambda value: None if value is None else str(value), lambda value: value)
@@ -313,7 +307,9 @@ class ExperimentConfig:
     eta_prop: tuple[float, float] = _key("teleporter", _pair("ETA"), TeleporterParams.eta_prop)
     eta_hom: float = _key("teleporter", _FLOAT, TeleporterParams.eta_hom)
     trace_points: int = _key("trace", _count(2, MAX_TRACE_POINTS), DEFAULT_TRACE_POINTS, "n_points")
-    trace_averages: int = _key("trace", _count(1), DEFAULT_TRACE_AVERAGES, "averages")
+    trace_averages: int = _key(
+        "trace", _count(1, MAX_SAMPLES), DEFAULT_TRACE_AVERAGES, "averages"
+    )
     trace_sampled: bool = _key(
         "trace", _BOOL, False, "sampled", help="emulate finite trace averaging"
     )
@@ -488,63 +484,37 @@ def run(
 
 # --- serialization ---------------------------------------------------------
 
-def _state_to_dict(state: GaussianState) -> dict:
-    return {"mean": state.mean.tolist(), "cov": state.cov.tolist()}
-
-
-def _state_from_dict(data: dict) -> GaussianState:
-    # Empirical states can sit marginally outside the physicality bound.
-    return GaussianState(
-        np.array(data["mean"]), np.array(data["cov"]), validate=False
-    )
-
-
-# TeleportReport fields that are not plain JSON values: (encode, decode).
-_REPORT_CODECS = {
-    "output_state": (_state_to_dict, _state_from_dict),
-    "epr": (EprCorrelations._asdict, lambda data: EprCorrelations(**data)),
-    "gains": (list, tuple),
-}
-_PLAIN = (lambda value: value, lambda value: value)
+def _plain(value):
+    """``value`` as JSON data: a GaussianState becomes its mean and cov, a
+    dataclass an object of its fields, a named tuple its ``_asdict()``, an
+    array, list or tuple a list; dicts recurse and anything else is kept."""
+    if isinstance(value, GaussianState):
+        return {"mean": value.mean.tolist(), "cov": value.cov.tolist()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return _plain(value._asdict())
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def result_to_json_dict(result: RunResult) -> dict:
+    """The ``report.json`` payload of ``result``, which ``write_json`` encodes."""
     payload = {
         "config_text": emit_config(result.config),
-        "report": {
-            f.name: _REPORT_CODECS.get(f.name, _PLAIN)[0](getattr(result.report, f.name))
-            for f in fields(TeleportReport)
-        },
+        "report": result.report,
         "provenance": result.provenance,
     }
     if result.trace is not None:
-        payload["trace"] = {
-            "thetas": result.trace.thetas.tolist(),
-            "power_db": result.trace.power_db.tolist(),
-            "averages": result.trace.averages,
-        }
+        payload["trace"] = result.trace
     if result.wigner is not None:
-        payload["wigner"] = {
-            **asdict(result.wigner.spec), "values": result.wigner.values.tolist()
-        }
+        payload["wigner"] = {**asdict(result.wigner.spec), "values": result.wigner.values}
     return payload
-
-
-def result_from_json_dict(payload: dict) -> RunResult:
-    config = parse_config(payload["config_text"])
-    rep = payload["report"]
-    report = TeleportReport(
-        **{
-            f.name: _REPORT_CODECS.get(f.name, _PLAIN)[1](rep[f.name])
-            for f in fields(TeleportReport)
-        }
-    )
-    trace = PhaseScanTrace(**payload["trace"]) if "trace" in payload else None
-    wigner = None
-    if "wigner" in payload:
-        spec = {k: v for k, v in payload["wigner"].items() if k != "values"}
-        wigner = WignerGrid(GridSpec(**spec), payload["wigner"]["values"])
-    return RunResult(config, report, trace, wigner, payload["provenance"])
 
 
 def write_report_json(result: RunResult, path) -> None:
@@ -552,10 +522,11 @@ def write_report_json(result: RunResult, path) -> None:
 
 
 def write_json(payload: dict, path) -> None:
-    """Write ``payload`` as sorted, indented JSON.  A non-finite number is a
-    PhysicsError raised before the file is opened: JSON has no NaN."""
+    """Write ``payload``, encoded by ``_plain``, as sorted, indented JSON.  A
+    non-finite number is a PhysicsError raised before the file is opened:
+    JSON has no NaN."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise PhysicsError(f"not writing {path}: {exc}") from exc
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
@@ -670,7 +641,7 @@ class ReproRow:
     criterion: int
     quantity: str
     reference: str
-    value: float
+    simulated: float
     passed: bool
 
 
@@ -850,7 +821,7 @@ def format_repro_table(rows: list[ReproRow]) -> str:
                 str(row.criterion),
                 row.quantity,
                 row.reference,
-                f"{row.value:.6g}",
+                f"{row.simulated:.6g}",
                 "pass" if row.passed else "FAIL",
             )
         )

@@ -146,10 +146,6 @@ class PhaseScanTrace:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "power_db", power_db)
 
-    @property
-    def n_points(self) -> int:
-        return self.thetas.size
-
 
 @dataclass(frozen=True)
 class QuadratureRecord:

@@ -1,7 +1,10 @@
-"""Shared helpers: seeded RNG, a generator of random physical states and a
-two-sample check of first and second moments."""
+"""Shared helpers: seeded RNG, a generator of random physical states, a
+two-sample check of first and second moments and a check that a written
+``report.json`` holds its RunResult."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from cvteleport import (
     beamsplitter,
     impure_squeezed_vacuum,
     loss,
+    parse_config,
     rotate,
     tensor,
 )
@@ -73,3 +77,43 @@ def assert_same_two_moments(a, b, limit: float = 5.0) -> None:
     mean_b, var_b, se2_mean_b, se2_var_b = moments(b)
     assert np.all(np.abs(mean_a - mean_b) <= limit * np.sqrt(se2_mean_a + se2_mean_b))
     assert np.all(np.abs(var_a - var_b) <= limit * np.sqrt(se2_var_a + se2_var_b))
+
+
+def _holds(data, value) -> bool:
+    """``data``, as json.loads reads it, holds ``value`` exactly: a state as
+    its mean and cov, a dataclass or named tuple field by field, arrays
+    array_equal, floats equal and ints still ints."""
+    if isinstance(value, GaussianState):
+        value = {"mean": value.mean, "cov": value.cov}
+    elif dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return (
+            isinstance(data, dict)
+            and data.keys() == value.keys()
+            and all(_holds(data[key], item) for key, item in value.items())
+        )
+    if isinstance(value, np.ndarray):
+        return np.array_equal(data, value)
+    if isinstance(value, (list, tuple)):
+        return isinstance(data, list) and len(data) == len(value) and all(map(_holds, data, value))
+    # JSON gives back plain floats for numpy scalars; ints must stay ints.
+    return data == value and isinstance(data, float) == isinstance(value, float)
+
+
+def assert_report_holds(data: dict, result) -> None:
+    """``data``, a ``report.json`` read back with json.loads, holds every
+    field of the RunResult ``result``."""
+    keys = {"config_text", "report", "provenance"}
+    keys |= {name for name in ("trace", "wigner") if getattr(result, name) is not None}
+    assert data.keys() == keys
+    assert parse_config(data["config_text"]) == result.config
+    assert _holds(data["report"], result.report)
+    assert _holds(data["provenance"], result.provenance)
+    if result.trace is not None:
+        assert _holds(data["trace"], result.trace)
+    if result.wigner is not None:
+        spec = dataclasses.asdict(result.wigner.spec)
+        assert _holds(data["wigner"], {**spec, "values": result.wigner.values})

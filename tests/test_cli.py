@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvteleport.cli as cli
-from cvteleport.harness import MAX_GRID_POINTS, MAX_STAGES, MAX_TRACE_POINTS, ReproRow
+from cvteleport.harness import MAX_GRID_POINTS, MAX_SAMPLES, MAX_STAGES, MAX_TRACE_POINTS, ReproRow
 
 
 def invoke(*argv):
@@ -221,13 +221,20 @@ class TestErrorPaths:
             (["cascade", "--stages", str(MAX_STAGES + 1)],
              f"[cascade] stages (--stages): must be <= {MAX_STAGES}"),
             (["wigner", "--grid-pad", "-1"], "[tomography] grid_pad (--grid-pad): must be positive"),
+            (["wigner", "--cutoff", "0"], "[tomography] cutoff (--cutoff): must be positive"),
+            (["wigner", "--cutoff", "-1"], "[tomography] cutoff (--cutoff): must be positive"),
             (["trace", "--n-points", str(MAX_TRACE_POINTS + 1)],
              f"[trace] n_points (--n-points): must be <= {MAX_TRACE_POINTS}"),
+            (["trace", "--sampled", "--averages", str(MAX_SAMPLES + 1)],
+             f"[trace] averages (--averages): must be <= {MAX_SAMPLES}"),
+            (["trace", "--sampled", "--averages", "1" + "0" * 400],
+             f"[trace] averages (--averages): must be <= {MAX_SAMPLES}"),
             (["wigner", "--grid-points", str(MAX_GRID_POINTS + 1)],
              f"[tomography] grid_points (--grid-points): must be <= {MAX_GRID_POINTS}"),
         ],
         ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many",
-             "grid-pad-negative", "n-points-too-many", "grid-points-too-many"],
+             "grid-pad-negative", "cutoff-zero", "cutoff-negative", "n-points-too-many",
+             "averages-too-many", "averages-huge", "grid-points-too-many"],
     )
     def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
         code = invoke(*argv, "--out", str(tmp_path))

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import assert_report_holds
 
 from cvteleport import harness, teleporter
 from cvteleport.gaussian import GaussianState, PhysicsError, beamsplitter, coherent_state, vacuum
@@ -21,8 +22,6 @@ from cvteleport.harness import (
     format_repro_table,
     paper_repro,
     parse_config,
-    result_from_json_dict,
-    result_to_json_dict,
     run,
     write_json,
     write_report_json,
@@ -100,6 +99,7 @@ cutoff = 14.5
         [
             ("[tomography]\nsamples = 1000000000\n", "samples"),
             ("[run]\nmethod = mc\nshots = 20000001\n", "shots"),
+            ("[trace]\nsampled = true\naverages = 20000001\n", "averages"),
         ],
     )
     def test_oversized_sample_count_rejected_with_line(self, text, key):
@@ -223,7 +223,7 @@ class TestRun:
     def test_artifacts_produced_on_request(self):
         config = ExperimentConfig(tomo_samples=20_000, trace_points=100)
         result = run(config, include_trace=True, include_wigner=True)
-        assert result.trace.n_points == 100
+        assert result.trace.thetas.size == 100
         assert result.trace.averages is None
         assert result.wigner.values.shape == (81, 81)
 
@@ -248,34 +248,33 @@ class TestRun:
 
 
 class TestSerialization:
-    def _roundtrip(self, result):
-        payload = json.loads(json.dumps(result_to_json_dict(result), sort_keys=True))
-        return result_from_json_dict(payload)
+    @staticmethod
+    def _written(result, tmp_path):
+        """``result``'s report.json, as json.loads reads it back."""
+        path = tmp_path / "report.json"
+        write_report_json(result, path)
+        return json.loads(path.read_text(encoding="utf-8"))
 
-    def test_report_roundtrip_is_lossless(self):
+    def test_report_roundtrip_is_lossless(self, tmp_path):
         result = run(ExperimentConfig(method="mc", shots=5000, seed=3))
-        back = self._roundtrip(result)
-        assert back.config == result.config
-        assert back.provenance == result.provenance
-        assert np.array_equal(back.report.output_state.cov, result.report.output_state.cov)
-        assert back.report.vx == result.report.vx
-        assert back.report.epr == result.report.epr
-        assert back.report.shots == result.report.shots
+        data = self._written(result, tmp_path)
+        assert_report_holds(data, result)
+        assert data["report"]["shots"] == 5000
+        assert data["report"]["epr"]["x_diff_db"] == result.report.epr.x_diff_db
 
-    def test_artifact_roundtrip_is_lossless(self):
+    def test_artifact_roundtrip_is_lossless(self, tmp_path):
         config = ExperimentConfig(tomo_samples=5000, trace_points=32, grid_points=21)
         result = run(config, include_trace=True, include_wigner=True)
-        back = self._roundtrip(result)
-        assert np.array_equal(back.trace.power_db, result.trace.power_db)
-        assert np.array_equal(back.wigner.values, result.wigner.values)
-        assert back.wigner.spec == result.wigner.spec
+        data = self._written(result, tmp_path)
+        assert_report_holds(data, result)
+        assert np.array_equal(data["trace"]["power_db"], result.trace.power_db)
+        assert np.array_equal(data["wigner"]["values"], result.wigner.values)
 
     def test_report_json_file_roundtrip(self, tmp_path):
         result = run(ExperimentConfig(seed=8))
-        path = tmp_path / "report.json"
-        write_report_json(result, path)
-        back = result_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-        assert back.report.vx_db == result.report.vx_db
+        data = self._written(result, tmp_path)
+        assert_report_holds(data, result)
+        assert data["report"]["vx_db"] == result.report.vx_db
 
     def test_writers_are_deterministic(self, tmp_path):
         config = ExperimentConfig(tomo_samples=5000, grid_points=21, seed=4)

@@ -9,10 +9,13 @@ table, so they check that table rather than restate it.
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import assert_report_holds
 
 from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate, vacuum
 from cvteleport import teleporter
@@ -29,9 +32,8 @@ from cvteleport.harness import (
     calibrate_losses,
     emit_config,
     parse_config,
-    result_from_json_dict,
-    result_to_json_dict,
     run,
+    write_report_json,
 )
 
 # Documented grammar: (section, key) -> ExperimentConfig attribute.
@@ -163,25 +165,13 @@ def runs(draw):
     return run(config, include_trace=draw(st.booleans()), include_wigner=draw(st.booleans()))
 
 
-def _same(a, b):
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        return type(a) is type(b) and all(
-            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
-    if hasattr(a, "mean") and hasattr(a, "cov"):  # GaussianState
-        return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
-    # JSON gives back plain floats for numpy scalars; ints must stay ints.
-    return a == b and isinstance(a, float) == isinstance(b, float)
-
-
 @settings(max_examples=25, deadline=None)
 @given(runs())
 def test_json_round_trip_is_lossless(result):
-    text = json.dumps(result_to_json_dict(result), sort_keys=True, allow_nan=False)
-    back = result_from_json_dict(json.loads(text))
-    assert _same(back, result)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        write_report_json(result, path)
+        assert_report_holds(json.loads(path.read_text(encoding="utf-8")), result)
 
 
 @st.composite
