@@ -141,13 +141,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if overrides:
         try:
             config = replace(config, **overrides)
-        except (PhysicsError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return config
 
 
 def _output_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         directory = args.out
     elif config is not None and config.output_dir:
         directory = config.output_dir

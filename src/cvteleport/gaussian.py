@@ -148,22 +148,25 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     return GaussianState(s @ state.mean, s @ state.cov @ s.T, validate=False)
 
 
-def _rotation_2x2(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _embed_single(n_modes: int, mode: int, block: np.ndarray) -> np.ndarray:
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
-    s = np.eye(2 * n_modes)
-    s[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
-    return s
+def _check_mode(state: GaussianState, mode: int) -> None:
+    if not 0 <= mode < state.n_modes:
+        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
 
 
 def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     """Phase rotation of one mode by phi in the (x, p) plane."""
-    return apply_symplectic(state, _embed_single(state.n_modes, mode, _rotation_2x2(phi)))
+    _check_mode(state, mode)
+    c, s = np.cos(phi), np.sin(phi)
+    rotation = np.eye(2 * state.n_modes)
+    rotation[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, -s], [s, c]]
+    return apply_symplectic(state, rotation)
+
+
+def check_fraction(value: float, label: str) -> None:
+    """Raise ValueError unless ``value`` (an efficiency or transmittance) lies
+    in [0, 1], so NaN fails.  ``label`` names it in the message."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{label} must lie in [0, 1], got {value}")
 
 
 def check_noise_pair(sq_db: float, antisq_db: float, label: str) -> None:
@@ -217,8 +220,7 @@ def beamsplitter(
     n = state.n_modes
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
+    check_fraction(transmittance, "transmittance")
     ct = np.sqrt(transmittance)
     st = np.sqrt(1.0 - transmittance)
     s = np.eye(2 * n)
@@ -239,10 +241,8 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     becomes eta * block + (1 - eta) * (1/4) I, cross blocks scale by
     sqrt(eta), and the mode's mean scales by sqrt(eta).
     """
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_mode(state, mode)
+    check_fraction(eta, "eta")
     idx = [2 * mode, 2 * mode + 1]
     scale = np.ones(state.mean.size)
     scale[idx] = np.sqrt(eta)

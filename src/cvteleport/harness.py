@@ -145,6 +145,14 @@ def _finite(value) -> float:
     return value
 
 
+def _numeric(value):
+    """``value`` unless it is a bool or a string: as config text and flags,
+    ExperimentConfig takes neither for a number, a count or a pair."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"must be numeric, got {value!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -206,8 +214,8 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
     def coerce(value):
         if optional and value is None:
             return None
-        first, second = value
-        return (_finite(first), _finite(second))
+        first, second = _numeric(value)
+        return (_finite(_numeric(first)), _finite(_numeric(second)))
 
     def emit(value):
         return None if value is None else f"{value[0]!r} {value[1]!r}"
@@ -227,22 +235,22 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
         return value
 
     def coerce(value) -> int:
-        if int(value) != value:
+        if int(_numeric(value)) != value:
             raise ValueError("must be an integer")
         return parse(value)
 
     return _Kind(parse, coerce, str)
 
 
-_FLOAT = _Kind(_finite, _finite, repr)
-_POSITIVE = _Kind(_positive, _positive, repr)
+_FLOAT = _Kind(_finite, lambda value: _finite(_numeric(value)), repr)
+_POSITIVE = _Kind(_positive, lambda value: _positive(_numeric(value)), repr)
 _BOOL = _Kind(
     _parse_bool, _coerce_bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
 )
 _CUTOFF = _Kind(
     lambda text: None if text.strip().lower() == "auto" else _positive(text),
-    lambda value: None if value is None else _positive(value),
+    lambda value: None if value is None else _positive(_numeric(value)),
     lambda value: "auto" if value is None else repr(value),
 )
 _STR = _Kind(str, lambda value: None if value is None else str(value), lambda value: value)
@@ -417,7 +425,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise _config_error(text, name, key, str(exc)) from exc
     try:
         return ExperimentConfig(**kwargs)
-    except (PhysicsError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -503,8 +511,9 @@ def _plain(value):
     return value
 
 
-def result_to_json_dict(result: RunResult) -> dict:
-    """The ``report.json`` payload of ``result``, which ``write_json`` encodes."""
+def write_report_json(result: RunResult, path) -> None:
+    """Write ``result``'s config text, report and provenance, and its trace
+    and Wigner grid (spec fields and values) when present, as JSON."""
     payload = {
         "config_text": emit_config(result.config),
         "report": result.report,
@@ -514,11 +523,7 @@ def result_to_json_dict(result: RunResult) -> dict:
         payload["trace"] = result.trace
     if result.wigner is not None:
         payload["wigner"] = {**asdict(result.wigner.spec), "values": result.wigner.values}
-    return payload
-
-
-def write_report_json(result: RunResult, path) -> None:
-    write_json(result_to_json_dict(result), path)
+    write_json(payload, path)
 
 
 def write_json(payload: dict, path) -> None:

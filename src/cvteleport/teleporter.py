@@ -74,6 +74,7 @@ from cvteleport.gaussian import (
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
     beamsplitter,
+    check_fraction,
     check_noise_pair,
     db_from_variance,
     impure_squeezed_vacuum,
@@ -81,10 +82,6 @@ from cvteleport.gaussian import (
     quarter_turn,
     tensor,
 )
-
-def _validate_eta(value: float, label: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,9 @@ class TeleporterParams:
             object.__setattr__(self, "epr_antisq_db", anti)
         for k in (0, 1):
             check_noise_pair(self.epr_sq_db[k], anti[k], f"squeezer {k + 1}")
-            _validate_eta(self.eta_source[k], f"eta_source[{k}]")
-            _validate_eta(self.eta_prop[k], f"eta_prop[{k}]")
-        _validate_eta(self.eta_hom, "eta_hom")
+            check_fraction(self.eta_source[k], f"eta_source[{k}]")
+            check_fraction(self.eta_prop[k], f"eta_prop[{k}]")
+        check_fraction(self.eta_hom, "eta_hom")
         if self.eta_hom < 1e-6:
             raise ValueError("eta_hom too small to compensate electronically")
         if not (np.isfinite(self.g_x) and np.isfinite(self.g_p)):

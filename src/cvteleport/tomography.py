@@ -60,6 +60,18 @@ def _readonly(array, dtype=float):
     return out
 
 
+def _set_samples(samples, name: str, kind: str) -> None:
+    """Store a trace's or record's thetas and field ``name`` as read-only float
+    arrays; raise unless they are matching 1-D arrays of finite values."""
+    thetas, values = _readonly(samples.thetas), _readonly(getattr(samples, name))
+    object.__setattr__(samples, "thetas", thetas)
+    object.__setattr__(samples, name, values)
+    if thetas.ndim != 1 or thetas.shape != values.shape:
+        raise ValueError(f"thetas and {name} must be matching 1-D arrays")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
+        raise ValueError(f"{kind} values must be finite")
+
+
 def _single_mode(state: GaussianState) -> GaussianState:
     if state.n_modes != 1:
         raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
@@ -137,14 +149,7 @@ class PhaseScanTrace:
     averages: int | None
 
     def __post_init__(self) -> None:
-        thetas = _readonly(self.thetas)
-        power_db = _readonly(self.power_db)
-        if thetas.ndim != 1 or thetas.shape != power_db.shape:
-            raise ValueError("thetas and power_db must be matching 1-D arrays")
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(power_db))):
-            raise ValueError("trace values must be finite")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "power_db", power_db)
+        _set_samples(self, "power_db", "trace")
 
 
 @dataclass(frozen=True)
@@ -155,14 +160,7 @@ class QuadratureRecord:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        thetas = _readonly(self.thetas)
-        values = _readonly(self.values)
-        if thetas.ndim != 1 or thetas.shape != values.shape:
-            raise ValueError("thetas and values must be matching 1-D arrays")
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
-            raise ValueError("record values must be finite")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
+        _set_samples(self, "values", "record")
 
     @property
     def n_samples(self) -> int:
@@ -410,12 +408,15 @@ def inverse_radon(
     )
     support = max(corner_radius, float(np.abs(q).max())) * _SUPPORT_PAD_FACTOR
     dq_target = (2.0 * np.pi / filter_cutoff) / _BINS_PER_CUTOFF_WAVELENGTH
-    n_q = int(np.ceil(2.0 * support / dq_target)) | 1
-    if n_q > _MAX_QUADRATURE_BINS:
+    bins = 2.0 * support / dq_target
+    # ceil(bins) | 1 bins, bounded before int(): NaN and inf fail here too
+    if not bins <= _MAX_QUADRATURE_BINS - 1:
         raise ValueError(
-            f"filter cutoff {filter_cutoff:.3g} needs {n_q} quadrature bins "
-            f"(max {_MAX_QUADRATURE_BINS}); lower the cutoff"
+            f"filter cutoff {filter_cutoff:.3g} over a window half-width {support:.3g} "
+            f"needs {bins:.3g} quadrature bins (max {_MAX_QUADRATURE_BINS}); "
+            "lower the cutoff or the grid pad"
         )
+    n_q = int(np.ceil(bins)) | 1
     q_edges = np.linspace(-support, support, n_q + 1)
     q_centers = 0.5 * (q_edges[:-1] + q_edges[1:])
     dq = q_edges[1] - q_edges[0]

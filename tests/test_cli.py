@@ -231,10 +231,16 @@ class TestErrorPaths:
              f"[trace] averages (--averages): must be <= {MAX_SAMPLES}"),
             (["wigner", "--grid-points", str(MAX_GRID_POINTS + 1)],
              f"[tomography] grid_points (--grid-points): must be <= {MAX_GRID_POINTS}"),
+            # the quadrature bin count overflows a float, or int() of it
+            (["wigner", "--cutoff", "1e308"],
+             "filter cutoff 1e+308 over a window half-width 7.18 needs inf quadrature bins"),
+            (["wigner", "--grid-pad", "1e308"],
+             "filter cutoff 11.1 over a window half-width 9.1e+307 needs inf quadrature bins"),
         ],
         ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many",
              "grid-pad-negative", "cutoff-zero", "cutoff-negative", "n-points-too-many",
-             "averages-too-many", "averages-huge", "grid-points-too-many"],
+             "averages-too-many", "averages-huge", "grid-points-too-many", "cutoff-huge",
+             "grid-pad-huge"],
     )
     def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
         code = invoke(*argv, "--out", str(tmp_path))

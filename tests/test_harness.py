@@ -198,6 +198,11 @@ class TestExperimentConfig:
             ExperimentConfig(shots=float("inf"))
         with pytest.raises(ValueError, match="trace_sampled: must be a boolean"):
             ExperimentConfig(trace_sampled="false")
+        # numbers, counts and pairs are never truth values or text
+        for name, value in [("alpha", True), ("cutoff", True), ("seed", False),
+                            ("grid_pad", np.True_), ("eta_prop", "11"), ("eta_source", "01")]:
+            with pytest.raises(ValueError, match=f"^{name}: must be numeric"):
+                ExperimentConfig(**{name: value})
         with pytest.raises(PhysicsError):
             ExperimentConfig(epr_sq_db=(2.0, -6.0))
 

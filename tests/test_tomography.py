@@ -308,6 +308,8 @@ class TestInverseRadon:
                 inverse_radon(record, spec, filter_cutoff=bad)
         with pytest.raises(ValueError):
             inverse_radon(record, spec, filter_cutoff=1e6)
+        with pytest.raises(ValueError, match="needs inf quadrature bins .*or the grid pad$"):
+            inverse_radon(record, spec, filter_cutoff=1e308)
 
 
 class TestSinogramBinning:
