@@ -10,7 +10,8 @@ exactly like config text, so a non-finite or out-of-range number is a config
 error; a value that reads as a number, such as -1e-3 or -inf, is never taken
 for an option.  Precedence is built-in defaults < config file < flags.  The
 output directory resolves as --out, then [output] dir, then the
-CVTELEPORT_OUTDIR environment variable, then the working directory.
+CVTELEPORT_OUTDIR environment variable, then the working directory; it is
+made at the first write, so a run that fails before writing leaves none.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -153,9 +154,7 @@ def _output_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Pa
         directory = config.output_dir
     else:
         directory = os.environ.get(OUTDIR_ENV_VAR, ".")
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(directory)
 
 
 def _print_report(result) -> None:
@@ -175,7 +174,6 @@ def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
     result = run(
         config, include_trace=(verb == "trace"), include_wigner=(verb == "wigner")
     )
-    _print_report(result)
     report_path = outdir / "report.json"
     write_report_json(result, report_path)
     written = [report_path]
@@ -187,29 +185,32 @@ def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
         wigner_path = outdir / "wigner.csv"
         write_wigner_csv(result.wigner, wigner_path)
         written.append(wigner_path)
+    _print_report(result)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
-def _write_report(payload: dict, outdir: Path) -> None:
+def _write_report(payload: dict, outdir: Path) -> Path:
     """Write ``payload``, stamped with the package version, to
-    ``outdir/report.json`` and say so; ``write_json`` encodes its results."""
+    ``outdir/report.json`` and return that path; ``write_json`` encodes its
+    results."""
     path = outdir / "report.json"
     write_json({**payload, "version": __version__}, path)
-    print(f"wrote {path}")
+    return path
 
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    outdir = _output_dir(args, config)
     n_stages = _flag_values(args, CASCADE_FIELDS).get("stages", 4)
     stages = cascade(config.teleporter_params(), n_stages)
+    payload = {"cascade": stages, "seed": config.seed}
+    path = _write_report(payload, _output_dir(args, config))
     print("stage  fidelity  Vx        Vp")
     for stage in stages:
         print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
               f"{stage.vx:.6f}  {stage.vp:.6f}")
-    _write_report({"cascade": stages, "seed": config.seed}, outdir)
+    print(f"wrote {path}")
     return 0
 
 
@@ -226,7 +227,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"residuals: {result.residual_x_db:.2e} dB (x), "
           f"{result.residual_p_db:.2e} dB (p)")
     if args.out:
-        _write_report({"calibration": result}, _output_dir(args, None))
+        path = _write_report({"calibration": result}, _output_dir(args, None))
+        print(f"wrote {path}")
     return 0
 
 
@@ -234,7 +236,8 @@ def _cmd_paper_repro(args: argparse.Namespace) -> int:
     rows = paper_repro()
     print(format_repro_table(rows))
     if args.out:
-        _write_report({"reference_comparison": rows}, _output_dir(args, None))
+        path = _write_report({"reference_comparison": rows}, _output_dir(args, None))
+        print(f"wrote {path}")
     return 0 if all(row.passed for row in rows) else 4
 
 

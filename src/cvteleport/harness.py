@@ -115,8 +115,8 @@ BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
 CALIBRATION_TOL_DB = 0.05
 
 # Upper bounds on counts, checked before anything is allocated; peaks are of
-# a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 63
-# bytes per sample (142 MB at 1M, 330 MB at 4M), under ~1.3 GB at the bound.
+# a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 41
+# bytes per sample (80 MB at 1M, 203 MB at 4M), about 860 MB at the bound.
 # [run] shots and [trace] averages share it only to keep the config domain:
 # the Monte Carlo sampler draws the shots' sample moments, not the shots, and
 # a sampled trace draws one number per point whatever its averages, so their
@@ -473,13 +473,13 @@ def run(
         )
     wigner = None
     if include_wigner:
+        spec = GridSpec.from_state(
+            report.output_state, n=config.grid_points, pad=config.grid_pad
+        )
         record = sample_record(
             report.output_state,
             config.tomo_samples,
             np.random.default_rng(children[2]),
-        )
-        spec = GridSpec.from_state(
-            report.output_state, n=config.grid_points, pad=config.grid_pad
         )
         wigner = inverse_radon(record, spec, filter_cutoff=config.cutoff)
     provenance = {
@@ -534,14 +534,22 @@ def write_json(payload: dict, path) -> None:
         text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise PhysicsError(f"not writing {path}: {exc}") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, [text])
+
+
+def _write_text(path, lines) -> None:
+    """Write ``lines`` to ``path`` as UTF-8 with "\\n" endings, making its
+    directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_trace_csv(trace: PhaseScanTrace, path) -> None:
     lines = ["theta_rad,power_db"]
     for theta, power in zip(trace.thetas, trace.power_db):
         lines.append(f"{float(theta)!r},{float(power)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, lines)
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
@@ -553,7 +561,7 @@ def write_wigner_csv(grid: WignerGrid, path) -> None:
     ]
     for row in grid.values:
         lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, lines)
 
 
 # --- loss calibration ------------------------------------------------------

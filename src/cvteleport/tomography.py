@@ -83,8 +83,18 @@ def _marginal_arrays(state, thetas):
     c, s = np.cos(thetas), np.sin(thetas)
     mx, mp = state.mean
     cov = state.cov
-    mu = mx * c + mp * s
-    var = cov[0, 0] * c * c + 2.0 * cov[0, 1] * c * s + cov[1, 1] * s * s
+    # var = c00 c c + 2 c01 c s + c11 s s and mu = mx c + mp s, in place but
+    # in the association order of those sums, so the floats are theirs.
+    var = cov[0, 0] * c
+    var *= c
+    term = np.multiply(2.0 * cov[0, 1], c)
+    term *= s
+    var += term
+    np.multiply(cov[1, 1], s, out=term)
+    term *= s
+    var += term
+    mu = np.multiply(mx, c, out=c)
+    mu += np.multiply(mp, s, out=s)
     return mu, var
 
 
@@ -121,7 +131,14 @@ class GridSpec:
         mx, mp = state.mean
         sx = float(np.sqrt(state.cov[0, 0]))
         sp = float(np.sqrt(state.cov[1, 1]))
-        return cls(mx - pad * sx, mx + pad * sx, mp - pad * sp, mp + pad * sp, n, n)
+        x_min, x_max = mx - pad * sx, mx + pad * sx
+        p_min, p_max = mp - pad * sp, mp + pad * sp
+        if pad > 0 and not (x_max > x_min and p_max > p_min):
+            raise PhysicsError(
+                f"a {pad:g}-sd window cannot be resolved at the state's mean "
+                f"({mx:.3g}, {mp:.3g}): it rounds to zero width"
+            )
+        return cls(x_min, x_max, p_min, p_max, n, n)
 
     def x_axis(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
@@ -217,19 +234,23 @@ def spectrum_trace(
     _single_mode(state)
     if n_points < 2:
         raise ValueError("a trace needs at least 2 points")
+    if rng is not None and (averages < 1 or averages != int(averages)):
+        raise ValueError("averages must be an integer >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     mu, var = _marginal_arrays(state, thetas)
-    if rng is None:
-        power = (var + mu * mu) / VACUUM_VARIANCE
-        used_averages = None
-    else:
-        if averages < 1 or averages != int(averages):
-            raise ValueError("averages must be an integer >= 1")
-        # the sum of `averages` squared N(mu, var) samples is var times a
-        # noncentral chi^2(averages, averages mu^2 / var): one draw per point
-        chi2 = rng.noncentral_chisquare(averages, averages * mu * mu / var)
-        power = var / averages * chi2 / VACUUM_VARIANCE
-        used_averages = int(averages)
+    # A mean too large to square overflows to inf, raised below as a result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rng is None:
+            power = (var + mu * mu) / VACUUM_VARIANCE
+        else:
+            # the sum of `averages` squared N(mu, var) samples is var times a
+            # noncentral chi^2(averages, averages mu^2 / var): one draw per point
+            chi2 = rng.noncentral_chisquare(averages, averages * mu * mu / var)
+            power = var / averages * chi2 / VACUUM_VARIANCE
+    bad = np.count_nonzero(~np.isfinite(power))
+    if bad:
+        raise PhysicsError(f"trace power is not finite at {bad} of {n_points} phases")
+    used_averages = None if rng is None else int(averages)
     return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages)
 
 
@@ -250,13 +271,16 @@ def sample_record(
     if thetas is None:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        thetas = np.arange(n_samples) * (np.pi / n_samples)
+        thetas = np.arange(n_samples, dtype=float)
+        thetas *= np.pi / n_samples
     else:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("thetas must be a non-empty 1-D array")
     mu, var = _marginal_arrays(state, thetas)
-    values = mu + np.sqrt(var) * rng.standard_normal(thetas.size)
+    values = np.sqrt(var, out=var)  # becomes mu + sqrt(var) z, in place
+    values *= rng.standard_normal(thetas.size)
+    values += mu
     return QuadratureRecord(thetas, values)
 
 
@@ -314,14 +338,17 @@ def _uniform_bin_index(values, edges):
     """
     n = edges.size - 1
     lo, hi = edges[0], edges[-1]
-    idx = ((values - lo) * (n / (hi - lo))).astype(np.intp)
+    scaled = values - lo
+    scaled *= n / (hi - lo)
+    idx = scaled.astype(np.intp)
     np.clip(idx, 0, n - 1, out=idx)
     # Upper edge of each bin; the last bin is closed, so only values above
-    # the last edge move past it.
+    # the last edge move past it.  Every gathered index is in range, so
+    # "clip" only spares take() its bounds check.
     upper = edges[1:].copy()
     upper[-1] = np.nextafter(hi, np.inf)
-    idx += values >= upper[idx]
-    idx -= values < edges[idx]
+    idx += values >= np.take(upper, idx, out=scaled, mode="clip")
+    idx -= values < np.take(edges, idx, out=scaled, mode="clip")
     return idx
 
 
@@ -333,12 +360,45 @@ def _sinogram(theta_bin, n_theta_bins, q, q_edges):
     """
     n_q = q_edges.size - 1
     q_bin = _uniform_bin_index(q, q_edges)
-    cell = theta_bin * n_q + q_bin
+    cell = theta_bin * n_q
+    cell += q_bin
     if (theta_bin.min() < 0 or theta_bin.max() >= n_theta_bins
             or q_bin.min() < 0 or q_bin.max() >= n_q):
         inside = (theta_bin >= 0) & (theta_bin < n_theta_bins) & (q_bin >= 0) & (q_bin < n_q)
         cell = cell[inside]
     return np.bincount(cell, minlength=n_theta_bins * n_q).reshape(n_theta_bins, n_q)
+
+
+def _phase_bins(folded, edges):
+    """Phase bin of each folded theta, as _uniform_bin_index gives it (-1 and
+    n outside the edges), that bin clipped into [0, n), and the sample count
+    of each clipped bin.
+
+    A record whose folded thetas do not decrease, as the default sweep's,
+    is binned by its segment bounds: searchsorted finds where each bin
+    starts, and the bins are repeats of their numbers.  Any other record is
+    binned sample by sample.  Both give the same arrays.
+    """
+    n = edges.size - 1
+    if not np.all(folded[1:] >= folded[:-1]):
+        theta_bin = _uniform_bin_index(folded, edges)
+        idx = np.clip(theta_bin, 0, n - 1)
+        return theta_bin, idx, np.bincount(idx, minlength=n)
+    # Start of bins -1, 0, ..., n - 1 and n, then the end of the record; the
+    # last bin is closed, so bin n starts after the samples equal to pi.
+    bounds = np.empty(n + 3, dtype=np.intp)
+    bounds[0] = 0
+    bounds[1:-2] = np.searchsorted(folded, edges[:-1], "left")
+    bounds[-2] = np.searchsorted(folded, edges[-1], "right")
+    bounds[-1] = folded.size
+    sizes = np.diff(bounds)
+    theta_bin = np.repeat(np.arange(-1, n + 1), sizes)
+    below, above = sizes[0], sizes[-1]
+    counts = sizes[1:-1]  # the outer bins take the samples beyond the edges
+    counts[0] += below
+    counts[-1] += above
+    idx = theta_bin if below == above == 0 else np.clip(theta_bin, 0, n - 1)
+    return theta_bin, idx, counts
 
 
 def _record_sigma_min(idx, counts, values):
@@ -371,7 +431,10 @@ def inverse_radon(
     corner radius and the largest |q| in the record.  A folded theta that
     rounds to pi lands in the last phase bin.  A folded theta that rounds
     past pi, or below 0, is counted in the nearest phase bin's sample count
-    (and variance) but left out of the sinogram.
+    (and variance) but left out of the sinogram.  A record whose folded
+    thetas do not decrease, as sample_record's default sweep, is binned by
+    its segment bounds instead of sample by sample; the bins, the counts and
+    so the default cutoff and the grid are the same to the last bit.
 
     Each marginal histogram is ramp-filtered in the Fourier domain with a
     hard cutoff at ``filter_cutoff`` (default 6.5 / sigma_min, estimated from
@@ -387,9 +450,7 @@ def inverse_radon(
     folded, q = _fold_half_turn(record.thetas, record.values)
     n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    theta_bin = _uniform_bin_index(folded, edges)
-    idx = np.clip(theta_bin, 0, n_theta_bins - 1)
-    counts = np.bincount(idx, minlength=n_theta_bins)
+    theta_bin, idx, counts = _phase_bins(folded, edges)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:
         raise ValueError(
@@ -406,7 +467,8 @@ def inverse_radon(
     corner_radius = max(
         float(np.hypot(x[i], p[j])) for i in (0, -1) for j in (0, -1)
     )
-    support = max(corner_radius, float(np.abs(q).max())) * _SUPPORT_PAD_FACTOR
+    q_abs_max = float(max(q.max(), -q.min()))  # max |q|, without an |q| array
+    support = max(corner_radius, q_abs_max) * _SUPPORT_PAD_FACTOR
     dq_target = (2.0 * np.pi / filter_cutoff) / _BINS_PER_CUTOFF_WAVELENGTH
     bins = 2.0 * support / dq_target
     # ceil(bins) | 1 bins, bounded before int(): NaN and inf fail here too

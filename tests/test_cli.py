@@ -286,6 +286,58 @@ class TestErrorPaths:
         assert err.startswith("physics error: teleporter output covariance is not finite")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "--alpha", "1e200"], "trace power is not finite at 240 of 240 phases"),
+            (["trace", "--sampled", "--alpha", "1e160"], "trace power is not finite at "),
+            (["wigner", "--alpha", "1e200"],
+             "a 4.5-sd window cannot be resolved at the state's mean (1e+200, 0)"),
+        ],
+        ids=["trace-exact", "trace-sampled", "wigner-window"],
+    )
+    def test_huge_amplitude_exits_3_before_printing(self, argv, message, tmp_path, capsys):
+        outdir = tmp_path / "new"
+        code = invoke(*argv, "--out", str(outdir))
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"physics error: {message}")
+        assert not outdir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["trace", "--alpha", "1e200"], 3),
+            (["wigner", "--alpha", "1e200"], 3),
+            (["wigner", "--cutoff", "1e308"], 2),
+            (["run", "--g-x", "1e200"], 3),
+            (["cascade", "--epr-antisq-db", "4000", "4000"], 2),
+        ],
+        ids=["trace-power", "wigner-window", "wigner-cutoff", "run-gain", "cascade-noise-pair"],
+    )
+    def test_failed_run_makes_no_directory(self, argv, code, tmp_path, capsys):
+        outdir = tmp_path / "a" / "b"
+        assert invoke(*argv, "--out", str(outdir)) == code
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("verb", ["run", "trace", "cascade"])
+    def test_unwritable_output_prints_nothing(self, verb, tmp_path, capsys):
+        # --out names a file, so the directory cannot be made at the first write
+        path = tmp_path / "a-file"
+        path.write_text("", encoding="utf-8")
+        assert invoke(verb, "--out", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("i/o error: [Errno 17] File exists")
+
+    def test_first_write_makes_the_directory(self, tmp_path):
+        outdir = tmp_path / "a" / "b"
+        assert invoke("trace", "--out", str(outdir)) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["report.json", "trace.csv"]
+
     def test_unfactorable_mc_read_out_exits_3(self, tmp_path, capsys):
         # 200 dB anti-squeezing leaves the read-out covariance numerically singular
         code = invoke("run", "--method", "mc", "--epr-antisq-db", "200", "200",

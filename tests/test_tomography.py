@@ -1,10 +1,15 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_two_moments
+from conftest import assert_same_two_moments, random_physical_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvteleport import tomography
 
 from cvteleport.gaussian import (
     VACUUM_VARIANCE,
@@ -23,7 +28,10 @@ from cvteleport.tomography import (
     inverse_radon,
     sample_record,
     spectrum_trace,
+    DEFAULT_CUTOFF_SIGMAS,
     _fold_half_turn,
+    _phase_bins,
+    _record_sigma_min,
     _sinogram,
     _uniform_bin_index,
     wigner_analytic,
@@ -104,6 +112,14 @@ class TestSpectrumTrace:
         trace = spectrum_trace(report.output_state)
         assert trace.power_db.min() == pytest.approx(report.vx_db, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, sampled", [(1e200, False), (1e160, True)])
+    def test_overflowing_power_is_a_physics_error(self, alpha, sampled, rng):
+        # mean^2 overflows: the result is not finite, the arguments are fine
+        state = coherent_state(alpha + 0j)
+        with pytest.raises(PhysicsError, match=r"^trace power is not finite at \d+ of 240 phases$"):
+            spectrum_trace(state, rng=rng if sampled else None)
+
     def test_rejects_bad_arguments(self, rng):
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(1), n_points=1)
@@ -167,6 +183,22 @@ class TestSampleRecord:
         b = sample_record(state, 5000, np.random.default_rng(42))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_schedule_matches_textbook_expression(self, seed):
+        # The in-place arithmetic gives the bytes of the plain expressions.
+        state = random_physical_state(np.random.default_rng(seed), 1)
+        n = 10_007
+        record = sample_record(state, n, np.random.default_rng(seed))
+        thetas = np.arange(n) * (np.pi / n)
+        c, s = np.cos(thetas), np.sin(thetas)
+        mx, mp = state.mean
+        cov = state.cov
+        mu = mx * c + mp * s
+        var = cov[0, 0] * c * c + 2.0 * cov[0, 1] * c * s + cov[1, 1] * s * s
+        z = np.random.default_rng(seed).standard_normal(n)
+        assert record.thetas.tobytes() == thetas.tobytes()
+        assert record.values.tobytes() == (mu + np.sqrt(var) * z).tobytes()
+
     def test_record_arrays_are_readonly(self, rng):
         record = sample_record(vacuum(1), 1000, rng)
         with pytest.raises(ValueError):
@@ -225,6 +257,13 @@ class TestGridSpec:
         spec = GridSpec.from_state(coherent_state(3.5 + 0j))
         assert (spec.x_min + spec.x_max) / 2 == pytest.approx(3.5)
         assert spec.x_max - spec.x_min == pytest.approx(9.0 * 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e160, 1e200])
+    def test_unresolvable_window_is_a_physics_error(self, alpha):
+        # mean +- 4.5 sd rounds to the mean itself
+        with pytest.raises(PhysicsError, match="window cannot be resolved at the state's mean"):
+            GridSpec.from_state(coherent_state(alpha + 0j))
 
     def test_rejects_degenerate_windows(self):
         with pytest.raises(ValueError):
@@ -390,6 +429,60 @@ class TestSinogramBinning:
         sinogram = _sinogram(theta_bin, self.N_THETA, values, q_edges)
         expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
         assert expected.sum() == 1 and np.array_equal(sinogram, expected)
+
+
+class TestPhaseOrderedBinning:
+    """A record whose folded thetas do not decrease is binned by its segment
+    bounds; it must give what binning sample by sample gives."""
+
+    N_THETA = 60
+
+    @staticmethod
+    def ordered_record(seed):
+        """Non-decreasing thetas: every edge, pi and the values either side
+        of it and of 0, -0.0, long runs of equal thetas and a random sweep
+        a little wider than [0, pi]; quadratures of varying spread."""
+        rng = np.random.default_rng(seed)
+        edges = np.linspace(0.0, np.pi, TestPhaseOrderedBinning.N_THETA + 1)
+        specials = [np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
+                    -0.0, 0.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0)]
+        runs = np.repeat(rng.choice(np.concatenate([edges, specials]), 8),
+                         rng.integers(50, 3000, 8))
+        sweep = rng.uniform(-0.01, np.pi + 0.01, int(rng.integers(2000, 20_000)))
+        thetas = np.sort(np.concatenate([edges, specials, runs, sweep]))
+        values = rng.normal(0.0, 1.0, thetas.size) * (1.0 + np.cos(thetas) ** 2)
+        return thetas, values, edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_binning_sample_by_sample(self, seed):
+        thetas, values, edges = self.ordered_record(seed)
+        assert np.all(thetas[1:] >= thetas[:-1])
+        theta_bin = _uniform_bin_index(thetas, edges)
+        idx = np.clip(theta_bin, 0, self.N_THETA - 1)
+        counts = np.bincount(idx, minlength=self.N_THETA)
+        # The record reaches both outer bins and the closed last edge.
+        assert theta_bin.min() == -1 and theta_bin.max() == self.N_THETA
+        assert np.any(thetas == np.pi)
+        with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
+            ordered_bin, ordered_idx, ordered_counts = _phase_bins(thetas, edges)
+        for got, want in ((ordered_bin, theta_bin), (ordered_idx, idx), (ordered_counts, counts)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(idx, counts, values)
+        assert DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(
+            ordered_idx, ordered_counts, values) == cutoff
+
+    def test_in_range_record_shares_its_bin_array(self, rng):
+        thetas = np.arange(5000) * (np.pi / 5000)
+        theta_bin, idx, counts = _phase_bins(thetas, np.linspace(0.0, np.pi, self.N_THETA + 1))
+        assert idx is theta_bin and counts.sum() == thetas.size
+
+    def test_unordered_record_is_binned_sample_by_sample(self, rng):
+        thetas = rng.uniform(0.0, np.pi, 5000)
+        edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
+        theta_bin, idx, counts = _phase_bins(thetas, edges)
+        assert np.array_equal(theta_bin, _uniform_bin_index(thetas, edges))
+        assert np.array_equal(counts, np.bincount(idx, minlength=self.N_THETA))
 
 
 class TestWignerMoments:
