@@ -25,6 +25,10 @@ tens of percent; at 8x padding the vacuum second moment is biased by < 0.5%.
 The default cutoff is k_c = 6.5 / sigma_min, with sigma_min the smallest
 marginal standard deviation seen in the record; larger cutoffs admit shot
 noise, smaller ones blur the narrow quadrature.
+
+Per-sample work (drawing a record, binning it into the sinogram) runs in
+cache-sized blocks of _BLOCK samples; every step is elementwise or an
+integer count, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -52,9 +56,15 @@ _MAX_QUADRATURE_BINS = 1 << 15
 MIN_COVERAGE_FRACTION = 0.8
 MIN_RECORD_SAMPLES = 1000
 NORMALIZATION_WINDOW = (0.95, 1.05)
+_BLOCK = 1 << 15  # samples per block of per-sample work: 256 KiB of float64
 
 
 def _readonly(array, dtype=float):
+    """``array`` itself if it is a read-only ndarray of ``dtype`` that owns
+    its data, else a read-only copy (a view may have a writeable base)."""
+    if (type(array) is np.ndarray and array.dtype == dtype
+            and array.flags.owndata and not array.flags.writeable):
+        return array
     out = np.array(array, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -274,13 +284,17 @@ def sample_record(
         thetas = np.arange(n_samples, dtype=float)
         thetas *= np.pi / n_samples
     else:
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = np.array(thetas, dtype=float)  # never the caller's array
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("thetas must be a non-empty 1-D array")
-    mu, var = _marginal_arrays(state, thetas)
-    values = np.sqrt(var, out=var)  # becomes mu + sqrt(var) z, in place
-    values *= rng.standard_normal(thetas.size)
-    values += mu
+    values = rng.standard_normal(thetas.size)  # z, then mu + sqrt(var) z
+    for a in range(0, values.size, _BLOCK):
+        mu, var = _marginal_arrays(state, thetas[a:a + _BLOCK])
+        z = values[a:a + _BLOCK]
+        z *= np.sqrt(var, out=var)
+        z += mu
+    thetas.setflags(write=False)
+    values.setflags(write=False)
     return QuadratureRecord(thetas, values)
 
 
@@ -355,18 +369,24 @@ def _uniform_bin_index(values, edges):
 def _sinogram(theta_bin, n_theta_bins, q, q_edges):
     """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
 
-    One bincount over the flat cell index; a sample outside either set of
-    edges is left out (inverse_radon's phase counts still include it).
+    Bincounts of the flat cell index in blocks of at least as many samples as
+    cells, so summing them costs no more than binning; a sample outside either
+    set of edges is left out (inverse_radon's phase counts still include it).
     """
     n_q = q_edges.size - 1
-    q_bin = _uniform_bin_index(q, q_edges)
-    cell = theta_bin * n_q
-    cell += q_bin
-    if (theta_bin.min() < 0 or theta_bin.max() >= n_theta_bins
-            or q_bin.min() < 0 or q_bin.max() >= n_q):
-        inside = (theta_bin >= 0) & (theta_bin < n_theta_bins) & (q_bin >= 0) & (q_bin < n_q)
-        cell = cell[inside]
-    return np.bincount(cell, minlength=n_theta_bins * n_q).reshape(n_theta_bins, n_q)
+    sinogram = np.zeros(n_theta_bins * n_q, dtype=np.intp)
+    block = max(_BLOCK, sinogram.size)
+    for a in range(0, q.size, block):
+        t_bin = theta_bin[a:a + block]
+        q_bin = _uniform_bin_index(q[a:a + block], q_edges)
+        cell = t_bin * n_q
+        cell += q_bin
+        if (t_bin.min() < 0 or t_bin.max() >= n_theta_bins
+                or q_bin.min() < 0 or q_bin.max() >= n_q):
+            inside = (t_bin >= 0) & (t_bin < n_theta_bins) & (q_bin >= 0) & (q_bin < n_q)
+            cell = cell[inside]
+        sinogram += np.bincount(cell, minlength=sinogram.size)
+    return sinogram.reshape(n_theta_bins, n_q)
 
 
 def _phase_bins(folded, edges):

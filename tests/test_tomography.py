@@ -51,6 +51,18 @@ def teleported_squeezed():
     return teleport_analytic(params)
 
 
+def textbook_values(state, thetas, seed):
+    """mu + sqrt(var) z at each theta, as plain whole-array expressions, with
+    z the first thetas.size normals of default_rng(seed)."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    mx, mp = state.mean
+    cov = state.cov
+    mu = mx * c + mp * s
+    var = cov[0, 0] * c * c + 2.0 * cov[0, 1] * c * s + cov[1, 1] * s * s
+    z = np.random.default_rng(seed).standard_normal(thetas.size)
+    return mu + np.sqrt(var) * z
+
+
 class TestSpectrumTrace:
     def test_vacuum_exact_trace_is_flat_zero(self):
         trace = spectrum_trace(vacuum(1))
@@ -203,6 +215,54 @@ class TestSampleRecord:
         record = sample_record(vacuum(1), 1000, rng)
         with pytest.raises(ValueError):
             record.values[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, tomography._BLOCK - 1, tomography._BLOCK,
+                                   tomography._BLOCK + 1, 3 * tomography._BLOCK + 7])
+    def test_blocks_match_textbook_expression(self, n):
+        # Sampled block by block, the record has the whole-array bytes on
+        # either side of every block boundary.
+        state = random_physical_state(np.random.default_rng(n), 1)
+        record = sample_record(state, n, np.random.default_rng(n))
+        thetas = np.arange(n) * (np.pi / n)
+        assert record.thetas.tobytes() == thetas.tobytes()
+        assert record.values.tobytes() == textbook_values(state, thetas, n).tobytes()
+
+    def test_explicit_unsorted_schedule_blocks_match_textbook_expression(self, rng):
+        state = random_physical_state(rng, 1)
+        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3 * tomography._BLOCK + 7)
+        record = sample_record(state, 0, np.random.default_rng(7), thetas=thetas)
+        assert record.thetas.tobytes() == thetas.tobytes()
+        assert record.values.tobytes() == textbook_values(state, thetas, 7).tobytes()
+
+    def test_explicit_schedule_is_neither_frozen_nor_shared(self, rng):
+        thetas = rng.uniform(0.0, np.pi, 1000)
+        before = thetas.copy()
+        record = sample_record(vacuum(1), 0, rng, thetas=thetas)
+        assert thetas.flags.writeable and thetas.tobytes() == before.tobytes()
+        assert not np.shares_memory(record.thetas, thetas)
+        thetas[0] = 3.0
+        assert record.thetas[0] == before[0]
+
+    def test_record_keeps_readonly_arrays_it_is_given(self):
+        thetas, values = np.arange(10.0), np.ones(10)
+        thetas.setflags(write=False)
+        values.setflags(write=False)
+        record = QuadratureRecord(thetas, values)
+        assert record.thetas is thetas and record.values is values
+
+    @pytest.mark.parametrize("cls, field, extra", [
+        (QuadratureRecord, "values", {}),
+        (tomography.PhaseScanTrace, "power_db", {"averages": None}),
+    ])
+    def test_readonly_view_of_writeable_base_is_copied(self, cls, field, extra):
+        base = np.linspace(0.0, 1.0, 10)
+        view = base[:]
+        view.setflags(write=False)
+        samples = cls(thetas=view, **{field: view}, **extra)
+        for stored in (samples.thetas, getattr(samples, field)):
+            assert not stored.flags.writeable and not np.shares_memory(stored, base)
+        base[0] = 5.0
+        assert samples.thetas[0] == 0.0 and getattr(samples, field)[0] == 0.0
 
 
 class TestWignerAnalytic:
@@ -409,6 +469,17 @@ class TestSinogramBinning:
         idx = np.clip(theta_bin, 0, self.N_THETA - 1)
         # Same phase bin per sample, so the phase counts and variances match.
         assert np.array_equal(idx, np.clip(np.digitize(folded, edges) - 1, 0, self.N_THETA - 1))
+        expected, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
+        assert np.array_equal(_sinogram(theta_bin, self.N_THETA, q, q_edges), expected)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_sinogram_does_not_depend_on_block_size(self, rng, monkeypatch, block):
+        thetas, values, edges, q_edges = self.edge_record(rng)
+        folded, q = _fold_half_turn(thetas, values)
+        theta_bin = _uniform_bin_index(folded, edges)
+        # A block is never smaller than the sinogram (2460 cells here), so
+        # 7 gives blocks of 2460 samples and 4096 blocks of 4096.
+        monkeypatch.setattr(tomography, "_BLOCK", block)
         expected, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
         assert np.array_equal(_sinogram(theta_bin, self.N_THETA, q, q_edges), expected)
 
