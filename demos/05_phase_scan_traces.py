@@ -16,9 +16,10 @@ from cvteleport import (
     coherent_state,
     impure_squeezed_vacuum,
     run,
+    scenario_files,
     spectrum_trace,
     vacuum,
-    write_trace_csv,
+    write_files,
 )
 
 outdir = Path(__file__).parent
@@ -40,7 +41,7 @@ print(f"  vacuum scatter: std {trace.power_db.std():.2f} dB around 0")
 
 config = ExperimentConfig(scenario="squeezed_x", trace_sampled=True, seed=11)
 result = run(config, include_trace=True)
-path = outdir / "teleported_squeezed_trace.csv"
-write_trace_csv(result.trace, path)
+files = {"teleported_squeezed_trace.csv": scenario_files(result)["trace.csv"]}
+[path] = write_files(outdir, files)
 print(f"\nteleported squeezed-state trace written to {path.name}")
 print(f"  output squeezing at theta=0: {result.report.vx_db:+.3f} dB")

@@ -64,7 +64,6 @@ from cvteleport.harness import (
     paper_repro,
     parse_config,
     run,
-    write_report_json,
-    write_trace_csv,
-    write_wigner_csv,
+    scenario_files,
+    write_files,
 )

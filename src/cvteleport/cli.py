@@ -10,8 +10,10 @@ exactly like config text, so a non-finite or out-of-range number is a config
 error; a value that reads as a number, such as -1e-3 or -inf, is never taken
 for an option.  Precedence is built-in defaults < config file < flags.  The
 output directory resolves as --out, then [output] dir, then the
-CVTELEPORT_OUTDIR environment variable, then the working directory; it is
-made at the first write, so a run that fails before writing leaves none.
+CVTELEPORT_OUTDIR environment variable, then the working directory.  Each
+verb computes, builds its files in memory, writes them with
+``harness.write_files`` and only then prints, so a failed run makes no
+directory and a failed write prints nothing and leaves old files as they were.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -41,11 +43,10 @@ from .harness import (
     format_repro_table,
     paper_repro,
     parse_config,
+    report_json,
     run,
-    write_json,
-    write_report_json,
-    write_trace_csv,
-    write_wigner_csv,
+    scenario_files,
+    write_files,
 )
 from .teleporter import cascade
 
@@ -157,60 +158,49 @@ def _output_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Pa
     return Path(directory)
 
 
-def _print_report(result) -> None:
-    report = result.report
-    print(f"scenario: {result.config.scenario} ({report.method})")
-    print(f"Vx: {report.vx:.6g} ({report.vx_db:+.3f} dB)  "
-          f"Vp: {report.vp:.6g} ({report.vp_db:+.3f} dB)")
-    if report.fidelity_coherent is not None:
-        print(f"fidelity: {report.fidelity_coherent:.5f}")
-    print(f"delta_sq_out: {report.delta_sq_out:.5f} "
-          f"({'entangled' if report.delta_sq_out < 1 else 'not entangled'})")
+def _write_then_print(outdir: Path, files: dict[str, str], summary: str) -> None:
+    """Write ``files`` to ``outdir`` (nothing when there are none), then
+    print ``summary`` and a line per file written."""
+    written = write_files(outdir, files) if files else []
+    print(summary)
+    for path in written:
+        print(f"wrote {path}")
+
+
+def _report_file(payload: dict) -> dict[str, str]:
+    """``payload``, stamped with the package version, as a report.json."""
+    return {"report.json": report_json({**payload, "version": __version__})}
 
 
 def _cmd_scenario(args: argparse.Namespace, verb: str) -> int:
     config = _load_config(args)
-    outdir = _output_dir(args, config)
     result = run(
         config, include_trace=(verb == "trace"), include_wigner=(verb == "wigner")
     )
-    report_path = outdir / "report.json"
-    write_report_json(result, report_path)
-    written = [report_path]
-    if result.trace is not None:
-        trace_path = outdir / "trace.csv"
-        write_trace_csv(result.trace, trace_path)
-        written.append(trace_path)
-    if result.wigner is not None:
-        wigner_path = outdir / "wigner.csv"
-        write_wigner_csv(result.wigner, wigner_path)
-        written.append(wigner_path)
-    _print_report(result)
-    for path in written:
-        print(f"wrote {path}")
+    report = result.report
+    summary = [
+        f"scenario: {config.scenario} ({report.method})",
+        f"Vx: {report.vx:.6g} ({report.vx_db:+.3f} dB)  "
+        f"Vp: {report.vp:.6g} ({report.vp_db:+.3f} dB)",
+    ]
+    if report.fidelity_coherent is not None:
+        summary.append(f"fidelity: {report.fidelity_coherent:.5f}")
+    summary.append(f"delta_sq_out: {report.delta_sq_out:.5f} "
+                   f"({'entangled' if report.delta_sq_out < 1 else 'not entangled'})")
+    _write_then_print(_output_dir(args, config), scenario_files(result), "\n".join(summary))
     return 0
-
-
-def _write_report(payload: dict, outdir: Path) -> Path:
-    """Write ``payload``, stamped with the package version, to
-    ``outdir/report.json`` and return that path; ``write_json`` encodes its
-    results."""
-    path = outdir / "report.json"
-    write_json({**payload, "version": __version__}, path)
-    return path
 
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
     config = _load_config(args)
     n_stages = _flag_values(args, CASCADE_FIELDS).get("stages", 4)
     stages = cascade(config.teleporter_params(), n_stages)
-    payload = {"cascade": stages, "seed": config.seed}
-    path = _write_report(payload, _output_dir(args, config))
-    print("stage  fidelity  Vx        Vp")
+    table = ["stage  fidelity  Vx        Vp"]
     for stage in stages:
-        print(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
-              f"{stage.vx:.6f}  {stage.vp:.6f}")
-    print(f"wrote {path}")
+        table.append(f"{stage.stage:>5}  {stage.fidelity:.6f}  "
+                     f"{stage.vx:.6f}  {stage.vp:.6f}")
+    files = _report_file({"cascade": stages, "seed": config.seed})
+    _write_then_print(_output_dir(args, config), files, "\n".join(table))
     return 0
 
 
@@ -220,24 +210,21 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         inputs.get("target_epr_db", BENCHMARK_TARGET_EPR_DB),
         inputs.get("source_sq_db", BENCHMARK_SOURCE_SQ_DB),
     )
-    print(f"eta_source: {result.eta_source[0]:.6f} (p path), "
-          f"{result.eta_source[1]:.6f} (x path)")
-    print(f"achieved: {result.achieved_x_db:.4f} dB (x), "
-          f"{result.achieved_p_db:.4f} dB (p)")
-    print(f"residuals: {result.residual_x_db:.2e} dB (x), "
-          f"{result.residual_p_db:.2e} dB (p)")
-    if args.out:
-        path = _write_report({"calibration": result}, _output_dir(args, None))
-        print(f"wrote {path}")
+    fit = (f"eta_source: {result.eta_source[0]:.6f} (p path), "
+           f"{result.eta_source[1]:.6f} (x path)\n"
+           f"achieved: {result.achieved_x_db:.4f} dB (x), "
+           f"{result.achieved_p_db:.4f} dB (p)\n"
+           f"residuals: {result.residual_x_db:.2e} dB (x), "
+           f"{result.residual_p_db:.2e} dB (p)")
+    files = _report_file({"calibration": result}) if args.out else {}
+    _write_then_print(_output_dir(args, None), files, fit)
     return 0
 
 
 def _cmd_paper_repro(args: argparse.Namespace) -> int:
     rows = paper_repro()
-    print(format_repro_table(rows))
-    if args.out:
-        path = _write_report({"reference_comparison": rows}, _output_dir(args, None))
-        print(f"wrote {path}")
+    files = _report_file({"reference_comparison": rows}) if args.out else {}
+    _write_then_print(_output_dir(args, None), files, format_repro_table(rows))
     return 0 if all(row.passed for row in rows) else 4
 
 

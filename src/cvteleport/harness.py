@@ -49,9 +49,10 @@ Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
 2: tomography record), so each artifact is individually reproducible.
 
-Reports: every ``report.json`` goes through ``write_json``, whose one encoder
-``_plain`` turns states, dataclasses, named tuples and arrays into JSON
-objects and lists, so each field of a result is a key of its report.
+Reports: ``report_json``'s one encoder ``_plain`` turns states, dataclasses,
+named tuples and arrays into JSON objects and lists, so each field of a
+result is a key of its report.  Every output is built in memory, and only
+``write_files`` writes it, staged so that a failed write changes no file.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -511,57 +513,69 @@ def _plain(value):
     return value
 
 
-def write_report_json(result: RunResult, path) -> None:
-    """Write ``result``'s config text, report and provenance, and its trace
-    and Wigner grid (spec fields and values) when present, as JSON."""
+def report_json(payload: dict) -> str:
+    """``payload``, encoded by ``_plain``, as the sorted, indented JSON text of
+    a ``report.json``.  A non-finite number is a PhysicsError: JSON has no
+    NaN."""
+    try:
+        text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise PhysicsError(f"not writing report.json: {exc}") from exc
+    return text + "\n"
+
+
+def scenario_files(result: RunResult) -> dict[str, str]:
+    """The text of a scenario run's files, by name: ``report.json`` (config
+    text, report and provenance, and the trace and the Wigner grid's spec
+    fields and values when present), then ``trace.csv`` or ``wigner.csv``."""
+    trace, grid = result.trace, result.wigner
     payload = {
         "config_text": emit_config(result.config),
         "report": result.report,
         "provenance": result.provenance,
     }
-    if result.trace is not None:
-        payload["trace"] = result.trace
-    if result.wigner is not None:
-        payload["wigner"] = {**asdict(result.wigner.spec), "values": result.wigner.values}
-    write_json(payload, path)
+    if trace is not None:
+        payload["trace"] = trace
+    if grid is not None:
+        payload["wigner"] = {**asdict(grid.spec), "values": grid.values}
+    files = {"report.json": report_json(payload)}
+    if trace is not None:
+        lines = ["theta_rad,power_db"]
+        for theta, power in zip(trace.thetas, trace.power_db):
+            lines.append(f"{float(theta)!r},{float(power)!r}")
+        files["trace.csv"] = "\n".join(lines) + "\n"
+    if grid is not None:
+        spec = grid.spec
+        lines = [
+            "x0,x1,nx,p0,p1,np",
+            f"{spec.x_min!r},{spec.x_max!r},{spec.n_x},"
+            f"{spec.p_min!r},{spec.p_max!r},{spec.n_p}",
+        ]
+        lines += [",".join(repr(float(v)) for v in row) for row in grid.values]
+        files["wigner.csv"] = "\n".join(lines) + "\n"
+    return files
 
 
-def write_json(payload: dict, path) -> None:
-    """Write ``payload``, encoded by ``_plain``, as sorted, indented JSON.  A
-    non-finite number is a PhysicsError raised before the file is opened:
-    JSON has no NaN."""
+def write_files(outdir: Path, files: dict[str, str]) -> list[Path]:
+    """Write each text of ``files`` to ``outdir``/its name and return the
+    paths in order; the one function that writes output files.  Each text is
+    written (UTF-8, "\\n" endings) to a hidden temp file beside its target,
+    and only when all are complete is each renamed into place.  On an OSError
+    the temp files are deleted and the error re-raised, so a failed write
+    leaves a previous run's files as they were."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    staged = []
     try:
-        text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise PhysicsError(f"not writing {path}: {exc}") from exc
-    _write_text(path, [text])
-
-
-def _write_text(path, lines) -> None:
-    """Write ``lines`` to ``path`` as UTF-8 with "\\n" endings, making its
-    directory first."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_trace_csv(trace: PhaseScanTrace, path) -> None:
-    lines = ["theta_rad,power_db"]
-    for theta, power in zip(trace.thetas, trace.power_db):
-        lines.append(f"{float(theta)!r},{float(power)!r}")
-    _write_text(path, lines)
-
-
-def write_wigner_csv(grid: WignerGrid, path) -> None:
-    spec = grid.spec
-    lines = [
-        "x0,x1,nx,p0,p1,np",
-        f"{spec.x_min!r},{spec.x_max!r},{spec.n_x},"
-        f"{spec.p_min!r},{spec.p_max!r},{spec.n_p}",
-    ]
-    for row in grid.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write_text(path, lines)
+        for name, text in files.items():
+            staged.append(outdir / f".{name}.{os.getpid()}.tmp")
+            staged[-1].write_text(text, encoding="utf-8", newline="\n")
+        for temp, name in zip(staged, files):
+            os.replace(temp, outdir / name)
+    except OSError:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+        raise
+    return [outdir / name for name in files]
 
 
 # --- loss calibration ------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import errno
 import json
 import os
 import subprocess
@@ -323,15 +324,36 @@ class TestErrorPaths:
         assert invoke(*argv, "--out", str(outdir)) == code
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("verb", ["run", "trace", "cascade"])
+    @pytest.mark.parametrize("verb", ["run", "trace", "cascade", "calibrate", "paper-repro"])
     def test_unwritable_output_prints_nothing(self, verb, tmp_path, capsys):
-        # --out names a file, so the directory cannot be made at the first write
+        # --out names a file, so the output directory cannot be made
         path = tmp_path / "a-file"
         path.write_text("", encoding="utf-8")
         assert invoke(verb, "--out", str(path)) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("i/o error: [Errno 17] File exists")
+
+    def test_failed_write_keeps_the_previous_run(self, tmp_path, monkeypatch, capsys):
+        assert invoke("trace", "--sampled", "--seed", "1", "--out", str(tmp_path)) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["report.json", "trace.csv"]
+        capsys.readouterr()
+        write_text = Path.write_text
+        calls = []
+
+        def full_on_second_call(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_on_second_call)
+        assert invoke("trace", "--sampled", "--seed", "2", "--out", str(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("i/o error: [Errno 28]")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_first_write_makes_the_directory(self, tmp_path):
         outdir = tmp_path / "a" / "b"

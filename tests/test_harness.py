@@ -1,7 +1,11 @@
 """Tests for config parsing, scenario runs, serialization, and calibration."""
 
+import ast
 import dataclasses
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +26,10 @@ from cvteleport.harness import (
     format_repro_table,
     paper_repro,
     parse_config,
+    report_json,
     run,
-    write_json,
-    write_report_json,
-    write_trace_csv,
-    write_wigner_csv,
+    scenario_files,
+    write_files,
     _mc_max_sigma,
 )
 from cvteleport.teleporter import TeleporterParams, epr_correlations, make_epr, teleport_analytic
@@ -254,30 +257,29 @@ class TestRun:
 
 class TestSerialization:
     @staticmethod
-    def _written(result, tmp_path):
+    def _written(result):
         """``result``'s report.json, as json.loads reads it back."""
-        path = tmp_path / "report.json"
-        write_report_json(result, path)
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(scenario_files(result)["report.json"])
 
-    def test_report_roundtrip_is_lossless(self, tmp_path):
+    def test_report_roundtrip_is_lossless(self):
         result = run(ExperimentConfig(method="mc", shots=5000, seed=3))
-        data = self._written(result, tmp_path)
+        data = self._written(result)
         assert_report_holds(data, result)
         assert data["report"]["shots"] == 5000
         assert data["report"]["epr"]["x_diff_db"] == result.report.epr.x_diff_db
 
-    def test_artifact_roundtrip_is_lossless(self, tmp_path):
+    def test_artifact_roundtrip_is_lossless(self):
         config = ExperimentConfig(tomo_samples=5000, trace_points=32, grid_points=21)
         result = run(config, include_trace=True, include_wigner=True)
-        data = self._written(result, tmp_path)
+        data = self._written(result)
         assert_report_holds(data, result)
         assert np.array_equal(data["trace"]["power_db"], result.trace.power_db)
         assert np.array_equal(data["wigner"]["values"], result.wigner.values)
 
     def test_report_json_file_roundtrip(self, tmp_path):
         result = run(ExperimentConfig(seed=8))
-        data = self._written(result, tmp_path)
+        [path] = write_files(tmp_path, {"report.json": scenario_files(result)["report.json"]})
+        data = json.loads(path.read_text(encoding="utf-8"))
         assert_report_holds(data, result)
         assert data["report"]["vx_db"] == result.report.vx_db
 
@@ -286,44 +288,111 @@ class TestSerialization:
         blobs = []
         for name in ("a", "b"):
             result = run(config, include_trace=True, include_wigner=True)
-            write_report_json(result, tmp_path / f"{name}.json")
-            write_trace_csv(result.trace, tmp_path / f"{name}_trace.csv")
-            write_wigner_csv(result.wigner, tmp_path / f"{name}_wigner.csv")
-            blobs.append(
-                tuple(
-                    (tmp_path / f"{name}{suffix}").read_bytes()
-                    for suffix in (".json", "_trace.csv", "_wigner.csv")
-                )
-            )
+            files = scenario_files(result)
+            assert list(files) == ["report.json", "trace.csv", "wigner.csv"]
+            paths = write_files(tmp_path / name, files)
+            blobs.append(tuple(path.read_bytes() for path in paths))
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_json_writers_refuse_non_finite_numbers(self, bad, tmp_path):
-        with pytest.raises(PhysicsError, match="not writing"):
-            write_json({"cascade": [{"vx": bad}]}, tmp_path / "cascade.json")
+        with pytest.raises(PhysicsError, match="^not writing report.json"):
+            report_json({"cascade": [{"vx": bad}]})
         result = run(ExperimentConfig(seed=8))
         leaky = dataclasses.replace(result, provenance={**result.provenance, "seed": bad})
-        with pytest.raises(PhysicsError, match="not writing"):
-            write_report_json(leaky, tmp_path / "report.json")
+        with pytest.raises(PhysicsError, match="^not writing report.json"):
+            write_files(tmp_path, scenario_files(leaky))
         assert list(tmp_path.iterdir()) == []
 
-    def test_csv_shapes_and_headers(self, tmp_path):
+    def test_csv_shapes_and_headers(self):
         result = run(
             ExperimentConfig(tomo_samples=5000, trace_points=32, grid_points=21),
             include_trace=True,
             include_wigner=True,
         )
-        write_trace_csv(result.trace, tmp_path / "trace.csv")
-        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        files = scenario_files(result)
+        lines = files["trace.csv"].splitlines()
         assert lines[0] == "theta_rad,power_db"
         assert len(lines) == 1 + 32
-        write_wigner_csv(result.wigner, tmp_path / "wigner.csv")
-        lines = (tmp_path / "wigner.csv").read_text().splitlines()
+        lines = files["wigner.csv"].splitlines()
         assert lines[0] == "x0,x1,nx,p0,p1,np"
         geometry = lines[1].split(",")
         assert int(geometry[2]) == int(geometry[5]) == 21
         assert len(lines) == 2 + 21
         assert all(len(line.split(",")) == 21 for line in lines[2:])
+
+
+class TestWriteFiles:
+    def test_writes_utf8_lf_bytes_and_replaces_old_files(self, tmp_path):
+        outdir = tmp_path / "a" / "b"
+        files = {"report.json": "{\"η\": 1}\n", "trace.csv": "x\ny\n"}
+        outdir.mkdir(parents=True)
+        (outdir / "trace.csv").write_text("old", encoding="utf-8")
+        paths = write_files(outdir, files)
+        assert paths == [outdir / "report.json", outdir / "trace.csv"]
+        assert [path.read_bytes() for path in paths] == [
+            text.encode("utf-8") for text in files.values()
+        ]
+        assert sorted(p.name for p in outdir.iterdir()) == ["report.json", "trace.csv"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        (tmp_path / "report.json").write_text("old report", encoding="utf-8")
+        (tmp_path / "wigner.csv").write_text("old grid", encoding="utf-8")
+        real = os.replace
+        calls = []
+
+        def replace_once(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "rename failed")
+            real(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", replace_once)
+        with pytest.raises(OSError, match="rename failed"):
+            write_files(tmp_path, {"report.json": "new\n", "wigner.csv": "new\n"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "wigner.csv"]
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == "new\n"
+        assert (tmp_path / "wigner.csv").read_text(encoding="utf-8") == "old grid"
+
+
+def _file_calls(node, owner="<module>"):
+    """(innermost enclosing function, name) of every call under ``node`` that
+    makes, writes, renames or deletes a file or directory.  ``replace`` counts
+    only as ``os.replace``: ``dataclasses.replace`` and ``str.replace`` build
+    values."""
+    touching = {"write_text", "write_bytes", "open", "mkdir", "makedirs", "rename",
+                "os.replace", "unlink", "remove", "touch", "rmdir"}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            callee = child.func
+            if isinstance(callee, ast.Attribute):
+                name = callee.attr
+                if name == "replace" and getattr(callee.value, "id", None) == "os":
+                    name = "os.replace"
+            else:
+                name = getattr(callee, "id", None)
+            if name in touching:
+                yield owner, name
+        yield from _file_calls(child, owner)
+
+
+def test_only_write_files_touches_the_output_directory():
+    """Every call in the package that makes, writes, renames or deletes a file
+    sits inside ``harness.write_files``, so no output can skip its staging.
+    Reads, such as the --config file's, are allowed."""
+    package = Path(harness.__file__).parent
+    found = {
+        (path.name, *call)
+        for path in sorted(package.glob("*.py"))
+        for call in _file_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("harness.py", "write_files", name)
+        for name in ("mkdir", "write_text", "os.replace", "unlink")
+    }
 
 
 class TestCalibrateLosses:

@@ -9,8 +9,6 @@ table, so they check that table rather than restate it.
 
 import dataclasses
 import json
-import tempfile
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,7 +31,7 @@ from cvteleport.harness import (
     emit_config,
     parse_config,
     run,
-    write_report_json,
+    scenario_files,
 )
 
 # Documented grammar: (section, key) -> ExperimentConfig attribute.
@@ -168,10 +166,7 @@ def runs(draw):
 @settings(max_examples=25, deadline=None)
 @given(runs())
 def test_json_round_trip_is_lossless(result):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "report.json"
-        write_report_json(result, path)
-        assert_report_holds(json.loads(path.read_text(encoding="utf-8")), result)
+    assert_report_holds(json.loads(scenario_files(result)["report.json"]), result)
 
 
 @st.composite
