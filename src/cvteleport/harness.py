@@ -117,8 +117,8 @@ BENCHMARK_TARGET_EPR_DB = (-5.6, -5.5)
 CALIBRATION_TOL_DB = 0.05
 
 # Upper bounds on counts, checked before anything is allocated; peaks are of
-# a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 33
-# bytes per sample (72 MB at 1M, 171 MB at 4M), about 700 MB at the bound.
+# a whole CLI run on a 2-vCPU, 8 GB host.  [tomography] samples: about 18
+# bytes per sample (56 MB at 1M, 108 MB at 4M), about 390 MB at the bound.
 # [run] shots and [trace] averages share it only to keep the config domain:
 # the Monte Carlo sampler draws the shots' sample moments, not the shots, and
 # a sampled trace draws one number per point whatever its averages, so their

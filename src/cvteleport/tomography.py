@@ -26,9 +26,9 @@ The default cutoff is k_c = 6.5 / sigma_min, with sigma_min the smallest
 marginal standard deviation seen in the record; larger cutoffs admit shot
 noise, smaller ones blur the narrow quadrature.
 
-Per-sample work (drawing a record, binning it into the sinogram) runs in
-cache-sized blocks of _BLOCK samples; every step is elementwise or an
-integer count, so no result depends on the block size.
+A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
+sample depends on the block size) and binned once, into one segment per phase
+bin, which the phase counts, the default cutoff and the sinogram all read.
 """
 
 from __future__ import annotations
@@ -56,30 +56,27 @@ _MAX_QUADRATURE_BINS = 1 << 15
 MIN_COVERAGE_FRACTION = 0.8
 MIN_RECORD_SAMPLES = 1000
 NORMALIZATION_WINDOW = (0.95, 1.05)
-_BLOCK = 1 << 15  # samples per block of per-sample work: 256 KiB of float64
+_BLOCK = 1 << 15  # samples per block when drawing a record: 256 KiB of float64
 
 
-def _readonly(array, dtype=float):
-    """``array`` itself if it is a read-only ndarray of ``dtype`` that owns
-    its data, else a read-only copy (a view may have a writeable base)."""
-    if (type(array) is np.ndarray and array.dtype == dtype
-            and array.flags.owndata and not array.flags.writeable):
-        return array
-    out = np.array(array, dtype=dtype)
+def _readonly(array):
+    """A read-only float copy: whoever gave ``array`` may still change it."""
+    out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
 
 
-def _set_samples(samples, name: str, kind: str) -> None:
-    """Store a trace's or record's thetas and field ``name`` as read-only float
-    arrays; raise unless they are matching 1-D arrays of finite values."""
-    thetas, values = _readonly(samples.thetas), _readonly(getattr(samples, name))
+def _set_samples(samples, name: str, kind: str, thetas, values):
+    """Store read-only float arrays ``thetas`` and ``values`` as a trace's or
+    record's thetas and field ``name``, and return it; raise unless they are
+    matching 1-D arrays of finite values."""
     object.__setattr__(samples, "thetas", thetas)
     object.__setattr__(samples, name, values)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise ValueError(f"thetas and {name} must be matching 1-D arrays")
     if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
         raise ValueError(f"{kind} values must be finite")
+    return samples
 
 
 def _single_mode(state: GaussianState) -> GaussianState:
@@ -123,7 +120,10 @@ class GridSpec:
         for name in ("x_min", "x_max", "p_min", "p_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("n_x", "n_p"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            count = getattr(self, name)
+            if isinstance(count, (bool, np.bool_)) or not float(count).is_integer():
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError("grid window must have positive extent")
         if self.n_x < 2 or self.n_p < 2:
@@ -176,7 +176,7 @@ class PhaseScanTrace:
     averages: int | None
 
     def __post_init__(self) -> None:
-        _set_samples(self, "power_db", "trace")
+        _set_samples(self, "power_db", "trace", _readonly(self.thetas), _readonly(self.power_db))
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class QuadratureRecord:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _set_samples(self, "values", "record")
+        _set_samples(self, "values", "record", _readonly(self.thetas), _readonly(self.values))
 
     @property
     def n_samples(self) -> int:
@@ -295,7 +295,8 @@ def sample_record(
         z += mu
     thetas.setflags(write=False)
     values.setflags(write=False)
-    return QuadratureRecord(thetas, values)
+    # The constructor copies a caller's arrays; nothing else holds these.
+    return _set_samples(object.__new__(QuadratureRecord), "values", "record", thetas, values)
 
 
 def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> WignerGrid:
@@ -366,73 +367,65 @@ def _uniform_bin_index(values, edges):
     return idx
 
 
-def _sinogram(theta_bin, n_theta_bins, q, q_edges):
-    """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
+def _phase_segments(folded, q, edges):
+    """The record in phase-bin order and the n + 1 bounds of its n bins'
+    segments: bin i, as _uniform_bin_index bins it, is [bounds[i],
+    bounds[i + 1]), and a sample beyond the edges is in the nearest bin's.
 
-    Bincounts of the flat cell index in blocks of at least as many samples as
-    cells, so summing them costs no more than binning; a sample outside either
-    set of edges is left out (inverse_radon's phase counts still include it).
-    """
-    n_q = q_edges.size - 1
-    sinogram = np.zeros(n_theta_bins * n_q, dtype=np.intp)
-    block = max(_BLOCK, sinogram.size)
-    for a in range(0, q.size, block):
-        t_bin = theta_bin[a:a + block]
-        q_bin = _uniform_bin_index(q[a:a + block], q_edges)
-        cell = t_bin * n_q
-        cell += q_bin
-        if (t_bin.min() < 0 or t_bin.max() >= n_theta_bins
-                or q_bin.min() < 0 or q_bin.max() >= n_q):
-            inside = (t_bin >= 0) & (t_bin < n_theta_bins) & (q_bin >= 0) & (q_bin < n_q)
-            cell = cell[inside]
-        sinogram += np.bincount(cell, minlength=sinogram.size)
-    return sinogram.reshape(n_theta_bins, n_q)
-
-
-def _phase_bins(folded, edges):
-    """Phase bin of each folded theta, as _uniform_bin_index gives it (-1 and
-    n outside the edges), that bin clipped into [0, n), and the sample count
-    of each clipped bin.
-
-    A record whose folded thetas do not decrease, as the default sweep's,
-    is binned by its segment bounds: searchsorted finds where each bin
-    starts, and the bins are repeats of their numbers.  Any other record is
-    binned sample by sample.  Both give the same arrays.
+    A record whose folded thetas do not decrease, as the default sweep's, is
+    returned as it is; any other is gathered in a stable sort of its bins,
+    so each segment keeps its samples in record order.
     """
     n = edges.size - 1
-    if not np.all(folded[1:] >= folded[:-1]):
-        theta_bin = _uniform_bin_index(folded, edges)
-        idx = np.clip(theta_bin, 0, n - 1)
-        return theta_bin, idx, np.bincount(idx, minlength=n)
-    # Start of bins -1, 0, ..., n - 1 and n, then the end of the record; the
-    # last bin is closed, so bin n starts after the samples equal to pi.
-    bounds = np.empty(n + 3, dtype=np.intp)
-    bounds[0] = 0
-    bounds[1:-2] = np.searchsorted(folded, edges[:-1], "left")
-    bounds[-2] = np.searchsorted(folded, edges[-1], "right")
-    bounds[-1] = folded.size
-    sizes = np.diff(bounds)
-    theta_bin = np.repeat(np.arange(-1, n + 1), sizes)
-    below, above = sizes[0], sizes[-1]
-    counts = sizes[1:-1]  # the outer bins take the samples beyond the edges
-    counts[0] += below
-    counts[-1] += above
-    idx = theta_bin if below == above == 0 else np.clip(theta_bin, 0, n - 1)
-    return theta_bin, idx, counts
+    if np.all(folded[1:] >= folded[:-1]):
+        bounds = np.empty(n + 1, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, folded.size
+        bounds[1:-1] = np.searchsorted(folded, edges[1:-1])
+        return folded, q, bounds
+    idx = _uniform_bin_index(folded, edges)
+    np.clip(idx, 0, n - 1, out=idx)
+    # a stable sort of bin numbers this small is a radix sort
+    order = np.argsort(idx.astype(np.min_scalar_type(n - 1)), kind="stable")
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
+    return folded[order], q[order], bounds
 
 
-def _record_sigma_min(idx, counts, values):
-    """Smallest per-bin sample standard deviation, from well-filled bins."""
-    eligible = counts >= max(20, int(0.5 * values.size / counts.size))
+def _record_sigma_min(q, bounds):
+    """Smallest per-bin sample standard deviation, from well-filled bins; each
+    segment is summed in record order, as a weighted bincount sums it."""
+    counts = np.diff(bounds)
+    eligible = counts >= max(20, int(0.5 * q.size / counts.size))
     if not np.any(eligible):
         eligible = counts >= 2
-    sums = np.bincount(idx, weights=values, minlength=counts.size)[eligible]
-    sqs = np.bincount(idx, weights=values * values, minlength=counts.size)[eligible]
+    segments = [q[a:b] for a, b in zip(bounds[:-1][eligible], bounds[1:][eligible])]
+    sums = np.array([np.add.accumulate(seg)[-1] for seg in segments])
+    sqs = np.array([np.add.accumulate(seg * seg)[-1] for seg in segments])
     n = counts[eligible]
     var_min = float(np.min(sqs / n - (sums / n) ** 2))
     if var_min <= 0.0:
         raise PhysicsError("record has a zero-variance phase bin")
     return np.sqrt(var_min)
+
+
+def _sinogram(folded, q, bounds, q_edges):
+    """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
+
+    One bincount per phase segment; a sample outside [0, pi], which only the
+    first and last segments hold, or outside the quadrature edges is left out
+    (inverse_radon's phase counts still include it).
+    """
+    n_q = q_edges.size - 1
+    sinogram = np.empty((bounds.size - 1, n_q), dtype=np.intp)
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        segment = q[lo:hi]
+        if b in (0, bounds.size - 2):
+            theta = folded[lo:hi]
+            segment = segment[(theta >= 0.0) & (theta <= np.pi)]
+        q_bin = _uniform_bin_index(segment, q_edges)
+        q_bin += 1  # -1 and n_q, below and above the edges, count outside [1, n_q]
+        sinogram[b] = np.bincount(q_bin, minlength=n_q + 2)[1:-1]
+    return sinogram
 
 
 def inverse_radon(
@@ -451,10 +444,11 @@ def inverse_radon(
     corner radius and the largest |q| in the record.  A folded theta that
     rounds to pi lands in the last phase bin.  A folded theta that rounds
     past pi, or below 0, is counted in the nearest phase bin's sample count
-    (and variance) but left out of the sinogram.  A record whose folded
-    thetas do not decrease, as sample_record's default sweep, is binned by
-    its segment bounds instead of sample by sample; the bins, the counts and
-    so the default cutoff and the grid are the same to the last bit.
+    (and variance) but left out of the sinogram.  The record is binned once,
+    into one segment of samples per phase bin: a record whose folded thetas
+    do not decrease, as sample_record's default sweep, already is in segment
+    order and is not copied; any other record is sorted stably by phase bin.
+    Each bin's variance sums its samples in record order.
 
     Each marginal histogram is ramp-filtered in the Fourier domain with a
     hard cutoff at ``filter_cutoff`` (default 6.5 / sigma_min, estimated from
@@ -470,7 +464,8 @@ def inverse_radon(
     folded, q = _fold_half_turn(record.thetas, record.values)
     n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    theta_bin, idx, counts = _phase_bins(folded, edges)
+    folded, q, bounds = _phase_segments(folded, q, edges)
+    counts = np.diff(bounds)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:
         raise ValueError(
@@ -478,7 +473,7 @@ def inverse_radon(
             f"need >= {MIN_COVERAGE_FRACTION:.0%} of [0, pi)"
         )
     if filter_cutoff is None:
-        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(idx, counts, q)
+        filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
     if not (np.isfinite(filter_cutoff) and filter_cutoff > 0.0):
         raise ValueError("filter_cutoff must be positive and finite")
 
@@ -503,7 +498,7 @@ def inverse_radon(
     q_centers = 0.5 * (q_edges[:-1] + q_edges[1:])
     dq = q_edges[1] - q_edges[0]
 
-    sinogram = _sinogram(theta_bin, n_theta_bins, q, q_edges)
+    sinogram = _sinogram(folded, q, bounds, q_edges)
     populated = np.flatnonzero(counts)
     profiles = sinogram[populated] / (counts[populated, None] * dq)
 

@@ -358,10 +358,11 @@ class TestWriteFiles:
 def _file_calls(node, owner="<module>"):
     """(innermost enclosing function, name) of every call under ``node`` that
     makes, writes, renames or deletes a file or directory.  ``replace`` counts
-    only as ``os.replace``: ``dataclasses.replace`` and ``str.replace`` build
-    values."""
+    as ``os.replace`` and as a ``Path.replace(target)`` rename, an attribute
+    call with one positional argument and no keywords: ``str.replace`` takes
+    two, and ``dataclasses.replace`` is called by name."""
     touching = {"write_text", "write_bytes", "open", "mkdir", "makedirs", "rename",
-                "os.replace", "unlink", "remove", "touch", "rmdir"}
+                "os.replace", "Path.replace", "unlink", "remove", "touch", "rmdir"}
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from _file_calls(child, child.name)
@@ -372,6 +373,8 @@ def _file_calls(node, owner="<module>"):
                 name = callee.attr
                 if name == "replace" and getattr(callee.value, "id", None) == "os":
                     name = "os.replace"
+                elif name == "replace" and len(child.args) == 1 and not child.keywords:
+                    name = "Path.replace"
             else:
                 name = getattr(callee, "id", None)
             if name in touching:

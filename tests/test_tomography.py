@@ -30,7 +30,7 @@ from cvteleport.tomography import (
     spectrum_trace,
     DEFAULT_CUTOFF_SIGMAS,
     _fold_half_turn,
-    _phase_bins,
+    _phase_segments,
     _record_sigma_min,
     _sinogram,
     _uniform_bin_index,
@@ -243,12 +243,21 @@ class TestSampleRecord:
         thetas[0] = 3.0
         assert record.thetas[0] == before[0]
 
-    def test_record_keeps_readonly_arrays_it_is_given(self):
-        thetas, values = np.arange(10.0), np.ones(10)
+    @pytest.mark.parametrize("cls, field, extra", [
+        (QuadratureRecord, "values", {}),
+        (tomography.PhaseScanTrace, "power_db", {"averages": None}),
+    ], ids=["record", "trace"])
+    def test_readonly_arrays_a_caller_gives_are_copied(self, cls, field, extra):
+        # The caller still owns its arrays and may make them writeable again.
+        thetas, values = np.arange(2000.0) / 2000, np.ones(2000)
         thetas.setflags(write=False)
         values.setflags(write=False)
-        record = QuadratureRecord(thetas, values)
-        assert record.thetas is thetas and record.values is values
+        samples = cls(thetas=thetas, **{field: values}, **extra)
+        values.setflags(write=True)
+        values[0] = np.nan
+        stored = getattr(samples, field)
+        assert stored[0] == 1.0 and not stored.flags.writeable
+        assert not np.shares_memory(samples.thetas, thetas)
 
     @pytest.mark.parametrize("cls, field, extra", [
         (QuadratureRecord, "values", {}),
@@ -330,6 +339,14 @@ class TestGridSpec:
             GridSpec(0.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, -1.0, 1.0, n_x=1)
+        # A point count is an integer, never truncated to one.
+        for count in (2.9, 3.5, np.float64(81.5), np.inf, np.nan, True, np.True_):
+            with pytest.raises(ValueError, match="^n_x must be an integer, got "):
+                GridSpec(0.0, 1.0, 0.0, 1.0, n_x=count, n_p=3)
+            with pytest.raises(ValueError, match="^n_p must be an integer, got "):
+                GridSpec(0.0, 1.0, 0.0, 1.0, n_x=3, n_p=count)
+        spec = GridSpec(0.0, 1.0, 0.0, 1.0, n_x=np.int64(5), n_p=3.0)
+        assert (spec.n_x, spec.n_p) == (5, 3) and type(spec.n_x) is type(spec.n_p) is int
 
     def test_grid_shape_must_match(self):
         with pytest.raises(ValueError):
@@ -465,23 +482,16 @@ class TestSinogramBinning:
         assert np.any(np.isin(folded, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
         assert np.any(np.abs(q) > q_edges[-1])
 
-        theta_bin = _uniform_bin_index(folded, edges)
-        idx = np.clip(theta_bin, 0, self.N_THETA - 1)
-        # Same phase bin per sample, so the phase counts and variances match.
-        assert np.array_equal(idx, np.clip(np.digitize(folded, edges) - 1, 0, self.N_THETA - 1))
-        expected, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
-        assert np.array_equal(_sinogram(theta_bin, self.N_THETA, q, q_edges), expected)
-
-    @pytest.mark.parametrize("block", [7, 4096])
-    def test_sinogram_does_not_depend_on_block_size(self, rng, monkeypatch, block):
-        thetas, values, edges, q_edges = self.edge_record(rng)
-        folded, q = _fold_half_turn(thetas, values)
-        theta_bin = _uniform_bin_index(folded, edges)
-        # A block is never smaller than the sinogram (2460 cells here), so
-        # 7 gives blocks of 2460 samples and 4096 blocks of 4096.
-        monkeypatch.setattr(tomography, "_BLOCK", block)
-        expected, _, _ = np.histogram2d(folded, q, bins=[edges, q_edges])
-        assert np.array_equal(_sinogram(theta_bin, self.N_THETA, q, q_edges), expected)
+        # As given the record is sorted into its segments; stably sorted by
+        # phase it is its own segments.
+        in_order = np.argsort(folded, kind="stable")
+        for f, v in ((folded, q), (folded[in_order], q[in_order])):
+            segments = _phase_segments(f, v, edges)
+            idx = np.clip(np.digitize(f, edges) - 1, 0, self.N_THETA - 1)
+            assert np.array_equal(np.diff(segments[2]), np.bincount(idx, minlength=self.N_THETA))
+            expected, _, _ = np.histogram2d(f, v, bins=[edges, q_edges])
+            assert np.array_equal(_sinogram(*segments, q_edges), expected)
+        assert segments[0] is f and segments[1] is v
 
     @pytest.mark.parametrize(
         "theta, value",
@@ -496,17 +506,30 @@ class TestSinogramBinning:
         edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
         q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
         thetas, values = np.array([0.5, theta]), np.array([0.1, value])
-        theta_bin = _uniform_bin_index(thetas, edges)
-        sinogram = _sinogram(theta_bin, self.N_THETA, values, q_edges)
+        sinogram = _sinogram(*_phase_segments(thetas, values, edges), q_edges)
         expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
         assert expected.sum() == 1 and np.array_equal(sinogram, expected)
 
 
+def bincount_cutoff(idx, counts, values):
+    """The default cutoff from each sample's bin ``idx``, summed by weighted
+    bincounts, which add each bin's samples in array order."""
+    eligible = counts >= max(20, int(0.5 * values.size / counts.size))
+    if not np.any(eligible):
+        eligible = counts >= 2
+    sums = np.bincount(idx, weights=values, minlength=counts.size)[eligible]
+    sqs = np.bincount(idx, weights=values * values, minlength=counts.size)[eligible]
+    n = counts[eligible]
+    return DEFAULT_CUTOFF_SIGMAS / np.sqrt(float(np.min(sqs / n - (sums / n) ** 2)))
+
+
 class TestPhaseOrderedBinning:
-    """A record whose folded thetas do not decrease is binned by its segment
-    bounds; it must give what binning sample by sample gives."""
+    """A record is binned once, into one segment per phase bin.  Whether it
+    is in phase order already or has to be sorted, the segments, the
+    sinogram and the default cutoff must be what binning each sample gives."""
 
     N_THETA = 60
+    Q_EDGES = np.linspace(-3.0, 3.0, 42)
 
     @staticmethod
     def ordered_record(seed):
@@ -524,36 +547,57 @@ class TestPhaseOrderedBinning:
         values = rng.normal(0.0, 1.0, thetas.size) * (1.0 + np.cos(thetas) ** 2)
         return thetas, values, edges
 
+    def check_segments(self, thetas, values, edges, segments):
+        """``segments`` of the record (thetas, values) hold each phase bin's
+        samples in record order, with digitize + clip as the bins."""
+        idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
+        counts = np.bincount(idx, minlength=self.N_THETA)
+        in_bins = np.concatenate([np.flatnonzero(idx == b) for b in range(self.N_THETA)])
+        seg_thetas, seg_values, bounds = segments
+        assert bounds.dtype == np.intp and bounds[0] == 0
+        assert np.array_equal(np.diff(bounds), counts)
+        assert seg_thetas.tobytes() == thetas[in_bins].tobytes()
+        assert seg_values.tobytes() == values[in_bins].tobytes()
+        expected, _, _ = np.histogram2d(thetas, values, bins=[edges, self.Q_EDGES])
+        assert np.array_equal(_sinogram(*segments, self.Q_EDGES), expected)
+        cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(seg_values, bounds)
+        assert cutoff == bincount_cutoff(idx, counts, values)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_binning_sample_by_sample(self, seed):
         thetas, values, edges = self.ordered_record(seed)
         assert np.all(thetas[1:] >= thetas[:-1])
-        theta_bin = _uniform_bin_index(thetas, edges)
-        idx = np.clip(theta_bin, 0, self.N_THETA - 1)
-        counts = np.bincount(idx, minlength=self.N_THETA)
-        # The record reaches both outer bins and the closed last edge.
-        assert theta_bin.min() == -1 and theta_bin.max() == self.N_THETA
-        assert np.any(thetas == np.pi)
+        # The record reaches beyond both outer edges and the closed last edge.
+        assert thetas[0] < 0.0 and thetas[-1] > np.pi and np.any(thetas == np.pi)
         with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
-            ordered_bin, ordered_idx, ordered_counts = _phase_bins(thetas, edges)
-        for got, want in ((ordered_bin, theta_bin), (ordered_idx, idx), (ordered_counts, counts)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(idx, counts, values)
-        assert DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(
-            ordered_idx, ordered_counts, values) == cutoff
+            segments = _phase_segments(thetas, values, edges)
+        assert segments[0] is thetas and segments[1] is values  # no copy
+        self.check_segments(thetas, values, edges, segments)
 
-    def test_in_range_record_shares_its_bin_array(self, rng):
-        thetas = np.arange(5000) * (np.pi / 5000)
-        theta_bin, idx, counts = _phase_bins(thetas, np.linspace(0.0, np.pi, self.N_THETA + 1))
-        assert idx is theta_bin and counts.sum() == thetas.size
-
-    def test_unordered_record_is_binned_sample_by_sample(self, rng):
-        thetas = rng.uniform(0.0, np.pi, 5000)
-        edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
-        theta_bin, idx, counts = _phase_bins(thetas, edges)
-        assert np.array_equal(theta_bin, _uniform_bin_index(thetas, edges))
-        assert np.array_equal(counts, np.bincount(idx, minlength=self.N_THETA))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_unordered_record_is_binned_sample_by_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        thetas, values, edges = self.ordered_record(seed)
+        # Edges a million half turns away, and multiples of pi, some of
+        # which fold to just past pi.
+        multiples = np.arange(1, 200) * np.pi
+        wrapped = np.concatenate([edges + 1e6 * np.pi, multiples, -multiples])
+        thetas = np.concatenate([thetas, wrapped])
+        values = np.concatenate([values, rng.normal(0.0, 1.0, wrapped.size)])
+        # Shuffle pieces of the sorted record, keeping runs in half of them.
+        pieces = np.array_split(np.arange(thetas.size), int(rng.integers(2, 200)))
+        order = np.concatenate([
+            rng.permutation(pieces[i]) if rng.random() < 0.5 else pieces[i]
+            for i in rng.permutation(len(pieces))
+        ])
+        thetas, values = thetas[order], values[order]
+        folded, q = _fold_half_turn(thetas, values)
+        assert np.any(folded > np.pi) and np.any(np.signbit(thetas))
+        for t, v in ((thetas, values), (folded, q)):
+            assert not np.all(t[1:] >= t[:-1])
+            self.check_segments(t, v, edges, _phase_segments(t, v, edges))
 
 
 class TestWignerMoments:
