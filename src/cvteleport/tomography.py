@@ -29,10 +29,15 @@ noise, smaller ones blur the narrow quadrature.
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
 sample depends on the block size) and binned once, into one segment per phase
 bin, which the phase counts, the default cutoff and the sinogram all read.
+Its normals are drawn block by block from the caller's one stream, on a
+second thread while the marginals are computed when the process may run on
+more than one CPU, inline first otherwise; no result depends on which.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +82,13 @@ def _set_samples(samples, name: str, kind: str, thetas, values):
     if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
         raise ValueError(f"{kind} values must be finite")
     return samples
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _single_mode(state: GaussianState) -> GaussianState:
@@ -276,6 +288,13 @@ def sample_record(
     The default schedule is a uniform linear sweep over [0, pi), one sample
     per phase step, approximating a continuous scan.  An explicit ``thetas``
     array overrides the schedule (its length wins over ``n_samples``).
+
+    The normals z are drawn block by block, the stream and bytes of one
+    ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
+    When the process may run on more than one CPU they are drawn on a second
+    thread while this one computes each block's mean and spread; otherwise
+    they are drawn first.  No result depends on which, and the drawing thread
+    has ended when this returns or raises.
     """
     _single_mode(state)
     if thetas is None:
@@ -287,12 +306,44 @@ def sample_record(
         thetas = np.array(thetas, dtype=float)  # never the caller's array
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("thetas must be a non-empty 1-D array")
-    values = rng.standard_normal(thetas.size)  # z, then mu + sqrt(var) z
-    for a in range(0, values.size, _BLOCK):
-        mu, var = _marginal_arrays(state, thetas[a:a + _BLOCK])
-        z = values[a:a + _BLOCK]
-        z *= np.sqrt(var, out=var)
-        z += mu
+    values = np.empty(thetas.size)  # z, then mu + sqrt(var) z
+    starts = range(0, values.size, _BLOCK)
+    drawn = threading.Semaphore(0)  # one release per block of z drawn
+    stop = threading.Event()
+    failure = []
+
+    def draw():
+        # Block by block, the stream one standard_normal(values.size) draws.
+        try:
+            for a in starts:
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=values[a:a + _BLOCK])
+                drawn.release()
+        except BaseException as exc:  # re-raised by the marginals loop
+            failure.append(exc)
+            drawn.release()
+
+    drawer = None
+    if _usable_cpus() > 1:
+        drawer = threading.Thread(target=draw, name="sample_record-draw")
+        drawer.start()
+    else:
+        draw()
+    try:
+        for a in starts:
+            mu, var = _marginal_arrays(state, thetas[a:a + _BLOCK])
+            sd = np.sqrt(var, out=var)
+            drawn.acquire()
+            if failure:
+                raise failure[0]
+            z = values[a:a + _BLOCK]
+            z *= sd
+            z += mu
+    finally:
+        stop.set()
+        if drawer is not None:
+            drawer.join()
     thetas.setflags(write=False)
     values.setflags(write=False)
     # The constructor copies a caller's arrays; nothing else holds these.

@@ -1,6 +1,8 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
 import dataclasses
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -272,6 +274,122 @@ class TestSampleRecord:
             assert not stored.flags.writeable and not np.shares_memory(stored, base)
         base[0] = 5.0
         assert samples.thetas[0] == 0.0 and getattr(samples, field)[0] == 0.0
+
+
+class _StubRng:
+    """A default_rng(0) whose standard_normal takes ``delay`` seconds and
+    raises on call ``fail_at``; it records the threads that drew."""
+
+    def __init__(self, fail_at=None, delay=0.0):
+        self._rng = np.random.default_rng(0)
+        self.fail_at = fail_at
+        self.delay = delay
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise FloatingPointError(f"block {self.fail_at}")
+        time.sleep(self.delay)
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def bounded(call, timeout=30.0):
+    """call() on a helper thread joined with a timeout, so a deadlock fails
+    the test instead of hanging it; returns its result or raises its error."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run, daemon=True)  # a deadlock must not block exit
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"call still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch):
+    """Patch the CPUs the process may use: sample_record draws inline on one
+    and on a second thread on two, whatever the host has."""
+    monkeypatch.setattr(tomography.os, "sched_getaffinity",
+                        lambda pid: set(range(request.param)), raising=False)
+    return request.param
+
+
+class TestSampleRecordDrawer:
+    @pytest.mark.parametrize("n", [1, tomography._BLOCK - 1, tomography._BLOCK,
+                                   tomography._BLOCK + 1, 3 * tomography._BLOCK + 7])
+    def test_draws_the_stream_of_one_call(self, n, cpus):
+        # A caller's later draws do not move, whoever drew the blocks.
+        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+        sample_record(vacuum(1), n, rng)
+        reference.standard_normal(n)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random() == reference.random()
+
+    def test_one_cpu_record_has_the_threaded_bytes(self, monkeypatch):
+        state = random_physical_state(np.random.default_rng(5), 1)
+        n = 3 * tomography._BLOCK + 7
+        records = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(tomography.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            records.append(sample_record(state, n, np.random.default_rng(5)))
+        threaded, inline = records
+        assert inline.values.tobytes() == threaded.values.tobytes()
+        assert inline.thetas.tobytes() == threaded.thetas.tobytes()
+
+    def test_each_block_waits_for_its_draw(self, cpus):
+        n = 3 * tomography._BLOCK + 7
+        slow = sample_record(vacuum(1), n, _StubRng(delay=0.02))
+        fast = sample_record(vacuum(1), n, np.random.default_rng(0))
+        assert slow.values.tobytes() == fast.values.tobytes()
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_draw_error_is_raised_and_drawer_joined(self, fail_at, cpus):
+        rng = _StubRng(fail_at)
+        callers = []
+
+        def call():
+            callers.append(threading.current_thread())
+            return sample_record(vacuum(1), 3 * tomography._BLOCK, rng)
+
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"block {fail_at}"):
+            bounded(call)
+        assert threading.active_count() == before
+        # every block drawn by one thread: the caller on one CPU, a drawer on two
+        assert len(rng.threads) == fail_at and len(set(rng.threads)) == 1
+        assert (rng.threads[0] is callers[0]) == (cpus == 1)
+
+    def test_marginal_error_propagates_and_drawer_joined(self, cpus):
+        marginal_arrays = tomography._marginal_arrays
+        calls = []
+
+        def second_block_fails(state, thetas):
+            calls.append(thetas.size)
+            if len(calls) == 2:
+                raise FloatingPointError("second marginals")
+            return marginal_arrays(state, thetas)
+
+        # On two CPUs the drawer is still in block 2's slow draw when block
+        # 2's marginals raise: it is joined there and draws no third block.
+        # On one CPU every block is drawn before the marginals.
+        rng = _StubRng(delay=0.1)
+        before = threading.active_count()
+        with mock.patch.object(tomography, "_marginal_arrays", second_block_fails):
+            with pytest.raises(FloatingPointError, match="second marginals"):
+                bounded(lambda: sample_record(vacuum(1), 3 * tomography._BLOCK, rng))
+        assert threading.active_count() == before
+        assert len(calls) == 2
+        assert len(rng.threads) == (3 if cpus == 1 else 2)
 
 
 class TestWignerAnalytic:
