@@ -18,20 +18,25 @@ This module emulates the measurement side of the experiment:
   reconstructions can be compared against analytic states.
 
 Filter details, fixed here by a numerical bias study (see the repository
-demos): profiles are zero-padded to 8x their length before the FFT ramp
-filter is applied.  Without padding the ramp kernel's slowly decaying tails
-wrap around in the circular convolution and depress the reconstruction by
-tens of percent; at 8x padding the vacuum second moment is biased by < 0.5%.
-The default cutoff is k_c = 6.5 / sigma_min, with sigma_min the smallest
-marginal standard deviation seen in the record; larger cutoffs admit shot
-noise, smaller ones blur the narrow quadrature.
+demos): profiles are zero-padded to 8x their length before the ramp filter
+is applied, by a real FFT (np.fft.rfft and irfft: the profiles are real, so
+only the non-negative frequencies are kept).  Without padding the ramp
+kernel's slowly decaying tails wrap around in the circular convolution and
+depress the reconstruction by tens of percent; at 8x padding the vacuum
+second moment is biased by < 0.5%.  The default cutoff is k_c = 6.5 /
+sigma_min, with sigma_min the smallest marginal standard deviation seen in
+the record, from pairwise per-bin sums; larger cutoffs admit shot noise,
+smaller ones blur the narrow quadrature.
 
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
 sample depends on the block size) and binned once, into one segment per phase
 bin, which the phase counts, the default cutoff and the sinogram all read.
 Its normals are drawn block by block from the caller's one stream, on a
 second thread while the marginals are computed when the process may run on
-more than one CPU, inline first otherwise; no result depends on which.
+more than one CPU, inline first otherwise; no result depends on which.  The
+default sweep's cos and sin come from one table of the first block's angles
+by angle addition, a few ulps from np.cos and np.sin; an explicit
+schedule's are np.cos and np.sin.
 """
 
 from __future__ import annotations
@@ -97,9 +102,24 @@ def _single_mode(state: GaussianState) -> GaussianState:
     return state
 
 
-def _marginal_arrays(state, thetas):
-    """Mean and variance of the rotated quadrature at each theta, vectorized."""
-    c, s = np.cos(thetas), np.sin(thetas)
+def _rotated(table, cos_a, sin_a, m):
+    """cos and sin of theta_a + theta_j for the table's first m angles theta_j,
+    by angle addition from ``table`` = (cos theta_j, sin theta_j) and the pair
+    (cos_a, sin_a): c = cos_a cos_j - sin_a sin_j, s = sin_a cos_j + cos_a sin_j.
+    Each is within a few ulps of np.cos and np.sin of the summed angle."""
+    tc, ts = table[0][:m], table[1][:m]
+    c = np.multiply(cos_a, tc)
+    s = np.multiply(sin_a, tc)
+    term = np.multiply(sin_a, ts)
+    c -= term
+    np.multiply(cos_a, ts, out=term)
+    s += term
+    return c, s
+
+
+def _marginal_arrays(state, c, s):
+    """Mean and variance of the rotated quadrature at each phase, vectorized,
+    from the phases' cosines ``c`` and sines ``s``, which it overwrites."""
     mx, mp = state.mean
     cov = state.cov
     # var = c00 c c + 2 c01 c s + c11 s s and mu = mx c + mp s, in place but
@@ -259,7 +279,7 @@ def spectrum_trace(
     if rng is not None and (averages < 1 or averages != int(averages)):
         raise ValueError("averages must be an integer >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    mu, var = _marginal_arrays(state, thetas)
+    mu, var = _marginal_arrays(state, np.cos(thetas), np.sin(thetas))
     # A mean too large to square overflows to inf, raised below as a result.
     with np.errstate(over="ignore", invalid="ignore"):
         if rng is None:
@@ -289,6 +309,13 @@ def sample_record(
     per phase step, approximating a continuous scan.  An explicit ``thetas``
     array overrides the schedule (its length wins over ``n_samples``).
 
+    An explicit schedule's cos and sin are np.cos and np.sin of its thetas.
+    The default sweep's come from one table: sample a + j of the block at a
+    has theta_a + theta_j, so angle addition gives them from the first
+    block's np.cos/np.sin and one pair for theta_a.  They are exact in the
+    first block and within a few ulps after it, with no error carried from
+    block to block.
+
     The normals z are drawn block by block, the stream and bytes of one
     ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
     When the process may run on more than one CPU they are drawn on a second
@@ -302,10 +329,13 @@ def sample_record(
             raise ValueError("n_samples must be >= 1")
         thetas = np.arange(n_samples, dtype=float)
         thetas *= np.pi / n_samples
+        table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
+        heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
     else:
         thetas = np.array(thetas, dtype=float)  # never the caller's array
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("thetas must be a non-empty 1-D array")
+        table = None
     values = np.empty(thetas.size)  # z, then mu + sqrt(var) z
     starts = range(0, values.size, _BLOCK)
     drawn = threading.Semaphore(0)  # one release per block of z drawn
@@ -331,8 +361,13 @@ def sample_record(
     else:
         draw()
     try:
-        for a in starts:
-            mu, var = _marginal_arrays(state, thetas[a:a + _BLOCK])
+        for i, a in enumerate(starts):
+            block = thetas[a:a + _BLOCK]
+            if table is None:
+                c, s = np.cos(block), np.sin(block)
+            else:
+                c, s = _rotated(table, heads[0][i], heads[1][i], block.size)
+            mu, var = _marginal_arrays(state, c, s)
             sd = np.sqrt(var, out=var)
             drawn.acquire()
             if failure:
@@ -443,15 +478,23 @@ def _phase_segments(folded, q, edges):
 
 
 def _record_sigma_min(q, bounds):
-    """Smallest per-bin sample standard deviation, from well-filled bins; each
-    segment is summed in record order, as a weighted bincount sums it."""
+    """Smallest per-bin sample standard deviation, from well-filled bins.
+
+    Segments are summed pairwise, by np.add.reduceat over the starts of the
+    non-empty ones.  The squares go through one segment-sized buffer rather
+    than a record-sized array; a segment's reduceat at offset 0 sums it as
+    the whole-record call would."""
     counts = np.diff(bounds)
     eligible = counts >= max(20, int(0.5 * q.size / counts.size))
     if not np.any(eligible):
         eligible = counts >= 2
-    segments = [q[a:b] for a, b in zip(bounds[:-1][eligible], bounds[1:][eligible])]
-    sums = np.array([np.add.accumulate(seg)[-1] for seg in segments])
-    sqs = np.array([np.add.accumulate(seg * seg)[-1] for seg in segments])
+    filled = counts > 0
+    sums = np.add.reduceat(q, bounds[:-1][filled])[eligible[filled]]
+    square = np.empty(counts.max())
+    sqs = np.array([
+        np.add.reduceat(np.square(q[a:b], out=square[:b - a]), [0])[0]
+        for a, b in zip(bounds[:-1][eligible], bounds[1:][eligible])
+    ])
     n = counts[eligible]
     var_min = float(np.min(sqs / n - (sums / n) ** 2))
     if var_min <= 0.0:
@@ -479,6 +522,23 @@ def _sinogram(folded, q, bounds, q_edges):
     return sinogram
 
 
+def _ramp_filter(profiles, dq, cutoff):
+    """Each row of ``profiles``, on quadrature bins of width dq, filtered by
+    the ramp pi |k| with a hard cutoff at |k| = ``cutoff``.
+
+    Zero-pad before filtering: the ramp kernel's 1/u^2 tails otherwise wrap
+    around the circular convolution and depress the low frequencies.  The
+    profiles are real, so rfft pads them to n_pad and keeps only k >= 0.
+    """
+    n_q = profiles.shape[1]
+    n_pad = 1 << int(np.ceil(np.log2(n_q * _FILTER_PAD_FACTOR)))
+    k = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=dq)
+    ramp = np.pi * k * (k <= cutoff)
+    spectrum = np.fft.rfft(profiles, n=n_pad, axis=1)
+    spectrum *= ramp
+    return np.fft.irfft(spectrum, n=n_pad, axis=1)[:, :n_q]
+
+
 def inverse_radon(
     record: QuadratureRecord,
     spec: GridSpec,
@@ -499,13 +559,13 @@ def inverse_radon(
     into one segment of samples per phase bin: a record whose folded thetas
     do not decrease, as sample_record's default sweep, already is in segment
     order and is not copied; any other record is sorted stably by phase bin.
-    Each bin's variance sums its samples in record order.
+    Each bin's variance takes pairwise sums (np.add.reduceat) of its segment.
 
-    Each marginal histogram is ramp-filtered in the Fourier domain with a
-    hard cutoff at ``filter_cutoff`` (default 6.5 / sigma_min, estimated from
-    the record), then back-projected along its phase.  Raises if fewer than
-    MIN_RECORD_SAMPLES samples are supplied or if less than 80% of the phase
-    bins are populated.
+    Each marginal histogram is ramp-filtered in the Fourier domain, by real
+    FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``
+    (default 6.5 / sigma_min, estimated from the record), then back-projected
+    along its phase.  Raises if fewer than MIN_RECORD_SAMPLES samples are
+    supplied or if less than 80% of the phase bins are populated.
     """
     if record.n_samples < MIN_RECORD_SAMPLES:
         raise ValueError(
@@ -553,14 +613,7 @@ def inverse_radon(
     populated = np.flatnonzero(counts)
     profiles = sinogram[populated] / (counts[populated, None] * dq)
 
-    # Zero-pad before filtering: the ramp kernel's 1/u^2 tails otherwise wrap
-    # around the circular convolution and depress the low frequencies.
-    n_pad = 1 << int(np.ceil(np.log2(n_q * _FILTER_PAD_FACTOR)))
-    k = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=dq)
-    ramp = np.pi * np.abs(k) * (np.abs(k) <= filter_cutoff)
-    padded = np.zeros((populated.size, n_pad))
-    padded[:, :n_q] = profiles
-    filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=1) * ramp, axis=1))[:, :n_q]
+    filtered = _ramp_filter(profiles, dq, filter_cutoff)
 
     X, P = np.meshgrid(x, p, indexing="ij")
     accum = np.zeros_like(X)
