@@ -15,6 +15,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 VACUUM_VARIANCE = 0.25
@@ -27,6 +29,8 @@ PHYSICALITY_ATOL = 1e-9
 # Largest squeezer level accepted: the variance 10^(dB/10) overflows a float
 # from about 3082.547 dB on.
 MAX_LEVEL_DB = 3082.5
+# One-mode vacuum covariance; GaussianState copies it, so no state shares it.
+_VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
 
 
 class PhysicsError(ValueError):
@@ -70,7 +74,9 @@ class GaussianState:
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, *, validate: bool = True):
-        mean = np.array(mean, dtype=float).reshape(-1)
+        mean = np.array(mean, dtype=float)
+        if mean.ndim != 1:
+            mean = mean.reshape(-1)
         cov = np.array(cov, dtype=float)
         if mean.size < 2 or mean.size % 2:
             raise ValueError(f"mean must have even length >= 2, got {mean.size}")
@@ -90,8 +96,8 @@ class GaussianState:
                     f"covariance violates the uncertainty principle: "
                     f"min symplectic eigenvalue {nu_min:.6g} < 1/4"
                 )
-        mean.flags.writeable = False
-        cov.flags.writeable = False
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -110,19 +116,14 @@ def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return GaussianState(
-        np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes), validate=False
-    )
+    cov = _VACUUM_COV if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
+    return GaussianState(np.zeros(2 * n_modes), cov, validate=False)
 
 
 def coherent_state(alpha: complex) -> GaussianState:
     """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha)."""
     alpha = complex(alpha)
-    return GaussianState(
-        np.array([alpha.real, alpha.imag]),
-        VACUUM_VARIANCE * np.eye(2),
-        validate=False,
-    )
+    return GaussianState(np.array([alpha.real, alpha.imag]), _VACUUM_COV, validate=False)
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -154,11 +155,16 @@ def _check_mode(state: GaussianState, mode: int) -> None:
 
 
 def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
-    """Phase rotation of one mode by phi in the (x, p) plane."""
+    """Phase rotation of one mode by phi in the (x, p) plane; phi must be finite."""
     _check_mode(state, mode)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     c, s = np.cos(phi), np.sin(phi)
+    block = np.array([[c, -s], [s, c]])
+    if state.n_modes == 1:
+        return apply_symplectic(state, block)
     rotation = np.eye(2 * state.n_modes)
-    rotation[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, -s], [s, c]]
+    rotation[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
     return apply_symplectic(state, rotation)
 
 

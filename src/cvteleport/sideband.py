@@ -12,6 +12,9 @@ equals 1 for vacuum in the hbar = 1/2 convention, and delta_sq < 1 certifies
 entanglement between the sidebands.  For a single mode with x variance Vx the
 identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the analysis
 frequency is the same statement as sideband entanglement.
+
+The pair's moments are formed directly; the gate chain that defines them
+(`quarter_turn`, `tensor`, `apply_symplectic`) is their test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.gaussian import GaussianState, apply_symplectic, quarter_turn, tensor
+from cvteleport.gaussian import GaussianState
 
 # Combination variances are referenced to two-mode vacuum, which gives
 # Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
@@ -58,11 +61,17 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     symplectic (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2) acting
     identically on x and p.  Displacements split evenly between the sidebands
     and do not affect the criterion, which uses central variances only.
+
+    Formed directly, bit for bit the moments of that chain: the product's
+    mean and block-diagonal covariance go through apply_symplectic's products.
     """
     if state.n_modes != 1:
         raise ValueError("sidebands_from_single_mode requires a single-mode state")
-    mirror = quarter_turn(GaussianState(np.zeros(2), state.cov, validate=False))
-    return SidebandPair(apply_symplectic(tensor(state, mirror), _SPLIT))
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
+    cov = np.array([[cxx, cxp, 0.0, 0.0], [cpx, cpp, 0.0, 0.0],
+                    [0.0, 0.0, cpp, 0.0 - cpx], [0.0, 0.0, 0.0 - cxp, cxx]])
+    mean = _SPLIT @ np.array([mx, mp, 0.0, 0.0])
+    return SidebandPair(GaussianState(mean, _SPLIT @ cov @ _SPLIT.T, validate=False))
 
 
 def delta_sq(pair: SidebandPair) -> float:

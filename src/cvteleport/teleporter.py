@@ -126,7 +126,7 @@ class TeleporterParams:
         check_fraction(self.eta_hom, "eta_hom")
         if self.eta_hom < 1e-6:
             raise ValueError("eta_hom too small to compensate electronically")
-        if not (np.isfinite(self.g_x) and np.isfinite(self.g_p)):
+        if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("gains must be finite")
 
 
@@ -275,18 +275,19 @@ def _report(
 ) -> TeleportReport:
     """The report of one run; raises PhysicsError when a number it would
     hold is not finite, before any of it is printed or written."""
-    cov = output.cov.ravel().tolist()
-    for quantity, numbers in (
-        ("output mean", output.mean.tolist()),
-        ("output covariance", cov),
-        ("EPR correlations", epr),
-        ("gains", gains),
-    ):
-        if not all(map(math.isfinite, numbers)):
-            raise PhysicsError(f"teleporter {quantity} is not finite: {numbers}")
+    mean, cov = output.mean.tolist(), output.cov.ravel().tolist()
+    if not all(map(math.isfinite, [*mean, *cov, *epr, *gains])):
+        for quantity, numbers in (
+            ("output mean", mean),
+            ("output covariance", cov),
+            ("EPR correlations", epr),
+            ("gains", gains),
+        ):
+            if not all(map(math.isfinite, numbers)):
+                raise PhysicsError(f"teleporter {quantity} is not finite: {numbers}")
     vx, vp = cov[0], cov[3]
     fidelity = None
-    if _coherent_input(params) and params.g_x == params.g_p == 1.0:
+    if params.g_x == params.g_p == 1.0 and _coherent_input(params):
         fidelity = coherent_fidelity(vx, vp)
     return TeleportReport(
         output_state=output,
@@ -304,13 +305,16 @@ def _report(
     )
 
 
-_VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
-# np.allclose(cov, vacuum, atol=1e-9) with its default rtol of 1e-5, per element
-_COHERENT_TOL = 1e-9 + 1e-5 * _VACUUM_COV
+# np.allclose(cov, I/4, atol=1e-9) with its default rtol of 1e-5, per element
+_DIAGONAL_TOL, _OFF_DIAGONAL_TOL = 1e-9 + 1e-5 * VACUUM_VARIANCE, 1e-9
 
 
 def _coherent_input(params: TeleporterParams) -> bool:
-    return bool(np.all(np.abs(params.input_state.cov - _VACUUM_COV) <= _COHERENT_TOL))
+    (cxx, cxp), (cpx, cpp) = params.input_state.cov.tolist()
+    return (
+        abs(cxx - VACUUM_VARIANCE) <= _DIAGONAL_TOL and abs(cpp - VACUUM_VARIANCE) <= _DIAGONAL_TOL
+        and abs(cxp) <= _OFF_DIAGONAL_TOL and abs(cpx) <= _OFF_DIAGONAL_TOL
+    )
 
 
 def teleport_analytic(params: TeleporterParams) -> TeleportReport:

@@ -25,7 +25,8 @@ from cvteleport import (
     vacuum,
     variance_from_db,
 )
-from cvteleport.gaussian import MAX_LEVEL_DB, quarter_turn
+from cvteleport import gaussian
+from cvteleport.gaussian import MAX_LEVEL_DB, apply_symplectic, quarter_turn
 from conftest import random_physical_state
 
 ATOL = 1e-12
@@ -130,6 +131,40 @@ def test_coherent_state_is_displaced_vacuum():
     assert np.allclose(coherent_state(3.5 + 0j).mean, [3.5, 0.0], atol=ATOL)
     assert np.allclose(coherent_state(1 + 2j).mean, [1.0, 2.0], atol=ATOL)
     assert np.array_equal(coherent_state(1 + 2j).cov, vacuum(1).cov)
+
+
+def test_vacuum_covariance_is_copied_not_shared():
+    for state in (coherent_state(1 + 2j), vacuum(1)):
+        assert state.cov is not gaussian._VACUUM_COV
+        assert not np.shares_memory(state.cov, gaussian._VACUUM_COV)
+        assert not state.cov.flags.writeable and not state.mean.flags.writeable
+        with pytest.raises(ValueError):
+            state.cov[0, 0] = 1.0
+    assert np.array_equal(gaussian._VACUUM_COV, 0.25 * np.eye(2))
+    assert GaussianState([[1.0], [2.0]], 0.25 * np.eye(2)).mean.shape == (2,)
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_rotate_rejects_a_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        rotate(vacuum(1), 0, phi)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        rotate(vacuum(2), 1, phi)
+
+
+def test_rotate_single_mode_matches_the_embedded_matrix(rng):
+    # the n-mode rule: identity with the 2 x 2 rotation in the mode's block
+    for _ in range(20):
+        phi = rng.uniform(-10.0, 10.0)
+        for state, mode in ((random_physical_state(rng, 1), 0), (random_physical_state(rng, 2), 1)):
+            matrix = np.eye(2 * state.n_modes)
+            matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [
+                [np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]
+            ]
+            expected = apply_symplectic(state, matrix)
+            turned = rotate(state, mode, phi)
+            assert turned.mean.tobytes() == expected.mean.tobytes()
+            assert turned.cov.tobytes() == expected.cov.tobytes()
 
 
 def test_beamsplitter_identity_and_swap():

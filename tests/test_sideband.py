@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
     GaussianState,
@@ -13,7 +15,9 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
+from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
 from cvteleport.sideband import (
+    _SPLIT,
     SidebandPair,
     delta_sq,
     is_entangled,
@@ -119,3 +123,23 @@ def test_rotated_input_uses_x_axis_combinations():
     pair = sidebands_from_single_mode(state)
     assert delta_sq(pair) == pytest.approx(10 ** 0.6, rel=1e-9)
     assert not is_entangled(pair).entangled
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sq_db=st.floats(-40.0, 0.0),
+    excess_db=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    phi=st.floats(-7.0, 7.0),
+    mean=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_pair_moments_equal_the_gate_chain_bytewise(sq_db, excess_db, phi, mean):
+    # squeezed up to 40 dB, anti-squeezed up to 40 dB beyond pure, turned so
+    # the off-diagonal terms are non-zero (and, from round-off, can differ),
+    # and displaced
+    squeezed = rotate(impure_squeezed_vacuum(sq_db, excess_db - sq_db), 0, phi)
+    state = GaussianState(mean, squeezed.cov, validate=False)
+    mirror = quarter_turn(GaussianState(np.zeros(2), state.cov, validate=False))
+    chain = apply_symplectic(tensor(state, mirror), _SPLIT)
+    pair = sidebands_from_single_mode(state)
+    assert pair.mean.tobytes() == chain.mean.tobytes()
+    assert pair.cov.tobytes() == chain.cov.tobytes()

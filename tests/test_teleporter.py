@@ -9,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import assert_same_two_moments
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
     GaussianState,
@@ -348,6 +350,30 @@ def test_coherent_input_tolerance_edges(diagonal, off_diagonal, coherent):
     else:
         with pytest.raises(ValueError, match="coherent input"):
             cascade(params, 2)
+
+
+# Elements at the edges of np.allclose(cov, I/4, atol=1e-9): each boundary,
+# its neighbours one ulp away on either side, and the non-finite values.
+def _edges(*boundaries):
+    near = [np.nextafter(b, d) for b in boundaries for d in (-np.inf, np.inf)]
+    return st.sampled_from([*boundaries, *near, np.nan, np.inf, -np.inf])
+
+
+_DIAGONAL_TOL = 1e-9 + 1e-5 * 0.25
+_DIAGONAL = st.one_of(
+    _edges(0.25 + _DIAGONAL_TOL, 0.25 - _DIAGONAL_TOL, 0.25), st.floats(0.25 - 5e-6, 0.25 + 5e-6)
+)
+_OFF_DIAGONAL = st.one_of(_edges(1e-9, -1e-9, 0.0, -0.0), st.floats(-2e-9, 2e-9), st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(cov=st.tuples(_DIAGONAL, _OFF_DIAGONAL, _OFF_DIAGONAL, _DIAGONAL))
+def test_coherent_input_equals_the_elementwise_numpy_check(cov):
+    cov = np.array(cov).reshape(2, 2)
+    vacuum_cov = 0.25 * np.eye(2)
+    expected = bool(np.all(np.abs(cov - vacuum_cov) <= 1e-9 + 1e-5 * vacuum_cov))
+    params = TeleporterParams(input_state=GaussianState(np.zeros(2), cov, validate=False))
+    assert teleporter._coherent_input(params) is expected
 
 
 def test_analytic_path_does_not_use_the_gaussian_chain(monkeypatch):
