@@ -23,7 +23,9 @@ VACUUM_VARIANCE = 0.25
 TWO_MODE_VACUUM_VARIANCE = 0.5
 
 # Constructor tolerances: measured covariances may carry tiny asymmetries and
-# eigenvalue dips from floating-point round-off, nothing larger.
+# eigenvalue dips from floating-point round-off, nothing larger.  Round-off
+# grows with the entries, so the symmetry bound is SYMMETRY_ATOL times
+# max(1, max |cov|).
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 # Largest squeezer level accepted: the variance 10^(dB/10) overflows a float
@@ -87,7 +89,10 @@ class GaussianState:
                 raise ValueError("mean must be finite")
             if not np.all(np.isfinite(cov)):
                 raise ValueError("cov must be finite")
-            if not np.all(np.abs(cov - cov.T) <= SYMMETRY_ATOL):
+            # the bound SYMMETRY_ATOL * max(1, max |cov|); max |cov| is read
+            # only for an asymmetry past SYMMETRY_ATOL
+            asymmetry = np.abs(cov - cov.T).max()
+            if asymmetry > SYMMETRY_ATOL and asymmetry > SYMMETRY_ATOL * np.abs(cov).max():
                 raise PhysicsError("covariance matrix is not symmetric")
             cov = 0.5 * (cov + cov.T)
             nu_min = symplectic_eigenvalues(cov).min()

@@ -30,13 +30,14 @@ smaller ones blur the narrow quadrature.
 
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
 sample depends on the block size) and binned once, into one segment per phase
-bin, which the phase counts, the default cutoff and the sinogram all read.
-Its normals are drawn block by block from the caller's one stream, on a
-second thread while the marginals are computed when the process may run on
-more than one CPU, inline first otherwise; no result depends on which.  The
-default sweep's cos and sin come from one table of the first block's angles
-by angle addition, a few ulps from np.cos and np.sin; an explicit
-schedule's are np.cos and np.sin.
+bin, which the phase counts, the default cutoff and the sinogram all read; a
+record in phase order within [0, pi), as the default sweep, is not folded or
+copied.  Its normals are drawn first, block by block from the caller's one
+stream, on a second thread while the schedule and marginals are set up and
+each block is checked finite when the process may run on more than one CPU,
+inline otherwise; no result depends on which.  The default sweep's cos and
+sin come from one table of the first block's angles by angle addition, a few
+ulps from np.cos and np.sin; an explicit schedule's are np.cos and np.sin.
 """
 
 from __future__ import annotations
@@ -76,15 +77,17 @@ def _readonly(array):
     return out
 
 
-def _set_samples(samples, name: str, kind: str, thetas, values):
+def _set_samples(samples, name: str, kind: str, thetas, values, finite=None):
     """Store read-only float arrays ``thetas`` and ``values`` as a trace's or
     record's thetas and field ``name``, and return it; raise unless they are
-    matching 1-D arrays of finite values."""
+    matching 1-D arrays of finite values; a caller that checked passes ``finite``."""
     object.__setattr__(samples, "thetas", thetas)
     object.__setattr__(samples, name, values)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise ValueError(f"thetas and {name} must be matching 1-D arrays")
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
+    if finite is None:
+        finite = np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))
+    if not finite:
         raise ValueError(f"{kind} values must be finite")
     return samples
 
@@ -318,25 +321,22 @@ def sample_record(
 
     The normals z are drawn block by block, the stream and bytes of one
     ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
-    When the process may run on more than one CPU they are drawn on a second
-    thread while this one computes each block's mean and spread; otherwise
-    they are drawn first.  No result depends on which, and the drawing thread
-    has ended when this returns or raises.
+    They are drawn first: when the process may run on more than one CPU, on a
+    second thread while this one builds the schedule, computes each block's
+    mean and spread and checks each finished block is finite; otherwise
+    inline.  No result depends on which, and the drawing thread has ended
+    when this returns or raises.
     """
     _single_mode(state)
+    table = None
     if thetas is None:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        thetas = np.arange(n_samples, dtype=float)
-        thetas *= np.pi / n_samples
-        table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
-        heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
     else:
         thetas = np.array(thetas, dtype=float)  # never the caller's array
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("thetas must be a non-empty 1-D array")
-        table = None
-    values = np.empty(thetas.size)  # z, then mu + sqrt(var) z
+    values = np.empty(n_samples if thetas is None else thetas.size)  # z, then mu + sqrt(var) z
     starts = range(0, values.size, _BLOCK)
     drawn = threading.Semaphore(0)  # one release per block of z drawn
     stop = threading.Event()
@@ -361,6 +361,12 @@ def sample_record(
     else:
         draw()
     try:
+        if thetas is None:  # the default sweep, set up while z is drawn
+            thetas = np.arange(n_samples, dtype=float)
+            thetas *= np.pi / n_samples
+            table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
+            heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
+        finite = True  # a non-finite theta gives a NaN value
         for i, a in enumerate(starts):
             block = thetas[a:a + _BLOCK]
             if table is None:
@@ -375,6 +381,7 @@ def sample_record(
             z = values[a:a + _BLOCK]
             z *= sd
             z += mu
+            finite &= np.isfinite(z).all()
     finally:
         stop.set()
         if drawer is not None:
@@ -382,7 +389,8 @@ def sample_record(
     thetas.setflags(write=False)
     values.setflags(write=False)
     # The constructor copies a caller's arrays; nothing else holds these.
-    return _set_samples(object.__new__(QuadratureRecord), "values", "record", thetas, values)
+    return _set_samples(object.__new__(QuadratureRecord), "values", "record", thetas,
+                        values, finite)
 
 
 def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> WignerGrid:
@@ -427,7 +435,12 @@ def _fold_half_turn(thetas, values):
     return folded, q
 
 
-def _uniform_bin_index(values, edges):
+def _upper_edges(edges):
+    """Each bin's upper edge; the last bin is closed: only values past its edge leave it."""
+    return np.append(edges[1:-1], np.nextafter(edges[-1], np.inf))
+
+
+def _uniform_bin_index(values, edges, upper=None):
     """Bin of each value among the uniform ``edges``, as np.histogramdd bins it.
 
     Bins are half-open, [edges[i], edges[i + 1]), except that a value equal
@@ -435,7 +448,7 @@ def _uniform_bin_index(values, edges):
     map to -1 or n.  The index comes from the uniform spacing and is then
     corrected by at most one bin against the edges themselves, as
     np.histogram does for uniform bins, so it matches the searchsorted
-    result exactly.
+    result exactly.  ``upper`` is _upper_edges(edges), made here unless given.
     """
     n = edges.size - 1
     lo, hi = edges[0], edges[-1]
@@ -443,14 +456,29 @@ def _uniform_bin_index(values, edges):
     scaled *= n / (hi - lo)
     idx = scaled.astype(np.intp)
     np.clip(idx, 0, n - 1, out=idx)
-    # Upper edge of each bin; the last bin is closed, so only values above
-    # the last edge move past it.  Every gathered index is in range, so
-    # "clip" only spares take() its bounds check.
-    upper = edges[1:].copy()
-    upper[-1] = np.nextafter(hi, np.inf)
+    if upper is None:
+        upper = _upper_edges(edges)
+    # Every gathered index is in range, so "clip" only spares take() its bounds check.
     idx += values >= np.take(upper, idx, out=scaled, mode="clip")
     idx -= values < np.take(edges, idx, out=scaled, mode="clip")
     return idx
+
+
+def _ordered_bounds(folded, edges):
+    """The bounds of _phase_segments' segments of non-decreasing ``folded``."""
+    bounds = np.searchsorted(folded, edges)
+    bounds[0], bounds[-1] = 0, folded.size
+    return bounds
+
+
+def _binned_record(thetas, values, edges):
+    """_phase_segments(*_fold_half_turn(thetas, values), edges), byte for byte.
+    A record in phase order, thetas non-decreasing in [0, pi) without -0.0 (the
+    fold makes it +0.0), is neither folded nor copied; its order is tested once."""
+    if thetas[0] >= 0.0 and thetas[-1] < np.pi and np.all(thetas[1:] >= thetas[:-1]):
+        if not np.any(np.signbit(thetas[:np.searchsorted(thetas, 0.0, "right")])):
+            return thetas, values, _ordered_bounds(thetas, edges)
+    return _phase_segments(*_fold_half_turn(thetas, values), edges)
 
 
 def _phase_segments(folded, q, edges):
@@ -458,16 +486,13 @@ def _phase_segments(folded, q, edges):
     segments: bin i, as _uniform_bin_index bins it, is [bounds[i],
     bounds[i + 1]), and a sample beyond the edges is in the nearest bin's.
 
-    A record whose folded thetas do not decrease, as the default sweep's, is
-    returned as it is; any other is gathered in a stable sort of its bins,
-    so each segment keeps its samples in record order.
+    A record whose folded thetas do not decrease is returned as it is; any
+    other is gathered in a stable sort of its bins, so each segment keeps its
+    samples in record order.
     """
     n = edges.size - 1
     if np.all(folded[1:] >= folded[:-1]):
-        bounds = np.empty(n + 1, dtype=np.intp)
-        bounds[0], bounds[-1] = 0, folded.size
-        bounds[1:-1] = np.searchsorted(folded, edges[1:-1])
-        return folded, q, bounds
+        return folded, q, _ordered_bounds(folded, edges)
     idx = _uniform_bin_index(folded, edges)
     np.clip(idx, 0, n - 1, out=idx)
     # a stable sort of bin numbers this small is a radix sort
@@ -510,13 +535,14 @@ def _sinogram(folded, q, bounds, q_edges):
     (inverse_radon's phase counts still include it).
     """
     n_q = q_edges.size - 1
+    upper = _upper_edges(q_edges)
     sinogram = np.empty((bounds.size - 1, n_q), dtype=np.intp)
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         segment = q[lo:hi]
         if b in (0, bounds.size - 2):
             theta = folded[lo:hi]
             segment = segment[(theta >= 0.0) & (theta <= np.pi)]
-        q_bin = _uniform_bin_index(segment, q_edges)
+        q_bin = _uniform_bin_index(segment, q_edges, upper)
         q_bin += 1  # -1 and n_q, below and above the edges, count outside [1, n_q]
         sinogram[b] = np.bincount(q_bin, minlength=n_q + 2)[1:-1]
     return sinogram
@@ -556,9 +582,9 @@ def inverse_radon(
     rounds to pi lands in the last phase bin.  A folded theta that rounds
     past pi, or below 0, is counted in the nearest phase bin's sample count
     (and variance) but left out of the sinogram.  The record is binned once,
-    into one segment of samples per phase bin: a record whose folded thetas
-    do not decrease, as sample_record's default sweep, already is in segment
-    order and is not copied; any other record is sorted stably by phase bin.
+    into one segment of samples per phase bin.  A record in phase order within
+    [0, pi), as sample_record's default sweep, is neither folded nor copied;
+    any other is folded, then sorted stably by phase bin if not yet in order.
     Each bin's variance takes pairwise sums (np.add.reduceat) of its segment.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
@@ -572,10 +598,9 @@ def inverse_radon(
             f"reconstruction needs >= {MIN_RECORD_SAMPLES} samples, "
             f"got {record.n_samples}"
         )
-    folded, q = _fold_half_turn(record.thetas, record.values)
     n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    folded, q, bounds = _phase_segments(folded, q, edges)
+    folded, q, bounds = _binned_record(record.thetas, record.values, edges)
     counts = np.diff(bounds)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:

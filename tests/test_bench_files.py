@@ -1,0 +1,56 @@
+"""Every committed BENCH_<n>.json is strict JSON, has the fields a benchmark
+record needs, and holds a claim the benchmark's rule admits: a workload and an
+end-to-end metric that BENCHMARK.json declares, at least 9 of 10 pairs won,
+and medians that differ by more than the parent's IQR."""
+
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+REQUIRED = ("host", "benchmark", "change", "claim", "end_to_end", "tier1", "traced")
+
+
+def strict_load(path):
+    """json.loads, but NaN and infinities are errors, as in strict JSON."""
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def declared():
+    """BENCHMARK.json, read only."""
+    return strict_load(ROOT / "BENCHMARK.json")
+
+
+def test_bench_files_are_found():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_holds_an_admissible_claim(path, declared):
+    record = strict_load(path)
+    assert [key for key in REQUIRED if key not in record] == []
+    claim = record["claim"]
+    assert claim["workload"] in {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    assert claim["metric"] in metrics
+    assert claim["met"] is True
+    won, pairs = (int(k) for k in claim["change_wins"].split("/"))
+    assert pairs >= 10 and 10 * won >= 9 * pairs
+    gain = claim["parent_median"] - claim["change_median"]
+    if metrics[claim["metric"]]["better"] == "higher":
+        gain = -gain
+    assert gain > claim["parent_iqr"] >= 0.0
+
+
+def test_strict_load_rejects_non_finite_numbers(tmp_path):
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "BENCH_0.json"
+        path.write_text('{"x": %s}' % constant)
+        with pytest.raises(ValueError, match="is not JSON"):
+            strict_load(path)

@@ -63,6 +63,25 @@ def test_state_validation_rejects_asymmetry_and_unphysical_cov():
     GaussianState(np.zeros(2), np.diag([0.1, 0.1]), validate=False)
 
 
+def test_symmetry_tolerance_scales_with_the_covariance():
+    # rotate's own output at a variance of 9,188: its off-diagonal terms
+    # differ by round-off of 1.8e-12, beyond the unit-scale bound
+    state = rotate(impure_squeezed_vacuum(-19.0, 51.0), 0, 1.0)
+    assert np.abs(state.cov - state.cov.T).max() > gaussian.SYMMETRY_ATOL
+    accepted = GaussianState(state.mean, state.cov)
+    assert np.array_equal(accepted.cov, accepted.cov.T)
+    # below unit scale the bound stays SYMMETRY_ATOL itself
+    vacuum_cov = 0.25 * np.eye(2)
+    vacuum_cov[0, 1] += 0.5 * gaussian.SYMMETRY_ATOL
+    GaussianState(np.zeros(2), vacuum_cov)
+    # an asymmetry of 1e-9 of the scale is no round-off, at unit scale or large
+    for cov in (0.25 * np.eye(2), state.cov):
+        skewed = cov.copy()
+        skewed[0, 1] += 1e-9 * np.abs(cov).max()
+        with pytest.raises(PhysicsError, match="not symmetric"):
+            GaussianState(np.zeros(2), skewed)
+
+
 def test_state_is_immutable():
     state = vacuum(1)
     with pytest.raises(AttributeError):

@@ -32,6 +32,7 @@ from cvteleport.tomography import (
     sample_record,
     spectrum_trace,
     DEFAULT_CUTOFF_SIGMAS,
+    _binned_record,
     _fold_half_turn,
     _phase_segments,
     _ramp_filter,
@@ -421,6 +422,28 @@ class TestSampleRecordDrawer:
         assert len(calls) == 2
         assert len(rng.threads) == (3 if cpus == 1 else 2)
 
+    @pytest.mark.parametrize("at", [0, tomography._BLOCK + 5, 3 * tomography._BLOCK - 1, None],
+                             ids=["nan_first", "nan_second_block", "nan_last", "overflow"])
+    def test_non_finite_value_is_rejected_after_every_block_is_drawn(self, at, cpus):
+        n = 3 * tomography._BLOCK
+        if at is None:  # finite thetas; the marginal mean overflows
+            state, thetas = GaussianState([1.5e308, 1.5e308], 0.25 * np.eye(2)), None
+        else:
+            state = vacuum(1)
+            thetas = np.linspace(0.0, np.pi, n, endpoint=False)
+            thetas[at] = np.nan
+        rng = _StubRng(delay=0.02)  # the drawer is still busy when a bad block is done
+
+        def call():
+            with np.errstate(over="ignore"):
+                return sample_record(state, n, rng, thetas)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^record values must be finite$"):
+            bounded(call)
+        assert threading.active_count() == before
+        assert len(rng.threads) == 3  # raised once every block was drawn
+
 
 class TestWignerAnalytic:
     def test_vacuum_peak_value(self):
@@ -805,6 +828,77 @@ class TestPhaseOrderedBinning:
         for t, v in ((thetas, values), (folded, q)):
             assert not np.all(t[1:] >= t[:-1])
             self.check_segments(t, v, edges, _phase_segments(t, v, edges))
+
+
+class TestInOrderFastPath:
+    """inverse_radon bins a record by _binned_record, which skips the fold
+    and the second order test for a record already in phase order in
+    [0, pi); on every record it must give what folding, then binning, gives,
+    byte for byte."""
+
+    EDGES = np.linspace(0.0, np.pi, 61)
+    # how the in-order record is changed; True where the fold is skipped
+    KINDS = {
+        "in_order": True,
+        "last_below_pi": True,
+        "negative_zero_in_zeros": False,
+        "last_at_pi": False,
+        "negative_first": False,
+        "full_turn": False,
+        "shuffled": False,
+    }
+
+    @staticmethod
+    def record(seed, kind, zeros):
+        """Non-decreasing thetas in [0, pi) after a run of ``zeros`` +0.0,
+        then changed as ``kind`` says."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        ties = np.repeat(rng.uniform(0.0, np.pi, 4), rng.integers(1, 50, 4))
+        thetas = np.sort(np.concatenate([np.zeros(zeros), ties,
+                                         rng.uniform(0.0, np.pi, n)]))
+        if kind == "negative_zero_in_zeros":
+            thetas = np.concatenate([np.zeros(zeros), [-0.0, -0.0, 0.0], thetas[zeros:]])
+        elif kind == "last_at_pi":
+            thetas = np.append(thetas, np.pi)
+        elif kind == "last_below_pi":
+            thetas = np.append(thetas, [np.nextafter(np.pi, 0.0)] * 2)
+        elif kind == "negative_first":
+            thetas = np.insert(thetas, 0, -float(rng.choice([1e-300, 1e-3, np.pi])))
+        elif kind == "full_turn":
+            thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, thetas.size))
+        elif kind == "shuffled":
+            thetas = np.append(thetas, [0.5, 0.25])  # out of order, whatever the rest
+            rng.shuffle(thetas)
+        return thetas, rng.normal(0.0, 1.0, thetas.size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(KINDS)), st.integers(0, 40))
+    def test_matches_fold_then_segments_byte_for_byte(self, seed, kind, zeros):
+        thetas, values = self.record(seed, kind, zeros)
+        expected = _phase_segments(*_fold_half_turn(thetas, values), self.EDGES)
+        if self.KINDS[kind]:
+            with mock.patch.object(tomography, "_fold_half_turn", side_effect=AssertionError), \
+                    mock.patch.object(tomography, "_phase_segments", side_effect=AssertionError):
+                segments = _binned_record(thetas, values, self.EDGES)
+            assert segments[0] is thetas and segments[1] is values  # no copy
+        else:
+            segments = _binned_record(thetas, values, self.EDGES)
+        for got, want in zip(segments, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_default_sweep_reconstruction_skips_the_fold(self):
+        state = teleported_squeezed().output_state
+        record = sample_record(state, 50_000, np.random.default_rng(3))
+        spec = GridSpec.from_state(state)
+        with mock.patch.object(tomography, "_fold_half_turn", side_effect=AssertionError):
+            grid = inverse_radon(record, spec)
+
+        def fold_then_segments(thetas, values, edges):
+            return _phase_segments(*_fold_half_turn(thetas, values), edges)
+
+        with mock.patch.object(tomography, "_binned_record", fold_then_segments):
+            assert inverse_radon(record, spec).values.tobytes() == grid.values.tobytes()
 
 
 class TestWignerMoments:
