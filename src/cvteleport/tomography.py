@@ -29,20 +29,19 @@ the record, from pairwise per-bin sums; larger cutoffs admit shot noise,
 smaller ones blur the narrow quadrature.
 
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
-sample depends on the block size) and binned once, into one segment per phase
-bin, which the phase counts, the default cutoff and the sinogram all read; a
-record in phase order within [0, pi), as the default sweep, is not folded or
-copied.  Its normals are drawn first, block by block from the caller's one
-stream, on a second thread while the schedule and marginals are set up and
-each block is checked finite when the process may run on more than one CPU,
-inline otherwise; no result depends on which.  The default sweep's cos and
-sin come from one table of the first block's angles by angle addition, a few
-ulps from np.cos and np.sin; an explicit schedule's are np.cos and np.sin.
+sample depends on the block size).  Its normals are drawn block by block from
+the caller's one stream on a second thread, while the calling thread sets up
+the schedule and marginals and checks each block finite.  The default sweep's
+cos and sin come from one table of the first block's angles by angle
+addition, a few ulps from np.cos and np.sin; an explicit schedule's are
+np.cos and np.sin.  A record is binned once, into one segment per phase bin,
+which the phase counts, the default cutoff and the sinogram all read; a
+record in phase order within [0, pi), as the default sweep, is neither
+folded nor copied, and any other is folded and stably sorted by phase bin.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -90,13 +89,6 @@ def _set_samples(samples, name: str, kind: str, thetas, values, finite=None):
     if not finite:
         raise ValueError(f"{kind} values must be finite")
     return samples
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _single_mode(state: GaussianState) -> GaussianState:
@@ -321,11 +313,9 @@ def sample_record(
 
     The normals z are drawn block by block, the stream and bytes of one
     ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
-    They are drawn first: when the process may run on more than one CPU, on a
-    second thread while this one builds the schedule, computes each block's
-    mean and spread and checks each finished block is finite; otherwise
-    inline.  No result depends on which, and the drawing thread has ended
-    when this returns or raises.
+    They are drawn on a second thread while this one builds the schedule,
+    computes each block's mean and spread and checks each finished block is
+    finite; the drawing thread has ended when this returns or raises.
     """
     _single_mode(state)
     table = None
@@ -354,12 +344,8 @@ def sample_record(
             failure.append(exc)
             drawn.release()
 
-    drawer = None
-    if _usable_cpus() > 1:
-        drawer = threading.Thread(target=draw, name="sample_record-draw")
-        drawer.start()
-    else:
-        draw()
+    drawer = threading.Thread(target=draw, name="sample_record-draw")
+    drawer.start()
     try:
         if thetas is None:  # the default sweep, set up while z is drawn
             thetas = np.arange(n_samples, dtype=float)
@@ -367,25 +353,27 @@ def sample_record(
             table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
             heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
         finite = True  # a non-finite theta gives a NaN value
-        for i, a in enumerate(starts):
-            block = thetas[a:a + _BLOCK]
-            if table is None:
-                c, s = np.cos(block), np.sin(block)
-            else:
-                c, s = _rotated(table, heads[0][i], heads[1][i], block.size)
-            mu, var = _marginal_arrays(state, c, s)
-            sd = np.sqrt(var, out=var)
-            drawn.acquire()
-            if failure:
-                raise failure[0]
-            z = values[a:a + _BLOCK]
-            z *= sd
-            z += mu
-            finite &= np.isfinite(z).all()
+        # A mean or spread too large for a float overflows to inf: a non-finite
+        # value, raised as such, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, a in enumerate(starts):
+                block = thetas[a:a + _BLOCK]
+                if table is None:
+                    c, s = np.cos(block), np.sin(block)
+                else:
+                    c, s = _rotated(table, heads[0][i], heads[1][i], block.size)
+                mu, var = _marginal_arrays(state, c, s)
+                sd = np.sqrt(var, out=var)
+                drawn.acquire()
+                if failure:
+                    raise failure[0]
+                z = values[a:a + _BLOCK]
+                z *= sd
+                z += mu
+                finite &= np.isfinite(z).all()
     finally:
         stop.set()
-        if drawer is not None:
-            drawer.join()
+        drawer.join()
     thetas.setflags(write=False)
     values.setflags(write=False)
     # The constructor copies a caller's arrays; nothing else holds these.
@@ -413,26 +401,6 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
     quad = inv[0, 0] * X * X + 2.0 * inv[0, 1] * X * P + inv[1, 1] * P * P
     values = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
     return WignerGrid(spec, values)
-
-
-def _fold_half_turn(thetas, values):
-    """Map (theta, q) onto theta in [0, pi); q flips sign each half turn.
-
-    Only samples outside [0, pi) are divided into half turns (-0.0 among
-    them: the division turns it into +0.0); the others already sit where the
-    division would leave them and are returned as they are, with the input
-    arrays themselves when no sample needs folding.
-    """
-    wrapped = np.flatnonzero(np.signbit(thetas) | (thetas >= np.pi))
-    if wrapped.size == 0:
-        return thetas, values
-    turns = np.floor_divide(thetas[wrapped], np.pi)
-    flip = np.mod(turns.astype(np.int64), 2) == 1
-    folded = thetas.copy()
-    folded[wrapped] = thetas[wrapped] - turns * np.pi
-    q = values.copy()
-    q[wrapped] = np.where(flip, -values[wrapped], values[wrapped])
-    return folded, q
 
 
 def _upper_edges(edges):
@@ -464,35 +432,25 @@ def _uniform_bin_index(values, edges, upper=None):
     return idx
 
 
-def _ordered_bounds(folded, edges):
-    """The bounds of _phase_segments' segments of non-decreasing ``folded``."""
-    bounds = np.searchsorted(folded, edges)
-    bounds[0], bounds[-1] = 0, folded.size
-    return bounds
+def _phase_segments(thetas, values, edges):
+    """The record folded onto [0, pi) and put in phase-bin order, and the
+    n + 1 bounds of its n bins' segments: bin i, as _uniform_bin_index bins
+    it, is [bounds[i], bounds[i + 1]), and a sample folded beyond the edges
+    is in the nearest bin's.  Each segment keeps its samples in record order.
 
-
-def _binned_record(thetas, values, edges):
-    """_phase_segments(*_fold_half_turn(thetas, values), edges), byte for byte.
-    A record in phase order, thetas non-decreasing in [0, pi) without -0.0 (the
-    fold makes it +0.0), is neither folded nor copied; its order is tested once."""
+    A record in phase order, thetas non-decreasing in [0, pi) without -0.0,
+    is already folded and in bin order: it is returned as it is.  Any other is
+    folded, theta - k pi with k = floor(theta / pi) and q flipped in sign for
+    odd k (which turns -0.0 into +0.0), then gathered in a stable sort of its
+    bins.
+    """
     if thetas[0] >= 0.0 and thetas[-1] < np.pi and np.all(thetas[1:] >= thetas[:-1]):
         if not np.any(np.signbit(thetas[:np.searchsorted(thetas, 0.0, "right")])):
-            return thetas, values, _ordered_bounds(thetas, edges)
-    return _phase_segments(*_fold_half_turn(thetas, values), edges)
-
-
-def _phase_segments(folded, q, edges):
-    """The record in phase-bin order and the n + 1 bounds of its n bins'
-    segments: bin i, as _uniform_bin_index bins it, is [bounds[i],
-    bounds[i + 1]), and a sample beyond the edges is in the nearest bin's.
-
-    A record whose folded thetas do not decrease is returned as it is; any
-    other is gathered in a stable sort of its bins, so each segment keeps its
-    samples in record order.
-    """
+            return thetas, values, np.searchsorted(thetas, edges)
+    turns = np.floor_divide(thetas, np.pi)
+    folded = thetas - turns * np.pi
+    q = np.where(np.mod(turns.astype(np.int64), 2) == 1, -values, values)
     n = edges.size - 1
-    if np.all(folded[1:] >= folded[:-1]):
-        return folded, q, _ordered_bounds(folded, edges)
     idx = _uniform_bin_index(folded, edges)
     np.clip(idx, 0, n - 1, out=idx)
     # a stable sort of bin numbers this small is a radix sort
@@ -584,8 +542,8 @@ def inverse_radon(
     (and variance) but left out of the sinogram.  The record is binned once,
     into one segment of samples per phase bin.  A record in phase order within
     [0, pi), as sample_record's default sweep, is neither folded nor copied;
-    any other is folded, then sorted stably by phase bin if not yet in order.
-    Each bin's variance takes pairwise sums (np.add.reduceat) of its segment.
+    any other is folded, then sorted stably by phase bin.  Each bin's variance
+    takes pairwise sums (np.add.reduceat) of its segment.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
     FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``
@@ -600,7 +558,7 @@ def inverse_radon(
         )
     n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    folded, q, bounds = _binned_record(record.thetas, record.values, edges)
+    folded, q, bounds = _phase_segments(record.thetas, record.values, edges)
     counts = np.diff(bounds)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:

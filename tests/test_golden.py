@@ -9,9 +9,10 @@ up here.  The ``mc_sweep_seconds`` row of ``paper-repro`` is wall-clock time,
 not a result: its value is masked to ``null`` in the produced bytes and in the
 fixture alike.
 
-To regenerate the fixtures after a deliberate output change:
+To regenerate the fixtures after a deliberate output change (all cases, or
+only the named ones):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import re
@@ -73,6 +74,11 @@ CASES = {
         ["wigner", "--config", "exp.ini"],
         ("report.json", "wigner.csv"),
     ),
+    # The default tomography: a multi-block default sweep and the automatic cutoff.
+    "wigner_default_sweep": (
+        ["wigner", "--scenario", "squeezed_x", "--samples", "100000", "--seed", "3"],
+        ("report.json", "wigner.csv"),
+    ),
     "trace_mc_sampled": (
         ["trace", "--method", "mc", "--sampled", "--seed", "6"],
         ("report.json", "trace.csv"),
@@ -132,9 +138,10 @@ def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch, capsys):
 
 if __name__ == "__main__":
     import os
+    import sys
     import tempfile
 
-    for case in sorted(CASES):
+    for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()
             os.chdir(tmp)

@@ -1,7 +1,9 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
+import contextlib
 import dataclasses
 import math
+import os
 import threading
 import time
 from unittest import mock
@@ -32,8 +34,6 @@ from cvteleport.tomography import (
     sample_record,
     spectrum_trace,
     DEFAULT_CUTOFF_SIGMAS,
-    _binned_record,
-    _fold_half_turn,
     _phase_segments,
     _ramp_filter,
     _record_sigma_min,
@@ -78,6 +78,36 @@ def sweep_cos_sin(thetas):
     cos_a, sin_a = np.cos(thetas[a]), np.sin(thetas[a])
     cos_j, sin_j = np.cos(thetas[j]), np.sin(thetas[j])
     return cos_a * cos_j - sin_a * sin_j, sin_a * cos_j + cos_a * sin_j
+
+
+def folded_record(thetas, values):
+    """The record folded onto a half turn by whole-array floor division:
+    theta - k pi, with the value's sign flipped for odd k = floor(theta / pi)."""
+    turns = np.floor_divide(thetas, np.pi)
+    flip = np.mod(turns.astype(np.int64), 2) == 1
+    return thetas - turns * np.pi, np.where(flip, -values, values)
+
+
+def segments_of(thetas, values, edges):
+    """A record's phase segments as binning each sample gives them: bins by
+    np.digitize, clipped into the n bins, each bin's samples in record order,
+    and the n + 1 bounds of the bins' segments."""
+    n = edges.size - 1
+    idx = np.clip(np.digitize(thetas, edges) - 1, 0, n - 1)
+    order = np.argsort(idx, kind="stable")
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
+    return thetas[order], values[order], bounds
+
+
+def oracle_segments(thetas, values, edges):
+    """_phase_segments by its definition: fold, then bin sample by sample."""
+    return segments_of(*folded_record(thetas, values), edges)
+
+
+def assert_same_segments(segments, expected):
+    for got, want in zip(segments, expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSpectrumTrace:
@@ -345,13 +375,28 @@ def bounded(call, timeout=30.0):
     return outcome["result"]
 
 
+@contextlib.contextmanager
+def pinned(n):
+    """Run the calling thread, and the threads it starts, on n of the CPUs it
+    may use; skip where it may not use n or cannot be pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform cannot pin a thread to CPUs")
+    usable = sorted(os.sched_getaffinity(0))
+    if len(usable) < n:
+        pytest.skip(f"needs {n} usable CPUs, has {len(usable)}")
+    os.sched_setaffinity(0, usable[:n])  # 0: this thread; new threads inherit it
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
 @pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
-def cpus(request, monkeypatch):
-    """Patch the CPUs the process may use: sample_record draws inline on one
-    and on a second thread on two, whatever the host has."""
-    monkeypatch.setattr(tomography.os, "sched_getaffinity",
-                        lambda pid: set(range(request.param)), raising=False)
-    return request.param
+def cpus(request):
+    """The test thread, and so sample_record's drawing thread, pinned to one
+    CPU, which they share, or to two."""
+    with pinned(request.param):
+        yield request.param
 
 
 class TestSampleRecordDrawer:
@@ -365,17 +410,15 @@ class TestSampleRecordDrawer:
         assert rng.bit_generator.state == reference.bit_generator.state
         assert rng.random() == reference.random()
 
-    def test_one_cpu_record_has_the_threaded_bytes(self, monkeypatch):
+    def test_one_cpu_record_has_the_threaded_bytes(self):
+        # The drawer and the caller sharing one CPU change no byte.
         state = random_physical_state(np.random.default_rng(5), 1)
         n = 3 * tomography._BLOCK + 7
-        records = []
-        for cpus in ({0, 1}, {0}):
-            monkeypatch.setattr(tomography.os, "sched_getaffinity", lambda pid: cpus,
-                                raising=False)
-            records.append(sample_record(state, n, np.random.default_rng(5)))
-        threaded, inline = records
-        assert inline.values.tobytes() == threaded.values.tobytes()
-        assert inline.thetas.tobytes() == threaded.thetas.tobytes()
+        threaded = sample_record(state, n, np.random.default_rng(5))
+        with pinned(1):
+            one_cpu = sample_record(state, n, np.random.default_rng(5))
+        assert one_cpu.values.tobytes() == threaded.values.tobytes()
+        assert one_cpu.thetas.tobytes() == threaded.thetas.tobytes()
 
     def test_each_block_waits_for_its_draw(self, cpus):
         n = 3 * tomography._BLOCK + 7
@@ -396,9 +439,9 @@ class TestSampleRecordDrawer:
         with pytest.raises(FloatingPointError, match=f"block {fail_at}"):
             bounded(call)
         assert threading.active_count() == before
-        # every block drawn by one thread: the caller on one CPU, a drawer on two
+        # every block drawn by one thread, never the caller
         assert len(rng.threads) == fail_at and len(set(rng.threads)) == 1
-        assert (rng.threads[0] is callers[0]) == (cpus == 1)
+        assert rng.threads[0] is not callers[0]
 
     def test_marginal_error_propagates_and_drawer_joined(self, cpus):
         marginal_arrays = tomography._marginal_arrays
@@ -410,9 +453,8 @@ class TestSampleRecordDrawer:
                 raise FloatingPointError("second marginals")
             return marginal_arrays(state, c, s)
 
-        # On two CPUs the drawer is still in block 2's slow draw when block
-        # 2's marginals raise: it is joined there and draws no third block.
-        # On one CPU every block is drawn before the marginals.
+        # The drawer is still in block 2's slow draw when block 2's marginals
+        # raise: it is joined there and draws no third block.
         rng = _StubRng(delay=0.1)
         before = threading.active_count()
         with mock.patch.object(tomography, "_marginal_arrays", second_block_fails):
@@ -420,7 +462,7 @@ class TestSampleRecordDrawer:
                 bounded(lambda: sample_record(vacuum(1), 3 * tomography._BLOCK, rng))
         assert threading.active_count() == before
         assert len(calls) == 2
-        assert len(rng.threads) == (3 if cpus == 1 else 2)
+        assert len(rng.threads) == 2
 
     @pytest.mark.parametrize("at", [0, tomography._BLOCK + 5, 3 * tomography._BLOCK - 1, None],
                              ids=["nan_first", "nan_second_block", "nan_last", "overflow"])
@@ -433,14 +475,9 @@ class TestSampleRecordDrawer:
             thetas = np.linspace(0.0, np.pi, n, endpoint=False)
             thetas[at] = np.nan
         rng = _StubRng(delay=0.02)  # the drawer is still busy when a bad block is done
-
-        def call():
-            with np.errstate(over="ignore"):
-                return sample_record(state, n, rng, thetas)
-
         before = threading.active_count()
         with pytest.raises(ValueError, match="^record values must be finite$"):
-            bounded(call)
+            bounded(lambda: sample_record(state, n, rng, thetas))
         assert threading.active_count() == before
         assert len(rng.threads) == 3  # raised once every block was drawn
 
@@ -600,8 +637,9 @@ class TestInverseRadon:
 
 
 class TestSinogramBinning:
-    """Phase counts match np.digitize + clip and the sinogram matches
-    np.histogram2d, sample for sample, including samples on bin edges."""
+    """Phase counts match np.digitize + clip of the folded record and the
+    sinogram matches its np.histogram2d, sample for sample, including samples
+    on bin edges."""
 
     N_THETA = 60
     N_Q = 41
@@ -626,18 +664,9 @@ class TestSinogramBinning:
         return thetas, values, edges, q_edges
 
     def test_fold_matches_floor_divide_bit_for_bit(self, rng):
-        thetas, values, _, _ = self.edge_record(rng)
-        turns = np.floor_divide(thetas, np.pi)
-        flip = np.mod(turns.astype(np.int64), 2) == 1
-        folded, q = _fold_half_turn(thetas, values)
-        assert folded.tobytes() == (thetas - turns * np.pi).tobytes()
-        assert q.tobytes() == np.where(flip, -values, values).tobytes()
-
-    def test_in_range_record_is_returned_unchanged(self, rng):
-        thetas = rng.uniform(1e-9, np.pi - 1e-9, 1000)
-        values = rng.normal(size=1000)
-        folded, q = _fold_half_turn(thetas, values)
-        assert folded is thetas and q is values
+        thetas, values, edges, _ = self.edge_record(rng)
+        assert_same_segments(_phase_segments(thetas, values, edges),
+                             oracle_segments(thetas, values, edges))
 
     def test_index_matches_searchsorted(self, rng):
         _, values, _, q_edges = self.edge_record(rng)
@@ -647,22 +676,24 @@ class TestSinogramBinning:
 
     def test_counts_and_sinogram_match_reference(self, rng):
         thetas, values, edges, q_edges = self.edge_record(rng)
-        folded, q = _fold_half_turn(thetas, values)
+        folded, q = folded_record(thetas, values)
         # The record must reach every convention the binning has to keep.
         assert np.any(folded == np.pi) and np.any(folded > np.pi)
         assert np.any(np.isin(folded, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
         assert np.any(np.abs(q) > q_edges[-1])
 
-        # As given the record is sorted into its segments; stably sorted by
-        # phase it is its own segments.
-        in_order = np.argsort(folded, kind="stable")
-        for f, v in ((folded, q), (folded[in_order], q[in_order])):
-            segments = _phase_segments(f, v, edges)
+        # As given the record is folded and sorted into its segments; its
+        # folded samples below pi, stably sorted by phase, are their own.
+        below = np.flatnonzero(folded < np.pi)
+        in_order = below[np.argsort(folded[below], kind="stable")]
+        for t, v, f, fq in ((thetas, values, folded, q),
+                            (folded[in_order], q[in_order], folded[in_order], q[in_order])):
+            segments = _phase_segments(t, v, edges)
             idx = np.clip(np.digitize(f, edges) - 1, 0, self.N_THETA - 1)
             assert np.array_equal(np.diff(segments[2]), np.bincount(idx, minlength=self.N_THETA))
-            expected, _, _ = np.histogram2d(f, v, bins=[edges, q_edges])
+            expected, _, _ = np.histogram2d(f, fq, bins=[edges, q_edges])
             assert np.array_equal(_sinogram(*segments, q_edges), expected)
-        assert segments[0] is f and segments[1] is v
+        assert segments[0] is t and segments[1] is v
 
     @pytest.mark.parametrize(
         "theta, value",
@@ -674,10 +705,11 @@ class TestSinogramBinning:
         ],
     )
     def test_lone_outlier_is_left_out_of_sinogram(self, theta, value):
+        # ``theta`` is a folded one: the fold can leave a sample just past pi
         edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
         q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
         thetas, values = np.array([0.5, theta]), np.array([0.1, value])
-        sinogram = _sinogram(*_phase_segments(thetas, values, edges), q_edges)
+        sinogram = _sinogram(*segments_of(thetas, values, edges), q_edges)
         expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
         assert expected.sum() == 1 and np.array_equal(sinogram, expected)
 
@@ -755,8 +787,9 @@ class TestFilterAndCutoffAccuracy:
 
 class TestPhaseOrderedBinning:
     """A record is binned once, into one segment per phase bin.  Whether it
-    is in phase order already or has to be sorted, the segments, the
-    sinogram and the default cutoff must be what binning each sample gives."""
+    is in phase order within [0, pi) already or has to be folded and sorted,
+    the segments, the sinogram and the default cutoff must be what folding,
+    then binning each sample, gives."""
 
     N_THETA = 60
     Q_EDGES = np.linspace(-3.0, 3.0, 42)
@@ -779,27 +812,26 @@ class TestPhaseOrderedBinning:
 
     def check_segments(self, thetas, values, edges, segments):
         """``segments`` of the record (thetas, values) hold each phase bin's
-        samples in record order, with digitize + clip as the bins."""
-        idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
-        counts = np.bincount(idx, minlength=self.N_THETA)
-        in_bins = np.concatenate([np.flatnonzero(idx == b) for b in range(self.N_THETA)])
-        seg_thetas, seg_values, bounds = segments
-        assert bounds.dtype == np.intp and bounds[0] == 0
-        assert np.array_equal(np.diff(bounds), counts)
-        assert seg_thetas.tobytes() == thetas[in_bins].tobytes()
-        assert seg_values.tobytes() == values[in_bins].tobytes()
-        expected, _, _ = np.histogram2d(thetas, values, bins=[edges, self.Q_EDGES])
+        folded samples in record order, with digitize + clip as the bins."""
+        folded, q = folded_record(thetas, values)
+        assert_same_segments(segments, segments_of(folded, q, edges))
+        expected, _, _ = np.histogram2d(folded, q, bins=[edges, self.Q_EDGES])
         assert np.array_equal(_sinogram(*segments, self.Q_EDGES), expected)
+        _, seg_values, bounds = segments
+        idx = np.clip(np.digitize(folded, edges) - 1, 0, self.N_THETA - 1)
         cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(seg_values, bounds)
-        assert cutoff == reduceat_cutoff(idx, counts, values)
+        assert cutoff == reduceat_cutoff(idx, np.diff(bounds), q)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_binning_sample_by_sample(self, seed):
         thetas, values, edges = self.ordered_record(seed)
-        assert np.all(thetas[1:] >= thetas[:-1])
-        # The record reaches beyond both outer edges and the closed last edge.
-        assert thetas[0] < 0.0 and thetas[-1] > np.pi and np.any(thetas == np.pi)
+        # Its part in [0, pi), -0.0 made +0.0: a run of +0.0 first, edges and
+        # runs of ties within, and nextafter(pi, 0) last.
+        keep = (thetas >= 0.0) & (thetas < np.pi)
+        thetas, values = np.abs(thetas[keep]), values[keep]
+        assert thetas[0] == 0.0 and not np.any(np.signbit(thetas))
+        assert thetas[-1] == np.nextafter(np.pi, 0.0)
         with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
             segments = _phase_segments(thetas, values, edges)
         assert segments[0] is thetas and segments[1] is values  # no copy
@@ -810,6 +842,11 @@ class TestPhaseOrderedBinning:
     def test_unordered_record_is_binned_sample_by_sample(self, seed):
         rng = np.random.default_rng(seed)
         thetas, values, edges = self.ordered_record(seed)
+        # In phase order, but reaching beyond both outer edges, onto the
+        # closed last edge and -0.0: it is folded and sorted all the same.
+        assert np.all(thetas[1:] >= thetas[:-1])
+        assert thetas[0] < 0.0 and thetas[-1] > np.pi and np.any(thetas == np.pi)
+        self.check_segments(thetas, values, edges, _phase_segments(thetas, values, edges))
         # Edges a million half turns away, and multiples of pi, some of
         # which fold to just past pi.
         multiples = np.arange(1, 200) * np.pi
@@ -823,7 +860,7 @@ class TestPhaseOrderedBinning:
             for i in rng.permutation(len(pieces))
         ])
         thetas, values = thetas[order], values[order]
-        folded, q = _fold_half_turn(thetas, values)
+        folded, q = folded_record(thetas, values)
         assert np.any(folded > np.pi) and np.any(np.signbit(thetas))
         for t, v in ((thetas, values), (folded, q)):
             assert not np.all(t[1:] >= t[:-1])
@@ -831,13 +868,12 @@ class TestPhaseOrderedBinning:
 
 
 class TestInOrderFastPath:
-    """inverse_radon bins a record by _binned_record, which skips the fold
-    and the second order test for a record already in phase order in
-    [0, pi); on every record it must give what folding, then binning, gives,
-    byte for byte."""
+    """_phase_segments takes a record already in phase order in [0, pi) as
+    it is, without folding, binning or copying it; on every record it must
+    give what folding, then binning each sample, gives, byte for byte."""
 
     EDGES = np.linspace(0.0, np.pi, 61)
-    # how the in-order record is changed; True where the fold is skipped
+    # how the in-order record is changed; True where it is taken as it is
     KINDS = {
         "in_order": True,
         "last_below_pi": True,
@@ -876,29 +912,61 @@ class TestInOrderFastPath:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(KINDS)), st.integers(0, 40))
     def test_matches_fold_then_segments_byte_for_byte(self, seed, kind, zeros):
         thetas, values = self.record(seed, kind, zeros)
-        expected = _phase_segments(*_fold_half_turn(thetas, values), self.EDGES)
+        expected = oracle_segments(thetas, values, self.EDGES)
         if self.KINDS[kind]:
-            with mock.patch.object(tomography, "_fold_half_turn", side_effect=AssertionError), \
-                    mock.patch.object(tomography, "_phase_segments", side_effect=AssertionError):
-                segments = _binned_record(thetas, values, self.EDGES)
+            with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
+                segments = _phase_segments(thetas, values, self.EDGES)
             assert segments[0] is thetas and segments[1] is values  # no copy
         else:
-            segments = _binned_record(thetas, values, self.EDGES)
-        for got, want in zip(segments, expected):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            segments = _phase_segments(thetas, values, self.EDGES)
+        assert_same_segments(segments, expected)
 
     def test_default_sweep_reconstruction_skips_the_fold(self):
         state = teleported_squeezed().output_state
         record = sample_record(state, 50_000, np.random.default_rng(3))
         spec = GridSpec.from_state(state)
-        with mock.patch.object(tomography, "_fold_half_turn", side_effect=AssertionError):
+        taken_as_is = []
+
+        def spy(thetas, values, edges):
+            segments = _phase_segments(thetas, values, edges)
+            taken_as_is.append(segments[0] is thetas and segments[1] is values)
+            return segments
+
+        with mock.patch.object(tomography, "_phase_segments", spy):
             grid = inverse_radon(record, spec)
-
-        def fold_then_segments(thetas, values, edges):
-            return _phase_segments(*_fold_half_turn(thetas, values), edges)
-
-        with mock.patch.object(tomography, "_binned_record", fold_then_segments):
+        assert taken_as_is == [True]
+        with mock.patch.object(tomography, "_phase_segments", oracle_segments):
             assert inverse_radon(record, spec).values.tobytes() == grid.values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["reversed", "shuffled", "pieces", "swap"]))
+    def test_any_order_of_a_sweep_gives_the_same_grid(self, seed, how):
+        # With the cutoff given, the record enters the grid only through its
+        # sinogram and phase counts, which are counts, and its largest |q|:
+        # the in-order record and any reordering of it, folded and sorted,
+        # give the same bytes.
+        rng = np.random.default_rng(seed)
+        state = random_physical_state(rng, 1)
+        record = sample_record(state, int(rng.integers(1000, 5000)), rng)
+        n = record.n_samples
+        if how == "reversed":
+            order = np.arange(n)[::-1]
+        elif how == "shuffled":
+            order = rng.permutation(n)
+        elif how == "pieces":
+            pieces = np.array_split(rng.permutation(n) if rng.random() < 0.5 else np.arange(n),
+                                    int(rng.integers(2, 50)))
+            order = np.concatenate([pieces[i] for i in rng.permutation(len(pieces))])
+        else:
+            order = np.arange(n)
+            i, j = rng.choice(n, 2, replace=False)
+            order[[i, j]] = order[[j, i]]
+        reordered = QuadratureRecord(record.thetas[order], record.values[order])
+        spec = GridSpec.from_state(state)
+        cutoff = DEFAULT_CUTOFF_SIGMAS / np.sqrt(np.linalg.eigvalsh(state.cov)[0])
+        grid = inverse_radon(record, spec, filter_cutoff=cutoff)
+        assert inverse_radon(reordered, spec, filter_cutoff=cutoff).values.tobytes() \
+            == grid.values.tobytes()
 
 
 class TestWignerMoments:
