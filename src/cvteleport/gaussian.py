@@ -180,6 +180,13 @@ def check_fraction(value: float, label: str) -> None:
         raise ValueError(f"{label} must lie in [0, 1], got {value}")
 
 
+def check_count(value, label: str) -> None:
+    """Raise ValueError unless ``value`` is an integer, a Python or numpy
+    one; a bool or a float fails, whatever its value.  ``label`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 def check_noise_pair(sq_db: float, antisq_db: float, label: str) -> None:
     """Raise PhysicsError unless (sq_db, antisq_db) is a squeezer's noise pair:
     sq_db <= 0 <= antisq_db <= MAX_LEVEL_DB, so NaN and infinite levels fail,

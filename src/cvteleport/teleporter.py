@@ -74,6 +74,7 @@ from cvteleport.gaussian import (
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
     beamsplitter,
+    check_count,
     check_fraction,
     check_noise_pair,
     db_from_variance,
@@ -115,6 +116,10 @@ class TeleporterParams:
     def __post_init__(self):
         if self.input_state.n_modes != 1:
             raise ValueError("input_state must be a single mode")
+        for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
+            pair = getattr(self, name)
+            if pair is not None and len(pair) != 2:
+                raise ValueError(f"{name} must hold exactly two values, got {pair!r}")
         anti = self.epr_antisq_db
         if anti is None:
             anti = (-self.epr_sq_db[0], -self.epr_sq_db[1])
@@ -379,6 +384,7 @@ def teleport_mc(
     count.  ``rng`` defaults to ``default_rng(params.seed)``.  Raises
     PhysicsError when the read-out covariance has no Cholesky factor.
     """
+    check_count(shots, "shots")
     if shots < 2:
         raise ValueError("shots must be >= 2")
     pair, mean, cov, feed = _readout(params)
@@ -417,7 +423,7 @@ def coherent_fidelity(vx: float, vp: float) -> float:
     Unit fidelity at vacuum variances, 1/2 at the no-entanglement floor
     Vx = Vp = 3/4.
     """
-    if vx <= 0 or vp <= 0:
+    if not (vx > 0 and vp > 0):
         raise ValueError("variances must be positive")
     return float(2.0 / np.sqrt((1.0 + 4.0 * vx) * (1.0 + 4.0 * vp)))
 
@@ -456,6 +462,7 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
     accumulated variances; with pure resource squeezers of parameter r it
     follows 1 / (1 + n e^{-2r}).
     """
+    check_count(n_stages, "n_stages")
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
     if not _coherent_input(params):

@@ -6,7 +6,8 @@ This module emulates the measurement side of the experiment:
   (variance plus coherent signal) relative to vacuum, in dB.  With an RNG it
   emulates finite trace averaging; without one it is exact.
 * ``sample_record`` draws individual quadrature samples while the phase is
-  scanned, producing the raw material for tomography.
+  swept once, linearly, over [0, pi), producing the raw material for
+  tomography.
 * ``wigner_analytic`` evaluates the Gaussian Wigner function
   W(x, p) = exp(-delta^T Sigma^-1 delta / 2) / (2 pi sqrt(det Sigma))
   on a grid.  With hbar = 1/2 the vacuum peak is 2/pi.
@@ -31,13 +32,13 @@ smaller ones blur the narrow quadrature.
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
 sample depends on the block size).  Its normals are drawn block by block from
 the caller's one stream on a second thread, while the calling thread sets up
-the schedule and marginals and checks each block finite.  The default sweep's
-cos and sin come from one table of the first block's angles by angle
-addition, a few ulps from np.cos and np.sin; an explicit schedule's are
-np.cos and np.sin.  A record is binned once, into one segment per phase bin,
-which the phase counts, the default cutoff and the sinogram all read; a
-record in phase order within [0, pi), as the default sweep, is neither
-folded nor copied, and any other is folded and stably sorted by phase bin.
+the sweep and marginals and checks each block finite.  The sweep's cos and
+sin come from one table of the first block's angles by angle addition, a few
+ulps from np.cos and np.sin.  A record is binned once, into one segment per
+phase bin, which the phase counts, the default cutoff and the sinogram all
+read; a record in phase order within [0, pi), as the sweep, is neither
+folded nor copied, and any other, such as a hand-built QuadratureRecord over
+a full turn or in shuffled order, is folded and stably sorted by phase bin.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from typing import NamedTuple
 
-from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
+from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE, check_count
 
 DEFAULT_GRID_POINTS = 81
 DEFAULT_GRID_PAD_SIGMAS = 4.5
@@ -295,45 +296,37 @@ def sample_record(
     state: GaussianState,
     n_samples: int,
     rng: np.random.Generator,
-    thetas: np.ndarray | None = None,
 ) -> QuadratureRecord:
     """Draw quadrature samples of a single-mode state while scanning the phase.
 
-    Returns the (theta, value) samples as a QuadratureRecord.
-    The default schedule is a uniform linear sweep over [0, pi), one sample
-    per phase step, approximating a continuous scan.  An explicit ``thetas``
-    array overrides the schedule (its length wins over ``n_samples``).
+    Returns the (theta, value) samples as a QuadratureRecord.  The schedule
+    is a uniform linear sweep over [0, pi), theta_k = k pi / n_samples, one
+    sample per phase step, approximating a continuous scan.
 
-    An explicit schedule's cos and sin are np.cos and np.sin of its thetas.
-    The default sweep's come from one table: sample a + j of the block at a
-    has theta_a + theta_j, so angle addition gives them from the first
-    block's np.cos/np.sin and one pair for theta_a.  They are exact in the
-    first block and within a few ulps after it, with no error carried from
-    block to block.
+    Its cos and sin come from one table: sample a + j of the block at a has
+    theta_a + theta_j, so angle addition gives them from the first block's
+    np.cos/np.sin and one pair for theta_a.  They are exact in the first
+    block and within a few ulps after it, with no error carried from block
+    to block.
 
     The normals z are drawn block by block, the stream and bytes of one
     ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
-    They are drawn on a second thread while this one builds the schedule,
+    They are drawn on a second thread while this one builds the sweep,
     computes each block's mean and spread and checks each finished block is
     finite; the drawing thread has ended when this returns or raises.
     """
     _single_mode(state)
-    table = None
-    if thetas is None:
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-    else:
-        thetas = np.array(thetas, dtype=float)  # never the caller's array
-        if thetas.ndim != 1 or thetas.size < 1:
-            raise ValueError("thetas must be a non-empty 1-D array")
-    values = np.empty(n_samples if thetas is None else thetas.size)  # z, then mu + sqrt(var) z
-    starts = range(0, values.size, _BLOCK)
+    check_count(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    values = np.empty(n_samples)  # z, then mu + sqrt(var) z
+    starts = range(0, n_samples, _BLOCK)
     drawn = threading.Semaphore(0)  # one release per block of z drawn
     stop = threading.Event()
     failure = []
 
     def draw():
-        # Block by block, the stream one standard_normal(values.size) draws.
+        # Block by block, the stream one standard_normal(n_samples) draws.
         try:
             for a in starts:
                 if stop.is_set():
@@ -347,21 +340,16 @@ def sample_record(
     drawer = threading.Thread(target=draw, name="sample_record-draw")
     drawer.start()
     try:
-        if thetas is None:  # the default sweep, set up while z is drawn
-            thetas = np.arange(n_samples, dtype=float)
-            thetas *= np.pi / n_samples
-            table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
-            heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
-        finite = True  # a non-finite theta gives a NaN value
+        thetas = np.arange(n_samples, dtype=float)  # the sweep, set up while z is drawn
+        thetas *= np.pi / n_samples
+        table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
+        heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
+        finite = True
         # A mean or spread too large for a float overflows to inf: a non-finite
         # value, raised as such, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, a in enumerate(starts):
-                block = thetas[a:a + _BLOCK]
-                if table is None:
-                    c, s = np.cos(block), np.sin(block)
-                else:
-                    c, s = _rotated(table, heads[0][i], heads[1][i], block.size)
+            for a, cos_a, sin_a in zip(starts, *heads):
+                c, s = _rotated(table, cos_a, sin_a, min(_BLOCK, n_samples - a))
                 mu, var = _marginal_arrays(state, c, s)
                 sd = np.sqrt(var, out=var)
                 drawn.acquire()
@@ -541,9 +529,10 @@ def inverse_radon(
     past pi, or below 0, is counted in the nearest phase bin's sample count
     (and variance) but left out of the sinogram.  The record is binned once,
     into one segment of samples per phase bin.  A record in phase order within
-    [0, pi), as sample_record's default sweep, is neither folded nor copied;
-    any other is folded, then sorted stably by phase bin.  Each bin's variance
-    takes pairwise sums (np.add.reduceat) of its segment.
+    [0, pi), as sample_record's sweep, is neither folded nor copied; any
+    other, which only a hand-built QuadratureRecord can be, is folded, then
+    sorted stably by phase bin.  Each bin's variance takes pairwise sums
+    (np.add.reduceat) of its segment.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
     FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``

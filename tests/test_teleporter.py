@@ -21,7 +21,7 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
-from cvteleport import teleporter
+from cvteleport import teleporter, tomography
 from cvteleport.harness import MAX_SAMPLES
 from cvteleport.teleporter import (
     TeleporterParams,
@@ -318,8 +318,9 @@ def test_coherent_fidelity_reference_points():
     vp = 0.25 * 10**0.23
     assert coherent_fidelity(vx, vp) == pytest.approx(0.7573002709918975, abs=1e-12)
     assert coherent_fidelity(vx, vp) == pytest.approx(0.757, abs=0.005)
-    with pytest.raises(ValueError):
-        coherent_fidelity(-0.1, 0.25)
+    for vx, vp in ((-0.1, 0.25), (np.nan, 0.25), (0.25, np.nan)):
+        with pytest.raises(ValueError, match="^variances must be positive$"):
+            coherent_fidelity(vx, vp)
 
 
 def test_cascade_fidelity_sequence_and_preconditions():
@@ -429,8 +430,24 @@ def test_params_validation():
         TeleporterParams(input_state=vacuum(1), eta_prop=(1.2, 1.0))
     with pytest.raises(ValueError):
         TeleporterParams(input_state=vacuum(1), g_x=np.inf)
+    for name, pair in (("epr_sq_db", (-3.0, -3.0, -3.0)), ("eta_prop", (1.0, 1.0, 0.5)),
+                       ("eta_source", (0.5,)), ("epr_antisq_db", (3.0,))):
+        with pytest.raises(ValueError, match=f"^{name} must hold exactly two values, got "):
+            TeleporterParams(input_state=vacuum(1), **{name: pair})
     pure = TeleporterParams(input_state=vacuum(1), epr_sq_db=(-6.0, -4.0))
     assert pure.epr_antisq_db == (6.0, 4.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda n: teleport_mc(coherent_params(), n), "shots"),
+    (lambda n: cascade(coherent_params(), n), "n_stages"),
+    (lambda n: tomography.sample_record(vacuum(1), n, np.random.default_rng(0)), "n_samples"),
+], ids=["teleport_mc", "cascade", "sample_record"])
+def test_non_integral_count_is_rejected(call, name):
+    for count in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
+            call(count)
+    call(np.int64(3))  # a numpy integer is a count
 
 
 @pytest.mark.parametrize(

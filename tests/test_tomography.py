@@ -228,11 +228,9 @@ class TestSampleRecord:
         assert record.thetas[-1] < np.pi
         assert np.all(np.diff(record.thetas) > 0)
 
-    def test_explicit_schedule_and_metadata(self, rng):
-        thetas = np.array([0.0, 0.5, 1.0])
-        record = sample_record(vacuum(1), 0, rng, thetas=thetas)
+    def test_record_carries_only_its_samples(self, rng):
+        record = sample_record(vacuum(1), 3, rng)
         assert record.n_samples == 3
-        assert np.array_equal(record.thetas, thetas)
         # A record is its (theta, value) samples and carries no other metadata.
         assert [f.name for f in dataclasses.fields(record)] == ["thetas", "values"]
 
@@ -290,22 +288,6 @@ class TestSampleRecord:
         starts = slice(0, n, tomography._BLOCK)
         assert record.values[starts].tobytes() == textbook[starts].tobytes()
 
-    def test_explicit_unsorted_schedule_blocks_match_textbook_expression(self, rng):
-        state = random_physical_state(rng, 1)
-        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3 * tomography._BLOCK + 7)
-        record = sample_record(state, 0, np.random.default_rng(7), thetas=thetas)
-        assert record.thetas.tobytes() == thetas.tobytes()
-        assert record.values.tobytes() == textbook_values(state, thetas, 7).tobytes()
-
-    def test_explicit_schedule_is_neither_frozen_nor_shared(self, rng):
-        thetas = rng.uniform(0.0, np.pi, 1000)
-        before = thetas.copy()
-        record = sample_record(vacuum(1), 0, rng, thetas=thetas)
-        assert thetas.flags.writeable and thetas.tobytes() == before.tobytes()
-        assert not np.shares_memory(record.thetas, thetas)
-        thetas[0] = 3.0
-        assert record.thetas[0] == before[0]
-
     @pytest.mark.parametrize("cls, field, extra", [
         (QuadratureRecord, "values", {}),
         (tomography.PhaseScanTrace, "power_db", {"averages": None}),
@@ -338,13 +320,15 @@ class TestSampleRecord:
 
 
 class _StubRng:
-    """A default_rng(0) whose standard_normal takes ``delay`` seconds and
-    raises on call ``fail_at``; it records the threads that drew."""
+    """A default_rng(0) whose standard_normal takes ``delay`` seconds, raises
+    on call ``fail_at`` and, for ``nan_at`` = (call, index), writes NaN at
+    that index of that call's normals; it records the threads that drew."""
 
-    def __init__(self, fail_at=None, delay=0.0):
+    def __init__(self, fail_at=None, delay=0.0, nan_at=(None, None)):
         self._rng = np.random.default_rng(0)
         self.fail_at = fail_at
         self.delay = delay
+        self.nan_at = nan_at
         self.threads = []
 
     def standard_normal(self, *args, **kwargs):
@@ -352,7 +336,11 @@ class _StubRng:
         if len(self.threads) == self.fail_at:
             raise FloatingPointError(f"block {self.fail_at}")
         time.sleep(self.delay)
-        return self._rng.standard_normal(*args, **kwargs)
+        z = self._rng.standard_normal(*args, **kwargs)
+        call, index = self.nan_at
+        if len(self.threads) == call:
+            z[index] = np.nan
+        return z
 
 
 def bounded(call, timeout=30.0):
@@ -464,20 +452,21 @@ class TestSampleRecordDrawer:
         assert len(calls) == 2
         assert len(rng.threads) == 2
 
-    @pytest.mark.parametrize("at", [0, tomography._BLOCK + 5, 3 * tomography._BLOCK - 1, None],
-                             ids=["nan_first", "nan_second_block", "nan_last", "overflow"])
-    def test_non_finite_value_is_rejected_after_every_block_is_drawn(self, at, cpus):
+    # A NaN normal in the first, second or last block; or finite normals and
+    # a marginal mean that overflows.
+    @pytest.mark.parametrize("state, nan_at", [
+        (vacuum(1), (1, 0)),
+        (vacuum(1), (2, 5)),
+        (vacuum(1), (3, -1)),
+        (GaussianState([1.5e308, 1.5e308], 0.25 * np.eye(2)), (None, None)),
+    ], ids=["nan_first", "nan_second_block", "nan_last", "overflow"])
+    def test_non_finite_value_is_rejected_after_every_block_is_drawn(self, state, nan_at, cpus):
         n = 3 * tomography._BLOCK
-        if at is None:  # finite thetas; the marginal mean overflows
-            state, thetas = GaussianState([1.5e308, 1.5e308], 0.25 * np.eye(2)), None
-        else:
-            state = vacuum(1)
-            thetas = np.linspace(0.0, np.pi, n, endpoint=False)
-            thetas[at] = np.nan
-        rng = _StubRng(delay=0.02)  # the drawer is still busy when a bad block is done
+        # the drawer is still busy when a bad block is done
+        rng = _StubRng(delay=0.02, nan_at=nan_at)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^record values must be finite$"):
-            bounded(lambda: sample_record(state, n, rng, thetas))
+            bounded(lambda: sample_record(state, n, rng))
         assert threading.active_count() == before
         assert len(rng.threads) == 3  # raised once every block was drawn
 
@@ -590,17 +579,17 @@ class TestInverseRadon:
         assert moments.cov[1, 1] == pytest.approx(report.vp, rel=VAR_RTOL)
         assert np.abs(moments.mean).max() < MEAN_ATOL
 
-    def test_full_turn_record_folds_onto_half_circle(self, rng):
+    def test_full_turn_record_folds_onto_half_circle(self):
         state = coherent_state(1.0 + 0j)
         thetas = np.arange(20_000) * (2.0 * np.pi / 20_000)
-        record = sample_record(state, 0, rng, thetas=thetas)
+        record = QuadratureRecord(thetas, textbook_values(state, thetas, 7))
         grid = inverse_radon(record, GridSpec.from_state(state))
         moments = wigner_moments(grid)
         assert moments.mean[0] == pytest.approx(1.0, abs=MEAN_ATOL)
 
     def test_quarter_circle_coverage_rejected(self, rng):
         thetas = rng.uniform(0.0, 0.5 * np.pi, 5000)
-        record = sample_record(vacuum(1), 0, rng, thetas=thetas)
+        record = QuadratureRecord(thetas, textbook_values(vacuum(1), thetas, 7))
         with pytest.raises(ValueError, match="coverage"):
             inverse_radon(record, GridSpec.from_state(vacuum(1)))
 
