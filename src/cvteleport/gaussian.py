@@ -31,7 +31,8 @@ PHYSICALITY_ATOL = 1e-9
 # Largest squeezer level accepted: the variance 10^(dB/10) overflows a float
 # from about 3082.547 dB on.
 MAX_LEVEL_DB = 3082.5
-# One-mode vacuum covariance; GaussianState copies it, so no state shares it.
+# One-mode vacuum covariance; vacuum and coherent_state copy it, so no state
+# shares it.
 _VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
 
 
@@ -71,19 +72,20 @@ class GaussianState:
             this module skip the check on their outputs because completely
             positive maps preserve physicality; empirical moment holders may
             also skip it.
+
+    The state holds read-only float64 copies of ``mean`` and ``cov``, so no
+    caller array is shared.  Operations of this package build their outputs
+    through the module-private `_own`, which keeps the shape checks but
+    takes the arrays it was given, freshly built by its caller, without
+    copying them.
     """
 
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, *, validate: bool = True):
         mean = np.array(mean, dtype=float)
-        if mean.ndim != 1:
-            mean = mean.reshape(-1)
         cov = np.array(cov, dtype=float)
-        if mean.size < 2 or mean.size % 2:
-            raise ValueError(f"mean must have even length >= 2, got {mean.size}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        mean = _shaped(mean, cov)
         if validate:
             if not np.all(np.isfinite(mean)):
                 raise ValueError("mean must be finite")
@@ -101,10 +103,7 @@ class GaussianState:
                     f"covariance violates the uncertainty principle: "
                     f"min symplectic eigenvalue {nu_min:.6g} < 1/4"
                 )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _hold(self, mean, cov)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
@@ -117,18 +116,49 @@ class GaussianState:
         return f"GaussianState(n_modes={self.n_modes})"
 
 
+def _shaped(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``mean`` as a vector, once it and ``cov`` have a state's shapes."""
+    if mean.ndim != 1:
+        mean = mean.reshape(-1)
+    if mean.size < 2 or mean.size % 2:
+        raise ValueError(f"mean must have even length >= 2, got {mean.size}")
+    if cov.shape != (mean.size, mean.size):
+        raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+    return mean
+
+
+def _hold(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> None:
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+
+
+def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """GaussianState(mean, cov, validate=False) without its two copies.
+
+    For float64 arrays that the caller has just built and shares with
+    nothing: the state freezes and holds them.  The shape checks stay."""
+    state = object.__new__(GaussianState)
+    _hold(state, _shaped(mean, cov), cov)
+    return state
+
+
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    cov = _VACUUM_COV if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
-    return GaussianState(np.zeros(2 * n_modes), cov, validate=False)
+    cov = _VACUUM_COV.copy() if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
+    return _own(np.zeros(2 * n_modes), cov)
 
 
 def coherent_state(alpha: complex) -> GaussianState:
-    """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha)."""
+    """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha),
+    which must be finite."""
     alpha = complex(alpha)
-    return GaussianState(np.array([alpha.real, alpha.imag]), _VACUUM_COV, validate=False)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return _own(np.array([alpha.real, alpha.imag]), _VACUUM_COV.copy())
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -143,7 +173,7 @@ def tensor(*states: GaussianState) -> GaussianState:
         hi = lo + s.mean.size
         cov[lo:hi, lo:hi] = s.cov
         lo = hi
-    return GaussianState(mean, cov, validate=False)
+    return _own(mean, cov)
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
@@ -151,7 +181,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     s = np.asarray(s, dtype=float)
     if s.shape != (state.mean.size, state.mean.size):
         raise ValueError(f"symplectic shape {s.shape} does not match state dimension")
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T, validate=False)
+    return _own(s @ state.mean, s @ state.cov @ s.T)
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:
@@ -212,7 +242,7 @@ def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     check_noise_pair(sq_db, antisq_db, "squeezed vacuum")
     vx = variance_from_db(sq_db, VACUUM_VARIANCE)
     vp = variance_from_db(antisq_db, VACUUM_VARIANCE)
-    return GaussianState(np.zeros(2), np.diag([vx, vp]), validate=False)
+    return _own(np.zeros(2), np.array([[vx, 0.0], [0.0, vp]], dtype=float))
 
 
 def quarter_turn(state: GaussianState) -> GaussianState:
@@ -222,7 +252,7 @@ def quarter_turn(state: GaussianState) -> GaussianState:
     +0.0 rather than turning into -0.0.  The moments are read as Python
     floats, which is exact and cheaper than numpy scalars."""
     (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
-    return GaussianState([0.0 - mp, mx], [[cpp, 0.0 - cpx], [0.0 - cxp, cxx]], validate=False)
+    return _own(np.array([0.0 - mp, mx]), np.array([[cpp, 0.0 - cpx], [0.0 - cxp, cxx]]))
 
 
 def beamsplitter(
@@ -242,12 +272,10 @@ def beamsplitter(
     ct = np.sqrt(transmittance)
     st = np.sqrt(1.0 - transmittance)
     s = np.eye(2 * n)
-    for q in (0, 1):
-        i, j = 2 * mode_i + q, 2 * mode_j + q
-        s[i, i] = ct
-        s[i, j] = st
-        s[j, i] = -st
-        s[j, j] = ct
+    i, j = 2 * mode_i, 2 * mode_j
+    s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = ct
+    s[i, j] = s[i + 1, j + 1] = st
+    s[j, i] = s[j + 1, i + 1] = -st
     return apply_symplectic(state, s)
 
 
@@ -264,10 +292,10 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     idx = [2 * mode, 2 * mode + 1]
     scale = np.ones(state.mean.size)
     scale[idx] = np.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
+    cov = state.cov * (scale[:, None] * scale)
     cov[idx[0], idx[0]] += (1.0 - eta) * VACUUM_VARIANCE
     cov[idx[1], idx[1]] += (1.0 - eta) * VACUUM_VARIANCE
-    return GaussianState(state.mean * scale, cov, validate=False)
+    return _own(state.mean * scale, cov)
 
 
 def db_from_variance(variance: float, reference: float) -> float:

@@ -13,8 +13,12 @@ entanglement between the sidebands.  For a single mode with x variance Vx the
 identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the analysis
 frequency is the same statement as sideband entanglement.
 
-The pair's moments are formed directly; the gate chain that defines them
-(`quarter_turn`, `tensor`, `apply_symplectic`) is their test oracle.
+The pair's moments are formed directly, and held by `gaussian._own` without
+a copy; the gate chain that defines them (`quarter_turn`, `tensor`,
+`apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's
+covariance as Python floats and sums the entries its two combinations
+weigh, grouped so that the result is bit for bit that of the matrix
+products with `_X_SUM` and `_P_DIFF`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.gaussian import GaussianState
+from cvteleport.gaussian import GaussianState, _own
 
 # Combination variances are referenced to two-mode vacuum, which gives
 # Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
@@ -71,13 +75,17 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     cov = np.array([[cxx, cxp, 0.0, 0.0], [cpx, cpp, 0.0, 0.0],
                     [0.0, 0.0, cpp, 0.0 - cpx], [0.0, 0.0, 0.0 - cxp, cxx]])
     mean = _SPLIT @ np.array([mx, mp, 0.0, 0.0])
-    return SidebandPair(GaussianState(mean, _SPLIT @ cov @ _SPLIT.T, validate=False))
+    return SidebandPair(_own(mean, _SPLIT @ cov @ _SPLIT.T))
 
 
 def delta_sq(pair: SidebandPair) -> float:
-    """Sum criterion Var(x+ + x-) + Var(p+ - p-); vacuum sidebands give 1."""
-    cov = pair.cov
-    return float(_X_SUM @ cov @ _X_SUM + _P_DIFF @ cov @ _P_DIFF)
+    """Sum criterion Var(x+ + x-) + Var(p+ - p-); vacuum sidebands give 1.
+
+    Read as Python floats.  Each vector-matrix product of
+    _X_SUM @ cov @ _X_SUM + _P_DIFF @ cov @ _P_DIFF has two nonzero terms,
+    so the sums below, grouped as those products group them, round alike."""
+    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = pair.cov.tolist()
+    return ((c00 + c20) + (c02 + c22)) + ((c11 - c31) - (c13 - c33))
 
 
 class EntanglementVerdict(NamedTuple):

@@ -73,6 +73,7 @@ from cvteleport.gaussian import (
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
+    _own,
     beamsplitter,
     check_count,
     check_fraction,
@@ -118,7 +119,11 @@ class TeleporterParams:
             raise ValueError("input_state must be a single mode")
         for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
             pair = getattr(self, name)
-            if pair is not None and len(pair) != 2:
+            try:
+                paired = pair is None or len(pair) == 2
+            except TypeError:  # a scalar has no length
+                paired = False
+            if not paired:
                 raise ValueError(f"{name} must hold exactly two values, got {pair!r}")
         anti = self.epr_antisq_db
         if anti is None:
@@ -133,6 +138,7 @@ class TeleporterParams:
             raise ValueError("eta_hom too small to compensate electronically")
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("gains must be finite")
+        check_count(self.seed, "seed")
 
 
 class EprCorrelations(NamedTuple):
@@ -177,14 +183,17 @@ def make_epr(params: TeleporterParams) -> GaussianState:
     return pair
 
 
+# x_A - x_B and p_A + p_B of a beam pair (A, B)
+_X_DIFF = np.array([1.0, 0.0, -1.0, 0.0])
+_P_SUM = np.array([0.0, 1.0, 0.0, 1.0])
+
+
 def epr_correlations(pair: GaussianState) -> EprCorrelations:
     """Correlation variances of a beam pair, in absolute units and in dB
     relative to the two-mode vacuum level 1/2."""
     if pair.n_modes != 2:
         raise ValueError("epr_correlations requires a two-mode state")
-    x_diff = np.array([1.0, 0.0, -1.0, 0.0])
-    p_sum = np.array([0.0, 1.0, 0.0, 1.0])
-    return _correlations(x_diff @ pair.cov @ x_diff, p_sum @ pair.cov @ p_sum)
+    return _correlations(_X_DIFF @ pair.cov @ _X_DIFF, _P_SUM @ pair.cov @ _P_SUM)
 
 
 def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
@@ -222,7 +231,7 @@ def _readout(
     feed = np.array(
         [[params.g_x * scale, 0.0, 1.0, 0.0], [0.0, params.g_p * scale, 0.0, 1.0]]
     )
-    return pair, mixed.mean[_READOUT], mixed.cov[np.ix_(_READOUT, _READOUT)], feed
+    return pair, mixed.mean[_READOUT], mixed.cov.take(_READOUT, 0).take(_READOUT, 1), feed
 
 
 # A decorator rather than a with-block: half the cost per call.
@@ -341,16 +350,21 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     (squeezer 1) modes after their source losses.
     """
     state = params.input_state
+    # The input moments go in as Python floats: exact, and cheaper than numpy
+    # scalars.  A product with a float32 parameter is then float32, so the
+    # output is cast to float64 (a no-op for float64 parameters).
     mean, cov, var_x_diff, var_p_sum = _source_map(
-        state.mean, state.cov, params.epr_sq_db, params.epr_antisq_db,
+        state.mean.tolist(), state.cov.tolist(), params.epr_sq_db, params.epr_antisq_db,
         params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
     )
-    output = GaussianState(mean, cov, validate=False)
+    output = _own(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float))
     epr = _correlations(var_x_diff, var_p_sum)
     return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
 
 
 _BELOW_DIAGONAL = np.tril_indices(4, -1)
+# added to the read-out covariance before its Cholesky factor
+_JITTER = 1e-14 * np.eye(4)
 
 
 def _standard_moments(shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +404,7 @@ def teleport_mc(
     pair, mean, cov, feed = _readout(params)
     try:
         # jitter guards exactly-pure corner cases
-        root = np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+        root = np.linalg.cholesky(cov + _JITTER)
     except np.linalg.LinAlgError as exc:
         raise PhysicsError(
             "Monte Carlo read-out covariance of (u, v, x_B, p_B) has no Cholesky "
@@ -405,7 +419,7 @@ def teleport_mc(
         emp_mean = feed @ mean + factor @ z_mean
         emp_cov = factor @ z_cov @ factor.T
         emp_cov = 0.5 * (emp_cov + emp_cov.T)
-    output = GaussianState(emp_mean, emp_cov, validate=False)
+    output = _own(emp_mean, emp_cov)
 
     gains = [params.g_x, params.g_p]
     for q in (0, 1):
@@ -432,7 +446,7 @@ def output_variances_pure(r: float) -> tuple[float, float]:
     """Unity-gain output variances with three pure squeezers of parameter r
     (resource pair plus an x-squeezed input): (3/4) e^{-2r} in x and
     (e^{2r} + 2 e^{-2r})/4 in p."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be >= 0")
     return 0.75 * np.exp(-2.0 * r), (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 4.0
 

@@ -270,10 +270,13 @@ def spectrum_trace(
     from ``averages`` samples per point; with ``rng=None`` it is exact.
     """
     _single_mode(state)
+    check_count(n_points, "n_points")
     if n_points < 2:
         raise ValueError("a trace needs at least 2 points")
-    if rng is not None and (averages < 1 or averages != int(averages)):
-        raise ValueError("averages must be an integer >= 1")
+    if rng is not None:
+        check_count(averages, "averages")
+        if averages < 1:
+            raise ValueError("averages must be an integer >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     mu, var = _marginal_arrays(state, np.cos(thetas), np.sin(thetas))
     # A mean too large to square overflows to inf, raised below as a result.

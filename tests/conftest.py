@@ -1,7 +1,8 @@
 """Shared helpers: seeded RNG, a generator of random physical states, a
-two-sample check of first and second moments and a check that a written
-``report.json`` holds its RunResult; and a guard that fails a test which
-leaves a quadrature record's drawing thread running."""
+check that a state owns its arrays, a two-sample check of first and second
+moments and a check that a written ``report.json`` holds its RunResult; and
+a guard that fails a test which leaves a quadrature record's drawing thread
+running."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from cvteleport import (
     rotate,
     tensor,
 )
+from cvteleport import gaussian
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +72,19 @@ def random_physical_state(rng: np.random.Generator, n_modes: int, n_ops: int = 1
             state = loss(state, mode, rng.uniform(0.2, 1.0))
     kept = slice(0, 2 * n_modes)
     return GaussianState(rng.normal(0, 2, 2 * n_modes), state.cov[kept, kept], validate=False)
+
+
+def assert_owns_its_arrays(state, *given) -> None:
+    """``state`` holds read-only float64 arrays that share no memory with each
+    other, with any array in ``given`` or with the vacuum covariance that
+    ``vacuum`` and ``coherent_state`` copy."""
+    held = (state.mean, state.cov)
+    for array in held:
+        assert array.dtype == np.float64 and not array.flags.writeable
+    assert not np.shares_memory(state.mean, state.cov)
+    for other in (*given, gaussian._VACUUM_COV):
+        for array in held:
+            assert not np.shares_memory(array, other)
 
 
 def assert_same_two_moments(a, b, limit: float = 5.0) -> None:

@@ -27,7 +27,7 @@ from cvteleport import (
 )
 from cvteleport import gaussian
 from cvteleport.gaussian import MAX_LEVEL_DB, apply_symplectic, quarter_turn
-from conftest import random_physical_state
+from conftest import assert_owns_its_arrays, random_physical_state
 
 ATOL = 1e-12
 # Frozen from the dB rule v = (1/4) 10^(dB/10).
@@ -161,6 +161,61 @@ def test_vacuum_covariance_is_copied_not_shared():
             state.cov[0, 0] = 1.0
     assert np.array_equal(gaussian._VACUUM_COV, 0.25 * np.eye(2))
     assert GaussianState([[1.0], [2.0]], 0.25 * np.eye(2)).mean.shape == (2,)
+
+
+# A balanced mixer's symplectic matrix, which apply_symplectic must not hold.
+_MIXER = np.sqrt(0.5) * np.array(
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0]]
+)
+
+# Every gate, on a random one-mode state a and two-mode state b.
+GATES = {
+    "vacuum": lambda a, b, rng: vacuum(int(rng.integers(1, 4))),
+    "coherent_state": lambda a, b, rng: coherent_state(complex(*rng.normal(0.0, 2.0, 2))),
+    "impure_squeezed_vacuum": lambda a, b, rng: impure_squeezed_vacuum(
+        rng.uniform(-10.0, 0.0), rng.uniform(10.0, 16.0)
+    ),
+    "tensor": lambda a, b, rng: tensor(a, b),
+    "apply_symplectic": lambda a, b, rng: apply_symplectic(b, _MIXER),
+    "rotate one mode": lambda a, b, rng: rotate(a, 0, rng.uniform(0.0, 2 * np.pi)),
+    "rotate": lambda a, b, rng: rotate(b, int(rng.integers(2)), rng.uniform(0.0, 2 * np.pi)),
+    "quarter_turn": lambda a, b, rng: quarter_turn(a),
+    "beamsplitter": lambda a, b, rng: beamsplitter(b, 1, 0, rng.uniform(0.0, 1.0)),
+    "loss": lambda a, b, rng: loss(b, int(rng.integers(2)), rng.uniform(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_gate_output_owns_read_only_float64_arrays(gate, rng):
+    # gates build their outputs with gaussian._own, which takes the arrays
+    # the gate has just built; none may be an input's or the vacuum's
+    for _ in range(20):
+        a, b = random_physical_state(rng, 1), random_physical_state(rng, 2)
+        out = GATES[gate](a, b, rng)
+        assert_owns_its_arrays(out, a.mean, a.cov, b.mean, b.cov, _MIXER)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_public_constructor_copies_the_caller_arrays(validate, rng):
+    state = random_physical_state(rng, 2)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    held = GaussianState(mean, cov, validate=validate)
+    assert_owns_its_arrays(held, mean, cov)
+    assert mean.flags.writeable and cov.flags.writeable
+
+
+def test_own_keeps_the_shape_checks():
+    with pytest.raises(ValueError, match="mean must have even length >= 2, got 3"):
+        gaussian._own(np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"cov shape \(3, 3\) does not match mean length 2"):
+        gaussian._own(np.zeros(2), np.zeros((3, 3)))
+    assert gaussian._own(np.zeros((2, 1)), np.eye(2)).mean.shape == (2,)
+
+
+@pytest.mark.parametrize("alpha", [complex(np.nan, 0.0), complex(1.0, np.inf), -np.inf])
+def test_coherent_state_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="^alpha must be finite, got "):
+        coherent_state(alpha)
 
 
 @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])

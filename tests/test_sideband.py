@@ -17,13 +17,15 @@ from cvteleport import (
 )
 from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
 from cvteleport.sideband import (
+    _P_DIFF,
     _SPLIT,
+    _X_SUM,
     SidebandPair,
     delta_sq,
     is_entangled,
     sidebands_from_single_mode,
 )
-from conftest import random_physical_state
+from conftest import assert_owns_its_arrays, random_physical_state
 
 ATOL = 1e-12
 
@@ -96,6 +98,25 @@ def test_derived_pair_is_physical(rng):
         state = random_physical_state(rng, 1)
         pair = sidebands_from_single_mode(state)
         assert symplectic_eigenvalues(pair.cov).min() >= 0.25 - 1e-9
+
+
+def test_pair_owns_read_only_float64_arrays(rng):
+    for _ in range(30):
+        state = random_physical_state(rng, 1)
+        pair = sidebands_from_single_mode(state)
+        assert_owns_its_arrays(pair.state, state.mean, state.cov, _SPLIT)
+
+
+def test_delta_sq_equals_the_matrix_products_bytewise(rng):
+    # the float sums group as the products do; summed left to right they
+    # would round differently for some states
+    pairs = [SidebandPair(random_physical_state(rng, 2)) for _ in range(200)]
+    pairs += [sidebands_from_single_mode(random_physical_state(rng, 1)) for _ in range(200)]
+    for pair in pairs:
+        value = delta_sq(pair)
+        products = _X_SUM @ pair.cov @ _X_SUM + _P_DIFF @ pair.cov @ _P_DIFF
+        assert type(value) is float
+        assert np.float64(value).tobytes() == products.tobytes()
 
 
 def test_displacement_does_not_change_criterion():

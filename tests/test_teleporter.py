@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_same_two_moments
+from conftest import assert_owns_its_arrays, assert_same_two_moments, random_physical_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -415,6 +415,73 @@ def test_source_map_is_elementwise_over_arrays(rng):
         point = teleporter._source_map(*(a[..., k] for a in args))
         for got, want in zip(batch, point):
             assert np.allclose(np.asarray(got)[..., k], want, rtol=1e-15, atol=0.0)
+
+
+def random_params(rng) -> TeleporterParams:
+    """A random lossy, non-unity-gain point with a random physical input."""
+    sq = rng.uniform(-10.0, 0.0, 2)
+    return TeleporterParams(
+        input_state=random_physical_state(rng, 1),
+        epr_sq_db=tuple(sq.tolist()),
+        epr_antisq_db=tuple((rng.uniform(0.0, 6.0, 2) - sq).tolist()),
+        g_x=float(rng.uniform(0.5, 1.5)),
+        g_p=float(rng.uniform(0.5, 1.5)),
+        eta_source=tuple(rng.uniform(0.5, 1.0, 2).tolist()),
+        eta_prop=tuple(rng.uniform(0.5, 1.0, 2).tolist()),
+        eta_hom=float(rng.uniform(0.7, 1.0)),
+    )
+
+
+def test_source_map_gives_the_same_bytes_from_lists_as_from_arrays(rng):
+    # teleport_analytic hands it the input moments as Python floats
+    for _ in range(200):
+        params = random_params(rng)
+        state = params.input_state
+        rest = (params.epr_sq_db, params.epr_antisq_db, params.g_x, params.g_p,
+                params.eta_source, params.eta_prop, params.eta_hom)
+        from_lists = teleporter._source_map(state.mean.tolist(), state.cov.tolist(), *rest)
+        from_arrays = teleporter._source_map(state.mean, state.cov, *rest)
+        for got, want in zip(from_lists, from_arrays):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_outputs_own_read_only_float64_arrays(rng):
+    for _ in range(20):
+        params = random_params(rng)
+        given = (params.input_state.mean, params.input_state.cov)
+        assert_owns_its_arrays(teleport_analytic(params).output_state, *given)
+        assert_owns_its_arrays(teleport_mc(params, 1000).output_state, *given)
+    # float32 parameters make float32 products, still held as float64
+    f32 = np.float32
+    narrow = replace(params, g_x=f32(0.9), g_p=f32(1.1), eta_source=(f32(0.9), f32(0.8)),
+                     eta_prop=(f32(0.9), f32(0.95)), eta_hom=f32(0.9))
+    assert_owns_its_arrays(teleport_analytic(narrow).output_state, *given)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epr_sq_db", -3.0), ("epr_antisq_db", 3.0), ("eta_source", np.float64(0.9)),
+    ("eta_prop", np.array(0.9)),
+])
+def test_params_reject_a_scalar_pair(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must hold exactly two values, got "):
+        TeleporterParams(input_state=vacuum(1), **{name: value})
+
+
+def test_params_reject_a_non_integral_seed():
+    for seed in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            coherent_params(seed=seed)
+    a = teleport_mc(coherent_params(seed=np.int64(7)), 100)
+    b = teleport_mc(coherent_params(seed=7), 100)
+    assert a.output_state.cov.tobytes() == b.output_state.cov.tobytes()
+
+
+def test_pure_output_variances_reject_nan_and_negative_r():
+    for r in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="^r must be >= 0$"):
+            output_variances_pure(r)
 
 
 def test_params_validation():

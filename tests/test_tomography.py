@@ -189,6 +189,18 @@ class TestSpectrumTrace:
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(2))
 
+    def test_rejects_non_integral_counts(self, rng):
+        for count in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^n_points must be an integer, got {count!r}$"):
+                spectrum_trace(vacuum(1), n_points=count)
+            with pytest.raises(ValueError, match=f"^averages must be an integer, got {count!r}$"):
+                spectrum_trace(vacuum(1), averages=count, rng=rng)
+        with pytest.raises(ValueError, match="^a trace needs at least 2 points$"):
+            spectrum_trace(vacuum(1), n_points=1)
+        with pytest.raises(ValueError, match=r"^averages must be an integer >= 1$"):
+            spectrum_trace(vacuum(1), averages=0, rng=rng)
+        assert spectrum_trace(vacuum(1), np.int64(4), np.int64(2), rng).averages == 2
+
 
 class TestSampleRecord:
     def test_vacuum_bin_variances(self, rng):
