@@ -67,42 +67,39 @@ class GaussianState:
     Args:
         mean: length-2n quadrature expectation values, ordered (x1, p1, ...).
         cov: 2n x 2n covariance matrix.
-        validate: check finiteness, symmetry and the bona fide condition
-            (symplectic eigenvalues >= 1/4 - PHYSICALITY_ATOL).  Operations in
-            this module skip the check on their outputs because completely
-            positive maps preserve physicality; empirical moment holders may
-            also skip it.
 
-    The state holds read-only float64 copies of ``mean`` and ``cov``, so no
-    caller array is shared.  Operations of this package build their outputs
-    through the module-private `_own`, which keeps the shape checks but
-    takes the arrays it was given, freshly built by its caller, without
+    The constructor checks finiteness, symmetry and the bona fide condition
+    (symplectic eigenvalues >= 1/4 - PHYSICALITY_ATOL), and the state holds
+    read-only float64 copies of ``mean`` and ``cov``, so no caller array is
+    shared.  Operations of this package build their outputs through the
+    module-private `_own`, which keeps the shape checks but skips the
+    physics checks, since completely positive maps preserve physicality,
+    and takes the arrays it was given, freshly built by its caller, without
     copying them.
     """
 
     __slots__ = ("mean", "cov")
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, *, validate: bool = True):
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
         mean = np.array(mean, dtype=float)
         cov = np.array(cov, dtype=float)
         mean = _shaped(mean, cov)
-        if validate:
-            if not np.all(np.isfinite(mean)):
-                raise ValueError("mean must be finite")
-            if not np.all(np.isfinite(cov)):
-                raise ValueError("cov must be finite")
-            # the bound SYMMETRY_ATOL * max(1, max |cov|); max |cov| is read
-            # only for an asymmetry past SYMMETRY_ATOL
-            asymmetry = np.abs(cov - cov.T).max()
-            if asymmetry > SYMMETRY_ATOL and asymmetry > SYMMETRY_ATOL * np.abs(cov).max():
-                raise PhysicsError("covariance matrix is not symmetric")
-            cov = 0.5 * (cov + cov.T)
-            nu_min = symplectic_eigenvalues(cov).min()
-            if nu_min < VACUUM_VARIANCE - PHYSICALITY_ATOL:
-                raise PhysicsError(
-                    f"covariance violates the uncertainty principle: "
-                    f"min symplectic eigenvalue {nu_min:.6g} < 1/4"
-                )
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("cov must be finite")
+        # the bound SYMMETRY_ATOL * max(1, max |cov|); max |cov| is read only
+        # for an asymmetry past SYMMETRY_ATOL
+        asymmetry = np.abs(cov - cov.T).max()
+        if asymmetry > SYMMETRY_ATOL and asymmetry > SYMMETRY_ATOL * np.abs(cov).max():
+            raise PhysicsError("covariance matrix is not symmetric")
+        cov = 0.5 * (cov + cov.T)
+        nu_min = symplectic_eigenvalues(cov).min()
+        if nu_min < VACUUM_VARIANCE - PHYSICALITY_ATOL:
+            raise PhysicsError(
+                f"covariance violates the uncertainty principle: "
+                f"min symplectic eigenvalue {nu_min:.6g} < 1/4"
+            )
         _hold(self, mean, cov)
 
     def __setattr__(self, name, value):
@@ -135,7 +132,7 @@ def _hold(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> None:
 
 
 def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    """GaussianState(mean, cov, validate=False) without its two copies.
+    """GaussianState(mean, cov) without its two copies and its physics checks.
 
     For float64 arrays that the caller has just built and shares with
     nothing: the state freezes and holds them.  The shape checks stay."""
@@ -146,6 +143,7 @@ def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
+    check_count(n_modes, "n_modes")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     cov = _VACUUM_COV.copy() if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
@@ -185,6 +183,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:
+    check_count(mode, "mode")
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
 
@@ -266,6 +265,8 @@ def beamsplitter(
         q_j -> sqrt(t) q_j - sqrt(1 - t) q_i
     """
     n = state.n_modes
+    check_count(mode_i, "mode_i")
+    check_count(mode_j, "mode_j")
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
     check_fraction(transmittance, "transmittance")

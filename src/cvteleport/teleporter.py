@@ -102,6 +102,10 @@ class TeleporterParams:
             electronic gain is raised by 1/sqrt(eta_hom) so the configured
             gains stay the realized ones.
         seed: Monte Carlo seed of `teleport_mc`'s generator.
+
+    The gains, eta_hom and each entry of the four pairs are stored as Python
+    floats; a pair holding anything but floats is stored as a tuple of them.
+    A bool or a str raises ValueError naming the field.
     """
 
     input_state: GaussianState
@@ -117,14 +121,20 @@ class TeleporterParams:
     def __post_init__(self):
         if self.input_state.n_modes != 1:
             raise ValueError("input_state must be a single mode")
+        if not (type(self.g_x) is type(self.g_p) is type(self.eta_hom) is float):
+            for name in ("g_x", "g_p", "eta_hom"):
+                object.__setattr__(self, name, _as_float(getattr(self, name), name))
         for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
             pair = getattr(self, name)
+            if pair is None:
+                continue
             try:
-                paired = pair is None or len(pair) == 2
-            except TypeError:  # a scalar has no length
-                paired = False
-            if not paired:
-                raise ValueError(f"{name} must hold exactly two values, got {pair!r}")
+                first, second = pair
+            except (TypeError, ValueError):  # a scalar, or a length other than 2
+                raise ValueError(f"{name} must hold exactly two values, got {pair!r}") from None
+            if not type(first) is type(second) is float:
+                floats = (_as_float(first, f"{name}[0]"), _as_float(second, f"{name}[1]"))
+                object.__setattr__(self, name, floats)
         anti = self.epr_antisq_db
         if anti is None:
             anti = (-self.epr_sq_db[0], -self.epr_sq_db[1])
@@ -139,6 +149,17 @@ class TeleporterParams:
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("gains must be finite")
         check_count(self.seed, "seed")
+
+
+def _as_float(value, label: str) -> float:
+    """``value`` as a Python float; a bool, a str or anything float() rejects
+    raises ValueError naming ``label``."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{label} must be a number, got {value!r}")
 
 
 class EprCorrelations(NamedTuple):
@@ -351,13 +372,12 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     """
     state = params.input_state
     # The input moments go in as Python floats: exact, and cheaper than numpy
-    # scalars.  A product with a float32 parameter is then float32, so the
-    # output is cast to float64 (a no-op for float64 parameters).
+    # scalars; the parameters are Python floats already.
     mean, cov, var_x_diff, var_p_sum = _source_map(
         state.mean.tolist(), state.cov.tolist(), params.epr_sq_db, params.epr_antisq_db,
         params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
     )
-    output = _own(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float))
+    output = _own(mean, cov)
     epr = _correlations(var_x_diff, var_p_sum)
     return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
 

@@ -34,11 +34,10 @@ sample depends on the block size).  Its normals are drawn block by block from
 the caller's one stream on a second thread, while the calling thread sets up
 the sweep and marginals and checks each block finite.  The sweep's cos and
 sin come from one table of the first block's angles by angle addition, a few
-ulps from np.cos and np.sin.  A record is binned once, into one segment per
-phase bin, which the phase counts, the default cutoff and the sinogram all
-read; a record in phase order within [0, pi), as the sweep, is neither
-folded nor copied, and any other, such as a hand-built QuadratureRecord over
-a full turn or in shuffled order, is folded and stably sorted by phase bin.
+ulps from np.cos and np.sin.  A record's thetas are non-decreasing within
+[0, pi), as the sweep's are, so each phase bin is one segment of the record,
+found by searchsorted; the phase counts, the default cutoff and the sinogram
+all read these segments.
 """
 
 from __future__ import annotations
@@ -209,13 +208,19 @@ class PhaseScanTrace:
 
 @dataclass(frozen=True)
 class QuadratureRecord:
-    """Raw (theta, value) samples from a phase-scanned homodyne measurement."""
+    """Raw (theta, value) samples from a phase-scanned homodyne measurement,
+    in phase order: the thetas are non-decreasing within [0, pi)."""
 
     thetas: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
         _set_samples(self, "values", "record", _readonly(self.thetas), _readonly(self.values))
+        thetas = self.thetas
+        if thetas.size and not (
+            thetas[0] >= 0.0 and thetas[-1] < np.pi and np.all(thetas[1:] >= thetas[:-1])
+        ):
+            raise ValueError("record thetas must be non-decreasing within [0, pi)")
 
     @property
     def n_samples(self) -> int:
@@ -343,7 +348,9 @@ def sample_record(
     drawer = threading.Thread(target=draw, name="sample_record-draw")
     drawer.start()
     try:
-        thetas = np.arange(n_samples, dtype=float)  # the sweep, set up while z is drawn
+        # The sweep, set up while z is drawn: non-decreasing, and within [0, pi)
+        # since (n - 1) fl(pi / n) rounds below pi for every n below 2**52.
+        thetas = np.arange(n_samples, dtype=float)
         thetas *= np.pi / n_samples
         table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
         heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
@@ -399,7 +406,7 @@ def _upper_edges(edges):
     return np.append(edges[1:-1], np.nextafter(edges[-1], np.inf))
 
 
-def _uniform_bin_index(values, edges, upper=None):
+def _uniform_bin_index(values, edges, upper):
     """Bin of each value among the uniform ``edges``, as np.histogramdd bins it.
 
     Bins are half-open, [edges[i], edges[i + 1]), except that a value equal
@@ -407,7 +414,7 @@ def _uniform_bin_index(values, edges, upper=None):
     map to -1 or n.  The index comes from the uniform spacing and is then
     corrected by at most one bin against the edges themselves, as
     np.histogram does for uniform bins, so it matches the searchsorted
-    result exactly.  ``upper`` is _upper_edges(edges), made here unless given.
+    result exactly.  ``upper`` is _upper_edges(edges).
     """
     n = edges.size - 1
     lo, hi = edges[0], edges[-1]
@@ -415,40 +422,10 @@ def _uniform_bin_index(values, edges, upper=None):
     scaled *= n / (hi - lo)
     idx = scaled.astype(np.intp)
     np.clip(idx, 0, n - 1, out=idx)
-    if upper is None:
-        upper = _upper_edges(edges)
     # Every gathered index is in range, so "clip" only spares take() its bounds check.
     idx += values >= np.take(upper, idx, out=scaled, mode="clip")
     idx -= values < np.take(edges, idx, out=scaled, mode="clip")
     return idx
-
-
-def _phase_segments(thetas, values, edges):
-    """The record folded onto [0, pi) and put in phase-bin order, and the
-    n + 1 bounds of its n bins' segments: bin i, as _uniform_bin_index bins
-    it, is [bounds[i], bounds[i + 1]), and a sample folded beyond the edges
-    is in the nearest bin's.  Each segment keeps its samples in record order.
-
-    A record in phase order, thetas non-decreasing in [0, pi) without -0.0,
-    is already folded and in bin order: it is returned as it is.  Any other is
-    folded, theta - k pi with k = floor(theta / pi) and q flipped in sign for
-    odd k (which turns -0.0 into +0.0), then gathered in a stable sort of its
-    bins.
-    """
-    if thetas[0] >= 0.0 and thetas[-1] < np.pi and np.all(thetas[1:] >= thetas[:-1]):
-        if not np.any(np.signbit(thetas[:np.searchsorted(thetas, 0.0, "right")])):
-            return thetas, values, np.searchsorted(thetas, edges)
-    turns = np.floor_divide(thetas, np.pi)
-    folded = thetas - turns * np.pi
-    q = np.where(np.mod(turns.astype(np.int64), 2) == 1, -values, values)
-    n = edges.size - 1
-    idx = _uniform_bin_index(folded, edges)
-    np.clip(idx, 0, n - 1, out=idx)
-    # a stable sort of bin numbers this small is a radix sort
-    order = np.argsort(idx.astype(np.min_scalar_type(n - 1)), kind="stable")
-    bounds = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
-    return folded[order], q[order], bounds
 
 
 def _record_sigma_min(q, bounds):
@@ -476,22 +453,17 @@ def _record_sigma_min(q, bounds):
     return np.sqrt(var_min)
 
 
-def _sinogram(folded, q, bounds, q_edges):
+def _sinogram(q, bounds, q_edges):
     """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
 
-    One bincount per phase segment; a sample outside [0, pi], which only the
-    first and last segments hold, or outside the quadrature edges is left out
-    (inverse_radon's phase counts still include it).
+    One bincount per phase segment; a sample outside the quadrature edges is
+    left out (inverse_radon's phase counts still include it).
     """
     n_q = q_edges.size - 1
     upper = _upper_edges(q_edges)
     sinogram = np.empty((bounds.size - 1, n_q), dtype=np.intp)
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        segment = q[lo:hi]
-        if b in (0, bounds.size - 2):
-            theta = folded[lo:hi]
-            segment = segment[(theta >= 0.0) & (theta <= np.pi)]
-        q_bin = _uniform_bin_index(segment, q_edges, upper)
+        q_bin = _uniform_bin_index(q[lo:hi], q_edges, upper)
         q_bin += 1  # -1 and n_q, below and above the edges, count outside [1, n_q]
         sinogram[b] = np.bincount(q_bin, minlength=n_q + 2)[1:-1]
     return sinogram
@@ -522,20 +494,13 @@ def inverse_radon(
     """Reconstruct the Wigner function from a record by filtered back-projection
     on the caller's window ``spec`` (GridSpec.from_state of the recorded state).
 
-    Samples are folded onto theta in [0, pi) (values at theta + pi enter with
-    flipped sign) and binned into a sinogram of DEFAULT_THETA_BINS phase bins.
-    Bin convention: phase and quadrature bins are half-open, [lo, hi), on
-    uniform edges; the phase edges span [0, pi] and the quadrature edges
-    [-support, support], support being 1.05 times the larger of the grid's
-    corner radius and the largest |q| in the record.  A folded theta that
-    rounds to pi lands in the last phase bin.  A folded theta that rounds
-    past pi, or below 0, is counted in the nearest phase bin's sample count
-    (and variance) but left out of the sinogram.  The record is binned once,
-    into one segment of samples per phase bin.  A record in phase order within
-    [0, pi), as sample_record's sweep, is neither folded nor copied; any
-    other, which only a hand-built QuadratureRecord can be, is folded, then
-    sorted stably by phase bin.  Each bin's variance takes pairwise sums
-    (np.add.reduceat) of its segment.
+    The record, in phase order within [0, pi), is binned into a sinogram of
+    DEFAULT_THETA_BINS phase bins.  Bin convention: phase and quadrature bins
+    are half-open, [lo, hi), on uniform edges; the phase edges span [0, pi]
+    and the quadrature edges [-support, support], support being 1.05 times
+    the larger of the grid's corner radius and the largest |q| in the record.
+    Each phase bin is one segment of the record, found by searchsorted, and
+    its variance takes pairwise sums (np.add.reduceat) of the segment.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
     FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``
@@ -550,7 +515,7 @@ def inverse_radon(
         )
     n_theta_bins = DEFAULT_THETA_BINS
     edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
-    folded, q, bounds = _phase_segments(record.thetas, record.values, edges)
+    q, bounds = record.values, np.searchsorted(record.thetas, edges)
     counts = np.diff(bounds)
     coverage = np.count_nonzero(counts) / n_theta_bins
     if coverage < MIN_COVERAGE_FRACTION:
@@ -560,7 +525,9 @@ def inverse_radon(
         )
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
-    if not (np.isfinite(filter_cutoff) and filter_cutoff > 0.0):
+    if isinstance(filter_cutoff, (bool, np.bool_)) or not (
+        np.isfinite(filter_cutoff) and filter_cutoff > 0.0
+    ):
         raise ValueError("filter_cutoff must be positive and finite")
 
     x = spec.x_axis()
@@ -584,7 +551,7 @@ def inverse_radon(
     q_centers = 0.5 * (q_edges[:-1] + q_edges[1:])
     dq = q_edges[1] - q_edges[0]
 
-    sinogram = _sinogram(folded, q, bounds, q_edges)
+    sinogram = _sinogram(q, bounds, q_edges)
     populated = np.flatnonzero(counts)
     profiles = sinogram[populated] / (counts[populated, None] * dq)
 

@@ -71,7 +71,7 @@ def random_physical_state(rng: np.random.Generator, n_modes: int, n_ops: int = 1
         else:
             state = loss(state, mode, rng.uniform(0.2, 1.0))
     kept = slice(0, 2 * n_modes)
-    return GaussianState(rng.normal(0, 2, 2 * n_modes), state.cov[kept, kept], validate=False)
+    return gaussian._own(rng.normal(0, 2, 2 * n_modes), state.cov[kept, kept].copy())
 
 
 def assert_owns_its_arrays(state, *given) -> None:

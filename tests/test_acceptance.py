@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from cvteleport.gaussian import GaussianState, coherent_state, impure_squeezed_vacuum
+from cvteleport import gaussian
+from cvteleport.gaussian import coherent_state, impure_squeezed_vacuum
 from cvteleport.harness import benchmark_config
 from cvteleport.sideband import delta_sq, is_entangled, sidebands_from_single_mode
 from cvteleport.teleporter import (
@@ -149,7 +150,7 @@ def test_criterion_08_fails_on_nan_moments(monkeypatch):
     def nan_mc(params, shots, rng=None):
         report = teleport_analytic(params)
         mean = report.output_state.mean
-        nan_state = GaussianState(mean, np.full((2, 2), np.nan), validate=False)
+        nan_state = gaussian._own(mean.copy(), np.full((2, 2), np.nan))
         return dataclasses.replace(report, output_state=nan_state)
 
     monkeypatch.setattr(sys.modules[__name__], "teleport_mc", nan_mc)

@@ -12,14 +12,18 @@ import pytest
 
 from cvteleport import (
     GaussianState,
+    GridSpec,
     PhysicsError,
+    TeleporterParams,
     VACUUM_VARIANCE,
     beamsplitter,
     coherent_state,
     db_from_variance,
     impure_squeezed_vacuum,
+    inverse_radon,
     loss,
     rotate,
+    sample_record,
     symplectic_eigenvalues,
     tensor,
     vacuum,
@@ -59,8 +63,6 @@ def test_state_validation_rejects_asymmetry_and_unphysical_cov():
             GaussianState(np.zeros(2), [[0.25, bad], [bad, 0.25]])
     with pytest.raises(ValueError, match="^cov must be finite$"):
         GaussianState(np.zeros(2), np.diag([np.nan, 0.25]))
-    # validate=False admits empirical moment holders
-    GaussianState(np.zeros(2), np.diag([0.1, 0.1]), validate=False)
 
 
 def test_symmetry_tolerance_scales_with_the_covariance():
@@ -195,13 +197,16 @@ def test_gate_output_owns_read_only_float64_arrays(gate, rng):
         assert_owns_its_arrays(out, a.mean, a.cov, b.mean, b.cov, _MIXER)
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_public_constructor_copies_the_caller_arrays(validate, rng):
+@pytest.mark.parametrize("writeable", [True, False])
+def test_public_constructor_copies_the_caller_arrays(writeable, rng):
+    # a read-only caller array is copied too: its owner may make it writeable
     state = random_physical_state(rng, 2)
     mean, cov = state.mean.copy(), state.cov.copy()
-    held = GaussianState(mean, cov, validate=validate)
+    mean.setflags(write=writeable)
+    cov.setflags(write=writeable)
+    held = GaussianState(mean, cov)
     assert_owns_its_arrays(held, mean, cov)
-    assert mean.flags.writeable and cov.flags.writeable
+    assert mean.flags.writeable == cov.flags.writeable == writeable
 
 
 def test_own_keeps_the_shape_checks():
@@ -376,3 +381,39 @@ def test_passive_operations_conserve_total_photons(rng):
         assert _total_photons(loss(state, 0, 0.5)) <= before + 1e-12
     assert np.isclose(_total_photons(vacuum(3)), 0.0, atol=ATOL)
     assert np.isclose(_total_photons(coherent_state(2.0 + 0j)), 4.0, atol=ATOL)
+
+
+def _cutoff_true():
+    record = sample_record(vacuum(1), 1000, np.random.default_rng(0))
+    return inverse_radon(record, GridSpec.from_state(vacuum(1)), filter_cutoff=True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: vacuum(2.5), "n_modes must be an integer, got 2.5"),
+    (lambda: vacuum(True), "n_modes must be an integer, got True"),
+    (lambda: rotate(vacuum(2), 1.0, 0.3), "mode must be an integer, got 1.0"),
+    (lambda: loss(vacuum(2), 1.0, 0.5), "mode must be an integer, got 1.0"),
+    (lambda: beamsplitter(vacuum(2), 1.0, 0, 0.5), "mode_i must be an integer, got 1.0"),
+    (lambda: beamsplitter(vacuum(2), 0, True, 0.5), "mode_j must be an integer, got True"),
+    (_cutoff_true, "filter_cutoff must be positive and finite"),
+    (lambda: TeleporterParams(input_state=vacuum(1), g_x="1"), "g_x must be a number, got '1'"),
+    (lambda: TeleporterParams(input_state=vacuum(1), g_p=True), "g_p must be a number, got True"),
+    (lambda: TeleporterParams(input_state=vacuum(1), eta_hom="0.9"),
+     "eta_hom must be a number, got '0.9'"),
+    (lambda: TeleporterParams(input_state=vacuum(1), eta_source=(0.9, "1")),
+     r"eta_source\[1\] must be a number, got '1'"),
+    (lambda: TeleporterParams(input_state=vacuum(1), epr_sq_db=(np.True_, -6.0)),
+     r"epr_sq_db\[0\] must be a number, got np.True_"),
+], ids=["vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
+        "inverse_radon-cutoff-bool", "params-g_x-str", "params-g_p-bool", "params-eta_hom-str",
+        "params-pair-str", "params-pair-bool"])
+def test_out_of_domain_argument_is_rejected_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_modes_are_counts():
+    state = vacuum(np.int64(2))
+    assert rotate(state, np.int64(1), 0.3).n_modes == 2
+    assert loss(state, np.int32(1), 0.5).n_modes == 2
+    assert beamsplitter(state, np.int64(0), np.int64(1), 0.5).n_modes == 2

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from conftest import assert_report_holds
 
-from cvteleport import harness, teleporter
-from cvteleport.gaussian import GaussianState, PhysicsError, beamsplitter, coherent_state, vacuum
+from cvteleport import gaussian, harness, teleporter
+from cvteleport.gaussian import PhysicsError, beamsplitter, coherent_state, vacuum
 from cvteleport.harness import (
     MAX_GRID_POINTS,
     MAX_SAMPLES,
@@ -506,7 +506,7 @@ class TestMcSigmaGate:
         def nan_mc(params, shots, rng=None):
             report = teleport_analytic(params)
             nan_cov = np.full((2, 2), np.nan)
-            output = GaussianState(report.output_state.mean, nan_cov, validate=False)
+            output = gaussian._own(report.output_state.mean.copy(), nan_cov)
             return dataclasses.replace(report, output_state=output)
 
         monkeypatch.setattr(harness, "teleport_mc", nan_mc)

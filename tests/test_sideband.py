@@ -15,6 +15,7 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
+from cvteleport import gaussian
 from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
 from cvteleport.sideband import (
     _P_DIFF,
@@ -158,8 +159,8 @@ def test_pair_moments_equal_the_gate_chain_bytewise(sq_db, excess_db, phi, mean)
     # the off-diagonal terms are non-zero (and, from round-off, can differ),
     # and displaced
     squeezed = rotate(impure_squeezed_vacuum(sq_db, excess_db - sq_db), 0, phi)
-    state = GaussianState(mean, squeezed.cov, validate=False)
-    mirror = quarter_turn(GaussianState(np.zeros(2), state.cov, validate=False))
+    state = gaussian._own(np.array(mean), squeezed.cov.copy())
+    mirror = quarter_turn(gaussian._own(np.zeros(2), state.cov.copy()))
     chain = apply_symplectic(tensor(state, mirror), _SPLIT)
     pair = sidebands_from_single_mode(state)
     assert pair.mean.tobytes() == chain.mean.tobytes()

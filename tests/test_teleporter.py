@@ -21,7 +21,7 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
-from cvteleport import teleporter, tomography
+from cvteleport import gaussian, teleporter, tomography
 from cvteleport.harness import MAX_SAMPLES
 from cvteleport.teleporter import (
     TeleporterParams,
@@ -373,7 +373,7 @@ def test_coherent_input_equals_the_elementwise_numpy_check(cov):
     cov = np.array(cov).reshape(2, 2)
     vacuum_cov = 0.25 * np.eye(2)
     expected = bool(np.all(np.abs(cov - vacuum_cov) <= 1e-9 + 1e-5 * vacuum_cov))
-    params = TeleporterParams(input_state=GaussianState(np.zeros(2), cov, validate=False))
+    params = TeleporterParams(input_state=gaussian._own(np.zeros(2), cov))
     assert teleporter._coherent_input(params) is expected
 
 
@@ -453,11 +453,41 @@ def test_outputs_own_read_only_float64_arrays(rng):
         given = (params.input_state.mean, params.input_state.cov)
         assert_owns_its_arrays(teleport_analytic(params).output_state, *given)
         assert_owns_its_arrays(teleport_mc(params, 1000).output_state, *given)
-    # float32 parameters make float32 products, still held as float64
+    # float32 parameters are stored as Python floats: the output is float64
     f32 = np.float32
     narrow = replace(params, g_x=f32(0.9), g_p=f32(1.1), eta_source=(f32(0.9), f32(0.8)),
                      eta_prop=(f32(0.9), f32(0.95)), eta_hom=f32(0.9))
     assert_owns_its_arrays(teleport_analytic(narrow).output_state, *given)
+
+
+def test_params_store_python_floats():
+    # float32 and numpy float64 numbers give the output bytes of the same
+    # values given as Python floats
+    f32 = np.float32
+    narrow = coherent_params(
+        epr_sq_db=np.array([-6.2, -5.1]), epr_antisq_db=[f32(9.5), 8],
+        g_x=f32(0.9), g_p=np.float64(1.1), eta_source=(f32(0.9), f32(0.8)),
+        eta_prop=np.array([0.9, 0.95], dtype=f32), eta_hom=f32(0.9),
+    )
+    wide = coherent_params(
+        epr_sq_db=(-6.2, -5.1), epr_antisq_db=(float(f32(9.5)), 8.0),
+        g_x=float(f32(0.9)), g_p=1.1, eta_source=(float(f32(0.9)), float(f32(0.8))),
+        eta_prop=(float(f32(0.9)), float(f32(0.95))), eta_hom=float(f32(0.9)),
+    )
+    for name in ("g_x", "g_p", "eta_hom"):
+        assert type(getattr(narrow, name)) is float
+    for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
+        pair = getattr(narrow, name)
+        assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
+        assert pair == getattr(wide, name)
+    for got, want in ((teleport_analytic(narrow), teleport_analytic(wide)),
+                      (teleport_mc(narrow, 1000), teleport_mc(wide, 1000))):
+        assert got.output_state.mean.tobytes() == want.output_state.mean.tobytes()
+        assert got.output_state.cov.tobytes() == want.output_state.cov.tobytes()
+    # floats, and pairs of them, are stored as given
+    pair, gain = [0.9, 0.8], 0.9123
+    held = coherent_params(eta_source=pair, g_x=gain)
+    assert held.eta_source is pair and held.g_x is gain
 
 
 @pytest.mark.parametrize("name, value", [

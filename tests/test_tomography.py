@@ -14,7 +14,7 @@ from conftest import assert_same_two_moments, random_physical_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvteleport import tomography
+from cvteleport import gaussian, tomography
 
 from cvteleport.gaussian import (
     VACUUM_VARIANCE,
@@ -34,11 +34,11 @@ from cvteleport.tomography import (
     sample_record,
     spectrum_trace,
     DEFAULT_CUTOFF_SIGMAS,
-    _phase_segments,
     _ramp_filter,
     _record_sigma_min,
     _sinogram,
     _uniform_bin_index,
+    _upper_edges,
     wigner_analytic,
     wigner_moments,
 )
@@ -80,14 +80,6 @@ def sweep_cos_sin(thetas):
     return cos_a * cos_j - sin_a * sin_j, sin_a * cos_j + cos_a * sin_j
 
 
-def folded_record(thetas, values):
-    """The record folded onto a half turn by whole-array floor division:
-    theta - k pi, with the value's sign flipped for odd k = floor(theta / pi)."""
-    turns = np.floor_divide(thetas, np.pi)
-    flip = np.mod(turns.astype(np.int64), 2) == 1
-    return thetas - turns * np.pi, np.where(flip, -values, values)
-
-
 def segments_of(thetas, values, edges):
     """A record's phase segments as binning each sample gives them: bins by
     np.digitize, clipped into the n bins, each bin's samples in record order,
@@ -98,11 +90,6 @@ def segments_of(thetas, values, edges):
     bounds = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(idx, minlength=n), out=bounds[1:])
     return thetas[order], values[order], bounds
-
-
-def oracle_segments(thetas, values, edges):
-    """_phase_segments by its definition: fold, then bin sample by sample."""
-    return segments_of(*folded_record(thetas, values), edges)
 
 
 def assert_same_segments(segments, expected):
@@ -331,6 +318,44 @@ class TestSampleRecord:
         assert samples.thetas[0] == 0.0 and getattr(samples, field)[0] == 0.0
 
 
+_SWEEP = np.arange(1000) * (np.pi / 1000)
+_SWAPPED = _SWEEP.copy()
+_SWAPPED[[400, 401]] = _SWAPPED[[401, 400]]
+_RECORD_RULE = "^record thetas must be non-decreasing within \\[0, pi\\)$"
+
+
+class TestQuadratureRecordRule:
+    """A record's thetas are non-decreasing within [0, pi), the form of
+    sample_record's sweep; the constructor rejects any other."""
+
+    @pytest.mark.parametrize("thetas", [
+        np.concatenate([[np.nextafter(0.0, -1.0)], _SWEEP[1:]]),
+        np.append(_SWEEP, np.pi),
+        np.arange(1000) * (2.0 * np.pi / 1000),
+        np.random.default_rng(0).permutation(_SWEEP),
+        _SWAPPED,
+    ], ids=["negative_first", "last_at_pi", "full_turn", "shuffled", "one_swap"])
+    def test_rejects_a_record_out_of_phase_order(self, thetas):
+        with pytest.raises(ValueError, match=_RECORD_RULE):
+            QuadratureRecord(thetas, np.zeros(thetas.size))
+
+    @pytest.mark.parametrize("thetas", [
+        np.concatenate([[-0.0], _SWEEP[1:]]),
+        np.concatenate([np.zeros(40), _SWEEP]),
+        np.append(_SWEEP, [np.nextafter(np.pi, 0.0)] * 2),
+    ], ids=["negative_zero_first", "run_of_zeros", "last_below_pi"])
+    def test_accepts_a_record_in_phase_order(self, thetas):
+        record = QuadratureRecord(thetas, np.zeros(thetas.size))
+        assert record.thetas.tobytes() == thetas.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, tomography._BLOCK - 1, tomography._BLOCK,
+                                   tomography._BLOCK + 1, 10**6])
+    def test_every_sample_record_meets_the_rule(self, n):
+        record = sample_record(vacuum(1), n, np.random.default_rng(n))
+        assert record.thetas[-1] < np.pi
+        QuadratureRecord(record.thetas, record.values)
+
+
 class _StubRng:
     """A default_rng(0) whose standard_normal takes ``delay`` seconds, raises
     on call ``fail_at`` and, for ``nan_at`` = (call, index), writes NaN at
@@ -518,7 +543,7 @@ class TestWignerAnalytic:
 
     def test_singular_covariance_rejected(self):
         cov = np.array([[1e-40, 0.0], [0.0, 0.25]])
-        state = GaussianState(np.zeros(2), cov, validate=False)
+        state = gaussian._own(np.zeros(2), cov)
         with pytest.raises(PhysicsError):
             wigner_analytic(state)
 
@@ -591,16 +616,8 @@ class TestInverseRadon:
         assert moments.cov[1, 1] == pytest.approx(report.vp, rel=VAR_RTOL)
         assert np.abs(moments.mean).max() < MEAN_ATOL
 
-    def test_full_turn_record_folds_onto_half_circle(self):
-        state = coherent_state(1.0 + 0j)
-        thetas = np.arange(20_000) * (2.0 * np.pi / 20_000)
-        record = QuadratureRecord(thetas, textbook_values(state, thetas, 7))
-        grid = inverse_radon(record, GridSpec.from_state(state))
-        moments = wigner_moments(grid)
-        assert moments.mean[0] == pytest.approx(1.0, abs=MEAN_ATOL)
-
     def test_quarter_circle_coverage_rejected(self, rng):
-        thetas = rng.uniform(0.0, 0.5 * np.pi, 5000)
+        thetas = np.sort(rng.uniform(0.0, 0.5 * np.pi, 5000))
         record = QuadratureRecord(thetas, textbook_values(vacuum(1), thetas, 7))
         with pytest.raises(ValueError, match="coverage"):
             inverse_radon(record, GridSpec.from_state(vacuum(1)))
@@ -638,79 +655,72 @@ class TestInverseRadon:
 
 
 class TestSinogramBinning:
-    """Phase counts match np.digitize + clip of the folded record and the
-    sinogram matches its np.histogram2d, sample for sample, including samples
-    on bin edges."""
+    """Phase counts match np.digitize + clip of the record and the sinogram
+    matches its np.histogram2d, sample for sample, including samples on bin
+    edges."""
 
     N_THETA = 60
     N_Q = 41
 
     def edge_record(self, rng):
-        """Thetas on phase edges, at multiples of pi, negative and wrapped;
-        quadratures on every interior edge, both outer edges and beyond."""
+        """A record in phase order within [0, pi): thetas on every phase edge
+        below pi, in runs of ties, -0.0 and +0.0, and just either side of 0
+        and below pi; quadratures on every interior edge, both outer edges
+        and beyond."""
         edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
-        turns = np.concatenate([np.arange(-4, 5), [1e3, 1e6, -1e6]])
-        ties = (edges[None, :] + np.pi * turns[:, None]).ravel()
-        multiples = np.arange(1, 5001) * np.pi
-        specials = [np.pi, 2 * np.pi, -np.pi, -0.0, 0.0, np.nextafter(np.pi, 0.0),
-                    np.nextafter(np.pi, 4.0), np.nextafter(0.0, -1.0), -1e-300]
-        thetas = np.concatenate([
-            edges, ties, multiples, -multiples, specials,
-            rng.uniform(-6 * np.pi, 6 * np.pi, 20_000),
-        ])
+        ties = np.repeat(edges[:-1], rng.integers(1, 50, self.N_THETA))
+        specials = [-0.0, 0.0, np.nextafter(0.0, 1.0), np.nextafter(np.pi, 0.0)]
+        thetas = np.sort(np.concatenate([ties, specials, rng.uniform(0.0, np.pi, 20_000)]))
         q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
         q_ties = np.concatenate([q_edges, [-2.6, 2.6, np.nextafter(2.5, 3.0)]])
         values = rng.normal(0.0, 1.0, thetas.size)
         values[: thetas.size // 2] = rng.choice(q_ties, thetas.size // 2)
-        return thetas, values, edges, q_edges
-
-    def test_fold_matches_floor_divide_bit_for_bit(self, rng):
-        thetas, values, edges, _ = self.edge_record(rng)
-        assert_same_segments(_phase_segments(thetas, values, edges),
-                             oracle_segments(thetas, values, edges))
+        return QuadratureRecord(thetas, values), edges, q_edges
 
     def test_index_matches_searchsorted(self, rng):
-        _, values, _, q_edges = self.edge_record(rng)
+        record, _, q_edges = self.edge_record(rng)
+        values = record.values
         expected = np.searchsorted(q_edges, values, side="right") - 1
         expected[values == q_edges[-1]] -= 1  # the last bin is closed
-        assert np.array_equal(_uniform_bin_index(values, q_edges), expected)
+        assert np.array_equal(_uniform_bin_index(values, q_edges, _upper_edges(q_edges)),
+                              expected)
 
     def test_counts_and_sinogram_match_reference(self, rng):
-        thetas, values, edges, q_edges = self.edge_record(rng)
-        folded, q = folded_record(thetas, values)
+        record, edges, q_edges = self.edge_record(rng)
+        thetas, q = record.thetas, record.values
         # The record must reach every convention the binning has to keep.
-        assert np.any(folded == np.pi) and np.any(folded > np.pi)
-        assert np.any(np.isin(folded, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
+        assert np.any(np.isin(thetas, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
         assert np.any(np.abs(q) > q_edges[-1])
 
-        # As given the record is folded and sorted into its segments; its
-        # folded samples below pi, stably sorted by phase, are their own.
-        below = np.flatnonzero(folded < np.pi)
-        in_order = below[np.argsort(folded[below], kind="stable")]
-        for t, v, f, fq in ((thetas, values, folded, q),
-                            (folded[in_order], q[in_order], folded[in_order], q[in_order])):
-            segments = _phase_segments(t, v, edges)
-            idx = np.clip(np.digitize(f, edges) - 1, 0, self.N_THETA - 1)
-            assert np.array_equal(np.diff(segments[2]), np.bincount(idx, minlength=self.N_THETA))
-            expected, _, _ = np.histogram2d(f, fq, bins=[edges, q_edges])
-            assert np.array_equal(_sinogram(*segments, q_edges), expected)
-        assert segments[0] is t and segments[1] is v
+        # Each phase bin is the segment of the record's own values that
+        # inverse_radon hands the sinogram.
+        seen = []
+
+        def spy(q, bounds, q_edges):
+            seen.append((q, bounds))
+            return _sinogram(q, bounds, q_edges)
+
+        with mock.patch.object(tomography, "_sinogram", spy):
+            inverse_radon(record, GridSpec.from_state(vacuum(1)))
+        ((given, bounds),) = seen
+        assert given is q
+        idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
+        assert np.array_equal(np.diff(bounds), np.bincount(idx, minlength=self.N_THETA))
+        expected, _, _ = np.histogram2d(thetas, q, bins=[edges, q_edges])
+        assert np.array_equal(_sinogram(q, bounds, q_edges), expected)
 
     @pytest.mark.parametrize(
         "theta, value",
         [
-            (np.nextafter(np.pi, 4.0), 0.0),
-            (np.nextafter(0.0, -1.0), 0.0),
             (1.0, -2.6),
             (1.0, np.nextafter(2.5, 3.0)),
         ],
     )
     def test_lone_outlier_is_left_out_of_sinogram(self, theta, value):
-        # ``theta`` is a folded one: the fold can leave a sample just past pi
         edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
         q_edges = np.linspace(-2.5, 2.5, self.N_Q + 1)
         thetas, values = np.array([0.5, theta]), np.array([0.1, value])
-        sinogram = _sinogram(*segments_of(thetas, values, edges), q_edges)
+        sinogram = _sinogram(values, np.searchsorted(thetas, edges), q_edges)
         expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
         assert expected.sum() == 1 and np.array_equal(sinogram, expected)
 
@@ -780,17 +790,15 @@ class TestFilterAndCutoffAccuracy:
     ], ids=["teleported-1M", "coherent", "squeezed"])
     def test_sigma_min_matches_fsum(self, n, state):
         record = sample_record(state, n, np.random.default_rng(n))
-        _, q, bounds = _phase_segments(record.thetas, record.values,
-                                       np.linspace(0.0, np.pi, 61))
+        q, bounds = record.values, np.searchsorted(record.thetas, np.linspace(0.0, np.pi, 61))
         expected = fsum_sigma_min(q, bounds)
         assert _record_sigma_min(q, bounds) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestPhaseOrderedBinning:
-    """A record is binned once, into one segment per phase bin.  Whether it
-    is in phase order within [0, pi) already or has to be folded and sorted,
-    the segments, the sinogram and the default cutoff must be what folding,
-    then binning each sample, gives."""
+    """A record is binned once, into one segment per phase bin, which
+    searchsorted bounds; the segments, the sinogram and the default cutoff
+    must be what binning each sample gives."""
 
     N_THETA = 60
     Q_EDGES = np.linspace(-3.0, 3.0, 42)
@@ -811,18 +819,6 @@ class TestPhaseOrderedBinning:
         values = rng.normal(0.0, 1.0, thetas.size) * (1.0 + np.cos(thetas) ** 2)
         return thetas, values, edges
 
-    def check_segments(self, thetas, values, edges, segments):
-        """``segments`` of the record (thetas, values) hold each phase bin's
-        folded samples in record order, with digitize + clip as the bins."""
-        folded, q = folded_record(thetas, values)
-        assert_same_segments(segments, segments_of(folded, q, edges))
-        expected, _, _ = np.histogram2d(folded, q, bins=[edges, self.Q_EDGES])
-        assert np.array_equal(_sinogram(*segments, self.Q_EDGES), expected)
-        _, seg_values, bounds = segments
-        idx = np.clip(np.digitize(folded, edges) - 1, 0, self.N_THETA - 1)
-        cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(seg_values, bounds)
-        assert cutoff == reduceat_cutoff(idx, np.diff(bounds), q)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_binning_sample_by_sample(self, seed):
@@ -830,144 +826,18 @@ class TestPhaseOrderedBinning:
         # Its part in [0, pi), -0.0 made +0.0: a run of +0.0 first, edges and
         # runs of ties within, and nextafter(pi, 0) last.
         keep = (thetas >= 0.0) & (thetas < np.pi)
-        thetas, values = np.abs(thetas[keep]), values[keep]
+        record = QuadratureRecord(np.abs(thetas[keep]), values[keep])
+        thetas, values = record.thetas, record.values
         assert thetas[0] == 0.0 and not np.any(np.signbit(thetas))
         assert thetas[-1] == np.nextafter(np.pi, 0.0)
-        with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
-            segments = _phase_segments(thetas, values, edges)
-        assert segments[0] is thetas and segments[1] is values  # no copy
-        self.check_segments(thetas, values, edges, segments)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_unordered_record_is_binned_sample_by_sample(self, seed):
-        rng = np.random.default_rng(seed)
-        thetas, values, edges = self.ordered_record(seed)
-        # In phase order, but reaching beyond both outer edges, onto the
-        # closed last edge and -0.0: it is folded and sorted all the same.
-        assert np.all(thetas[1:] >= thetas[:-1])
-        assert thetas[0] < 0.0 and thetas[-1] > np.pi and np.any(thetas == np.pi)
-        self.check_segments(thetas, values, edges, _phase_segments(thetas, values, edges))
-        # Edges a million half turns away, and multiples of pi, some of
-        # which fold to just past pi.
-        multiples = np.arange(1, 200) * np.pi
-        wrapped = np.concatenate([edges + 1e6 * np.pi, multiples, -multiples])
-        thetas = np.concatenate([thetas, wrapped])
-        values = np.concatenate([values, rng.normal(0.0, 1.0, wrapped.size)])
-        # Shuffle pieces of the sorted record, keeping runs in half of them.
-        pieces = np.array_split(np.arange(thetas.size), int(rng.integers(2, 200)))
-        order = np.concatenate([
-            rng.permutation(pieces[i]) if rng.random() < 0.5 else pieces[i]
-            for i in rng.permutation(len(pieces))
-        ])
-        thetas, values = thetas[order], values[order]
-        folded, q = folded_record(thetas, values)
-        assert np.any(folded > np.pi) and np.any(np.signbit(thetas))
-        for t, v in ((thetas, values), (folded, q)):
-            assert not np.all(t[1:] >= t[:-1])
-            self.check_segments(t, v, edges, _phase_segments(t, v, edges))
-
-
-class TestInOrderFastPath:
-    """_phase_segments takes a record already in phase order in [0, pi) as
-    it is, without folding, binning or copying it; on every record it must
-    give what folding, then binning each sample, gives, byte for byte."""
-
-    EDGES = np.linspace(0.0, np.pi, 61)
-    # how the in-order record is changed; True where it is taken as it is
-    KINDS = {
-        "in_order": True,
-        "last_below_pi": True,
-        "negative_zero_in_zeros": False,
-        "last_at_pi": False,
-        "negative_first": False,
-        "full_turn": False,
-        "shuffled": False,
-    }
-
-    @staticmethod
-    def record(seed, kind, zeros):
-        """Non-decreasing thetas in [0, pi) after a run of ``zeros`` +0.0,
-        then changed as ``kind`` says."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5000))
-        ties = np.repeat(rng.uniform(0.0, np.pi, 4), rng.integers(1, 50, 4))
-        thetas = np.sort(np.concatenate([np.zeros(zeros), ties,
-                                         rng.uniform(0.0, np.pi, n)]))
-        if kind == "negative_zero_in_zeros":
-            thetas = np.concatenate([np.zeros(zeros), [-0.0, -0.0, 0.0], thetas[zeros:]])
-        elif kind == "last_at_pi":
-            thetas = np.append(thetas, np.pi)
-        elif kind == "last_below_pi":
-            thetas = np.append(thetas, [np.nextafter(np.pi, 0.0)] * 2)
-        elif kind == "negative_first":
-            thetas = np.insert(thetas, 0, -float(rng.choice([1e-300, 1e-3, np.pi])))
-        elif kind == "full_turn":
-            thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, thetas.size))
-        elif kind == "shuffled":
-            thetas = np.append(thetas, [0.5, 0.25])  # out of order, whatever the rest
-            rng.shuffle(thetas)
-        return thetas, rng.normal(0.0, 1.0, thetas.size)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(KINDS)), st.integers(0, 40))
-    def test_matches_fold_then_segments_byte_for_byte(self, seed, kind, zeros):
-        thetas, values = self.record(seed, kind, zeros)
-        expected = oracle_segments(thetas, values, self.EDGES)
-        if self.KINDS[kind]:
-            with mock.patch.object(tomography, "_uniform_bin_index", side_effect=AssertionError):
-                segments = _phase_segments(thetas, values, self.EDGES)
-            assert segments[0] is thetas and segments[1] is values  # no copy
-        else:
-            segments = _phase_segments(thetas, values, self.EDGES)
-        assert_same_segments(segments, expected)
-
-    def test_default_sweep_reconstruction_skips_the_fold(self):
-        state = teleported_squeezed().output_state
-        record = sample_record(state, 50_000, np.random.default_rng(3))
-        spec = GridSpec.from_state(state)
-        taken_as_is = []
-
-        def spy(thetas, values, edges):
-            segments = _phase_segments(thetas, values, edges)
-            taken_as_is.append(segments[0] is thetas and segments[1] is values)
-            return segments
-
-        with mock.patch.object(tomography, "_phase_segments", spy):
-            grid = inverse_radon(record, spec)
-        assert taken_as_is == [True]
-        with mock.patch.object(tomography, "_phase_segments", oracle_segments):
-            assert inverse_radon(record, spec).values.tobytes() == grid.values.tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["reversed", "shuffled", "pieces", "swap"]))
-    def test_any_order_of_a_sweep_gives_the_same_grid(self, seed, how):
-        # With the cutoff given, the record enters the grid only through its
-        # sinogram and phase counts, which are counts, and its largest |q|:
-        # the in-order record and any reordering of it, folded and sorted,
-        # give the same bytes.
-        rng = np.random.default_rng(seed)
-        state = random_physical_state(rng, 1)
-        record = sample_record(state, int(rng.integers(1000, 5000)), rng)
-        n = record.n_samples
-        if how == "reversed":
-            order = np.arange(n)[::-1]
-        elif how == "shuffled":
-            order = rng.permutation(n)
-        elif how == "pieces":
-            pieces = np.array_split(rng.permutation(n) if rng.random() < 0.5 else np.arange(n),
-                                    int(rng.integers(2, 50)))
-            order = np.concatenate([pieces[i] for i in rng.permutation(len(pieces))])
-        else:
-            order = np.arange(n)
-            i, j = rng.choice(n, 2, replace=False)
-            order[[i, j]] = order[[j, i]]
-        reordered = QuadratureRecord(record.thetas[order], record.values[order])
-        spec = GridSpec.from_state(state)
-        cutoff = DEFAULT_CUTOFF_SIGMAS / np.sqrt(np.linalg.eigvalsh(state.cov)[0])
-        grid = inverse_radon(record, spec, filter_cutoff=cutoff)
-        assert inverse_radon(reordered, spec, filter_cutoff=cutoff).values.tobytes() \
-            == grid.values.tobytes()
+        bounds = np.searchsorted(thetas, edges)
+        # each phase bin's samples in record order, with digitize + clip as the bins
+        assert_same_segments((thetas, values, bounds), segments_of(thetas, values, edges))
+        expected, _, _ = np.histogram2d(thetas, values, bins=[edges, self.Q_EDGES])
+        assert np.array_equal(_sinogram(values, bounds, self.Q_EDGES), expected)
+        idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
+        cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(values, bounds)
+        assert cutoff == reduceat_cutoff(idx, np.diff(bounds), values)
 
 
 class TestWignerMoments:
