@@ -15,7 +15,9 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -124,11 +126,14 @@ def _shaped(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return mean
 
 
+_SET_MEAN, _SET_COV = GaussianState.mean.__set__, GaussianState.cov.__set__
+
+
 def _hold(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> None:
     mean.setflags(write=False)
     cov.setflags(write=False)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "cov", cov)
+    _SET_MEAN(state, mean)
+    _SET_COV(state, cov)
 
 
 def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
@@ -136,8 +141,11 @@ def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
 
     For float64 arrays that the caller has just built and shares with
     nothing: the state freezes and holds them.  The shape checks stay."""
+    size = mean.size
+    if mean.ndim != 1 or size < 2 or size % 2 or cov.shape != (size, size):
+        mean = _shaped(mean, cov)
     state = object.__new__(GaussianState)
-    _hold(state, _shaped(mean, cov), cov)
+    _hold(state, mean, cov)
     return state
 
 
@@ -153,6 +161,8 @@ def vacuum(n_modes: int) -> GaussianState:
 def coherent_state(alpha: complex) -> GaussianState:
     """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha),
     which must be finite."""
+    if isinstance(alpha, str):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -193,7 +203,7 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     _check_mode(state, mode)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.cos(float(phi)), np.sin(float(phi))
     block = np.array([[c, -s], [s, c]])
     if state.n_modes == 1:
         return apply_symplectic(state, block)
@@ -202,11 +212,16 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     return apply_symplectic(state, rotation)
 
 
-def check_fraction(value: float, label: str) -> None:
-    """Raise ValueError unless ``value`` (an efficiency or transmittance) lies
-    in [0, 1], so NaN fails.  ``label`` names it in the message."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label} must lie in [0, 1], got {value}")
+def check_fraction(value: float, label: str) -> float:
+    """``value`` (an efficiency or transmittance) as a Python float; raise
+    ValueError unless it is a real number in [0, 1], so NaN, a str and a complex fail.
+    ``label`` names it in the message."""
+    fraction = value
+    if type(value) is not float:
+        fraction = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
+    return fraction
 
 
 def check_count(value, label: str) -> None:
@@ -263,21 +278,30 @@ def beamsplitter(
 
         q_i -> sqrt(t) q_i + sqrt(1 - t) q_j
         q_j -> sqrt(t) q_j - sqrt(1 - t) q_i
+
+    The moments go through the BLAS products of `apply_symplectic`, not
+    through row and column formulas: OpenBLAS's kernels use fused
+    multiply-adds, so a two-term rewrite of S cov S^T rounds differently.
     """
     n = state.n_modes
     check_count(mode_i, "mode_i")
     check_count(mode_j, "mode_j")
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
-    check_fraction(transmittance, "transmittance")
-    ct = np.sqrt(transmittance)
-    st = np.sqrt(1.0 - transmittance)
-    s = np.eye(2 * n)
-    i, j = 2 * mode_i, 2 * mode_j
+    t = check_fraction(transmittance, "transmittance") + 0.0  # -0.0 and 0.0: one key
+    return apply_symplectic(state, _mixer(n, 2 * mode_i, 2 * mode_j, t))
+
+
+@functools.lru_cache(maxsize=16)
+def _mixer(n_modes: int, i: int, j: int, t: float) -> np.ndarray:
+    """Read-only symplectic matrix of `beamsplitter` on quadratures i and j."""
+    ct, st = math.sqrt(t), math.sqrt(1.0 - t)
+    s = np.eye(2 * n_modes)
     s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = ct
     s[i, j] = s[i + 1, j + 1] = st
     s[j, i] = s[j + 1, i + 1] = -st
-    return apply_symplectic(state, s)
+    s.setflags(write=False)
+    return s
 
 
 def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -289,13 +313,15 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     sqrt(eta), and the mode's mean scales by sqrt(eta).
     """
     _check_mode(state, mode)
-    check_fraction(eta, "eta")
-    idx = [2 * mode, 2 * mode + 1]
+    eta = check_fraction(eta, "eta")
+    i = 2 * mode
     scale = np.ones(state.mean.size)
-    scale[idx] = np.sqrt(eta)
+    scale[i : i + 2] = math.sqrt(eta)
+    # not rows then columns: that rounds the mode's own block differently
     cov = state.cov * (scale[:, None] * scale)
-    cov[idx[0], idx[0]] += (1.0 - eta) * VACUUM_VARIANCE
-    cov[idx[1], idx[1]] += (1.0 - eta) * VACUUM_VARIANCE
+    added = (1.0 - eta) * VACUUM_VARIANCE
+    cov[i, i] += added
+    cov[i + 1, i + 1] += added
     return _own(state.mean * scale, cov)
 
 

@@ -204,17 +204,14 @@ def make_epr(params: TeleporterParams) -> GaussianState:
     return pair
 
 
-# x_A - x_B and p_A + p_B of a beam pair (A, B)
-_X_DIFF = np.array([1.0, 0.0, -1.0, 0.0])
-_P_SUM = np.array([0.0, 1.0, 0.0, 1.0])
-
-
 def epr_correlations(pair: GaussianState) -> EprCorrelations:
     """Correlation variances of a beam pair, in absolute units and in dB
     relative to the two-mode vacuum level 1/2."""
     if pair.n_modes != 2:
         raise ValueError("epr_correlations requires a two-mode state")
-    return _correlations(_X_DIFF @ pair.cov @ _X_DIFF, _P_SUM @ pair.cov @ _P_SUM)
+    # Var(x_A - x_B) and Var(p_A + p_B), summed as v @ cov @ v sums them
+    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = pair.cov.tolist()
+    return _correlations((c00 - c20) - (c02 - c22), (c11 + c31) + (c13 + c33))
 
 
 def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
@@ -230,6 +227,7 @@ def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
 # Quadratures of the mixed (u port, v port, B) state that the output reads:
 # x of the u port, p of the v port, x_B, p_B.
 _READOUT = np.array([0, 3, 4, 5])
+_READOUT_BLOCK = 6 * _READOUT[:, None] + _READOUT  # their covariance block, flat indices
 
 
 def _readout(
@@ -252,7 +250,7 @@ def _readout(
     feed = np.array(
         [[params.g_x * scale, 0.0, 1.0, 0.0], [0.0, params.g_p * scale, 0.0, 1.0]]
     )
-    return pair, mixed.mean[_READOUT], mixed.cov.take(_READOUT, 0).take(_READOUT, 1), feed
+    return pair, mixed.mean[_READOUT], mixed.cov.take(_READOUT_BLOCK), feed
 
 
 # A decorator rather than a with-block: half the cost per call.
@@ -382,7 +380,6 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
 
 
-_BELOW_DIAGONAL = np.tril_indices(4, -1)
 # added to the read-out covariance before its Cholesky factor
 _JITTER = 1e-14 * np.eye(4)
 
@@ -398,11 +395,14 @@ def _standard_moments(shots: int, rng: np.random.Generator) -> tuple[np.ndarray,
     5 shots only its first shots - 1 columns are kept (rank shots - 1).
     """
     mean = rng.standard_normal(4) / math.sqrt(shots)
-    # chi^2(k) = 2 Gamma(k / 2), which is 0 at k = 0
-    dof = np.maximum(shots - 1 - np.arange(4), 0)
-    lower = np.diag(np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)))
-    lower[_BELOW_DIAGONAL] = rng.standard_normal(6)
-    lower[:, shots - 1 :] = 0.0
+    # chi^2(k) = 2 Gamma(k / 2), which is 0 at k = 0.  L is built from Python floats, and
+    # the four scalar gamma draws are one array draw's stream without its array checks.
+    half_dof = [max(shots - 1 - i, 0) / 2.0 for i in range(4)]
+    d0, d1, d2, d3 = (math.sqrt(2.0 * rng.standard_gamma(k)) for k in half_dof)
+    b0, b1, b2, b3, b4, b5 = rng.standard_normal(6).tolist()
+    lower = np.array([[d0, 0.0, 0.0, 0.0], [b0, d1, 0.0, 0.0], [b1, b2, d2, 0.0], [b3, b4, b5, d3]])
+    if shots < 5:
+        lower[:, shots - 1 :] = 0.0
     return mean, lower @ lower.T / (shots - 1)
 
 
@@ -442,9 +442,10 @@ def teleport_mc(
     output = _own(emp_mean, emp_cov)
 
     gains = [params.g_x, params.g_p]
+    input_mean = params.input_state.mean.tolist()
     for q in (0, 1):
-        if abs(params.input_state.mean[q]) > 1e-9:
-            gains[q] = float(emp_mean[q] / params.input_state.mean[q])
+        if abs(input_mean[q]) > 1e-9:
+            gains[q] = float(emp_mean[q] / input_mean[q])
     return _report(
         params, epr_correlations(pair), output, (gains[0], gains[1]), "monte_carlo", shots
     )

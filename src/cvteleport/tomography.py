@@ -42,6 +42,7 @@ all read these segments.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -148,7 +149,7 @@ class GridSpec:
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("n_x", "n_p"):
             count = getattr(self, name)
-            if isinstance(count, (bool, np.bool_)) or not float(count).is_integer():
+            if isinstance(count, (bool, np.bool_, str, bytes)) or not float(count).is_integer():
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             object.__setattr__(self, name, int(count))
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
@@ -525,7 +526,7 @@ def inverse_radon(
         )
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
-    if isinstance(filter_cutoff, (bool, np.bool_)) or not (
+    if not isinstance(filter_cutoff, numbers.Real) or isinstance(filter_cutoff, bool) or not (
         np.isfinite(filter_cutoff) and filter_cutoff > 0.0
     ):
         raise ValueError("filter_cutoff must be positive and finite")

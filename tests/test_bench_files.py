@@ -1,7 +1,10 @@
 """Every committed BENCH_<n>.json is strict JSON, has the fields a benchmark
 record needs, and holds a claim the benchmark's rule admits: a workload and an
 end-to-end metric that BENCHMARK.json declares, at least 9 of 10 pairs won,
-and medians that differ by more than the parent's IQR."""
+and medians that differ by more than the parent's IQR.  It also reports every
+declared end-to-end metric on every declared workload, none of whose change
+medians is worse than its parent median by more than the metric's bound, a
+fraction of the parent median."""
 
 import json
 import pathlib
@@ -46,6 +49,44 @@ def test_bench_file_holds_an_admissible_claim(path, declared):
     if metrics[claim["metric"]]["better"] == "higher":
         gain = -gain
     assert gain > claim["parent_iqr"] >= 0.0
+
+
+def regressions(end_to_end, declared):
+    """(workload, metric) of each declared pair missing from ``end_to_end`` or
+    whose change median is worse than its parent median beyond the bound."""
+    found = []
+    for workload in declared["workloads"]:
+        for metric in declared["end_to_end"]:
+            try:
+                medians = end_to_end[workload["name"]]["metrics"][metric["name"]]
+                parent, change = medians["parent"]["median"], medians["change"]["median"]
+            except KeyError:
+                found.append((workload["name"], metric["name"], "missing"))
+                continue
+            worse = change - parent if metric["better"] == "lower" else parent - change
+            if not worse <= metric["bound"] * parent:
+                found.append((workload["name"], metric["name"], f"{parent} -> {change}"))
+    return found
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_reports_every_metric_inside_its_bound(path, declared):
+    assert regressions(strict_load(path)["end_to_end"], declared) == []
+
+
+def test_regressions_flags_a_missing_or_worse_metric(declared):
+    def record(p50):
+        metric = {"parent": {"median": 1.0}, "change": {"median": p50}}
+        return {"metrics": {m["name"]: dict(metric) for m in declared["end_to_end"]}}
+
+    ok = {w["name"]: record(1.0) for w in declared["workloads"]}
+    assert regressions(ok, declared) == []
+    worse = dict(ok, mc=record(1.5))
+    flagged = {(w, m) for w, m, _ in regressions(worse, declared)}
+    lower = {m["name"] for m in declared["end_to_end"] if m["better"] == "lower"}
+    assert flagged == {("mc", m) for m in lower}
+    missing = {k: v for k, v in ok.items() if k != "cli"}
+    assert len(regressions(missing, declared)) == len(declared["end_to_end"])
 
 
 def test_strict_load_rejects_non_finite_numbers(tmp_path):

@@ -383,9 +383,11 @@ def test_passive_operations_conserve_total_photons(rng):
     assert np.isclose(_total_photons(coherent_state(2.0 + 0j)), 4.0, atol=ATOL)
 
 
-def _cutoff_true():
-    record = sample_record(vacuum(1), 1000, np.random.default_rng(0))
-    return inverse_radon(record, GridSpec.from_state(vacuum(1)), filter_cutoff=True)
+def _cutoff(value):
+    def call():
+        record = sample_record(vacuum(1), 1000, np.random.default_rng(0))
+        return inverse_radon(record, GridSpec.from_state(vacuum(1)), filter_cutoff=value)
+    return call
 
 
 @pytest.mark.parametrize("call, message", [
@@ -395,7 +397,18 @@ def _cutoff_true():
     (lambda: loss(vacuum(2), 1.0, 0.5), "mode must be an integer, got 1.0"),
     (lambda: beamsplitter(vacuum(2), 1.0, 0, 0.5), "mode_i must be an integer, got 1.0"),
     (lambda: beamsplitter(vacuum(2), 0, True, 0.5), "mode_j must be an integer, got True"),
-    (_cutoff_true, "filter_cutoff must be positive and finite"),
+    (_cutoff(True), "filter_cutoff must be positive and finite"),
+    (_cutoff("1"), "filter_cutoff must be positive and finite"),
+    (_cutoff(2 + 0j), "filter_cutoff must be positive and finite"),
+    (lambda: GridSpec(-1, 1, -1, 1, "5", 5), "n_x must be an integer, got '5'"),
+    (lambda: coherent_state("1"), "alpha must be a number, got '1'"),
+    (lambda: loss(vacuum(2), 0, "0.5"), r"eta must lie in \[0, 1\], got '0.5'"),
+    (lambda: beamsplitter(vacuum(2), 0, 1, "0.5"),
+     r"transmittance must lie in \[0, 1\], got '0.5'"),
+    (lambda: loss(vacuum(2), 0, np.complex128(0.5)),
+     r"eta must lie in \[0, 1\], got np.complex128\(0.5\+0j\)"),
+    (lambda: loss(vacuum(2), 0, np.complex64(0.5)),
+     r"eta must lie in \[0, 1\], got np.complex64\(0.5\+0j\)"),
     (lambda: TeleporterParams(input_state=vacuum(1), g_x="1"), "g_x must be a number, got '1'"),
     (lambda: TeleporterParams(input_state=vacuum(1), g_p=True), "g_p must be a number, got True"),
     (lambda: TeleporterParams(input_state=vacuum(1), eta_hom="0.9"),
@@ -405,7 +418,10 @@ def _cutoff_true():
     (lambda: TeleporterParams(input_state=vacuum(1), epr_sq_db=(np.True_, -6.0)),
      r"epr_sq_db\[0\] must be a number, got np.True_"),
 ], ids=["vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
-        "inverse_radon-cutoff-bool", "params-g_x-str", "params-g_p-bool", "params-eta_hom-str",
+        "inverse_radon-cutoff-bool", "inverse_radon-cutoff-str", "inverse_radon-cutoff-complex",
+        "GridSpec-n_x-str", "coherent_state-str", "loss-eta-str", "beamsplitter-t-str",
+        "loss-eta-complex", "loss-eta-complex64",
+        "params-g_x-str", "params-g_p-bool", "params-eta_hom-str",
         "params-pair-str", "params-pair-bool"])
 def test_out_of_domain_argument_is_rejected_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -417,3 +433,91 @@ def test_numpy_integer_modes_are_counts():
     assert rotate(state, np.int64(1), 0.3).n_modes == 2
     assert loss(state, np.int32(1), 0.5).n_modes == 2
     assert beamsplitter(state, np.int64(0), np.int64(1), 0.5).n_modes == 2
+
+
+# The gates' earlier forms, kept as byte oracles: loss with np.sqrt and a
+# list index, beamsplitter with a fresh np.eye and its eight entries.
+def _earlier_loss(state, mode, eta):
+    idx = [2 * mode, 2 * mode + 1]
+    scale = np.ones(state.mean.size)
+    scale[idx] = np.sqrt(eta)
+    cov = state.cov * (scale[:, None] * scale)
+    cov[idx[0], idx[0]] += (1.0 - eta) * VACUUM_VARIANCE
+    cov[idx[1], idx[1]] += (1.0 - eta) * VACUUM_VARIANCE
+    return state.mean * scale, cov
+
+
+def _earlier_beamsplitter(state, mode_i, mode_j, transmittance):
+    ct = np.sqrt(transmittance)
+    st = np.sqrt(1.0 - transmittance)
+    s = np.eye(2 * state.n_modes)
+    i, j = 2 * mode_i, 2 * mode_j
+    s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = ct
+    s[i, j] = s[i + 1, j + 1] = st
+    s[j, i] = s[j + 1, i + 1] = -st
+    return s @ state.mean, s @ state.cov @ s.T
+
+
+def _bytes(mean, cov):
+    return mean.tobytes(), cov.tobytes()
+
+
+def _state_bytes(state):
+    return _bytes(state.mean, state.cov)
+
+
+def test_loss_and_beamsplitter_match_their_earlier_forms_byte_for_byte(rng):
+    checked = 0
+    for k in range(48):
+        state = random_physical_state(rng, 1 + k % 3)
+        n = state.n_modes
+        for value in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)):
+            for mode in range(n):
+                expected = _bytes(*_earlier_loss(state, mode, value))
+                assert _state_bytes(loss(state, mode, value)) == expected
+                checked += 1
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        expected = _bytes(*_earlier_beamsplitter(state, i, j, value))
+                        assert _state_bytes(beamsplitter(state, i, j, value)) == expected
+                        checked += 1
+    # 16 states of each size n, with n modes and n (n - 1) ordered pairs
+    assert checked == 16 * 4 * (1 + 4 + 9)
+
+
+def test_mixer_matrix_is_cached_read_only():
+    matrix = gaussian._mixer(2, 0, 2, 0.5)
+    assert gaussian._mixer(2, 0, 2, 0.5) is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+    # -0.0 mixes as 0.0, whichever of the two came first
+    state = random_physical_state(np.random.default_rng(3), 2)
+    expected = _bytes(*_earlier_beamsplitter(state, 1, 0, 0.0))
+    assert _state_bytes(beamsplitter(state, 1, 0, -0.0)) == expected
+
+
+@pytest.mark.parametrize("value, as_float", [
+    (np.float64(0.5), 0.5), (np.float32(0.3), float(np.float32(0.3))), (1, 1.0), (True, 1.0),
+    (np.int64(0), 0.0),
+], ids=["float64", "float32", "int", "bool", "int64"])
+def test_a_fraction_of_any_real_type_acts_as_its_float(value, as_float, rng):
+    state = random_physical_state(rng, 2)
+    assert _state_bytes(loss(state, 1, value)) == _state_bytes(loss(state, 1, as_float))
+    assert _state_bytes(beamsplitter(state, 0, 1, value)) == _state_bytes(
+        beamsplitter(state, 0, 1, as_float)
+    )
+
+
+@pytest.mark.parametrize("gate", [
+    lambda value: beamsplitter(vacuum(2), 0, 1, value),
+    lambda value: loss(vacuum(2), 0, value),
+    lambda value: rotate(vacuum(1), 0, value),
+], ids=["beamsplitter", "loss", "rotate"])
+@pytest.mark.parametrize("value", [np.float32(0.3), np.float32(0.7)])
+def test_a_float32_argument_acts_as_its_float_and_keeps_vacuum(gate, value):
+    # in float32, the roots and the cosine would add noise to vacuum
+    out = gate(value)
+    assert _state_bytes(out) == _state_bytes(gate(float(value)))
+    assert np.abs(out.cov - VACUUM_VARIANCE * np.eye(out.cov.shape[0])).max() <= 1e-16

@@ -296,6 +296,36 @@ def test_mc_moments_have_the_law_of_per_shot_samples(shots):
     assert _ranks(out_covs) == _ranks(ref_cov) == {min(shots - 1, 2)}
 
 
+def _earlier_standard_moments(shots, rng):
+    # _standard_moments' earlier form, a byte oracle: numpy arrays throughout
+    mean = rng.standard_normal(4) / np.sqrt(shots)
+    dof = np.maximum(shots - 1 - np.arange(4), 0)
+    lower = np.diag(np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)))
+    lower[np.tril_indices(4, -1)] = rng.standard_normal(6)
+    lower[:, shots - 1 :] = 0.0
+    return mean, lower @ lower.T / (shots - 1)
+
+
+@pytest.mark.parametrize("shots", [2, 3, 4, 5, 6, 200_000])
+def test_standard_moments_match_their_earlier_form_byte_for_byte(shots):
+    for seed in range(20):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mean, cov = teleporter._standard_moments(shots, rng)
+        oracle_mean, oracle_cov = _earlier_standard_moments(shots, oracle_rng)
+        assert mean.tobytes() == oracle_mean.tobytes()
+        assert cov.tobytes() == oracle_cov.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_epr_correlations_match_the_matrix_products_byte_for_byte(rng):
+    x_diff, p_sum = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0])
+    for _ in range(200):
+        pair = random_physical_state(rng, 2)
+        epr = epr_correlations(pair)
+        assert epr.var_x_diff == float(x_diff @ pair.cov @ x_diff)
+        assert epr.var_p_sum == float(p_sum @ pair.cov @ p_sum)
+
+
 def test_report_fields_are_consistent():
     report = teleport_analytic(coherent_params(eta_prop=(0.95, 0.95)))
     assert report.vx == pytest.approx(report.output_state.cov[0, 0], abs=ATOL)
