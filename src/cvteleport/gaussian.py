@@ -199,17 +199,29 @@ def _check_mode(state: GaussianState, mode: int) -> None:
 
 
 def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
-    """Phase rotation of one mode by phi in the (x, p) plane; phi must be finite."""
+    """Phase rotation of one mode by phi in the (x, p) plane; phi must be a finite number."""
     _check_mode(state, mode)
+    phi = _as_float(phi, "phi")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    c, s = np.cos(float(phi)), np.sin(float(phi))
+    c, s = np.cos(phi), np.sin(phi)
     block = np.array([[c, -s], [s, c]])
     if state.n_modes == 1:
         return apply_symplectic(state, block)
     rotation = np.eye(2 * state.n_modes)
     rotation[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
     return apply_symplectic(state, rotation)
+
+
+def _as_float(value, label: str) -> float:
+    """``value`` as a Python float; a bool, a str or anything float() rejects
+    raises ValueError naming ``label``."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{label} must be a number, got {value!r}")
 
 
 def check_fraction(value: float, label: str) -> float:

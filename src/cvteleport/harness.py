@@ -65,7 +65,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -84,6 +84,8 @@ from .sideband import delta_sq, is_entangled, sidebands_from_single_mode
 from .teleporter import (
     TeleporterParams,
     TeleportReport,
+    _correlations,
+    _source_map,
     cascade,
     coherent_fidelity,
     output_variances_pure,
@@ -609,13 +611,14 @@ def calibrate_losses(
         eta = (1 - 10^(t/10)) / (1 - 10^(s/10)).
 
     s is the correlation of the lossless source (eta = 1) and the lowest
-    reachable target.  The achieved correlations are those teleport_analytic
-    reports at the fitted efficiencies.  Raises PhysicsError for a squeezer
-    level that TeleporterParams rejects with its pure partner (above 0 dB,
-    non-finite, or a partner variance that overflows); when a target is
-    unreachable: below s, from an unsqueezed source (s = 0), or at/above
-    vacuum (an efficiency below 1e-9); and when the fitted efficiencies miss
-    either target by more than CALIBRATION_TOL_DB.
+    reachable target.  The achieved correlations are the source map's at the
+    fitted efficiencies, those teleport_analytic reports.  Raises PhysicsError
+    for a squeezer level that TeleporterParams rejects with its pure partner
+    (above 0 dB, non-finite, or a partner variance that overflows); when a
+    target is unreachable: below s, from an unsqueezed source (s = 0), or
+    at/above vacuum (an efficiency below 1e-9); when an achieved correlation
+    is not finite; and when the fitted efficiencies miss either target by
+    more than CALIBRATION_TOL_DB.
     """
     target_x, target_p = float(target_db[0]), float(target_db[1])
     base = TeleporterParams(input_state=vacuum(1), epr_sq_db=source_sq_db)
@@ -638,7 +641,13 @@ def calibrate_losses(
 
     eta_x = solve(target_x, float(source_sq_db[1]))
     eta_p = solve(target_p, float(source_sq_db[0]))
-    achieved = teleport_analytic(replace(base, eta_source=(eta_p, eta_x))).epr
+    # the correlations do not depend on the input, so a zero one goes in
+    *_, var_x_diff, var_p_sum = _source_map(
+        (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), base.epr_sq_db, base.epr_antisq_db,
+        base.g_x, base.g_p, (eta_p, eta_x), base.eta_prop, base.eta_hom)
+    if not (math.isfinite(var_x_diff) and math.isfinite(var_p_sum)):
+        raise PhysicsError(f"EPR correlations ({var_x_diff}, {var_p_sum}) are not finite")
+    achieved = _correlations(var_x_diff, var_p_sum)
     achieved_x, achieved_p = achieved.x_diff_db, achieved.p_sum_db
     residual_x, residual_p = achieved_x - target_x, achieved_p - target_p
     if max(abs(residual_x), abs(residual_p)) > CALIBRATION_TOL_DB:

@@ -13,12 +13,13 @@ entanglement between the sidebands.  For a single mode with x variance Vx the
 identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the analysis
 frequency is the same statement as sideband entanglement.
 
-The pair's moments are formed directly, and held by `gaussian._own` without
+The pair's moments are formed in closed form, each covariance entry rounded
+once (vacuum gives delta_sq = 1 exactly), and held by `gaussian._own` without
 a copy; the gate chain that defines them (`quarter_turn`, `tensor`,
 `apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's
 covariance as Python floats and sums the entries its two combinations
 weigh, grouped so that the result is bit for bit that of the matrix
-products with `_X_SUM` and `_P_DIFF`.
+products with the weights of x+ + x- and p+ - p-.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ import numpy as np
 
 from cvteleport.gaussian import GaussianState, _own
 
-# Combination variances are referenced to two-mode vacuum, which gives
-# Var(x+ + x-) = Var(p+ - p-) = 1/2 and delta_sq = 1.
-_X_SUM = np.array([1.0, 0.0, 1.0, 0.0])
-_P_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
-# The balanced split (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2).
-_SPLIT = np.sqrt(0.5) * np.block([[np.eye(2), np.eye(2)], [np.eye(2), -np.eye(2)]])
+_ROOT_HALF = float(np.sqrt(0.5))
 
 
 @dataclass(frozen=True)
@@ -66,23 +62,27 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     identically on x and p.  Displacements split evenly between the sidebands
     and do not affect the criterion, which uses central variances only.
 
-    Formed directly, bit for bit the moments of that chain: the product's
-    mean and block-diagonal covariance go through apply_symplectic's products.
+    In closed form, with C the mode's covariance and M = [[cpp, -cpx], [-cxp,
+    cxx]] the mirror's: the covariance is [[C + M, C - M], [C - M, C + M]] / 2,
+    each entry one sum and a halving, so the exact entry rounded once (above
+    the subnormal range), and vacuum gives delta_sq = 1 exactly.  The mean is
+    sqrt(1/2) (mx, mp, mx, mp), +0.0 for a zero, the split's product.
     """
     if state.n_modes != 1:
         raise ValueError("sidebands_from_single_mode requires a single-mode state")
     (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
-    cov = np.array([[cxx, cxp, 0.0, 0.0], [cpx, cpp, 0.0, 0.0],
-                    [0.0, 0.0, cpp, 0.0 - cpx], [0.0, 0.0, 0.0 - cxp, cxx]])
-    mean = _SPLIT @ np.array([mx, mp, 0.0, 0.0])
-    return SidebandPair(_own(mean, _SPLIT @ cov @ _SPLIT.T))
+    mx, mp = _ROOT_HALF * mx + 0.0, _ROOT_HALF * mp + 0.0
+    s, u, v = (cxx + cpp) * 0.5, (cxp - cpx) * 0.5, (cpx - cxp) * 0.5
+    d, e, f = (cxx - cpp) * 0.5, (cxp + cpx) * 0.5, (cpp - cxx) * 0.5
+    cov = np.array([s, u, d, e, v, s, e, f, d, e, s, u, e, f, v, s]).reshape(4, 4)
+    return SidebandPair(_own(np.array([mx, mp, mx, mp]), cov))
 
 
 def delta_sq(pair: SidebandPair) -> float:
     """Sum criterion Var(x+ + x-) + Var(p+ - p-); vacuum sidebands give 1.
 
-    Read as Python floats.  Each vector-matrix product of
-    _X_SUM @ cov @ _X_SUM + _P_DIFF @ cov @ _P_DIFF has two nonzero terms,
+    Read as Python floats.  Each vector-matrix product of x @ cov @ x +
+    p @ cov @ p, x = (1, 0, 1, 0) and p = (0, 1, 0, -1), has two nonzero terms,
     so the sums below, grouped as those products group them, round alike."""
     (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = pair.cov.tolist()
     return ((c00 + c20) + (c02 + c22)) + ((c11 - c31) - (c13 - c33))

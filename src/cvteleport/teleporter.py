@@ -73,6 +73,7 @@ from cvteleport.gaussian import (
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
+    _as_float,
     _own,
     beamsplitter,
     check_count,
@@ -149,17 +150,6 @@ class TeleporterParams:
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
             raise ValueError("gains must be finite")
         check_count(self.seed, "seed")
-
-
-def _as_float(value, label: str) -> float:
-    """``value`` as a Python float; a bool, a str or anything float() rejects
-    raises ValueError naming ``label``."""
-    if not isinstance(value, (bool, np.bool_, str, bytes)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{label} must be a number, got {value!r}")
 
 
 class EprCorrelations(NamedTuple):
@@ -263,10 +253,12 @@ def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta
     [[g_x^2 C_xx + N_x, g_x g_p C_xp], [g_x g_p C_px, g_p^2 C_pp + N_p]].
     Plain arithmetic, elementwise in every argument: each may be a scalar or
     an array of points, with ``mean`` indexed [i], ``cov`` [i][j] and the
-    pairs [0], [1] in the order of `TeleporterParams`.  Returns the output
-    mean, the output covariance, Var(x_A - x_B) and Var(p_A + p_B).  A huge
-    gain or level overflows to inf or nan without a numpy warning; the
-    report (`_report`) or the JSON writer rejects it.
+    pairs [0], [1] in the order of `TeleporterParams`.  A point call runs on
+    Python floats, with math.sqrt's roots and each square a product, as numpy
+    squares arrays (a float's ** 2 is libm's pow, at times an ulp off).  Returns
+    the output mean and covariance, Var(x_A - x_B) and Var(p_A + p_B).  A huge
+    gain or level overflows to inf or nan without a numpy warning; the report
+    (`_report`) or the JSON writer rejects it.
     """
 
     def at_mixer(level_db, eta):
@@ -277,13 +269,14 @@ def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta
     # mode P (squeezer 1, whose anti-squeezed quadrature is x)
     x_of_x, p_of_x = at_mixer(sq_db[1], eta_source[1]), at_mixer(antisq_db[1], eta_source[1])
     x_of_p, p_of_p = at_mixer(antisq_db[0], eta_source[0]), at_mixer(sq_db[0], eta_source[0])
-    root_a, root_b = np.sqrt(eta_prop[0]), np.sqrt(eta_prop[1])
+    sqrt = math.sqrt if type(eta_prop[0]) is type(eta_prop[1]) is float else np.sqrt
+    root_a, root_b = sqrt(eta_prop[0]), sqrt(eta_prop[1])
 
     def beams(c, var_x_mode, var_p_mode):
         # Var(q_B + c q_A) for one quadrature q, given Var(q) of X and of P
-        return 0.5 * (
-            (c * root_a - root_b) ** 2 * var_x_mode + (c * root_a + root_b) ** 2 * var_p_mode
-        ) + VACUUM_VARIANCE * ((1.0 - eta_prop[1]) + c * c * (1.0 - eta_prop[0]))
+        minus, plus = c * root_a - root_b, c * root_a + root_b
+        lost = VACUUM_VARIANCE * ((1.0 - eta_prop[1]) + c * c * (1.0 - eta_prop[0]))
+        return 0.5 * (minus * minus * var_x_mode + plus * plus * var_p_mode) + lost
 
     detector = 2.0 * VACUUM_VARIANCE * (1.0 - eta_hom) / eta_hom
     noise_x = beams(-g_x, x_of_x, x_of_p) + g_x * g_x * detector

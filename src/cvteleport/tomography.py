@@ -50,7 +50,7 @@ import numpy as np
 
 from typing import NamedTuple
 
-from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE, check_count
+from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE, _as_float, check_count
 
 DEFAULT_GRID_POINTS = 81
 DEFAULT_GRID_PAD_SIGMAS = 4.5
@@ -146,7 +146,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("x_min", "x_max", "p_min", "p_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         for name in ("n_x", "n_p"):
             count = getattr(self, name)
             if isinstance(count, (bool, np.bool_, str, bytes)) or not float(count).is_integer():

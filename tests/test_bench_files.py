@@ -4,7 +4,9 @@ end-to-end metric that BENCHMARK.json declares, at least 9 of 10 pairs won,
 and medians that differ by more than the parent's IQR.  It also reports every
 declared end-to-end metric on every declared workload, none of whose change
 medians is worse than its parent median by more than the metric's bound, a
-fraction of the parent median."""
+fraction of the parent median.  From BENCH_21 on, each file also says how the
+change's results compare with the parent's: bit-identical (``bit_identity``)
+or by how much they differ (``differences_from_parent``)."""
 
 import json
 import pathlib
@@ -13,6 +15,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+# the first file written under the rule that results are bit-identical or their
+# differences are stated
+RESULTS_RULE_FROM = 21
 REQUIRED = ("host", "benchmark", "change", "claim", "end_to_end", "tier1", "traced")
 
 
@@ -49,6 +54,16 @@ def test_bench_file_holds_an_admissible_claim(path, declared):
     if metrics[claim["metric"]]["better"] == "higher":
         gain = -gain
     assert gain > claim["parent_iqr"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in BENCH_FILES if int(p.stem.split("_")[1]) >= RESULTS_RULE_FROM],
+    ids=lambda p: p.name,
+)
+def test_bench_file_states_how_its_results_compare(path):
+    record = strict_load(path)
+    assert "bit_identity" in record or "differences_from_parent" in record
 
 
 def regressions(end_to_end, declared):

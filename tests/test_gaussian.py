@@ -401,6 +401,8 @@ def _cutoff(value):
     (_cutoff("1"), "filter_cutoff must be positive and finite"),
     (_cutoff(2 + 0j), "filter_cutoff must be positive and finite"),
     (lambda: GridSpec(-1, 1, -1, 1, "5", 5), "n_x must be an integer, got '5'"),
+    (lambda: GridSpec("-1", 1, -1, 1), "x_min must be a number, got '-1'"),
+    (lambda: rotate(vacuum(1), 0, "0.3"), "phi must be a number, got '0.3'"),
     (lambda: coherent_state("1"), "alpha must be a number, got '1'"),
     (lambda: loss(vacuum(2), 0, "0.5"), r"eta must lie in \[0, 1\], got '0.5'"),
     (lambda: beamsplitter(vacuum(2), 0, 1, "0.5"),
@@ -419,7 +421,8 @@ def _cutoff(value):
      r"epr_sq_db\[0\] must be a number, got np.True_"),
 ], ids=["vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
         "inverse_radon-cutoff-bool", "inverse_radon-cutoff-str", "inverse_radon-cutoff-complex",
-        "GridSpec-n_x-str", "coherent_state-str", "loss-eta-str", "beamsplitter-t-str",
+        "GridSpec-n_x-str", "GridSpec-x_min-str", "rotate-phi-str", "coherent_state-str",
+        "loss-eta-str", "beamsplitter-t-str",
         "loss-eta-complex", "loss-eta-complex64",
         "params-g_x-str", "params-g_p-bool", "params-eta_hom-str",
         "params-pair-str", "params-pair-bool"])

@@ -472,6 +472,30 @@ class TestCalibrateLosses:
         assert isinstance(result, CalibrationResult)
         assert result.achieved_x_db == pytest.approx(-5.6, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("which", [2, 3], ids=["x", "p"])
+    def test_non_finite_correlation_raises_physics_error(self, bad, which, monkeypatch):
+        def source_map(*args):
+            moments = list(teleporter._source_map(*args))
+            moments[which] = bad
+            return tuple(moments)
+
+        monkeypatch.setattr(harness, "_source_map", source_map)
+        with pytest.raises(PhysicsError, match="^EPR correlations .* are not finite$"):
+            calibrate_losses((-5.6, -5.5))
+
+    def test_parameters_are_validated_once(self, monkeypatch):
+        checked = []
+        post_init = TeleporterParams.__post_init__
+
+        def counting(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TeleporterParams, "__post_init__", counting)
+        calibrate_losses((-5.6, -5.5))
+        assert len(checked) == 1
+
 
 class TestBenchmarkAndRepro:
     def test_benchmark_config_hits_measured_correlations(self):

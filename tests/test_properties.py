@@ -273,9 +273,17 @@ def calibrations(draw):
 @given(calibrations())
 def test_calibration_reproduces_reachable_targets(case):
     # the fit, made on the source map, hits the targets through the
-    # Gaussian-state chain whatever the anti-squeezed levels
+    # Gaussian-state chain whatever the anti-squeezed levels, and reports the
+    # levels teleport_analytic gives at the fitted efficiencies, to the last bit
     target, source_sq, source_antisq = case
-    eta_source = calibrate_losses(target, source_sq).eta_source
+    result = calibrate_losses(target, source_sq)
+    eta_source = result.eta_source
+    params = TeleporterParams(input_state=vacuum(1), epr_sq_db=source_sq, eta_source=eta_source)
+    epr = teleport_analytic(params).epr
+    assert (result.achieved_x_db, result.achieved_p_db) == (epr.x_diff_db, epr.p_sum_db)
+    assert (result.residual_x_db, result.residual_p_db) == (
+        epr.x_diff_db - target[0], epr.p_sum_db - target[1]
+    )
     pair = make_epr(
         TeleporterParams(
             input_state=vacuum(1), epr_sq_db=source_sq, epr_antisq_db=source_antisq,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvteleport import (
@@ -18,9 +20,6 @@ from cvteleport import (
 from cvteleport import gaussian
 from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
 from cvteleport.sideband import (
-    _P_DIFF,
-    _SPLIT,
-    _X_SUM,
     SidebandPair,
     delta_sq,
     is_entangled,
@@ -29,14 +28,38 @@ from cvteleport.sideband import (
 from conftest import assert_owns_its_arrays, random_physical_state
 
 ATOL = 1e-12
+# The weights of x+ + x- and p+ - p-, whose products delta_sq's sums reproduce.
+_X_SUM = np.array([1.0, 0.0, 1.0, 0.0])
+_P_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
+# The balanced split (a, mirror) -> ((a + mirror), (a - mirror)) / sqrt(2),
+# through whose products the pair's moments are checked.
+_SPLIT = np.sqrt(0.5) * np.block([[np.eye(2), np.eye(2)], [np.eye(2), -np.eye(2)]])
+
+
+def exact_pair_cov(cov) -> list[list[float]]:
+    """The pair's covariance [[C + M, C - M], [C - M, C + M]] / 2, with C the
+    mode's covariance and M = [[cpp, -cpx], [-cxp, cxx]] the mirror's, each
+    entry computed exactly and rounded once."""
+    (cxx, cxp), (cpx, cpp) = ((Fraction(a), Fraction(b)) for a, b in cov.tolist())
+    plus = [[cxx + cpp, cxp - cpx], [cpx - cxp, cpp + cxx]]
+    minus = [[cxx - cpp, cxp + cpx], [cpx + cxp, cpp - cxx]]
+    rows = [p + m for p, m in zip(plus, minus)] + [m + p for p, m in zip(plus, minus)]
+    return [[float(entry / 2) for entry in row] for row in rows]
 
 
 def test_vacuum_sidebands_give_exactly_one():
     pair = sidebands_from_single_mode(vacuum(1))
-    assert delta_sq(pair) == pytest.approx(1.0, abs=ATOL)
+    assert delta_sq(pair) == 1.0
     verdict = is_entangled(pair)
     assert not verdict.entangled
-    assert verdict.margin == pytest.approx(0.0, abs=ATOL)
+    assert verdict.margin == 0.0
+
+
+def test_pair_covariance_is_the_exact_half_sums_rounded_once(rng):
+    states = [vacuum(1), impure_squeezed_vacuum(-6.2, 12.0), rotate(vacuum(1), 0, 0.7)]
+    states += [random_physical_state(rng, 1) for _ in range(300)]
+    for state in states:
+        assert sidebands_from_single_mode(state).cov.tolist() == exact_pair_cov(state.cov)
 
 
 def test_measured_input_state_criterion_value():
@@ -105,7 +128,7 @@ def test_pair_owns_read_only_float64_arrays(rng):
     for _ in range(30):
         state = random_physical_state(rng, 1)
         pair = sidebands_from_single_mode(state)
-        assert_owns_its_arrays(pair.state, state.mean, state.cov, _SPLIT)
+        assert_owns_its_arrays(pair.state, state.mean, state.cov)
 
 
 def test_delta_sq_equals_the_matrix_products_bytewise(rng):
@@ -154,14 +177,22 @@ def test_rotated_input_uses_x_axis_combinations():
     phi=st.floats(-7.0, 7.0),
     mean=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
 )
+# a -0.0 mean splits to +0.0, as the split's products give it
+@example(sq_db=-3.0, excess_db=0.0, phi=0.5, mean=(-0.0, -0.0))
+@example(sq_db=-3.0, excess_db=0.0, phi=0.5, mean=(-0.0, 2.0))
 def test_pair_moments_equal_the_gate_chain_bytewise(sq_db, excess_db, phi, mean):
     # squeezed up to 40 dB, anti-squeezed up to 40 dB beyond pure, turned so
     # the off-diagonal terms are non-zero (and, from round-off, can differ),
-    # and displaced
+    # and displaced.  The mean is the chain's, byte for byte.  The chain's
+    # covariance goes through fl(sqrt(1/2))^2 = 0.5000000000000001 and two
+    # rounded products, so it is within 4 ulps of max |cov| of the pair's,
+    # which is exact to one rounding (3 ulps at most over 100,000 random states).
     squeezed = rotate(impure_squeezed_vacuum(sq_db, excess_db - sq_db), 0, phi)
     state = gaussian._own(np.array(mean), squeezed.cov.copy())
     mirror = quarter_turn(gaussian._own(np.zeros(2), state.cov.copy()))
     chain = apply_symplectic(tensor(state, mirror), _SPLIT)
     pair = sidebands_from_single_mode(state)
     assert pair.mean.tobytes() == chain.mean.tobytes()
-    assert pair.cov.tobytes() == chain.cov.tobytes()
+    ulp = np.spacing(np.abs(chain.cov).max())
+    assert np.abs(pair.cov - chain.cov).max() <= 4 * ulp
+    assert pair.cov.tolist() == exact_pair_cov(state.cov)

@@ -447,6 +447,31 @@ def test_source_map_is_elementwise_over_arrays(rng):
             assert np.allclose(np.asarray(got)[..., k], want, rtol=1e-15, atol=0.0)
 
 
+def test_source_map_point_call_squares_as_a_batch_does(rng):
+    # numpy squares an array by product; a point call, on Python floats,
+    # must too (a float's ** 2 is libm's pow, an ulp off for about 1 in 1000).
+    # At 0 dB each power of 10 is exactly 1 on both paths, whose own pow
+    # functions differ, so only the squares can tell the two apart.
+    n = 2000
+    zero = np.zeros((2, n))
+    args = (
+        rng.normal(0.0, 2.0, (2, n)),
+        np.array([[rng.uniform(0.3, 1.3, n), zero[0]], [zero[0], rng.uniform(0.3, 1.3, n)]]),
+        zero, zero,
+        rng.uniform(0.3, 1.5, n),
+        rng.uniform(0.3, 1.5, n),
+        rng.uniform(0.5, 1.0, (2, n)),
+        rng.uniform(0.5, 1.0, (2, n)),
+        rng.uniform(0.7, 1.0, n),
+    )
+    batch = [np.asarray(moment) for moment in teleporter._source_map(*args)]
+    for k in range(n):
+        point = teleporter._source_map(*(a[..., k].tolist() for a in args))
+        assert type(point[2]) is type(point[3]) is float
+        for got, want in zip(point, batch):
+            assert np.asarray(got).tobytes() == want[..., k].tobytes()
+
+
 def random_params(rng) -> TeleporterParams:
     """A random lossy, non-unity-gain point with a random physical input."""
     sq = rng.uniform(-10.0, 0.0, 2)
