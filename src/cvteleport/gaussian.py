@@ -36,6 +36,8 @@ MAX_LEVEL_DB = 3082.5
 # One-mode vacuum covariance; vacuum and coherent_state copy it, so no state
 # shares it.
 _VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
+# float() and complex() read these, but none of them is a number here
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 class PhysicsError(ValueError):
@@ -161,7 +163,7 @@ def vacuum(n_modes: int) -> GaussianState:
 def coherent_state(alpha: complex) -> GaussianState:
     """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha),
     which must be finite."""
-    if isinstance(alpha, str):
+    if isinstance(alpha, _NOT_NUMBERS):
         raise ValueError(f"alpha must be a number, got {alpha!r}")
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -216,12 +218,25 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
 def _as_float(value, label: str) -> float:
     """``value`` as a Python float; a bool, a str or anything float() rejects
     raises ValueError naming ``label``."""
-    if not isinstance(value, (bool, np.bool_, str, bytes)):
+    if not isinstance(value, _NOT_NUMBERS):
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{label} must be a number, got {value!r}")
+
+
+def _as_pair(pair, label: str) -> tuple[float, float]:
+    """``pair`` as two Python floats: itself if a tuple or list of floats,
+    else its two values read by `_as_float` as ``label[0]`` and ``label[1]``;
+    anything but exactly two values raises ValueError naming ``label``."""
+    try:
+        first, second = pair
+    except (TypeError, ValueError):  # a scalar, or a length other than 2
+        raise ValueError(f"{label} must hold exactly two values, got {pair!r}") from None
+    if type(first) is type(second) is float and type(pair) in (tuple, list):
+        return pair
+    return _as_float(first, f"{label}[0]"), _as_float(second, f"{label}[1]")
 
 
 def check_fraction(value: float, label: str) -> float:
@@ -265,6 +280,7 @@ def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     The pair must pass check_noise_pair.  Returns an x-squeezed state with
     Var(x) = (1/4) 10^(sq_db/10), Var(p) = (1/4) 10^(antisq_db/10).
     """
+    sq_db, antisq_db = _as_float(sq_db, "sq_db"), _as_float(antisq_db, "antisq_db")
     check_noise_pair(sq_db, antisq_db, "squeezed vacuum")
     vx = variance_from_db(sq_db, VACUUM_VARIANCE)
     vp = variance_from_db(antisq_db, VACUUM_VARIANCE)

@@ -75,6 +75,7 @@ from ._version import __version__
 from .gaussian import (
     GaussianState,
     PhysicsError,
+    _as_pair,
     coherent_state,
     impure_squeezed_vacuum,
     quarter_turn,
@@ -620,7 +621,7 @@ def calibrate_losses(
     is not finite; and when the fitted efficiencies miss either target by
     more than CALIBRATION_TOL_DB.
     """
-    target_x, target_p = float(target_db[0]), float(target_db[1])
+    target_x, target_p = _as_pair(target_db, "target_db")
     base = TeleporterParams(input_state=vacuum(1), epr_sq_db=source_sq_db)
 
     def solve(target: float, limit: float) -> float:
@@ -639,12 +640,11 @@ def calibrate_losses(
             )
         return float(depth / reach)
 
-    eta_x = solve(target_x, float(source_sq_db[1]))
-    eta_p = solve(target_p, float(source_sq_db[0]))
-    # the correlations do not depend on the input, so a zero one goes in
+    eta_x = solve(target_x, base.epr_sq_db[1])
+    eta_p = solve(target_p, base.epr_sq_db[0])
     *_, var_x_diff, var_p_sum = _source_map(
-        (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), base.epr_sq_db, base.epr_antisq_db,
-        base.g_x, base.g_p, (eta_p, eta_x), base.eta_prop, base.eta_hom)
+        base.epr_sq_db, base.epr_antisq_db, base.g_x, base.g_p,
+        (eta_p, eta_x), base.eta_prop, base.eta_hom)
     if not (math.isfinite(var_x_diff) and math.isfinite(var_p_sum)):
         raise PhysicsError(f"EPR correlations ({var_x_diff}, {var_p_sum}) are not finite")
     achieved = _correlations(var_x_diff, var_p_sum)

@@ -25,8 +25,8 @@ The analytic path is the Heisenberg picture of this network.  Every squeezer
 and every loss acts along x or p, so x_out and p_out are each a weighted sum
 of independent sources: the input quadrature times its gain, the two
 squeezed modes after their source losses, and the vacuum ancillas of the two
-beam losses and the two detector losses.  `_source_map` writes the two sums
-out in closed form with plain arithmetic, elementwise in the parameters.
+beam losses and the two detector losses.  `_source_map` writes the noise
+these add in closed form, at one point, with plain arithmetic on floats.
 With X the x-squeezed mode (squeezer 2) and P the p-squeezed mode
 (squeezer 1) at the mixer, A = (X + P)/sqrt(2) and B = (P - X)/sqrt(2)
 before the beam losses eta_A = eta_prop[0], eta_B = eta_prop[1], and
@@ -40,9 +40,9 @@ of variance V_S in q behind a source loss eta_S.  The output noise is
 N_x = Var(x_B - g_x x_A) + g_x^2 D and N_p = Var(p_B + g_p p_A) + g_p^2 D,
 with the detector term D = (1 - eta_hom) / (2 eta_hom); the EPR correlation
 variances are Var(x_A - x_B) and Var(p_A + p_B), the same sums at c = -1
-and c = +1.  With lossless beams (eta_A = eta_B = 1) the anti-squeezed
-quadratures drop out of both: x of P weighs (c + 1)^2 = 0 at c = -1 and p of
-X weighs (c - 1)^2 = 0 at c = +1.  So the loss calibration
+and c = +1; the map returns these four numbers.  With lossless beams
+(eta_A = eta_B = 1) the anti-squeezed quadratures drop out of both: x of P
+weighs (c + 1)^2 = 0 at c = -1 and p of X weighs (c - 1)^2 = 0 at c = +1.  So the loss calibration
 (`harness.calibrate_losses`) reads the correlations off this map, whatever
 the anti-squeezed levels.
 
@@ -74,6 +74,7 @@ from cvteleport.gaussian import (
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
     _as_float,
+    _as_pair,
     _own,
     beamsplitter,
     check_count,
@@ -105,8 +106,8 @@ class TeleporterParams:
         seed: Monte Carlo seed of `teleport_mc`'s generator.
 
     The gains, eta_hom and each entry of the four pairs are stored as Python
-    floats; a pair holding anything but floats is stored as a tuple of them.
-    A bool or a str raises ValueError naming the field.
+    floats; a pair that is not a tuple or a list of floats is stored as a
+    tuple of them.  A bool or a str raises ValueError naming the field.
     """
 
     input_state: GaussianState
@@ -127,14 +128,8 @@ class TeleporterParams:
                 object.__setattr__(self, name, _as_float(getattr(self, name), name))
         for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
             pair = getattr(self, name)
-            if pair is None:
-                continue
-            try:
-                first, second = pair
-            except (TypeError, ValueError):  # a scalar, or a length other than 2
-                raise ValueError(f"{name} must hold exactly two values, got {pair!r}") from None
-            if not type(first) is type(second) is float:
-                floats = (_as_float(first, f"{name}[0]"), _as_float(second, f"{name}[1]"))
+            floats = pair if pair is None else _as_pair(pair, name)
+            if floats is not pair:
                 object.__setattr__(self, name, floats)
         anti = self.epr_antisq_db
         if anti is None:
@@ -205,13 +200,9 @@ def epr_correlations(pair: GaussianState) -> EprCorrelations:
 
 
 def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
-    var_x, var_p = float(var_x_diff), float(var_p_sum)
-    return EprCorrelations(
-        var_x,
-        var_p,
-        db_from_variance(var_x, TWO_MODE_VACUUM_VARIANCE),
-        db_from_variance(var_p, TWO_MODE_VACUUM_VARIANCE),
-    )
+    x_db = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
+    p_db = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
+    return EprCorrelations(var_x_diff, var_p_sum, x_db, p_db)
 
 
 # Quadratures of the mixed (u port, v port, B) state that the output reads:
@@ -243,22 +234,17 @@ def _readout(
     return pair, mixed.mean[_READOUT], mixed.cov.take(_READOUT_BLOCK), feed
 
 
-# A decorator rather than a with-block: half the cost per call.
-@np.errstate(over="ignore", invalid="ignore")
-def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
-    """Output moments and EPR correlation variances in closed form.
+def _source_map(sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
+    """The noise the network adds and its EPR correlations, in closed form.
 
-    Heisenberg-picture propagation of the network (module docstring): the
-    output mean is (g_x m_x, g_p m_p), the output covariance
-    [[g_x^2 C_xx + N_x, g_x g_p C_xp], [g_x g_p C_px, g_p^2 C_pp + N_p]].
-    Plain arithmetic, elementwise in every argument: each may be a scalar or
-    an array of points, with ``mean`` indexed [i], ``cov`` [i][j] and the
-    pairs [0], [1] in the order of `TeleporterParams`.  A point call runs on
-    Python floats, with math.sqrt's roots and each square a product, as numpy
-    squares arrays (a float's ** 2 is libm's pow, at times an ulp off).  Returns
-    the output mean and covariance, Var(x_A - x_B) and Var(p_A + p_B).  A huge
-    gain or level overflows to inf or nan without a numpy warning; the report
-    (`_report`) or the JSON writer rejects it.
+    Heisenberg-picture propagation of the network (module docstring) at one
+    point, on Python floats: the pairs are indexed [0], [1] in the order of
+    `TeleporterParams`.  Returns (N_x, N_p, Var(x_A - x_B), Var(p_A + p_B));
+    the output is the gains times the input plus (N_x, N_p).  The roots are
+    math.sqrt's and each square is a product (a float's ** 2 is libm's pow,
+    at times an ulp off).  A huge gain or level overflows to inf or nan
+    without an exception; the report (`_report`), the calibration or the
+    JSON writer rejects it.
     """
 
     def at_mixer(level_db, eta):
@@ -269,8 +255,7 @@ def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta
     # mode P (squeezer 1, whose anti-squeezed quadrature is x)
     x_of_x, p_of_x = at_mixer(sq_db[1], eta_source[1]), at_mixer(antisq_db[1], eta_source[1])
     x_of_p, p_of_p = at_mixer(antisq_db[0], eta_source[0]), at_mixer(sq_db[0], eta_source[0])
-    sqrt = math.sqrt if type(eta_prop[0]) is type(eta_prop[1]) is float else np.sqrt
-    root_a, root_b = sqrt(eta_prop[0]), sqrt(eta_prop[1])
+    root_a, root_b = math.sqrt(eta_prop[0]), math.sqrt(eta_prop[1])
 
     def beams(c, var_x_mode, var_p_mode):
         # Var(q_B + c q_A) for one quadrature q, given Var(q) of X and of P
@@ -281,14 +266,7 @@ def _source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta
     detector = 2.0 * VACUUM_VARIANCE * (1.0 - eta_hom) / eta_hom
     noise_x = beams(-g_x, x_of_x, x_of_p) + g_x * g_x * detector
     noise_p = beams(g_p, p_of_x, p_of_p) + g_p * g_p * detector
-    out_mean = np.array([g_x * mean[0], g_p * mean[1]])
-    out_cov = np.array(
-        [
-            [g_x * g_x * cov[0][0] + noise_x, g_x * g_p * cov[0][1]],
-            [g_x * g_p * cov[1][0], g_p * g_p * cov[1][1] + noise_p],
-        ]
-    )
-    return out_mean, out_cov, beams(-1.0, x_of_x, x_of_p), beams(1.0, p_of_x, p_of_p)
+    return noise_x, noise_p, beams(-1.0, x_of_x, x_of_p), beams(1.0, p_of_x, p_of_p)
 
 
 def _report(
@@ -348,8 +326,10 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
 
     The output is x_out = g_x x_in + (x_B - g_x x_A) + detector terms, and
     likewise for p, so non-unity gains weight the EPR beams individually
-    rather than through their correlated combinations only.  The added
-    noise is
+    rather than through their correlated combinations only.  The output mean
+    is (g_x m_x, g_p m_p) and its covariance
+    [[g_x^2 C_xx + N_x, g_x g_p C_xp], [g_x g_p C_px, g_p^2 C_pp + N_p]],
+    with the input's moments m and C and the added noise
 
         N_x = [(g_x sqrt(eta_A) + sqrt(eta_B))^2 Vx_X
                + (g_x sqrt(eta_A) - sqrt(eta_B))^2 Vx_P] / 2
@@ -361,16 +341,18 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     variances of q in the x-squeezed (squeezer 2) and p-squeezed
     (squeezer 1) modes after their source losses.
     """
-    state = params.input_state
-    # The input moments go in as Python floats: exact, and cheaper than numpy
-    # scalars; the parameters are Python floats already.
-    mean, cov, var_x_diff, var_p_sum = _source_map(
-        state.mean.tolist(), state.cov.tolist(), params.epr_sq_db, params.epr_antisq_db,
-        params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
+    g_x, g_p, state = params.g_x, params.g_p, params.input_state
+    noise_x, noise_p, var_x_diff, var_p_sum = _source_map(
+        params.epr_sq_db, params.epr_antisq_db, g_x, g_p,
+        params.eta_source, params.eta_prop, params.eta_hom,
     )
-    output = _own(mean, cov)
+    # the input moments as Python floats: exact, and cheaper than numpy scalars
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
+    mean = np.array([g_x * mx, g_p * mp])
+    cov = np.array([[g_x * g_x * cxx + noise_x, g_x * g_p * cxp],
+                    [g_x * g_p * cpx, g_p * g_p * cpp + noise_p]])
     epr = _correlations(var_x_diff, var_p_sum)
-    return _report(params, epr, output, (params.g_x, params.g_p), "analytic")
+    return _report(params, epr, _own(mean, cov), (g_x, g_p), "analytic")
 
 
 # added to the read-out covariance before its Cholesky factor
@@ -451,16 +433,17 @@ def coherent_fidelity(vx: float, vp: float) -> float:
     Unit fidelity at vacuum variances, 1/2 at the no-entanglement floor
     Vx = Vp = 3/4.
     """
+    vx, vp = _as_float(vx, "vx"), _as_float(vp, "vp")
     if not (vx > 0 and vp > 0):
         raise ValueError("variances must be positive")
-    return float(2.0 / np.sqrt((1.0 + 4.0 * vx) * (1.0 + 4.0 * vp)))
+    return 2.0 / math.sqrt((1.0 + 4.0 * vx) * (1.0 + 4.0 * vp))
 
 
 def output_variances_pure(r: float) -> tuple[float, float]:
     """Unity-gain output variances with three pure squeezers of parameter r
     (resource pair plus an x-squeezed input): (3/4) e^{-2r} in x and
     (e^{2r} + 2 e^{-2r})/4 in p."""
-    if not r >= 0:
+    if not _as_float(r, "r") >= 0:
         raise ValueError("r must be >= 0")
     return 0.75 * np.exp(-2.0 * r), (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 4.0
 
@@ -485,10 +468,10 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
     Each stage receives the previous output.  At unity gain a stage keeps
     the mean and adds the same noise (N_x, N_p) of `teleport_analytic`
     whatever its input, so stage k has the input's variances plus
-    k (N_x, N_p), and the source map is evaluated once.  Fidelity is evaluated against the
-    original coherent input, which at unity gain depends only on the
-    accumulated variances; with pure resource squeezers of parameter r it
-    follows 1 / (1 + n e^{-2r}).
+    k (N_x, N_p), read once off the source map.  Fidelity is evaluated
+    against the original coherent input, which at unity gain depends only
+    on the accumulated variances; with pure resource squeezers of parameter
+    r it follows 1 / (1 + n e^{-2r}).
     """
     check_count(n_stages, "n_stages")
     if n_stages < 1:
@@ -497,15 +480,13 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
         raise ValueError("cascade is defined for a coherent input")
     if not (params.g_x == params.g_p == 1.0):
         raise ValueError("cascade fidelity is defined at unity gain")
-    # the map of a zero input is the noise one stage adds
-    _, noise, _, _ = _source_map(
-        np.zeros(2), np.zeros((2, 2)), params.epr_sq_db, params.epr_antisq_db,
-        params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
+    noise_x, noise_p, _, _ = _source_map(
+        params.epr_sq_db, params.epr_antisq_db, params.g_x, params.g_p,
+        params.eta_source, params.eta_prop, params.eta_hom,
     )
-    cov = params.input_state.cov
+    (cxx, _), (_, cpp) = params.input_state.cov.tolist()
     stages = []
     for k in range(1, n_stages + 1):
-        vx = float(cov[0, 0] + k * noise[0, 0])
-        vp = float(cov[1, 1] + k * noise[1, 1])
+        vx, vp = cxx + k * noise_x, cpp + k * noise_p
         stages.append(CascadeStage(k, coherent_fidelity(vx, vp), vx, vp))
     return stages

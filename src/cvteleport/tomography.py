@@ -166,6 +166,7 @@ class GridSpec:
     ) -> "GridSpec":
         """Window centered on the state mean, pad standard deviations wide."""
         _single_mode(state)
+        pad = _as_float(pad, "pad")
         mx, mp = state.mean
         sx = float(np.sqrt(state.cov[0, 0]))
         sp = float(np.sqrt(state.cov[1, 1]))

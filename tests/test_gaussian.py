@@ -17,11 +17,14 @@ from cvteleport import (
     TeleporterParams,
     VACUUM_VARIANCE,
     beamsplitter,
+    calibrate_losses,
+    coherent_fidelity,
     coherent_state,
     db_from_variance,
     impure_squeezed_vacuum,
     inverse_radon,
     loss,
+    output_variances_pure,
     rotate,
     sample_record,
     symplectic_eigenvalues,
@@ -419,13 +422,30 @@ def _cutoff(value):
      r"eta_source\[1\] must be a number, got '1'"),
     (lambda: TeleporterParams(input_state=vacuum(1), epr_sq_db=(np.True_, -6.0)),
      r"epr_sq_db\[0\] must be a number, got np.True_"),
+    (lambda: calibrate_losses((-5.0, -5.0, -5.0)),
+     r"target_db must hold exactly two values, got \(-5.0, -5.0, -5.0\)"),
+    (lambda: calibrate_losses((True, -5.0)), r"target_db\[0\] must be a number, got True"),
+    (lambda: calibrate_losses(("a", "b")), r"target_db\[0\] must be a number, got 'a'"),
+    (lambda: calibrate_losses(-5.0), "target_db must hold exactly two values, got -5.0"),
+    (lambda: impure_squeezed_vacuum("-3", "3"), "sq_db must be a number, got '-3'"),
+    (lambda: impure_squeezed_vacuum(-3.0, "3"), "antisq_db must be a number, got '3'"),
+    (lambda: impure_squeezed_vacuum(False, True), "sq_db must be a number, got False"),
+    (lambda: coherent_fidelity("1", 1.0), "vx must be a number, got '1'"),
+    (lambda: coherent_fidelity(1.0, True), "vp must be a number, got True"),
+    (lambda: output_variances_pure("1"), "r must be a number, got '1'"),
+    (lambda: GridSpec.from_state(vacuum(1), pad="4"), "pad must be a number, got '4'"),
+    (lambda: coherent_state(True), "alpha must be a number, got True"),
 ], ids=["vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
         "inverse_radon-cutoff-bool", "inverse_radon-cutoff-str", "inverse_radon-cutoff-complex",
         "GridSpec-n_x-str", "GridSpec-x_min-str", "rotate-phi-str", "coherent_state-str",
         "loss-eta-str", "beamsplitter-t-str",
         "loss-eta-complex", "loss-eta-complex64",
         "params-g_x-str", "params-g_p-bool", "params-eta_hom-str",
-        "params-pair-str", "params-pair-bool"])
+        "params-pair-str", "params-pair-bool",
+        "calibrate-target-three", "calibrate-target-bool", "calibrate-target-str",
+        "calibrate-target-scalar", "squeezed-vacuum-str", "squeezed-vacuum-antisq-str",
+        "squeezed-vacuum-bool", "coherent_fidelity-str", "coherent_fidelity-bool",
+        "output_variances_pure-str", "GridSpec-pad-str", "coherent_state-bool"])
 def test_out_of_domain_argument_is_rejected_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

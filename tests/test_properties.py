@@ -218,11 +218,9 @@ def _chain_error(value, weights, moments) -> float:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(teleporters())
 def test_source_map_matches_the_gaussian_chain(params):
-    state = params.input_state
-    mean, cov, var_x_diff, var_p_sum = teleporter._source_map(
-        state.mean, state.cov, params.epr_sq_db, params.epr_antisq_db,
-        params.g_x, params.g_p, params.eta_source, params.eta_prop, params.eta_hom,
-    )
+    report = teleport_analytic(params)
+    mean, cov = report.output_state.mean, report.output_state.cov
+    var_x_diff, var_p_sum = report.epr.var_x_diff, report.epr.var_p_sum
     pair, chain_mean, chain_cov, feed = teleporter._readout(params)
     if np.any(chain_mean != 0.0):
         assert _chain_error(mean, feed, chain_mean) <= 1e-13

@@ -4,6 +4,7 @@ protocol, the analytic network propagation, and the Monte Carlo cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,8 @@ from cvteleport import (
     vacuum,
 )
 from cvteleport import gaussian, teleporter, tomography
-from cvteleport.harness import MAX_SAMPLES
+from cvteleport.gaussian import VACUUM_VARIANCE
+from cvteleport.harness import MAX_SAMPLES, calibrate_losses
 from cvteleport.teleporter import (
     TeleporterParams,
     cascade,
@@ -424,54 +426,6 @@ def test_analytic_path_does_not_use_the_gaussian_chain(monkeypatch):
         teleport_mc(params, 100)
 
 
-def test_source_map_is_elementwise_over_arrays(rng):
-    # a batch of points evaluates like the same points one at a time
-    n = 16
-    sq = rng.uniform(-12.0, 0.0, (2, n))
-    c_xp = rng.normal(0.0, 0.1, n)
-    args = (
-        rng.normal(0.0, 2.0, (2, n)),
-        np.array([[rng.uniform(0.3, 1.3, n), c_xp], [c_xp, rng.uniform(0.3, 1.3, n)]]),
-        sq,
-        -sq + rng.uniform(0.0, 6.0, (2, n)),
-        rng.uniform(0.3, 1.5, n),
-        rng.uniform(0.3, 1.5, n),
-        rng.uniform(0.5, 1.0, (2, n)),
-        rng.uniform(0.5, 1.0, (2, n)),
-        rng.uniform(0.7, 1.0, n),
-    )
-    batch = teleporter._source_map(*args)
-    for k in range(n):
-        point = teleporter._source_map(*(a[..., k] for a in args))
-        for got, want in zip(batch, point):
-            assert np.allclose(np.asarray(got)[..., k], want, rtol=1e-15, atol=0.0)
-
-
-def test_source_map_point_call_squares_as_a_batch_does(rng):
-    # numpy squares an array by product; a point call, on Python floats,
-    # must too (a float's ** 2 is libm's pow, an ulp off for about 1 in 1000).
-    # At 0 dB each power of 10 is exactly 1 on both paths, whose own pow
-    # functions differ, so only the squares can tell the two apart.
-    n = 2000
-    zero = np.zeros((2, n))
-    args = (
-        rng.normal(0.0, 2.0, (2, n)),
-        np.array([[rng.uniform(0.3, 1.3, n), zero[0]], [zero[0], rng.uniform(0.3, 1.3, n)]]),
-        zero, zero,
-        rng.uniform(0.3, 1.5, n),
-        rng.uniform(0.3, 1.5, n),
-        rng.uniform(0.5, 1.0, (2, n)),
-        rng.uniform(0.5, 1.0, (2, n)),
-        rng.uniform(0.7, 1.0, n),
-    )
-    batch = [np.asarray(moment) for moment in teleporter._source_map(*args)]
-    for k in range(n):
-        point = teleporter._source_map(*(a[..., k].tolist() for a in args))
-        assert type(point[2]) is type(point[3]) is float
-        for got, want in zip(point, batch):
-            assert np.asarray(got).tobytes() == want[..., k].tobytes()
-
-
 def random_params(rng) -> TeleporterParams:
     """A random lossy, non-unity-gain point with a random physical input."""
     sq = rng.uniform(-10.0, 0.0, 2)
@@ -487,19 +441,93 @@ def random_params(rng) -> TeleporterParams:
     )
 
 
-def test_source_map_gives_the_same_bytes_from_lists_as_from_arrays(rng):
-    # teleport_analytic hands it the input moments as Python floats
-    for _ in range(200):
+# The source map's earlier form, kept as a byte oracle: it took the input
+# moments and returned the output's, and ran on numpy arrays as well.
+@np.errstate(over="ignore", invalid="ignore")
+def _earlier_source_map(mean, cov, sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
+    def at_mixer(level_db, eta):
+        return eta * VACUUM_VARIANCE * 10.0 ** (level_db / 10.0) + (1.0 - eta) * VACUUM_VARIANCE
+
+    x_of_x, p_of_x = at_mixer(sq_db[1], eta_source[1]), at_mixer(antisq_db[1], eta_source[1])
+    x_of_p, p_of_p = at_mixer(antisq_db[0], eta_source[0]), at_mixer(sq_db[0], eta_source[0])
+    sqrt = math.sqrt if type(eta_prop[0]) is type(eta_prop[1]) is float else np.sqrt
+    root_a, root_b = sqrt(eta_prop[0]), sqrt(eta_prop[1])
+
+    def beams(c, var_x_mode, var_p_mode):
+        minus, plus = c * root_a - root_b, c * root_a + root_b
+        lost = VACUUM_VARIANCE * ((1.0 - eta_prop[1]) + c * c * (1.0 - eta_prop[0]))
+        return 0.5 * (minus * minus * var_x_mode + plus * plus * var_p_mode) + lost
+
+    detector = 2.0 * VACUUM_VARIANCE * (1.0 - eta_hom) / eta_hom
+    noise_x = beams(-g_x, x_of_x, x_of_p) + g_x * g_x * detector
+    noise_p = beams(g_p, p_of_x, p_of_p) + g_p * g_p * detector
+    out_mean = np.array([g_x * mean[0], g_p * mean[1]])
+    out_cov = np.array(
+        [
+            [g_x * g_x * cov[0][0] + noise_x, g_x * g_p * cov[0][1]],
+            [g_x * g_p * cov[1][0], g_p * g_p * cov[1][1] + noise_p],
+        ]
+    )
+    return out_mean, out_cov, beams(-1.0, x_of_x, x_of_p), beams(1.0, p_of_x, p_of_p)
+
+
+def _bytes(*numbers) -> bytes:
+    return np.array(numbers, dtype=float).tobytes()
+
+
+def test_source_map_gives_the_noise_of_its_earlier_form_byte_for_byte(rng):
+    # at random lossy, non-unity-gain points the earlier form's output for a
+    # zero input is the added noise; a square taken as ** 2 (libm's pow, an
+    # ulp off for about 1 in 1000 values) moves about 20 of these points
+    n = 20000
+    sq = rng.uniform(-10.0, 0.0, (n, 2))
+    anti = rng.uniform(0.0, 6.0, (n, 2)) - sq
+    gains, eta_hom = rng.uniform(0.5, 1.5, (n, 2)), rng.uniform(0.7, 1.0, n)
+    eta_source, eta_prop = rng.uniform(0.5, 1.0, (n, 2)), rng.uniform(0.5, 1.0, (n, 2))
+    for k in range(n):
+        g_x, g_p = gains[k].tolist()
+        args = (tuple(sq[k].tolist()), tuple(anti[k].tolist()), g_x, g_p,
+                tuple(eta_source[k].tolist()), tuple(eta_prop[k].tolist()), float(eta_hom[k]))
+        _, cov, var_x_diff, var_p_sum = _earlier_source_map(
+            (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), *args)
+        assert _bytes(*teleporter._source_map(*args)) == _bytes(
+            cov[0, 0], cov[1, 1], var_x_diff, var_p_sum)
+
+
+def test_source_map_callers_give_the_bytes_of_its_earlier_form(rng):
+    # teleport_analytic, cascade and calibrate_losses at random lossy,
+    # non-unity-gain points
+    for _ in range(1000):
         params = random_params(rng)
         state = params.input_state
         rest = (params.epr_sq_db, params.epr_antisq_db, params.g_x, params.g_p,
                 params.eta_source, params.eta_prop, params.eta_hom)
-        from_lists = teleporter._source_map(state.mean.tolist(), state.cov.tolist(), *rest)
-        from_arrays = teleporter._source_map(state.mean, state.cov, *rest)
-        for got, want in zip(from_lists, from_arrays):
-            got, want = np.asarray(got), np.asarray(want)
-            assert got.dtype == want.dtype == np.float64
-            assert got.tobytes() == want.tobytes()
+        mean, cov, var_x_diff, var_p_sum = _earlier_source_map(
+            state.mean.tolist(), state.cov.tolist(), *rest)
+        report = teleport_analytic(params)
+        assert report.output_state.mean.tobytes() == mean.tobytes()
+        assert report.output_state.cov.tobytes() == cov.tobytes()
+        assert _bytes(*report.epr) == _bytes(*teleporter._correlations(var_x_diff, var_p_sum))
+
+        unity = replace(params, input_state=coherent_state(complex(*state.mean)), g_x=1.0, g_p=1.0)
+        _, noise, _, _ = _earlier_source_map(np.zeros(2), np.zeros((2, 2)), *rest[:2], 1.0, 1.0,
+                                             *rest[4:])
+        start = unity.input_state.cov
+        for stage in cascade(unity, 3):
+            k = stage.stage
+            vx, vp = start[0, 0] + k * noise[0, 0], start[1, 1] + k * noise[1, 1]
+            fidelity = 2.0 / np.sqrt((1.0 + 4.0 * vx) * (1.0 + 4.0 * vp))
+            assert _bytes(stage.vx, stage.vp, stage.fidelity) == _bytes(vx, vp, fidelity)
+
+        source = tuple(rng.uniform(-10.0, -1.0, 2).tolist())
+        target = tuple(rng.uniform(np.array(source[::-1]) + 0.05, -0.05).tolist())
+        fit = calibrate_losses(target, source)
+        *_, var_x_diff, var_p_sum = _earlier_source_map(
+            (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), source, (-source[0], -source[1]),
+            1.0, 1.0, fit.eta_source, (1.0, 1.0), 1.0)
+        achieved = teleporter._correlations(var_x_diff, var_p_sum)
+        assert _bytes(fit.achieved_x_db, fit.achieved_p_db) == _bytes(
+            achieved.x_diff_db, achieved.p_sum_db)
 
 
 def test_outputs_own_read_only_float64_arrays(rng):
