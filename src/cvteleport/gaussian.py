@@ -11,6 +11,12 @@ Conventions
   q(theta) = x cos(theta) + p sin(theta); theta = 0 is x.
 * Noise levels in dB always carry an explicit variance reference:
   1/4 for single quadratures, 1/2 for two-mode sum/difference combinations.
+* The package reads each scalar argument with one checker per class, which
+  raises ValueError naming it.  A number (`_as_float`) is a numbers.Real but
+  not a bool, read as a float; `_as_finite` and `_as_positive` also require
+  it finite, or finite and > 0.  A count (`check_count`) is a
+  numbers.Integral but not a bool, >= a minimum, read as an int.  A fraction
+  (`check_fraction`) is a number in [0, 1]; a pair (`_as_pair`), two numbers.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ MAX_LEVEL_DB = 3082.5
 # One-mode vacuum covariance; vacuum and coherent_state copy it, so no state
 # shares it.
 _VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
-# float() and complex() read these, but none of them is a number here
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 class PhysicsError(ValueError):
@@ -153,9 +157,7 @@ def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
-    check_count(n_modes, "n_modes")
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    n_modes = check_count(n_modes, "n_modes", 1)
     cov = _VACUUM_COV.copy() if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
     return _own(np.zeros(2 * n_modes), cov)
 
@@ -163,7 +165,8 @@ def vacuum(n_modes: int) -> GaussianState:
 def coherent_state(alpha: complex) -> GaussianState:
     """Single-mode coherent state; alpha maps to mean (Re alpha, Im alpha),
     which must be finite."""
-    if isinstance(alpha, _NOT_NUMBERS):
+    number = type(alpha) is complex or isinstance(alpha, numbers.Complex)
+    if not number or isinstance(alpha, bool):
         raise ValueError(f"alpha must be a number, got {alpha!r}")
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -195,17 +198,14 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:
-    check_count(mode, "mode")
-    if not 0 <= mode < state.n_modes:
+    if check_count(mode, "mode") >= state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
 
 
 def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     """Phase rotation of one mode by phi in the (x, p) plane; phi must be a finite number."""
     _check_mode(state, mode)
-    phi = _as_float(phi, "phi")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    phi = _as_finite(phi, "phi")
     c, s = np.cos(phi), np.sin(phi)
     block = np.array([[c, -s], [s, c]])
     if state.n_modes == 1:
@@ -216,46 +216,57 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
 
 
 def _as_float(value, label: str) -> float:
-    """``value`` as a Python float; a bool, a str or anything float() rejects
-    raises ValueError naming ``label``."""
-    if not isinstance(value, _NOT_NUMBERS):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    """``value`` as a number (module docstring); a float is returned as given."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
     raise ValueError(f"{label} must be a number, got {value!r}")
 
 
+def _as_finite(value, label: str) -> float:
+    value = value if type(value) is float else _as_float(value, label)  # a float skips a call
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    return value
+
+
+def _as_positive(value, label: str) -> float:
+    value = value if type(value) is float else _as_float(value, label)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{label} must be positive and finite")
+    return value
+
+
 def _as_pair(pair, label: str) -> tuple[float, float]:
-    """``pair`` as two Python floats: itself if a tuple or list of floats,
-    else its two values read by `_as_float` as ``label[0]`` and ``label[1]``;
-    anything but exactly two values raises ValueError naming ``label``."""
-    try:
-        first, second = pair
+    """``pair`` as a tuple of two floats: itself if it is one, else its values
+    read by `_as_float` as ``label[0]`` and ``label[1]``."""
+    try:  # text is no pair, even of two characters
+        first, second = () if isinstance(pair, (str, bytes)) else pair
     except (TypeError, ValueError):  # a scalar, or a length other than 2
         raise ValueError(f"{label} must hold exactly two values, got {pair!r}") from None
-    if type(first) is type(second) is float and type(pair) in (tuple, list):
+    if type(pair) is tuple and type(first) is type(second) is float:
         return pair
     return _as_float(first, f"{label}[0]"), _as_float(second, f"{label}[1]")
 
 
 def check_fraction(value: float, label: str) -> float:
-    """``value`` (an efficiency or transmittance) as a Python float; raise
-    ValueError unless it is a real number in [0, 1], so NaN, a str and a complex fail.
-    ``label`` names it in the message."""
-    fraction = value
-    if type(value) is not float:
-        fraction = float(value) if isinstance(value, numbers.Real) else math.nan
+    """``value``, an efficiency or transmittance, as a fraction (module docstring)."""
+    fraction = value if type(value) is float else _as_float(value, label)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
     return fraction
 
 
-def check_count(value, label: str) -> None:
-    """Raise ValueError unless ``value`` is an integer, a Python or numpy
-    one; a bool or a float fails, whatever its value.  ``label`` names it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
+def check_count(value, label: str, minimum: int = 0) -> int:
+    """``value`` as a count (module docstring) >= ``minimum``."""
+    if type(value) is not int:  # an ABC check costs more than the rest of a call
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise ValueError(f"{label} must be >= {minimum}")
+    return value
 
 
 def check_noise_pair(sq_db: float, antisq_db: float, label: str) -> None:
@@ -312,9 +323,8 @@ def beamsplitter(
     multiply-adds, so a two-term rewrite of S cov S^T rounds differently.
     """
     n = state.n_modes
-    check_count(mode_i, "mode_i")
-    check_count(mode_j, "mode_j")
-    if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
+    mode_i, mode_j = check_count(mode_i, "mode_i"), check_count(mode_j, "mode_j")
+    if mode_i == mode_j or not (mode_i < n and mode_j < n):
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
     t = check_fraction(transmittance, "transmittance") + 0.0  # -0.0 and 0.0: one key
     return apply_symplectic(state, _mixer(n, 2 * mode_i, 2 * mode_j, t))
@@ -354,14 +364,13 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
 
 
 def db_from_variance(variance: float, reference: float) -> float:
-    """Noise level in dB of a variance relative to an explicit reference."""
-    if variance <= 0 or reference <= 0:
-        raise ValueError("variance and reference must be positive")
+    """Noise level in dB of a variance relative to an explicit reference;
+    both must be positive and finite."""
+    variance, reference = _as_positive(variance, "variance"), _as_positive(reference, "reference")
     return 10.0 * np.log10(variance / reference)
 
 
 def variance_from_db(level_db: float, reference: float) -> float:
-    """Inverse of db_from_variance."""
-    if reference <= 0:
-        raise ValueError("reference must be positive")
+    """Inverse of db_from_variance, for a finite level."""
+    level_db, reference = _as_finite(level_db, "level_db"), _as_positive(reference, "reference")
     return reference * 10.0 ** (level_db / 10.0)

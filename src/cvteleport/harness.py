@@ -75,7 +75,9 @@ from ._version import __version__
 from .gaussian import (
     GaussianState,
     PhysicsError,
+    _as_float,
     _as_pair,
+    check_count,
     coherent_state,
     impure_squeezed_vacuum,
     quarter_turn,
@@ -151,10 +153,11 @@ def _finite(value) -> float:
 
 
 def _numeric(value):
-    """``value`` unless it is a bool or a string: as config text and flags,
-    ExperimentConfig takes neither for a number, a count or a pair."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise ValueError(f"must be numeric, got {value!r}")
+    """``value`` if the library takes it for a number (`gaussian._as_float`)."""
+    try:
+        _as_float(value, "value")
+    except ValueError:
+        raise ValueError(f"must be numeric, got {value!r}") from None
     return value
 
 
@@ -219,7 +222,9 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
     def coerce(value):
         if optional and value is None:
             return None
-        first, second = _numeric(value)
+        if isinstance(value, (str, bytes)):  # text, which would unpack into characters
+            raise ValueError(f"must be numeric, got {value!r}")
+        first, second = value
         return (_finite(_numeric(first)), _finite(_numeric(second)))
 
     def emit(value):
@@ -240,9 +245,12 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
         return value
 
     def coerce(value) -> int:
-        if int(_numeric(value)) != value:
-            raise ValueError("must be an integer")
-        return parse(value)
+        count = parse(_numeric(value))
+        try:  # parse's bounds passed, so only an integer's type can fail here
+            check_count(value, "value")
+        except ValueError:
+            raise ValueError("must be an integer") from None
+        return count
 
     return _Kind(parse, coerce, str)
 
@@ -622,7 +630,7 @@ def calibrate_losses(
     more than CALIBRATION_TOL_DB.
     """
     target_x, target_p = _as_pair(target_db, "target_db")
-    base = TeleporterParams(input_state=vacuum(1), epr_sq_db=source_sq_db)
+    base = TeleporterParams(input_state=vacuum(1), epr_sq_db=_as_pair(source_sq_db, "source_sq_db"))
 
     def solve(target: float, limit: float) -> float:
         # an unsqueezed source correlates at vacuum whatever its efficiency

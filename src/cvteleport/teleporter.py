@@ -73,8 +73,10 @@ from cvteleport.gaussian import (
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
+    _as_finite,
     _as_float,
     _as_pair,
+    _as_positive,
     _own,
     beamsplitter,
     check_count,
@@ -105,9 +107,8 @@ class TeleporterParams:
             gains stay the realized ones.
         seed: Monte Carlo seed of `teleport_mc`'s generator.
 
-    The gains, eta_hom and each entry of the four pairs are stored as Python
-    floats; a pair that is not a tuple or a list of floats is stored as a
-    tuple of them.  A bool or a str raises ValueError naming the field.
+    Numbers are stored as Python floats, a pair as a tuple, so no caller's
+    list is held; a value out of its class (`gaussian`) raises ValueError.
     """
 
     input_state: GaussianState
@@ -126,10 +127,10 @@ class TeleporterParams:
         if not (type(self.g_x) is type(self.g_p) is type(self.eta_hom) is float):
             for name in ("g_x", "g_p", "eta_hom"):
                 object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        _as_finite(self.g_x, "g_x"), _as_finite(self.g_p, "g_p")
         for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
             pair = getattr(self, name)
-            floats = pair if pair is None else _as_pair(pair, name)
-            if floats is not pair:
+            if pair is not None and (floats := _as_pair(pair, name)) is not pair:
                 object.__setattr__(self, name, floats)
         anti = self.epr_antisq_db
         if anti is None:
@@ -142,8 +143,6 @@ class TeleporterParams:
         check_fraction(self.eta_hom, "eta_hom")
         if self.eta_hom < 1e-6:
             raise ValueError("eta_hom too small to compensate electronically")
-        if not (math.isfinite(self.g_x) and math.isfinite(self.g_p)):
-            raise ValueError("gains must be finite")
         check_count(self.seed, "seed")
 
 
@@ -393,9 +392,7 @@ def teleport_mc(
     count.  ``rng`` defaults to ``default_rng(params.seed)``.  Raises
     PhysicsError when the read-out covariance has no Cholesky factor.
     """
-    check_count(shots, "shots")
-    if shots < 2:
-        raise ValueError("shots must be >= 2")
+    shots = check_count(shots, "shots", 2)
     pair, mean, cov, feed = _readout(params)
     try:
         # jitter guards exactly-pure corner cases
@@ -433,9 +430,7 @@ def coherent_fidelity(vx: float, vp: float) -> float:
     Unit fidelity at vacuum variances, 1/2 at the no-entanglement floor
     Vx = Vp = 3/4.
     """
-    vx, vp = _as_float(vx, "vx"), _as_float(vp, "vp")
-    if not (vx > 0 and vp > 0):
-        raise ValueError("variances must be positive")
+    vx, vp = _as_positive(vx, "vx"), _as_positive(vp, "vp")
     return 2.0 / math.sqrt((1.0 + 4.0 * vx) * (1.0 + 4.0 * vp))
 
 
@@ -445,6 +440,7 @@ def output_variances_pure(r: float) -> tuple[float, float]:
     (e^{2r} + 2 e^{-2r})/4 in p."""
     if not _as_float(r, "r") >= 0:
         raise ValueError("r must be >= 0")
+    r = _as_finite(r, "r")  # nor +inf, whose p variance is inf
     return 0.75 * np.exp(-2.0 * r), (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 4.0
 
 
@@ -473,9 +469,7 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
     on the accumulated variances; with pure resource squeezers of parameter
     r it follows 1 / (1 + n e^{-2r}).
     """
-    check_count(n_stages, "n_stages")
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
+    n_stages = check_count(n_stages, "n_stages", 1)
     if not _coherent_input(params):
         raise ValueError("cascade is defined for a coherent input")
     if not (params.g_x == params.g_p == 1.0):
@@ -485,6 +479,9 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
         params.eta_source, params.eta_prop, params.eta_hom,
     )
     (cxx, _), (_, cpp) = params.input_state.cov.tolist()
+    last = (cxx + n_stages * noise_x, cpp + n_stages * noise_p)  # the largest: noise >= 0
+    if not all(map(math.isfinite, last)):
+        raise PhysicsError(f"cascade variances are not finite at stage {n_stages}: {last}")
     stages = []
     for k in range(1, n_stages + 1):
         vx, vp = cxx + k * noise_x, cpp + k * noise_p

@@ -42,7 +42,6 @@ all read these segments.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -50,7 +49,8 @@ import numpy as np
 
 from typing import NamedTuple
 
-from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE, _as_float, check_count
+from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
+from .gaussian import _as_finite, _as_positive, check_count
 
 DEFAULT_GRID_POINTS = 81
 DEFAULT_GRID_PAD_SIGMAS = 4.5
@@ -146,16 +146,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("x_min", "x_max", "p_min", "p_max"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name))
+            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
         for name in ("n_x", "n_p"):
-            count = getattr(self, name)
-            if isinstance(count, (bool, np.bool_, str, bytes)) or not float(count).is_integer():
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            object.__setattr__(self, name, int(count))
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 2))
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError("grid window must have positive extent")
-        if self.n_x < 2 or self.n_p < 2:
-            raise ValueError("grid needs at least 2 points per axis")
 
     @classmethod
     def from_state(
@@ -166,7 +161,7 @@ class GridSpec:
     ) -> "GridSpec":
         """Window centered on the state mean, pad standard deviations wide."""
         _single_mode(state)
-        pad = _as_float(pad, "pad")
+        pad = _as_finite(pad, "pad")
         mx, mp = state.mean
         sx = float(np.sqrt(state.cov[0, 0]))
         sp = float(np.sqrt(state.cov[1, 1]))
@@ -277,13 +272,9 @@ def spectrum_trace(
     from ``averages`` samples per point; with ``rng=None`` it is exact.
     """
     _single_mode(state)
-    check_count(n_points, "n_points")
-    if n_points < 2:
-        raise ValueError("a trace needs at least 2 points")
+    check_count(n_points, "n_points", 2)
     if rng is not None:
-        check_count(averages, "averages")
-        if averages < 1:
-            raise ValueError("averages must be an integer >= 1")
+        averages = check_count(averages, "averages", 1)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     mu, var = _marginal_arrays(state, np.cos(thetas), np.sin(thetas))
     # A mean too large to square overflows to inf, raised below as a result.
@@ -298,8 +289,7 @@ def spectrum_trace(
     bad = np.count_nonzero(~np.isfinite(power))
     if bad:
         raise PhysicsError(f"trace power is not finite at {bad} of {n_points} phases")
-    used_averages = None if rng is None else int(averages)
-    return PhaseScanTrace(thetas, 10.0 * np.log10(power), used_averages)
+    return PhaseScanTrace(thetas, 10.0 * np.log10(power), None if rng is None else averages)
 
 
 def sample_record(
@@ -326,9 +316,7 @@ def sample_record(
     finite; the drawing thread has ended when this returns or raises.
     """
     _single_mode(state)
-    check_count(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_count(n_samples, "n_samples", 1)
     values = np.empty(n_samples)  # z, then mu + sqrt(var) z
     starts = range(0, n_samples, _BLOCK)
     drawn = threading.Semaphore(0)  # one release per block of z drawn
@@ -527,10 +515,7 @@ def inverse_radon(
         )
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
-    if not isinstance(filter_cutoff, numbers.Real) or isinstance(filter_cutoff, bool) or not (
-        np.isfinite(filter_cutoff) and filter_cutoff > 0.0
-    ):
-        raise ValueError("filter_cutoff must be positive and finite")
+    filter_cutoff = _as_positive(filter_cutoff, "filter_cutoff")
 
     x = spec.x_axis()
     p = spec.p_axis()
