@@ -373,4 +373,7 @@ def db_from_variance(variance: float, reference: float) -> float:
 def variance_from_db(level_db: float, reference: float) -> float:
     """Inverse of db_from_variance, for a finite level."""
     level_db, reference = _as_finite(level_db, "level_db"), _as_positive(reference, "reference")
-    return reference * 10.0 ** (level_db / 10.0)
+    try:
+        return reference * 10.0 ** (level_db / 10.0)
+    except OverflowError:  # from about 3082.547 dB on; a success pays nothing for the try
+        raise ValueError(f"level_db {level_db} dB overflows a float variance") from None

@@ -224,7 +224,10 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
             return None
         if isinstance(value, (str, bytes)):  # text, which would unpack into characters
             raise ValueError(f"must be numeric, got {value!r}")
-        first, second = value
+        try:
+            first, second = value
+        except (TypeError, ValueError):  # a scalar, or a length other than 2
+            raise ValueError(f"must hold exactly two values, got {value!r}") from None
         return (_finite(_numeric(first)), _finite(_numeric(second)))
 
     def emit(value):
@@ -486,9 +489,14 @@ def run(
         )
     wigner = None
     if include_wigner:
-        spec = GridSpec.from_state(
-            report.output_state, n=config.grid_points, pad=config.grid_pad
-        )
+        try:
+            spec = GridSpec.from_state(
+                report.output_state, n=config.grid_points, pad=config.grid_pad
+            )
+        except PhysicsError:
+            raise
+        except ValueError as exc:  # grid_points is a checked count: the pad overflowed
+            raise ValueError(f"grid_pad: {exc}") from None
         record = sample_record(
             report.output_state,
             config.tomo_samples,

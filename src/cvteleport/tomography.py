@@ -37,7 +37,9 @@ sin come from one table of the first block's angles by angle addition, a few
 ulps from np.cos and np.sin.  A record's thetas are non-decreasing within
 [0, pi), as the sweep's are, so each phase bin is one segment of the record,
 found by searchsorted; the phase counts, the default cutoff and the sinogram
-all read these segments.
+all read these segments.  The sinogram bins a segment's quadratures by
+truncation and compares with the edges only the samples within 1e-6 bins of
+one or outside them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ _BINS_PER_CUTOFF_WAVELENGTH = 5.0
 _FILTER_PAD_FACTOR = 8
 _SUPPORT_PAD_FACTOR = 1.05
 _MAX_QUADRATURE_BINS = 1 << 15
+_EDGE_MARGIN = 1e-6  # bins; see _sinogram
 MIN_COVERAGE_FRACTION = 0.8
 MIN_RECORD_SAMPLES = 1000
 NORMALIZATION_WINDOW = (0.95, 1.05)
@@ -161,10 +164,9 @@ class GridSpec:
     ) -> "GridSpec":
         """Window centered on the state mean, pad standard deviations wide."""
         _single_mode(state)
-        pad = _as_finite(pad, "pad")
-        mx, mp = state.mean
-        sx = float(np.sqrt(state.cov[0, 0]))
-        sp = float(np.sqrt(state.cov[1, 1]))
+        n, pad = check_count(n, "n", 2), _as_finite(pad, "pad")
+        mx, mp = state.mean.tolist()  # Python floats: an overflow is inf, not a warning
+        sx, sp = np.sqrt(np.diag(state.cov)).tolist()
         x_min, x_max = mx - pad * sx, mx + pad * sx
         p_min, p_max = mp - pad * sp, mp + pad * sp
         if pad > 0 and not (x_max > x_min and p_max > p_min):
@@ -172,6 +174,8 @@ class GridSpec:
                 f"a {pad:g}-sd window cannot be resolved at the state's mean "
                 f"({mx:.3g}, {mp:.3g}): it rounds to zero width"
             )
+        if not (x_max - x_min < np.inf and p_max - p_min < np.inf):
+            raise ValueError(f"pad {pad:g} overflows a float window at the state's spread")
         return cls(x_min, x_max, p_min, p_max, n, n)
 
     def x_axis(self) -> np.ndarray:
@@ -392,29 +396,19 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
 
 
 def _upper_edges(edges):
-    """Each bin's upper edge; the last bin is closed: only values past its edge leave it."""
-    return np.append(edges[1:-1], np.nextafter(edges[-1], np.inf))
+    """Each bin's upper edge; the last bin is closed: only values past its edge
+    leave it (none past the largest float, whose next value is inf)."""
+    with np.errstate(over="ignore"):
+        return np.append(edges[1:-1], np.nextafter(edges[-1], np.inf))
 
 
 def _uniform_bin_index(values, edges, upper):
-    """Bin of each value among the uniform ``edges``, as np.histogramdd bins it.
-
-    Bins are half-open, [edges[i], edges[i + 1]), except that a value equal
-    to the last edge falls in the last bin; values below or above the edges
-    map to -1 or n.  The index comes from the uniform spacing and is then
-    corrected by at most one bin against the edges themselves, as
-    np.histogram does for uniform bins, so it matches the searchsorted
-    result exactly.  ``upper`` is _upper_edges(edges).
-    """
-    n = edges.size - 1
-    lo, hi = edges[0], edges[-1]
-    scaled = values - lo
-    scaled *= n / (hi - lo)
-    idx = scaled.astype(np.intp)
-    np.clip(idx, 0, n - 1, out=idx)
-    # Every gathered index is in range, so "clip" only spares take() its bounds check.
-    idx += values >= np.take(upper, idx, out=scaled, mode="clip")
-    idx -= values < np.take(edges, idx, out=scaled, mode="clip")
+    """Bin of each value among the ``edges``, exactly as np.histogramdd bins
+    it, by searchsorted on ``upper`` = _upper_edges(edges): bins are half-open,
+    [edges[i], edges[i + 1]), except that a value equal to the last edge falls
+    in the last bin; values below or above the edges map to -1 or n."""
+    idx = np.searchsorted(upper, values, side="right")
+    idx -= values < edges[0]
     return idx
 
 
@@ -444,18 +438,44 @@ def _record_sigma_min(q, bounds):
 
 
 def _sinogram(q, bounds, q_edges):
-    """Sample count per (phase bin, quadrature bin), as np.histogram2d counts.
+    """Sample count per (phase bin, quadrature bin), as np.histogram2d counts
+    on np.linspace's uniform edges; a sample outside them is left out.
 
-    One bincount per phase segment; a sample outside the quadrature edges is
-    left out (inverse_radon's phase counts still include it).
+    Per phase segment, in reused buffers, a sample's bin is the floor f of
+    s = (v - lo) n_q / (hi - lo).  Up to _MAX_QUADRATURE_BINS bins, s is
+    within about 3e-11 bins of the sample's place among the edges, counting
+    linspace's rounding of them, so f is exact unless s is within
+    _EDGE_MARGIN = 1e-6 bins of an edge, a margin of about 10^4.  Only those
+    samples and those with f outside [0, n_q) are re-binned exactly, by
+    _uniform_bin_index, and all are when the width overflows or the bins are
+    too narrow for normal floats.  Then one bincount per segment.
     """
     n_q = q_edges.size - 1
+    lo, hi = float(q_edges[0]), float(q_edges[-1])
+    width = hi - lo  # a Python float: inf, not a warning, when it overflows
+    scale = n_q / width if np.finfo(float).tiny * n_q <= width < np.inf else np.nan
     upper = _upper_edges(q_edges)
     sinogram = np.empty((bounds.size - 1, n_q), dtype=np.intp)
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        q_bin = _uniform_bin_index(q[lo:hi], q_edges, upper)
-        q_bin += 1  # -1 and n_q, below and above the edges, count outside [1, n_q]
-        sinogram[b] = np.bincount(q_bin, minlength=n_q + 2)[1:-1]
+    size = int(np.diff(bounds).max(initial=0))
+    s, f, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    kept, inside = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf s: f is re-binned
+        for b, (a, z) in enumerate(zip(bounds[:-1], bounds[1:])):
+            m, v = z - a, q[a:z]
+            s_b = np.subtract(v, lo, out=s[:m])
+            s_b *= scale
+            f_b = np.floor(s_b, out=f[:m])
+            q_bin = idx[:m]
+            np.copyto(q_bin, f_b, casting="unsafe")
+            s_b -= f_b  # in [0, 1) for a finite s
+            ok = np.greater_equal(s_b, _EDGE_MARGIN, out=kept[:m])
+            ok &= np.less_equal(s_b, 1.0 - _EDGE_MARGIN, out=inside[:m])
+            ok &= np.less(q_bin.view(np.uintp), n_q, out=inside[:m])  # 0 <= f < n_q
+            if np.count_nonzero(ok) < m:
+                redo = np.flatnonzero(~ok)
+                # -1 and n_q, below and above the edges, both count in bin n_q, left out
+                q_bin[redo] = _uniform_bin_index(v[redo], q_edges, upper) % (n_q + 1)
+            sinogram[b] = np.bincount(q_bin, minlength=n_q + 1)[:n_q]
     return sinogram
 
 
@@ -476,6 +496,37 @@ def _ramp_filter(profiles, dq, cutoff):
     return np.fft.irfft(spectrum, n=n_pad, axis=1)[:, :n_q]
 
 
+def _quadrature_edges(q, spec, cutoff):
+    """inverse_radon's n_q + 1 uniform quadrature edges on [-support, support],
+    n_q odd and about _BINS_PER_CUTOFF_WAVELENGTH per wavelength 2 pi / cutoff;
+    raises for more than _MAX_QUADRATURE_BINS - 1."""
+    x, p = spec.x_axis(), spec.p_axis()
+    corner_radius = max(float(np.hypot(x[i], p[j])) for i in (0, -1) for j in (0, -1))
+    q_abs_max = float(max(q.max(), -q.min()))  # max |q|, without an |q| array
+    support = max(corner_radius, q_abs_max) * _SUPPORT_PAD_FACTOR
+    dq_target = (2.0 * np.pi / cutoff) / _BINS_PER_CUTOFF_WAVELENGTH
+    bins = 2.0 * support / dq_target
+    # ceil(bins) | 1 bins, bounded before int(): NaN and inf fail here too
+    if not bins <= _MAX_QUADRATURE_BINS - 1:
+        raise ValueError(
+            f"filter cutoff {cutoff:.3g} over a window half-width {support:.3g} "
+            f"needs {bins:.3g} quadrature bins (max {_MAX_QUADRATURE_BINS}); "
+            "lower the cutoff or the grid pad"
+        )
+    return np.linspace(-support, support, (int(np.ceil(bins)) | 1) + 1)
+
+
+def _back_project(filtered, angles, q_centers, spec):
+    """The grid of spec: each filtered profile, interpolated along its phase
+    angle, summed over the phases and divided by 2 pi times their number."""
+    X, P = np.meshgrid(spec.x_axis(), spec.p_axis(), indexing="ij")
+    accum = np.zeros_like(X)
+    for row, angle in zip(filtered, angles):
+        u = X * np.cos(angle) + P * np.sin(angle)
+        accum += np.interp(u, q_centers, row, left=0.0, right=0.0)
+    return accum / (2.0 * np.pi * angles.size)
+
+
 def inverse_radon(
     record: QuadratureRecord,
     spec: GridSpec,
@@ -485,12 +536,10 @@ def inverse_radon(
     on the caller's window ``spec`` (GridSpec.from_state of the recorded state).
 
     The record, in phase order within [0, pi), is binned into a sinogram of
-    DEFAULT_THETA_BINS phase bins.  Bin convention: phase and quadrature bins
-    are half-open, [lo, hi), on uniform edges; the phase edges span [0, pi]
-    and the quadrature edges [-support, support], support being 1.05 times
-    the larger of the grid's corner radius and the largest |q| in the record.
-    Each phase bin is one segment of the record, found by searchsorted, and
-    its variance takes pairwise sums (np.add.reduceat) of the segment.
+    DEFAULT_THETA_BINS phase bins, each one segment of the record found by
+    searchsorted.  Phase and quadrature bins are half-open, [lo, hi), on
+    uniform edges spanning [0, pi] and [-support, support], the support 1.05
+    times the larger of the grid's corner radius and the record's max |q|.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
     FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``
@@ -503,11 +552,10 @@ def inverse_radon(
             f"reconstruction needs >= {MIN_RECORD_SAMPLES} samples, "
             f"got {record.n_samples}"
         )
-    n_theta_bins = DEFAULT_THETA_BINS
-    edges = np.linspace(0.0, np.pi, n_theta_bins + 1)
+    edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
     q, bounds = record.values, np.searchsorted(record.thetas, edges)
     counts = np.diff(bounds)
-    coverage = np.count_nonzero(counts) / n_theta_bins
+    coverage = np.count_nonzero(counts) / DEFAULT_THETA_BINS
     if coverage < MIN_COVERAGE_FRACTION:
         raise ValueError(
             f"insufficient phase coverage: {coverage:.0%} of bins populated, "
@@ -516,42 +564,13 @@ def inverse_radon(
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
     filter_cutoff = _as_positive(filter_cutoff, "filter_cutoff")
-
-    x = spec.x_axis()
-    p = spec.p_axis()
-    corner_radius = max(
-        float(np.hypot(x[i], p[j])) for i in (0, -1) for j in (0, -1)
-    )
-    q_abs_max = float(max(q.max(), -q.min()))  # max |q|, without an |q| array
-    support = max(corner_radius, q_abs_max) * _SUPPORT_PAD_FACTOR
-    dq_target = (2.0 * np.pi / filter_cutoff) / _BINS_PER_CUTOFF_WAVELENGTH
-    bins = 2.0 * support / dq_target
-    # ceil(bins) | 1 bins, bounded before int(): NaN and inf fail here too
-    if not bins <= _MAX_QUADRATURE_BINS - 1:
-        raise ValueError(
-            f"filter cutoff {filter_cutoff:.3g} over a window half-width {support:.3g} "
-            f"needs {bins:.3g} quadrature bins (max {_MAX_QUADRATURE_BINS}); "
-            "lower the cutoff or the grid pad"
-        )
-    n_q = int(np.ceil(bins)) | 1
-    q_edges = np.linspace(-support, support, n_q + 1)
-    q_centers = 0.5 * (q_edges[:-1] + q_edges[1:])
-    dq = q_edges[1] - q_edges[0]
-
-    sinogram = _sinogram(q, bounds, q_edges)
+    q_edges = _quadrature_edges(q, spec, filter_cutoff)
+    q_centers, dq = 0.5 * (q_edges[:-1] + q_edges[1:]), q_edges[1] - q_edges[0]
     populated = np.flatnonzero(counts)
-    profiles = sinogram[populated] / (counts[populated, None] * dq)
-
+    profiles = _sinogram(q, bounds, q_edges)[populated] / (counts[populated, None] * dq)
     filtered = _ramp_filter(profiles, dq, filter_cutoff)
-
-    X, P = np.meshgrid(x, p, indexing="ij")
-    accum = np.zeros_like(X)
-    bin_centers = 0.5 * (edges[:-1] + edges[1:])
-    for row, b in enumerate(populated):
-        u = X * np.cos(bin_centers[b]) + P * np.sin(bin_centers[b])
-        accum += np.interp(u, q_centers, filtered[row], left=0.0, right=0.0)
-    values = accum / (2.0 * np.pi * populated.size)
-    return WignerGrid(spec, values)
+    angles = (0.5 * (edges[:-1] + edges[1:]))[populated]
+    return WignerGrid(spec, _back_project(filtered, angles, q_centers, spec))
 
 
 def wigner_moments(grid: WignerGrid) -> WignerMoments:
@@ -571,12 +590,7 @@ def wigner_moments(grid: WignerGrid) -> WignerMoments:
     w = grid.values * (grid.spec.cell_area / norm)
     mx = float((X * w).sum())
     mp = float((P * w).sum())
-    dx = X - mx
-    dp = P - mp
-    cov = np.array(
-        [
-            [(dx * dx * w).sum(), (dx * dp * w).sum()],
-            [(dx * dp * w).sum(), (dp * dp * w).sum()],
-        ]
-    )
+    dx, dp = X - mx, P - mp
+    cxp = (dx * dp * w).sum()
+    cov = np.array([[(dx * dx * w).sum(), cxp], [cxp, (dp * dp * w).sum()]])
     return WignerMoments(np.array([mx, mp]), cov, norm)

@@ -237,11 +237,14 @@ class TestErrorPaths:
              "filter cutoff 1e+308 over a window half-width 7.18 needs inf quadrature bins"),
             (["wigner", "--grid-pad", "1e308"],
              "filter cutoff 11.1 over a window half-width 9.1e+307 needs inf quadrature bins"),
+            # the window's width overflows a float
+            (["wigner", "--grid-pad", "1.7e308"],
+             "grid_pad: pad 1.7e+308 overflows a float window at the state's spread"),
         ],
         ids=["seed-negative", "stages-zero", "stages-not-a-number", "stages-too-many",
              "grid-pad-negative", "cutoff-zero", "cutoff-negative", "n-points-too-many",
              "averages-too-many", "averages-huge", "grid-points-too-many", "cutoff-huge",
-             "grid-pad-huge"],
+             "grid-pad-huge", "grid-pad-overflow"],
     )
     def test_out_of_range_count_flag_exits_2(self, argv, message, tmp_path, capsys):
         code = invoke(*argv, "--out", str(tmp_path))

@@ -33,6 +33,7 @@ from cvteleport import (
     loss,
     output_variances_pure,
     rotate,
+    run,
     sample_record,
     spectrum_trace,
     symplectic_eigenvalues,
@@ -445,6 +446,14 @@ _SPECIFIC_ROWS = [
     (lambda: output_variances_pure("1"), "r must be a number, got '1'"),
     (lambda: GridSpec.from_state(vacuum(1), pad="4"), "pad must be a number, got '4'"),
     (lambda: coherent_state(True), "alpha must be a number, got True"),
+    (lambda: variance_from_db(4000.0, 0.25), "level_db 4000.0 dB overflows a float variance"),
+    # a bound, or only the width, of the window overflows
+    (lambda: GridSpec.from_state(impure_squeezed_vacuum(-3.0, 20.0), pad=1e308),
+     "pad 1e\\+308 overflows a float window at the state's spread"),
+    (lambda: GridSpec.from_state(impure_squeezed_vacuum(-3.0, 3.0), pad=1.5e308),
+     "pad 1.5e\\+308 overflows a float window at the state's spread"),
+    (lambda: run(ExperimentConfig(grid_pad=1.7e308), include_wigner=True),
+     "grid_pad: pad 1.7e\\+308 overflows a float window at the state's spread"),
 ]
 _SPECIFIC_IDS = [
     "vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
@@ -456,6 +465,8 @@ _SPECIFIC_IDS = [
     "calibrate-target-scalar", "squeezed-vacuum-str", "squeezed-vacuum-antisq-str",
     "squeezed-vacuum-bool", "coherent_fidelity-str", "coherent_fidelity-bool",
     "output_variances_pure-str", "GridSpec-pad-str", "coherent_state-bool",
+    "variance_from_db-overflow", "GridSpec-pad-overflow", "GridSpec-pad-width-overflow",
+    "run-grid_pad-overflow",
 ]
 
 # The boundary table: for each public callable of cvteleport (and the
@@ -529,8 +540,9 @@ def _config(field, kind):
                             for k, v in _NON_FINITE.items()}}
     if kind == "number":
         return number
-    unpack = re.escape(f"{field}: ") + ".*unpack.*"
-    return {"three": ((0.5, 0.5, 0.5), unpack), "scalar": (0.5, unpack),
+    shape = {k: (v, re.escape(f"{field}: must hold exactly two values, got {v!r}"))
+             for k, v in {"three": (0.5, 0.5, 0.5), "scalar": 0.5}.items()}
+    return {**shape,
             "text": ("12", re.escape(f"{field}: must be numeric, got '12'")),
             **{f"[0]-{k}": ((v, 0.9), pattern) for k, (v, pattern) in number.items()}}
 
@@ -603,7 +615,7 @@ _BOUNDARY = {
         "n_p": (lambda v: GridSpec(-1, 1, -1, 1, 5, v), _count("n_p", 2)),
     },
     "GridSpec.from_state": {
-        "n": (lambda v: GridSpec.from_state(vacuum(1), n=v), _count("n_x", 2)),
+        "n": (lambda v: GridSpec.from_state(vacuum(1), n=v), _count("n", 2)),
         "pad": (lambda v: GridSpec.from_state(vacuum(1), pad=v), _finite("pad")),
     },
     "spectrum_trace": {

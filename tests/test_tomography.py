@@ -6,6 +6,7 @@ import math
 import os
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -835,6 +836,49 @@ class TestPhaseOrderedBinning:
         idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
         cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(values, bounds)
         assert cutoff == reduceat_cutoff(idx, np.diff(bounds), values)
+
+
+class TestTruncatedBinning:
+    """The sinogram bins by truncation and compares with the edges only the
+    samples near one; its counts must still be np.histogram2d's, on windows
+    shaped like inverse_radon's, for samples on every edge, one ulp either
+    side of each edge and beyond both outer edges."""
+
+    @staticmethod
+    def edge_samples(q_edges, rng):
+        """Every edge, its neighbours one ulp away, values beyond both outer
+        edges and a spread within, shuffled; all finite."""
+        with np.errstate(over="ignore"):  # past the largest float: inf, dropped below
+            near = [q_edges, np.nextafter(q_edges, -np.inf), np.nextafter(q_edges, np.inf)]
+            beyond = [1.5 * q_edges[[0, -1]], [-np.finfo(float).max, np.finfo(float).max]]
+        inner = q_edges[-1] * rng.uniform(-1.0, 1.0, 2000)  # the window is [-support, support]
+        values = np.concatenate(near + beyond + [inner])
+        values = values[np.isfinite(values)]
+        return values[rng.permutation(values.size)]
+
+    def assert_matches_histogram2d(self, q_edges, seed):
+        rng = np.random.default_rng(seed)
+        values = self.edge_samples(q_edges, rng)
+        thetas = np.sort(rng.uniform(0.0, np.pi, values.size))
+        edges = np.linspace(0.0, np.pi, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sinogram = _sinogram(values, np.searchsorted(thetas, edges), q_edges)
+            expected, _, _ = np.histogram2d(thetas, values, bins=[edges, q_edges])
+        assert np.array_equal(sinogram, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(support=st.floats(1e-300, 1e300),
+           half=st.integers(0, (tomography._MAX_QUADRATURE_BINS - 2) // 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_histogram2d_at_every_edge(self, support, half, seed):
+        self.assert_matches_histogram2d(np.linspace(-support, support, 2 * half + 2), seed)
+
+    @pytest.mark.parametrize("support", [1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("n_q", [3, 235, tomography._MAX_QUADRATURE_BINS - 1])
+    def test_a_window_whose_width_overflows_is_binned_exactly(self, support, n_q):
+        # np.linspace(-support, support) itself overflows; these edges do not
+        self.assert_matches_histogram2d(support * np.linspace(-1.0, 1.0, n_q + 1), n_q)
 
 
 class TestWignerMoments:
