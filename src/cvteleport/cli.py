@@ -5,11 +5,12 @@ verbs (run, trace, wigner, cascade) take a flag for every [run] and
 [teleporter] config key; trace adds the [trace] keys and wigner the
 [tomography] keys.  A flag is its config key with "_" turned into "-"; pair
 keys take two values.  These flags, calibrate's pair flags and cascade's
---stages are built from the harness's field tables and parsed and checked
-exactly like config text, so a non-finite or out-of-range number is a config
-error; a value that reads as a number, such as -1e-3 or -inf, is never taken
-for an option.  Precedence is built-in defaults < config file < flags.  The
-output directory resolves as --out, then [output] dir, then the
+--stages are built from the harness's field tables.  A flag's value is read
+from its text and checked by its kind's one rule, as config text and
+ExperimentConfig values are, so a non-finite or out-of-range number is a
+config error; a value that reads as a number, such as -1e-3 or -inf, is
+never taken for an option.  Precedence is built-in defaults < config file <
+flags.  The output directory resolves as --out, then [output] dir, then the
 CVTELEPORT_OUTDIR environment variable, then the working directory.  Each
 verb computes, builds its files in memory, writes them with
 ``harness.write_files`` and only then prints, so a failed run makes no
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_values(args: argparse.Namespace, fields) -> dict:
-    """The given flags of ``fields``, parsed like config text, by attribute."""
+    """The given flags of ``fields``, read and checked like config text, by attribute."""
     values = {}
     for field in fields:
         value = getattr(args, field.key, None)
@@ -124,9 +125,9 @@ def _flag_values(args: argparse.Namespace, fields) -> dict:
             continue
         if isinstance(value, list):  # the two values of a pair flag
             value = " ".join(value)
-        try:
-            values[field.attr] = (
-                value if isinstance(value, bool) else field.kind.parse(value)
+        try:  # a BooleanOptionalAction flag is already a bool
+            values[field.attr] = field.kind.check(
+                value if isinstance(value, bool) else field.kind.read(value)
             )
         except ValueError as exc:
             raise ConfigError(f"[{field.section}] {field.key} ({field.flag}): {exc}") from exc

@@ -371,9 +371,12 @@ def db_from_variance(variance: float, reference: float) -> float:
 
 
 def variance_from_db(level_db: float, reference: float) -> float:
-    """Inverse of db_from_variance, for a finite level."""
+    """Inverse of db_from_variance, for a finite level and a finite result."""
     level_db, reference = _as_finite(level_db, "level_db"), _as_positive(reference, "reference")
     try:
-        return reference * 10.0 ** (level_db / 10.0)
-    except OverflowError:  # from about 3082.547 dB on; a success pays nothing for the try
-        raise ValueError(f"level_db {level_db} dB overflows a float variance") from None
+        variance = reference * 10.0 ** (level_db / 10.0)
+    except OverflowError:  # the power, from about 3082.547 dB on
+        variance = math.inf
+    if variance == math.inf:  # the power, or its product with the reference
+        raise ValueError(f"level_db {level_db} dB overflows a float variance")
+    return variance

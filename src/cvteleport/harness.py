@@ -40,10 +40,11 @@ Input keys not used by the selected scenario are accepted and ignored, so a
 config stays valid when only the scenario changes.  Numbers must be finite.
 
 Every key but ``[output] dir`` (``--out``) is also a command-line flag: the
-key with ``_`` turned into ``-``, pair keys taking two values.  Flags, config
-text and values passed to ExperimentConfig share one set of checks, all
-generated from the config table ``CONFIG_FIELDS``, which the fields of
-ExperimentConfig declare together with their defaults.
+key with ``_`` turned into ``-``, pair keys taking two values.  Config text
+and flags are read (syntax only), and every value, also one passed to
+ExperimentConfig, is checked by its kind's one rule, all from the config
+table ``CONFIG_FIELDS``, which the fields of ExperimentConfig declare together
+with their defaults.
 
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
@@ -145,13 +146,6 @@ class ConfigError(ValueError):
     """Invalid configuration text or values; maps to exit code 2."""
 
 
-def _finite(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
 def _numeric(value):
     """``value`` if the library takes it for a number (`gaussian._as_float`)."""
     try:
@@ -161,29 +155,11 @@ def _numeric(value):
     return value
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _coerce_bool(value) -> bool:
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError("must be a boolean")
-    return bool(value)
-
-
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.replace(",", " ").split()
-    values = tuple(_finite(p) for p in parts)
-    if len(values) == 1:
-        return (values[0], values[0])
-    if len(values) == 2:
-        return values
-    raise ValueError(f"expected one or two numbers, got {text!r}")
+def _finite(value) -> float:
+    value = float(_numeric(value))
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _positive(value) -> float:
@@ -193,33 +169,56 @@ def _positive(value) -> float:
     return value
 
 
+def _read_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+def _check_bool(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError("must be a boolean")
+    return bool(value)
+
+
+def _read_pair(text: str) -> tuple[float, float]:
+    values = tuple(map(float, text.replace(",", " ").split()))
+    if len(values) == 1:  # one value applies to both
+        return values * 2
+    if len(values) != 2:
+        raise ValueError(f"expected one or two numbers, got {text!r}")
+    return values
+
+
 class _Kind(NamedTuple):
     """How one kind of config value is read, checked and written.
 
-    ``parse`` turns config text or a flag value into a checked value;
-    ``coerce`` checks and normalizes a value given to ExperimentConfig
-    directly; ``emit`` writes its canonical text, None leaving the key out.
+    ``read`` turns config text or a flag value into a Python value (syntax
+    only); ``check`` is the kind's one rule, which every value meets whatever
+    its source (config text, a flag or ExperimentConfig) and which returns it
+    normalized; ``emit`` writes its canonical text, None leaving the key out.
     ``flag_options`` holds the argparse options of the matching command-line flag.
     """
 
-    parse: Callable[[str], Any]
-    coerce: Callable[[Any], Any]
+    read: Callable[[str], Any]
+    check: Callable[[Any], Any]
     emit: Callable[[Any], str | None]
     flag_options: dict = {}
 
 
 def _choice(options: tuple[str, ...]) -> _Kind:
-    def parse(value) -> str:
+    def check(value) -> str:
         text = str(value).strip().lower()
         if text not in options:
             raise ValueError(f"expected one of {', '.join(options)}; got {value!r}")
         return text
 
-    return _Kind(parse, parse, str, {"choices": options})
+    return _Kind(str, check, str, {"choices": options})
 
 
 def _pair(unit: str, optional: bool = False) -> _Kind:
-    def coerce(value):
+    def check(value):
         if optional and value is None:
             return None
         if isinstance(value, (str, bytes)):  # text, which would unpack into characters
@@ -228,45 +227,42 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
             first, second = value
         except (TypeError, ValueError):  # a scalar, or a length other than 2
             raise ValueError(f"must hold exactly two values, got {value!r}") from None
-        return (_finite(_numeric(first)), _finite(_numeric(second)))
+        return (_finite(first), _finite(second))
 
     def emit(value):
         return None if value is None else f"{value[0]!r} {value[1]!r}"
 
-    return _Kind(_parse_pair, coerce, emit, {"nargs": 2, "metavar": (f"{unit}1", f"{unit}2")})
+    return _Kind(_read_pair, check, emit, {"nargs": 2, "metavar": (f"{unit}1", f"{unit}2")})
 
 
 def _count(minimum: int, maximum: int | None = None) -> _Kind:
     """An integer kind bounded below and, optionally, above."""
 
-    def parse(value) -> int:
-        value = int(value)
-        if value < minimum:
+    def check(value) -> int:
+        # an int meets its bounds before anything converts it to a float
+        count = int(value if type(value) is int else _numeric(value))
+        if count < minimum:
             raise ValueError(f"must be >= {minimum}")
-        if maximum is not None and value > maximum:
+        if maximum is not None and count > maximum:
             raise ValueError(f"must be <= {maximum}")
-        return value
-
-    def coerce(value) -> int:
-        count = parse(_numeric(value))
-        try:  # parse's bounds passed, so only an integer's type can fail here
+        try:  # the bounds passed, so only an integer's type can fail here
             check_count(value, "value")
         except ValueError:
             raise ValueError("must be an integer") from None
         return count
 
-    return _Kind(parse, coerce, str)
+    return _Kind(int, check, str)
 
 
-_FLOAT = _Kind(_finite, lambda value: _finite(_numeric(value)), repr)
-_POSITIVE = _Kind(_positive, lambda value: _positive(_numeric(value)), repr)
+_FLOAT = _Kind(float, _finite, repr)
+_POSITIVE = _Kind(float, _positive, repr)
 _BOOL = _Kind(
-    _parse_bool, _coerce_bool, lambda value: "true" if value else "false",
+    _read_bool, _check_bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
 )
 _CUTOFF = _Kind(
-    lambda text: None if text.strip().lower() == "auto" else _positive(text),
-    lambda value: None if value is None else _positive(_numeric(value)),
+    lambda text: None if text.strip().lower() == "auto" else float(text),
+    lambda value: None if value is None else _positive(value),
     lambda value: "auto" if value is None else repr(value),
 )
 _STR = _Kind(str, lambda value: None if value is None else str(value), lambda value: value)
@@ -306,7 +302,7 @@ class ExperimentConfig:
 
     Each field is one config key, declared with ``_key``; in declaration
     order the fields are the config table ``CONFIG_FIELDS``, from which
-    ExperimentConfig coerces its fields, parse_config reads, emit_config
+    ExperimentConfig checks its fields, parse_config reads, emit_config
     writes and the CLI builds its flags.  The teleporter, trace and
     tomography defaults are those of TeleporterParams and `tomography`.
     """
@@ -346,7 +342,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for field in CONFIG_FIELDS:
             try:
-                value = field.kind.coerce(getattr(self, field.attr))
+                value = field.kind.check(getattr(self, field.attr))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{field.attr}: {exc}") from exc
             object.__setattr__(self, field.attr, value)
@@ -436,7 +432,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if field is None:
                 raise _config_error(text, name, key, "unknown key")
             try:
-                kwargs[field.attr] = field.kind.parse(raw)
+                kwargs[field.attr] = field.kind.check(field.kind.read(raw))
             except ValueError as exc:
                 raise _config_error(text, name, key, str(exc)) from exc
     try:

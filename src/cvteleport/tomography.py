@@ -154,6 +154,9 @@ class GridSpec:
             object.__setattr__(self, name, check_count(getattr(self, name), name, 2))
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError("grid window must have positive extent")
+        for axis, low, high in (("x", self.x_min, self.x_max), ("p", self.p_min, self.p_max)):
+            if high - low == np.inf:
+                raise ValueError(f"grid {axis} window [{low:g}, {high:g}] overflows a float width")
 
     @classmethod
     def from_state(

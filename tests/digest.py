@@ -16,7 +16,12 @@ of every result, class by class:
   1e200, levels up to 60 dB and ``eta_hom`` down to 1e-6 through
   teleport_analytic with its sideband verdict, a 16-stage unity-gain cascade
   and calibrate_losses, with warnings as errors; a call that raises adds its
-  exception type and message to ``extreme_errors``.
+  exception type and message to ``extreme_errors``;
+* ``config_values`` and ``config_errors``: every key of the config, calibrate
+  and cascade field tables read from each text of ``CONFIG_TEXTS`` (by
+  parse_config, or by the CLI's flag reader for the verb-only keys), and
+  every ExperimentConfig field given each value of ``CONFIG_VALUES``; a case
+  feeds the value it sets, or its exception type and message.
 
 Floats are hashed as their IEEE bytes, so a one-ulp move changes the class
 it belongs to and no other.  ``tests/golden/digest.json`` holds the full
@@ -34,6 +39,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import json
 import struct
@@ -51,12 +58,12 @@ sys.path.insert(0, str(ROOT / "cvbench"))
 import workloads  # noqa: E402
 
 import cvteleport  # noqa: E402
-from cvteleport import tomography  # noqa: E402
+from cvteleport import cli, harness, tomography  # noqa: E402
 
 CLASSES = (
     "reports", "sideband_verdicts", "cascades", "calibrations", "mc_moments",
     "tomo_states", "records", "sinograms", "grids", "moments",
-    "extreme_results", "extreme_errors",
+    "extreme_results", "extreme_errors", "config_values", "config_errors",
 )
 # (sweep, mc and tomo seeds, tomo operations per pool, extreme points)
 FULL = {"sweep": [2601, 2901, 2902], "mc": [2991, 2992, 2993], "tomo": [2991, 2992, 2993],
@@ -64,6 +71,22 @@ FULL = {"sweep": [2601, 2901, 2902], "mc": [2991, 2992, 2993], "tomo": [2991, 29
 SUBSET = {"sweep": [2601], "mc": [2991], "tomo": [2991], "tomo_ops": 3,
           "extreme_points": 200, "extreme_seed": 30}
 EXTREME_STAGES = 16
+# Raw texts of a config key or flag, and Python values of an ExperimentConfig
+# field: numbers in and out of range and of float range, pairs, words and
+# types that no kind takes.
+CONFIG_TEXTS = (
+    "1", "0", "-1", "2.5", " 7 ", "1_000", "-1e-3", "1e5", "20000001", "abc", "nan", "inf",
+    "-inf", "1e400", "1" + "0" * 399, "-" + "1" * 400, "1 2", "1,2", "-5 -6", "1 2 3",
+    "inf 2 3", "nan 1", "1 abc", "auto", "AUTO", "yes", "Off", "true", "maybe", "mc",
+    "Squeezed_X", "",
+)
+CONFIG_VALUES = (
+    True, False, np.bool_(True), "1", b"1", None, 1, 0, -1, 2.5, -0.5, float("nan"),
+    float("inf"), 1e30, 10**400, -(10**400), np.float32(0.5), np.int64(5), 1 + 2j,
+    fractions.Fraction(3, 1), decimal.Decimal("0.5"), (1, 2, 3), (1, 2), (0.5, 0.25),
+    [0.5, 1], (float("nan"), 1.0), (1, "2"), (10**400, 1), np.array([0.5, 0.5]), "auto",
+    "coherent", "MC",
+)
 
 
 class Digest:
@@ -216,6 +239,33 @@ def _extremes(digest, plan):
         _attempt(digest, lambda: cvteleport.calibrate_losses(target, source))
 
 
+def _config_case(digest, case, call):
+    """``case`` and ``call()``'s value for ``config_values``, or ``case`` and
+    its error for ``config_errors``."""
+    try:
+        value = call()
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        digest.feed("config_errors", (case, f"{type(exc).__name__}: {exc}"))
+        return
+    digest.feed("config_values", (case, value))
+
+
+def _configs(digest):
+    for field in harness.CONFIG_FIELDS:
+        for text in CONFIG_TEXTS:
+            config_text = f"[{field.section}]\n{field.key} = {text}\n"
+            _config_case(digest, (field.key, text),
+                         lambda: getattr(harness.parse_config(config_text), field.attr))
+        for value in CONFIG_VALUES:
+            _config_case(digest, (field.attr, repr(value)),
+                         lambda: getattr(harness.ExperimentConfig(**{field.attr: value}), field.attr))
+    for field in harness.CALIBRATION_FIELDS + harness.CASCADE_FIELDS:
+        for text in CONFIG_TEXTS:
+            args = argparse.Namespace(**{field.key: text})
+            _config_case(digest, (field.key, text),
+                         lambda: cli._flag_values(args, [field])[field.attr])
+
+
 def compute(plan):
     """The digest of ``plan`` (FULL or SUBSET): {class: sha256 hex}."""
     digest = Digest()
@@ -223,6 +273,7 @@ def compute(plan):
         warnings.simplefilter("error")
         _pools(digest, plan)
         _extremes(digest, plan)
+        _configs(digest)
     return digest.hexdigests()
 
 

@@ -38,6 +38,11 @@ class TestRunVerb:
         assert "scenario = vacuum" in payload["config_text"]
         assert payload["provenance"]["seed"] == 9
 
+    def test_seed_above_float_range_is_accepted(self, tmp_path):
+        seed = 10**400
+        assert invoke("run", "--seed", str(seed), "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["provenance"]["seed"] == seed
+
     def test_mc_method_reports_shots(self, tmp_path):
         code = invoke(
             "run", "--method", "mc", "--shots", "5000", "--out", str(tmp_path)

@@ -447,6 +447,8 @@ _SPECIFIC_ROWS = [
     (lambda: GridSpec.from_state(vacuum(1), pad="4"), "pad must be a number, got '4'"),
     (lambda: coherent_state(True), "alpha must be a number, got True"),
     (lambda: variance_from_db(4000.0, 0.25), "level_db 4000.0 dB overflows a float variance"),
+    # the power is finite, its product with the reference is not
+    (lambda: variance_from_db(3000.0, 1e10), "level_db 3000.0 dB overflows a float variance"),
     # a bound, or only the width, of the window overflows
     (lambda: GridSpec.from_state(impure_squeezed_vacuum(-3.0, 20.0), pad=1e308),
      "pad 1e\\+308 overflows a float window at the state's spread"),
@@ -454,6 +456,11 @@ _SPECIFIC_ROWS = [
      "pad 1.5e\\+308 overflows a float window at the state's spread"),
     (lambda: run(ExperimentConfig(grid_pad=1.7e308), include_wigner=True),
      "grid_pad: pad 1.7e\\+308 overflows a float window at the state's spread"),
+    # finite bounds whose width overflows, on either axis
+    (lambda: GridSpec(-1e308, 1e308, -1, 1),
+     r"grid x window \[-1e\+308, 1e\+308\] overflows a float width"),
+    (lambda: GridSpec(-1, 1, -1e308, 1e308),
+     r"grid p window \[-1e\+308, 1e\+308\] overflows a float width"),
 ]
 _SPECIFIC_IDS = [
     "vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
@@ -465,8 +472,9 @@ _SPECIFIC_IDS = [
     "calibrate-target-scalar", "squeezed-vacuum-str", "squeezed-vacuum-antisq-str",
     "squeezed-vacuum-bool", "coherent_fidelity-str", "coherent_fidelity-bool",
     "output_variances_pure-str", "GridSpec-pad-str", "coherent_state-bool",
-    "variance_from_db-overflow", "GridSpec-pad-overflow", "GridSpec-pad-width-overflow",
-    "run-grid_pad-overflow",
+    "variance_from_db-overflow", "variance_from_db-product-overflow", "GridSpec-pad-overflow",
+    "GridSpec-pad-width-overflow", "run-grid_pad-overflow", "GridSpec-x-width-overflow",
+    "GridSpec-p-width-overflow",
 ]
 
 # The boundary table: for each public callable of cvteleport (and the

@@ -5,11 +5,13 @@ import dataclasses
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_report_holds
+from digest import CONFIG_TEXTS
 
 from cvteleport import gaussian, harness, teleporter
 from cvteleport.gaussian import PhysicsError, beamsplitter, coherent_state, vacuum
@@ -215,6 +217,37 @@ class TestExperimentConfig:
         assert params.g_x == 0.9
         assert params.eta_hom == 0.95
         assert params.seed == 11
+
+    @pytest.mark.parametrize(
+        "text", CONFIG_TEXTS, ids=lambda text: text[:12] + (f"..({len(text)})" if text[12:] else "")
+    )
+    @pytest.mark.parametrize("field", harness.CONFIG_FIELDS, ids=lambda field: field.key)
+    def test_each_kind_has_one_rule(self, field, text):
+        """Config text and ExperimentConfig given what the text reads as reach
+        the same value or message: the kind's one check judges both."""
+
+        def outcome(call, prefix):
+            try:
+                return call()
+            except ValueError as exc:
+                return re.sub(prefix, "", str(exc), count=1)
+
+        config_text = f"[{field.section}]\n{field.key} = {text}\n"
+        from_text = outcome(lambda: getattr(parse_config(config_text), field.attr),
+                            r"^\[\w+\] \w+ \(line \d+\): ")
+        try:
+            value = field.kind.read(text.strip())  # as configparser stores it
+        except ValueError as exc:  # syntax: no value to give ExperimentConfig
+            assert from_text == str(exc)
+            return
+        from_value = outcome(lambda: getattr(ExperimentConfig(**{field.attr: value}), field.attr),
+                             f"^{field.attr}: ")
+        assert from_text == from_value
+
+    def test_seed_above_float_range_is_entropy(self):
+        seed = 10**400  # SeedSequence takes any non-negative int
+        assert parse_config(f"[run]\nseed = {seed}\n").seed == seed
+        assert run(ExperimentConfig(seed=seed, method="mc", shots=100)).provenance["seed"] == seed
 
 
 class TestRun:

@@ -629,6 +629,12 @@ def test_params_validation():
     assert pure.epr_antisq_db == (6.0, 4.0)
 
 
+def test_params_eta_hom_floor_is_one_millionth():
+    assert TeleporterParams(input_state=vacuum(1), eta_hom=1e-6).eta_hom == 1e-6
+    with pytest.raises(ValueError, match="^eta_hom too small to compensate electronically$"):
+        TeleporterParams(input_state=vacuum(1), eta_hom=float(np.nextafter(1e-6, 0.0)))
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda n: teleport_mc(coherent_params(), n), "shots"),
     (lambda n: cascade(coherent_params(), n), "n_stages"),

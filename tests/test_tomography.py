@@ -785,12 +785,21 @@ class TestFilterAndCutoffAccuracy:
         (10**6, teleported_squeezed().output_state),
         (200_000, coherent_state(1.5 + 0.5j)),
         (50_000, impure_squeezed_vacuum(-6.0, 6.0)),
-    ], ids=["teleported-1M", "coherent", "squeezed"])
+        # 16-17 samples a bin, under the floor of 20: every bin of 2 or more counts
+        (1000, vacuum(1)),
+    ], ids=["teleported-1M", "coherent", "squeezed", "vacuum-1000"])
     def test_sigma_min_matches_fsum(self, n, state):
         record = sample_record(state, n, np.random.default_rng(n))
         q, bounds = record.values, np.searchsorted(record.thetas, np.linspace(0.0, np.pi, 61))
         expected = fsum_sigma_min(q, bounds)
         assert _record_sigma_min(q, bounds) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_zero_variance_phase_bin_is_physics_error(self, rng):
+        values = rng.normal(0.0, 0.5, 2000)
+        values[:40] = 0.5  # the first phase bin's 34 samples are equal
+        record = QuadratureRecord(np.linspace(0.0, np.pi, 2000, endpoint=False), values)
+        with pytest.raises(PhysicsError, match="^record has a zero-variance phase bin$"):
+            inverse_radon(record, GridSpec.from_state(vacuum(1)))
 
 
 class TestPhaseOrderedBinning:
