@@ -13,8 +13,9 @@ Conventions
   1/4 for single quadratures, 1/2 for two-mode sum/difference combinations.
 * The package reads each scalar argument with one checker per class, which
   raises ValueError naming it.  A number (`_as_float`) is a numbers.Real but
-  not a bool, read as a float; `_as_finite` and `_as_positive` also require
-  it finite, or finite and > 0.  A count (`check_count`) is a
+  not a bool, read as a float, an integer beyond float range as +-inf (as
+  its decimal text reads); `_as_finite` and `_as_positive` also require it
+  finite, or finite and > 0.  A count (`check_count`) is a
   numbers.Integral but not a bool, >= a minimum, read as an int.  A fraction
   (`check_fraction`) is a number in [0, 1]; a pair (`_as_pair`), two numbers.
 """
@@ -168,7 +169,10 @@ def coherent_state(alpha: complex) -> GaussianState:
     number = type(alpha) is complex or isinstance(alpha, numbers.Complex)
     if not number or isinstance(alpha, bool):
         raise ValueError(f"alpha must be a number, got {alpha!r}")
-    alpha = complex(alpha)
+    try:
+        alpha = complex(alpha)
+    except OverflowError:  # an integer beyond float range
+        alpha = complex(_as_float(alpha, "alpha"))
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"alpha must be finite, got {alpha}")
     return _own(np.array([alpha.real, alpha.imag]), _VACUUM_COV.copy())
@@ -220,7 +224,10 @@ def _as_float(value, label: str) -> float:
     if type(value) is float:
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range, read as its decimal text is
+            return math.inf if value > 0 else -math.inf
     raise ValueError(f"{label} must be a number, got {value!r}")
 
 
@@ -254,7 +261,7 @@ def check_fraction(value: float, label: str) -> float:
     """``value``, an efficiency or transmittance, as a fraction (module docstring)."""
     fraction = value if type(value) is float else _as_float(value, label)
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
+        raise ValueError(f"{label} must lie in [0, 1], got {fraction!r}")
     return fraction
 
 
@@ -367,7 +374,7 @@ def db_from_variance(variance: float, reference: float) -> float:
     """Noise level in dB of a variance relative to an explicit reference;
     both must be positive and finite."""
     variance, reference = _as_positive(variance, "variance"), _as_positive(reference, "reference")
-    return 10.0 * np.log10(variance / reference)
+    return float(10.0 * np.log10(variance / reference))
 
 
 def variance_from_db(level_db: float, reference: float) -> float:

@@ -38,6 +38,9 @@ comments; unknown sections or keys are rejected with a line number):
 
 Input keys not used by the selected scenario are accepted and ignored, so a
 config stays valid when only the scenario changes.  Numbers must be finite.
+They take Python's literal grammar, ``_`` separators included, so
+``shots = 1_000`` is 1000.  A float or pair key given an integer beyond
+float range, as text or as a Python int, reads it as an infinity.
 
 Every key but ``[output] dir`` (``--out``) is also a command-line flag: the
 key with ``_`` turned into ``-``, pair keys taking two values.  Config text
@@ -49,6 +52,10 @@ with their defaults.
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
 2: tomography record), so each artifact is individually reproducible.
+
+Records: a record whose constructor enforces a rule (ExperimentConfig) is a
+frozen dataclass; the others (RunResult, CalibrationResult, ReproRow) are
+named tuples, so ``result._replace(...)`` derives a changed record.
 
 Reports: ``report_json``'s one encoder ``_plain`` turns states, dataclasses,
 named tuples and arrays into JSON objects and lists, so each field of a
@@ -146,17 +153,16 @@ class ConfigError(ValueError):
     """Invalid configuration text or values; maps to exit code 2."""
 
 
-def _numeric(value):
-    """``value`` if the library takes it for a number (`gaussian._as_float`)."""
+def _numeric(value) -> float:
+    """``value`` read as a float by the library's number rule (`gaussian._as_float`)."""
     try:
-        _as_float(value, "value")
+        return _as_float(value, "value")
     except ValueError:
         raise ValueError(f"must be numeric, got {value!r}") from None
-    return value
 
 
 def _finite(value) -> float:
-    value = float(_numeric(value))
+    value = _numeric(value)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
@@ -239,8 +245,9 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
     """An integer kind bounded below and, optionally, above."""
 
     def check(value) -> int:
-        # an int meets its bounds before anything converts it to a float
-        count = int(value if type(value) is int else _numeric(value))
+        if type(value) is not int:
+            _numeric(value)  # refuses a non-number, such as "12", before int() reads it
+        count = int(value)  # the value itself, not its float, meets the bounds
         if count < minimum:
             raise ValueError(f"must be >= {minimum}")
         if maximum is not None and count > maximum:
@@ -453,8 +460,7 @@ def emit_config(config: ExperimentConfig) -> str:
     return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One scenario execution: report plus optional measurement artifacts."""
 
     config: ExperimentConfig
@@ -684,8 +690,7 @@ def benchmark_config(scenario: str = "coherent") -> ExperimentConfig:
 
 # --- reference reproduction -------------------------------------------------
 
-@dataclass(frozen=True)
-class ReproRow:
+class ReproRow(NamedTuple):
     criterion: int
     quantity: str
     reference: str

@@ -7,7 +7,6 @@ in the harness covers the same ground through the CLI path; the two are
 deliberately independent implementations.
 """
 
-import dataclasses
 import sys
 import time
 
@@ -151,7 +150,7 @@ def test_criterion_08_fails_on_nan_moments(monkeypatch):
         report = teleport_analytic(params)
         mean = report.output_state.mean
         nan_state = gaussian._own(mean.copy(), np.full((2, 2), np.nan))
-        return dataclasses.replace(report, output_state=nan_state)
+        return report._replace(output_state=nan_state)
 
     monkeypatch.setattr(sys.modules[__name__], "teleport_mc", nan_mc)
     with pytest.raises(AssertionError):

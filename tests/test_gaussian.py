@@ -7,6 +7,7 @@ loss channel.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import re
@@ -485,6 +486,8 @@ _NAN, _INF = float("nan"), float("inf")
 _NOT_NUMBERS = {"bool": True, "str": "1", "bytes": b"1", "None": None,
                 "complex": np.complex128(1 + 5j)}
 _NON_FINITE = {"nan": _NAN, "inf": _INF, "-inf": -_INF}
+# integers beyond float range and the infinity each reads as
+_HUGE = {"huge": (10**400, _INF), "-huge": (-(10**400), -_INF)}
 
 
 def _count(label, minimum=0):
@@ -495,10 +498,12 @@ def _count(label, minimum=0):
 
 
 def _number(label, non_finite):
-    """A real argument; ``non_finite(value)`` is the pattern NaN and +-inf raise."""
+    """A real argument; ``non_finite(value)`` is the pattern NaN and +-inf raise,
+    also when an integer beyond float range reads as +-inf."""
     rows = {kind: (v, re.escape(f"{label} must be a number, got {v!r}"))
             for kind, v in _NOT_NUMBERS.items()}
     rows.update({kind: (v, non_finite(v)) for kind, v in _NON_FINITE.items()})
+    rows.update({kind: (v, non_finite(read)) for kind, (v, read) in _HUGE.items()})
     return rows
 
 
@@ -544,8 +549,9 @@ def _config(field, kind):
                 "nan": (_NAN, re.escape(f"{field}: cannot convert float NaN to integer")),
                 "inf": (_INF, re.escape(f"{field}: cannot convert float infinity to integer")),
                 "-inf": (-_INF, re.escape(f"{field}: cannot convert float infinity to integer"))}
+    non_finite = {**_NON_FINITE, **{k: v for k, (v, _) in _HUGE.items()}}
     number = {**numeric, **{k: (v, re.escape(f"{field}: must be finite"))
-                            for k, v in _NON_FINITE.items()}}
+                            for k, v in non_finite.items()}}
     if kind == "number":
         return number
     shape = {k: (v, re.escape(f"{field}: must hold exactly two values, got {v!r}"))
@@ -695,6 +701,22 @@ def test_boundary_table_covers_every_public_callable_with_arguments():
         if arguments:
             parameters = inspect.signature(_public_callable(name)).parameters
             assert set(arguments) <= set(parameters), name
+
+
+def test_records_follow_one_rule():
+    """A public record whose constructor enforces a rule is a frozen
+    dataclass with a ``__post_init__``; every other one is a named tuple."""
+    classes = {name: obj for name, obj in vars(cvteleport).items()
+               if isinstance(obj, type) and not name.startswith("_")}
+    records = {name: cls for name, cls in classes.items()
+               if not issubclass(cls, Exception) and cls is not GaussianState}
+    assert len(records) == 15
+    for name, cls in records.items():
+        if dataclasses.is_dataclass(cls):
+            assert "__post_init__" in vars(cls), name
+            assert cls.__dataclass_params__.frozen, name
+        else:
+            assert issubclass(cls, tuple) and hasattr(cls, "_fields"), name
 
 
 def test_numpy_integer_modes_are_counts():

@@ -1,7 +1,6 @@
 """Tests for config parsing, scenario runs, serialization, and calibration."""
 
 import ast
-import dataclasses
 import errno
 import json
 import os
@@ -244,6 +243,25 @@ class TestExperimentConfig:
                              f"^{field.attr}: ")
         assert from_text == from_value
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["huge", "-huge"])
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in harness.CONFIG_FIELDS
+         if f.kind.read in (float, harness._read_pair) or f.kind is harness._CUTOFF],
+        ids=lambda field: field.key,
+    )
+    def test_int_beyond_float_range_reads_as_its_text(self, field, huge):
+        """ExperimentConfig given an int beyond float range reaches the
+        outcome of the int's text: both read as an infinity."""
+        pair = field.kind.read is harness._read_pair
+        text = f"{huge} {huge}" if pair else str(huge)
+        with pytest.raises(ConfigError) as from_text:
+            parse_config(f"[{field.section}]\n{field.key} = {text}\n")
+        with pytest.raises(ValueError) as from_value:
+            ExperimentConfig(**{field.attr: (huge, huge) if pair else huge})
+        assert str(from_text.value) == f"[{field.section}] {field.key} (line 2): must be finite"
+        assert str(from_value.value) == f"{field.attr}: must be finite"
+
     def test_seed_above_float_range_is_entropy(self):
         seed = 10**400  # SeedSequence takes any non-negative int
         assert parse_config(f"[run]\nseed = {seed}\n").seed == seed
@@ -332,7 +350,7 @@ class TestSerialization:
         with pytest.raises(PhysicsError, match="^not writing report.json"):
             report_json({"cascade": [{"vx": bad}]})
         result = run(ExperimentConfig(seed=8))
-        leaky = dataclasses.replace(result, provenance={**result.provenance, "seed": bad})
+        leaky = result._replace(provenance={**result.provenance, "seed": bad})
         with pytest.raises(PhysicsError, match="^not writing report.json"):
             write_files(tmp_path, scenario_files(leaky))
         assert list(tmp_path.iterdir()) == []
@@ -564,7 +582,7 @@ class TestMcSigmaGate:
             report = teleport_analytic(params)
             nan_cov = np.full((2, 2), np.nan)
             output = gaussian._own(report.output_state.mean.copy(), nan_cov)
-            return dataclasses.replace(report, output_state=output)
+            return report._replace(output_state=output)
 
         monkeypatch.setattr(harness, "teleport_mc", nan_mc)
         sigma = _mc_max_sigma(self.PARAMS, 100_000, 814)

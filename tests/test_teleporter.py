@@ -573,6 +573,32 @@ def test_params_store_python_floats():
     assert held.eta_source is pair and held.g_x is gain
 
 
+def _floats(record):
+    """Every float a record holds, its nested records and pairs included."""
+    for value in record:
+        if isinstance(value, tuple):
+            yield from _floats(value)
+        elif isinstance(value, (float, np.floating)):
+            yield value
+
+
+def test_records_hold_python_floats_not_numpy_scalars():
+    params = coherent_params(g_x=0.9, eta_prop=(0.9, 0.8), eta_hom=0.95)
+    unity = coherent_params(eta_source=(0.9, 0.8))
+    records = {
+        "analytic": teleport_analytic(unity),  # its fidelity_coherent is a float
+        "analytic, non-unity gain": teleport_analytic(params),
+        "monte_carlo": teleport_mc(params, 1000),
+        "cascade stage": cascade(unity, 2)[-1],
+        "calibration": calibrate_losses((-5.6, -5.5)),
+    }
+    counts = {name: [type(v) for v in _floats(record)] for name, record in records.items()}
+    # vx, vp, vx_db, vp_db, (fidelity), delta_sq_out, 4 EPR numbers, 2 gains
+    assert counts == {"analytic": [float] * 12, "analytic, non-unity gain": [float] * 11,
+                      "monte_carlo": [float] * 11, "cascade stage": [float] * 3,
+                      "calibration": [float] * 6}
+
+
 def test_params_do_not_hold_the_caller_list():
     etas = [0.9, 0.9]
     params = coherent_params(eta_prop=etas)
