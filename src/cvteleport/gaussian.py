@@ -18,6 +18,13 @@ Conventions
   finite, or finite and > 0.  A count (`check_count`) is a
   numbers.Integral but not a bool, >= a minimum, read as an int.  A fraction
   (`check_fraction`) is a number in [0, 1]; a pair (`_as_pair`), two numbers.
+* No number a verb writes depends on numpy's SIMD dispatch.  numpy runs
+  float64 log10, exp and power through loops picked for the host CPU, whose
+  results differ from its baseline loops' in the last bit for some inputs, so
+  a transcendental function of a Python float goes through `math` (libm),
+  which is also about three times cheaper on a scalar than a ufunc call.
+  The one array written in dB, `spectrum_trace`'s, takes math.log10 of each
+  point.  sqrt and the arithmetic operators round correctly everywhere.
 """
 
 from __future__ import annotations
@@ -210,7 +217,7 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     """Phase rotation of one mode by phi in the (x, p) plane; phi must be a finite number."""
     _check_mode(state, mode)
     phi = _as_finite(phi, "phi")
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = math.cos(phi), math.sin(phi)
     block = np.array([[c, -s], [s, c]])
     if state.n_modes == 1:
         return apply_symplectic(state, block)
@@ -372,9 +379,13 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
 
 def db_from_variance(variance: float, reference: float) -> float:
     """Noise level in dB of a variance relative to an explicit reference;
-    both must be positive and finite."""
+    both must be positive and finite, and so must their ratio."""
     variance, reference = _as_positive(variance, "variance"), _as_positive(reference, "reference")
-    return float(10.0 * np.log10(variance / reference))
+    ratio = variance / reference
+    if not 0.0 < ratio < math.inf:  # underflowed to 0 or overflowed
+        raise ValueError(f"variance / reference ratio {variance!r} / {reference!r} "
+                         "leaves float range")
+    return 10.0 * math.log10(ratio)
 
 
 def variance_from_db(level_db: float, reference: float) -> float:

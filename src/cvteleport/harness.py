@@ -734,7 +734,7 @@ def _mc_max_sigma(params: TeleporterParams, shots: int, seed: int) -> float:
 
 
 def _db_from_r(r: float) -> float:
-    return float(10.0 * np.log10(np.exp(-2.0 * r)))
+    return 10.0 * math.log10(math.exp(-2.0 * r))
 
 
 def paper_repro() -> list[ReproRow]:
@@ -748,7 +748,7 @@ def paper_repro() -> list[ReproRow]:
     rows.append(
         _row_tol(1, "threshold_db", -4.771212547196624, 1e-9, squeezing_threshold_db())
     )
-    r_third = 0.5 * np.log(3.0)
+    r_third = 0.5 * math.log(3.0)
     vx_third, _ = output_variances_pure(r_third)
     rows.append(_row_tol(1, "vx_at_threshold", 0.25, 1e-10, vx_third))
 

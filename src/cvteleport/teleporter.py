@@ -208,8 +208,13 @@ def epr_correlations(pair: GaussianState) -> EprCorrelations:
 
 
 def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
-    x_db = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
-    p_db = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
+    """The correlations of two variances, which are results, not input:
+    raises PhysicsError when one has no finite level in dB."""
+    try:
+        x_db = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
+        p_db = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
+    except ValueError as exc:
+        raise PhysicsError(f"EPR correlations: {exc}") from None
     return EprCorrelations(var_x_diff, var_p_sum, x_db, p_db)
 
 
@@ -300,13 +305,16 @@ def _report(
             if not all(map(math.isfinite, numbers)):
                 raise PhysicsError(f"teleporter {quantity} is not finite: {numbers}")
     vx, vp = cov[0], cov[3]
+    try:
+        vx_db, vp_db = db_from_variance(vx, VACUUM_VARIANCE), db_from_variance(vp, VACUUM_VARIANCE)
+    except ValueError as exc:  # a finite variance whose ratio to vacuum overflows
+        raise PhysicsError(f"teleporter output: {exc}") from None
     fidelity = None
     if params.g_x == params.g_p == 1.0 and _coherent_input(params):
         fidelity = coherent_fidelity(vx, vp)
     # in field order: a named tuple's keyword call costs about 1 us more
     return TeleportReport(
-        _own(np.array(mean), np.array(cov).reshape(2, 2)), vx, vp,
-        db_from_variance(vx, VACUUM_VARIANCE), db_from_variance(vp, VACUUM_VARIANCE), fidelity,
+        _own(np.array(mean), np.array(cov).reshape(2, 2)), vx, vp, vx_db, vp_db, fidelity,
         vx / VACUUM_VARIANCE,  # sideband identity: delta_sq = Vx / (1/4) for a single mode
         epr, gains, method, shots,
     )
@@ -444,13 +452,19 @@ def output_variances_pure(r: float) -> tuple[float, float]:
     if not _as_float(r, "r") >= 0:
         raise ValueError("r must be >= 0")
     r = _as_finite(r, "r")  # nor +inf, whose p variance is inf
-    return 0.75 * np.exp(-2.0 * r), (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 4.0
+    try:
+        grow = math.exp(2.0 * r)
+    except OverflowError:  # from r = 354.9 on
+        raise ValueError(f"r {r} overflows a float variance") from None
+    shrink = math.exp(-2.0 * r)
+    return 0.75 * shrink, (grow + 2.0 * shrink) / 4.0
 
 
 def squeezing_threshold_db() -> float:
     """Squeezing needed before the output x variance drops below vacuum:
-    e^{-2r} < 1/3, i.e. 10 log10(1/3) = -4.77 dB."""
-    return float(10.0 * np.log10(1.0 / 3.0))
+    e^{-2r} < 1/3, i.e. 10 log10(1/3) = -4.77 dB, taken as -10 log10(3),
+    the double nearest to it."""
+    return -10.0 * math.log10(3.0)
 
 
 class CascadeStage(NamedTuple):

@@ -44,6 +44,7 @@ one or outside them.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -277,6 +278,8 @@ def spectrum_trace(
     state shows a peak of 10 log10(1 + 4 |mean|^2 ... ) over the scan even
     when its variance is vacuum-like.  With ``rng`` the power is estimated
     from ``averages`` samples per point; with ``rng=None`` it is exact.
+    Raises PhysicsError when the power is not finite, or not positive, at
+    some phase.
     """
     _single_mode(state)
     check_count(n_points, "n_points", 2)
@@ -296,7 +299,12 @@ def spectrum_trace(
     bad = np.count_nonzero(~np.isfinite(power))
     if bad:
         raise PhysicsError(f"trace power is not finite at {bad} of {n_points} phases")
-    return PhaseScanTrace(thetas, 10.0 * np.log10(power), None if rng is None else averages)
+    try:  # math.log10, not np.log10, whose SIMD loops round differently
+        power_db = 10.0 * np.array(list(map(math.log10, power.tolist())))
+    except ValueError:  # a power <= 0: the variance of an extreme state, cancelled by round-off
+        bad = np.count_nonzero(power <= 0.0)
+        raise PhysicsError(f"trace power is not positive at {bad} of {n_points} phases") from None
+    return PhaseScanTrace(thetas, power_db, None if rng is None else averages)
 
 
 def sample_record(

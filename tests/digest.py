@@ -26,9 +26,15 @@ of every result, class by class:
 Floats are hashed as their IEEE bytes, so a one-ulp move changes the class
 it belongs to and no other.  ``tests/golden/digest.json`` holds the full
 digest and a subset (one seed per pool, fewer tomo operations and extreme
-points) that tier-1 recomputes.  The digest has the host dependence of the
-byte-compared goldens: ``beamsplitter``'s products go through the BLAS
-numpy is built with.  From the repository root:
+points) that tier-1 recomputes.  It does not depend on numpy's SIMD
+dispatch (``tests/test_simd_dispatch.py`` recomputes it at numpy's baseline).
+The one host dependence left is that of the byte-compared goldens: the
+matrix products (``beamsplitter``'s among them) go through the BLAS numpy is
+built with, and a BLAS kernel without fused multiply-adds rounds them
+differently: with OpenBLAS's SandyBridge kernels (``OPENBLAS_CORETYPE``)
+``reports``, ``sideband_verdicts``, ``mc_moments``, ``tomo_states`` and
+``records`` move, with its Haswell and SkylakeX kernels nothing does.  From
+the repository root:
 
     PYTHONPATH=src python tests/digest.py            # compare with the golden
     PYTHONPATH=src python tests/digest.py --write    # after a stated output change
@@ -186,9 +192,11 @@ def _extreme_point(rng):
     """Keyword arguments of TeleporterParams, the same at unity gain with a
     coherent input, and a calibration target and source: signed gains from
     1e-2 to 1e200, squeezer levels from 0 to -60 dB with anti-squeezing up to
-    60 dB more, eta_hom from 1e-6."""
+    60 dB more, eta_hom from 1e-6.  Each power is taken on a Python float,
+    by libm, not by numpy's power, whose SIMD loops round differently."""
     kind = ("coherent", "squeezed", "vacuum")[int(rng.integers(3))]
-    coherent = cvteleport.coherent_state(complex(*(10.0 ** rng.uniform(-3, 6, 2))))
+    real, imag = (10.0 ** float(e) for e in rng.uniform(-3, 6, 2))
+    coherent = cvteleport.coherent_state(complex(real, imag))
     if kind == "coherent":
         state = coherent
     elif kind == "squeezed":
@@ -197,8 +205,8 @@ def _extreme_point(rng):
     else:
         state = cvteleport.vacuum(1)
     sq = [float(v) for v in rng.uniform(-60, 0, 2)]
-    gains = [float(s * 10.0 ** e) for s, e in zip(rng.choice([-1.0, 1.0], 2),
-                                                  rng.uniform(-2, 200, 2))]
+    gains = [float(s) * 10.0 ** float(e) for s, e in zip(rng.choice([-1.0, 1.0], 2),
+                                                         rng.uniform(-2, 200, 2))]
     params = {
         "input_state": state,
         "epr_sq_db": tuple(sq),
@@ -207,7 +215,7 @@ def _extreme_point(rng):
         "g_p": gains[1] if rng.random() < 0.8 else 1.0,
         "eta_source": tuple(float(v) for v in rng.uniform(0, 1, 2)),
         "eta_prop": tuple(float(v) for v in rng.uniform(0, 1, 2)),
-        "eta_hom": float(10.0 ** rng.uniform(-6, 0)),
+        "eta_hom": 10.0 ** float(rng.uniform(-6, 0)),
     }
     target = tuple(float(v) for v in rng.uniform(-30, 1, 2))
     return params, dict(params, input_state=coherent, g_x=1.0, g_p=1.0), target, tuple(sq)

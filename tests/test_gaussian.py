@@ -462,6 +462,20 @@ _SPECIFIC_ROWS = [
      r"grid x window \[-1e\+308, 1e\+308\] overflows a float width"),
     (lambda: GridSpec(-1, 1, -1e308, 1e308),
      r"grid p window \[-1e\+308, 1e\+308\] overflows a float width"),
+    # e^{2r} overflows from r = 354.9 on
+    (lambda: output_variances_pure(355.0), "r 355.0 overflows a float variance"),
+    # the ratio underflows to 0 or overflows to inf
+    (lambda: db_from_variance(1e-300, 1e300),
+     re.escape("variance / reference ratio 1e-300 / 1e+300 leaves float range")),
+    (lambda: db_from_variance(1e300, 1e-300),
+     re.escape("variance / reference ratio 1e+300 / 1e-300 leaves float range")),
+    # a PhysicsError: the power is a result; round-off in the variance of an
+    # extreme squeezed state leaves it <= 0 at the squeezed phase
+    (lambda: spectrum_trace(rotate(impure_squeezed_vacuum(-1000.0, 1000.0), 0, np.pi / 2),
+                            n_points=4),
+     "trace power is not positive at 1 of 4 phases"),
+    (lambda: spectrum_trace(coherent_state(1e200 + 0j)),
+     "trace power is not finite at 240 of 240 phases"),
 ]
 _SPECIFIC_IDS = [
     "vacuum-float", "vacuum-bool", "rotate", "loss", "beamsplitter-i", "beamsplitter-j",
@@ -475,7 +489,9 @@ _SPECIFIC_IDS = [
     "output_variances_pure-str", "GridSpec-pad-str", "coherent_state-bool",
     "variance_from_db-overflow", "variance_from_db-product-overflow", "GridSpec-pad-overflow",
     "GridSpec-pad-width-overflow", "run-grid_pad-overflow", "GridSpec-x-width-overflow",
-    "GridSpec-p-width-overflow",
+    "GridSpec-p-width-overflow", "output_variances_pure-overflow",
+    "db_from_variance-ratio-underflow", "db_from_variance-ratio-overflow",
+    "spectrum_trace-power-not-positive", "spectrum_trace-power-not-finite",
 ]
 
 # The boundary table: for each public callable of cvteleport (and the

@@ -9,6 +9,13 @@ up here.  The ``mc_sweep_seconds`` row of ``paper-repro`` is wall-clock time,
 not a result: its value is masked to ``null`` in the produced bytes and in the
 fixture alike.
 
+The bytes do not depend on numpy's SIMD dispatch (``test_simd_dispatch.py``
+re-runs these cases at numpy's baseline).  They do depend on the BLAS numpy
+is built with: a kernel without fused multiply-adds rounds the matrix
+products differently, and with OpenBLAS's SandyBridge kernels
+(``OPENBLAS_CORETYPE``) ``trace_mc_sampled`` and ``wigner_full_config`` move;
+with its Haswell and SkylakeX kernels nothing does.
+
 To regenerate the fixtures after a deliberate output change (all cases, or
 only the named ones):
 

@@ -634,6 +634,19 @@ def test_pure_output_variances_reject_nan_and_negative_r():
             output_variances_pure(r)
 
 
+def test_pure_output_variances_are_python_floats():
+    vx, vp = output_variances_pure(0.5)
+    assert type(vx) is type(vp) is float
+
+
+def test_output_variance_whose_db_overflows_is_a_physics_error():
+    # Vx = 1.1e308 is finite, Vx / (1/4) is not: the report would hold an infinite dB
+    params = TeleporterParams(input_state=vacuum(1), g_x=1.2e154)
+    with pytest.raises(PhysicsError, match=r"^teleporter output: variance / reference ratio "
+                                           r"1\.12\d*e\+308 / 0\.25 leaves float range$"):
+        teleport_analytic(params)
+
+
 def test_params_validation():
     with pytest.raises(PhysicsError):
         TeleporterParams(input_state=vacuum(1), epr_sq_db=(3.0, -6.0))

@@ -167,6 +167,13 @@ class TestSpectrumTrace:
         with pytest.raises(PhysicsError, match=r"^trace power is not finite at \d+ of 240 phases$"):
             spectrum_trace(state, rng=rng if sampled else None)
 
+    @pytest.mark.filterwarnings("error")
+    def test_power_left_non_positive_by_round_off_is_a_physics_error(self):
+        # at 1000 dB the squeezed variance cancels to <= 0 at theta = pi/2
+        state = rotate(impure_squeezed_vacuum(-1000.0, 1000.0), 0, np.pi / 2)
+        with pytest.raises(PhysicsError, match=r"^trace power is not positive at 1 of 4 phases$"):
+            spectrum_trace(state, n_points=4)
+
     def test_rejects_bad_arguments(self, rng):
         with pytest.raises(ValueError):
             spectrum_trace(vacuum(1), n_points=1)
