@@ -48,6 +48,7 @@ from .harness import (
     run,
     scenario_files,
     write_files,
+    _rule_field,
 )
 from .teleporter import cascade
 
@@ -145,7 +146,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             config = replace(config, **overrides)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            field = _rule_field(exc, overrides)
+            where = "" if field is None else f"[{field.section}] {field.key} ({field.flag}): "
+            raise ConfigError(where + str(exc)) from exc
     return config
 
 

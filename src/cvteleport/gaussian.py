@@ -18,18 +18,23 @@ Conventions
   finite, or finite and > 0.  A count (`check_count`) is a
   numbers.Integral but not a bool, >= a minimum, read as an int.  A fraction
   (`check_fraction`) is a number in [0, 1]; a pair (`_as_pair`), two numbers.
-* No number a verb writes depends on numpy's SIMD dispatch.  numpy runs
-  float64 log10, exp and power through loops picked for the host CPU, whose
-  results differ from its baseline loops' in the last bit for some inputs, so
-  a transcendental function of a Python float goes through `math` (libm),
-  which is also about three times cheaper on a scalar than a ufunc call.
-  The one array written in dB, `spectrum_trace`'s, takes math.log10 of each
-  point.  sqrt and the arithmetic operators round correctly everywhere.
+* No number a verb writes depends on numpy's SIMD dispatch or on the BLAS
+  and LAPACK kernels.  numpy runs float64 log10, exp and power through loops
+  picked for the host CPU, whose results differ from its baseline loops' in
+  the last bit for some inputs, so a transcendental function of a Python
+  float goes through `math` (libm), which is also about three times cheaper
+  on a scalar than a ufunc call.  The one array written in dB,
+  `spectrum_trace`'s, takes math.log10 of each point.  Likewise the BLAS
+  kernel picked for the host rounds a matrix product its own way (with or
+  without fused multiply-adds), so the gates (`loss`, `beamsplitter`,
+  `tensor`, `rotate`) and the Monte Carlo read-out work on the moments as
+  Python-float lists, each product and sum in a fixed order; a chain of
+  gates then pays numpy's per-call overhead once, not per gate.  sqrt and
+  the arithmetic operators round correctly everywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 
@@ -185,23 +190,97 @@ def coherent_state(alpha: complex) -> GaussianState:
     return _own(np.array([alpha.real, alpha.imag]), _VACUUM_COV.copy())
 
 
+# The gates' kernels.  Each takes moments as Python-float lists, the mean and
+# the rows of the covariance, which it may change in place, and returns the
+# moments after the gate; the public gates check their arguments, run one
+# kernel and build one state.  `teleporter` chains them to build its states.
+
+def _tensor_moments(*moments: tuple[list, list]) -> tuple[list, list]:
+    """Product of (mean, cov) moments: stacked means, block-diagonal covariance."""
+    mean = [value for part, _ in moments for value in part]
+    dim, lo, cov = len(mean), 0, []
+    for part, rows in moments:
+        hi = lo + len(part)
+        cov.extend([0.0] * lo + row + [0.0] * (dim - hi) for row in rows)
+        lo = hi
+    return mean, cov
+
+
+def _mix_moments(mean: list, cov: list, pairs, ct: float, st: float) -> tuple[list, list]:
+    """Moments after q_a -> ct q_a + st q_b, q_b -> ct q_b - st q_a for each
+    pair (a, b) of quadratures: S mean, and S cov S^T as the rows of cov
+    mixed, then the columns of the result."""
+    for a, b in pairs:
+        mean[a], mean[b] = ct * mean[a] + st * mean[b], ct * mean[b] - st * mean[a]
+        row_a, row_b = cov[a], cov[b]
+        cov[a] = [ct * x + st * y for x, y in zip(row_a, row_b)]
+        cov[b] = [ct * y - st * x for x, y in zip(row_a, row_b)]
+    for row in cov:
+        for a, b in pairs:
+            x, y = row[a], row[b]
+            row[a], row[b] = ct * x + st * y, ct * y - st * x
+    return mean, cov
+
+
+def _rotate_moments(mean: list, cov: list, mode: int, phi: float) -> tuple[list, list]:
+    """`rotate`'s moments: R cov R^T with R = [[c, -s], [s, c]] on the mode."""
+    i = 2 * mode
+    return _mix_moments(mean, cov, ((i, i + 1),), math.cos(phi), -math.sin(phi))
+
+
+def _beamsplitter_moments(
+    mean: list, cov: list, mode_i: int, mode_j: int, t: float
+) -> tuple[list, list]:
+    """`beamsplitter`'s moments: its x pair, then its p pair, mixed."""
+    i, j = 2 * mode_i, 2 * mode_j
+    return _mix_moments(mean, cov, ((i, j), (i + 1, j + 1)), math.sqrt(t), math.sqrt(1.0 - t))
+
+
+def _loss_moments(mean: list, cov: list, mode: int, eta: float) -> tuple[list, list]:
+    """`loss`'s moments: each entry of the mode's block times sqrt(eta) *
+    sqrt(eta), each other entry of its rows and columns times sqrt(eta), its
+    mean times sqrt(eta), then the vacuum's share on its diagonal."""
+    i = 2 * mode
+    root = math.sqrt(eta)
+    both = root * root  # one rounded factor, not two roundings of the entry
+    mean[i], mean[i + 1] = mean[i] * root, mean[i + 1] * root
+    for k, row in enumerate(cov):
+        if k == i or k == i + 1:
+            own = row[i] * both, row[i + 1] * both
+            row[:] = [value * root for value in row]
+            row[i], row[i + 1] = own
+        else:
+            row[i], row[i + 1] = row[i] * root, row[i + 1] * root
+    added = (1.0 - eta) * VACUUM_VARIANCE
+    cov[i][i] += added
+    cov[i + 1][i + 1] += added
+    return mean, cov
+
+
+def _lists(state: GaussianState) -> tuple[list, list]:
+    """A state's moments as a kernel takes them: fresh lists of Python floats."""
+    return state.mean.tolist(), state.cov.tolist()
+
+
+def _own_lists(moments: tuple[list, list]) -> GaussianState:
+    """The state of a kernel's moments, built by `_own`."""
+    mean, cov = moments
+    return _own(np.array(mean), np.array(cov))
+
+
 def tensor(*states: GaussianState) -> GaussianState:
     """Product state: stacked means, block-diagonal covariance."""
     if not states:
         raise ValueError("tensor requires at least one state")
-    mean = np.concatenate([s.mean for s in states])
-    dim = mean.size
-    cov = np.zeros((dim, dim))
-    lo = 0
-    for s in states:
-        hi = lo + s.mean.size
-        cov[lo:hi, lo:hi] = s.cov
-        lo = hi
-    return _own(mean, cov)
+    return _own_lists(_tensor_moments(*map(_lists, states)))
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    """Apply a symplectic matrix: mean -> S mean, cov -> S cov S^T."""
+    """Apply a symplectic matrix: mean -> S mean, cov -> S cov S^T.
+
+    The general form, for any S; no verb writes its bytes, which are numpy's
+    BLAS products and so depend on the BLAS kernel.  The gates run their own
+    kernels in a fixed order (module docstring)."""
     s = np.asarray(s, dtype=float)
     if s.shape != (state.mean.size, state.mean.size):
         raise ValueError(f"symplectic shape {s.shape} does not match state dimension")
@@ -214,16 +293,13 @@ def _check_mode(state: GaussianState, mode: int) -> None:
 
 
 def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
-    """Phase rotation of one mode by phi in the (x, p) plane; phi must be a finite number."""
+    """Phase rotation of one mode by phi in the (x, p) plane; phi must be a
+    finite number.  The moments are R mean and R cov R^T, R = [[cos phi,
+    -sin phi], [sin phi, cos phi]] on the mode, each a two-term row, then
+    column, mix on Python floats (`beamsplitter`)."""
     _check_mode(state, mode)
     phi = _as_finite(phi, "phi")
-    c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, -s], [s, c]])
-    if state.n_modes == 1:
-        return apply_symplectic(state, block)
-    rotation = np.eye(2 * state.n_modes)
-    rotation[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
-    return apply_symplectic(state, rotation)
+    return _own_lists(_rotate_moments(*_lists(state), mode, phi))
 
 
 def _as_float(value, label: str) -> float:
@@ -332,28 +408,17 @@ def beamsplitter(
         q_i -> sqrt(t) q_i + sqrt(1 - t) q_j
         q_j -> sqrt(t) q_j - sqrt(1 - t) q_i
 
-    The moments go through the BLAS products of `apply_symplectic`, not
-    through row and column formulas: OpenBLAS's kernels use fused
-    multiply-adds, so a two-term rewrite of S cov S^T rounds differently.
+    The moments are S mean and S cov S^T of this symplectic S, written as two
+    terms per entry: the mixed rows of cov, then the mixed columns of those,
+    on Python floats, so their rounding is the same on every host.
     """
     n = state.n_modes
     mode_i, mode_j = check_count(mode_i, "mode_i"), check_count(mode_j, "mode_j")
     if mode_i == mode_j or not (mode_i < n and mode_j < n):
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
-    t = check_fraction(transmittance, "transmittance") + 0.0  # -0.0 and 0.0: one key
-    return apply_symplectic(state, _mixer(n, 2 * mode_i, 2 * mode_j, t))
-
-
-@functools.lru_cache(maxsize=16)
-def _mixer(n_modes: int, i: int, j: int, t: float) -> np.ndarray:
-    """Read-only symplectic matrix of `beamsplitter` on quadratures i and j."""
-    ct, st = math.sqrt(t), math.sqrt(1.0 - t)
-    s = np.eye(2 * n_modes)
-    s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = ct
-    s[i, j] = s[i + 1, j + 1] = st
-    s[j, i] = s[j + 1, i + 1] = -st
-    s.setflags(write=False)
-    return s
+    # + 0.0: at -0.0, sqrt(t) would be -0.0 and turn some zero entries to -0.0
+    t = check_fraction(transmittance, "transmittance") + 0.0
+    return _own_lists(_beamsplitter_moments(*_lists(state), mode_i, mode_j, t))
 
 
 def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -366,15 +431,7 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """
     _check_mode(state, mode)
     eta = check_fraction(eta, "eta")
-    i = 2 * mode
-    scale = np.ones(state.mean.size)
-    scale[i : i + 2] = math.sqrt(eta)
-    # not rows then columns: that rounds the mode's own block differently
-    cov = state.cov * (scale[:, None] * scale)
-    added = (1.0 - eta) * VACUUM_VARIANCE
-    cov[i, i] += added
-    cov[i + 1, i + 1] += added
-    return _own(state.mean * scale, cov)
+    return _own_lists(_loss_moments(*_lists(state), mode, eta))
 
 
 def db_from_variance(variance: float, reference: float) -> float:

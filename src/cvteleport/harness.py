@@ -18,7 +18,7 @@ comments; unknown sections or keys are rejected with a line number):
     epr_antisq_db = 6.0 6.0        # omit for pure partners
     g_x = 1.0
     g_p = 1.0
-    eta_source = 1.0 1.0
+    eta_source = 1.0 1.0           # efficiencies: each in [0, 1]
     eta_prop = 1.0 1.0
     eta_hom = 1.0
 
@@ -38,6 +38,8 @@ comments; unknown sections or keys are rejected with a line number):
 
 Input keys not used by the selected scenario are accepted and ignored, so a
 config stays valid when only the scenario changes.  Numbers must be finite.
+A rule that spans two keys, a squeezer's noise pair, is reported at the line
+of the first of them that the text sets.
 They take Python's literal grammar, ``_`` separators included, so
 ``shots = 1_000`` is 1000.  A float or pair key given an integer beyond
 float range, as text or as a Python int, reads it as an infinity.
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -86,6 +89,7 @@ from .gaussian import (
     _as_float,
     _as_pair,
     check_count,
+    check_fraction,
     coherent_state,
     impure_squeezed_vacuum,
     quarter_turn,
@@ -175,6 +179,15 @@ def _positive(value) -> float:
     return value
 
 
+def _fraction(value) -> float:
+    """A finite number that is a fraction by the library's rule (`gaussian.check_fraction`)."""
+    value = _finite(value)
+    try:
+        return check_fraction(value, "value")
+    except ValueError:
+        raise ValueError(f"must lie in [0, 1], got {value!r}") from None
+
+
 def _read_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
@@ -223,7 +236,9 @@ def _choice(options: tuple[str, ...]) -> _Kind:
     return _Kind(str, check, str, {"choices": options})
 
 
-def _pair(unit: str, optional: bool = False) -> _Kind:
+def _pair(unit: str, element: Callable[[Any], float] = _finite, optional: bool = False) -> _Kind:
+    """A kind of two numbers, each checked by ``element``."""
+
     def check(value):
         if optional and value is None:
             return None
@@ -233,7 +248,7 @@ def _pair(unit: str, optional: bool = False) -> _Kind:
             first, second = value
         except (TypeError, ValueError):  # a scalar, or a length other than 2
             raise ValueError(f"must hold exactly two values, got {value!r}") from None
-        return (_finite(first), _finite(second))
+        return (element(first), element(second))
 
     def emit(value):
         return None if value is None else f"{value[0]!r} {value[1]!r}"
@@ -263,6 +278,7 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
 
 _FLOAT = _Kind(float, _finite, repr)
 _POSITIVE = _Kind(float, _positive, repr)
+_FRACTION = _Kind(float, _fraction, repr)
 _BOOL = _Kind(
     _read_bool, _check_bool, lambda value: "true" if value else "false",
     {"action": argparse.BooleanOptionalAction},
@@ -329,10 +345,12 @@ class ExperimentConfig:
     g_x: float = _key("teleporter", _FLOAT, TeleporterParams.g_x)
     g_p: float = _key("teleporter", _FLOAT, TeleporterParams.g_p)
     eta_source: tuple[float, float] = _key(
-        "teleporter", _pair("ETA"), TeleporterParams.eta_source
+        "teleporter", _pair("ETA", _fraction), TeleporterParams.eta_source
     )
-    eta_prop: tuple[float, float] = _key("teleporter", _pair("ETA"), TeleporterParams.eta_prop)
-    eta_hom: float = _key("teleporter", _FLOAT, TeleporterParams.eta_hom)
+    eta_prop: tuple[float, float] = _key(
+        "teleporter", _pair("ETA", _fraction), TeleporterParams.eta_prop
+    )
+    eta_hom: float = _key("teleporter", _FRACTION, TeleporterParams.eta_hom)
     trace_points: int = _key("trace", _count(2, MAX_TRACE_POINTS), DEFAULT_TRACE_POINTS, "n_points")
     trace_averages: int = _key(
         "trace", _count(1, MAX_SAMPLES), DEFAULT_TRACE_AVERAGES, "averages"
@@ -359,18 +377,33 @@ class ExperimentConfig:
     def input_state(self) -> GaussianState:
         if self.scenario == "coherent":
             return coherent_state(complex(self.alpha))
-        if self.scenario == "squeezed_x":
-            return impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
-        if self.scenario == "squeezed_p":
-            return quarter_turn(impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db))
-        return vacuum(1)
+        if self.scenario == "vacuum":
+            return vacuum(1)
+        with _noise_pair("input_sq_db", "input_antisq_db"):
+            state = impure_squeezed_vacuum(self.input_sq_db, self.input_antisq_db)
+        return state if self.scenario == "squeezed_x" else quarter_turn(state)
 
     def teleporter_params(self) -> TeleporterParams:
-        return TeleporterParams(
-            input_state=self.input_state(),
-            seed=self.seed,
-            **{f.attr: getattr(self, f.attr) for f in CONFIG_FIELDS if f.section == "teleporter"},
-        )
+        state = self.input_state()
+        with _noise_pair("epr_sq_db", "epr_antisq_db"):  # TeleporterParams' one PhysicsError
+            return TeleporterParams(
+                input_state=state,
+                seed=self.seed,
+                **{f.attr: getattr(self, f.attr) for f in CONFIG_FIELDS
+                   if f.section == "teleporter"},
+            )
+
+
+@contextlib.contextmanager
+def _noise_pair(*attrs: str):
+    """Tags a noise-pair PhysicsError raised inside, whose message names no
+    key, with the two fields the rule spans, ``attrs``: a config reader
+    reports it at the first of them that it was given (`_rule_field`)."""
+    try:
+        yield
+    except PhysicsError as exc:
+        exc.config_fields = attrs
+        raise
 
 
 # The config grammar, in emitted order: one row per ExperimentConfig field.
@@ -392,6 +425,7 @@ CASCADE_FIELDS = (
     ConfigField("cascade", "stages", _count(1, MAX_STAGES), help="number of stages"),
 )
 _FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
+_FIELDS_BY_ATTR = {field.attr: field for field in CONFIG_FIELDS}
 _SECTIONS = {field.section for field in CONFIG_FIELDS}
 
 
@@ -420,6 +454,15 @@ def _config_error(text: str, section: str, key: str | None, message: str) -> Con
     return ConfigError(f"{location}{suffix}: {message}")
 
 
+def _rule_field(exc: ValueError, given) -> ConfigField | None:
+    """The field of the first key that the rule across keys which raised
+    ``exc`` spans and that ``given`` (attribute names) sets, or None."""
+    for attr in getattr(exc, "config_fields", ()):
+        if attr in given:
+            return _FIELDS_BY_ATTR[attr]
+    return None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError with location info."""
     parser = configparser.ConfigParser(
@@ -445,7 +488,10 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field = _rule_field(exc, kwargs)
+        if field is None:
+            raise ConfigError(str(exc)) from exc
+        raise _config_error(text, field.section, field.key, str(exc)) from exc
 
 
 def emit_config(config: ExperimentConfig) -> str:

@@ -47,17 +47,22 @@ weighs (c + 1)^2 = 0 at c = -1 and p of X weighs (c - 1)^2 = 0 at c = +1.  So th
 the anti-squeezed levels.
 
 The Monte Carlo path, and only it, samples the Schroedinger picture:
-`make_epr` builds the beam pair from Gaussian states and operations,
-`_readout` mixes it with the input and gives the moments of the sender's
-outcomes u, v and the receiver's beam B, and a shot of (u, v, B) is their
-mean plus their lower Cholesky factor times a standard normal 4-vector, i.e.
-drawn in measurement order (u, then v given u, then B given both).  The
-feed-forward x_out = x_B + c_x u, p_out = p_B + c_p v with
-c = g sqrt(2 / eta_hom) is linear, so only the sample mean and covariance of
-the standard normals are drawn, from their exact joint law, and mapped to
-the output's.  The source map calls no Gaussian operation, so comparing the
-two paths checks the state preparation (squeezers, mixers, losses) as well
-as the sampling, the feed-forward and the estimation of moments and gains.
+`make_epr` runs the gates (squeezers, source losses, the mixer, beam losses)
+as `gaussian`'s kernels on the moments held as Python-float lists and builds
+one state, the beam pair; `_readout` mixes it with the input by the same
+kernels and gives the moments of the sender's outcomes u, v and the
+receiver's beam B; and a shot of (u, v, B) is their mean plus their lower
+Cholesky factor times a standard normal 4-vector, i.e. drawn in measurement
+order (u, then v given u, then B given both).  The feed-forward
+x_out = x_B + c_x u, p_out = p_B + c_p v with c = g sqrt(2 / eta_hom) is
+linear, so only the sample mean and covariance of the standard normals are
+drawn, from their exact joint law, and mapped to the output's.  The Cholesky
+factor, the feed-forward products and the drawn covariance's L L^T are
+unrolled sums of Python floats in a fixed order, as the gates are, so no
+BLAS or LAPACK kernel rounds the moments and they are the same on every
+host.  The source map calls no Gaussian operation, so comparing the two
+paths checks the state preparation (squeezers, mixers, losses) as well as
+the sampling, the feed-forward and the estimation of moments and gains.
 
 Records: TeleporterParams, whose constructor checks and normalizes its
 fields, is a frozen dataclass; TeleportReport, EprCorrelations and
@@ -82,16 +87,16 @@ from cvteleport.gaussian import (
     _as_float,
     _as_pair,
     _as_positive,
+    _beamsplitter_moments,
+    _lists,
+    _loss_moments,
     _own,
-    beamsplitter,
+    _tensor_moments,
     check_count,
     check_fraction,
     check_noise_pair,
     db_from_variance,
-    impure_squeezed_vacuum,
-    loss,
-    quarter_turn,
-    tensor,
+    variance_from_db,
 )
 
 
@@ -182,19 +187,23 @@ class TeleportReport(NamedTuple):
 def make_epr(params: TeleporterParams) -> GaussianState:
     """Entangled beam pair (A, B) from two lossy squeezers on a balanced mixer.
 
-    Squeezer 1 (p-squeezed after an exact quarter turn) sets Var(p_A + p_B);
-    squeezer 2 (x-squeezed) sets Var(x_A - x_B).  Source losses act before
-    the mixer, beam losses after.
+    Squeezer 1 (p-squeezed: the x-squeezed state after an exact quarter
+    turn) sets Var(p_A + p_B); squeezer 2 (x-squeezed) sets Var(x_A - x_B).
+    Source losses act before the mixer, beam losses after.  The gates run as
+    `gaussian`'s kernels on the moments of params, which its constructor
+    checked, and build one state.
     """
-    anti = params.epr_antisq_db
-    sq_p = quarter_turn(impure_squeezed_vacuum(params.epr_sq_db[0], anti[0]))
-    sq_x = impure_squeezed_vacuum(params.epr_sq_db[1], anti[1])
-    sq_p = loss(sq_p, 0, params.eta_source[0])
-    sq_x = loss(sq_x, 0, params.eta_source[1])
-    pair = beamsplitter(tensor(sq_x, sq_p), 0, 1, 0.5)
-    pair = loss(pair, 0, params.eta_prop[0])
-    pair = loss(pair, 1, params.eta_prop[1])
-    return pair
+    (sq_1, sq_2), (anti_1, anti_2) = params.epr_sq_db, params.epr_antisq_db
+    p_squeezed = [[variance_from_db(anti_1, VACUUM_VARIANCE), 0.0],
+                  [0.0, variance_from_db(sq_1, VACUUM_VARIANCE)]]
+    x_squeezed = [[variance_from_db(sq_2, VACUUM_VARIANCE), 0.0],
+                  [0.0, variance_from_db(anti_2, VACUUM_VARIANCE)]]
+    sq_p = _loss_moments([0.0, 0.0], p_squeezed, 0, params.eta_source[0])
+    sq_x = _loss_moments([0.0, 0.0], x_squeezed, 0, params.eta_source[1])
+    mean, cov = _beamsplitter_moments(*_tensor_moments(sq_x, sq_p), 0, 1, 0.5)
+    mean, cov = _loss_moments(mean, cov, 0, params.eta_prop[0])
+    mean, cov = _loss_moments(mean, cov, 1, params.eta_prop[1])
+    return _own(np.array(mean), np.array(cov))
 
 
 def epr_correlations(pair: GaussianState) -> EprCorrelations:
@@ -218,33 +227,28 @@ def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
     return EprCorrelations(var_x_diff, var_p_sum, x_db, p_db)
 
 
-# Quadratures of the mixed (u port, v port, B) state that the output reads:
-# x of the u port, p of the v port, x_B, p_B.
-_READOUT = np.array([0, 3, 4, 5])
-_READOUT_BLOCK = 6 * _READOUT[:, None] + _READOUT  # their covariance block, flat indices
-
-
 def _readout(
     params: TeleporterParams,
-) -> tuple[GaussianState, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[GaussianState, list[float], list[list[float]], tuple[float, float]]:
     """The linear read-out the output is made of.
 
-    Returns the beam pair, the mean and covariance of (u, v, x_B, p_B) after
-    the sender's mixer and detector losses, and the 2 x 4 feed matrix F with
-    (x_out, p_out) = F (u, v, x_B, p_B).  The u port carries
-    (x_in - x_A)/sqrt(2) in x, the v port (p_in + p_A)/sqrt(2) in p.
+    Returns the beam pair; the mean and the covariance (a list of rows) of
+    (u, v, x_B, p_B) after the sender's mixer and detector losses, as Python
+    floats; and the feed-forward gains (c_x, c_p), with x_out = x_B + c_x u
+    and p_out = p_B + c_p v.  The u port carries (x_in - x_A)/sqrt(2) in x,
+    the v port (p_in + p_A)/sqrt(2) in p.
     """
     pair = make_epr(params)
-    mixed = beamsplitter(tensor(params.input_state, pair), 1, 0, 0.5)
+    moments = _tensor_moments(_lists(params.input_state), _lists(pair))
+    mean, cov = _beamsplitter_moments(*moments, 1, 0, 0.5)
     if params.eta_hom < 1.0:
-        mixed = loss(mixed, 0, params.eta_hom)
-        mixed = loss(mixed, 1, params.eta_hom)
-    # a float, not a numpy scalar: a huge gain times it is inf without a warning
-    scale = math.sqrt(2.0 / params.eta_hom)
-    feed = np.array(
-        [[params.g_x * scale, 0.0, 1.0, 0.0], [0.0, params.g_p * scale, 0.0, 1.0]]
-    )
-    return pair, mixed.mean[_READOUT], mixed.cov.take(_READOUT_BLOCK), feed
+        mean, cov = _loss_moments(mean, cov, 0, params.eta_hom)
+        mean, cov = _loss_moments(mean, cov, 1, params.eta_hom)
+    # x of the u port, p of the v port, x_B and p_B
+    read = (0, 3, 4, 5)
+    scale = math.sqrt(2.0 / params.eta_hom)  # a huge gain times it is inf
+    return (pair, [mean[k] for k in read], [[cov[k][m] for m in read] for k in read],
+            (params.g_x * scale, params.g_p * scale))
 
 
 def _source_map(sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
@@ -365,13 +369,45 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
     return _report(params, epr, mean, cov, (g_x, g_p), "analytic")
 
 
-# added to the read-out covariance before its Cholesky factor
-_JITTER = 1e-14 * np.eye(4)
+def _cholesky(cov: list[list[float]]) -> list[list[float]]:
+    """Lower Cholesky factor, as rows of Python floats, of the 4 x 4 read-out
+    covariance plus 1e-14 on each pivot, which guards exactly-pure corner
+    cases; raises PhysicsError at a pivot that is not > 0 (NaN included)."""
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = cov
+    l00 = _pivot_root(a00 + 1e-14)
+    l10, l20, l30 = a10 / l00, a20 / l00, a30 / l00
+    l11 = _pivot_root(a11 + 1e-14 - l10 * l10)
+    l21, l31 = (a21 - l20 * l10) / l11, (a31 - l30 * l10) / l11
+    l22 = _pivot_root(a22 + 1e-14 - l20 * l20 - l21 * l21)
+    l32 = (a32 - l30 * l20 - l31 * l21) / l22
+    l33 = _pivot_root(a33 + 1e-14 - l30 * l30 - l31 * l31 - l32 * l32)
+    return [[l00, 0.0, 0.0, 0.0], [l10, l11, 0.0, 0.0], [l20, l21, l22, 0.0],
+            [l30, l31, l32, l33]]
 
 
-def _standard_moments(shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and covariance (ddof 1) of ``shots`` i.i.d. standard normal
-    4-vectors, drawn from their exact joint law instead of shot by shot.
+def _pivot_root(pivot: float) -> float:
+    if not pivot > 0.0:
+        raise PhysicsError(
+            "Monte Carlo read-out covariance of (u, v, x_B, p_B) has no Cholesky "
+            "factor: it is not positive definite in double precision"
+        )
+    return math.sqrt(pivot)
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    """a . b of two 4-vectors, summed left to right: sum() sums floats with
+    compensation from Python 3.12 on."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+
+
+def _standard_moments(
+    shots: int, rng: np.random.Generator
+) -> tuple[list[float], list[list[float]]]:
+    """Sample mean and covariance (ddof 1, a list of rows) of ``shots``
+    i.i.d. standard normal 4-vectors, drawn from their exact joint law
+    instead of shot by shot, as Python floats.
 
     The mean is N(0, I / shots).  Independently of it, (shots - 1) times the
     covariance is Wishart(shots - 1, I), drawn as L L^T (Bartlett, Proc. R.
@@ -379,16 +415,20 @@ def _standard_moments(shots: int, rng: np.random.Generator) -> tuple[np.ndarray,
     L_ii^2 ~ chi^2(shots - 1 - i) and N(0, 1) below the diagonal, and below
     5 shots only its first shots - 1 columns are kept (rank shots - 1).
     """
-    mean = rng.standard_normal(4) / math.sqrt(shots)
-    # chi^2(k) = 2 Gamma(k / 2), which is 0 at k = 0.  L is built from Python floats, and
-    # the four scalar gamma draws are one array draw's stream without its array checks.
+    root = math.sqrt(shots)
+    mean = [z / root for z in rng.standard_normal(4).tolist()]
+    # chi^2(k) = 2 Gamma(k / 2), which is 0 at k = 0.  The four scalar gamma draws
+    # are one array draw's stream without its array checks.
     half_dof = [max(shots - 1 - i, 0) / 2.0 for i in range(4)]
     d0, d1, d2, d3 = (math.sqrt(2.0 * rng.standard_gamma(k)) for k in half_dof)
     b0, b1, b2, b3, b4, b5 = rng.standard_normal(6).tolist()
-    lower = np.array([[d0, 0.0, 0.0, 0.0], [b0, d1, 0.0, 0.0], [b1, b2, d2, 0.0], [b3, b4, b5, d3]])
+    lower = [[d0, 0.0, 0.0, 0.0], [b0, d1, 0.0, 0.0], [b1, b2, d2, 0.0], [b3, b4, b5, d3]]
     if shots < 5:
-        lower[:, shots - 1 :] = 0.0
-    return mean, lower @ lower.T / (shots - 1)
+        for row in lower:
+            row[shots - 1 :] = [0.0] * (5 - shots)
+    # L L^T: products of two rows, in the same order for (i, j) and (j, i)
+    cov = [[_dot(row, other) / (shots - 1) for other in lower] for row in lower]
+    return mean, cov
 
 
 def teleport_mc(
@@ -404,32 +444,29 @@ def teleport_mc(
     PhysicsError when the read-out covariance has no Cholesky factor.
     """
     shots = check_count(shots, "shots", 2)
-    pair, mean, cov, feed = _readout(params)
-    try:
-        # jitter guards exactly-pure corner cases
-        root = np.linalg.cholesky(cov + _JITTER)
-    except np.linalg.LinAlgError as exc:
-        raise PhysicsError(
-            "Monte Carlo read-out covariance of (u, v, x_B, p_B) has no Cholesky "
-            "factor: it is not positive definite in double precision"
-        ) from exc
+    pair, (u, v, x_b, p_b), cov, (c_x, c_p) = _readout(params)
+    root_u, root_v, root_x, root_p = _cholesky(cov)
 
     rng = rng if rng is not None else np.random.default_rng(params.seed)
     z_mean, z_cov = _standard_moments(shots, rng)
-    # a huge gain overflows to inf or nan here, which _report rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = feed @ root
-        emp_mean = feed @ mean + factor @ z_mean
-        emp_cov = factor @ z_cov @ factor.T
-        emp_cov = 0.5 * (emp_cov + emp_cov.T)
+    # (x_out, p_out) = (x_B + c_x u, p_B + c_p v) with (u, v, x_B, p_B) =
+    # mean + L z, so the output's sample moments are the read-out's feed rows
+    # f (of F L) applied to z's: f . z_mean and f z_cov f^T.  On Python
+    # floats a huge gain overflows to inf or nan silently; _report rejects it.
+    f_x = [c_x * a + b for a, b in zip(root_u, root_x)]
+    f_p = [c_p * a + b for a, b in zip(root_v, root_p)]
+    emp_mean = [c_x * u + x_b + _dot(f_x, z_mean), c_p * v + p_b + _dot(f_p, z_mean)]
+    g_x = [_dot(f_x, row) for row in z_cov]  # f z_cov: z_cov is exactly symmetric
+    g_p = [_dot(f_p, row) for row in z_cov]
+    cross = 0.5 * (_dot(g_x, f_p) + _dot(g_p, f_x))
 
     gains = [params.g_x, params.g_p]
     input_mean = params.input_state.mean.tolist()
     for q in (0, 1):
         if abs(input_mean[q]) > 1e-9:
-            gains[q] = float(emp_mean[q] / input_mean[q])
+            gains[q] = emp_mean[q] / input_mean[q]
     return _report(
-        params, epr_correlations(pair), emp_mean.tolist(), emp_cov.ravel().tolist(),
+        params, epr_correlations(pair), emp_mean, [_dot(g_x, f_x), cross, cross, _dot(g_p, f_p)],
         (gains[0], gains[1]), "monte_carlo", shots,
     )
 

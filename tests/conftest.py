@@ -1,13 +1,15 @@
 """Shared helpers: seeded RNG, a generator of random physical states, a
 check that a state owns its arrays, a two-sample check of first and second
-moments and a check that a written ``report.json`` holds its RunResult; and
-a guard that fails a test which leaves a quadrature record's drawing thread
-running."""
+moments, an exact-arithmetic oracle for the float kernels and a check that a
+written ``report.json`` holds its RunResult; and a guard that fails a test
+which leaves a quadrature record's drawing thread running."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +106,64 @@ def assert_same_two_moments(a, b, limit: float = 5.0) -> None:
     mean_b, var_b, se2_mean_b, se2_var_b = moments(b)
     assert np.all(np.abs(mean_a - mean_b) <= limit * np.sqrt(se2_mean_a + se2_mean_b))
     assert np.all(np.abs(var_a - var_b) <= limit * np.sqrt(se2_var_a + se2_var_b))
+
+
+# The exact oracle of the float kernels (the gates, the Monte Carlo Cholesky
+# factor and the Bartlett product): the same float inputs multiplied out in
+# fractions.Fraction, which rounds nothing.  A kernel must come within
+# EXACT_ULPS of it, in ulps of the largest |entry| of its input and of the
+# exact result, M.  The bound comes from the standard rounding model with
+# u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., ch. 3 and 10), set before it was measured, and each kernel's worst case
+# is below it, since ulp(M) > M 2^-53:
+#   * a gate (`beamsplitter`, `rotate`): each mixed row entry ct a + st b is
+#     within 2u (|ct| + |st|) M <= 2 sqrt(2) u M of exact, and mixing those
+#     rows' columns adds sqrt(2) 2 sqrt(2) u M + 2u sqrt(2) sqrt(2) M, so
+#     8 u M < 8 ulp(M) in all;
+#   * the Cholesky factor L of cov + 1e-14 I: L L^T is within
+#     gamma_5 |L| |L^T| <= 5 u M of it (Higham, theorem 10.3), and rounding
+#     each pivot's a_ii + 1e-14 adds u M: 6 u M < 6 ulp(M);
+#   * the Bartlett product L L^T / (shots - 1): a sum of at most four products,
+#     within gamma_4 of the sum of their |values| <= M (Cauchy-Schwarz), then
+#     a division: 5 u M < 5 ulp(M).
+EXACT_ULPS = 8
+
+
+def exact(values) -> list:
+    """A float, or nested lists or arrays of floats, as Fractions."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return [exact(value) for value in values]
+    return Fraction(float(values))
+
+
+def _exact_product(a: list, b: list) -> list:
+    """a b of two matrices of Fractions, each a list of rows."""
+    return [[sum((x * y for x, y in zip(row, column)), Fraction(0)) for column in zip(*b)]
+            for row in a]
+
+
+def exact_gram(rows: list) -> list:
+    """rows rows^T in Fractions: L L^T of a factor L given as its rows."""
+    return _exact_product(rows, [list(column) for column in zip(*rows)])
+
+
+def exact_congruence(s: list, mean: list, cov: list) -> tuple[list, list]:
+    """S mean and S cov S^T in Fractions."""
+    s_mean = [row[0] for row in _exact_product(s, [[m] for m in mean])]
+    return s_mean, _exact_product(_exact_product(s, cov), [list(c) for c in zip(*s)])
+
+
+def ulps_from_exact(found, expected, *inputs) -> float:
+    """Largest |found - expected| over the entries, in ulps of the largest
+    |entry| of ``expected`` and ``inputs`` (0 where all of them are 0)."""
+    def flat(values):
+        if isinstance(values, (list, tuple, np.ndarray)):
+            return [entry for value in values for entry in flat(value)]
+        return [Fraction(values)]
+
+    scale = max(abs(entry) for values in (expected, *inputs) for entry in flat(values))
+    error = max(abs(f - e) for f, e in zip(flat(found), flat(expected), strict=True))
+    return 0.0 if error == 0 else float(error / Fraction(math.ulp(float(scale))))
 
 
 def _holds(data, value) -> bool:

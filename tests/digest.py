@@ -26,15 +26,13 @@ of every result, class by class:
 Floats are hashed as their IEEE bytes, so a one-ulp move changes the class
 it belongs to and no other.  ``tests/golden/digest.json`` holds the full
 digest and a subset (one seed per pool, fewer tomo operations and extreme
-points) that tier-1 recomputes.  It does not depend on numpy's SIMD
-dispatch (``tests/test_simd_dispatch.py`` recomputes it at numpy's baseline).
-The one host dependence left is that of the byte-compared goldens: the
-matrix products (``beamsplitter``'s among them) go through the BLAS numpy is
-built with, and a BLAS kernel without fused multiply-adds rounds them
-differently: with OpenBLAS's SandyBridge kernels (``OPENBLAS_CORETYPE``)
-``reports``, ``sideband_verdicts``, ``mc_moments``, ``tomo_states`` and
-``records`` move, with its Haswell and SkylakeX kernels nothing does.  From
-the repository root:
+points) that tier-1 recomputes.  It depends neither on numpy's SIMD dispatch
+nor on the BLAS kernel: the gates and the Monte Carlo read-out compute their
+small products on Python floats in a fixed order, not through the BLAS numpy
+is built with, whose kernels with and without fused multiply-adds round
+differently.  ``tests/test_simd_dispatch.py`` recomputes the subset at
+numpy's baseline dispatch and under OpenBLAS's SandyBridge and Haswell
+kernels (``OPENBLAS_CORETYPE``).  From the repository root:
 
     PYTHONPATH=src python tests/digest.py            # compare with the golden
     PYTHONPATH=src python tests/digest.py --write    # after a stated output change

@@ -170,6 +170,12 @@ class TestErrorPaths:
         assert code == 2
         assert "eta_hom" in capsys.readouterr().err
 
+    def test_fraction_flag_error_names_its_flag(self, capsys):
+        assert invoke("run", "--eta-hom", "2.5") == 2
+        assert capsys.readouterr().err == (
+            "config error: [teleporter] eta_hom (--eta-hom): must lie in [0, 1], got 2.5\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, field",
         [
@@ -280,8 +286,8 @@ class TestErrorPaths:
         code = invoke("run", "--epr-antisq-db", "4000", "4000", "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err == (
-            "config error: squeezer 1 noise pair (-6, +4e+03) dB is not a valid "
-            "squeezed/anti-squeezed combination\n"
+            "config error: [teleporter] epr_antisq_db (--epr-antisq-db): squeezer 1 noise "
+            "pair (-6, +4e+03) dB is not a valid squeezed/anti-squeezed combination\n"
         )
         assert not (tmp_path / "report.json").exists()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 import re
 
 import numpy as np
@@ -45,7 +46,14 @@ from cvteleport import (
 )
 from cvteleport import gaussian
 from cvteleport.gaussian import MAX_LEVEL_DB, apply_symplectic, quarter_turn
-from conftest import assert_owns_its_arrays, random_physical_state
+from conftest import (
+    EXACT_ULPS,
+    assert_owns_its_arrays,
+    exact,
+    exact_congruence,
+    random_physical_state,
+    ulps_from_exact,
+)
 
 ATOL = 1e-12
 # Frozen from the dB rule v = (1/4) 10^(dB/10).
@@ -80,11 +88,14 @@ def test_state_validation_rejects_asymmetry_and_unphysical_cov():
 
 
 def test_symmetry_tolerance_scales_with_the_covariance():
-    # rotate's own output at a variance of 9,188: its off-diagonal terms
-    # differ by round-off of 1.8e-12, beyond the unit-scale bound
+    # a rotated squeezed state at a variance of 9,188 whose off-diagonal terms
+    # differ by one ulp, 1.8e-12: round-off at that scale, beyond the
+    # unit-scale bound
     state = rotate(impure_squeezed_vacuum(-19.0, 51.0), 0, 1.0)
-    assert np.abs(state.cov - state.cov.T).max() > gaussian.SYMMETRY_ATOL
-    accepted = GaussianState(state.mean, state.cov)
+    asymmetric = state.cov.copy()
+    asymmetric[0, 1] = np.nextafter(asymmetric[1, 0], 0.0)
+    assert np.abs(asymmetric - asymmetric.T).max() > gaussian.SYMMETRY_ATOL
+    accepted = GaussianState(state.mean, asymmetric)
     assert np.array_equal(accepted.cov, accepted.cov.T)
     # below unit scale the bound stays SYMMETRY_ATOL itself
     vacuum_cov = 0.25 * np.eye(2)
@@ -245,19 +256,40 @@ def test_rotate_rejects_a_non_finite_phase(phi):
         rotate(vacuum(2), 1, phi)
 
 
-def test_rotate_single_mode_matches_the_embedded_matrix(rng):
-    # the n-mode rule: identity with the 2 x 2 rotation in the mode's block
-    for _ in range(20):
+def _gate_ulps(state, out, matrix) -> float:
+    """How far ``out`` is from the exact S mean, S cov S^T of ``state`` with
+    the float symplectic matrix ``matrix`` (`conftest.EXACT_ULPS`)."""
+    mean, cov = exact_congruence(exact(matrix), exact(state.mean), exact(state.cov))
+    return max(ulps_from_exact(out.mean, mean, state.mean),
+               ulps_from_exact(out.cov, cov, state.cov))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_rotate_and_beamsplitter_are_exact_to_the_bound(rng, n_modes):
+    # the n-mode rules, from the float coefficients the gates use: identity
+    # with the 2 x 2 rotation [[cos, -sin], [sin, cos]] in the mode's block;
+    # identity with sqrt(t) and +-sqrt(1 - t) on quadratures i and j
+    for _ in range(16):
+        state = random_physical_state(rng, n_modes)
+        dim = 2 * n_modes
         phi = rng.uniform(-10.0, 10.0)
-        for state, mode in ((random_physical_state(rng, 1), 0), (random_physical_state(rng, 2), 1)):
-            matrix = np.eye(2 * state.n_modes)
-            matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [
-                [np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]
-            ]
-            expected = apply_symplectic(state, matrix)
-            turned = rotate(state, mode, phi)
-            assert turned.mean.tobytes() == expected.mean.tobytes()
-            assert turned.cov.tobytes() == expected.cov.tobytes()
+        c, s = math.cos(phi), math.sin(phi)
+        for mode in range(n_modes):
+            matrix = np.eye(dim)
+            matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, -s], [s, c]]
+            assert _gate_ulps(state, rotate(state, mode, phi), matrix) <= EXACT_ULPS
+        for t in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)):
+            ct, st = math.sqrt(t), math.sqrt(1.0 - t)
+            for i in range(n_modes):
+                for j in range(n_modes):
+                    if i == j:
+                        continue
+                    matrix = np.eye(dim)
+                    for a, b in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
+                        matrix[a, a] = matrix[b, b] = ct
+                        matrix[a, b], matrix[b, a] = st, -st
+                    out = beamsplitter(state, i, j, t)
+                    assert _gate_ulps(state, out, matrix) <= EXACT_ULPS
 
 
 def test_beamsplitter_identity_and_swap():
@@ -742,8 +774,7 @@ def test_numpy_integer_modes_are_counts():
     assert beamsplitter(state, np.int64(0), np.int64(1), 0.5).n_modes == 2
 
 
-# The gates' earlier forms, kept as byte oracles: loss with np.sqrt and a
-# list index, beamsplitter with a fresh np.eye and its eight entries.
+# loss's earlier form, kept as a byte oracle: np.sqrt and a list index.
 def _earlier_loss(state, mode, eta):
     idx = [2 * mode, 2 * mode + 1]
     scale = np.ones(state.mean.size)
@@ -754,17 +785,6 @@ def _earlier_loss(state, mode, eta):
     return state.mean * scale, cov
 
 
-def _earlier_beamsplitter(state, mode_i, mode_j, transmittance):
-    ct = np.sqrt(transmittance)
-    st = np.sqrt(1.0 - transmittance)
-    s = np.eye(2 * state.n_modes)
-    i, j = 2 * mode_i, 2 * mode_j
-    s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = ct
-    s[i, j] = s[i + 1, j + 1] = st
-    s[j, i] = s[j + 1, i + 1] = -st
-    return s @ state.mean, s @ state.cov @ s.T
-
-
 def _bytes(mean, cov):
     return mean.tobytes(), cov.tobytes()
 
@@ -773,36 +793,26 @@ def _state_bytes(state):
     return _bytes(state.mean, state.cov)
 
 
-def test_loss_and_beamsplitter_match_their_earlier_forms_byte_for_byte(rng):
+def test_loss_matches_its_earlier_form_byte_for_byte(rng):
     checked = 0
     for k in range(48):
         state = random_physical_state(rng, 1 + k % 3)
-        n = state.n_modes
         for value in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)):
-            for mode in range(n):
+            for mode in range(state.n_modes):
                 expected = _bytes(*_earlier_loss(state, mode, value))
                 assert _state_bytes(loss(state, mode, value)) == expected
                 checked += 1
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        expected = _bytes(*_earlier_beamsplitter(state, i, j, value))
-                        assert _state_bytes(beamsplitter(state, i, j, value)) == expected
-                        checked += 1
-    # 16 states of each size n, with n modes and n (n - 1) ordered pairs
-    assert checked == 16 * 4 * (1 + 4 + 9)
+    # 16 states of each size n, with n modes
+    assert checked == 16 * 4 * (1 + 2 + 3)
 
 
-def test_mixer_matrix_is_cached_read_only():
-    matrix = gaussian._mixer(2, 0, 2, 0.5)
-    assert gaussian._mixer(2, 0, 2, 0.5) is matrix
-    assert not matrix.flags.writeable
-    with pytest.raises(ValueError):
-        matrix[0, 0] = 1.0
-    # -0.0 mixes as 0.0, whichever of the two came first
-    state = random_physical_state(np.random.default_rng(3), 2)
-    expected = _bytes(*_earlier_beamsplitter(state, 1, 0, 0.0))
-    assert _state_bytes(beamsplitter(state, 1, 0, -0.0)) == expected
+def test_a_negative_zero_transmittance_mixes_as_zero():
+    # sqrt(-0.0) is -0.0, which would turn zero entries into -0.0
+    state = tensor(impure_squeezed_vacuum(-3.0, 5.0), coherent_state(1.5 - 0.5j))
+    for i, j in ((0, 1), (1, 0)):
+        assert _state_bytes(beamsplitter(state, i, j, -0.0)) == _state_bytes(
+            beamsplitter(state, i, j, 0.0)
+        )
 
 
 @pytest.mark.parametrize("value, as_float", [

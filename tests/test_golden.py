@@ -9,12 +9,11 @@ up here.  The ``mc_sweep_seconds`` row of ``paper-repro`` is wall-clock time,
 not a result: its value is masked to ``null`` in the produced bytes and in the
 fixture alike.
 
-The bytes do not depend on numpy's SIMD dispatch (``test_simd_dispatch.py``
-re-runs these cases at numpy's baseline).  They do depend on the BLAS numpy
-is built with: a kernel without fused multiply-adds rounds the matrix
-products differently, and with OpenBLAS's SandyBridge kernels
-(``OPENBLAS_CORETYPE``) ``trace_mc_sampled`` and ``wigner_full_config`` move;
-with its Haswell and SkylakeX kernels nothing does.
+The bytes depend neither on numpy's SIMD dispatch nor on the BLAS kernel
+(``test_simd_dispatch.py`` re-runs these cases at numpy's baseline dispatch
+and under OpenBLAS's SandyBridge and Haswell kernels): the gates and the
+Monte Carlo read-out compute their small products on Python floats in a
+fixed order, not through the BLAS.
 
 To regenerate the fixtures after a deliberate output change (all cases, or
 only the named ones):

@@ -13,7 +13,7 @@ from conftest import assert_report_holds
 from digest import CONFIG_TEXTS
 
 from cvteleport import gaussian, harness, teleporter
-from cvteleport.gaussian import PhysicsError, beamsplitter, coherent_state, vacuum
+from cvteleport.gaussian import PhysicsError, coherent_state, vacuum
 from cvteleport.harness import (
     MAX_GRID_POINTS,
     MAX_SAMPLES,
@@ -124,6 +124,32 @@ cutoff = 14.5
     def test_negative_seed_rejected_with_line(self):
         with pytest.raises(ConfigError, match=r"\[run\] seed \(line 3\): must be >= 0"):
             parse_config("[run]\nmethod = mc\nseed = -1\n")
+
+    @pytest.mark.parametrize(
+        "text, location, message",
+        [
+            ("[teleporter]\neta_hom = 2.5\n", "[teleporter] eta_hom (line 2)",
+             "must lie in [0, 1], got 2.5"),
+            ("[teleporter]\ng_x = 0.9\neta_prop = 0.9 -0.1\n", "[teleporter] eta_prop (line 3)",
+             "must lie in [0, 1], got -0.1"),
+            ("[teleporter]\nepr_antisq_db = 1 1\nepr_sq_db = -6 -6\n",
+             "[teleporter] epr_sq_db (line 3)",
+             "squeezer 1 noise pair (-6, +1) dB is not a valid squeezed/anti-squeezed combination"),
+            ("[teleporter]\ng_p = 1.1\nepr_antisq_db = 9 1\n",
+             "[teleporter] epr_antisq_db (line 3)",
+             "squeezer 2 noise pair (-6, +1) dB is not a valid squeezed/anti-squeezed combination"),
+            ("[run]\nscenario = squeezed_p\ninput_sq_db = 1\n", "[run] input_sq_db (line 3)",
+             "squeezed vacuum noise pair (+1, +12) dB is not a valid squeezed/anti-squeezed "
+             "combination"),
+        ],
+        ids=["fraction", "fraction-pair", "noise-pair", "noise-pair-second-key", "input-pair"],
+    )
+    def test_teleporter_rule_is_reported_at_its_key(self, text, location, message):
+        # a fraction at its key's line, a rule across two keys at the line of
+        # the first of them that the text sets
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == f"{location}: {message}"
 
     def test_comments_and_inline_comments(self):
         text = "# preset\n[run]\nseed = 9  # fixed\n; trailing\n"
@@ -593,14 +619,15 @@ class TestMcSigmaGate:
         # not read make_epr, so only the Monte Carlo comparison can see it
         assert _mc_max_sigma(self.PARAMS, 100_000, 814) <= 5.0
         make_epr_at_half = teleporter.make_epr
+        mixer = teleporter._beamsplitter_moments
 
-        def mixer_at_045(state, mode_i, mode_j, transmittance):
-            return beamsplitter(state, mode_i, mode_j, 0.45)
+        def mixer_at_045(mean, cov, mode_i, mode_j, transmittance):
+            return mixer(mean, cov, mode_i, mode_j, 0.45)
 
         def make_epr_at_045(params):
-            # make_epr's one beamsplitter is the EPR mixer
+            # make_epr's one beamsplitter kernel is the EPR mixer
             with monkeypatch.context() as inner:
-                inner.setattr(teleporter, "beamsplitter", mixer_at_045)
+                inner.setattr(teleporter, "_beamsplitter_moments", mixer_at_045)
                 return make_epr_at_half(params)
 
         monkeypatch.setattr(teleporter, "make_epr", make_epr_at_045)

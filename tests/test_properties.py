@@ -221,7 +221,9 @@ def test_source_map_matches_the_gaussian_chain(params):
     report = teleport_analytic(params)
     mean, cov = report.output_state.mean, report.output_state.cov
     var_x_diff, var_p_sum = report.epr.var_x_diff, report.epr.var_p_sum
-    pair, chain_mean, chain_cov, feed = teleporter._readout(params)
+    pair, chain_mean, chain_cov, (c_x, c_p) = teleporter._readout(params)
+    chain_mean, chain_cov = np.array(chain_mean), np.array(chain_cov)
+    feed = np.array([[c_x, 0.0, 1.0, 0.0], [0.0, c_p, 0.0, 1.0]])
     if np.any(chain_mean != 0.0):
         assert _chain_error(mean, feed, chain_mean) <= 1e-13
     else:

@@ -6,10 +6,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import assert_owns_its_arrays, assert_same_two_moments, random_physical_state
+from conftest import (
+    EXACT_ULPS,
+    assert_owns_its_arrays,
+    assert_same_two_moments,
+    exact,
+    exact_gram,
+    random_physical_state,
+    ulps_from_exact,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,8 +297,9 @@ def test_mc_moments_have_the_law_of_per_shot_samples(shots):
     )
     reports = [teleport_mc(params, shots, np.random.default_rng(seed))
                for seed in range(ESTIMATOR_TRIALS)]
-    _, mean, cov, feed = teleporter._readout(params)
-    factor = feed @ np.linalg.cholesky(cov + 1e-14 * np.eye(4))
+    _, mean, cov, (c_x, c_p) = teleporter._readout(params)
+    feed = np.array([[c_x, 0.0, 1.0, 0.0], [0.0, c_p, 0.0, 1.0]])
+    factor = feed @ np.linalg.cholesky(np.array(cov) + 1e-14 * np.eye(4))
     ref_mean, ref_cov = _per_shot_moments(feed @ mean, factor, rebuild, ESTIMATOR_TRIALS, shots)
     out_covs = np.array([r.output_state.cov for r in reports])
     assert_same_two_moments([r.output_state.mean for r in reports], ref_mean)
@@ -299,24 +309,48 @@ def test_mc_moments_have_the_law_of_per_shot_samples(shots):
 
 
 def _earlier_standard_moments(shots, rng):
-    # _standard_moments' earlier form, a byte oracle: numpy arrays throughout
+    # _standard_moments' earlier form, on numpy arrays throughout: a byte
+    # oracle of the mean, and the Bartlett factor L the exact oracle multiplies
     mean = rng.standard_normal(4) / np.sqrt(shots)
     dof = np.maximum(shots - 1 - np.arange(4), 0)
     lower = np.diag(np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)))
     lower[np.tril_indices(4, -1)] = rng.standard_normal(6)
     lower[:, shots - 1 :] = 0.0
-    return mean, lower @ lower.T / (shots - 1)
+    return mean, lower
 
 
 @pytest.mark.parametrize("shots", [2, 3, 4, 5, 6, 200_000])
-def test_standard_moments_match_their_earlier_form_byte_for_byte(shots):
+def test_standard_moments_match_their_earlier_form_and_exact_arithmetic(shots):
     for seed in range(20):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, cov = teleporter._standard_moments(shots, rng)
-        oracle_mean, oracle_cov = _earlier_standard_moments(shots, oracle_rng)
-        assert mean.tobytes() == oracle_mean.tobytes()
-        assert cov.tobytes() == oracle_cov.tobytes()
+        oracle_mean, lower = _earlier_standard_moments(shots, oracle_rng)
+        assert np.array(mean).tobytes() == oracle_mean.tobytes()
+        expected = [[entry / (shots - 1) for entry in row] for row in exact_gram(exact(lower))]
+        assert ulps_from_exact(cov, expected) <= EXACT_ULPS
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _readout_covariances(rng, count):
+    """Read-out covariances of random lossy points, each with its largest
+    |entry| below 4, where 1e-14 is more than EXACT_ULPS ulps of it."""
+    found = []
+    while len(found) < count:
+        params = random_params(rng)
+        cov = teleporter._readout(params)[2]
+        if np.abs(cov).max() < 4.0:
+            found.append(cov)
+    return found
+
+
+def test_cholesky_factor_is_exact_to_the_bound(rng):
+    # L L^T against cov + 1e-14 I: the 1e-14 the factor adds to each pivot
+    # is part of the matrix it factors
+    for cov in _readout_covariances(rng, 200):
+        jittered = exact(cov)
+        for k in range(4):
+            jittered[k][k] += Fraction(1e-14)
+        assert ulps_from_exact(exact_gram(exact(teleporter._cholesky(cov))), jittered) <= EXACT_ULPS
 
 
 def test_epr_correlations_match_the_matrix_products_byte_for_byte(rng):
