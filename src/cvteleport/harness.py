@@ -455,8 +455,9 @@ def _config_error(text: str, section: str, key: str | None, message: str) -> Con
 
 
 def _rule_field(exc: ValueError, given) -> ConfigField | None:
-    """The field of the first key that the rule across keys which raised
-    ``exc`` spans and that ``given`` (attribute names) sets, or None."""
+    """The field of the first key that the rule which raised ``exc`` spans
+    (its ``config_fields`` tag) and that ``given`` (attribute names) sets,
+    or None."""
     for attr in getattr(exc, "config_fields", ()):
         if attr in given:
             return _FIELDS_BY_ATTR[attr]

@@ -157,7 +157,9 @@ class TeleporterParams:
             check_fraction(self.eta_prop[k], prop)
         check_fraction(self.eta_hom, "eta_hom")
         if self.eta_hom < 1e-6:
-            raise ValueError("eta_hom too small to compensate electronically")
+            floor = ValueError("eta_hom too small to compensate electronically")
+            floor.config_fields = ("eta_hom",)  # the key a config reader reports it at
+            raise floor
         check_count(self.seed, "seed")
 
 

@@ -29,23 +29,22 @@ sigma_min, with sigma_min the smallest marginal standard deviation seen in
 the record, from pairwise per-bin sums; larger cutoffs admit shot noise,
 smaller ones blur the narrow quadrature.
 
-A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so no
-sample depends on the block size).  Its normals are drawn block by block from
-the caller's one stream on a second thread, while the calling thread sets up
-the sweep and marginals and checks each block finite.  The sweep's cos and
-sin come from one table of the first block's angles by angle addition, a few
-ulps from np.cos and np.sin.  A record's thetas are non-decreasing within
-[0, pi), as the sweep's are, so each phase bin is one segment of the record,
-found by searchsorted; the phase counts, the default cutoff and the sinogram
-all read these segments.  The sinogram bins a segment's quadratures by
-truncation and compares with the edges only the samples within 1e-6 bins of
-one or outside them.
+A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so
+no sample depends on the block size).  Each block's normals are drawn
+inline, after its marginals, from the caller's one stream: the bytes of one
+rng.standard_normal(n) call.  The sweep's cos and sin come from one table of
+the first block's angles by angle addition, a few ulps from np.cos and
+np.sin.  A record's thetas are non-decreasing within [0, pi), as the sweep's
+are, so each phase bin is one segment of the record, found by searchsorted;
+the phase counts, the default cutoff and the sinogram all read these
+segments.  The sinogram bins a segment's quadratures by truncation and
+compares with the edges only the samples within 1e-6 bins of one or outside
+them.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,59 +323,33 @@ def sample_record(
     block and within a few ulps after it, with no error carried from block
     to block.
 
-    The normals z are drawn block by block, the stream and bytes of one
-    ``rng.standard_normal(n)`` call, and leave ``rng`` where that call would.
-    They are drawn on a second thread while this one builds the sweep,
-    computes each block's mean and spread and checks each finished block is
-    finite; the drawing thread has ended when this returns or raises.
+    The normals z are drawn block by block on the calling thread, each after
+    its block's mean and spread: the stream and bytes of one
+    ``rng.standard_normal(n)`` call, leaving ``rng`` where that call would.
+    A record with a non-finite value raises once every block is drawn.
     """
     _single_mode(state)
     check_count(n_samples, "n_samples", 1)
     values = np.empty(n_samples)  # z, then mu + sqrt(var) z
-    starts = range(0, n_samples, _BLOCK)
-    drawn = threading.Semaphore(0)  # one release per block of z drawn
-    stop = threading.Event()
-    failure = []
-
-    def draw():
-        # Block by block, the stream one standard_normal(n_samples) draws.
-        try:
-            for a in starts:
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=values[a:a + _BLOCK])
-                drawn.release()
-        except BaseException as exc:  # re-raised by the marginals loop
-            failure.append(exc)
-            drawn.release()
-
-    drawer = threading.Thread(target=draw, name="sample_record-draw")
-    drawer.start()
-    try:
-        # The sweep, set up while z is drawn: non-decreasing, and within [0, pi)
-        # since (n - 1) fl(pi / n) rounds below pi for every n below 2**52.
-        thetas = np.arange(n_samples, dtype=float)
-        thetas *= np.pi / n_samples
-        table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
-        heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
-        finite = True
-        # A mean or spread too large for a float overflows to inf: a non-finite
-        # value, raised as such, not a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, cos_a, sin_a in zip(starts, *heads):
-                c, s = _rotated(table, cos_a, sin_a, min(_BLOCK, n_samples - a))
-                mu, var = _marginal_arrays(state, c, s)
-                sd = np.sqrt(var, out=var)
-                drawn.acquire()
-                if failure:
-                    raise failure[0]
-                z = values[a:a + _BLOCK]
-                z *= sd
-                z += mu
-                finite &= np.isfinite(z).all()
-    finally:
-        stop.set()
-        drawer.join()
+    # The sweep: non-decreasing, and within [0, pi) since (n - 1) fl(pi / n)
+    # rounds below pi for every n below 2**52.
+    thetas = np.arange(n_samples, dtype=float)
+    thetas *= np.pi / n_samples
+    table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
+    heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
+    finite = True
+    # A mean or spread too large for a float overflows to inf: a non-finite
+    # value, raised as such, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, cos_a, sin_a in zip(range(0, n_samples, _BLOCK), *heads):
+            c, s = _rotated(table, cos_a, sin_a, min(_BLOCK, n_samples - a))
+            mu, var = _marginal_arrays(state, c, s)
+            sd = np.sqrt(var, out=var)
+            # Block by block, the stream one standard_normal(n_samples) draws.
+            z = rng.standard_normal(out=values[a:a + _BLOCK])
+            z *= sd
+            z += mu
+            finite &= np.isfinite(z).all()
     thetas.setflags(write=False)
     values.setflags(write=False)
     # The constructor copies a caller's arrays; nothing else holds these.

@@ -1,14 +1,12 @@
 """Shared helpers: seeded RNG, a generator of random physical states, a
 check that a state owns its arrays, a two-sample check of first and second
 moments, an exact-arithmetic oracle for the float kernels and a check that a
-written ``report.json`` holds its RunResult; and a guard that fails a test
-which leaves a quadrature record's drawing thread running."""
+written ``report.json`` holds its RunResult."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -24,16 +22,6 @@ from cvteleport import (
     tensor,
 )
 from cvteleport import gaussian
-
-
-@pytest.fixture(autouse=True)
-def no_drawer_left_running():
-    """sample_record joins the thread that draws its normals before it
-    returns or raises; fail any test after which one is still alive."""
-    yield
-    left = [t for t in threading.enumerate() if t.name == "sample_record-draw"]
-    if left:
-        pytest.fail(f"{len(left)} sample_record-draw thread(s) still alive after the test")
 
 
 @pytest.fixture

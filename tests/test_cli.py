@@ -170,10 +170,14 @@ class TestErrorPaths:
         assert code == 2
         assert "eta_hom" in capsys.readouterr().err
 
-    def test_fraction_flag_error_names_its_flag(self, capsys):
-        assert invoke("run", "--eta-hom", "2.5") == 2
+    @pytest.mark.parametrize("value, message", [
+        ("2.5", "must lie in [0, 1], got 2.5"),
+        ("1e-7", "eta_hom too small to compensate electronically"),
+    ], ids=["fraction", "floor"])
+    def test_fraction_flag_error_names_its_flag(self, value, message, capsys):
+        assert invoke("run", "--eta-hom", value) == 2
         assert capsys.readouterr().err == (
-            "config error: [teleporter] eta_hom (--eta-hom): must lie in [0, 1], got 2.5\n"
+            f"config error: [teleporter] eta_hom (--eta-hom): {message}\n"
         )
 
     @pytest.mark.parametrize(

@@ -141,12 +141,15 @@ cutoff = 14.5
             ("[run]\nscenario = squeezed_p\ninput_sq_db = 1\n", "[run] input_sq_db (line 3)",
              "squeezed vacuum noise pair (+1, +12) dB is not a valid squeezed/anti-squeezed "
              "combination"),
+            ("[teleporter]\neta_hom = 1e-7\n", "[teleporter] eta_hom (line 2)",
+             "eta_hom too small to compensate electronically"),
         ],
-        ids=["fraction", "fraction-pair", "noise-pair", "noise-pair-second-key", "input-pair"],
+        ids=["fraction", "fraction-pair", "noise-pair", "noise-pair-second-key", "input-pair",
+             "eta-hom-floor"],
     )
     def test_teleporter_rule_is_reported_at_its_key(self, text, location, message):
-        # a fraction at its key's line, a rule across two keys at the line of
-        # the first of them that the text sets
+        # a fraction, or the eta_hom floor, at its key's line; a rule across two
+        # keys at the line of the first of them that the text sets
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
         assert str(excinfo.value) == f"{location}: {message}"

@@ -1,11 +1,8 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
-import contextlib
 import dataclasses
 import math
-import os
 import threading
-import time
 import warnings
 from unittest import mock
 
@@ -362,14 +359,13 @@ class TestQuadratureRecordRule:
 
 
 class _StubRng:
-    """A default_rng(0) whose standard_normal takes ``delay`` seconds, raises
-    on call ``fail_at`` and, for ``nan_at`` = (call, index), writes NaN at
-    that index of that call's normals; it records the threads that drew."""
+    """A default_rng(0) whose standard_normal raises on call ``fail_at`` and,
+    for ``nan_at`` = (call, index), writes NaN at that index of that call's
+    normals; it records the threads that drew."""
 
-    def __init__(self, fail_at=None, delay=0.0, nan_at=(None, None)):
+    def __init__(self, fail_at=None, nan_at=(None, None)):
         self._rng = np.random.default_rng(0)
         self.fail_at = fail_at
-        self.delay = delay
         self.nan_at = nan_at
         self.threads = []
 
@@ -377,7 +373,6 @@ class _StubRng:
         self.threads.append(threading.current_thread())
         if len(self.threads) == self.fail_at:
             raise FloatingPointError(f"block {self.fail_at}")
-        time.sleep(self.delay)
         z = self._rng.standard_normal(*args, **kwargs)
         call, index = self.nan_at
         if len(self.threads) == call:
@@ -385,95 +380,26 @@ class _StubRng:
         return z
 
 
-def bounded(call, timeout=30.0):
-    """call() on a helper thread joined with a timeout, so a deadlock fails
-    the test instead of hanging it; returns its result or raises its error."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = call()
-        except BaseException as exc:  # handed to the test thread below
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=run, daemon=True)  # a deadlock must not block exit
-    helper.start()
-    helper.join(timeout)
-    assert not helper.is_alive(), f"call still running after {timeout} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-@contextlib.contextmanager
-def pinned(n):
-    """Run the calling thread, and the threads it starts, on n of the CPUs it
-    may use; skip where it may not use n or cannot be pinned."""
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("the platform cannot pin a thread to CPUs")
-    usable = sorted(os.sched_getaffinity(0))
-    if len(usable) < n:
-        pytest.skip(f"needs {n} usable CPUs, has {len(usable)}")
-    os.sched_setaffinity(0, usable[:n])  # 0: this thread; new threads inherit it
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, usable)
-
-
-@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
-def cpus(request):
-    """The test thread, and so sample_record's drawing thread, pinned to one
-    CPU, which they share, or to two."""
-    with pinned(request.param):
-        yield request.param
-
-
-class TestSampleRecordDrawer:
+class TestSampleRecordDraw:
     @pytest.mark.parametrize("n", [1, tomography._BLOCK - 1, tomography._BLOCK,
                                    tomography._BLOCK + 1, 3 * tomography._BLOCK + 7])
-    def test_draws_the_stream_of_one_call(self, n, cpus):
-        # A caller's later draws do not move, whoever drew the blocks.
+    def test_draws_the_stream_of_one_call(self, n):
+        # A caller's later draws do not move, however many blocks were drawn.
         rng, reference = np.random.default_rng(n), np.random.default_rng(n)
         sample_record(vacuum(1), n, rng)
         reference.standard_normal(n)
         assert rng.bit_generator.state == reference.bit_generator.state
         assert rng.random() == reference.random()
 
-    def test_one_cpu_record_has_the_threaded_bytes(self):
-        # The drawer and the caller sharing one CPU change no byte.
-        state = random_physical_state(np.random.default_rng(5), 1)
-        n = 3 * tomography._BLOCK + 7
-        threaded = sample_record(state, n, np.random.default_rng(5))
-        with pinned(1):
-            one_cpu = sample_record(state, n, np.random.default_rng(5))
-        assert one_cpu.values.tobytes() == threaded.values.tobytes()
-        assert one_cpu.thetas.tobytes() == threaded.thetas.tobytes()
-
-    def test_each_block_waits_for_its_draw(self, cpus):
-        n = 3 * tomography._BLOCK + 7
-        slow = sample_record(vacuum(1), n, _StubRng(delay=0.02))
-        fast = sample_record(vacuum(1), n, np.random.default_rng(0))
-        assert slow.values.tobytes() == fast.values.tobytes()
-
     @pytest.mark.parametrize("fail_at", [1, 2])
-    def test_draw_error_is_raised_and_drawer_joined(self, fail_at, cpus):
+    def test_draw_error_is_raised(self, fail_at):
         rng = _StubRng(fail_at)
-        callers = []
-
-        def call():
-            callers.append(threading.current_thread())
-            return sample_record(vacuum(1), 3 * tomography._BLOCK, rng)
-
-        before = threading.active_count()
         with pytest.raises(FloatingPointError, match=f"block {fail_at}"):
-            bounded(call)
-        assert threading.active_count() == before
-        # every block drawn by one thread, never the caller
-        assert len(rng.threads) == fail_at and len(set(rng.threads)) == 1
-        assert rng.threads[0] is not callers[0]
+            sample_record(vacuum(1), 3 * tomography._BLOCK, rng)
+        # every block drawn by the caller's thread, up to the failing one
+        assert rng.threads == [threading.current_thread()] * fail_at
 
-    def test_marginal_error_propagates_and_drawer_joined(self, cpus):
+    def test_marginal_error_propagates(self):
         marginal_arrays = tomography._marginal_arrays
         calls = []
 
@@ -483,16 +409,13 @@ class TestSampleRecordDrawer:
                 raise FloatingPointError("second marginals")
             return marginal_arrays(state, c, s)
 
-        # The drawer is still in block 2's slow draw when block 2's marginals
-        # raise: it is joined there and draws no third block.
-        rng = _StubRng(delay=0.1)
-        before = threading.active_count()
+        # Each block is drawn after its marginals: block 2's raise before its draw.
+        rng = _StubRng()
         with mock.patch.object(tomography, "_marginal_arrays", second_block_fails):
             with pytest.raises(FloatingPointError, match="second marginals"):
-                bounded(lambda: sample_record(vacuum(1), 3 * tomography._BLOCK, rng))
-        assert threading.active_count() == before
+                sample_record(vacuum(1), 3 * tomography._BLOCK, rng)
         assert len(calls) == 2
-        assert len(rng.threads) == 2
+        assert len(rng.threads) == 1
 
     # A NaN normal in the first, second or last block; or finite normals and
     # a marginal mean that overflows.
@@ -502,14 +425,10 @@ class TestSampleRecordDrawer:
         (vacuum(1), (3, -1)),
         (GaussianState([1.5e308, 1.5e308], 0.25 * np.eye(2)), (None, None)),
     ], ids=["nan_first", "nan_second_block", "nan_last", "overflow"])
-    def test_non_finite_value_is_rejected_after_every_block_is_drawn(self, state, nan_at, cpus):
-        n = 3 * tomography._BLOCK
-        # the drawer is still busy when a bad block is done
-        rng = _StubRng(delay=0.02, nan_at=nan_at)
-        before = threading.active_count()
+    def test_non_finite_value_is_rejected_after_every_block_is_drawn(self, state, nan_at):
+        rng = _StubRng(nan_at=nan_at)
         with pytest.raises(ValueError, match="^record values must be finite$"):
-            bounded(lambda: sample_record(state, n, rng))
-        assert threading.active_count() == before
+            sample_record(state, 3 * tomography._BLOCK, rng)
         assert len(rng.threads) == 3  # raised once every block was drawn
 
 
