@@ -173,7 +173,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("value, message", [
         ("2.5", "must lie in [0, 1], got 2.5"),
         ("1e-7", "eta_hom too small to compensate electronically"),
-    ], ids=["fraction", "floor"])
+        ("0", "eta_hom too small to compensate electronically"),
+        ("-0", "eta_hom too small to compensate electronically"),
+        ("5e-7", "eta_hom too small to compensate electronically"),
+    ], ids=["fraction", "floor", "floor-zero", "floor-negative-zero", "floor-half"])
     def test_fraction_flag_error_names_its_flag(self, value, message, capsys):
         assert invoke("run", "--eta-hom", value) == 2
         assert capsys.readouterr().err == (

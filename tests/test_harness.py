@@ -143,9 +143,16 @@ cutoff = 14.5
              "combination"),
             ("[teleporter]\neta_hom = 1e-7\n", "[teleporter] eta_hom (line 2)",
              "eta_hom too small to compensate electronically"),
+            ("[teleporter]\ng_x = 0.9\neta_hom = 0\n", "[teleporter] eta_hom (line 3)",
+             "eta_hom too small to compensate electronically"),
+            ("[teleporter]\neta_hom = -0\n", "[teleporter] eta_hom (line 2)",
+             "eta_hom too small to compensate electronically"),
+            ("[teleporter]\neta_hom = 5e-7\n", "[teleporter] eta_hom (line 2)",
+             "eta_hom too small to compensate electronically"),
         ],
         ids=["fraction", "fraction-pair", "noise-pair", "noise-pair-second-key", "input-pair",
-             "eta-hom-floor"],
+             "eta-hom-floor", "eta-hom-floor-zero", "eta-hom-floor-negative-zero",
+             "eta-hom-floor-half"],
     )
     def test_teleporter_rule_is_reported_at_its_key(self, text, location, message):
         # a fraction, or the eta_hom floor, at its key's line; a rule across two

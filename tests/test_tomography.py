@@ -4,6 +4,7 @@ import dataclasses
 import math
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -361,19 +362,21 @@ class TestQuadratureRecordRule:
 class _StubRng:
     """A default_rng(0) whose standard_normal raises on call ``fail_at`` and,
     for ``nan_at`` = (call, index), writes NaN at that index of that call's
-    normals; it records the threads that drew."""
+    normals; it records the threads that drew and the sizes they drew."""
 
     def __init__(self, fail_at=None, nan_at=(None, None)):
         self._rng = np.random.default_rng(0)
         self.fail_at = fail_at
         self.nan_at = nan_at
         self.threads = []
+        self.sizes = []
 
     def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.current_thread())
         if len(self.threads) == self.fail_at:
             raise FloatingPointError(f"block {self.fail_at}")
         z = self._rng.standard_normal(*args, **kwargs)
+        self.sizes.append(z.size)
         call, index = self.nan_at
         if len(self.threads) == call:
             z[index] = np.nan
@@ -390,6 +393,31 @@ class TestSampleRecordDraw:
         reference.standard_normal(n)
         assert rng.bit_generator.state == reference.bit_generator.state
         assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("caller", ["test_thread", "worker_thread"])
+    @pytest.mark.parametrize("n", [1, tomography._BLOCK - 1, tomography._BLOCK,
+                                   tomography._BLOCK + 1, 3 * tomography._BLOCK + 7])
+    def test_draws_each_block_once_on_the_calling_thread(self, n, caller):
+        # One standard_normal call per block, of that block's size, on
+        # whichever thread called; the bytes are those of default_rng(0).
+        state = random_physical_state(np.random.default_rng(n), 1)
+        rng = _StubRng()
+
+        def draw():
+            return sample_record(state, n, rng), threading.current_thread()
+
+        if caller == "test_thread":
+            record, thread = draw()
+        else:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                record, thread = pool.submit(draw).result(timeout=60)
+            assert thread is not threading.current_thread()
+        block = tomography._BLOCK
+        assert rng.threads == [thread] * math.ceil(n / block)
+        assert rng.sizes == [min(block, n - a) for a in range(0, n, block)]
+        expected = sample_record(state, n, np.random.default_rng(0))
+        assert record.values.tobytes() == expected.values.tobytes()
+        assert record.thetas.tobytes() == expected.thetas.tobytes()
 
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_draw_error_is_raised(self, fail_at):
