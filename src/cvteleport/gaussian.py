@@ -28,9 +28,14 @@ Conventions
   kernel picked for the host rounds a matrix product its own way (with or
   without fused multiply-adds), so the gates (`loss`, `beamsplitter`,
   `tensor`, `rotate`) and the Monte Carlo read-out work on the moments as
-  Python-float lists, each product and sum in a fixed order; a chain of
-  gates then pays numpy's per-call overhead once, not per gate.  sqrt and
-  the arithmetic operators round correctly everywhere.
+  Python-float lists, each product and sum in a fixed order.  sqrt and the
+  arithmetic operators round correctly everywhere.
+* A `GaussianState` holds its moments in that form, the kernels': the mean
+  and the rows of the covariance as lists of Python floats.  Its ``mean``
+  and ``cov`` arrays are built from them once, on the first read, so a
+  chain of operations that reads no array (the gates, the teleporter, the
+  sideband split, the report writer) builds none and pays numpy's per-call
+  overhead nowhere.
 """
 
 from __future__ import annotations
@@ -52,9 +57,6 @@ PHYSICALITY_ATOL = 1e-9
 # Largest squeezer level accepted: the variance 10^(dB/10) overflows a float
 # from about 3082.547 dB on.
 MAX_LEVEL_DB = 3082.5
-# One-mode vacuum covariance; vacuum and coherent_state copy it, so no state
-# shares it.
-_VACUUM_COV = VACUUM_VARIANCE * np.eye(2)
 
 
 class PhysicsError(ValueError):
@@ -90,16 +92,18 @@ class GaussianState:
         cov: 2n x 2n covariance matrix.
 
     The constructor checks finiteness, symmetry and the bona fide condition
-    (symplectic eigenvalues >= 1/4 - PHYSICALITY_ATOL), and the state holds
-    read-only float64 copies of ``mean`` and ``cov``, so no caller array is
-    shared.  Operations of this package build their outputs through the
-    module-private `_own`, which keeps the shape checks but skips the
-    physics checks, since completely positive maps preserve physicality,
-    and takes the arrays it was given, freshly built by its caller, without
-    copying them.
+    (symplectic eigenvalues >= 1/4 - PHYSICALITY_ATOL) on float64 copies of
+    ``mean`` and ``cov``, so no caller array is shared.  The held form is
+    the kernels' (module docstring): the mean and the rows of the covariance
+    as lists of Python floats.  ``mean`` and ``cov`` are read-only float64
+    arrays of them, built once, on first read (the constructor holds its
+    validated copies).  Operations of this package build their outputs
+    through the module-private `_own`, which keeps the shape checks but
+    skips the physics checks, since completely positive maps preserve
+    physicality, and read their inputs' floats through `_moments`.
     """
 
-    __slots__ = ("mean", "cov")
+    __slots__ = ("_mean", "_cov", "_mean_array", "_cov_array")
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
         mean = np.array(mean, dtype=float)
@@ -121,14 +125,33 @@ class GaussianState:
                 f"covariance violates the uncertainty principle: "
                 f"min symplectic eigenvalue {nu_min:.6g} < 1/4"
             )
-        _hold(self, mean, cov)
+        _SET_MEAN(self, mean.tolist())
+        _SET_COV(self, cov.tolist())
+        _frozen(self, "_mean_array", mean)
+        _frozen(self, "_cov_array", cov)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
 
     @property
+    def mean(self) -> np.ndarray:
+        """The mean as a read-only float64 vector, built on first read."""
+        try:
+            return self._mean_array
+        except AttributeError:
+            return _frozen(self, "_mean_array", np.array(self._mean, dtype=float))
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance as a read-only float64 matrix, built on first read."""
+        try:
+            return self._cov_array
+        except AttributeError:
+            return _frozen(self, "_cov_array", np.array(self._cov, dtype=float))
+
+    @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return len(self._mean) // 2
 
     def __repr__(self) -> str:
         return f"GaussianState(n_modes={self.n_modes})"
@@ -145,34 +168,59 @@ def _shaped(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return mean
 
 
-_SET_MEAN, _SET_COV = GaussianState.mean.__set__, GaussianState.cov.__set__
+# the held lists' slot setters, which `_own` calls without a name lookup
+_SET_MEAN, _SET_COV = GaussianState._mean.__set__, GaussianState._cov.__set__
 
 
-def _hold(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> None:
-    mean.setflags(write=False)
-    cov.setflags(write=False)
+def _frozen(state: GaussianState, slot: str, array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only and cached in ``state``'s ``slot``."""
+    array.setflags(write=False)
+    object.__setattr__(state, slot, array)
+    return array
+
+
+def _own(mean: list, cov: list) -> GaussianState:
+    """GaussianState(mean, cov) without its checks of the values.
+
+    For a mean and covariance rows that are lists of Python floats, which
+    the caller has just built and shares with nothing: the state holds
+    them, and no one changes them after.  The shape checks stay."""
+    size = len(mean)
+    if type(mean) is not list or type(cov) is not list or size < 2 or size % 2 or len(cov) != size:
+        _check_lists(mean, cov)
+    for row in cov:  # a loop costs less than any() of a generator
+        if type(row) is not list or len(row) != size:
+            _check_lists(mean, cov)
+    state = object.__new__(GaussianState)
     _SET_MEAN(state, mean)
     _SET_COV(state, cov)
-
-
-def _own(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    """GaussianState(mean, cov) without its two copies and its physics checks.
-
-    For float64 arrays that the caller has just built and shares with
-    nothing: the state freezes and holds them.  The shape checks stay."""
-    size = mean.size
-    if mean.ndim != 1 or size < 2 or size % 2 or cov.shape != (size, size):
-        mean = _shaped(mean, cov)
-    state = object.__new__(GaussianState)
-    _hold(state, mean, cov)
     return state
+
+
+def _check_lists(mean: list, cov: list) -> None:
+    """Raise for moments `_own` does not take: not lists, or not a state's shapes."""
+    if type(mean) is not list or type(cov) is not list or not all(type(row) is list for row in cov):
+        raise TypeError("_own takes the mean and the covariance rows as lists of floats")
+    size, widths = len(mean), sorted({len(row) for row in cov})
+    if size < 2 or size % 2:
+        raise ValueError(f"mean must have even length >= 2, got {size}")
+    shape = (len(cov), *widths) if len(widths) <= 1 else f"({len(cov)} rows of lengths {widths})"
+    raise ValueError(f"cov shape {shape} does not match mean length {size}")
+
+
+def _moments(state: GaussianState) -> tuple[list, list]:
+    """The floats a state holds: its mean and the rows of its covariance.
+    Read them only; `_lists` gives copies a kernel may change."""
+    return state._mean, state._cov
 
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
-    n_modes = check_count(n_modes, "n_modes", 1)
-    cov = _VACUUM_COV.copy() if n_modes == 1 else VACUUM_VARIANCE * np.eye(2 * n_modes)
-    return _own(np.zeros(2 * n_modes), cov)
+    dim = 2 * check_count(n_modes, "n_modes", 1)
+    cov = [[0.0] * dim for _ in range(dim)]
+    for k, row in enumerate(cov):
+        row[k] = VACUUM_VARIANCE
+    return _own([0.0] * dim, cov)
 
 
 def coherent_state(alpha: complex) -> GaussianState:
@@ -187,7 +235,7 @@ def coherent_state(alpha: complex) -> GaussianState:
         alpha = complex(_as_float(alpha, "alpha"))
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return _own(np.array([alpha.real, alpha.imag]), _VACUUM_COV.copy())
+    return _own([alpha.real, alpha.imag], [[VACUUM_VARIANCE, 0.0], [0.0, VACUUM_VARIANCE]])
 
 
 # The gates' kernels.  Each takes moments as Python-float lists, the mean and
@@ -258,21 +306,16 @@ def _loss_moments(mean: list, cov: list, mode: int, eta: float) -> tuple[list, l
 
 
 def _lists(state: GaussianState) -> tuple[list, list]:
-    """A state's moments as a kernel takes them: fresh lists of Python floats."""
-    return state.mean.tolist(), state.cov.tolist()
-
-
-def _own_lists(moments: tuple[list, list]) -> GaussianState:
-    """The state of a kernel's moments, built by `_own`."""
-    mean, cov = moments
-    return _own(np.array(mean), np.array(cov))
+    """A state's moments as a kernel takes them: copies of its held lists."""
+    return state._mean[:], [row[:] for row in state._cov]
 
 
 def tensor(*states: GaussianState) -> GaussianState:
     """Product state: stacked means, block-diagonal covariance."""
     if not states:
         raise ValueError("tensor requires at least one state")
-    return _own_lists(_tensor_moments(*map(_lists, states)))
+    # the kernel builds new lists, so it reads the held ones
+    return _own(*_tensor_moments(*map(_moments, states)))
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
@@ -284,7 +327,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     s = np.asarray(s, dtype=float)
     if s.shape != (state.mean.size, state.mean.size):
         raise ValueError(f"symplectic shape {s.shape} does not match state dimension")
-    return _own(s @ state.mean, s @ state.cov @ s.T)
+    return _own((s @ state.mean).tolist(), (s @ state.cov @ s.T).tolist())
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:
@@ -299,7 +342,7 @@ def rotate(state: GaussianState, mode: int, phi: float) -> GaussianState:
     column, mix on Python floats (`beamsplitter`)."""
     _check_mode(state, mode)
     phi = _as_finite(phi, "phi")
-    return _own_lists(_rotate_moments(*_lists(state), mode, phi))
+    return _own(*_rotate_moments(*_lists(state), mode, phi))
 
 
 def _as_float(value, label: str) -> float:
@@ -385,17 +428,16 @@ def impure_squeezed_vacuum(sq_db: float, antisq_db: float) -> GaussianState:
     check_noise_pair(sq_db, antisq_db, "squeezed vacuum")
     vx = variance_from_db(sq_db, VACUUM_VARIANCE)
     vp = variance_from_db(antisq_db, VACUUM_VARIANCE)
-    return _own(np.zeros(2), np.array([[vx, 0.0], [0.0, vp]], dtype=float))
+    return _own([0.0, 0.0], [[vx, 0.0], [0.0, vp]])
 
 
 def quarter_turn(state: GaussianState) -> GaussianState:
     """Phase rotation of a single-mode state by pi/2, (x, p) -> (-p, x), done
     exactly: rotate(state, 0, np.pi / 2) would leave cos(pi/2) = 6e-17 terms
     in the moments.  Negation is subtraction from +0.0, so a zero entry stays
-    +0.0 rather than turning into -0.0.  The moments are read as Python
-    floats, which is exact and cheaper than numpy scalars."""
-    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
-    return _own(np.array([0.0 - mp, mx]), np.array([[cpp, 0.0 - cpx], [0.0 - cxp, cxx]]))
+    +0.0 rather than turning into -0.0."""
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = _moments(state)
+    return _own([0.0 - mp, mx], [[cpp, 0.0 - cpx], [0.0 - cxp, cxx]])
 
 
 def beamsplitter(
@@ -418,7 +460,7 @@ def beamsplitter(
         raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {n} modes")
     # + 0.0: at -0.0, sqrt(t) would be -0.0 and turn some zero entries to -0.0
     t = check_fraction(transmittance, "transmittance") + 0.0
-    return _own_lists(_beamsplitter_moments(*_lists(state), mode_i, mode_j, t))
+    return _own(*_beamsplitter_moments(*_lists(state), mode_i, mode_j, t))
 
 
 def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -431,7 +473,7 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """
     _check_mode(state, mode)
     eta = check_fraction(eta, "eta")
-    return _own_lists(_loss_moments(*_lists(state), mode, eta))
+    return _own(*_loss_moments(*_lists(state), mode, eta))
 
 
 def db_from_variance(variance: float, reference: float) -> float:

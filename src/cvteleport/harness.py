@@ -88,6 +88,7 @@ from .gaussian import (
     PhysicsError,
     _as_float,
     _as_pair,
+    _lists,
     check_count,
     check_fraction,
     coherent_state,
@@ -566,8 +567,9 @@ def _plain(value):
     """``value`` as JSON data: a GaussianState becomes its mean and cov, a
     dataclass an object of its fields, a named tuple its ``_asdict()``, an
     array, list or tuple a list; dicts recurse and anything else is kept."""
-    if isinstance(value, GaussianState):
-        return {"mean": value.mean.tolist(), "cov": value.cov.tolist()}
+    if isinstance(value, GaussianState):  # copies of its floats: no array is built
+        mean, cov = _lists(value)
+        return {"mean": mean, "cov": cov}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):

@@ -13,13 +13,15 @@ entanglement between the sidebands.  For a single mode with x variance Vx the
 identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the analysis
 frequency is the same statement as sideband entanglement.
 
-The pair's moments are formed in closed form, each covariance entry rounded
-once (vacuum gives delta_sq = 1 exactly), and held by `gaussian._own` without
-a copy; the gate chain that defines them (`quarter_turn`, `tensor`,
-`apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's
-covariance as Python floats and sums the entries its two combinations
-weigh, grouped so that the result is bit for bit that of the matrix
-products with the weights of x+ + x- and p+ - p-.
+The pair's moments are formed in closed form on the mode's held Python
+floats, each covariance entry rounded once (vacuum gives delta_sq = 1
+exactly), and the pair holds them as built, through `gaussian._own`, as
+lists of Python floats; its arrays are built only if read.  The gate chain
+that defines them (`quarter_turn`, `tensor`, `apply_symplectic`) is their
+test oracle.  `delta_sq` reads the pair's held covariance floats and sums
+the entries its two combinations weigh, grouped so that the result is bit
+for bit that of the matrix products with the weights of x+ + x- and
+p+ - p-.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvteleport.gaussian import GaussianState, _own
+from cvteleport.gaussian import GaussianState, _moments, _own
 
 _ROOT_HALF = float(np.sqrt(0.5))
 
@@ -70,12 +72,12 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     """
     if state.n_modes != 1:
         raise ValueError("sidebands_from_single_mode requires a single-mode state")
-    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = _moments(state)
     mx, mp = _ROOT_HALF * mx + 0.0, _ROOT_HALF * mp + 0.0
     s, u, v = (cxx + cpp) * 0.5, (cxp - cpx) * 0.5, (cpx - cxp) * 0.5
     d, e, f = (cxx - cpp) * 0.5, (cxp + cpx) * 0.5, (cpp - cxx) * 0.5
-    cov = np.array([s, u, d, e, v, s, e, f, d, e, s, u, e, f, v, s]).reshape(4, 4)
-    return SidebandPair(_own(np.array([mx, mp, mx, mp]), cov))
+    cov = [[s, u, d, e], [v, s, e, f], [d, e, s, u], [e, f, v, s]]
+    return SidebandPair(_own([mx, mp, mx, mp], cov))
 
 
 def delta_sq(pair: SidebandPair) -> float:
@@ -84,7 +86,7 @@ def delta_sq(pair: SidebandPair) -> float:
     Read as Python floats.  Each vector-matrix product of x @ cov @ x +
     p @ cov @ p, x = (1, 0, 1, 0) and p = (0, 1, 0, -1), has two nonzero terms,
     so the sums below, grouped as those products group them, round alike."""
-    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = pair.cov.tolist()
+    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = _moments(pair.state)[1]
     return ((c00 + c20) + (c02 + c22)) + ((c11 - c31) - (c13 - c33))
 
 

@@ -67,7 +67,10 @@ the sampling, the feed-forward and the estimation of moments and gains.
 Records: TeleporterParams, whose constructor checks and normalizes its
 fields, is a frozen dataclass; TeleportReport, EprCorrelations and
 CascadeStage check nothing and are named tuples, so ``report._replace(...)``
-derives a changed report.  Their numbers are Python floats.
+derives a changed report.  Their numbers are Python floats, and so are the
+moments their states hold: each path reads its input's held floats through
+`gaussian._moments` and builds its states from float lists, so no array is
+built unless a caller reads a state's ``mean`` or ``cov``.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ import numpy as np
 
 from cvteleport.gaussian import (
     GaussianState,
+    PHYSICALITY_ATOL,
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
@@ -88,8 +92,8 @@ from cvteleport.gaussian import (
     _as_pair,
     _as_positive,
     _beamsplitter_moments,
-    _lists,
     _loss_moments,
+    _moments,
     _own,
     _tensor_moments,
     check_count,
@@ -205,7 +209,7 @@ def make_epr(params: TeleporterParams) -> GaussianState:
     mean, cov = _beamsplitter_moments(*_tensor_moments(sq_x, sq_p), 0, 1, 0.5)
     mean, cov = _loss_moments(mean, cov, 0, params.eta_prop[0])
     mean, cov = _loss_moments(mean, cov, 1, params.eta_prop[1])
-    return _own(np.array(mean), np.array(cov))
+    return _own(mean, cov)
 
 
 def epr_correlations(pair: GaussianState) -> EprCorrelations:
@@ -214,7 +218,7 @@ def epr_correlations(pair: GaussianState) -> EprCorrelations:
     if pair.n_modes != 2:
         raise ValueError("epr_correlations requires a two-mode state")
     # Var(x_A - x_B) and Var(p_A + p_B), summed as v @ cov @ v sums them
-    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = pair.cov.tolist()
+    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = _moments(pair)[1]
     return _correlations((c00 - c20) - (c02 - c22), (c11 + c31) + (c13 + c33))
 
 
@@ -241,7 +245,7 @@ def _readout(
     the v port (p_in + p_A)/sqrt(2) in p.
     """
     pair = make_epr(params)
-    moments = _tensor_moments(_lists(params.input_state), _lists(pair))
+    moments = _tensor_moments(_moments(params.input_state), _moments(pair))  # new lists
     mean, cov = _beamsplitter_moments(*moments, 1, 0, 0.5)
     if params.eta_hom < 1.0:
         mean, cov = _loss_moments(mean, cov, 0, params.eta_hom)
@@ -320,7 +324,7 @@ def _report(
         fidelity = coherent_fidelity(vx, vp)
     # in field order: a named tuple's keyword call costs about 1 us more
     return TeleportReport(
-        _own(np.array(mean), np.array(cov).reshape(2, 2)), vx, vp, vx_db, vp_db, fidelity,
+        _own(mean, [cov[:2], cov[2:]]), vx, vp, vx_db, vp_db, fidelity,
         vx / VACUUM_VARIANCE,  # sideband identity: delta_sq = Vx / (1/4) for a single mode
         epr, gains, method, shots,
     )
@@ -331,7 +335,7 @@ _DIAGONAL_TOL, _OFF_DIAGONAL_TOL = 1e-9 + 1e-5 * VACUUM_VARIANCE, 1e-9
 
 
 def _coherent_input(params: TeleporterParams) -> bool:
-    (cxx, cxp), (cpx, cpp) = params.input_state.cov.tolist()
+    (cxx, cxp), (cpx, cpp) = _moments(params.input_state)[1]
     return (
         abs(cxx - VACUUM_VARIANCE) <= _DIAGONAL_TOL and abs(cpp - VACUUM_VARIANCE) <= _DIAGONAL_TOL
         and abs(cxp) <= _OFF_DIAGONAL_TOL and abs(cpx) <= _OFF_DIAGONAL_TOL
@@ -363,8 +367,7 @@ def teleport_analytic(params: TeleporterParams) -> TeleportReport:
         params.epr_sq_db, params.epr_antisq_db, g_x, g_p,
         params.eta_source, params.eta_prop, params.eta_hom,
     )
-    # the input moments as Python floats: exact, and cheaper than numpy scalars
-    (mx, mp), ((cxx, cxp), (cpx, cpp)) = state.mean.tolist(), state.cov.tolist()
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = _moments(state)
     mean = [g_x * mx, g_p * mp]
     cov = [g_x * g_x * cxx + noise_x, g_x * g_p * cxp, g_x * g_p * cpx, g_p * g_p * cpp + noise_p]
     epr = _correlations(var_x_diff, var_p_sum)
@@ -443,7 +446,10 @@ def teleport_mc(
     its sample mean and covariance (ddof 1) follow from theirs, which
     `_standard_moments` draws in O(1) time and memory whatever the shot
     count.  ``rng`` defaults to ``default_rng(params.seed)``.  Raises
-    PhysicsError when the read-out covariance has no Cholesky factor.
+    PhysicsError when the read-out covariance has no Cholesky factor, and
+    when the output's sample covariance is not a state's (`_sample_state`):
+    below 5 shots it never is, and near a pure output the sampling error
+    can dip it below vacuum; its fidelity could then exceed 1.
     """
     shots = check_count(shots, "shots", 2)
     pair, (u, v, x_b, p_b), cov, (c_x, c_p) = _readout(params)
@@ -463,14 +469,37 @@ def teleport_mc(
     cross = 0.5 * (_dot(g_x, f_p) + _dot(g_p, f_x))
 
     gains = [params.g_x, params.g_p]
-    input_mean = params.input_state.mean.tolist()
+    input_mean = _moments(params.input_state)[0]
     for q in (0, 1):
         if abs(input_mean[q]) > 1e-9:
             gains[q] = emp_mean[q] / input_mean[q]
-    return _report(
-        params, epr_correlations(pair), emp_mean, [_dot(g_x, f_x), cross, cross, _dot(g_p, f_p)],
-        (gains[0], gains[1]), "monte_carlo", shots,
-    )
+    emp_cov = [_dot(g_x, f_x), cross, cross, _dot(g_p, f_p)]
+    report = _report(params, epr_correlations(pair), emp_mean, emp_cov,
+                     (gains[0], gains[1]), "monte_carlo", shots)
+    _sample_state(emp_cov, shots)  # after _report, which rejects a value that is not finite
+    return report
+
+
+def _sample_state(cov: list[float], shots: int) -> None:
+    """Raise PhysicsError unless the sample covariance [C_xx, C_xp, C_px, C_pp]
+    of ``shots`` shots is a one-mode state's: C_xx > 0 and
+    sqrt(C_xx C_pp - C_xp C_px) >= 1/4 - PHYSICALITY_ATOL, the bona fide
+    condition in closed form, on Python floats.  Where both products
+    overflow, the entries are scaled by 2^-600 first, and the root back,
+    exactly for all but subnormal results."""
+    cxx, cxp, cpx, cpp = cov
+    scale = 1.0
+    det = cxx * cpp - cxp * cpx
+    if math.isnan(det):  # inf - inf
+        scale = 2.0 ** -600
+        det = (cxx * scale) * (cpp * scale) - (cxp * scale) * (cpx * scale)
+    root = math.sqrt(det) / scale if det >= 0.0 else math.nan  # nan: no real root
+    if not (cxx > 0.0 and root >= VACUUM_VARIANCE - PHYSICALITY_ATOL):
+        raise PhysicsError(
+            f"Monte Carlo output covariance of {shots} shots is not a state's: "
+            f"C_xx = {cxx:.6g} and sqrt(C_xx C_pp - C_xp C_px) = {root:.6g}, where a state "
+            "has C_xx > 0 and the root >= 1/4; more shots shrink the sampling error"
+        )
 
 
 def coherent_fidelity(vx: float, vp: float) -> float:
@@ -533,7 +562,7 @@ def cascade(params: TeleporterParams, n_stages: int) -> list[CascadeStage]:
         params.epr_sq_db, params.epr_antisq_db, params.g_x, params.g_p,
         params.eta_source, params.eta_prop, params.eta_hom,
     )
-    (cxx, _), (_, cpp) = params.input_state.cov.tolist()
+    (cxx, _), (_, cpp) = _moments(params.input_state)[1]
     last = (cxx + n_stages * noise_x, cpp + n_stages * noise_p)  # the largest: noise >= 0
     if not all(map(math.isfinite, last)):
         raise PhysicsError(f"cascade variances are not finite at stage {n_stages}: {last}")

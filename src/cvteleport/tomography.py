@@ -52,7 +52,7 @@ import numpy as np
 from typing import NamedTuple
 
 from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
-from .gaussian import _as_finite, _as_positive, check_count
+from .gaussian import _as_finite, _as_positive, _moments, check_count
 
 DEFAULT_GRID_POINTS = 81
 DEFAULT_GRID_PAD_SIGMAS = 4.5
@@ -119,16 +119,15 @@ def _rotated(table, cos_a, sin_a, m):
 def _marginal_arrays(state, c, s):
     """Mean and variance of the rotated quadrature at each phase, vectorized,
     from the phases' cosines ``c`` and sines ``s``, which it overwrites."""
-    mx, mp = state.mean
-    cov = state.cov
+    (mx, mp), ((c00, c01), (_, c11)) = _moments(state)
     # var = c00 c c + 2 c01 c s + c11 s s and mu = mx c + mp s, in place but
     # in the association order of those sums, so the floats are theirs.
-    var = cov[0, 0] * c
+    var = c00 * c
     var *= c
-    term = np.multiply(2.0 * cov[0, 1], c)
+    term = np.multiply(2.0 * c01, c)
     term *= s
     var += term
-    np.multiply(cov[1, 1], s, out=term)
+    np.multiply(c11, s, out=term)
     term *= s
     var += term
     mu = np.multiply(mx, c, out=c)
@@ -168,8 +167,8 @@ class GridSpec:
         """Window centered on the state mean, pad standard deviations wide."""
         _single_mode(state)
         n, pad = check_count(n, "n", 2), _as_finite(pad, "pad")
-        mx, mp = state.mean.tolist()  # Python floats: an overflow is inf, not a warning
-        sx, sp = np.sqrt(np.diag(state.cov)).tolist()
+        (mx, mp), ((cxx, _), (_, cpp)) = _moments(state)  # an overflow is inf, not a warning
+        sx, sp = math.sqrt(cxx), math.sqrt(cpp)
         x_min, x_max = mx - pad * sx, mx + pad * sx
         p_min, p_max = mp - pad * sp, mp + pad * sp
         if pad > 0 and not (x_max > x_min and p_max > p_min):
@@ -366,13 +365,13 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
     state = _single_mode(state)
     if spec is None:
         spec = GridSpec.from_state(state)
-    cov = state.cov
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    (mx, mp), ((cxx, cxp), (cpx, cpp)) = _moments(state)
+    det = cxx * cpp - cxp * cpx
     if det <= 1e-30:
         raise PhysicsError(f"covariance is singular (det = {det:.3e})")
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-    x = spec.x_axis() - state.mean[0]
-    p = spec.p_axis() - state.mean[1]
+    inv = np.array([[cpp, -cxp], [-cpx, cxx]]) / det
+    x = spec.x_axis() - mx
+    p = spec.p_axis() - mp
     X, P = np.meshgrid(x, p, indexing="ij")
     quad = inv[0, 0] * X * X + 2.0 * inv[0, 1] * X * P + inv[1, 1] * P * P
     values = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))

@@ -61,20 +61,36 @@ def random_physical_state(rng: np.random.Generator, n_modes: int, n_ops: int = 1
         else:
             state = loss(state, mode, rng.uniform(0.2, 1.0))
     kept = slice(0, 2 * n_modes)
-    return gaussian._own(rng.normal(0, 2, 2 * n_modes), state.cov[kept, kept].copy())
+    return gaussian._own(rng.normal(0, 2, 2 * n_modes).tolist(), state.cov[kept, kept].tolist())
 
 
 def assert_owns_its_arrays(state, *given) -> None:
     """``state`` holds read-only float64 arrays that share no memory with each
-    other, with any array in ``given`` or with the vacuum covariance that
-    ``vacuum`` and ``coherent_state`` copy."""
+    other or with any array in ``given``."""
     held = (state.mean, state.cov)
     for array in held:
         assert array.dtype == np.float64 and not array.flags.writeable
     assert not np.shares_memory(state.mean, state.cov)
-    for other in (*given, gaussian._VACUUM_COV):
+    for other in given:
         for array in held:
             assert not np.shares_memory(array, other)
+
+
+def assert_float_form(state) -> None:
+    """``state`` holds its mean and the rows of its covariance as lists of
+    Python floats, never numpy scalars, of a state's shapes; each read of
+    ``mean`` or ``cov`` returns the same read-only float64 array, with the
+    bytes of np.array of those floats."""
+    mean, cov = gaussian._moments(state)
+    assert type(mean) is list and type(cov) is list
+    assert len(mean) >= 2 and len(mean) % 2 == 0 and len(cov) == len(mean)
+    for row in cov:
+        assert type(row) is list and len(row) == len(mean)
+    assert {type(value) for value in [*mean, *(value for row in cov for value in row)]} == {float}
+    for array, floats in ((state.mean, mean), (state.cov, cov)):
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array.tobytes() == np.array(floats).tobytes()
+    assert state.mean is state.mean and state.cov is state.cov
 
 
 def assert_same_two_moments(a, b, limit: float = 5.0) -> None:

@@ -149,7 +149,7 @@ def test_criterion_08_fails_on_nan_moments(monkeypatch):
     def nan_mc(params, shots, rng=None):
         report = teleport_analytic(params)
         mean = report.output_state.mean
-        nan_state = gaussian._own(mean.copy(), np.full((2, 2), np.nan))
+        nan_state = gaussian._own(mean.tolist(), np.full((2, 2), np.nan).tolist())
         return report._replace(output_state=nan_state)
 
     monkeypatch.setattr(sys.modules[__name__], "teleport_mc", nan_mc)

@@ -391,6 +391,22 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv, shots", [
+        (["run", "--method", "mc", "--epr-sq-db", "-40", "-40", "--seed", "0"], 100_000),
+        (["run", "--method", "mc", "--shots", "2", "--seed", "2"], 2),
+        (["trace", "--method", "mc", "--shots", "2", "--seed", "2"], 2),
+        (["wigner", "--method", "mc", "--shots", "2", "--seed", "3"], 2),
+    ], ids=["run-40dB", "run-2-shots", "trace-2-shots", "wigner-2-shots"])
+    def test_mc_estimate_that_is_not_a_state_exits_3(self, argv, shots, tmp_path, capsys):
+        # these wrote a fidelity of 1.0005 (-40 dB), and 1.9157 or 1.2893 with
+        # "(entangled)" (2 shots), each with exit 0
+        assert invoke(*argv, "--out", str(tmp_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"physics error: Monte Carlo output covariance of {shots} shots "
+                              "is not a state's: C_xx = ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = invoke("run", "--config", str(tmp_path / "nope.ini"))
         assert code == 1

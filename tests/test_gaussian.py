@@ -48,6 +48,7 @@ from cvteleport import gaussian
 from cvteleport.gaussian import MAX_LEVEL_DB, apply_symplectic, quarter_turn
 from conftest import (
     EXACT_ULPS,
+    assert_float_form,
     assert_owns_its_arrays,
     exact,
     exact_congruence,
@@ -180,13 +181,17 @@ def test_coherent_state_is_displaced_vacuum():
 
 
 def test_vacuum_covariance_is_copied_not_shared():
-    for state in (coherent_state(1 + 2j), vacuum(1)):
-        assert state.cov is not gaussian._VACUUM_COV
-        assert not np.shares_memory(state.cov, gaussian._VACUUM_COV)
+    states = (coherent_state(1 + 2j), vacuum(1), coherent_state(1 + 2j), vacuum(1))
+    for k, state in enumerate(states):
         assert not state.cov.flags.writeable and not state.mean.flags.writeable
         with pytest.raises(ValueError):
             state.cov[0, 0] = 1.0
-    assert np.array_equal(gaussian._VACUUM_COV, 0.25 * np.eye(2))
+        for other in states[:k]:
+            for held, theirs in zip(gaussian._moments(state), gaussian._moments(other)):
+                assert held is not theirs
+            assert all(row is not theirs for row in gaussian._moments(state)[1]
+                       for theirs in gaussian._moments(other)[1])
+    assert np.array_equal(vacuum(1).cov, 0.25 * np.eye(2))
     assert GaussianState([[1.0], [2.0]], 0.25 * np.eye(2)).mean.shape == (2,)
 
 
@@ -214,12 +219,37 @@ GATES = {
 
 @pytest.mark.parametrize("gate", GATES)
 def test_gate_output_owns_read_only_float64_arrays(gate, rng):
-    # gates build their outputs with gaussian._own, which takes the arrays
-    # the gate has just built; none may be an input's or the vacuum's
+    # gates build their outputs with gaussian._own, which takes the lists
+    # the gate has just built; no array may be an input's
     for _ in range(20):
         a, b = random_physical_state(rng, 1), random_physical_state(rng, 2)
         out = GATES[gate](a, b, rng)
         assert_owns_its_arrays(out, a.mean, a.cov, b.mean, b.cov, _MIXER)
+
+
+def _held_bytes(*states):
+    return [np.array(floats).tobytes() for state in states for floats in gaussian._moments(state)]
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_gate_output_holds_python_floats(gate, rng):
+    for _ in range(20):
+        a, b = random_physical_state(rng, 1), random_physical_state(rng, 2)
+        before = _held_bytes(a, b)
+        out = GATES[gate](a, b, rng)
+        assert not hasattr(out, "_mean_array") and not hasattr(out, "_cov_array")
+        assert_float_form(out)
+        # a gate's kernel changes copies: the inputs' held floats are as they were
+        assert _held_bytes(a, b) == before
+
+
+def test_held_lists_are_the_floats_of_the_arrays(rng):
+    # the public constructor holds its validated arrays and their floats
+    state = random_physical_state(rng, 2)
+    built = GaussianState(state.mean, state.cov)
+    assert_float_form(built)
+    mean, cov = gaussian._moments(built)
+    assert mean == built.mean.tolist() and cov == built.cov.tolist()
 
 
 @pytest.mark.parametrize("writeable", [True, False])
@@ -235,11 +265,32 @@ def test_public_constructor_copies_the_caller_arrays(writeable, rng):
 
 
 def test_own_keeps_the_shape_checks():
+    def zeros(rows, width):
+        return [[0.0] * width for _ in range(rows)]
+
     with pytest.raises(ValueError, match="mean must have even length >= 2, got 3"):
-        gaussian._own(np.zeros(3), np.zeros((3, 3)))
+        gaussian._own([0.0] * 3, zeros(3, 3))
+    with pytest.raises(ValueError, match="mean must have even length >= 2, got 0"):
+        gaussian._own([], [])
     with pytest.raises(ValueError, match=r"cov shape \(3, 3\) does not match mean length 2"):
-        gaussian._own(np.zeros(2), np.zeros((3, 3)))
-    assert gaussian._own(np.zeros((2, 1)), np.eye(2)).mean.shape == (2,)
+        gaussian._own([0.0] * 2, zeros(3, 3))
+    with pytest.raises(ValueError, match=r"cov shape \(2, 3\) does not match mean length 2"):
+        gaussian._own([0.0] * 2, zeros(2, 3))
+    with pytest.raises(ValueError, match=r"^cov shape \(2 rows of lengths \[1, 2\]\) does not "
+                                         "match mean length 2$"):
+        gaussian._own([0.0] * 2, [[0.25], [0.0, 0.25]])
+    assert gaussian._own([0.0] * 2, zeros(2, 2)).mean.shape == (2,)
+
+
+@pytest.mark.parametrize("mean, cov", [
+    (np.zeros(2), [[0.25, 0.0], [0.0, 0.25]]),
+    ([0.0, 0.0], 0.25 * np.eye(2)),
+    ([0.0, 0.0], [np.array([0.25, 0.0]), [0.0, 0.25]]),
+    ((0.0, 0.0), [[0.25, 0.0], [0.0, 0.25]]),
+], ids=["array mean", "array cov", "array row", "tuple mean"])
+def test_own_takes_only_lists(mean, cov):
+    with pytest.raises(TypeError, match="^_own takes the mean and the covariance rows as lists"):
+        gaussian._own(mean, cov)
 
 
 @pytest.mark.parametrize("alpha", [complex(np.nan, 0.0), complex(1.0, np.inf), -np.inf])

@@ -341,6 +341,35 @@ class TestRun:
         b = run(ExperimentConfig(method="mc", shots=10_000, seed=1))
         assert a.report.vx != b.report.vx
 
+    @pytest.mark.parametrize("epr_sq_db, shots", [
+        ((-40.0, -40.0), 100_000), ((-6.0, -6.0), 2), ((-6.0, -6.0), 3), ((-6.0, -6.0), 4),
+        ((-6.0, -6.0), 5),
+    ], ids=["-40dB-100000-shots", "2-shots", "3-shots", "4-shots", "5-shots"])
+    def test_mc_estimate_that_is_not_a_state_is_refused(self, epr_sq_db, shots):
+        # At -40 dB the output variance is 0.25 plus about 5e-5, below the
+        # sampling error of 100k shots (about 1e-3); below 5 shots the sample
+        # covariance has rank shots - 1.  Either the run raises, naming its
+        # shots, or its estimate is a state: its fidelity is at most 1 but
+        # for PHYSICALITY_ATOL's allowance, and LAPACK's symplectic
+        # eigenvalue (not the closed form the refusal uses) is >= 1/4.
+        refused = 0
+        for seed in range(200):
+            config = ExperimentConfig(method="mc", shots=shots, seed=seed, epr_sq_db=epr_sq_db)
+            try:
+                report = run(config).report
+            except PhysicsError as exc:
+                assert re.match(f"Monte Carlo output covariance of {shots} shots is not a "
+                                "state's: ", str(exc))
+                refused += 1
+                continue
+            assert report.fidelity_coherent <= 1.0 + 4 * gaussian.PHYSICALITY_ATOL
+            cov = report.output_state.cov
+            nu = gaussian.symplectic_eigenvalues(cov).min()
+            assert cov[0, 0] > 0.0 and nu >= 0.25 - 2 * gaussian.PHYSICALITY_ATOL
+        # rank 1 at 2 shots is never a state; each other case refuses some
+        # seeds and reports others
+        assert refused == 200 if shots == 2 else 0 < refused < 200
+
 
 class TestSerialization:
     @staticmethod
@@ -354,6 +383,18 @@ class TestSerialization:
         assert_report_holds(data, result)
         assert data["report"]["shots"] == 5000
         assert data["report"]["epr"]["x_diff_db"] == result.report.epr.x_diff_db
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_writing_a_run_builds_no_array_of_its_state(self, method):
+        # the report, trace and tomography read the output state's held floats
+        config = ExperimentConfig(method=method, tomo_samples=5000, trace_points=32,
+                                  grid_points=21)
+        result = run(config, include_trace=True, include_wigner=True)
+        files = scenario_files(result)
+        state = result.report.output_state
+        assert not hasattr(state, "_mean_array") and not hasattr(state, "_cov_array")
+        written = json.loads(files["report.json"])["report"]["output_state"]
+        assert written == {"mean": state.mean.tolist(), "cov": state.cov.tolist()}
 
     def test_artifact_roundtrip_is_lossless(self):
         config = ExperimentConfig(tomo_samples=5000, trace_points=32, grid_points=21)
@@ -616,8 +657,8 @@ class TestMcSigmaGate:
     def test_non_finite_moments_fail(self, monkeypatch):
         def nan_mc(params, shots, rng=None):
             report = teleport_analytic(params)
-            nan_cov = np.full((2, 2), np.nan)
-            output = gaussian._own(report.output_state.mean.copy(), nan_cov)
+            nan_cov = np.full((2, 2), np.nan).tolist()
+            output = gaussian._own(report.output_state.mean.tolist(), nan_cov)
             return report._replace(output_state=output)
 
         monkeypatch.setattr(harness, "teleport_mc", nan_mc)

@@ -11,12 +11,13 @@ import dataclasses
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import assert_report_holds
 
 from cvteleport import TeleporterParams, coherent_state, impure_squeezed_vacuum, rotate, vacuum
 from cvteleport import teleporter
+from cvteleport.gaussian import PhysicsError
 from cvteleport.teleporter import (
     cascade,
     coherent_fidelity,
@@ -160,7 +161,16 @@ def runs(draw):
         grid_pad=draw(finite(3.0, 6.0)),
         cutoff=None,
     )
-    return run(config, include_trace=draw(st.booleans()), include_wigner=draw(st.booleans()))
+    artifacts = {"include_trace": draw(st.booleans()), "include_wigner": draw(st.booleans())}
+    try:
+        return run(config, **artifacts)
+    except PhysicsError as exc:
+        # A Monte Carlo estimate that is not a state (about 1 run in 50 here,
+        # near a pure output) is refused and has no report to round-trip;
+        # test_harness's test_mc_estimate_that_is_not_a_state_is_refused
+        # checks the refusal.  No other error is expected.
+        assert config.method == "mc" and "is not a state's" in str(exc), exc
+        assume(False)
 
 
 @settings(max_examples=25, deadline=None)

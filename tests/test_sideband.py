@@ -25,7 +25,7 @@ from cvteleport.sideband import (
     is_entangled,
     sidebands_from_single_mode,
 )
-from conftest import assert_owns_its_arrays, random_physical_state
+from conftest import assert_float_form, assert_owns_its_arrays, random_physical_state
 
 ATOL = 1e-12
 # The weights of x+ + x- and p+ - p-, whose products delta_sq's sums reproduce.
@@ -131,6 +131,11 @@ def test_pair_owns_read_only_float64_arrays(rng):
         assert_owns_its_arrays(pair.state, state.mean, state.cov)
 
 
+def test_pair_holds_python_floats(rng):
+    for state in (*(random_physical_state(rng, 1) for _ in range(30)), vacuum(1)):
+        assert_float_form(sidebands_from_single_mode(state).state)
+
+
 def test_delta_sq_equals_the_matrix_products_bytewise(rng):
     # the float sums group as the products do; summed left to right they
     # would round differently for some states
@@ -188,8 +193,8 @@ def test_pair_moments_equal_the_gate_chain_bytewise(sq_db, excess_db, phi, mean)
     # rounded products, so it is within 4 ulps of max |cov| of the pair's,
     # which is exact to one rounding (3 ulps at most over 100,000 random states).
     squeezed = rotate(impure_squeezed_vacuum(sq_db, excess_db - sq_db), 0, phi)
-    state = gaussian._own(np.array(mean), squeezed.cov.copy())
-    mirror = quarter_turn(gaussian._own(np.zeros(2), state.cov.copy()))
+    state = gaussian._own(list(mean), squeezed.cov.tolist())
+    mirror = quarter_turn(gaussian._own([0.0, 0.0], state.cov.tolist()))
     chain = apply_symplectic(tensor(state, mirror), _SPLIT)
     pair = sidebands_from_single_mode(state)
     assert pair.mean.tobytes() == chain.mean.tobytes()

@@ -12,7 +12,8 @@ and under each of those OpenBLAS kernels.  These tests re-run them so, in a
 subprocess: with NPY_DISABLE_CPU_FEATURES set to every non-baseline target
 numpy is using on this host (skipped where numpy uses none, or has no
 ``numpy.lib.introspect``), and with OPENBLAS_CORETYPE set to each kernel
-(skipped where numpy's build names no OpenBLAS).
+(skipped where numpy's build names no OpenBLAS).  The three re-runs start
+together, so the legs cost about the wall time of one.
 """
 
 import os
@@ -26,14 +27,20 @@ import pytest
 import cvteleport
 
 TESTS = Path(__file__).resolve().parent
+CORETYPES = ("SandyBridge", "Haswell")
 
 
-def _dispatched_targets() -> list[str]:
-    """The SIMD targets numpy's ufuncs run on here beyond its baseline."""
-    introspect = pytest.importorskip("numpy.lib.introspect")
+def _dispatched_targets() -> list[str] | str:
+    """The SIMD targets numpy's ufuncs run on here beyond its baseline, or why
+    that leg is skipped."""
+    try:
+        from numpy.lib import introspect
+    except ImportError:
+        return "numpy has no numpy.lib.introspect"
     current = {signature["current"] for signatures in introspect.opt_func_info().values()
                for signature in signatures.values()}
-    return sorted(target for target in current if not target.startswith("baseline"))
+    targets = sorted(target for target in current if not target.startswith("baseline"))
+    return targets or "numpy runs only its baseline loops on this host"
 
 
 def _uses_openblas() -> bool:
@@ -46,31 +53,60 @@ def _uses_openblas() -> bool:
                for name in ("blas", "lapack"))
 
 
-def _rerun_goldens_and_digest(tmp_path, **env) -> subprocess.CompletedProcess:
-    src = str(Path(cvteleport.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        **env,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--basetemp", str(tmp_path / "inner"), "test_golden.py", "test_digest.py"],
-        cwd=TESTS, env=env, capture_output=True, text=True, timeout=300,
-    )
-
-
-def test_goldens_and_digest_hold_at_numpy_baseline_dispatch(tmp_path):
+def _legs() -> dict[str, dict[str, str] | str]:
+    """Each leg's environment variables, or the reason it is skipped."""
     targets = _dispatched_targets()
-    if not targets:
-        pytest.skip("numpy runs only its baseline loops on this host")
-    result = _rerun_goldens_and_digest(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
-    assert result.returncode == 0, f"with {' '.join(targets)} disabled:\n{result.stdout[-3000:]}"
+    legs = {"baseline": targets if isinstance(targets, str)
+            else {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}}
+    for coretype in CORETYPES:
+        legs[coretype] = ({"OPENBLAS_CORETYPE": coretype} if _uses_openblas()
+                          else "numpy's build names no OpenBLAS")
+    return legs
 
 
-@pytest.mark.parametrize("coretype", ["SandyBridge", "Haswell"])
-def test_goldens_and_digest_hold_under_each_openblas_kernel(coretype, tmp_path):
-    if not _uses_openblas():
-        pytest.skip("numpy's build names no OpenBLAS")
-    result = _rerun_goldens_and_digest(tmp_path, OPENBLAS_CORETYPE=coretype)
-    assert result.returncode == 0, f"with OPENBLAS_CORETYPE={coretype}:\n{result.stdout[-3000:]}"
+@pytest.fixture(scope="module")
+def reruns(tmp_path_factory):
+    """Every leg's re-run of test_golden.py and test_digest.py, all started at
+    once in subprocesses: {leg: (its variables, its process, its output
+    file)}, or the reason the leg is skipped.  A process still running at
+    the end of the module is killed."""
+    src = str(Path(cvteleport.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    started = {}
+    for leg, variables in _legs().items():
+        if isinstance(variables, str):
+            started[leg] = variables
+            continue
+        work = tmp_path_factory.mktemp(leg)
+        output = work / "output.txt"
+        with output.open("w") as sink:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "--basetemp", str(work / "inner"), "test_golden.py", "test_digest.py"],
+                cwd=TESTS, env={**os.environ, **variables, "PYTHONPATH": path},
+                stdout=sink, stderr=subprocess.STDOUT, text=True,
+            )
+        started[leg] = (variables, process, output)
+    yield started
+    for leg in started.values():
+        if not isinstance(leg, str) and leg[1].poll() is None:
+            leg[1].kill()
+            leg[1].wait()
+
+
+def _assert_leg_passes(reruns, leg: str) -> None:
+    if isinstance(reruns[leg], str):
+        pytest.skip(reruns[leg])
+    variables, process, output = reruns[leg]
+    returncode = process.wait(timeout=300)
+    setting = " ".join(f"{name}={value}" for name, value in variables.items())
+    assert returncode == 0, f"with {setting}:\n{output.read_text()[-3000:]}"
+
+
+def test_goldens_and_digest_hold_at_numpy_baseline_dispatch(reruns):
+    _assert_leg_passes(reruns, "baseline")
+
+
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_goldens_and_digest_hold_under_each_openblas_kernel(coretype, reruns):
+    _assert_leg_passes(reruns, coretype)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import (
     EXACT_ULPS,
+    assert_float_form,
     assert_owns_its_arrays,
     assert_same_two_moments,
     exact,
@@ -277,10 +278,14 @@ def _ranks(covs) -> set[int]:
 
 
 @pytest.mark.parametrize("shots", [2, 3, 4, 5, 50])
-def test_mc_moments_have_the_law_of_per_shot_samples(shots):
+def test_mc_moments_have_the_law_of_per_shot_samples(shots, monkeypatch):
     # the drawn sample moments of the standard normals, and teleport_mc's
     # output moments, have the first two moments of every entry and the rank
-    # of a per-shot rebuild over as many fixed seeds
+    # of a per-shot rebuild over as many fixed seeds.  This is the law of the
+    # estimate itself, so teleport_mc's refusal of an estimate that is not a
+    # state (test_sample_state_is_the_one_mode_bona_fide_condition), which
+    # takes most draws of few shots, is lifted here.
+    monkeypatch.setattr(teleporter, "_sample_state", lambda cov, shots: None)
     rebuild = np.random.default_rng(10_000 + shots)
     drawn = [teleporter._standard_moments(shots, np.random.default_rng(seed))
              for seed in range(MOMENT_TRIALS)]
@@ -341,6 +346,39 @@ def _readout_covariances(rng, count):
         if np.abs(cov).max() < 4.0:
             found.append(cov)
     return found
+
+
+@pytest.mark.parametrize("cov, state", [
+    ([0.25, 0.0, 0.0, 0.25], True),
+    ([0.25 - 1e-9, 0.0, 0.0, 0.25 - 1e-9], True),  # the bound's allowance
+    ([0.25 - 2e-9, 0.0, 0.0, 0.25 - 2e-9], False),
+    ([1.0, 0.5, 0.5, 0.5], True),
+    ([1.0, 0.9, 0.9, 0.8], False),  # positive diagonal, negative determinant
+    ([-1.0, 0.0, 0.0, -1.0], False),  # positive determinant, negative variances
+    ([0.5, 0.0, 0.0, 0.0], False),  # rank 1, as any 2-shot estimate is
+    # both products overflow: judged on the entries scaled by 2^-600
+    ([1e200, 9e199, 9e199, 1e200], True),
+    ([1e200, 1e200, 1e200, 1e200], False),
+    ([1e200, 1.1e200, 1.1e200, 1e200], False),
+    # one product overflows: the determinant is +-inf
+    ([1e200, 1.0, 1.0, 1e200], True),
+    ([1.0, 1e200, 1e200, 1.0], False),
+])
+def test_sample_state_is_the_one_mode_bona_fide_condition(cov, state):
+    if state:
+        teleporter._sample_state(cov, 7)
+    else:
+        with pytest.raises(PhysicsError, match="^Monte Carlo output covariance of 7 shots is "
+                                               "not a state's: "):
+            teleporter._sample_state(cov, 7)
+
+
+def test_mc_output_whose_products_overflow_is_judged_on_scaled_entries():
+    # gains of 1e100 give variances near 8e199 and a cross term near 6e197:
+    # both products of C_xx C_pp - C_xp C_px overflow, and inf - inf is nan
+    params = coherent_params(g_x=1e100, g_p=1e100)
+    (cxx, cxp), (cpx, cpp) = gaussian._moments(teleport_mc(params, 100_000).output_state)[1]
+    assert cxx * cpp == cxp * cpx == math.inf
 
 
 def test_cholesky_factor_is_exact_to_the_bound(rng):
@@ -439,7 +477,7 @@ def test_coherent_input_equals_the_elementwise_numpy_check(cov):
     cov = np.array(cov).reshape(2, 2)
     vacuum_cov = 0.25 * np.eye(2)
     expected = bool(np.all(np.abs(cov - vacuum_cov) <= 1e-9 + 1e-5 * vacuum_cov))
-    params = TeleporterParams(input_state=gaussian._own(np.zeros(2), cov))
+    params = TeleporterParams(input_state=gaussian._own([0.0, 0.0], cov.tolist()))
     assert teleporter._coherent_input(params) is expected
 
 
@@ -577,6 +615,21 @@ def test_outputs_own_read_only_float64_arrays(rng):
     assert_owns_its_arrays(teleport_analytic(narrow).output_state, *given)
 
 
+def test_built_states_hold_python_floats(rng):
+    for _ in range(20):
+        params = random_params(rng)
+        for state in (make_epr(params), teleport_analytic(params).output_state,
+                      teleport_mc(params, 1000).output_state):
+            assert_float_form(state)
+    # a state built from numpy float32 values holds Python floats too
+    f32 = np.float32
+    state = GaussianState(np.array([0.5, -1.0], dtype=f32), np.eye(2, dtype=f32) * f32(0.5))
+    assert_float_form(state)
+    narrow = TeleporterParams(input_state=state, g_x=f32(0.9), eta_prop=(f32(0.9), 0.8))
+    for report in (teleport_analytic(narrow), teleport_mc(narrow, 1000)):
+        assert_float_form(report.output_state)
+
+
 def test_params_store_python_floats():
     # float32 and numpy float64 numbers give the output bytes of the same
     # values given as Python floats
@@ -708,17 +761,18 @@ def test_params_eta_hom_floor_is_one_millionth():
         TeleporterParams(input_state=vacuum(1), eta_hom=float(np.nextafter(1e-6, 0.0)))
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda n: teleport_mc(coherent_params(), n), "shots"),
-    (lambda n: cascade(coherent_params(), n), "n_stages"),
-    (lambda n: tomography.sample_record(vacuum(1), n, np.random.default_rng(0)), "n_samples"),
+@pytest.mark.parametrize("call, name, accepted", [
+    # 1000 shots: an estimate from 3 may not be a state, which teleport_mc refuses
+    (lambda n: teleport_mc(coherent_params(), n), "shots", 1000),
+    (lambda n: cascade(coherent_params(), n), "n_stages", 3),
+    (lambda n: tomography.sample_record(vacuum(1), n, np.random.default_rng(0)), "n_samples", 3),
 ], ids=["teleport_mc", "cascade", "sample_record"])
-def test_non_integral_count_is_rejected(call, name):
+def test_non_integral_count_is_rejected(call, name, accepted):
     # 3.0, True and the other classes are rows of test_gaussian's boundary table
     for count in (2.5,):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
             call(count)
-    call(np.int64(3))  # a numpy integer is a count
+    call(np.int64(accepted))  # a numpy integer is a count
 
 
 @pytest.mark.parametrize(

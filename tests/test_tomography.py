@@ -494,8 +494,7 @@ class TestWignerAnalytic:
             assert np.all(grid.values > 0.0)
 
     def test_singular_covariance_rejected(self):
-        cov = np.array([[1e-40, 0.0], [0.0, 0.25]])
-        state = gaussian._own(np.zeros(2), cov)
+        state = gaussian._own([0.0, 0.0], [[1e-40, 0.0], [0.0, 0.25]])
         with pytest.raises(PhysicsError):
             wigner_analytic(state)
 
