@@ -133,6 +133,11 @@ class GaussianState:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the state from its held lists by `_own`:
+        the default way sets the slots, which an immutable state refuses."""
+        return _own, (self._mean, self._cov)
+
     @property
     def mean(self) -> np.ndarray:
         """The mean as a read-only float64 vector, built on first read."""

@@ -30,13 +30,17 @@ the record, from pairwise per-bin sums; larger cutoffs admit shot noise,
 smaller ones blur the narrow quadrature.
 
 A record is drawn in cache-sized blocks of _BLOCK samples (elementwise, so
-no sample depends on the block size).  Each block's normals are drawn
-inline, after its marginals, from the caller's one stream: the bytes of one
+no sample depends on the block size), each through the same few
+block-sized buffers.  Each block's normals are drawn inline, after its
+marginals, from the caller's one stream: the bytes of one
 rng.standard_normal(n) call.  The sweep's cos and sin come from one table of
 the first block's angles by angle addition, a few ulps from np.cos and
-np.sin.  A record's thetas are non-decreasing within [0, pi), as the sweep's
-are, so each phase bin is one segment of the record, found by searchsorted;
-the phase counts, the default cutoff and the sinogram all read these
+np.sin.  The drawn record is swept: it holds its values only, and its
+thetas, k fl(pi / n), are built on their first read.  A record's thetas are
+non-decreasing within [0, pi), as the sweep's are, so each phase bin is one
+segment of the record: on a swept record computed from the sweep's step,
+on a record given its thetas found by searchsorted, with the same bounds.
+The phase counts, the default cutoff and the sinogram all read these
 segments.  The sinogram bins a segment's quadratures by truncation and
 compares with the edges only the samples within 1e-6 bins of one or outside
 them.
@@ -45,7 +49,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,19 +84,16 @@ def _readonly(array):
     return out
 
 
-def _set_samples(samples, name: str, kind: str, thetas, values, finite=None):
+def _set_samples(samples, name: str, kind: str, thetas, values):
     """Store read-only float arrays ``thetas`` and ``values`` as a trace's or
-    record's thetas and field ``name``, and return it; raise unless they are
-    matching 1-D arrays of finite values; a caller that checked passes ``finite``."""
+    record's thetas and field ``name``; raise unless they are matching 1-D
+    arrays of finite values."""
     object.__setattr__(samples, "thetas", thetas)
     object.__setattr__(samples, name, values)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise ValueError(f"thetas and {name} must be matching 1-D arrays")
-    if finite is None:
-        finite = np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))
-    if not finite:
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
         raise ValueError(f"{kind} values must be finite")
-    return samples
 
 
 def _single_mode(state: GaussianState) -> GaussianState:
@@ -101,30 +102,33 @@ def _single_mode(state: GaussianState) -> GaussianState:
     return state
 
 
-def _rotated(table, cos_a, sin_a, m):
-    """cos and sin of theta_a + theta_j for the table's first m angles theta_j,
+def _rotated(table, cos_a, sin_a, c, s, term):
+    """cos and sin of theta_a + theta_j for the table's first c.size angles
+    theta_j, written into ``c`` and ``s`` (``term`` is scratch of their size),
     by angle addition from ``table`` = (cos theta_j, sin theta_j) and the pair
     (cos_a, sin_a): c = cos_a cos_j - sin_a sin_j, s = sin_a cos_j + cos_a sin_j.
     Each is within a few ulps of np.cos and np.sin of the summed angle."""
-    tc, ts = table[0][:m], table[1][:m]
-    c = np.multiply(cos_a, tc)
-    s = np.multiply(sin_a, tc)
-    term = np.multiply(sin_a, ts)
+    tc, ts = table[0][:c.size], table[1][:c.size]
+    np.multiply(cos_a, tc, out=c)
+    np.multiply(sin_a, tc, out=s)
+    np.multiply(sin_a, ts, out=term)
     c -= term
     np.multiply(cos_a, ts, out=term)
     s += term
     return c, s
 
 
-def _marginal_arrays(state, c, s):
+def _marginal_arrays(state, c, s, var=None, term=None):
     """Mean and variance of the rotated quadrature at each phase, vectorized,
-    from the phases' cosines ``c`` and sines ``s``, which it overwrites."""
+    from the phases' cosines ``c`` and sines ``s``, which it overwrites; the
+    variance goes into ``var`` and ``term`` is scratch, both of c's size, or
+    new arrays when they are None."""
     (mx, mp), ((c00, c01), (_, c11)) = _moments(state)
     # var = c00 c c + 2 c01 c s + c11 s s and mu = mx c + mp s, in place but
     # in the association order of those sums, so the floats are theirs.
-    var = c00 * c
+    var = np.multiply(c00, c, out=var)
     var *= c
-    term = np.multiply(2.0 * c01, c)
+    term = np.multiply(2.0 * c01, c, out=term)
     term *= s
     var += term
     np.multiply(c11, s, out=term)
@@ -193,6 +197,13 @@ class GridSpec:
         return dx * dp
 
 
+def _rebuilt(record):
+    """A frozen record's __reduce__: copies and pickles rebuild it by its
+    constructor from its fields, so their arrays are read-only copies,
+    checked as a caller's are."""
+    return type(record), tuple(getattr(record, f.name) for f in fields(record))
+
+
 @dataclass(frozen=True)
 class PhaseScanTrace:
     """Noise power vs homodyne phase, in dB relative to vacuum.
@@ -208,14 +219,46 @@ class PhaseScanTrace:
     def __post_init__(self) -> None:
         _set_samples(self, "power_db", "trace", _readonly(self.thetas), _readonly(self.power_db))
 
+    __reduce__ = _rebuilt
+
+
+def _sweep(n: int) -> np.ndarray:
+    """The standard sweep of n samples, theta_k = k fl(pi / n): non-decreasing,
+    and within [0, pi) since (n - 1) fl(pi / n) rounds below pi for every n
+    below 2**52."""
+    thetas = np.arange(n, dtype=float)
+    thetas *= np.pi / n
+    return thetas
+
+
+class _SweepThetas:
+    """``QuadratureRecord.thetas`` of a swept record, which holds none: the
+    sweep of its size, built on first read and kept in the record, so every
+    read returns the same read-only array.  A record given its thetas holds
+    them in its __dict__, in front of this non-data descriptor."""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        thetas = _sweep(record.values.size)
+        thetas.setflags(write=False)
+        return vars(record).setdefault("thetas", thetas)  # one array, whoever built first
+
 
 @dataclass(frozen=True)
 class QuadratureRecord:
     """Raw (theta, value) samples from a phase-scanned homodyne measurement,
-    in phase order: the thetas are non-decreasing within [0, pi)."""
+    in phase order: the thetas are non-decreasing within [0, pi).
+
+    A record from sample_record is swept: it holds its values only, and
+    ``thetas``, the sweep k fl(pi / n), is built on its first read (most
+    readers never make one).  Its phase segments come from the sweep's step
+    in closed form; a record given its thetas finds them by searchsorted."""
 
     thetas: np.ndarray
     values: np.ndarray
+
+    _swept = False  # a class default, not a field; see _swept_record
 
     def __post_init__(self) -> None:
         _set_samples(self, "values", "record", _readonly(self.thetas), _readonly(self.values))
@@ -227,7 +270,51 @@ class QuadratureRecord:
 
     @property
     def n_samples(self) -> int:
-        return self.thetas.size
+        return self.values.size
+
+    def _bounds(self, edges: np.ndarray) -> np.ndarray:
+        """The index of the first sample at or past each phase edge, as
+        np.searchsorted(self.thetas, edges) gives it.  On a swept record, k =
+        ceil(e / step) clamped to [0, n], then moved while the sweep's own
+        floats (k - 1) step >= e or k step < e, which leaves the first k
+        whose k step >= e."""
+        if not self._swept:
+            return np.searchsorted(self.thetas, edges)
+        n = self.values.size
+        step = math.pi / n  # the sweep's fl(pi / n); k step rounds as numpy's does
+        bounds = []
+        for e in edges.tolist():
+            k = min(max(math.ceil(e / step), 0), n)
+            while k > 0 and (k - 1) * step >= e:
+                k -= 1
+            while k < n and k * step < e:
+                k += 1
+            bounds.append(k)
+        return np.array(bounds, dtype=np.intp)
+
+    def __reduce__(self):
+        """A swept record is copied and pickled as its values, the sweep
+        being their size's, and rebuilt without thetas; others by `_rebuilt`."""
+        return (_swept_record, (self.values,)) if self._swept else _rebuilt(self)
+
+
+QuadratureRecord.thetas = _SweepThetas()  # after the dataclass, or it reads as a default
+
+
+def _swept_record(values: np.ndarray, finite=None) -> QuadratureRecord:
+    """A swept record of ``values``, held read-only (copied if they are
+    writeable); raise unless they are finite, which a caller that checked
+    passes as ``finite``."""
+    if values.flags.writeable:
+        values = _readonly(values)
+    record = object.__new__(QuadratureRecord)
+    object.__setattr__(record, "values", values)
+    object.__setattr__(record, "_swept", True)
+    if finite is None:
+        finite = np.all(np.isfinite(values))
+    if not finite:
+        raise ValueError("record values must be finite")
+    return record
 
 
 @dataclass(frozen=True)
@@ -254,6 +341,8 @@ class WignerGrid:
 
     def normalization(self) -> float:
         return float(self.values.sum() * self.spec.cell_area)
+
+    __reduce__ = _rebuilt
 
 
 class WignerMoments(NamedTuple):
@@ -312,15 +401,17 @@ def sample_record(
 ) -> QuadratureRecord:
     """Draw quadrature samples of a single-mode state while scanning the phase.
 
-    Returns the (theta, value) samples as a QuadratureRecord.  The schedule
-    is a uniform linear sweep over [0, pi), theta_k = k pi / n_samples, one
-    sample per phase step, approximating a continuous scan.
+    Returns the samples as a swept QuadratureRecord: the schedule is a
+    uniform linear sweep over [0, pi), theta_k = k fl(pi / n_samples), one
+    sample per phase step, approximating a continuous scan.  The record
+    holds the values only; its thetas are built on their first read.
 
     Its cos and sin come from one table: sample a + j of the block at a has
     theta_a + theta_j, so angle addition gives them from the first block's
     np.cos/np.sin and one pair for theta_a.  They are exact in the first
     block and within a few ulps after it, with no error carried from block
-    to block.
+    to block.  The arithmetic of every block goes through the same three
+    block-sized buffers and the block's own slice of the values.
 
     The normals z are drawn block by block on the calling thread, each after
     its block's mean and spread: the stream and bytes of one
@@ -329,31 +420,31 @@ def sample_record(
     """
     _single_mode(state)
     check_count(n_samples, "n_samples", 1)
-    values = np.empty(n_samples)  # z, then mu + sqrt(var) z
-    # The sweep: non-decreasing, and within [0, pi) since (n - 1) fl(pi / n)
-    # rounds below pi for every n below 2**52.
-    thetas = np.arange(n_samples, dtype=float)
-    thetas *= np.pi / n_samples
-    table = np.cos(thetas[:_BLOCK]), np.sin(thetas[:_BLOCK])
-    heads = np.cos(thetas[::_BLOCK]), np.sin(thetas[::_BLOCK])  # block starts
+    values = np.empty(n_samples)  # var, then sd, sd z and mu + sd z
+    step = np.pi / n_samples  # the sweep's, as in _sweep
+    angles = np.arange(min(n_samples, _BLOCK), dtype=float)
+    angles *= step  # the first block's thetas
+    table = np.cos(angles), np.sin(angles, out=angles)
+    heads = np.arange(0, n_samples, _BLOCK, dtype=float)
+    heads *= step  # the thetas of the block starts
+    c, s, term = np.empty((3, table[0].size))
     finite = True
     # A mean or spread too large for a float overflows to inf: a non-finite
     # value, raised as such, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, cos_a, sin_a in zip(range(0, n_samples, _BLOCK), *heads):
-            c, s = _rotated(table, cos_a, sin_a, min(_BLOCK, n_samples - a))
-            mu, var = _marginal_arrays(state, c, s)
+        for a, cos_a, sin_a in zip(range(0, n_samples, _BLOCK), np.cos(heads), np.sin(heads)):
+            m = min(_BLOCK, n_samples - a)
+            c_m, s_m, term_m = c[:m], s[:m], term[:m]
+            _rotated(table, cos_a, sin_a, c_m, s_m, term_m)
+            mu, var = _marginal_arrays(state, c_m, s_m, values[a:a + m], term_m)
             sd = np.sqrt(var, out=var)
             # Block by block, the stream one standard_normal(n_samples) draws.
-            z = rng.standard_normal(out=values[a:a + _BLOCK])
-            z *= sd
-            z += mu
-            finite &= np.isfinite(z).all()
-    thetas.setflags(write=False)
+            z = rng.standard_normal(out=term_m)
+            sd *= z  # z sd, then mu + z sd, in the block's values
+            sd += mu
+            finite &= np.isfinite(sd).all()
     values.setflags(write=False)
-    # The constructor copies a caller's arrays; nothing else holds these.
-    return _set_samples(object.__new__(QuadratureRecord), "values", "record", thetas,
-                        values, finite)
+    return _swept_record(values, finite)
 
 
 def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> WignerGrid:
@@ -519,8 +610,9 @@ def inverse_radon(
     on the caller's window ``spec`` (GridSpec.from_state of the recorded state).
 
     The record, in phase order within [0, pi), is binned into a sinogram of
-    DEFAULT_THETA_BINS phase bins, each one segment of the record found by
-    searchsorted.  Phase and quadrature bins are half-open, [lo, hi), on
+    DEFAULT_THETA_BINS phase bins, each one segment of the record: from the
+    sweep's step on a swept record (sample_record's), by searchsorted on
+    the thetas of a record given them.  Phase and quadrature bins are half-open, [lo, hi), on
     uniform edges spanning [0, pi] and [-support, support], the support 1.05
     times the larger of the grid's corner radius and the record's max |q|.
 
@@ -536,7 +628,7 @@ def inverse_radon(
             f"got {record.n_samples}"
         )
     edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
-    q, bounds = record.values, np.searchsorted(record.thetas, edges)
+    q, bounds = record.values, record._bounds(edges)
     counts = np.diff(bounds)
     coverage = np.count_nonzero(counts) / DEFAULT_THETA_BINS
     if coverage < MIN_COVERAGE_FRACTION:

@@ -7,10 +7,12 @@ loss channel.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import inspect
 import math
+import pickle
 import re
 
 import numpy as np
@@ -116,6 +118,35 @@ def test_state_is_immutable():
         state.mean = np.zeros(2)
     with pytest.raises(ValueError):
         state.cov[0, 0] = 1.0
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("make", [
+    lambda: coherent_state(1 + 2j),
+    lambda: random_physical_state(np.random.default_rng(3), 3),
+], ids=["one_mode", "three_modes"])
+def test_copied_state_keeps_its_moments_and_immutability(make, copier):
+    # A copy is rebuilt from the held floats, which it holds in the same form;
+    # a state whose arrays were read copies as one whose arrays were not.
+    state = make()
+    state.mean, state.cov
+    copied = copier(state)
+    assert type(copied) is GaussianState and copied.n_modes == state.n_modes
+    assert gaussian._moments(copied) == gaussian._moments(state)
+    assert_float_form(copied)
+    assert copied.mean.tobytes() == state.mean.tobytes()
+    assert copied.cov.tobytes() == state.cov.tobytes()
+    with pytest.raises(AttributeError, match="immutable"):
+        copied.mean = np.zeros(2)
+    with pytest.raises(ValueError):
+        copied.cov[0, 0] = 1.0
 
 
 def test_squeeze_vacuum_variances():

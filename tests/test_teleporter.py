@@ -4,7 +4,9 @@ protocol, the analytic network propagation, and the Monte Carlo cross-check.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -413,6 +415,26 @@ def test_report_fields_are_consistent():
     assert squeezed.fidelity_coherent is None
     nonunity = teleport_analytic(coherent_params(g_x=0.9))
     assert nonunity.fidelity_coherent is None
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_params_and_report_copy_with_their_states(copier):
+    # Each copy holds a copy of the state, with its bytes and immutability,
+    # and every other field as it was.
+    params = coherent_params(eta_prop=(0.95, 0.9), g_x=0.9, seed=7)
+    report = teleport_mc(params, shots=1000)
+    copied_params, copied_report = copier(params), copier(report)
+    assert replace(copied_params, input_state=params.input_state) == params
+    assert copied_report._replace(output_state=report.output_state) == report
+    for state, held in ((params.input_state, copied_params.input_state),
+                        (report.output_state, copied_report.output_state)):
+        assert held.mean.tobytes() == state.mean.tobytes()
+        assert held.cov.tobytes() == state.cov.tobytes()
+        assert not held.cov.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            held.mean = np.zeros(2)
 
 
 def test_coherent_fidelity_reference_points():

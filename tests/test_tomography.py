@@ -1,8 +1,12 @@
 """Tests for trace generation, sampling, and Wigner reconstruction."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -33,6 +37,7 @@ from cvteleport.tomography import (
     sample_record,
     spectrum_trace,
     DEFAULT_CUTOFF_SIGMAS,
+    DEFAULT_THETA_BINS,
     _ramp_filter,
     _record_sigma_min,
     _sinogram,
@@ -359,6 +364,142 @@ class TestQuadratureRecordRule:
         QuadratureRecord(record.thetas, record.values)
 
 
+_SWEEP_SIZES = [1000, 1001, tomography._BLOCK - 1, tomography._BLOCK, tomography._BLOCK + 1,
+                99_991, 1_000_000, 2**22 + 3]
+
+
+class TestSweptRecord:
+    """A record from sample_record holds its values only: its thetas are the
+    sweep's, built on first read, and its phase segments come from the
+    sweep's step in closed form."""
+
+    @pytest.mark.parametrize("n", _SWEEP_SIZES)
+    def test_segments_are_those_of_searchsorted(self, n):
+        record = tomography._swept_record(np.zeros(n))
+        thetas = np.arange(n, dtype=float) * (np.pi / n)
+        edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
+        assert record._bounds(edges).tobytes() == np.searchsorted(thetas, edges).tobytes()
+        # edges on a sample, a float either side of it, and outside the sweep
+        at = thetas[[0, 1, n // 3, n // 2, n - 2, n - 1]]
+        hard = np.sort(np.concatenate([
+            at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), [-1.0, -0.0, np.pi, 4.0],
+        ]))
+        assert record._bounds(hard).tobytes() == np.searchsorted(thetas, hard).tobytes()
+        assert "thetas" not in vars(record)  # no array of them was built
+
+    @pytest.mark.parametrize("n", _SWEEP_SIZES)
+    def test_thetas_are_built_once_on_first_read(self, n):
+        record = tomography._swept_record(np.zeros(n))
+        assert "thetas" not in vars(record)
+        thetas = record.thetas
+        assert thetas.tobytes() == (np.arange(n, dtype=float) * (np.pi / n)).tobytes()
+        assert thetas.dtype == np.float64 and not thetas.flags.writeable
+        assert record.thetas is thetas and vars(record)["thetas"] is thetas
+        assert record.n_samples == n
+
+    def test_threads_reading_thetas_first_get_one_array(self):
+        # Eight threads read each fresh record's thetas at once: however the
+        # builds interleave, they all return the array the record keeps.
+        records = [tomography._swept_record(np.zeros(4000)) for _ in range(100)]
+        barrier = threading.Barrier(8)
+
+        def read_all():
+            seen = []
+            for record in records:
+                barrier.wait(timeout=30)
+                seen.append(record.thetas)
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read_all) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, record in enumerate(records):
+            assert all(seen[k] is vars(record)["thetas"] for seen in results)
+
+    def test_sample_record_is_swept(self, rng):
+        record = sample_record(vacuum(1), 5000, rng)
+        assert record._swept and "thetas" not in vars(record)
+        assert not record.values.flags.writeable
+        assert not QuadratureRecord(record.thetas, record.values)._swept
+
+    def test_reconstruction_is_that_of_the_record_given_its_thetas(self, rng):
+        state = impure_squeezed_vacuum(-3.0, 6.0)
+        swept = sample_record(state, 100_000, rng)
+        given_thetas = QuadratureRecord(swept.thetas, swept.values)
+        spec = GridSpec.from_state(state)
+        expected = inverse_radon(given_thetas, spec).values
+        assert inverse_radon(swept, spec).values.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_the_values_and_a_few_blocks(self):
+        # the values (8 MB), the cos/sin table and three block buffers: about
+        # 8.9 MiB; a record that holds its thetas needs 8 MB more
+        state = impure_squeezed_vacuum(-3.0, 6.0)
+        sample_record(state, 1000, np.random.default_rng(0))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            record = sample_record(state, 1_000_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert record.n_samples == 1_000_000
+        assert peak < 9 * 2**20
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+class TestFrozenRecordCopies:
+    """Copies and pickles of the frozen records keep their arrays read-only."""
+
+    @staticmethod
+    def assert_readonly_copy(copied, original, names):
+        assert type(copied) is type(original)
+        for name in names:
+            array = getattr(copied, name)
+            assert not array.flags.writeable
+            assert array.tobytes() == getattr(original, name).tobytes()
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    def test_swept_record_copies_as_its_values(self, copier, rng):
+        record = sample_record(vacuum(1), 2000, rng)
+        for _ in range(2):  # before and after the original builds its thetas
+            copied = copier(record)
+            assert copied._swept and "thetas" not in vars(copied)
+            self.assert_readonly_copy(copied, record, ["values", "thetas"])
+            record.thetas
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    @pytest.mark.parametrize("make, names", [
+        (lambda: QuadratureRecord(np.arange(1000) * (np.pi / 1000), np.ones(1000)),
+         ["thetas", "values"]),
+        (lambda: spectrum_trace(coherent_state(0.5 + 1j), 16), ["thetas", "power_db"]),
+        (lambda: wigner_analytic(vacuum(1), GridSpec(-2, 2, -2, 2, 5, 7)), ["values"]),
+    ], ids=["record", "trace", "grid"])
+    def test_record_copies_hold_readonly_arrays(self, make, names, copier):
+        original = make()
+        copied = copier(original)
+        self.assert_readonly_copy(copied, original, names)
+        others = [f.name for f in dataclasses.fields(original) if f.name not in names]
+        assert [getattr(copied, name) for name in others] == [
+            getattr(original, name) for name in others]
+        if isinstance(copied, QuadratureRecord):
+            assert not copied._swept and vars(copied)["thetas"] is copied.thetas
+
+
 class _StubRng:
     """A default_rng(0) whose standard_normal raises on call ``fail_at`` and,
     for ``nan_at`` = (call, index), writes NaN at that index of that call's
@@ -431,11 +572,11 @@ class TestSampleRecordDraw:
         marginal_arrays = tomography._marginal_arrays
         calls = []
 
-        def second_block_fails(state, c, s):
+        def second_block_fails(state, c, s, var, term):
             calls.append(c.size)
             if len(calls) == 2:
                 raise FloatingPointError("second marginals")
-            return marginal_arrays(state, c, s)
+            return marginal_arrays(state, c, s, var, term)
 
         # Each block is drawn after its marginals: block 2's raise before its draw.
         rng = _StubRng()
