@@ -35,15 +35,13 @@ block-sized buffers.  Each block's normals are drawn inline, after its
 marginals, from the caller's one stream: the bytes of one
 rng.standard_normal(n) call.  The sweep's cos and sin come from one table of
 the first block's angles by angle addition, a few ulps from np.cos and
-np.sin.  The drawn record is swept: it holds its values only, and its
-thetas, k fl(pi / n), are built on their first read.  A record's thetas are
-non-decreasing within [0, pi), as the sweep's are, so each phase bin is one
-segment of the record: on a swept record computed from the sweep's step,
-on a record given its thetas found by searchsorted, with the same bounds.
-The phase counts, the default cutoff and the sinogram all read these
-segments.  The sinogram bins a segment's quadratures by truncation and
-compares with the edges only the samples within 1e-6 bins of one or outside
-them.
+np.sin.  A record is its values only, on the standard sweep theta_k =
+k fl(pi / n): its thetas are non-decreasing within [0, pi), so each phase
+bin is one segment of the record, whose bounds come from the sweep's step
+in closed form.  The phase counts, the default cutoff and the sinogram all
+read these segments.  The sinogram bins a segment's quadratures by
+truncation and compares with the edges only the samples within 1e-6 bins of
+one or outside them.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ _FILTER_PAD_FACTOR = 8
 _SUPPORT_PAD_FACTOR = 1.05
 _MAX_QUADRATURE_BINS = 1 << 15
 _EDGE_MARGIN = 1e-6  # bins; see _sinogram
-MIN_COVERAGE_FRACTION = 0.8
 MIN_RECORD_SAMPLES = 1000
 NORMALIZATION_WINDOW = (0.95, 1.05)
 _BLOCK = 1 << 15  # samples per block when drawing a record: 256 KiB of float64
@@ -82,18 +79,6 @@ def _readonly(array):
     out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def _set_samples(samples, name: str, kind: str, thetas, values):
-    """Store read-only float arrays ``thetas`` and ``values`` as a trace's or
-    record's thetas and field ``name``; raise unless they are matching 1-D
-    arrays of finite values."""
-    object.__setattr__(samples, "thetas", thetas)
-    object.__setattr__(samples, name, values)
-    if thetas.ndim != 1 or thetas.shape != values.shape:
-        raise ValueError(f"thetas and {name} must be matching 1-D arrays")
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
-        raise ValueError(f"{kind} values must be finite")
 
 
 def _single_mode(state: GaussianState) -> GaussianState:
@@ -204,7 +189,7 @@ def _rebuilt(record):
     return type(record), tuple(getattr(record, f.name) for f in fields(record))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseScanTrace:
     """Noise power vs homodyne phase, in dB relative to vacuum.
 
@@ -217,56 +202,49 @@ class PhaseScanTrace:
     averages: int | None
 
     def __post_init__(self) -> None:
-        _set_samples(self, "power_db", "trace", _readonly(self.thetas), _readonly(self.power_db))
+        thetas, power_db = _readonly(self.thetas), _readonly(self.power_db)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "power_db", power_db)
+        if thetas.ndim != 1 or thetas.shape != power_db.shape:
+            raise ValueError("thetas and power_db must be matching 1-D arrays")
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(power_db))):
+            raise ValueError("trace values must be finite")
 
     __reduce__ = _rebuilt
 
 
 def _sweep(n: int) -> np.ndarray:
-    """The standard sweep of n samples, theta_k = k fl(pi / n): non-decreasing,
-    and within [0, pi) since (n - 1) fl(pi / n) rounds below pi for every n
-    below 2**52."""
+    """The standard sweep of n samples, theta_k = k fl(pi / n), read-only:
+    non-decreasing, and within [0, pi) since (n - 1) fl(pi / n) rounds below
+    pi for every n below 2**52."""
     thetas = np.arange(n, dtype=float)
-    thetas *= np.pi / n
+    thetas *= np.pi / max(n, 1)  # the empty sweep has no step
+    thetas.setflags(write=False)
     return thetas
 
 
-class _SweepThetas:
-    """``QuadratureRecord.thetas`` of a swept record, which holds none: the
-    sweep of its size, built on first read and kept in the record, so every
-    read returns the same read-only array.  A record given its thetas holds
-    them in its __dict__, in front of this non-data descriptor."""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        thetas = _sweep(record.values.size)
-        thetas.setflags(write=False)
-        return vars(record).setdefault("thetas", thetas)  # one array, whoever built first
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRecord:
-    """Raw (theta, value) samples from a phase-scanned homodyne measurement,
-    in phase order: the thetas are non-decreasing within [0, pi).
+    """Quadrature samples from a phase-scanned homodyne measurement: one
+    value per phase step of the standard sweep over [0, pi).
 
-    A record from sample_record is swept: it holds its values only, and
-    ``thetas``, the sweep k fl(pi / n), is built on its first read (most
-    readers never make one).  Its phase segments come from the sweep's step
-    in closed form; a record given its thetas finds them by searchsorted."""
+    The record holds its values only.  ``thetas``, the sweep k fl(pi / n),
+    is built on each read (most readers never make one), and the phase
+    segments come from the sweep's step in closed form."""
 
-    thetas: np.ndarray
     values: np.ndarray
 
-    _swept = False  # a class default, not a field; see _swept_record
-
     def __post_init__(self) -> None:
-        _set_samples(self, "values", "record", _readonly(self.thetas), _readonly(self.values))
-        thetas = self.thetas
-        if thetas.size and not (
-            thetas[0] >= 0.0 and thetas[-1] < np.pi and np.all(thetas[1:] >= thetas[:-1])
-        ):
-            raise ValueError("record thetas must be non-decreasing within [0, pi)")
+        values = _readonly(self.values)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise ValueError("thetas and values must be matching 1-D arrays")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("record values must be finite")
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return _sweep(self.values.size)
 
     @property
     def n_samples(self) -> int:
@@ -274,14 +252,12 @@ class QuadratureRecord:
 
     def _bounds(self, edges: np.ndarray) -> np.ndarray:
         """The index of the first sample at or past each phase edge, as
-        np.searchsorted(self.thetas, edges) gives it.  On a swept record, k =
-        ceil(e / step) clamped to [0, n], then moved while the sweep's own
-        floats (k - 1) step >= e or k step < e, which leaves the first k
-        whose k step >= e."""
-        if not self._swept:
-            return np.searchsorted(self.thetas, edges)
+        np.searchsorted(self.thetas, edges) gives it: k = ceil(e / step)
+        clamped to [0, n], then moved while the sweep's own floats
+        (k - 1) step >= e or k step < e, which leaves the first k whose
+        k step >= e."""
         n = self.values.size
-        step = math.pi / n  # the sweep's fl(pi / n); k step rounds as numpy's does
+        step = math.pi / max(n, 1)  # the sweep's fl(pi / n); k step rounds as numpy's does
         bounds = []
         for e in edges.tolist():
             k = min(max(math.ceil(e / step), 0), n)
@@ -292,32 +268,21 @@ class QuadratureRecord:
             bounds.append(k)
         return np.array(bounds, dtype=np.intp)
 
-    def __reduce__(self):
-        """A swept record is copied and pickled as its values, the sweep
-        being their size's, and rebuilt without thetas; others by `_rebuilt`."""
-        return (_swept_record, (self.values,)) if self._swept else _rebuilt(self)
+    __reduce__ = _rebuilt
 
 
-QuadratureRecord.thetas = _SweepThetas()  # after the dataclass, or it reads as a default
-
-
-def _swept_record(values: np.ndarray, finite=None) -> QuadratureRecord:
-    """A swept record of ``values``, held read-only (copied if they are
-    writeable); raise unless they are finite, which a caller that checked
-    passes as ``finite``."""
-    if values.flags.writeable:
-        values = _readonly(values)
+def _swept_record(values: np.ndarray, finite: bool) -> QuadratureRecord:
+    """A record of sample_record's read-only ``values``, held without the
+    constructor's copy and scan; raise unless they are ``finite``, as
+    sample_record found them block by block."""
     record = object.__new__(QuadratureRecord)
     object.__setattr__(record, "values", values)
-    object.__setattr__(record, "_swept", True)
-    if finite is None:
-        finite = np.all(np.isfinite(values))
     if not finite:
         raise ValueError("record values must be finite")
     return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Wigner function samples on a rectangular grid.
 
@@ -401,10 +366,10 @@ def sample_record(
 ) -> QuadratureRecord:
     """Draw quadrature samples of a single-mode state while scanning the phase.
 
-    Returns the samples as a swept QuadratureRecord: the schedule is a
-    uniform linear sweep over [0, pi), theta_k = k fl(pi / n_samples), one
-    sample per phase step, approximating a continuous scan.  The record
-    holds the values only; its thetas are built on their first read.
+    Returns the samples as a QuadratureRecord: the schedule is the standard
+    sweep, uniform and linear over [0, pi), theta_k = k fl(pi / n_samples),
+    one sample per phase step, approximating a continuous scan.  The record
+    holds the values only, handed over without a copy.
 
     Its cos and sin come from one table: sample a + j of the block at a has
     theta_a + theta_j, so angle addition gives them from the first block's
@@ -610,17 +575,16 @@ def inverse_radon(
     on the caller's window ``spec`` (GridSpec.from_state of the recorded state).
 
     The record, in phase order within [0, pi), is binned into a sinogram of
-    DEFAULT_THETA_BINS phase bins, each one segment of the record: from the
-    sweep's step on a swept record (sample_record's), by searchsorted on
-    the thetas of a record given them.  Phase and quadrature bins are half-open, [lo, hi), on
-    uniform edges spanning [0, pi] and [-support, support], the support 1.05
-    times the larger of the grid's corner radius and the record's max |q|.
+    DEFAULT_THETA_BINS phase bins, each one segment of the record, bounded
+    from the sweep's step.  Phase and quadrature bins are half-open, [lo, hi),
+    on uniform edges spanning [0, pi] and [-support, support], the support
+    1.05 times the larger of the grid's corner radius and the record's max |q|.
 
     Each marginal histogram is ramp-filtered in the Fourier domain, by real
     FFTs of the zero-padded profiles, with a hard cutoff at ``filter_cutoff``
     (default 6.5 / sigma_min, estimated from the record), then back-projected
     along its phase.  Raises if fewer than MIN_RECORD_SAMPLES samples are
-    supplied or if less than 80% of the phase bins are populated.
+    supplied; with that many, every phase bin holds at least 16.
     """
     if record.n_samples < MIN_RECORD_SAMPLES:
         raise ValueError(
@@ -629,22 +593,14 @@ def inverse_radon(
         )
     edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
     q, bounds = record.values, record._bounds(edges)
-    counts = np.diff(bounds)
-    coverage = np.count_nonzero(counts) / DEFAULT_THETA_BINS
-    if coverage < MIN_COVERAGE_FRACTION:
-        raise ValueError(
-            f"insufficient phase coverage: {coverage:.0%} of bins populated, "
-            f"need >= {MIN_COVERAGE_FRACTION:.0%} of [0, pi)"
-        )
     if filter_cutoff is None:
         filter_cutoff = DEFAULT_CUTOFF_SIGMAS / _record_sigma_min(q, bounds)
     filter_cutoff = _as_positive(filter_cutoff, "filter_cutoff")
     q_edges = _quadrature_edges(q, spec, filter_cutoff)
     q_centers, dq = 0.5 * (q_edges[:-1] + q_edges[1:]), q_edges[1] - q_edges[0]
-    populated = np.flatnonzero(counts)
-    profiles = _sinogram(q, bounds, q_edges)[populated] / (counts[populated, None] * dq)
+    profiles = _sinogram(q, bounds, q_edges) / (np.diff(bounds)[:, None] * dq)
     filtered = _ramp_filter(profiles, dq, filter_cutoff)
-    angles = (0.5 * (edges[:-1] + edges[1:]))[populated]
+    angles = 0.5 * (edges[:-1] + edges[1:])
     return WignerGrid(spec, _back_project(filtered, angles, q_centers, spec))
 
 

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import math
 import pickle
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -197,6 +196,13 @@ class TestSpectrumTrace:
         assert spectrum_trace(vacuum(1), np.int64(4), np.int64(2), rng).averages == 2
 
 
+# A record built from a caller's thetas and values, and the field they go to.
+BUILT_FROM_ARRAYS = {
+    "record": (lambda thetas, values: QuadratureRecord(values), "values"),
+    "trace": (lambda thetas, values: tomography.PhaseScanTrace(thetas, values, None), "power_db"),
+}
+
+
 class TestSampleRecord:
     def test_vacuum_bin_variances(self, rng):
         record = sample_record(vacuum(1), 100_000, rng)
@@ -238,8 +244,8 @@ class TestSampleRecord:
     def test_record_carries_only_its_samples(self, rng):
         record = sample_record(vacuum(1), 3, rng)
         assert record.n_samples == 3
-        # A record is its (theta, value) samples and carries no other metadata.
-        assert [f.name for f in dataclasses.fields(record)] == ["thetas", "values"]
+        # A record is its values on the sweep and carries no other metadata.
+        assert [f.name for f in dataclasses.fields(record)] == ["values"]
 
     def test_deterministic_under_seed(self):
         state = impure_squeezed_vacuum(-6.0, 7.0)
@@ -295,145 +301,104 @@ class TestSampleRecord:
         starts = slice(0, n, tomography._BLOCK)
         assert record.values[starts].tobytes() == textbook[starts].tobytes()
 
-    @pytest.mark.parametrize("cls, field, extra", [
-        (QuadratureRecord, "values", {}),
-        (tomography.PhaseScanTrace, "power_db", {"averages": None}),
-    ], ids=["record", "trace"])
-    def test_readonly_arrays_a_caller_gives_are_copied(self, cls, field, extra):
+    @pytest.mark.parametrize("make, field", BUILT_FROM_ARRAYS.values(),
+                             ids=BUILT_FROM_ARRAYS.keys())
+    def test_readonly_arrays_a_caller_gives_are_copied(self, make, field):
         # The caller still owns its arrays and may make them writeable again.
         thetas, values = np.arange(2000.0) / 2000, np.ones(2000)
         thetas.setflags(write=False)
         values.setflags(write=False)
-        samples = cls(thetas=thetas, **{field: values}, **extra)
+        samples = make(thetas, values)
         values.setflags(write=True)
         values[0] = np.nan
         stored = getattr(samples, field)
         assert stored[0] == 1.0 and not stored.flags.writeable
         assert not np.shares_memory(samples.thetas, thetas)
 
-    @pytest.mark.parametrize("cls, field, extra", [
-        (QuadratureRecord, "values", {}),
-        (tomography.PhaseScanTrace, "power_db", {"averages": None}),
-    ])
-    def test_readonly_view_of_writeable_base_is_copied(self, cls, field, extra):
+    @pytest.mark.parametrize("make, field", BUILT_FROM_ARRAYS.values(),
+                             ids=BUILT_FROM_ARRAYS.keys())
+    def test_readonly_view_of_writeable_base_is_copied(self, make, field):
         base = np.linspace(0.0, 1.0, 10)
         view = base[:]
         view.setflags(write=False)
-        samples = cls(thetas=view, **{field: view}, **extra)
+        samples = make(view, view)
         for stored in (samples.thetas, getattr(samples, field)):
             assert not stored.flags.writeable and not np.shares_memory(stored, base)
         base[0] = 5.0
         assert samples.thetas[0] == 0.0 and getattr(samples, field)[0] == 0.0
 
 
-_SWEEP = np.arange(1000) * (np.pi / 1000)
-_SWAPPED = _SWEEP.copy()
-_SWAPPED[[400, 401]] = _SWAPPED[[401, 400]]
-_RECORD_RULE = "^record thetas must be non-decreasing within \\[0, pi\\)$"
-
-
-class TestQuadratureRecordRule:
-    """A record's thetas are non-decreasing within [0, pi), the form of
-    sample_record's sweep; the constructor rejects any other."""
-
-    @pytest.mark.parametrize("thetas", [
-        np.concatenate([[np.nextafter(0.0, -1.0)], _SWEEP[1:]]),
-        np.append(_SWEEP, np.pi),
-        np.arange(1000) * (2.0 * np.pi / 1000),
-        np.random.default_rng(0).permutation(_SWEEP),
-        _SWAPPED,
-    ], ids=["negative_first", "last_at_pi", "full_turn", "shuffled", "one_swap"])
-    def test_rejects_a_record_out_of_phase_order(self, thetas):
-        with pytest.raises(ValueError, match=_RECORD_RULE):
-            QuadratureRecord(thetas, np.zeros(thetas.size))
-
-    @pytest.mark.parametrize("thetas", [
-        np.concatenate([[-0.0], _SWEEP[1:]]),
-        np.concatenate([np.zeros(40), _SWEEP]),
-        np.append(_SWEEP, [np.nextafter(np.pi, 0.0)] * 2),
-    ], ids=["negative_zero_first", "run_of_zeros", "last_below_pi"])
-    def test_accepts_a_record_in_phase_order(self, thetas):
-        record = QuadratureRecord(thetas, np.zeros(thetas.size))
-        assert record.thetas.tobytes() == thetas.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, tomography._BLOCK - 1, tomography._BLOCK,
-                                   tomography._BLOCK + 1, 10**6])
-    def test_every_sample_record_meets_the_rule(self, n):
-        record = sample_record(vacuum(1), n, np.random.default_rng(n))
-        assert record.thetas[-1] < np.pi
-        QuadratureRecord(record.thetas, record.values)
-
-
 _SWEEP_SIZES = [1000, 1001, tomography._BLOCK - 1, tomography._BLOCK, tomography._BLOCK + 1,
                 99_991, 1_000_000, 2**22 + 3]
 
 
-class TestSweptRecord:
-    """A record from sample_record holds its values only: its thetas are the
-    sweep's, built on first read, and its phase segments come from the
-    sweep's step in closed form."""
+class TestQuadratureRecord:
+    """A record holds its values only: its thetas are the standard sweep,
+    built on each read, and its phase segments come from the sweep's step
+    in closed form."""
 
     @pytest.mark.parametrize("n", _SWEEP_SIZES)
     def test_segments_are_those_of_searchsorted(self, n):
-        record = tomography._swept_record(np.zeros(n))
+        record = QuadratureRecord(np.zeros(n))
         thetas = np.arange(n, dtype=float) * (np.pi / n)
         edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
-        assert record._bounds(edges).tobytes() == np.searchsorted(thetas, edges).tobytes()
+        bounds = record._bounds(edges)
+        assert bounds.tobytes() == np.searchsorted(thetas, edges).tobytes()
+        # at MIN_RECORD_SAMPLES or more, every phase bin holds 16 or more
+        assert np.diff(bounds).min() >= 16
         # edges on a sample, a float either side of it, and outside the sweep
         at = thetas[[0, 1, n // 3, n // 2, n - 2, n - 1]]
         hard = np.sort(np.concatenate([
             at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), [-1.0, -0.0, np.pi, 4.0],
         ]))
         assert record._bounds(hard).tobytes() == np.searchsorted(thetas, hard).tobytes()
-        assert "thetas" not in vars(record)  # no array of them was built
 
-    @pytest.mark.parametrize("n", _SWEEP_SIZES)
-    def test_thetas_are_built_once_on_first_read(self, n):
-        record = tomography._swept_record(np.zeros(n))
-        assert "thetas" not in vars(record)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 59, 60, 61, 999])
+    def test_short_record_segments_are_those_of_searchsorted(self, n):
+        # Below MIN_RECORD_SAMPLES, and with fewer samples than phase bins,
+        # the closed form still gives searchsorted's bounds, empty bins too.
+        record = QuadratureRecord(np.zeros(n))
+        thetas = np.arange(n, dtype=float) * (np.pi / max(n, 1))
+        edges = np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1)
+        hard = np.sort(np.concatenate([
+            edges, thetas, np.nextafter(thetas, -np.inf), np.nextafter(thetas, np.inf),
+            [-1.0, -0.0, np.pi, 4.0],
+        ]))
+        for probe in (edges, hard):
+            assert record._bounds(probe).tobytes() == np.searchsorted(thetas, probe).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2] + _SWEEP_SIZES)
+    def test_thetas_are_the_sweep(self, n):
+        record = QuadratureRecord(np.zeros(n))
         thetas = record.thetas
-        assert thetas.tobytes() == (np.arange(n, dtype=float) * (np.pi / n)).tobytes()
+        assert thetas.tobytes() == (np.arange(n) * (np.pi / n if n else 1.0)).tobytes()
         assert thetas.dtype == np.float64 and not thetas.flags.writeable
-        assert record.thetas is thetas and vars(record)["thetas"] is thetas
+        assert np.all(thetas >= 0.0) and np.all(thetas < np.pi)
+        assert np.all(np.diff(thetas) > 0.0)
         assert record.n_samples == n
 
-    def test_threads_reading_thetas_first_get_one_array(self):
-        # Eight threads read each fresh record's thetas at once: however the
-        # builds interleave, they all return the array the record keeps.
-        records = [tomography._swept_record(np.zeros(4000)) for _ in range(100)]
-        barrier = threading.Barrier(8)
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((40, 50)), "^thetas and values must be matching 1-D arrays$"),
+        (np.float64(0.5), "^thetas and values must be matching 1-D arrays$"),
+        (np.append(np.zeros(1999), np.nan), "^record values must be finite$"),
+        (np.concatenate([[np.inf], np.zeros(1999)]), "^record values must be finite$"),
+        ([0.0, -np.inf, 1.0], "^record values must be finite$"),
+    ], ids=["2d", "scalar", "nan", "inf", "minus_inf_list"])
+    def test_constructor_rejects_values_that_are_not_a_record(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRecord(values)
 
-        def read_all():
-            seen = []
-            for record in records:
-                barrier.wait(timeout=30)
-                seen.append(record.thetas)
-            return seen
+    def test_constructor_holds_float_values(self):
+        record = QuadratureRecord([1, 2, 3])
+        assert record.values.dtype == np.float64 and not record.values.flags.writeable
+        assert record.values.tolist() == [1.0, 2.0, 3.0]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(read_all) for _ in range(8)]
-                results = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for k, record in enumerate(records):
-            assert all(seen[k] is vars(record)["thetas"] for seen in results)
-
-    def test_sample_record_is_swept(self, rng):
-        record = sample_record(vacuum(1), 5000, rng)
-        assert record._swept and "thetas" not in vars(record)
+    def test_sample_record_hands_over_its_values(self, rng):
+        # sample_record builds the record without the constructor's copy
+        # and finiteness scan: it made and checked the values itself.
+        with mock.patch.object(QuadratureRecord, "__post_init__", side_effect=AssertionError):
+            record = sample_record(vacuum(1), 5000, rng)
         assert not record.values.flags.writeable
-        assert not QuadratureRecord(record.thetas, record.values)._swept
-
-    def test_reconstruction_is_that_of_the_record_given_its_thetas(self, rng):
-        state = impure_squeezed_vacuum(-3.0, 6.0)
-        swept = sample_record(state, 100_000, rng)
-        given_thetas = QuadratureRecord(swept.thetas, swept.values)
-        spec = GridSpec.from_state(state)
-        expected = inverse_radon(given_thetas, spec).values
-        assert inverse_radon(swept, spec).values.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_the_values_and_a_few_blocks(self):
         # the values (8 MB), the cos/sin table and three block buffers: about
@@ -461,43 +426,48 @@ COPIERS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
 
+# Each frozen record with arrays, and the names of its arrays.
+FROZEN_RECORDS = {
+    "record": (lambda: sample_record(vacuum(1), 2000, np.random.default_rng(0)),
+               ["values", "thetas"]),
+    "trace": (lambda: spectrum_trace(coherent_state(0.5 + 1j), 16), ["thetas", "power_db"]),
+    "grid": (lambda: wigner_analytic(vacuum(1), GridSpec(-2, 2, -2, 2, 5, 7)), ["values"]),
+}
+
 
 class TestFrozenRecordCopies:
     """Copies and pickles of the frozen records keep their arrays read-only."""
 
-    @staticmethod
-    def assert_readonly_copy(copied, original, names):
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    @pytest.mark.parametrize("make, names", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS.keys())
+    def test_record_copies_hold_readonly_arrays(self, make, names, copier):
+        original = make()
+        copied = copier(original)
         assert type(copied) is type(original)
         for name in names:
             array = getattr(copied, name)
             assert not array.flags.writeable
             assert array.tobytes() == getattr(original, name).tobytes()
-
-    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
-    def test_swept_record_copies_as_its_values(self, copier, rng):
-        record = sample_record(vacuum(1), 2000, rng)
-        for _ in range(2):  # before and after the original builds its thetas
-            copied = copier(record)
-            assert copied._swept and "thetas" not in vars(copied)
-            self.assert_readonly_copy(copied, record, ["values", "thetas"])
-            record.thetas
-
-    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
-    @pytest.mark.parametrize("make, names", [
-        (lambda: QuadratureRecord(np.arange(1000) * (np.pi / 1000), np.ones(1000)),
-         ["thetas", "values"]),
-        (lambda: spectrum_trace(coherent_state(0.5 + 1j), 16), ["thetas", "power_db"]),
-        (lambda: wigner_analytic(vacuum(1), GridSpec(-2, 2, -2, 2, 5, 7)), ["values"]),
-    ], ids=["record", "trace", "grid"])
-    def test_record_copies_hold_readonly_arrays(self, make, names, copier):
-        original = make()
-        copied = copier(original)
-        self.assert_readonly_copy(copied, original, names)
         others = [f.name for f in dataclasses.fields(original) if f.name not in names]
         assert [getattr(copied, name) for name in others] == [
             getattr(original, name) for name in others]
-        if isinstance(copied, QuadratureRecord):
-            assert not copied._swept and vars(copied)["thetas"] is copied.thetas
+
+    @pytest.mark.parametrize("make, names", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS.keys())
+    def test_equality_is_identity(self, make, names):
+        # A record of arrays compares by identity, as a GaussianState does,
+        # not by numpy's elementwise ==, whose truth value is ambiguous.
+        record = make()
+        assert (record == record) is True
+        assert (record == copy.copy(record)) is False
+
+    @pytest.mark.parametrize("make, names", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS.keys())
+    def test_hash_is_identity(self, make, names):
+        # With == by identity, a record hashes by identity too, so it can key
+        # a dict or sit in a set; a hash of its array fields would raise.
+        record = make()
+        twin = copy.copy(record)
+        assert hash(record) == object.__hash__(record)
+        assert {record: 1, twin: 2}[record] == 1 and len({record, twin, record}) == 2
 
 
 class _StubRng:
@@ -708,12 +678,6 @@ class TestInverseRadon:
         assert moments.cov[1, 1] == pytest.approx(report.vp, rel=VAR_RTOL)
         assert np.abs(moments.mean).max() < MEAN_ATOL
 
-    def test_quarter_circle_coverage_rejected(self, rng):
-        thetas = np.sort(rng.uniform(0.0, 0.5 * np.pi, 5000))
-        record = QuadratureRecord(thetas, textbook_values(vacuum(1), thetas, 7))
-        with pytest.raises(ValueError, match="coverage"):
-            inverse_radon(record, GridSpec.from_state(vacuum(1)))
-
     def test_too_few_samples_rejected(self, rng):
         record = sample_record(vacuum(1), 999, rng)
         with pytest.raises(ValueError, match="samples"):
@@ -755,10 +719,9 @@ class TestSinogramBinning:
     N_Q = 41
 
     def edge_record(self, rng):
-        """A record in phase order within [0, pi): thetas on every phase edge
-        below pi, in runs of ties, -0.0 and +0.0, and just either side of 0
-        and below pi; quadratures on every interior edge, both outer edges
-        and beyond."""
+        """Thetas in phase order within [0, pi): on every phase edge below pi,
+        in runs of ties, -0.0 and +0.0, and just either side of 0 and below
+        pi; quadratures on every interior edge, both outer edges and beyond."""
         edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
         ties = np.repeat(edges[:-1], rng.integers(1, 50, self.N_THETA))
         specials = [-0.0, 0.0, np.nextafter(0.0, 1.0), np.nextafter(np.pi, 0.0)]
@@ -767,39 +730,44 @@ class TestSinogramBinning:
         q_ties = np.concatenate([q_edges, [-2.6, 2.6, np.nextafter(2.5, 3.0)]])
         values = rng.normal(0.0, 1.0, thetas.size)
         values[: thetas.size // 2] = rng.choice(q_ties, thetas.size // 2)
-        return QuadratureRecord(thetas, values), edges, q_edges
+        return thetas, values, edges, q_edges
 
     def test_index_matches_searchsorted(self, rng):
-        record, _, q_edges = self.edge_record(rng)
-        values = record.values
+        _, values, _, q_edges = self.edge_record(rng)
         expected = np.searchsorted(q_edges, values, side="right") - 1
         expected[values == q_edges[-1]] -= 1  # the last bin is closed
         assert np.array_equal(_uniform_bin_index(values, q_edges, _upper_edges(q_edges)),
                               expected)
 
     def test_counts_and_sinogram_match_reference(self, rng):
-        record, edges, q_edges = self.edge_record(rng)
-        thetas, q = record.thetas, record.values
-        # The record must reach every convention the binning has to keep.
+        thetas, q, edges, q_edges = self.edge_record(rng)
+        # The samples must reach every convention the binning has to keep.
         assert np.any(np.isin(thetas, edges[1:-1])) and np.any(np.isin(q, q_edges[1:-1]))
         assert np.any(np.abs(q) > q_edges[-1])
-
-        # Each phase bin is the segment of the record's own values that
-        # inverse_radon hands the sinogram.
-        seen = []
-
-        def spy(q, bounds, q_edges):
-            seen.append((q, bounds))
-            return _sinogram(q, bounds, q_edges)
-
-        with mock.patch.object(tomography, "_sinogram", spy):
-            inverse_radon(record, GridSpec.from_state(vacuum(1)))
-        ((given, bounds),) = seen
-        assert given is q
+        bounds = np.searchsorted(thetas, edges)
         idx = np.clip(np.digitize(thetas, edges) - 1, 0, self.N_THETA - 1)
         assert np.array_equal(np.diff(bounds), np.bincount(idx, minlength=self.N_THETA))
         expected, _, _ = np.histogram2d(thetas, q, bins=[edges, q_edges])
         assert np.array_equal(_sinogram(q, bounds, q_edges), expected)
+
+    def test_inverse_radon_bins_the_record_it_is_given(self, rng):
+        # Each phase bin is the segment of the record's own values that
+        # inverse_radon hands the sinogram, as searchsorted bounds it.
+        record = QuadratureRecord(self.edge_record(rng)[1])
+        seen = []
+
+        def spy(q, bounds, q_edges):
+            seen.append((q, bounds, q_edges))
+            return _sinogram(q, bounds, q_edges)
+
+        with mock.patch.object(tomography, "_sinogram", spy):
+            inverse_radon(record, GridSpec.from_state(vacuum(1)))
+        ((given, bounds, q_edges),) = seen
+        assert given is record.values
+        edges = np.linspace(0.0, np.pi, self.N_THETA + 1)
+        assert np.array_equal(bounds, np.searchsorted(record.thetas, edges))
+        expected, _, _ = np.histogram2d(record.thetas, given, bins=[edges, q_edges])
+        assert np.array_equal(_sinogram(given, bounds, q_edges), expected)
 
     @pytest.mark.parametrize(
         "theta, value",
@@ -891,7 +859,7 @@ class TestFilterAndCutoffAccuracy:
     def test_zero_variance_phase_bin_is_physics_error(self, rng):
         values = rng.normal(0.0, 0.5, 2000)
         values[:40] = 0.5  # the first phase bin's 34 samples are equal
-        record = QuadratureRecord(np.linspace(0.0, np.pi, 2000, endpoint=False), values)
+        record = QuadratureRecord(values)
         with pytest.raises(PhysicsError, match="^record has a zero-variance phase bin$"):
             inverse_radon(record, GridSpec.from_state(vacuum(1)))
 
@@ -927,8 +895,7 @@ class TestPhaseOrderedBinning:
         # Its part in [0, pi), -0.0 made +0.0: a run of +0.0 first, edges and
         # runs of ties within, and nextafter(pi, 0) last.
         keep = (thetas >= 0.0) & (thetas < np.pi)
-        record = QuadratureRecord(np.abs(thetas[keep]), values[keep])
-        thetas, values = record.thetas, record.values
+        thetas, values = np.abs(thetas[keep]), values[keep]
         assert thetas[0] == 0.0 and not np.any(np.signbit(thetas))
         assert thetas[-1] == np.nextafter(np.pi, 0.0)
         bounds = np.searchsorted(thetas, edges)
