@@ -36,14 +36,20 @@ Conventions
   chain of operations that reads no array (the gates, the teleporter, the
   sideband split, the report writer) builds none and pays numpy's per-call
   overhead nowhere.
+* numpy is imported only by the functions that build or read arrays: the
+  public constructor, the ``mean`` and ``cov`` arrays, `apply_symplectic`
+  and `symplectic_eigenvalues`.  The rest of the module, and the analytic
+  path built on it, runs without loading numpy at all.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 VACUUM_VARIANCE = 0.25
 TWO_MODE_VACUUM_VARIANCE = 0.5
@@ -64,6 +70,7 @@ class PhysicsError(ValueError):
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
+    import numpy as np
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
@@ -77,6 +84,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     The eigenvalues of Omega @ cov come in pairs +-i*nu; their moduli are the
     symplectic eigenvalues.  Vacuum gives 1/4 for every mode.
     """
+    import numpy as np
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     nu = np.abs(np.linalg.eigvals(_symplectic_form(n) @ cov))
@@ -106,6 +114,7 @@ class GaussianState:
     __slots__ = ("_mean", "_cov", "_mean_array", "_cov_array")
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        import numpy as np
         mean = np.array(mean, dtype=float)
         cov = np.array(cov, dtype=float)
         mean = _shaped(mean, cov)
@@ -144,6 +153,7 @@ class GaussianState:
         try:
             return self._mean_array
         except AttributeError:
+            import numpy as np
             return _frozen(self, "_mean_array", np.array(self._mean, dtype=float))
 
     @property
@@ -152,6 +162,7 @@ class GaussianState:
         try:
             return self._cov_array
         except AttributeError:
+            import numpy as np
             return _frozen(self, "_cov_array", np.array(self._cov, dtype=float))
 
     @property
@@ -329,6 +340,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     The general form, for any S; no verb writes its bytes, which are numpy's
     BLAS products and so depend on the BLAS kernel.  The gates run their own
     kernels in a fixed order (module docstring)."""
+    import numpy as np
     s = np.asarray(s, dtype=float)
     if s.shape != (state.mean.size, state.mean.size):
         raise ValueError(f"symplectic shape {s.shape} does not match state dimension")

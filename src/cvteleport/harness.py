@@ -53,7 +53,10 @@ with their defaults.
 
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
-2: tomography record), so each artifact is individually reproducible.
+2: tomography record), so each artifact is individually reproducible.  Only
+the branches that draw spawn them, and only the trace, Wigner and reference
+paths import `tomography`, so an analytic run, a calibration and a config
+or physics error load no numpy.
 
 Records: a record whose constructor enforces a rule (ExperimentConfig) is a
 frozen dataclass; the others (RunResult, CalibrationResult, ReproRow) are
@@ -75,13 +78,14 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-import numpy as np
-
+from ._defaults import DEFAULT_GRID_PAD_SIGMAS, DEFAULT_GRID_POINTS
+from ._defaults import DEFAULT_TRACE_AVERAGES, DEFAULT_TRACE_POINTS
 from ._version import __version__
 from .gaussian import (
     GaussianState,
@@ -109,19 +113,11 @@ from .teleporter import (
     teleport_analytic,
     teleport_mc,
 )
-from .tomography import (
-    DEFAULT_GRID_PAD_SIGMAS,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_TRACE_AVERAGES,
-    DEFAULT_TRACE_POINTS,
-    GridSpec,
-    PhaseScanTrace,
-    WignerGrid,
-    inverse_radon,
-    sample_record,
-    spectrum_trace,
-    wigner_moments,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tomography import PhaseScanTrace, WignerGrid
 
 SCENARIOS = ("coherent", "squeezed_x", "squeezed_p", "vacuum")
 METHODS = ("analytic", "mc")
@@ -197,7 +193,8 @@ def _read_bool(text: str) -> bool:
 
 
 def _check_bool(value) -> bool:
-    if not isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is imported
+    if not (isinstance(value, bool) or np is not None and isinstance(value, np.bool_)):
         raise ValueError("must be a boolean")
     return bool(value)
 
@@ -525,14 +522,15 @@ def run(
 ) -> RunResult:
     """Execute one scenario; deterministic for a fixed config."""
     params = config.teleporter_params()
-    children = np.random.SeedSequence(config.seed).spawn(3)
     if config.method == "mc":
-        report = teleport_mc(params, config.shots, np.random.default_rng(children[0]))
+        report = teleport_mc(params, config.shots, _child_rng(config.seed, 0))
     else:
         report = teleport_analytic(params)
+    if include_trace or include_wigner:
+        from .tomography import GridSpec, inverse_radon, sample_record, spectrum_trace
     trace = None
     if include_trace:
-        trace_rng = np.random.default_rng(children[1]) if config.trace_sampled else None
+        trace_rng = _child_rng(config.seed, 1) if config.trace_sampled else None
         trace = spectrum_trace(
             report.output_state, n_points=config.trace_points,
             averages=config.trace_averages, rng=trace_rng,
@@ -547,11 +545,7 @@ def run(
             raise
         except ValueError as exc:  # grid_points is a checked count: the pad overflowed
             raise ValueError(f"grid_pad: {exc}") from None
-        record = sample_record(
-            report.output_state,
-            config.tomo_samples,
-            np.random.default_rng(children[2]),
-        )
+        record = sample_record(report.output_state, config.tomo_samples, _child_rng(config.seed, 2))
         wigner = inverse_radon(record, spec, filter_cutoff=config.cutoff)
     provenance = {
         "config_sha256": hashlib.sha256(emit_config(config).encode()).hexdigest(),
@@ -559,6 +553,13 @@ def run(
         "version": __version__,
     }
     return RunResult(config, report, trace, wigner, provenance)
+
+
+def _child_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of child ``index`` of the seed's SeedSequence (module
+    docstring), built by the branches that draw only."""
+    import numpy as np
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[index])
 
 
 # --- serialization ---------------------------------------------------------
@@ -576,7 +577,8 @@ def _plain(value):
         return _plain(value._asdict())
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is imported
+    if np is not None and isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
@@ -764,6 +766,7 @@ def _row_tol(criterion, quantity, target, tol, value) -> ReproRow:
 def _mc_max_sigma(params: TeleporterParams, shots: int, seed: int) -> float:
     """Largest |deviation| / standard-error over moments of one MC run;
     infinite when any score is not finite, so NaN moments fail a sigma gate."""
+    import numpy as np
     analytic = teleport_analytic(params)
     empirical = teleport_mc(params, shots, np.random.default_rng(seed))
     a_cov = analytic.output_state.cov
@@ -791,6 +794,9 @@ def paper_repro() -> list[ReproRow]:
 
     Deterministic: stochastic rows use fixed internal seeds.
     """
+    import numpy as np
+    from .tomography import GridSpec, inverse_radon, sample_record, spectrum_trace, wigner_moments
+
     rows: list[ReproRow] = []
 
     # 1: squeezing threshold and exact vacuum crossing

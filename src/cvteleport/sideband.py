@@ -26,14 +26,16 @@ p+ - p-.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from cvteleport.gaussian import GaussianState, _moments, _own
 
-_ROOT_HALF = float(np.sqrt(0.5))
+if TYPE_CHECKING:
+    import numpy as np
+
+_ROOT_HALF = math.sqrt(0.5)  # np.sqrt(0.5)'s bits: both round correctly
 
 
 @dataclass(frozen=True)

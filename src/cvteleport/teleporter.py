@@ -70,16 +70,15 @@ CascadeStage check nothing and are named tuples, so ``report._replace(...)``
 derives a changed report.  Their numbers are Python floats, and so are the
 moments their states hold: each path reads its input's held floats through
 `gaussian._moments` and builds its states from float lists, so no array is
-built unless a caller reads a state's ``mean`` or ``cov``.
+built unless a caller reads a state's ``mean`` or ``cov``, and numpy is
+imported only for `teleport_mc`'s default generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from cvteleport.gaussian import (
     GaussianState,
@@ -102,6 +101,9 @@ from cvteleport.gaussian import (
     db_from_variance,
     variance_from_db,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # per squeezer: the labels of its noise pair and of its two efficiencies
@@ -455,7 +457,9 @@ def teleport_mc(
     pair, (u, v, x_b, p_b), cov, (c_x, c_p) = _readout(params)
     root_u, root_v, root_x, root_p = _cholesky(cov)
 
-    rng = rng if rng is not None else np.random.default_rng(params.seed)
+    if rng is None:
+        import numpy as np
+        rng = np.random.default_rng(params.seed)
     z_mean, z_cov = _standard_moments(shots, rng)
     # (x_out, p_out) = (x_B + c_x u, p_B + c_p v) with (u, v, x_B, p_B) =
     # mean + L z, so the output's sample moments are the read-out's feed rows

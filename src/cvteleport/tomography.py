@@ -55,11 +55,10 @@ from typing import NamedTuple
 
 from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
 from .gaussian import _as_finite, _as_positive, _moments, check_count
+# re-exported: the config's defaults, which `_defaults` holds apart from numpy
+from ._defaults import DEFAULT_GRID_PAD_SIGMAS, DEFAULT_GRID_POINTS
+from ._defaults import DEFAULT_TRACE_AVERAGES, DEFAULT_TRACE_POINTS
 
-DEFAULT_GRID_POINTS = 81
-DEFAULT_GRID_PAD_SIGMAS = 4.5
-DEFAULT_TRACE_POINTS = 240
-DEFAULT_TRACE_AVERAGES = 30
 DEFAULT_THETA_BINS = 60
 # Hard filter cutoff k_c = DEFAULT_CUTOFF_SIGMAS / sigma_min (bias study in demos).
 DEFAULT_CUTOFF_SIGMAS = 6.5

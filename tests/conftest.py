@@ -1,13 +1,18 @@
 """Shared helpers: seeded RNG, a generator of random physical states, a
 check that a state owns its arrays, a two-sample check of first and second
-moments, an exact-arithmetic oracle for the float kernels and a check that a
-written ``report.json`` holds its RunResult."""
+moments, an exact-arithmetic oracle for the float kernels, a check that a
+written ``report.json`` holds its RunResult and a runner of code in a fresh
+interpreter."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,8 @@ from cvteleport import (
     tensor,
 )
 from cvteleport import gaussian
+
+_SRC = str(Path(gaussian.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -208,3 +215,14 @@ def assert_report_holds(data: dict, result) -> None:
     if result.wigner is not None:
         spec = dataclasses.asdict(result.wigner.spec)
         assert _holds(data["wigner"], {**spec, "values": result.wigner.values})
+
+
+def fresh_python(code: str, *args: str, cwd: Path | None = None) -> str:
+    """Run ``code`` with ``args`` in a new interpreter that imports this
+    source tree, and return its stdout; a nonzero exit fails the test."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return result.stdout

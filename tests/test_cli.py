@@ -3,11 +3,10 @@
 import errno
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
 import cvteleport.cli as cli
 from cvteleport.harness import MAX_GRID_POINTS, MAX_SAMPLES, MAX_STAGES, MAX_TRACE_POINTS, ReproRow
@@ -430,7 +429,7 @@ class TestPaperReproVerb:
         assert all(row["passed"] for row in payload["reference_comparison"])
 
 
-def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+def test_cli_import_loads_nothing_beyond_the_standard_library():
     """Every verb runs in a fresh process that pays for these imports."""
     code = (
         "import sys\n"
@@ -439,10 +438,51 @@ def test_cli_import_loads_only_numpy_beyond_the_standard_library():
         "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
         "print(*sorted(added - set(sys.stdlib_module_names)))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert result.stdout.split() == ["cvteleport", "numpy"]
+    assert fresh_python(code).split() == ["cvteleport"]
+
+
+# Runs each argv in turn in one fresh process and prints, per argv, its exit
+# code and whether numpy was loaded by then.
+_VERB_PROBE = """
+import contextlib, io, json, sys
+from cvteleport.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_analytic_and_error_verbs_finish_without_numpy(tmp_path):
+    """The analytic verbs and the config and physics errors, as the benchmark's
+    verb mix runs them, load no numpy; the verbs that draw or reconstruct,
+    run after them in the same process, import it where they need it."""
+    (tmp_path / "run.ini").write_text(
+        "[run]\nscenario = squeezed_x\nalpha = 2.5\nseed = 7\n[teleporter]\n"
+        "epr_sq_db = -5.1 -4.2\ng_x = 0.9\ng_p = 1.1\neta_source = 0.9 0.95\n"
+        "eta_hom = 0.9\n", encoding="utf-8")
+    (tmp_path / "bad.ini").write_text("[run]\nscenario = coherent\nbogus_key = 1\n",
+                                      encoding="utf-8")
+    scenario = ["--scenario", "coherent", "--seed", "3", "--alpha", "1.5",
+                "--epr-sq-db", "-4", "-5", "--eta-prop", "0.9", "0.95", "--eta-hom", "0.9"]
+    without_numpy = [
+        (["run", *scenario], 0),
+        (["run", "--config", "run.ini"], 0),
+        (["cascade", "--stages", "8", "--alpha", "2", "--epr-sq-db", "-4", "-5"], 0),
+        (["calibrate", "--target-epr-db", "-3", "-4"], 0),
+        (["run", "--alpha", "nan"], 2),
+        (["run", "--config", "bad.ini"], 2),
+        (["calibrate", "--target-epr-db", "-9", "-8"], 3),
+    ]
+    with_numpy = [["run", "--method", "mc", *scenario], ["trace", "--sampled", *scenario],
+                  ["wigner", "--samples", "100000", *scenario]]
+    argvs = [[*argv, "--out", f"out{k}"] if argv[0] != "calibrate" else argv
+             for k, argv in enumerate([argv for argv, _ in without_numpy] + with_numpy)]
+    results = json.loads(fresh_python(_VERB_PROBE, json.dumps(argvs), cwd=tmp_path))
+    expected = [[code, False] for _, code in without_numpy] + [[0, True]] * len(with_numpy)
+    assert results == expected

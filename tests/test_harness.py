@@ -371,6 +371,30 @@ class TestRun:
         assert refused == 200 if shots == 2 else 0 < refused < 200
 
 
+class TestNumpyFreeChecks:
+    """The config's boolean check and the report encoder test numpy's types
+    only once numpy is imported, which loses nothing: no numpy bool or array
+    exists before.  In this process numpy is imported, so both branches run."""
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+    def test_check_bool_takes_python_and_numpy_bools(self, value):
+        checked = harness._check_bool(value)
+        assert type(checked) is bool and checked == value
+
+    @pytest.mark.parametrize("value", [1, 0, np.int64(1), "true"], ids=repr)
+    def test_check_bool_refuses_what_is_no_bool(self, value):
+        with pytest.raises(ValueError, match="^must be a boolean$"):
+            harness._check_bool(value)
+
+    @pytest.mark.parametrize("array", [np.arange(3.0), np.eye(2), np.zeros((0,)),
+                                       np.array([[1, 2], [3, 4]])], ids=repr)
+    def test_plain_turns_an_array_into_its_list(self, array):
+        array.setflags(write=False)
+        plain = harness._plain({"a": array, "b": (array,)})
+        assert type(plain["a"]) is list and plain["a"] == array.tolist()
+        assert plain["b"] == [array.tolist()]
+
+
 class TestSerialization:
     @staticmethod
     def _written(result):

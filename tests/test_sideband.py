@@ -17,7 +17,7 @@ from cvteleport import (
     symplectic_eigenvalues,
     vacuum,
 )
-from cvteleport import gaussian
+from cvteleport import gaussian, sideband
 from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
 from cvteleport.sideband import (
     SidebandPair,
@@ -53,6 +53,13 @@ def test_vacuum_sidebands_give_exactly_one():
     verdict = is_entangled(pair)
     assert not verdict.entangled
     assert verdict.margin == 0.0
+
+
+def test_split_factor_has_numpy_roots_bits():
+    # math.sqrt and np.sqrt both round correctly, so the numpy-free constant
+    # leaves the split's products as np.sqrt(0.5) made them
+    assert type(sideband._ROOT_HALF) is float
+    assert sideband._ROOT_HALF.hex() == float(np.sqrt(0.5)).hex()
 
 
 def test_pair_covariance_is_the_exact_half_sums_rounded_once(rng):
