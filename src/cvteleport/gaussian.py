@@ -273,14 +273,19 @@ def _tensor_moments(*moments: tuple[list, list]) -> tuple[list, list]:
 def _mix_moments(mean: list, cov: list, pairs, ct: float, st: float) -> tuple[list, list]:
     """Moments after q_a -> ct q_a + st q_b, q_b -> ct q_b - st q_a for each
     pair (a, b) of quadratures: S mean, and S cov S^T as the rows of cov
-    mixed, then the columns of the result."""
+    mixed, then the columns of the result, each entry in place.  The pairs
+    share no quadrature, so mixing the columns pair by pair gives each entry
+    its two terms as mixing them row by row would."""
+    indices = range(len(mean))
     for a, b in pairs:
-        mean[a], mean[b] = ct * mean[a] + st * mean[b], ct * mean[b] - st * mean[a]
+        x, y = mean[a], mean[b]
+        mean[a], mean[b] = ct * x + st * y, ct * y - st * x
         row_a, row_b = cov[a], cov[b]
-        cov[a] = [ct * x + st * y for x, y in zip(row_a, row_b)]
-        cov[b] = [ct * y - st * x for x, y in zip(row_a, row_b)]
-    for row in cov:
-        for a, b in pairs:
+        for k in indices:  # a loop, not two comprehensions, which are calls in Python 3.11
+            x, y = row_a[k], row_b[k]
+            row_a[k], row_b[k] = ct * x + st * y, ct * y - st * x
+    for a, b in pairs:
+        for row in cov:
             x, y = row[a], row[b]
             row[a], row[b] = ct * x + st * y, ct * y - st * x
     return mean, cov
@@ -496,7 +501,14 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
 def db_from_variance(variance: float, reference: float) -> float:
     """Noise level in dB of a variance relative to an explicit reference;
     both must be positive and finite, and so must their ratio."""
-    variance, reference = _as_positive(variance, "variance"), _as_positive(reference, "reference")
+    variance = _as_positive(variance, "variance")
+    return _level_db(variance, _as_positive(reference, "reference"))
+
+
+def _level_db(variance: float, reference: float) -> float:
+    """`db_from_variance` for a reference known positive and finite, such as
+    the vacuum levels: it checks the variance only."""
+    variance = _as_positive(variance, "variance")
     ratio = variance / reference
     if not 0.0 < ratio < math.inf:  # underflowed to 0 or overflowed
         raise ValueError(f"variance / reference ratio {variance!r} / {reference!r} "

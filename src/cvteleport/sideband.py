@@ -16,7 +16,11 @@ frequency is the same statement as sideband entanglement.
 The pair's moments are formed in closed form on the mode's held Python
 floats, each covariance entry rounded once (vacuum gives delta_sq = 1
 exactly), and the pair holds them as built, through `gaussian._own`, as
-lists of Python floats; its arrays are built only if read.  The gate chain
+lists of Python floats; its arrays are built only if read.  Which
+constructor checks: `SidebandPair(state)`, and so `dataclasses.replace`,
+checks that the state has two modes; `sidebands_from_single_mode` builds
+its pair without that check, as `_own` builds a state, around the two-mode
+state it has just built.  The gate chain
 that defines them (`quarter_turn`, `tensor`, `apply_symplectic`) is their
 test oracle.  `delta_sq` reads the pair's held covariance floats and sums
 the entries its two combinations weigh, grouped so that the result is bit
@@ -79,7 +83,9 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     s, u, v = (cxx + cpp) * 0.5, (cxp - cpx) * 0.5, (cpx - cxp) * 0.5
     d, e, f = (cxx - cpp) * 0.5, (cxp + cpx) * 0.5, (cpp - cxx) * 0.5
     cov = [[s, u, d, e], [v, s, e, f], [d, e, s, u], [e, f, v, s]]
-    return SidebandPair(_own([mx, mp, mx, mp], cov))
+    pair = object.__new__(SidebandPair)  # SidebandPair(state) without its two-mode check
+    object.__setattr__(pair, "state", _own([mx, mp, mx, mp], cov))
+    return pair
 
 
 def delta_sq(pair: SidebandPair) -> float:

@@ -67,11 +67,16 @@ the sampling, the feed-forward and the estimation of moments and gains.
 Records: TeleporterParams, whose constructor checks and normalizes its
 fields, is a frozen dataclass; TeleportReport, EprCorrelations and
 CascadeStage check nothing and are named tuples, so ``report._replace(...)``
-derives a changed report.  Their numbers are Python floats, and so are the
-moments their states hold: each path reads its input's held floats through
-`gaussian._moments` and builds its states from float lists, so no array is
-built unless a caller reads a state's ``mean`` or ``cov``, and numpy is
-imported only for `teleport_mc`'s default generator.
+derives a changed report.  Which constructor checks: TeleporterParams checks
+every field, once, and the paths trust what it checked; they build their
+states by `gaussian._own`, which trusts its caller's moments (a completely
+positive map's of a checked state), and `_report` checks only that the
+numbers it would hold are finite and the output variances have levels in
+dB.  Their numbers are Python floats, and so are the moments their states
+hold: each path reads its input's held floats through `gaussian._moments`
+and builds its states from float lists, so no array is built unless a
+caller reads a state's ``mean`` or ``cov``, and numpy is imported only for
+`teleport_mc`'s default generator.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ from cvteleport.gaussian import (
     _as_pair,
     _as_positive,
     _beamsplitter_moments,
+    _level_db,
     _loss_moments,
     _moments,
     _own,
@@ -98,17 +104,11 @@ from cvteleport.gaussian import (
     check_count,
     check_fraction,
     check_noise_pair,
-    db_from_variance,
     variance_from_db,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-# per squeezer: the labels of its noise pair and of its two efficiencies
-_SQUEEZER_LABELS = (("squeezer 1", "eta_source[0]", "eta_prop[0]"),
-                    ("squeezer 2", "eta_source[1]", "eta_prop[1]"))
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,12 @@ class TeleporterParams:
         seed: Monte Carlo seed of `teleport_mc`'s generator.
 
     Numbers are stored as Python floats, a pair as a tuple, so no caller's
-    list is held; a value out of its class (`gaussian`) raises ValueError.
+    list is held; a value out of its class (`gaussian`) raises ValueError,
+    and so does a pair that is not two values, None included: only
+    epr_antisq_db may be None.  The first check that fails raises, in this
+    order: g_x, g_p and eta_hom as numbers, g_x and g_p finite, the four
+    pairs' shapes and values as numbers, then per squeezer its noise pair
+    and its two efficiencies, then eta_hom and the seed.
     """
 
     input_state: GaussianState
@@ -143,26 +148,37 @@ class TeleporterParams:
     seed: int = 0
 
     def __post_init__(self):
+        # each field read once and checked in a straight line; a field is
+        # set again only if its check converted it
         if self.input_state.n_modes != 1:
             raise ValueError("input_state must be a single mode")
-        if not (type(self.g_x) is type(self.g_p) is type(self.eta_hom) is float):
-            for name in ("g_x", "g_p", "eta_hom"):
-                object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        _as_finite(self.g_x, "g_x"), _as_finite(self.g_p, "g_p")
-        for name in ("epr_sq_db", "epr_antisq_db", "eta_source", "eta_prop"):
-            pair = getattr(self, name)
-            if pair is not None and (floats := _as_pair(pair, name)) is not pair:
-                object.__setattr__(self, name, floats)
-        anti = self.epr_antisq_db
-        if anti is None:
-            anti = (-self.epr_sq_db[0], -self.epr_sq_db[1])
+        g_x, g_p, eta_hom = self.g_x, self.g_p, self.eta_hom
+        if not (type(g_x) is type(g_p) is type(eta_hom) is float):
+            g_x, g_p = _as_float(g_x, "g_x"), _as_float(g_p, "g_p")
+            eta_hom = _as_float(eta_hom, "eta_hom")
+            object.__setattr__(self, "g_x", g_x)
+            object.__setattr__(self, "g_p", g_p)
+            object.__setattr__(self, "eta_hom", eta_hom)
+        _as_finite(g_x, "g_x"), _as_finite(g_p, "g_p")
+        sq, anti = _as_pair(self.epr_sq_db, "epr_sq_db"), self.epr_antisq_db
+        anti = (-sq[0], -sq[1]) if anti is None else _as_pair(anti, "epr_antisq_db")
+        source, prop = _as_pair(self.eta_source, "eta_source"), _as_pair(self.eta_prop, "eta_prop")
+        if anti is not self.epr_antisq_db:
             object.__setattr__(self, "epr_antisq_db", anti)
-        for k, (squeezer, source, prop) in enumerate(_SQUEEZER_LABELS):
-            check_noise_pair(self.epr_sq_db[k], anti[k], squeezer)
-            check_fraction(self.eta_source[k], source)
-            check_fraction(self.eta_prop[k], prop)
-        check_fraction(self.eta_hom, "eta_hom")
-        if self.eta_hom < 1e-6:
+        if sq is not self.epr_sq_db:
+            object.__setattr__(self, "epr_sq_db", sq)
+        if source is not self.eta_source:
+            object.__setattr__(self, "eta_source", source)
+        if prop is not self.eta_prop:
+            object.__setattr__(self, "eta_prop", prop)
+        check_noise_pair(sq[0], anti[0], "squeezer 1")
+        check_fraction(source[0], "eta_source[0]")
+        check_fraction(prop[0], "eta_prop[0]")
+        check_noise_pair(sq[1], anti[1], "squeezer 2")
+        check_fraction(source[1], "eta_source[1]")
+        check_fraction(prop[1], "eta_prop[1]")
+        check_fraction(eta_hom, "eta_hom")
+        if eta_hom < 1e-6:
             floor = ValueError("eta_hom too small to compensate electronically")
             floor.config_fields = ("eta_hom",)  # the key a config reader reports it at
             raise floor
@@ -228,8 +244,8 @@ def _correlations(var_x_diff: float, var_p_sum: float) -> EprCorrelations:
     """The correlations of two variances, which are results, not input:
     raises PhysicsError when one has no finite level in dB."""
     try:
-        x_db = db_from_variance(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
-        p_db = db_from_variance(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
+        x_db = _level_db(var_x_diff, TWO_MODE_VACUUM_VARIANCE)
+        p_db = _level_db(var_p_sum, TWO_MODE_VACUUM_VARIANCE)
     except ValueError as exc:
         raise PhysicsError(f"EPR correlations: {exc}") from None
     return EprCorrelations(var_x_diff, var_p_sum, x_db, p_db)
@@ -271,27 +287,32 @@ def _source_map(sq_db, antisq_db, g_x, g_p, eta_source, eta_prop, eta_hom):
     without an exception; the report (`_report`), the calibration or the
     JSON writer rejects it.
     """
-
-    def at_mixer(level_db, eta):
-        # one quadrature of a squeezer behind its source loss
-        return eta * VACUUM_VARIANCE * 10.0 ** (level_db / 10.0) + (1.0 - eta) * VACUUM_VARIANCE
-
     # x and p of the x-squeezed mode X (squeezer 2) and of the p-squeezed
     # mode P (squeezer 1, whose anti-squeezed quadrature is x)
-    x_of_x, p_of_x = at_mixer(sq_db[1], eta_source[1]), at_mixer(antisq_db[1], eta_source[1])
-    x_of_p, p_of_p = at_mixer(antisq_db[0], eta_source[0]), at_mixer(sq_db[0], eta_source[0])
-    root_a, root_b = math.sqrt(eta_prop[0]), math.sqrt(eta_prop[1])
-
-    def beams(c, var_x_mode, var_p_mode):
-        # Var(q_B + c q_A) for one quadrature q, given Var(q) of X and of P
-        minus, plus = c * root_a - root_b, c * root_a + root_b
-        lost = VACUUM_VARIANCE * ((1.0 - eta_prop[1]) + c * c * (1.0 - eta_prop[0]))
-        return 0.5 * (minus * minus * var_x_mode + plus * plus * var_p_mode) + lost
-
+    x_of_x, p_of_x = _at_mixer(sq_db[1], eta_source[1]), _at_mixer(antisq_db[1], eta_source[1])
+    x_of_p, p_of_p = _at_mixer(antisq_db[0], eta_source[0]), _at_mixer(sq_db[0], eta_source[0])
+    eta_a, eta_b = eta_prop
+    root_a, root_b = math.sqrt(eta_a), math.sqrt(eta_b)
     detector = 2.0 * VACUUM_VARIANCE * (1.0 - eta_hom) / eta_hom
-    noise_x = beams(-g_x, x_of_x, x_of_p) + g_x * g_x * detector
-    noise_p = beams(g_p, p_of_x, p_of_p) + g_p * g_p * detector
-    return noise_x, noise_p, beams(-1.0, x_of_x, x_of_p), beams(1.0, p_of_x, p_of_p)
+    noise_x = _beams(-g_x, x_of_x, x_of_p, root_a, root_b, eta_a, eta_b) + g_x * g_x * detector
+    noise_p = _beams(g_p, p_of_x, p_of_p, root_a, root_b, eta_a, eta_b) + g_p * g_p * detector
+    return (noise_x, noise_p, _beams(-1.0, x_of_x, x_of_p, root_a, root_b, eta_a, eta_b),
+            _beams(1.0, p_of_x, p_of_p, root_a, root_b, eta_a, eta_b))
+
+
+# `_source_map`'s two terms, module functions rather than closures built per call
+
+def _at_mixer(level_db, eta):
+    """One quadrature's variance of a squeezer at level_db behind its source loss eta."""
+    return eta * VACUUM_VARIANCE * 10.0 ** (level_db / 10.0) + (1.0 - eta) * VACUUM_VARIANCE
+
+
+def _beams(c, var_x_mode, var_p_mode, root_a, root_b, eta_a, eta_b):
+    """Var(q_B + c q_A) for one quadrature q, given Var(q) of X and of P, the
+    beam transmittances eta_a, eta_b and their roots."""
+    minus, plus = c * root_a - root_b, c * root_a + root_b
+    lost = VACUUM_VARIANCE * ((1.0 - eta_b) + c * c * (1.0 - eta_a))
+    return 0.5 * (minus * minus * var_x_mode + plus * plus * var_p_mode) + lost
 
 
 def _report(
@@ -307,7 +328,10 @@ def _report(
     [C_xx, C_xp, C_px, C_pp] as Python floats, of which it builds the output
     state; raises PhysicsError when a number it would hold is not finite,
     before any of it is printed or written."""
-    if not all(map(math.isfinite, [*mean, *cov, *epr, *gains])):
+    (m_x, m_p), (vx, c_xp, c_px, vp), (e_0, e_1, e_2, e_3), (g_x, g_p) = mean, cov, epr, gains
+    # an inf or a nan makes the sum non-finite; so may finite values that
+    # overflow it, which the loop then passes
+    if not math.isfinite(m_x + m_p + vx + c_xp + c_px + vp + e_0 + e_1 + e_2 + e_3 + g_x + g_p):
         for quantity, numbers in (
             ("output mean", mean),
             ("output covariance", cov),
@@ -316,9 +340,8 @@ def _report(
         ):
             if not all(map(math.isfinite, numbers)):
                 raise PhysicsError(f"teleporter {quantity} is not finite: {numbers}")
-    vx, vp = cov[0], cov[3]
     try:
-        vx_db, vp_db = db_from_variance(vx, VACUUM_VARIANCE), db_from_variance(vp, VACUUM_VARIANCE)
+        vx_db, vp_db = _level_db(vx, VACUUM_VARIANCE), _level_db(vp, VACUUM_VARIANCE)
     except ValueError as exc:  # a finite variance whose ratio to vacuum overflows
         raise PhysicsError(f"teleporter output: {exc}") from None
     fidelity = None

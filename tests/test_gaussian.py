@@ -893,6 +893,47 @@ def test_loss_matches_its_earlier_form_byte_for_byte(rng):
     assert checked == 16 * 4 * (1 + 2 + 3)
 
 
+# _mix_moments' earlier form, kept as a byte oracle: each pair's rows mixed
+# by two comprehensions, then every row's columns, pair by pair.
+def _earlier_mix_moments(mean, cov, pairs, ct, st):
+    for a, b in pairs:
+        mean[a], mean[b] = ct * mean[a] + st * mean[b], ct * mean[b] - st * mean[a]
+        row_a, row_b = cov[a], cov[b]
+        cov[a] = [ct * x + st * y for x, y in zip(row_a, row_b)]
+        cov[b] = [ct * y - st * x for x, y in zip(row_a, row_b)]
+    for row in cov:
+        for a, b in pairs:
+            x, y = row[a], row[b]
+            row[a], row[b] = ct * x + st * y, ct * y - st * x
+    return mean, cov
+
+
+def test_rotate_and_beamsplitter_match_their_earlier_kernel_byte_for_byte(rng):
+    checked = 0
+    for k in range(24):
+        state = random_physical_state(rng, 1 + k % 4)
+        held = gaussian._lists(state)
+        for mode in range(state.n_modes):
+            phi = rng.uniform(-np.pi, np.pi)
+            expected = _earlier_mix_moments(*gaussian._lists(state), ((2 * mode, 2 * mode + 1),),
+                                            math.cos(phi), -math.sin(phi))
+            assert _state_bytes(rotate(state, mode, phi)) == _state_bytes(gaussian._own(*expected))
+            checked += 1
+            for other in range(state.n_modes):
+                if other == mode:
+                    continue
+                t = rng.uniform(0.0, 1.0)
+                pairs = ((2 * mode, 2 * other), (2 * mode + 1, 2 * other + 1))
+                expected = _earlier_mix_moments(*gaussian._lists(state), pairs,
+                                                math.sqrt(t), math.sqrt(1.0 - t))
+                assert _state_bytes(beamsplitter(state, mode, other, t)) == _state_bytes(
+                    gaussian._own(*expected))
+                checked += 1
+        assert gaussian._lists(state) == held  # the gates change copies only
+    # 6 states of each size n, with n rotations and n (n - 1) ordered pairs
+    assert checked == 6 * sum(n * n for n in range(1, 5))
+
+
 def test_a_negative_zero_transmittance_mixes_as_zero():
     # sqrt(-0.0) is -0.0, which would turn zero entries into -0.0
     state = tensor(impure_squeezed_vacuum(-3.0, 5.0), coherent_state(1.5 - 0.5j))

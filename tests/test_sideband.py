@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +175,31 @@ def test_pair_requires_two_modes_and_single_mode_input():
         SidebandPair(vacuum(1))
     with pytest.raises(ValueError):
         SidebandPair(vacuum(3))
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_split_pair_behaves_as_a_checked_pair(rng, copier):
+    # sidebands_from_single_mode builds its pair without SidebandPair's check
+    for state in (vacuum(1), *(random_physical_state(rng, 1) for _ in range(10))):
+        pair = sidebands_from_single_mode(state)
+        checked = SidebandPair(pair.state)
+        assert type(pair) is SidebandPair
+        assert pair == checked and hash(pair) == hash(checked)
+        assert repr(pair) == repr(checked)
+        copied = copier(pair)
+        assert type(copied) is SidebandPair and vars(copied).keys() == {"state"}
+        assert copied.mean.tobytes() == pair.mean.tobytes()
+        assert copied.cov.tobytes() == pair.cov.tobytes()
+        assert delta_sq(copied) == delta_sq(pair)
+        for array in (pair.mean, pair.cov, copied.mean, copied.cov):
+            assert not array.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            pair.state = vacuum(2)
+        with pytest.raises(ValueError, match="^SidebandPair requires exactly two modes$"):
+            replace(pair, state=vacuum(1))
+        assert replace(pair, state=vacuum(2)).state.n_modes == 2
 
 
 def test_rotated_input_uses_x_axis_combinations():

@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -417,6 +418,71 @@ def test_report_fields_are_consistent():
     assert nonunity.fidelity_coherent is None
 
 
+# _report's twelve numbers: (quantity named in its message, argument, index)
+_REPORT_NUMBERS = [
+    *(("output mean", "mean", k) for k in range(2)),
+    *(("output covariance", "cov", k) for k in range(4)),
+    *(("EPR correlations", "epr", k) for k in range(4)),
+    *(("gains", "gains", k) for k in range(2)),
+]
+
+
+def _report_arguments():
+    params = coherent_params(eta_prop=(0.95, 0.9))
+    epr = epr_correlations(make_epr(params))
+    return params, dict(epr=list(epr), mean=[3.5, 0.0], cov=[0.4, 0.01, 0.01, 0.5],
+                        gains=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("quantity, argument, index", _REPORT_NUMBERS,
+                         ids=[f"{a}[{k}]" for _, a, k in _REPORT_NUMBERS])
+def test_report_names_the_quantity_that_is_not_finite(quantity, argument, index, value):
+    params, numbers = _report_arguments()
+    numbers[argument][index] = value
+    # the report takes the correlations as a named tuple and the gains as a tuple
+    numbers["epr"] = teleporter.EprCorrelations(*numbers["epr"])
+    numbers["gains"] = tuple(numbers["gains"])
+    message = f"teleporter {quantity} is not finite: {numbers[argument]}"
+    with pytest.raises(PhysicsError, match=f"^{re.escape(message)}$"):
+        teleporter._report(params, method="analytic", **numbers)
+
+
+@pytest.mark.parametrize("variance, reason", [
+    (math.inf, "variance must be positive and finite"),
+    (math.nan, "variance must be positive and finite"),
+    (0.0, "variance must be positive and finite"),
+    (-1.0, "variance must be positive and finite"),
+    (1.7e308, "variance / reference ratio {variance!r} / {reference!r} leaves float range"),
+], ids=["inf", "nan", "zero", "negative", "ratio-overflow"])
+def test_a_variance_with_no_level_is_a_physics_error(variance, reason):
+    # the levels of the correlations (reference 1/2) and of the output (1/4)
+    for position in (0, 1):
+        pair = [0.5, 0.5]
+        pair[position] = variance
+        message = "EPR correlations: " + reason.format(variance=variance, reference=0.5)
+        with pytest.raises(PhysicsError, match=f"^{re.escape(message)}$"):
+            teleporter._correlations(*pair)
+    params, numbers = _report_arguments()
+    if math.isfinite(variance):  # _report rejects the others before their level
+        numbers["cov"][0] = variance / 2.0  # the ratio to 1/4 overflows as the one to 1/2 did
+        reason = reason.format(variance=variance / 2.0, reference=VACUUM_VARIANCE)
+        with pytest.raises(PhysicsError, match=f"^{re.escape('teleporter output: ' + reason)}$"):
+            teleporter._report(params, teleporter.EprCorrelations(*numbers["epr"]),
+                               numbers["mean"], numbers["cov"], tuple(numbers["gains"]),
+                               "analytic")
+
+
+def test_report_accepts_finite_numbers_whose_sum_overflows():
+    params, numbers = _report_arguments()
+    epr = teleporter.EprCorrelations(*numbers["epr"])
+    for mean, gains in (([1e308, 1e308], (1.0, 1.0)), ([-1e308, 1e308], (1e308, 1e308)),
+                        ([1e308, 0.0], (1e308, 1.0))):
+        report = teleporter._report(params, epr, list(mean), numbers["cov"], gains, "analytic")
+        assert report.output_state.mean.tolist() == mean and report.gains == gains
+        assert report.vx == 0.4 and report.epr is epr
+
+
 @pytest.mark.parametrize("copier", [
     copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
 ], ids=["copy", "deepcopy", "pickle"])
@@ -769,12 +835,98 @@ def test_params_validation():
         TeleporterParams(input_state=vacuum(1), eta_prop=(1.2, 1.0))
     with pytest.raises(ValueError):
         TeleporterParams(input_state=vacuum(1), g_x=np.inf)
+    # only epr_antisq_db may be None
     for name, pair in (("epr_sq_db", (-3.0, -3.0, -3.0)), ("eta_prop", (1.0, 1.0, 0.5)),
-                       ("eta_source", (0.5,)), ("epr_antisq_db", (3.0,))):
+                       ("eta_source", (0.5,)), ("epr_antisq_db", (3.0,)),
+                       ("epr_sq_db", None), ("eta_source", None), ("eta_prop", None)):
         with pytest.raises(ValueError, match=f"^{name} must hold exactly two values, got "):
             TeleporterParams(input_state=vacuum(1), **{name: pair})
     pure = TeleporterParams(input_state=vacuum(1), epr_sq_db=(-6.0, -4.0))
     assert pure.epr_antisq_db == (6.0, 4.0)
+
+
+# TeleporterParams' checks in the order they run: (label, field, index or None
+# for the whole field, invalid value, exception class, message).  Built on
+# _VALID, each row alone raises its message; with two rows applied, the one
+# listed first does.
+_VALID = dict(epr_sq_db=(-6.0, -6.0), epr_antisq_db=(6.0, 6.0), g_x=1.0, g_p=1.0,
+              eta_source=(1.0, 1.0), eta_prop=(1.0, 1.0), eta_hom=1.0, seed=0)
+_VALIDATION_TABLE = [
+    ("single mode", "input_state", None, vacuum(2), ValueError,
+     "input_state must be a single mode"),
+    ("g_x number", "g_x", None, "1", ValueError, "g_x must be a number, got '1'"),
+    ("g_p number", "g_p", None, None, ValueError, "g_p must be a number, got None"),
+    ("eta_hom number", "eta_hom", None, True, ValueError, "eta_hom must be a number, got True"),
+    ("g_x finite", "g_x", None, math.inf, ValueError, "g_x must be finite, got inf"),
+    ("g_p finite", "g_p", None, -math.inf, ValueError, "g_p must be finite, got -inf"),
+    ("epr_sq_db shape", "epr_sq_db", None, (1.0,), ValueError,
+     "epr_sq_db must hold exactly two values, got (1.0,)"),
+    ("epr_sq_db[1] number", "epr_sq_db", 1, "x", ValueError,
+     "epr_sq_db[1] must be a number, got 'x'"),
+    ("epr_antisq_db shape", "epr_antisq_db", None, [1.0, 2.0, 3.0], ValueError,
+     "epr_antisq_db must hold exactly two values, got [1.0, 2.0, 3.0]"),
+    ("eta_source shape", "eta_source", None, "ab", ValueError,
+     "eta_source must hold exactly two values, got 'ab'"),
+    ("eta_prop shape", "eta_prop", None, 0.5, ValueError,
+     "eta_prop must hold exactly two values, got 0.5"),
+    ("squeezer 1", "epr_sq_db", 0, 0.5, PhysicsError,
+     "squeezer 1 noise pair (+0.5, +6) dB is not a valid squeezed/anti-squeezed combination"),
+    ("eta_source[0]", "eta_source", 0, 1.5, ValueError, "eta_source[0] must lie in [0, 1], got 1.5"),
+    ("eta_prop[0]", "eta_prop", 0, 1.2, ValueError, "eta_prop[0] must lie in [0, 1], got 1.2"),
+    ("squeezer 2", "epr_antisq_db", 1, 3.0, PhysicsError,
+     "squeezer 2 noise pair (-6, +3) dB is not a valid squeezed/anti-squeezed combination"),
+    ("eta_source[1]", "eta_source", 1, -0.1, ValueError,
+     "eta_source[1] must lie in [0, 1], got -0.1"),
+    ("eta_prop[1]", "eta_prop", 1, math.nan, ValueError, "eta_prop[1] must lie in [0, 1], got nan"),
+    ("eta_hom fraction", "eta_hom", None, 1.5, ValueError, "eta_hom must lie in [0, 1], got 1.5"),
+    ("eta_hom floor", "eta_hom", None, 1e-7, ValueError,
+     "eta_hom too small to compensate electronically"),
+    ("seed count", "seed", None, 2.5, ValueError, "seed must be an integer, got 2.5"),
+    ("seed minimum", "seed", None, -1, ValueError, "seed must be >= 0"),
+]
+
+
+def _invalid_params(*rows):
+    """TeleporterParams of _VALID with each row's invalid value put in."""
+    fields = dict(_VALID, input_state=vacuum(1))
+    for _, field, index, value, _, _ in rows:
+        if index is not None:
+            pair = list(fields[field])
+            pair[index] = value
+            value = tuple(pair)
+        fields[field] = value
+    return TeleporterParams(**fields)
+
+
+def _raises_row(row, *rows):
+    _, _, _, _, kind, message = row
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
+        _invalid_params(*rows)
+    assert type(info.value) is kind
+    return info.value
+
+
+@pytest.mark.parametrize("row", _VALIDATION_TABLE, ids=[row[0] for row in _VALIDATION_TABLE])
+def test_params_validation_table_row_alone(row):
+    error = _raises_row(row, row)
+    if row[0] == "eta_hom floor":
+        assert error.config_fields == ("eta_hom",)
+    else:
+        assert not hasattr(error, "config_fields")
+
+
+def test_params_validation_table_first_error_is_reported():
+    tried = 0
+    for k, first in enumerate(_VALIDATION_TABLE):
+        for later in _VALIDATION_TABLE[k + 1 :]:
+            # one field, changed whole by either row or at one index by both
+            if first[1] == later[1] and (first[2] is None or later[2] is None
+                                         or first[2] == later[2]):
+                continue
+            _raises_row(first, first, later)
+            _raises_row(first, later, first)  # the order the values are put in is no matter
+            tried += 1
+    assert tried > 150
 
 
 def test_params_eta_hom_floor_is_one_millionth():
