@@ -10,11 +10,14 @@ from its text and checked by its kind's one rule, as config text and
 ExperimentConfig values are, so a non-finite or out-of-range number is a
 config error; a value that reads as a number, such as -1e-3 or -inf, is
 never taken for an option.  Precedence is built-in defaults < config file <
-flags.  The output directory resolves as --out, then [output] dir, then the
-CVTELEPORT_OUTDIR environment variable, then the working directory.  Each
-verb computes, builds its files in memory, writes them with
-``harness.write_files`` and only then prints, so a failed run makes no
-directory and a failed write prints nothing and leaves old files as they were.
+flags, laid over the file's checked keys before the config is built once: a
+rule that spans keys judges the merged values, and its error names the flag
+if a flag set the key, otherwise the line.  The output directory resolves as
+--out, then [output] dir, then the CVTELEPORT_OUTDIR environment variable,
+then the working directory.  Each verb computes, builds its files in memory,
+writes them with ``harness.write_files`` and only then prints, so a failed run
+makes no directory and a failed write prints nothing and leaves old files as
+they were.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error (argparse uses the same
 code for bad flags), 3 physics-invariant violation, 4 reference-comparison
@@ -26,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
@@ -38,17 +40,16 @@ from .harness import (
     CALIBRATION_FIELDS,
     CASCADE_FIELDS,
     CONFIG_FIELDS,
-    ConfigError,
     ExperimentConfig,
     calibrate_losses,
     format_repro_table,
     paper_repro,
-    parse_config,
     report_json,
     run,
     scenario_files,
     write_files,
-    _rule_field,
+    _build_config,
+    _flag_error,
 )
 from .teleporter import cascade
 
@@ -131,25 +132,13 @@ def _flag_values(args: argparse.Namespace, fields) -> dict:
                 value if isinstance(value, bool) else field.kind.read(value)
             )
         except ValueError as exc:
-            raise ConfigError(f"[{field.section}] {field.key} ({field.flag}): {exc}") from exc
+            raise _flag_error(field, exc) from exc
     return values
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-    else:
-        text = ""
-    config = parse_config(text)
-    overrides = _flag_values(args, CONFIG_FIELDS)
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except ValueError as exc:
-            field = _rule_field(exc, overrides)
-            where = "" if field is None else f"[{field.section}] {field.key} ({field.flag}): "
-            raise ConfigError(where + str(exc)) from exc
-    return config
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    return _build_config(text, lambda: _flag_values(args, CONFIG_FIELDS))
 
 
 def _output_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Path:

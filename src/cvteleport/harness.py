@@ -396,7 +396,7 @@ class ExperimentConfig:
 def _noise_pair(*attrs: str):
     """Tags a noise-pair PhysicsError raised inside, whose message names no
     key, with the two fields the rule spans, ``attrs``: a config reader
-    reports it at the first of them that it was given (`_rule_field`)."""
+    reports it at the first of them that is set (`_build_config`)."""
     try:
         yield
     except PhysicsError as exc:
@@ -452,18 +452,21 @@ def _config_error(text: str, section: str, key: str | None, message: str) -> Con
     return ConfigError(f"{location}{suffix}: {message}")
 
 
-def _rule_field(exc: ValueError, given) -> ConfigField | None:
-    """The field of the first key that the rule which raised ``exc`` spans
-    (its ``config_fields`` tag) and that ``given`` (attribute names) sets,
-    or None."""
-    for attr in getattr(exc, "config_fields", ()):
-        if attr in given:
-            return _FIELDS_BY_ATTR[attr]
-    return None
+def _flag_error(field: ConfigField, exc: ValueError) -> ConfigError:
+    return ConfigError(f"[{field.section}] {field.key} ({field.flag}): {exc}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError with location info."""
+    return _build_config(text, dict)
+
+
+def _build_config(text: str, flags: Callable[[], dict]) -> ExperimentConfig:
+    """The config of ``text``'s keys, each checked at its line, with
+    ``flags()`` (checked values by attribute, read after them, so a bad file
+    key is reported first) laid over them, built once; a rule that spans keys
+    is reported at the first it spans that is set, at its flag if
+    ``flags()`` set it, else at its line."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -484,12 +487,17 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs[field.attr] = field.kind.check(field.kind.read(raw))
             except ValueError as exc:
                 raise _config_error(text, name, key, str(exc)) from exc
+    given = flags()
+    kwargs.update(given)
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        field = _rule_field(exc, kwargs)
+        field = next((_FIELDS_BY_ATTR[attr] for attr in getattr(exc, "config_fields", ())
+                      if attr in kwargs), None)
         if field is None:
             raise ConfigError(str(exc)) from exc
+        if field.attr in given:
+            raise _flag_error(field, exc) from exc
         raise _config_error(text, field.section, field.key, str(exc)) from exc
 
 

@@ -132,9 +132,10 @@ class TeleporterParams:
     list is held; a value out of its class (`gaussian`) raises ValueError,
     and so does a pair that is not two values, None included: only
     epr_antisq_db may be None.  The first check that fails raises, in this
-    order: g_x, g_p and eta_hom as numbers, g_x and g_p finite, the four
-    pairs' shapes and values as numbers, then per squeezer its noise pair
-    and its two efficiencies, then eta_hom and the seed.
+    order: input_state a GaussianState, then of one mode, g_x, g_p and
+    eta_hom as numbers, g_x and g_p finite, the four pairs' shapes and
+    values as numbers, then per squeezer its noise pair and its two
+    efficiencies, then eta_hom and the seed.
     """
 
     input_state: GaussianState
@@ -150,7 +151,10 @@ class TeleporterParams:
     def __post_init__(self):
         # each field read once and checked in a straight line; a field is
         # set again only if its check converted it
-        if self.input_state.n_modes != 1:
+        state = self.input_state
+        if not isinstance(state, GaussianState):
+            raise ValueError(f"input_state must be a GaussianState, got {state!r}")
+        if state.n_modes != 1:
             raise ValueError("input_state must be a single mode")
         g_x, g_p, eta_hom = self.g_x, self.g_p, self.eta_hom
         if not (type(g_x) is type(g_p) is type(eta_hom) is float):
@@ -182,7 +186,9 @@ class TeleporterParams:
             floor = ValueError("eta_hom too small to compensate electronically")
             floor.config_fields = ("eta_hom",)  # the key a config reader reports it at
             raise floor
-        check_count(self.seed, "seed")
+        seed = check_count(self.seed, "seed")
+        if seed is not self.seed:
+            object.__setattr__(self, "seed", seed)
 
 
 class EprCorrelations(NamedTuple):
@@ -473,8 +479,10 @@ def teleport_mc(
     count.  ``rng`` defaults to ``default_rng(params.seed)``.  Raises
     PhysicsError when the read-out covariance has no Cholesky factor, and
     when the output's sample covariance is not a state's (`_sample_state`):
-    below 5 shots it never is, and near a pure output the sampling error
-    can dip it below vacuum; its fidelity could then exceed 1.
+    at 2 shots it never is, having rank 1, and with few shots or near a pure
+    output the sampling error often dips it below vacuum (a coherent input
+    through a pure -6 dB resource is refused at 3 of 4 seeds at 3 shots,
+    1 of 2 at 5 and 1 of 4 at 10); its fidelity could then exceed 1.
     """
     shots = check_count(shots, "shots", 2)
     pair, (u, v, x_b, p_b), cov, (c_x, c_p) = _readout(params)

@@ -40,8 +40,8 @@ k fl(pi / n): its thetas are non-decreasing within [0, pi), so each phase
 bin is one segment of the record, whose bounds come from the sweep's step
 in closed form.  The phase counts, the default cutoff and the sinogram all
 read these segments.  The sinogram bins a segment's quadratures by
-truncation and compares with the edges only the samples within 1e-6 bins of
-one or outside them.
+truncation, and by np.histogram only the samples within 1e-6 bins of an edge
+or outside the edges.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class QuadratureRecord:
         values = _readonly(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
-            raise ValueError("thetas and values must be matching 1-D arrays")
+            raise ValueError("values must be a 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("record values must be finite")
 
@@ -433,36 +433,19 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
     return WignerGrid(spec, values)
 
 
-def _upper_edges(edges):
-    """Each bin's upper edge; the last bin is closed: only values past its edge
-    leave it (none past the largest float, whose next value is inf)."""
-    with np.errstate(over="ignore"):
-        return np.append(edges[1:-1], np.nextafter(edges[-1], np.inf))
-
-
-def _uniform_bin_index(values, edges, upper):
-    """Bin of each value among the ``edges``, exactly as np.histogramdd bins
-    it, by searchsorted on ``upper`` = _upper_edges(edges): bins are half-open,
-    [edges[i], edges[i + 1]), except that a value equal to the last edge falls
-    in the last bin; values below or above the edges map to -1 or n."""
-    idx = np.searchsorted(upper, values, side="right")
-    idx -= values < edges[0]
-    return idx
-
-
 def _record_sigma_min(q, bounds):
     """Smallest per-bin sample standard deviation, from well-filled bins.
 
-    Segments are summed pairwise, by np.add.reduceat over the starts of the
-    non-empty ones.  The squares go through one segment-sized buffer rather
-    than a record-sized array; a segment's reduceat at offset 0 sums it as
-    the whole-record call would."""
+    Segments are summed pairwise, by np.add.reduceat over their starts: none
+    is empty, as inverse_radon takes no record of fewer than
+    MIN_RECORD_SAMPLES.  The squares go through one segment-sized buffer
+    rather than a record-sized array; a segment's reduceat at offset 0 sums
+    it as the whole-record call would."""
     counts = np.diff(bounds)
     eligible = counts >= max(20, int(0.5 * q.size / counts.size))
     if not np.any(eligible):
         eligible = counts >= 2
-    filled = counts > 0
-    sums = np.add.reduceat(q, bounds[:-1][filled])[eligible[filled]]
+    sums = np.add.reduceat(q, bounds[:-1])[eligible]
     square = np.empty(counts.max())
     sqs = np.array([
         np.add.reduceat(np.square(q[a:b], out=square[:b - a]), [0])[0]
@@ -485,15 +468,15 @@ def _sinogram(q, bounds, q_edges):
     linspace's rounding of them, so f is exact unless s is within
     _EDGE_MARGIN = 1e-6 bins of an edge, a margin of about 10^4.  Only those
     samples and those with f outside [0, n_q) are re-binned exactly, by
-    _uniform_bin_index, and all are when the width overflows or the bins are
-    too narrow for normal floats.  Then one bincount per segment.
+    np.histogram on the edges (half-open bins, the last one closed, values
+    outside dropped), and all are when the width overflows or the bins are
+    too narrow for normal floats; the rest by one bincount per segment.
     """
     n_q = q_edges.size - 1
     lo, hi = float(q_edges[0]), float(q_edges[-1])
     width = hi - lo  # a Python float: inf, not a warning, when it overflows
     scale = n_q / width if np.finfo(float).tiny * n_q <= width < np.inf else np.nan
-    upper = _upper_edges(q_edges)
-    sinogram = np.empty((bounds.size - 1, n_q), dtype=np.intp)
+    sinogram = np.zeros((bounds.size - 1, n_q), dtype=np.intp)
     size = int(np.diff(bounds).max(initial=0))
     s, f, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
     kept, inside = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
@@ -511,9 +494,9 @@ def _sinogram(q, bounds, q_edges):
             ok &= np.less(q_bin.view(np.uintp), n_q, out=inside[:m])  # 0 <= f < n_q
             if np.count_nonzero(ok) < m:
                 redo = np.flatnonzero(~ok)
-                # -1 and n_q, below and above the edges, both count in bin n_q, left out
-                q_bin[redo] = _uniform_bin_index(v[redo], q_edges, upper) % (n_q + 1)
-            sinogram[b] = np.bincount(q_bin, minlength=n_q + 1)[:n_q]
+                sinogram[b] = np.histogram(v[redo], q_edges)[0]
+                q_bin[redo] = n_q  # binned by np.histogram; bin n_q is left out
+            sinogram[b] += np.bincount(q_bin, minlength=n_q + 1)[:n_q]
     return sinogram
 
 

@@ -164,6 +164,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "unknown key" in err and "line 2" in err
 
+    @pytest.mark.parametrize("text, argv, line", [
+        ("[teleporter]\nepr_sq_db = -6 -6\nepr_antisq_db = 3 3\n", ["--epr-antisq-db", "8", "8"],
+         "epr_antisq_db = 8.0 8.0\n"),
+        ("[teleporter]\neta_hom = 1e-7\n", ["--eta-hom", "0.9"], "eta_hom = 0.9\n"),
+    ], ids=["noise-pair", "eta-hom-floor"])
+    def test_flags_can_make_a_file_valid(self, text, argv, line, tmp_path):
+        # a rule that spans keys judges the file's values with the flags laid over them
+        config = tmp_path / "exp.ini"
+        config.write_text(text, encoding="utf-8")
+        assert invoke("run", "--config", str(config), *argv, "--out", str(tmp_path)) == 0
+        assert line in json.loads((tmp_path / "report.json").read_text())["config_text"]
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("[run]\ninput_sq_db = -6\ninput_antisq_db = 3\n", ["--scenario", "squeezed_x"],
+         "[run] input_sq_db (line 2): squeezed vacuum noise pair (-6, +3) dB"),
+        # the first key the rule spans, at its line when the file set it ...
+        ("[teleporter]\nepr_sq_db = -6 -6\n", ["--epr-antisq-db", "3", "3"],
+         "[teleporter] epr_sq_db (line 2): squeezer 1 noise pair (-6, +3) dB"),
+        # ... and at its flag when a flag did
+        ("[teleporter]\nepr_antisq_db = 3 3\n", ["--epr-sq-db", "-6", "-6"],
+         "[teleporter] epr_sq_db (--epr-sq-db): squeezer 1 noise pair (-6, +3) dB"),
+        # a file key that fails its own kind's check is an error whatever the flags
+        ("[teleporter]\neta_hom = 2.0\n", ["--eta-hom", "0.9"],
+         "[teleporter] eta_hom (line 2): must lie in [0, 1], got 2.0\n"),
+        # and is reported before a flag that fails its own
+        ("[teleporter]\neta_hom = 2.0\n", ["--alpha", "nan"],
+         "[teleporter] eta_hom (line 2): must lie in [0, 1], got 2.0\n"),
+    ], ids=["scenario-flag", "rule-at-line", "rule-at-flag", "file-key-overridden",
+            "file-key-before-flag"])
+    def test_merged_config_error_is_located(self, text, argv, message, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(text, encoding="utf-8")
+        assert invoke("run", "--config", str(config), *argv, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "report.json").exists()
+
     def test_invalid_flag_value_exits_2(self, capsys):
         code = invoke("run", "--eta-hom", "2.0")
         assert code == 2

@@ -287,7 +287,7 @@ def test_mc_moments_have_the_law_of_per_shot_samples(shots, monkeypatch):
     # of a per-shot rebuild over as many fixed seeds.  This is the law of the
     # estimate itself, so teleport_mc's refusal of an estimate that is not a
     # state (test_sample_state_is_the_one_mode_bona_fide_condition), which
-    # takes most draws of few shots, is lifted here.
+    # takes every draw of 2 shots and many of a few more, is lifted here.
     monkeypatch.setattr(teleporter, "_sample_state", lambda cov, shots: None)
     rebuild = np.random.default_rng(10_000 + shots)
     drawn = [teleporter._standard_moments(shots, np.random.default_rng(seed))
@@ -374,6 +374,21 @@ def test_sample_state_is_the_one_mode_bona_fide_condition(cov, state):
         with pytest.raises(PhysicsError, match="^Monte Carlo output covariance of 7 shots is "
                                                "not a state's: "):
             teleporter._sample_state(cov, 7)
+
+
+def test_mc_refuses_every_estimate_of_2_shots_but_not_of_3():
+    # 2 shots give a rank-1 sample covariance, never a state's; 3 can give one
+    for seed in range(5):
+        with pytest.raises(PhysicsError, match="^Monte Carlo output covariance of 2 shots "):
+            teleport_mc(coherent_params(), 2, np.random.default_rng(seed))
+    accepted = 0
+    for seed in range(20):
+        try:
+            teleport_mc(coherent_params(), 3, np.random.default_rng(seed))
+        except PhysicsError:
+            continue
+        accepted += 1
+    assert accepted > 0
 
 
 def test_mc_output_whose_products_overflow_is_judged_on_scaled_entries():
@@ -852,6 +867,12 @@ def test_params_validation():
 _VALID = dict(epr_sq_db=(-6.0, -6.0), epr_antisq_db=(6.0, 6.0), g_x=1.0, g_p=1.0,
               eta_source=(1.0, 1.0), eta_prop=(1.0, 1.0), eta_hom=1.0, seed=0)
 _VALIDATION_TABLE = [
+    ("input_state None", "input_state", None, None, ValueError,
+     "input_state must be a GaussianState, got None"),
+    ("input_state text", "input_state", None, "vacuum", ValueError,
+     "input_state must be a GaussianState, got 'vacuum'"),
+    ("input_state array", "input_state", None, np.zeros(2), ValueError,
+     "input_state must be a GaussianState, got array([0., 0.])"),
     ("single mode", "input_state", None, vacuum(2), ValueError,
      "input_state must be a single mode"),
     ("g_x number", "g_x", None, "1", ValueError, "g_x must be a number, got '1'"),
@@ -927,6 +948,12 @@ def test_params_validation_table_first_error_is_reported():
             _raises_row(first, later, first)  # the order the values are put in is no matter
             tried += 1
     assert tried > 150
+
+
+@pytest.mark.parametrize("seed", [3, np.int64(3), np.uint8(3)])
+def test_params_hold_the_seed_as_an_int(seed):
+    params = TeleporterParams(input_state=vacuum(1), seed=seed)
+    assert type(params.seed) is int and params.seed == 3
 
 
 def test_params_eta_hom_floor_is_one_millionth():
