@@ -9,7 +9,7 @@ cvteleport`` loads no numpy; ``from cvteleport import QuadratureRecord``,
 name were bound.  numpy is loaded only where arrays or random draws are
 made: the Monte Carlo path, the tomography names, a state's ``mean`` and
 ``cov`` arrays, the public `GaussianState` constructor, `apply_symplectic`
-and `symplectic_eigenvalues`.  The public API is unchanged.
+and `symplectic_eigenvalues`.
 """
 
 from cvteleport._version import __version__

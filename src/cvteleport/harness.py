@@ -2,7 +2,8 @@
 reference-reproduction table.
 
 Config grammar (INI-style, parsed by configparser; ``#`` and ``;`` start
-comments; unknown sections or keys are rejected with a line number):
+comments; unknown sections, ``[DEFAULT]`` among them, or keys are rejected
+with a line number):
 
     [run]
     scenario = coherent            # coherent | squeezed_x | squeezed_p | vacuum
@@ -78,6 +79,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -274,6 +276,22 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
     return _Kind(int, check, str)
 
 
+def _config_text(value) -> str | None:
+    """A text value that config text holds as it is: configparser ends a
+    value at a line break, strips its ends and cuts a comment from a ``#``
+    or ``;`` that starts it or follows whitespace."""
+    if value is None:
+        return None
+    text = str(value)
+    if "\r" in text or "\n" in text:
+        raise ValueError(f"must be one line, got {text!r}")
+    if text != text.strip():
+        raise ValueError(f"must not begin or end with whitespace, got {text!r}")
+    if re.search(r"(^|\s)[#;]", text):
+        raise ValueError(f"must not have '#' or ';' at its start or after whitespace, got {text!r}")
+    return text
+
+
 _FLOAT = _Kind(float, _finite, repr)
 _POSITIVE = _Kind(float, _positive, repr)
 _FRACTION = _Kind(float, _fraction, repr)
@@ -286,7 +304,7 @@ _CUTOFF = _Kind(
     lambda value: None if value is None else _positive(value),
     lambda value: "auto" if value is None else repr(value),
 )
-_STR = _Kind(str, lambda value: None if value is None else str(value), lambda value: value)
+_STR = _Kind(str, _config_text, lambda value: value)
 
 
 class ConfigField(NamedTuple):
@@ -467,8 +485,9 @@ def _build_config(text: str, flags: Callable[[], dict]) -> ExperimentConfig:
     key is reported first) laid over them, built once; a rule that spans keys
     is reported at the first it spans that is set, at its flag if
     ``flags()`` set it, else at its line."""
+    # default_section="" matches no header, so [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
+        interpolation=None, inline_comment_prefixes=("#", ";"), default_section=""
     )
     try:
         parser.read_string(text)

@@ -434,25 +434,19 @@ def wigner_analytic(state: GaussianState, spec: GridSpec | None = None) -> Wigne
 
 
 def _record_sigma_min(q, bounds):
-    """Smallest per-bin sample standard deviation, from well-filled bins.
+    """Smallest per-bin sample standard deviation, over every phase bin.
 
-    Segments are summed pairwise, by np.add.reduceat over their starts: none
-    is empty, as inverse_radon takes no record of fewer than
-    MIN_RECORD_SAMPLES.  The squares go through one segment-sized buffer
-    rather than a record-sized array; a segment's reduceat at offset 0 sums
-    it as the whole-record call would."""
+    A record of at least MIN_RECORD_SAMPLES on the standard sweep puts
+    within one of n / 60 samples, 16 or more, in each bin.  Sums are
+    pairwise, by np.add.reduceat over the segments' starts, and each
+    segment's squares by a reduceat at offset 0, which sums it as the
+    whole-record call would."""
     counts = np.diff(bounds)
-    eligible = counts >= max(20, int(0.5 * q.size / counts.size))
-    if not np.any(eligible):
-        eligible = counts >= 2
-    sums = np.add.reduceat(q, bounds[:-1])[eligible]
-    square = np.empty(counts.max())
+    sums = np.add.reduceat(q, bounds[:-1])
     sqs = np.array([
-        np.add.reduceat(np.square(q[a:b], out=square[:b - a]), [0])[0]
-        for a, b in zip(bounds[:-1][eligible], bounds[1:][eligible])
+        np.add.reduceat(np.square(q[a:b]), [0])[0] for a, b in zip(bounds[:-1], bounds[1:])
     ])
-    n = counts[eligible]
-    var_min = float(np.min(sqs / n - (sums / n) ** 2))
+    var_min = float(np.min(sqs / counts - (sums / counts) ** 2))
     if var_min <= 0.0:
         raise PhysicsError("record has a zero-variance phase bin")
     return np.sqrt(var_min)
@@ -462,37 +456,31 @@ def _sinogram(q, bounds, q_edges):
     """Sample count per (phase bin, quadrature bin), as np.histogram2d counts
     on np.linspace's uniform edges; a sample outside them is left out.
 
-    Per phase segment, in reused buffers, a sample's bin is the floor f of
-    s = (v - lo) n_q / (hi - lo).  Up to _MAX_QUADRATURE_BINS bins, s is
-    within about 3e-11 bins of the sample's place among the edges, counting
-    linspace's rounding of them, so f is exact unless s is within
-    _EDGE_MARGIN = 1e-6 bins of an edge, a margin of about 10^4.  Only those
-    samples and those with f outside [0, n_q) are re-binned exactly, by
-    np.histogram on the edges (half-open bins, the last one closed, values
-    outside dropped), and all are when the width overflows or the bins are
-    too narrow for normal floats; the rest by one bincount per segment.
+    Per phase segment, a sample's bin is the floor f of s = (v - lo) n_q /
+    (hi - lo).  Up to _MAX_QUADRATURE_BINS bins, s is within about 3e-11
+    bins of the sample's place among the edges, counting linspace's rounding
+    of them, so f is exact unless s is within _EDGE_MARGIN = 1e-6 bins of an
+    edge, a margin of about 10^4.  Only those samples and those with f
+    outside [0, n_q) are re-binned exactly, by np.histogram on the edges
+    (half-open bins, the last one closed, values outside dropped), and all
+    are when the width overflows or the bins are too narrow for normal
+    floats; the rest by one bincount per segment.
     """
     n_q = q_edges.size - 1
     lo, hi = float(q_edges[0]), float(q_edges[-1])
     width = hi - lo  # a Python float: inf, not a warning, when it overflows
     scale = n_q / width if np.finfo(float).tiny * n_q <= width < np.inf else np.nan
     sinogram = np.zeros((bounds.size - 1, n_q), dtype=np.intp)
-    size = int(np.diff(bounds).max(initial=0))
-    s, f, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
-    kept, inside = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf s: f is re-binned
         for b, (a, z) in enumerate(zip(bounds[:-1], bounds[1:])):
-            m, v = z - a, q[a:z]
-            s_b = np.subtract(v, lo, out=s[:m])
-            s_b *= scale
-            f_b = np.floor(s_b, out=f[:m])
-            q_bin = idx[:m]
-            np.copyto(q_bin, f_b, casting="unsafe")
-            s_b -= f_b  # in [0, 1) for a finite s
-            ok = np.greater_equal(s_b, _EDGE_MARGIN, out=kept[:m])
-            ok &= np.less_equal(s_b, 1.0 - _EDGE_MARGIN, out=inside[:m])
-            ok &= np.less(q_bin.view(np.uintp), n_q, out=inside[:m])  # 0 <= f < n_q
-            if np.count_nonzero(ok) < m:
+            v = q[a:z]
+            s = (v - lo) * scale
+            f = np.floor(s)
+            q_bin = f.astype(np.intp)  # a NaN's cast warns: invalid, ignored
+            s -= f  # in [0, 1) for a finite s
+            inside = q_bin.view(np.uintp) < n_q  # 0 <= f < n_q
+            ok = (s >= _EDGE_MARGIN) & (s <= 1.0 - _EDGE_MARGIN) & inside
+            if not ok.all():
                 redo = np.flatnonzero(~ok)
                 sinogram[b] = np.histogram(v[redo], q_edges)[0]
                 q_bin[redo] = n_q  # binned by np.histogram; bin n_q is left out
@@ -521,8 +509,8 @@ def _quadrature_edges(q, spec, cutoff):
     """inverse_radon's n_q + 1 uniform quadrature edges on [-support, support],
     n_q odd and about _BINS_PER_CUTOFF_WAVELENGTH per wavelength 2 pi / cutoff;
     raises for more than _MAX_QUADRATURE_BINS - 1."""
-    x, p = spec.x_axis(), spec.p_axis()
-    corner_radius = max(float(np.hypot(x[i], p[j])) for i in (0, -1) for j in (0, -1))
+    corner_radius = max(float(np.hypot(x, p)) for x in (spec.x_min, spec.x_max)
+                        for p in (spec.p_min, spec.p_max))
     q_abs_max = float(max(q.max(), -q.min()))  # max |q|, without an |q| array
     support = max(corner_radius, q_abs_max) * _SUPPORT_PAD_FACTOR
     dq_target = (2.0 * np.pi / cutoff) / _BINS_PER_CUTOFF_WAVELENGTH

@@ -200,6 +200,39 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[DEFAULT]\neta_hom = 2.0\nbogus = 1\n", "[default] (line 1): unknown section"),
+        ("[DEFAULT]\nalpha = 2.0\n\n[run]\nscenario = coherent\n",
+         "[default] (line 1): unknown section"),
+        ("[output]\ndir = res\n  ults\n",
+         "[output] dir (line 2): must be one line, got 'res\\nults'"),
+        ("[run]\nseed = 1\n[output]\ndir = a\n\tb\n",
+         "[output] dir (line 4): must be one line, got 'a\\nb'"),
+    ], ids=["default-section", "default-beside-run", "dir-continuation", "dir-tab-continuation"])
+    def test_text_that_configparser_reads_loosely_exits_2(
+        self, text, message, tmp_path, monkeypatch, capsys
+    ):
+        # run where a run would write, so one that passes shows as a new file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CVTELEPORT_OUTDIR", raising=False)
+        (tmp_path / "exp.ini").write_text(text, encoding="utf-8")
+        assert invoke("run", "--config", "exp.ini") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["exp.ini"]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("alpha = 2.0\n[run]\n", "File contains no section headers."),
+        ("[run]\nalpha = 2.0\nalpha = 3.0\n", "option 'alpha' in section 'run' already exists"),
+        ("[run]\nalpha = 2.0\n\n[run]\nseed = 1\n", "section 'run' already exists"),
+    ], ids=["key-before-section", "duplicate-key", "duplicate-section"])
+    def test_malformed_config_exits_2(self, text, reason, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(text, encoding="utf-8")
+        assert invoke("run", "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config: ") and reason in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_invalid_flag_value_exits_2(self, capsys):
         code = invoke("run", "--eta-hom", "2.0")
         assert code == 2

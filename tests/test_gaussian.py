@@ -965,3 +965,20 @@ def test_a_float32_argument_acts_as_its_float_and_keeps_vacuum(gate, value):
     out = gate(value)
     assert _state_bytes(out) == _state_bytes(gate(float(value)))
     assert np.abs(out.cov - VACUUM_VARIANCE * np.eye(out.cov.shape[0])).max() <= 1e-16
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaussianState(np.zeros(3), np.eye(3)), "mean must have even length >= 2, got 3"),
+    (lambda: GaussianState(np.zeros(2), np.eye(4)),
+     "cov shape (4, 4) does not match mean length 2"),
+    (lambda: GaussianState(np.zeros(4), np.eye(2)),
+     "cov shape (2, 2) does not match mean length 4"),
+    (lambda: apply_symplectic(vacuum(1), np.eye(4)),
+     "symplectic shape (4, 4) does not match state dimension"),
+    (lambda: rotate(vacuum(1), 1, 0.5), "mode 1 out of range for 1 modes"),
+    (lambda: loss(vacuum(2), 2, 0.5), "mode 2 out of range for 2 modes"),
+], ids=["odd-mean", "cov-too-large", "cov-too-small", "symplectic-shape", "rotate-mode",
+        "loss-mode"])
+def test_shape_and_mode_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -187,10 +187,28 @@ class TestEmitRoundtrip:
                 cutoff=13.25,
                 output_dir="out",
             ),
+            # whitespace inside, and '#' and ';' not after whitespace, start no comment
+            ExperimentConfig(output_dir="out#x;y a\tb"),
         ],
     )
     def test_parse_emit_is_identity(self, config):
         assert parse_config(emit_config(config)) == config
+
+    @pytest.mark.parametrize("value, message", [
+        ("out #x", "must not have '#' or ';' at its start or after whitespace, got 'out #x'"),
+        ("out ;x", "must not have '#' or ';' at its start or after whitespace, got 'out ;x'"),
+        ("out\t#x", "must not have '#' or ';' at its start or after whitespace, got 'out\\t#x'"),
+        ("#x", "must not have '#' or ';' at its start or after whitespace, got '#x'"),
+        ("x ;", "must not have '#' or ';' at its start or after whitespace, got 'x ;'"),
+        (" out", "must not begin or end with whitespace, got ' out'"),
+        ("out\t", "must not begin or end with whitespace, got 'out\\t'"),
+        ("res\nults", "must be one line, got 'res\\nults'"),
+        ("res\rults", "must be one line, got 'res\\rults'"),
+    ])
+    def test_output_dir_that_config_text_cannot_hold_is_refused(self, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(output_dir=value)
+        assert str(excinfo.value) == f"output_dir: {message}"
 
     def test_emitted_floats_are_exact(self):
         config = ExperimentConfig(alpha=1.0 / 3.0, g_x=np.nextafter(1.0, 2.0))

@@ -130,9 +130,20 @@ def configs(draw):
     )
 
 
+# [output] dir values, with the characters config text reads specially: line
+# breaks, whitespace and the comment prefixes
+OUTPUT_DIRS = st.none() | st.text("abcxyz019_-./ \t\r\n#;", max_size=12)
+
+
 @settings(max_examples=200, deadline=None)
-@given(configs())
-def test_parse_of_emit_is_identity(config):
+@given(configs(), OUTPUT_DIRS)
+def test_parse_of_emit_is_identity(config, output_dir):
+    # each value either round-trips or is refused as text config cannot hold
+    try:
+        config = dataclasses.replace(config, output_dir=output_dir)
+    except ValueError as exc:
+        assert str(exc).startswith("output_dir: must "), exc
+        return
     assert parse_config(emit_config(config)) == config
 
 

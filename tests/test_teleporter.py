@@ -1018,3 +1018,14 @@ def test_output_remains_physical_under_losses(rng):
         )
         out = teleport_analytic(params).output_state
         assert symplectic_eigenvalues(out.cov).min() >= 0.25 - 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: epr_correlations(vacuum(1)), ValueError, "epr_correlations requires a two-mode state"),
+    (lambda: cascade(coherent_params(epr_sq_db=(-3, -3), epr_antisq_db=(3080, 3080),
+                                     eta_prop=(0.9, 0.8)), 10_000),
+     PhysicsError, "cascade variances are not finite at stage 10000: (inf, inf)"),
+], ids=["epr-of-one-mode", "cascade-overflow"])
+def test_state_and_result_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -424,6 +424,24 @@ COPIERS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
 
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tomography.PhaseScanTrace(np.zeros(3), np.zeros(4), None),
+     "thetas and power_db must be matching 1-D arrays"),
+    (lambda: tomography.PhaseScanTrace(np.zeros((2, 2)), np.zeros((2, 2)), None),
+     "thetas and power_db must be matching 1-D arrays"),
+    (lambda: tomography.PhaseScanTrace([0.0, np.inf, 1.0], np.zeros(3), None),
+     "trace values must be finite"),
+    (lambda: tomography.PhaseScanTrace(np.zeros(3), [0.0, np.nan, 0.0], None),
+     "trace values must be finite"),
+    (lambda: WignerGrid(GridSpec(-1, 1, -1, 1, 3, 3), np.full((3, 3), np.nan)),
+     "grid values must be finite"),
+], ids=["trace-lengths", "trace-2d", "trace-inf-theta", "trace-nan-power", "grid-nan"])
+def test_record_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 # Each frozen record with arrays, and the names of its arrays.
 FROZEN_RECORDS = {
     "record": (lambda: sample_record(vacuum(1), 2000, np.random.default_rng(0)),
@@ -779,30 +797,21 @@ class TestSinogramBinning:
 def reduceat_cutoff(idx, counts, values):
     """The default cutoff from each sample's bin ``idx``: the samples, bin by
     bin and in record order within a bin, summed by one np.add.reduceat over
-    the starts of the filled bins."""
-    eligible = counts >= max(20, int(0.5 * values.size / counts.size))
-    if not np.any(eligible):
-        eligible = counts >= 2
+    the starts of the bins, every bin holding a sample."""
     binned = values[np.argsort(idx, kind="stable")]
-    filled = counts > 0
-    starts = (np.cumsum(counts) - counts)[filled]
-    sums = np.add.reduceat(binned, starts)[eligible[filled]]
-    sqs = np.add.reduceat(binned * binned, starts)[eligible[filled]]
-    n = counts[eligible]
-    return DEFAULT_CUTOFF_SIGMAS / np.sqrt(float(np.min(sqs / n - (sums / n) ** 2)))
+    starts = np.cumsum(counts) - counts
+    sums = np.add.reduceat(binned, starts)
+    sqs = np.add.reduceat(binned * binned, starts)
+    return DEFAULT_CUTOFF_SIGMAS / np.sqrt(float(np.min(sqs / counts - (sums / counts) ** 2)))
 
 
 def fsum_sigma_min(q, bounds):
-    """_record_sigma_min's statistic with every sum exactly rounded by
-    math.fsum, one segment at a time."""
-    counts = np.diff(bounds)
-    eligible = counts >= max(20, int(0.5 * q.size / counts.size))
-    if not np.any(eligible):
-        eligible = counts >= 2
+    """_record_sigma_min's statistic, over every bin, with every sum exactly
+    rounded by math.fsum, one segment at a time."""
     variances = []
-    for a, b, n in zip(bounds[:-1][eligible], bounds[1:][eligible], counts[eligible]):
-        mean = math.fsum(q[a:b].tolist()) / n
-        variances.append(math.fsum((q[a:b] * q[a:b]).tolist()) / n - mean * mean)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        mean = math.fsum(q[a:b].tolist()) / (b - a)
+        variances.append(math.fsum((q[a:b] * q[a:b]).tolist()) / (b - a) - mean * mean)
     return math.sqrt(min(variances))
 
 
@@ -838,14 +847,28 @@ class TestFilterAndCutoffAccuracy:
         (10**6, teleported_squeezed().output_state),
         (200_000, coherent_state(1.5 + 0.5j)),
         (50_000, impure_squeezed_vacuum(-6.0, 6.0)),
-        # 16-17 samples a bin, under the floor of 20: every bin of 2 or more counts
-        (1000, vacuum(1)),
-    ], ids=["teleported-1M", "coherent", "squeezed", "vacuum-1000"])
+        (1000, vacuum(1)),  # 16-17 samples a bin
+        (1170, vacuum(1)),  # 19-20 samples a bin
+    ], ids=["teleported-1M", "coherent", "squeezed", "vacuum-1000", "vacuum-1170"])
     def test_sigma_min_matches_fsum(self, n, state):
         record = sample_record(state, n, np.random.default_rng(n))
         q, bounds = record.values, np.searchsorted(record.thetas, np.linspace(0.0, np.pi, 61))
         expected = fsum_sigma_min(q, bounds)
         assert _record_sigma_min(q, bounds) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n, sigma_min", [
+        (1000, "0x1.72b54fbdf7a51p-2"),
+        (1140, "0x1.4a31a29cc1d25p-2"),
+        (1201, "0x1.9221851bc2ca4p-2"),
+        (5000, "0x1.a3c3b75f6155bp-2"),
+        (10**6, "0x1.b8a3ead4111e0p-2"),
+    ])
+    def test_sigma_min_bytes_of_the_teleported_output(self, n, sigma_min):
+        # byte for byte, at sizes away from 1141-1200, whose bins hold 19 to
+        # 21 samples
+        record = sample_record(teleported_squeezed().output_state, n, np.random.default_rng(n))
+        bounds = record._bounds(np.linspace(0.0, np.pi, DEFAULT_THETA_BINS + 1))
+        assert float(_record_sigma_min(record.values, bounds)).hex() == sigma_min
 
     def test_zero_variance_phase_bin_is_physics_error(self, rng):
         values = rng.normal(0.0, 0.5, 2000)
