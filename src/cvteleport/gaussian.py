@@ -230,6 +230,61 @@ def _moments(state: GaussianState) -> tuple[list, list]:
     return state._mean, state._cov
 
 
+class _Record:
+    """Base of the immutable records whose constructor enforces a rule.
+
+    A subclass names its fields, in order, as its ``__slots__``, and its
+    ``__init__`` checks its arguments and sets each slot once, by the slot's
+    setter or ``object.__setattr__``.  The methods here read the fields by
+    ``_fields`` (the slots): ``==`` and ``hash`` by value, of records of one
+    class; a record holding arrays sets both back to identity.
+    ``_replace``, copies and pickles rebuild a record through its
+    constructor, so a changed field is checked and an array held is a
+    read-only copy."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._asdict())
+
+
+def _rebuilt(cls, fields: dict):
+    """The record ``cls`` of ``fields``, built by its constructor: how copies
+    and pickles rebuild a `_Record`."""
+    return cls(**fields)
+
+
 def vacuum(n_modes: int) -> GaussianState:
     """The n-mode vacuum: zero mean, covariance (1/4) * identity."""
     dim = 2 * check_count(n_modes, "n_modes", 1)

@@ -49,8 +49,8 @@ Every key but ``[output] dir`` (``--out``) is also a command-line flag: the
 key with ``_`` turned into ``-``, pair keys taking two values.  Config text
 and flags are read (syntax only), and every value, also one passed to
 ExperimentConfig, is checked by its kind's one rule, all from the config
-table ``CONFIG_FIELDS``, which the fields of ExperimentConfig declare together
-with their defaults.
+table ``CONFIG_FIELDS``, which declares the fields of ExperimentConfig with
+their defaults.
 
 Randomness: the single config seed feeds numpy's SeedSequence; children are
 spawned in a fixed order (0: Monte Carlo teleportation, 1: trace sampling,
@@ -60,12 +60,13 @@ paths import `tomography`, so an analytic run, a calibration and a config
 or physics error load no numpy.
 
 Records: a record whose constructor enforces a rule (ExperimentConfig) is a
-frozen dataclass; the others (RunResult, CalibrationResult, ReproRow) are
-named tuples, so ``result._replace(...)`` derives a changed record.
+slotted `gaussian._Record`; the others (RunResult, CalibrationResult,
+ReproRow) are named tuples.  Either derives a changed record by
+``_replace(...)``, through ExperimentConfig's checks for it.
 
-Reports: ``report_json``'s one encoder ``_plain`` turns states, dataclasses,
-named tuples and arrays into JSON objects and lists, so each field of a
-result is a key of its report.  Every output is built in memory, and only
+Reports: ``report_json``'s one encoder ``_plain`` turns states, records (by
+their ``_asdict()``) and arrays into JSON objects and lists, so each field of
+a result is a key of its report.  Every output is built in memory, and only
 ``write_files`` writes it, staged so that a failed write changes no file.
 """
 
@@ -74,7 +75,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import dataclasses
 import hashlib
 import json
 import math
@@ -82,7 +82,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -92,6 +91,7 @@ from ._version import __version__
 from .gaussian import (
     GaussianState,
     PhysicsError,
+    _Record,
     _as_float,
     _as_pair,
     _lists,
@@ -308,12 +308,14 @@ _STR = _Kind(str, _config_text, lambda value: value)
 
 
 class ConfigField(NamedTuple):
-    """One config key: its section, its kind and the ExperimentConfig
-    attribute it sets (``name``, when that differs from the key)."""
+    """One config key: its section, its kind, its default and the
+    ExperimentConfig attribute it sets (``name``, when that differs from the
+    key)."""
 
     section: str
     key: str
     kind: _Kind
+    default: Any = None
     name: str | None = None
     help: str | None = None
 
@@ -326,64 +328,60 @@ class ConfigField(NamedTuple):
         return "--" + self.key.replace("_", "-")
 
 
-def _key(section: str, kind: _Kind, default, key: str | None = None, help: str | None = None):
-    """An ExperimentConfig field that is a config key: its default, and its
-    row of the config table (section, kind, the key when it differs from the
-    field name, and the flag's help text) as the field's metadata."""
-    return dataclasses.field(
-        default=default, metadata={"section": section, "kind": kind, "key": key, "help": help}
-    )
+# TeleporterParams' defaults, as its constructor declares them
+_TELEPORTER = dict(zip(TeleporterParams._fields[1:], TeleporterParams.__init__.__defaults__))
+
+# The config grammar, in emitted order: one row per ExperimentConfig field.
+CONFIG_FIELDS = (
+    ConfigField("run", "scenario", _choice(SCENARIOS), "coherent"),
+    ConfigField("run", "alpha", _FLOAT, 3.5, help="coherent amplitude"),
+    ConfigField("run", "input_sq_db", _FLOAT, -6.2),
+    ConfigField("run", "input_antisq_db", _FLOAT, 12.0),
+    ConfigField("run", "method", _choice(METHODS), "analytic"),
+    ConfigField("run", "shots", _count(2, MAX_SAMPLES), 100_000),
+    # seeds the trace and tomography streams too, so not a teleporter default
+    ConfigField("run", "seed", _count(0), 0),
+    ConfigField("teleporter", "epr_sq_db", _pair("DB"), _TELEPORTER["epr_sq_db"]),
+    ConfigField("teleporter", "epr_antisq_db", _pair("DB", optional=True),
+                _TELEPORTER["epr_antisq_db"]),
+    ConfigField("teleporter", "g_x", _FLOAT, _TELEPORTER["g_x"]),
+    ConfigField("teleporter", "g_p", _FLOAT, _TELEPORTER["g_p"]),
+    ConfigField("teleporter", "eta_source", _pair("ETA", _fraction), _TELEPORTER["eta_source"]),
+    ConfigField("teleporter", "eta_prop", _pair("ETA", _fraction), _TELEPORTER["eta_prop"]),
+    ConfigField("teleporter", "eta_hom", _FRACTION, _TELEPORTER["eta_hom"]),
+    ConfigField("trace", "n_points", _count(2, MAX_TRACE_POINTS), DEFAULT_TRACE_POINTS,
+                "trace_points"),
+    ConfigField("trace", "averages", _count(1, MAX_SAMPLES), DEFAULT_TRACE_AVERAGES,
+                "trace_averages"),
+    ConfigField("trace", "sampled", _BOOL, False, "trace_sampled",
+                "emulate finite trace averaging"),
+    ConfigField("tomography", "samples", _count(1, MAX_SAMPLES), 100_000, "tomo_samples"),
+    ConfigField("tomography", "grid_points", _count(2, MAX_GRID_POINTS), DEFAULT_GRID_POINTS),
+    ConfigField("tomography", "grid_pad", _POSITIVE, DEFAULT_GRID_PAD_SIGMAS),
+    ConfigField("tomography", "cutoff", _CUTOFF, None, help="ramp filter cutoff, or 'auto'"),
+    ConfigField("output", "dir", _STR, None, "output_dir"),
+)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Validated scenario description; builds the TeleporterParams it names.
 
-    Each field is one config key, declared with ``_key``; in declaration
-    order the fields are the config table ``CONFIG_FIELDS``, from which
-    ExperimentConfig checks its fields, parse_config reads, emit_config
-    writes and the CLI builds its flags.  The teleporter, trace and
-    tomography defaults are those of TeleporterParams and `tomography`.
+    Its fields are the rows of the config table ``CONFIG_FIELDS``, in order,
+    from which ExperimentConfig takes its defaults and checks its fields,
+    parse_config reads, emit_config writes and the CLI builds its flags.
+    The fields are given by keyword.  The teleporter, trace and tomography
+    defaults are those of TeleporterParams and `tomography`.
     """
 
-    scenario: str = _key("run", _choice(SCENARIOS), "coherent")
-    alpha: float = _key("run", _FLOAT, 3.5, help="coherent amplitude")
-    input_sq_db: float = _key("run", _FLOAT, -6.2)
-    input_antisq_db: float = _key("run", _FLOAT, 12.0)
-    method: str = _key("run", _choice(METHODS), "analytic")
-    shots: int = _key("run", _count(2, MAX_SAMPLES), 100_000)
-    # seeds the trace and tomography streams too, so not a teleporter default
-    seed: int = _key("run", _count(0), 0)
-    epr_sq_db: tuple[float, float] = _key("teleporter", _pair("DB"), TeleporterParams.epr_sq_db)
-    epr_antisq_db: tuple[float, float] | None = _key(
-        "teleporter", _pair("DB", optional=True), TeleporterParams.epr_antisq_db
-    )
-    g_x: float = _key("teleporter", _FLOAT, TeleporterParams.g_x)
-    g_p: float = _key("teleporter", _FLOAT, TeleporterParams.g_p)
-    eta_source: tuple[float, float] = _key(
-        "teleporter", _pair("ETA", _fraction), TeleporterParams.eta_source
-    )
-    eta_prop: tuple[float, float] = _key(
-        "teleporter", _pair("ETA", _fraction), TeleporterParams.eta_prop
-    )
-    eta_hom: float = _key("teleporter", _FRACTION, TeleporterParams.eta_hom)
-    trace_points: int = _key("trace", _count(2, MAX_TRACE_POINTS), DEFAULT_TRACE_POINTS, "n_points")
-    trace_averages: int = _key(
-        "trace", _count(1, MAX_SAMPLES), DEFAULT_TRACE_AVERAGES, "averages"
-    )
-    trace_sampled: bool = _key(
-        "trace", _BOOL, False, "sampled", help="emulate finite trace averaging"
-    )
-    tomo_samples: int = _key("tomography", _count(1, MAX_SAMPLES), 100_000, "samples")
-    grid_points: int = _key("tomography", _count(2, MAX_GRID_POINTS), DEFAULT_GRID_POINTS)
-    grid_pad: float = _key("tomography", _POSITIVE, DEFAULT_GRID_PAD_SIGMAS)
-    cutoff: float | None = _key("tomography", _CUTOFF, None, help="ramp filter cutoff, or 'auto'")
-    output_dir: str | None = _key("output", _STR, None, "dir")
+    __slots__ = tuple(field.attr for field in CONFIG_FIELDS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, **values) -> None:
+        unknown = values.keys() - _FIELDS_BY_ATTR.keys()
+        if unknown:
+            raise TypeError(f"ExperimentConfig got unexpected fields {sorted(unknown)}")
         for field in CONFIG_FIELDS:
             try:
-                value = field.kind.check(getattr(self, field.attr))
+                value = field.kind.check(values.get(field.attr, field.default))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{field.attr}: {exc}") from exc
             object.__setattr__(self, field.attr, value)
@@ -422,14 +420,6 @@ def _noise_pair(*attrs: str):
         raise
 
 
-# The config grammar, in emitted order: one row per ExperimentConfig field.
-CONFIG_FIELDS = tuple(
-    ConfigField(
-        f.metadata["section"], f.metadata["key"] or f.name, f.metadata["kind"],
-        f.name if f.metadata["key"] else None, f.metadata["help"],
-    )
-    for f in fields(ExperimentConfig)
-)
 # The calibrate and cascade verbs' own inputs: not config keys, but flags
 # read and checked like the config's keys.
 CALIBRATION_FIELDS = (
@@ -511,10 +501,10 @@ def _build_config(text: str, flags: Callable[[], dict]) -> ExperimentConfig:
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        field = next((_FIELDS_BY_ATTR[attr] for attr in getattr(exc, "config_fields", ())
-                      if attr in kwargs), None)
-        if field is None:
-            raise ConfigError(str(exc)) from exc
+        # Each value was checked above, so only a rule that spans keys fails
+        # here.  Each such rule names its keys (`config_fields`), and fails
+        # only at a value set here, since the defaults meet every rule.
+        field = next(_FIELDS_BY_ATTR[attr] for attr in exc.config_fields if attr in kwargs)
         if field.attr in given:
             raise _flag_error(field, exc) from exc
         raise _config_error(text, field.section, field.key, str(exc)) from exc
@@ -593,14 +583,12 @@ def _child_rng(seed: int, index: int) -> np.random.Generator:
 
 def _plain(value):
     """``value`` as JSON data: a GaussianState becomes its mean and cov, a
-    dataclass an object of its fields, a named tuple its ``_asdict()``, an
-    array, list or tuple a list; dicts recurse and anything else is kept."""
+    record (a `_Record` or a named tuple) its ``_asdict()``, an array, list
+    or tuple a list; dicts recurse and anything else is kept."""
     if isinstance(value, GaussianState):  # copies of its floats: no array is built
         mean, cov = _lists(value)
         return {"mean": mean, "cov": cov}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+    if isinstance(value, _Record) or isinstance(value, tuple) and hasattr(value, "_asdict"):
         return _plain(value._asdict())
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -636,7 +624,7 @@ def scenario_files(result: RunResult) -> dict[str, str]:
     if trace is not None:
         payload["trace"] = trace
     if grid is not None:
-        payload["wigner"] = {**asdict(grid.spec), "values": grid.values}
+        payload["wigner"] = {**grid.spec._asdict(), "values": grid.values}
     files = {"report.json": report_json(payload)}
     if trace is not None:
         lines = ["theta_rad,power_db"]

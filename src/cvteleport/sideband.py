@@ -17,12 +17,12 @@ The pair's moments are formed in closed form on the mode's held Python
 floats, each covariance entry rounded once (vacuum gives delta_sq = 1
 exactly), and the pair holds them as built, through `gaussian._own`, as
 lists of Python floats; its arrays are built only if read.  Which
-constructor checks: `SidebandPair(state)`, and so `dataclasses.replace`,
-checks that the state has two modes; `sidebands_from_single_mode` builds
-its pair without that check, as `_own` builds a state, around the two-mode
-state it has just built.  The gate chain
-that defines them (`quarter_turn`, `tensor`, `apply_symplectic`) is their
-test oracle.  `delta_sq` reads the pair's held covariance floats and sums
+constructor checks: `SidebandPair(state)`, a slotted `gaussian._Record`,
+and so its ``_replace``, checks that the state has two modes;
+`sidebands_from_single_mode` builds its pair without that check, by the
+slot's setter, as `_own` builds a state, around the two-mode state it has
+just built.  The gate chain that defines them (`quarter_turn`, `tensor`,
+`apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's held covariance floats and sums
 the entries its two combinations weigh, grouped so that the result is bit
 for bit that of the matrix products with the weights of x+ + x- and
 p+ - p-.
@@ -31,10 +31,9 @@ p+ - p-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from cvteleport.gaussian import GaussianState, _moments, _own
+from cvteleport.gaussian import GaussianState, _Record, _moments, _own
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,15 +41,15 @@ if TYPE_CHECKING:
 _ROOT_HALF = math.sqrt(0.5)  # np.sqrt(0.5)'s bits: both round correctly
 
 
-@dataclass(frozen=True)
-class SidebandPair:
+class SidebandPair(_Record):
     """Two sideband modes ordered (x+, p+, x-, p-)."""
 
-    state: GaussianState
+    __slots__ = ("state",)
 
-    def __post_init__(self):
-        if self.state.n_modes != 2:
+    def __init__(self, state: GaussianState):
+        if state.n_modes != 2:
             raise ValueError("SidebandPair requires exactly two modes")
+        _SET_STATE(self, state)
 
     @property
     def mean(self) -> np.ndarray:
@@ -59,6 +58,9 @@ class SidebandPair:
     @property
     def cov(self) -> np.ndarray:
         return self.state.cov
+
+
+_SET_STATE = SidebandPair.state.__set__  # the slot's setter
 
 
 def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
@@ -84,7 +86,7 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     d, e, f = (cxx - cpp) * 0.5, (cxp + cpx) * 0.5, (cpp - cxx) * 0.5
     cov = [[s, u, d, e], [v, s, e, f], [d, e, s, u], [e, f, v, s]]
     pair = object.__new__(SidebandPair)  # SidebandPair(state) without its two-mode check
-    object.__setattr__(pair, "state", _own([mx, mp, mx, mp], cov))
+    _SET_STATE(pair, _own([mx, mp, mx, mp], cov))
     return pair
 
 

@@ -65,24 +65,24 @@ paths checks the state preparation (squeezers, mixers, losses) as well as
 the sampling, the feed-forward and the estimation of moments and gains.
 
 Records: TeleporterParams, whose constructor checks and normalizes its
-fields, is a frozen dataclass; TeleportReport, EprCorrelations and
-CascadeStage check nothing and are named tuples, so ``report._replace(...)``
-derives a changed report.  Which constructor checks: TeleporterParams checks
-every field, once, and the paths trust what it checked; they build their
-states by `gaussian._own`, which trusts its caller's moments (a completely
-positive map's of a checked state), and `_report` checks only that the
-numbers it would hold are finite and the output variances have levels in
-dB.  Their numbers are Python floats, and so are the moments their states
-hold: each path reads its input's held floats through `gaussian._moments`
-and builds its states from float lists, so no array is built unless a
-caller reads a state's ``mean`` or ``cov``, and numpy is imported only for
-`teleport_mc`'s default generator.
+fields, is a slotted `gaussian._Record`; TeleportReport, EprCorrelations and
+CascadeStage check nothing and are named tuples.  Either derives a changed
+copy by ``_replace(...)``, through TeleporterParams' checks for it.  Which
+constructor checks: TeleporterParams checks every field, once, and the
+paths trust what it checked; they build their states by `gaussian._own`,
+which trusts its caller's moments (a completely positive map's of a checked
+state), and `_report` checks only that the numbers it would hold are finite
+and the output variances have levels in dB.  Their numbers are Python
+floats, and so are the moments their states hold: each path reads its
+input's held floats through `gaussian._moments` and builds its states from
+float lists, so no array is built unless a caller reads a state's ``mean``
+or ``cov``, and numpy is imported only for `teleport_mc`'s default
+generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from cvteleport.gaussian import (
@@ -91,6 +91,7 @@ from cvteleport.gaussian import (
     PhysicsError,
     TWO_MODE_VACUUM_VARIANCE,
     VACUUM_VARIANCE,
+    _Record,
     _as_finite,
     _as_float,
     _as_pair,
@@ -111,8 +112,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class TeleporterParams:
+class TeleporterParams(_Record):
     """Full configuration of one teleporter stage.
 
     Attributes:
@@ -138,43 +138,33 @@ class TeleporterParams:
     efficiencies, then eta_hom and the seed.
     """
 
-    input_state: GaussianState
-    epr_sq_db: tuple[float, float] = (-6.0, -6.0)
-    epr_antisq_db: tuple[float, float] | None = None
-    g_x: float = 1.0
-    g_p: float = 1.0
-    eta_source: tuple[float, float] = (1.0, 1.0)
-    eta_prop: tuple[float, float] = (1.0, 1.0)
-    eta_hom: float = 1.0
-    seed: int = 0
+    __slots__ = ("input_state", "epr_sq_db", "epr_antisq_db", "g_x", "g_p",
+                 "eta_source", "eta_prop", "eta_hom", "seed")
 
-    def __post_init__(self):
-        # each field read once and checked in a straight line; a field is
-        # set again only if its check converted it
-        state = self.input_state
-        if not isinstance(state, GaussianState):
-            raise ValueError(f"input_state must be a GaussianState, got {state!r}")
-        if state.n_modes != 1:
+    def __init__(
+        self,
+        input_state: GaussianState,
+        epr_sq_db: tuple[float, float] = (-6.0, -6.0),
+        epr_antisq_db: tuple[float, float] | None = None,
+        g_x: float = 1.0,
+        g_p: float = 1.0,
+        eta_source: tuple[float, float] = (1.0, 1.0),
+        eta_prop: tuple[float, float] = (1.0, 1.0),
+        eta_hom: float = 1.0,
+        seed: int = 0,
+    ):
+        # each argument checked in a straight line, and each slot set once
+        if not isinstance(input_state, GaussianState):
+            raise ValueError(f"input_state must be a GaussianState, got {input_state!r}")
+        if input_state.n_modes != 1:
             raise ValueError("input_state must be a single mode")
-        g_x, g_p, eta_hom = self.g_x, self.g_p, self.eta_hom
         if not (type(g_x) is type(g_p) is type(eta_hom) is float):
             g_x, g_p = _as_float(g_x, "g_x"), _as_float(g_p, "g_p")
             eta_hom = _as_float(eta_hom, "eta_hom")
-            object.__setattr__(self, "g_x", g_x)
-            object.__setattr__(self, "g_p", g_p)
-            object.__setattr__(self, "eta_hom", eta_hom)
         _as_finite(g_x, "g_x"), _as_finite(g_p, "g_p")
-        sq, anti = _as_pair(self.epr_sq_db, "epr_sq_db"), self.epr_antisq_db
+        sq, anti = _as_pair(epr_sq_db, "epr_sq_db"), epr_antisq_db
         anti = (-sq[0], -sq[1]) if anti is None else _as_pair(anti, "epr_antisq_db")
-        source, prop = _as_pair(self.eta_source, "eta_source"), _as_pair(self.eta_prop, "eta_prop")
-        if anti is not self.epr_antisq_db:
-            object.__setattr__(self, "epr_antisq_db", anti)
-        if sq is not self.epr_sq_db:
-            object.__setattr__(self, "epr_sq_db", sq)
-        if source is not self.eta_source:
-            object.__setattr__(self, "eta_source", source)
-        if prop is not self.eta_prop:
-            object.__setattr__(self, "eta_prop", prop)
+        source, prop = _as_pair(eta_source, "eta_source"), _as_pair(eta_prop, "eta_prop")
         check_noise_pair(sq[0], anti[0], "squeezer 1")
         check_fraction(source[0], "eta_source[0]")
         check_fraction(prop[0], "eta_prop[0]")
@@ -186,9 +176,21 @@ class TeleporterParams:
             floor = ValueError("eta_hom too small to compensate electronically")
             floor.config_fields = ("eta_hom",)  # the key a config reader reports it at
             raise floor
-        seed = check_count(self.seed, "seed")
-        if seed is not self.seed:
-            object.__setattr__(self, "seed", seed)
+        _SET_INPUT_STATE(self, input_state)
+        _SET_EPR_SQ_DB(self, sq)
+        _SET_EPR_ANTISQ_DB(self, anti)
+        _SET_G_X(self, g_x)
+        _SET_G_P(self, g_p)
+        _SET_ETA_SOURCE(self, source)
+        _SET_ETA_PROP(self, prop)
+        _SET_ETA_HOM(self, eta_hom)
+        _SET_SEED(self, check_count(seed, "seed"))
+
+
+# the slots' setters, which __init__ calls without a name lookup
+(_SET_INPUT_STATE, _SET_EPR_SQ_DB, _SET_EPR_ANTISQ_DB, _SET_G_X, _SET_G_P, _SET_ETA_SOURCE,
+ _SET_ETA_PROP, _SET_ETA_HOM, _SET_SEED) = [
+    getattr(TeleporterParams, name).__set__ for name in TeleporterParams.__slots__]
 
 
 class EprCorrelations(NamedTuple):

@@ -42,18 +42,21 @@ in closed form.  The phase counts, the default cutoff and the sinogram all
 read these segments.  The sinogram bins a segment's quadratures by
 truncation, and by np.histogram only the samples within 1e-6 bins of an edge
 or outside the edges.
+
+Records: GridSpec, PhaseScanTrace, QuadratureRecord and WignerGrid check
+their fields in their constructors and are slotted `gaussian._Record`s; the
+three that hold arrays hold read-only copies and compare and hash by
+identity.  WignerMoments checks nothing and is a named tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from typing import NamedTuple
 
-from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE
+from .gaussian import GaussianState, PhysicsError, VACUUM_VARIANCE, _Record
 from .gaussian import _as_finite, _as_positive, _moments, check_count
 # re-exported: the config's defaults, which `_defaults` holds apart from numpy
 from ._defaults import DEFAULT_GRID_PAD_SIGMAS, DEFAULT_GRID_POINTS
@@ -123,27 +126,25 @@ def _marginal_arrays(state, c, s, var=None, term=None):
     return mu, var
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Rectangular phase-space window with point counts per axis."""
 
-    x_min: float
-    x_max: float
-    p_min: float
-    p_max: float
-    n_x: int = DEFAULT_GRID_POINTS
-    n_p: int = DEFAULT_GRID_POINTS
+    __slots__ = ("x_min", "x_max", "p_min", "p_max", "n_x", "n_p")
 
-    def __post_init__(self) -> None:
-        for name in ("x_min", "x_max", "p_min", "p_max"):
-            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
-        for name in ("n_x", "n_p"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, 2))
-        if not (self.x_max > self.x_min and self.p_max > self.p_min):
+    def __init__(
+        self, x_min: float, x_max: float, p_min: float, p_max: float,
+        n_x: int = DEFAULT_GRID_POINTS, n_p: int = DEFAULT_GRID_POINTS,
+    ) -> None:
+        x_min, x_max = _as_finite(x_min, "x_min"), _as_finite(x_max, "x_max")
+        p_min, p_max = _as_finite(p_min, "p_min"), _as_finite(p_max, "p_max")
+        n_x, n_p = check_count(n_x, "n_x", 2), check_count(n_p, "n_p", 2)
+        if not (x_max > x_min and p_max > p_min):
             raise ValueError("grid window must have positive extent")
-        for axis, low, high in (("x", self.x_min, self.x_max), ("p", self.p_min, self.p_max)):
+        for axis, low, high in (("x", x_min, x_max), ("p", p_min, p_max)):
             if high - low == np.inf:
                 raise ValueError(f"grid {axis} window [{low:g}, {high:g}] overflows a float width")
+        for name, value in zip(self._fields, (x_min, x_max, p_min, p_max, n_x, n_p)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_state(
@@ -181,35 +182,25 @@ class GridSpec:
         return dx * dp
 
 
-def _rebuilt(record):
-    """A frozen record's __reduce__: copies and pickles rebuild it by its
-    constructor from its fields, so their arrays are read-only copies,
-    checked as a caller's are."""
-    return type(record), tuple(getattr(record, f.name) for f in fields(record))
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseScanTrace:
+class PhaseScanTrace(_Record):
     """Noise power vs homodyne phase, in dB relative to vacuum.
 
     ``averages`` is the per-point sample count used to emulate finite trace
     averaging; None marks an exact (noise-free) trace.
     """
 
-    thetas: np.ndarray
-    power_db: np.ndarray
-    averages: int | None
+    __slots__ = ("thetas", "power_db", "averages")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: an array's == is elementwise
 
-    def __post_init__(self) -> None:
-        thetas, power_db = _readonly(self.thetas), _readonly(self.power_db)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "power_db", power_db)
+    def __init__(self, thetas: np.ndarray, power_db: np.ndarray, averages: int | None) -> None:
+        thetas, power_db = _readonly(thetas), _readonly(power_db)
         if thetas.ndim != 1 or thetas.shape != power_db.shape:
             raise ValueError("thetas and power_db must be matching 1-D arrays")
         if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(power_db))):
             raise ValueError("trace values must be finite")
-
-    __reduce__ = _rebuilt
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "power_db", power_db)
+        object.__setattr__(self, "averages", averages)
 
 
 def _sweep(n: int) -> np.ndarray:
@@ -222,8 +213,7 @@ def _sweep(n: int) -> np.ndarray:
     return thetas
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRecord:
+class QuadratureRecord(_Record):
     """Quadrature samples from a phase-scanned homodyne measurement: one
     value per phase step of the standard sweep over [0, pi).
 
@@ -231,15 +221,16 @@ class QuadratureRecord:
     is built on each read (most readers never make one), and the phase
     segments come from the sweep's step in closed form."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: an array's == is elementwise
 
-    def __post_init__(self) -> None:
-        values = _readonly(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: np.ndarray) -> None:
+        values = _readonly(values)
         if values.ndim != 1:
             raise ValueError("values must be a 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("record values must be finite")
+        object.__setattr__(self, "values", values)
 
     @property
     def thetas(self) -> np.ndarray:
@@ -267,8 +258,6 @@ class QuadratureRecord:
             bounds.append(k)
         return np.array(bounds, dtype=np.intp)
 
-    __reduce__ = _rebuilt
-
 
 def _swept_record(values: np.ndarray, finite: bool) -> QuadratureRecord:
     """A record of sample_record's read-only ``values``, held without the
@@ -281,8 +270,7 @@ def _swept_record(values: np.ndarray, finite: bool) -> QuadratureRecord:
     return record
 
 
-@dataclass(frozen=True, eq=False)
-class WignerGrid:
+class WignerGrid(_Record):
     """Wigner function samples on a rectangular grid.
 
     values[i, j] = W(x_i, p_j) with x_i, p_j from spec's axes.  For a state
@@ -291,22 +279,21 @@ class WignerGrid:
     wigner_moments.
     """
 
-    spec: GridSpec
-    values: np.ndarray
+    __slots__ = ("spec", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: an array's == is elementwise
 
-    def __post_init__(self) -> None:
-        values = _readonly(self.values)
-        shape = (self.spec.n_x, self.spec.n_p)
+    def __init__(self, spec: GridSpec, values: np.ndarray) -> None:
+        values = _readonly(values)
+        shape = (spec.n_x, spec.n_p)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} does not match grid {shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "values", values)
 
     def normalization(self) -> float:
         return float(self.values.sum() * self.spec.cell_area)
-
-    __reduce__ = _rebuilt
 
 
 class WignerMoments(NamedTuple):

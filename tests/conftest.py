@@ -6,7 +6,6 @@ interpreter."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -179,13 +178,11 @@ def ulps_from_exact(found, expected, *inputs) -> float:
 
 def _holds(data, value) -> bool:
     """``data``, as json.loads reads it, holds ``value`` exactly: a state as
-    its mean and cov, a dataclass or named tuple field by field, arrays
+    its mean and cov, a record (a named tuple too) field by field, arrays
     array_equal, floats equal and ints still ints."""
     if isinstance(value, GaussianState):
         value = {"mean": value.mean, "cov": value.cov}
-    elif dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    elif isinstance(value, tuple) and hasattr(value, "_asdict"):
+    elif hasattr(value, "_fields"):
         value = value._asdict()
     if isinstance(value, dict):
         return (
@@ -213,7 +210,7 @@ def assert_report_holds(data: dict, result) -> None:
     if result.trace is not None:
         assert _holds(data["trace"], result.trace)
     if result.wigner is not None:
-        spec = dataclasses.asdict(result.wigner.spec)
+        spec = result.wigner.spec._asdict()
         assert _holds(data["wigner"], {**spec, "values": result.wigner.values})
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import decimal
 import fractions
 import hashlib
@@ -119,8 +118,8 @@ def _encode(h, value):
         h.update(f"i{int(value)}\0".encode())
     elif isinstance(value, (float, np.floating)):
         h.update(b"f" + struct.pack("<d", float(value)))
-    elif dataclasses.is_dataclass(value):
-        _encode(h, [getattr(value, f.name) for f in dataclasses.fields(value)])
+    elif hasattr(value, "_fields"):  # a record: the list of its field values
+        _encode(h, [getattr(value, name) for name in value._fields])
     elif isinstance(value, (tuple, list)):
         h.update(f"[{len(value)}".encode())
         for item in value:

@@ -146,6 +146,17 @@ class TestCalibrateVerb:
         assert code == 3
         assert "physics error" in capsys.readouterr().err
 
+    def test_fit_that_misses_its_target_is_physics_error(self, capsys):
+        # 1 - 10^(-19) rounds to 1, so the closed-form efficiency is 1 and the
+        # fit correlates at the source's -200 dB, 10 dB below the target
+        code = invoke(
+            "calibrate", "--target-epr-db", "-190", "-190",
+            "--source-sq-db", "-200", "-200",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "physics error: calibration residuals (-10, -10) dB exceed 0.05 dB\n")
+
     @pytest.mark.parametrize("argv", [["--source-antisq-db", "12", "12"], ["--pure-sources"]])
     def test_anti_squeezing_flags_are_gone(self, argv, capsys):
         # the anti-squeezed level cannot move the fit, so calibrate takes none
@@ -510,8 +521,13 @@ def test_cli_import_loads_nothing_beyond_the_standard_library():
     assert fresh_python(code).split() == ["cvteleport"]
 
 
+def test_tomography_import_loads_no_dataclasses():
+    code = "import sys\nimport cvteleport.tomography\nprint('dataclasses' in sys.modules)\n"
+    assert fresh_python(code).split() == ["False"]
+
+
 # Runs each argv in turn in one fresh process and prints, per argv, its exit
-# code and whether numpy was loaded by then.
+# code and whether numpy, dataclasses and inspect were loaded by then.
 _VERB_PROBE = """
 import contextlib, io, json, sys
 from cvteleport.cli import main
@@ -522,15 +538,16 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, "numpy" in sys.modules])
+    results.append([code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect"))])
 print(json.dumps(results))
 """
 
 
 def test_analytic_and_error_verbs_finish_without_numpy(tmp_path):
     """The analytic verbs and the config and physics errors, as the benchmark's
-    verb mix runs them, load no numpy; the verbs that draw or reconstruct,
-    run after them in the same process, import it where they need it."""
+    verb mix runs them, load no numpy, dataclasses or inspect; the verbs that
+    draw or reconstruct, run after them in the same process, import numpy
+    where they need it, and no dataclasses (numpy itself imports inspect)."""
     (tmp_path / "run.ini").write_text(
         "[run]\nscenario = squeezed_x\nalpha = 2.5\nseed = 7\n[teleporter]\n"
         "epr_sq_db = -5.1 -4.2\ng_x = 0.9\ng_p = 1.1\neta_source = 0.9 0.95\n"
@@ -553,5 +570,7 @@ def test_analytic_and_error_verbs_finish_without_numpy(tmp_path):
     argvs = [[*argv, "--out", f"out{k}"] if argv[0] != "calibrate" else argv
              for k, argv in enumerate([argv for argv, _ in without_numpy] + with_numpy)]
     results = json.loads(fresh_python(_VERB_PROBE, json.dumps(argvs), cwd=tmp_path))
-    expected = [[code, False] for _, code in without_numpy] + [[0, True]] * len(with_numpy)
-    assert results == expected
+    assert results[:len(without_numpy)] == [[code, False, False, False]
+                                            for _, code in without_numpy]
+    drawn = results[len(without_numpy):]
+    assert [result[:3] for result in drawn] == [[0, True, False]] * len(with_numpy)

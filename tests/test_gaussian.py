@@ -8,7 +8,6 @@ loss channel.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import inspect
 import math
@@ -39,12 +38,14 @@ from cvteleport import (
     rotate,
     run,
     sample_record,
+    sidebands_from_single_mode,
     spectrum_trace,
     symplectic_eigenvalues,
     teleport_mc,
     tensor,
     vacuum,
     variance_from_db,
+    wigner_analytic,
 )
 from cvteleport import gaussian
 from cvteleport.gaussian import MAX_LEVEL_DB, apply_symplectic, quarter_turn
@@ -835,23 +836,99 @@ def test_boundary_table_covers_every_public_callable_with_arguments():
     assert public == set(_BOUNDARY) - {"GridSpec.from_state"}
     for name, arguments in _BOUNDARY.items():
         if arguments:
-            parameters = inspect.signature(_public_callable(name)).parameters
+            obj = _public_callable(name)
+            # a record's constructor takes its fields (ExperimentConfig's by keyword)
+            parameters = getattr(obj, "_fields", None) or inspect.signature(obj).parameters
             assert set(arguments) <= set(parameters), name
 
 
+# The records whose constructor enforces a rule: a maker, a change their
+# constructor refuses with its message, and whether == and hash are by value.
+_RULED_RECORDS = {
+    "TeleporterParams": (lambda: TeleporterParams(coherent_state(1 + 2j), eta_prop=(0.9, 0.95)),
+                         {"eta_hom": 2.0}, "eta_hom must lie in [0, 1], got 2.0", True),
+    "SidebandPair": (lambda: sidebands_from_single_mode(impure_squeezed_vacuum(-3.0, 4.0)),
+                     {"state": vacuum(1)}, "SidebandPair requires exactly two modes", True),
+    "ExperimentConfig": (lambda: ExperimentConfig(scenario="squeezed_x", g_x=0.9),
+                         {"shots": 1}, "shots: must be >= 2", True),
+    "GridSpec": (lambda: GridSpec(-2, 2, -1, 3, 5, 7),
+                 {"x_max": -3.0}, "grid window must have positive extent", True),
+    "PhaseScanTrace": (lambda: spectrum_trace(coherent_state(0.5 + 1j), 16), {"power_db": [0.0]},
+                       "thetas and power_db must be matching 1-D arrays", False),
+    "QuadratureRecord": (lambda: sample_record(vacuum(1), 2000, np.random.default_rng(0)),
+                         {"values": [1.0, np.nan]}, "record values must be finite", False),
+    "WignerGrid": (lambda: wigner_analytic(vacuum(1), GridSpec(-2, 2, -2, 2, 5, 7)),
+                   {"values": np.zeros((2, 2))}, "values shape (2, 2) does not match grid (5, 7)",
+                   False),
+}
+
+
 def test_records_follow_one_rule():
-    """A public record whose constructor enforces a rule is a frozen
-    dataclass with a ``__post_init__``; every other one is a named tuple."""
+    """A public record whose constructor enforces a rule is a `_Record`
+    subclass that defines ``__init__`` and ``__slots__``, whose instances
+    have no ``__dict__``; every other one is a named tuple."""
     classes = {name: obj for name, obj in _exports().items() if isinstance(obj, type)}
     records = {name: cls for name, cls in classes.items()
                if not issubclass(cls, Exception) and cls is not GaussianState}
     assert len(records) == 15
+    assert {name for name, cls in records.items() if issubclass(cls, gaussian._Record)} == set(
+        _RULED_RECORDS)
     for name, cls in records.items():
-        if dataclasses.is_dataclass(cls):
-            assert "__post_init__" in vars(cls), name
-            assert cls.__dataclass_params__.frozen, name
+        if issubclass(cls, gaussian._Record):
+            assert "__init__" in vars(cls) and "__slots__" in vars(cls), name
+            assert cls._fields == cls.__slots__ and cls.__dictoffset__ == 0, name
         else:
             assert issubclass(cls, tuple) and hasattr(cls, "_fields"), name
+
+
+def _same_field(held, copied) -> bool:
+    """A copy's field holds the original's value: a state's moments, an
+    array's bytes in a read-only copy, any other value itself."""
+    if isinstance(held, GaussianState):
+        return (held.mean.tobytes() == copied.mean.tobytes()
+                and held.cov.tobytes() == copied.cov.tobytes())
+    if isinstance(held, np.ndarray):
+        return (copied is not held and not copied.flags.writeable and copied.dtype == held.dtype
+                and copied.shape == held.shape and copied.tobytes() == held.tobytes())
+    return type(copied) is type(held) and copied == held
+
+
+@pytest.mark.parametrize("make, change, message, by_value", _RULED_RECORDS.values(),
+                         ids=_RULED_RECORDS.keys())
+def test_ruled_records_share_one_behaviour(make, change, message, by_value, monkeypatch):
+    record = make()
+    cls = type(record)
+    assert not hasattr(record, "__dict__")
+    # _replace rebuilds through the constructor, which refuses a bad value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        record._replace(**change)
+    for name in (*record._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # == and hash: by value, or by identity for a record of arrays
+    twin = copy.copy(record)
+    assert record == record and hash(record) == hash(record)
+    if by_value:
+        assert twin == record and hash(twin) == hash(record)
+        assert record._replace() == record and record != record._asdict()
+    else:
+        assert twin != record and hash(record) == object.__hash__(record)
+    # copies and pickles rebuild through the constructor
+    built, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    for copier in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        copied = copier(record)
+        assert type(copied) is cls and built[-1] is copied
+        assert all(_same_field(getattr(record, name), getattr(copied, name))
+                   for name in record._fields)
+    assert len(built) == 3
 
 
 def test_numpy_integer_modes_are_counts():

@@ -656,13 +656,13 @@ class TestCalibrateLosses:
 
     def test_parameters_are_validated_once(self, monkeypatch):
         checked = []
-        post_init = TeleporterParams.__post_init__
+        init = TeleporterParams.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             checked.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(TeleporterParams, "__post_init__", counting)
+        monkeypatch.setattr(TeleporterParams, "__init__", counting)
         calibrate_losses((-5.6, -5.5))
         assert len(checked) == 1
 

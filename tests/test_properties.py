@@ -7,7 +7,6 @@ The config strategies below are written from the documented config grammar
 table, so they check that table rather than restate it.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -140,7 +139,7 @@ OUTPUT_DIRS = st.none() | st.text("abcxyz019_-./ \t\r\n#;", max_size=12)
 def test_parse_of_emit_is_identity(config, output_dir):
     # each value either round-trips or is refused as text config cannot hold
     try:
-        config = dataclasses.replace(config, output_dir=output_dir)
+        config = config._replace(output_dir=output_dir)
     except ValueError as exc:
         assert str(exc).startswith("output_dir: must "), exc
         return
@@ -148,7 +147,7 @@ def test_parse_of_emit_is_identity(config, output_dir):
 
 
 def test_every_field_is_set_by_exactly_one_key():
-    names = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    names = sorted(ExperimentConfig._fields)
     assert sorted(GRAMMAR.values()) == names
     default = ExperimentConfig()
     for (section, key), attr in GRAMMAR.items():
@@ -162,8 +161,7 @@ def test_every_field_is_set_by_exactly_one_key():
 @st.composite
 def runs(draw):
     """Small, fast runs of random valid configs, with random artifacts."""
-    config = dataclasses.replace(
-        draw(configs()),
+    config = draw(configs())._replace(
         alpha=draw(finite(-5.0, 5.0)),
         shots=draw(st.integers(500, 3000)),
         trace_points=draw(st.integers(2, 40)),
@@ -261,7 +259,7 @@ def unity_gain_teleporters(draw):
     """The lossy teleporters above at unity gain, with a coherent input."""
     params = draw(teleporters())
     alpha = complex(*params.input_state.mean)
-    return dataclasses.replace(params, input_state=coherent_state(alpha), g_x=1.0, g_p=1.0)
+    return params._replace(input_state=coherent_state(alpha), g_x=1.0, g_p=1.0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -275,7 +273,7 @@ def test_cascade_matches_iterated_teleports(params, n_stages):
         expected = [report.vx, report.vp, coherent_fidelity(report.vx, report.vp)]
         got = [stage.vx, stage.vp, stage.fidelity]
         assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, expected))
-        current = dataclasses.replace(current, input_state=report.output_state)
+        current = current._replace(input_state=report.output_state)
 
 
 @st.composite

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -189,17 +188,17 @@ def test_split_pair_behaves_as_a_checked_pair(rng, copier):
         assert pair == checked and hash(pair) == hash(checked)
         assert repr(pair) == repr(checked)
         copied = copier(pair)
-        assert type(copied) is SidebandPair and vars(copied).keys() == {"state"}
+        assert type(copied) is SidebandPair and not hasattr(copied, "__dict__")
         assert copied.mean.tobytes() == pair.mean.tobytes()
         assert copied.cov.tobytes() == pair.cov.tobytes()
         assert delta_sq(copied) == delta_sq(pair)
         for array in (pair.mean, pair.cov, copied.mean, copied.cov):
             assert not array.flags.writeable
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             pair.state = vacuum(2)
         with pytest.raises(ValueError, match="^SidebandPair requires exactly two modes$"):
-            replace(pair, state=vacuum(1))
-        assert replace(pair, state=vacuum(2)).state.n_modes == 2
+            pair._replace(state=vacuum(1))
+        assert pair._replace(state=vacuum(2)).state.n_modes == 2
 
 
 def test_rotated_input_uses_x_axis_combinations():

@@ -8,7 +8,6 @@ import copy
 import math
 import pickle
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -240,7 +239,7 @@ def test_mc_is_deterministic_per_seed_and_reports_gains():
     b = teleport_mc(params, 5000)
     assert np.array_equal(a.output_state.mean, b.output_state.mean)
     assert np.array_equal(a.output_state.cov, b.output_state.cov)
-    c = teleport_mc(replace(params, seed=43), 5000)
+    c = teleport_mc(params._replace(seed=43), 5000)
     assert not np.allclose(a.output_state.mean, c.output_state.mean, atol=1e-12)
     assert a.gains[0] == pytest.approx(1.0, abs=0.05)
     assert a.shots == 5000 and a.method == "monte_carlo"
@@ -507,7 +506,7 @@ def test_params_and_report_copy_with_their_states(copier):
     params = coherent_params(eta_prop=(0.95, 0.9), g_x=0.9, seed=7)
     report = teleport_mc(params, shots=1000)
     copied_params, copied_report = copier(params), copier(report)
-    assert replace(copied_params, input_state=params.input_state) == params
+    assert copied_params._replace(input_state=params.input_state) == params
     assert copied_report._replace(output_state=report.output_state) == report
     for state, held in ((params.input_state, copied_params.input_state),
                         (report.output_state, copied_report.output_state)):
@@ -596,7 +595,7 @@ def test_analytic_path_does_not_use_the_gaussian_chain(monkeypatch):
     )
     report = teleport_analytic(params)
     assert report.vx > 0.25 and report.epr.var_x_diff < 0.5
-    assert len(cascade(replace(params, g_x=1.0), 3)) == 3
+    assert len(cascade(params._replace(g_x=1.0), 3)) == 3
     with pytest.raises(AssertionError, match="chain was called"):
         teleport_mc(params, 100)
 
@@ -684,7 +683,7 @@ def test_source_map_callers_give_the_bytes_of_its_earlier_form(rng):
         assert report.output_state.cov.tobytes() == cov.tobytes()
         assert _bytes(*report.epr) == _bytes(*teleporter._correlations(var_x_diff, var_p_sum))
 
-        unity = replace(params, input_state=coherent_state(complex(*state.mean)), g_x=1.0, g_p=1.0)
+        unity = params._replace(input_state=coherent_state(complex(*state.mean)), g_x=1.0, g_p=1.0)
         _, noise, _, _ = _earlier_source_map(np.zeros(2), np.zeros((2, 2)), *rest[:2], 1.0, 1.0,
                                              *rest[4:])
         start = unity.input_state.cov
@@ -713,8 +712,8 @@ def test_outputs_own_read_only_float64_arrays(rng):
         assert_owns_its_arrays(teleport_mc(params, 1000).output_state, *given)
     # float32 parameters are stored as Python floats: the output is float64
     f32 = np.float32
-    narrow = replace(params, g_x=f32(0.9), g_p=f32(1.1), eta_source=(f32(0.9), f32(0.8)),
-                     eta_prop=(f32(0.9), f32(0.95)), eta_hom=f32(0.9))
+    narrow = params._replace(g_x=f32(0.9), g_p=f32(1.1), eta_source=(f32(0.9), f32(0.8)),
+                             eta_prop=(f32(0.9), f32(0.95)), eta_hom=f32(0.9))
     assert_owns_its_arrays(teleport_analytic(narrow).output_state, *given)
 
 
