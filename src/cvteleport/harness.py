@@ -1,9 +1,10 @@
 """Experiment orchestration: configs, scenario runs, loss calibration, and the
 reference-reproduction table.
 
-Config grammar (INI-style, parsed by configparser; ``#`` and ``;`` start
-comments; unknown sections, ``[DEFAULT]`` among them, or keys are rejected
-with a line number):
+Config grammar (INI-style, read line by line, names in any case; ``#`` or
+``;`` at a line's start or after whitespace starts a comment; a section or
+key that is unknown, ``[DEFAULT]`` among them, or repeated, a key before
+any header, an indented line and ``key: value`` are refused at their line):
 
     [run]
     scenario = coherent            # coherent | squeezed_x | squeezed_p | vacuum
@@ -73,7 +74,6 @@ a result is a key of its report.  Every output is built in memory, and only
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import hashlib
 import json
@@ -189,7 +189,8 @@ def _fraction(value) -> float:
 
 def _read_bool(text: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+        return {"1": True, "yes": True, "true": True, "on": True,
+                "0": False, "no": False, "false": False, "off": False}[text.strip().lower()]
     except KeyError:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
@@ -276,10 +277,13 @@ def _count(minimum: int, maximum: int | None = None) -> _Kind:
     return _Kind(int, check, str)
 
 
+_COMMENT = re.compile(r"(^|\s)[#;].*")  # from a '#' or ';' at the start or after whitespace
+
+
 def _config_text(value) -> str | None:
-    """A text value that config text holds as it is: configparser ends a
-    value at a line break, strips its ends and cuts a comment from a ``#``
-    or ``;`` that starts it or follows whitespace."""
+    """A text value that config text holds as it is: `_read_config` ends a
+    value at its line, strips its ends and cuts a comment from a ``#`` or
+    ``;`` that starts it or follows whitespace."""
     if value is None:
         return None
     text = str(value)
@@ -287,7 +291,7 @@ def _config_text(value) -> str | None:
         raise ValueError(f"must be one line, got {text!r}")
     if text != text.strip():
         raise ValueError(f"must not begin or end with whitespace, got {text!r}")
-    if re.search(r"(^|\s)[#;]", text):
+    if _COMMENT.search(text):
         raise ValueError(f"must not have '#' or ';' at its start or after whitespace, got {text!r}")
     return text
 
@@ -435,29 +439,40 @@ _FIELDS_BY_ATTR = {field.attr: field for field in CONFIG_FIELDS}
 _SECTIONS = {field.section for field in CONFIG_FIELDS}
 
 
-def _find_line(text: str, section: str, key: str | None) -> int | None:
-    """Best-effort line number of a key (or section header) in config text."""
-    current = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if key is None and current == section:
-                return number
+def _read_config(text: str) -> dict[tuple[str, str], tuple[str, int]]:
+    """The raw value and line number of each ``(section, key)`` that config
+    text sets, read by the grammar of the module docstring; a line that
+    breaks it is refused at its number."""
+    entries, seen, section = {}, set(), None
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = _COMMENT.sub("", line).rstrip()
+        if not line:
             continue
-        if key is None or current != section or not line or line[0] in "#;":
+        if line[0].isspace():
+            raise _config_error(number, section, None, "indented (continuation) line")
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip().lower()
+            if section in seen or section not in _SECTIONS:
+                raise _config_error(number, section, None,
+                                    "repeated section" if section in seen else "unknown section")
+            seen.add(section)
             continue
-        name = line.split("=", 1)[0].split(":", 1)[0].strip().lower()
-        if name == key:
-            return number
-    return None
+        key, equals, value = line.partition("=")
+        key = key.strip().lower()
+        if not (equals and key):
+            raise _config_error(number, section, None, f"expected 'key = value', got {line!r}")
+        if section is None:
+            raise _config_error(number, None, key, "key before any section header")
+        if (section, key) in entries or (section, key) not in _FIELDS_BY_KEY:
+            raise _config_error(number, section, key,
+                                "repeated key" if (section, key) in entries else "unknown key")
+        entries[section, key] = (value.strip(), number)
+    return entries
 
 
-def _config_error(text: str, section: str, key: str | None, message: str) -> ConfigError:
-    line = _find_line(text, section, key)
-    location = f"[{section}]" + (f" {key}" if key else "")
-    suffix = f" (line {line})" if line is not None else ""
-    return ConfigError(f"{location}{suffix}: {message}")
+def _config_error(line: int, section: str | None, key: str | None, message: str) -> ConfigError:
+    parts = (section is not None and f"[{section}]", key, f"(line {line})")
+    return ConfigError(f"{' '.join(filter(None, parts))}: {message}")
 
 
 def _flag_error(field: ConfigField, exc: ValueError) -> ConfigError:
@@ -475,27 +490,14 @@ def _build_config(text: str, flags: Callable[[], dict]) -> ExperimentConfig:
     key is reported first) laid over them, built once; a rule that spans keys
     is reported at the first it spans that is set, at its flag if
     ``flags()`` set it, else at its line."""
-    # default_section="" matches no header, so [DEFAULT] is an unknown section
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"), default_section=""
-    )
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    entries = _read_config(text)
     kwargs = {}
-    for section in parser.sections():
-        name = section.strip().lower()
-        if name not in _SECTIONS:
-            raise _config_error(text, name, None, "unknown section")
-        for key, raw in parser.items(section):
-            field = _FIELDS_BY_KEY.get((name, key))
-            if field is None:
-                raise _config_error(text, name, key, "unknown key")
-            try:
-                kwargs[field.attr] = field.kind.check(field.kind.read(raw))
-            except ValueError as exc:
-                raise _config_error(text, name, key, str(exc)) from exc
+    for (section, key), (raw, line) in entries.items():
+        field = _FIELDS_BY_KEY[section, key]
+        try:
+            kwargs[field.attr] = field.kind.check(field.kind.read(raw))
+        except ValueError as exc:
+            raise _config_error(line, section, key, str(exc)) from exc
     given = flags()
     kwargs.update(given)
     try:
@@ -507,7 +509,8 @@ def _build_config(text: str, flags: Callable[[], dict]) -> ExperimentConfig:
         field = next(_FIELDS_BY_ATTR[attr] for attr in exc.config_fields if attr in kwargs)
         if field.attr in given:
             raise _flag_error(field, exc) from exc
-        raise _config_error(text, field.section, field.key, str(exc)) from exc
+        line = entries[field.section, field.key][1]
+        raise _config_error(line, field.section, field.key, str(exc)) from exc
 
 
 def emit_config(config: ExperimentConfig) -> str:
@@ -703,7 +706,9 @@ def calibrate_losses(
     target is unreachable: below s, from an unsqueezed source (s = 0), or
     at/above vacuum (an efficiency below 1e-9); when an achieved correlation
     is not finite; and when the fitted efficiencies miss either target by
-    more than CALIBRATION_TOL_DB.
+    more than CALIBRATION_TOL_DB, as they do for most targets below about
+    -140 dB, though reachable: there the achieved correlation, a difference
+    of two numbers near 1, rounds by more than the tolerance.
     """
     target_x, target_p = _as_pair(target_db, "target_db")
     base = TeleporterParams(input_state=vacuum(1), epr_sq_db=_as_pair(source_sq_db, "source_sq_db"))

@@ -215,11 +215,13 @@ class TestErrorPaths:
         ("[DEFAULT]\neta_hom = 2.0\nbogus = 1\n", "[default] (line 1): unknown section"),
         ("[DEFAULT]\nalpha = 2.0\n\n[run]\nscenario = coherent\n",
          "[default] (line 1): unknown section"),
-        ("[output]\ndir = res\n  ults\n",
-         "[output] dir (line 2): must be one line, got 'res\\nults'"),
+        ("[output]\ndir = res\n  ults\n", "[output] (line 3): indented (continuation) line"),
         ("[run]\nseed = 1\n[output]\ndir = a\n\tb\n",
-         "[output] dir (line 4): must be one line, got 'a\\nb'"),
-    ], ids=["default-section", "default-beside-run", "dir-continuation", "dir-tab-continuation"])
+         "[output] (line 5): indented (continuation) line"),
+        # a form feed is not a line break, so the comment ends at the next "\n"
+        ("[run]\n# a\x0cb\nseed = -1\n", "[run] seed (line 3): must be >= 0"),
+    ], ids=["default-section", "default-beside-run", "dir-continuation", "dir-tab-continuation",
+            "form-feed-in-comment"])
     def test_text_that_configparser_reads_loosely_exits_2(
         self, text, message, tmp_path, monkeypatch, capsys
     ):
@@ -231,17 +233,21 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["exp.ini"]
 
-    @pytest.mark.parametrize("text, reason", [
-        ("alpha = 2.0\n[run]\n", "File contains no section headers."),
-        ("[run]\nalpha = 2.0\nalpha = 3.0\n", "option 'alpha' in section 'run' already exists"),
-        ("[run]\nalpha = 2.0\n\n[run]\nseed = 1\n", "section 'run' already exists"),
-    ], ids=["key-before-section", "duplicate-key", "duplicate-section"])
-    def test_malformed_config_exits_2(self, text, reason, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("alpha = 2.0\n[run]\n", "alpha (line 1): key before any section header"),
+        ("[run]\nalpha = 2.0\nalpha = 3.0\n", "[run] alpha (line 3): repeated key"),
+        ("[run]\nalpha = 2.0\n\n[run]\nseed = 1\n", "[run] (line 4): repeated section"),
+        # a section's name is read in any case and spacing, so these repeat it too
+        ("[run]\nseed = 1\n[RUN]\nseed = 2\n", "[run] (line 3): repeated section"),
+        ("[run]\nseed = 1\n[ run ]\nseed = 2\n", "[run] (line 3): repeated section"),
+        ("[run]\nalpha: 2.0\n", "[run] (line 2): expected 'key = value', got 'alpha: 2.0'"),
+    ], ids=["key-before-section", "duplicate-key", "duplicate-section",
+            "duplicate-section-case", "duplicate-section-spacing", "colon-delimiter"])
+    def test_malformed_config_exits_2(self, text, message, tmp_path, capsys):
         config = tmp_path / "exp.ini"
         config.write_text(text, encoding="utf-8")
         assert invoke("run", "--config", str(config), "--out", str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: malformed config: ") and reason in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_invalid_flag_value_exits_2(self, capsys):
@@ -527,7 +533,8 @@ def test_tomography_import_loads_no_dataclasses():
 
 
 # Runs each argv in turn in one fresh process and prints, per argv, its exit
-# code and whether numpy, dataclasses and inspect were loaded by then.
+# code and whether numpy, dataclasses, inspect and configparser were loaded
+# by then.
 _VERB_PROBE = """
 import contextlib, io, json, sys
 from cvteleport.cli import main
@@ -538,16 +545,18 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect"))])
+    results.append([code, *(name in sys.modules
+                            for name in ("numpy", "dataclasses", "inspect", "configparser"))])
 print(json.dumps(results))
 """
 
 
 def test_analytic_and_error_verbs_finish_without_numpy(tmp_path):
     """The analytic verbs and the config and physics errors, as the benchmark's
-    verb mix runs them, load no numpy, dataclasses or inspect; the verbs that
-    draw or reconstruct, run after them in the same process, import numpy
-    where they need it, and no dataclasses (numpy itself imports inspect)."""
+    verb mix runs them, load no numpy, dataclasses, inspect or configparser;
+    the verbs that draw or reconstruct, run after them in the same process,
+    import numpy where they need it, and no dataclasses (numpy itself imports
+    inspect)."""
     (tmp_path / "run.ini").write_text(
         "[run]\nscenario = squeezed_x\nalpha = 2.5\nseed = 7\n[teleporter]\n"
         "epr_sq_db = -5.1 -4.2\ng_x = 0.9\ng_p = 1.1\neta_source = 0.9 0.95\n"
@@ -570,7 +579,7 @@ def test_analytic_and_error_verbs_finish_without_numpy(tmp_path):
     argvs = [[*argv, "--out", f"out{k}"] if argv[0] != "calibrate" else argv
              for k, argv in enumerate([argv for argv, _ in without_numpy] + with_numpy)]
     results = json.loads(fresh_python(_VERB_PROBE, json.dumps(argvs), cwd=tmp_path))
-    assert results[:len(without_numpy)] == [[code, False, False, False]
+    assert results[:len(without_numpy)] == [[code, False, False, False, False]
                                             for _, code in without_numpy]
     drawn = results[len(without_numpy):]
     assert [result[:3] for result in drawn] == [[0, True, False]] * len(with_numpy)

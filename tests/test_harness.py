@@ -289,7 +289,7 @@ class TestExperimentConfig:
         from_text = outcome(lambda: getattr(parse_config(config_text), field.attr),
                             r"^\[\w+\] \w+ \(line \d+\): ")
         try:
-            value = field.kind.read(text.strip())  # as configparser stores it
+            value = field.kind.read(text.strip())  # as the config reader stores it
         except ValueError as exc:  # syntax: no value to give ExperimentConfig
             assert from_text == str(exc)
             return

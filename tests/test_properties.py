@@ -10,6 +10,7 @@ table, so they check that table rather than restate it.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import assert_report_holds
@@ -25,6 +26,7 @@ from cvteleport.teleporter import (
     teleport_analytic,
 )
 from cvteleport.harness import (
+    ConfigError,
     ExperimentConfig,
     _mc_max_sigma,
     calibrate_losses,
@@ -144,6 +146,41 @@ def test_parse_of_emit_is_identity(config, output_dir):
         assert str(exc).startswith("output_dir: must "), exc
         return
     assert parse_config(emit_config(config)) == config
+
+
+# Lines that config text reads as blank, and line ends that it cuts: a
+# comment starts at a '#' or ';' that begins the line or follows whitespace,
+# and a form feed or '\r' is whitespace, not a line break.
+BLANK_LINES = st.sampled_from(
+    ["", "   ", "\t", "\r", "# note", "; key = 1", "  # [run]", "#", "# a\x0cb", "\x0c; x"]
+)
+LINE_ENDS = st.sampled_from(["", " # note", "\t; a = b", "  #", " ;[run]", "\r"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.data())
+def test_parse_of_decorated_emit_is_identity(config, data):
+    """Blank lines, comments and the case and spacing of names change no
+    value, and a bad value is refused at the line of its own key."""
+    lines, keys = [], []
+    for line in emit_config(config).splitlines():
+        lines += data.draw(st.lists(BLANK_LINES, max_size=2))
+        if line.startswith("["):
+            section = line[1:-1]
+            name = data.draw(st.sampled_from([section, section.upper(), section.title()]))
+            pad = data.draw(st.sampled_from(["", " ", "\t "]))
+            lines.append(f"[{pad}{name}{pad[::-1]}]" + data.draw(LINE_ENDS))
+        elif line:  # a key, as emit_config writes it
+            key, value = line.split(" = ", 1)
+            keys.append((section, key, len(lines) + 1))
+            name = data.draw(st.sampled_from([key, key.upper()]))
+            equals = data.draw(st.sampled_from([" = ", "=", "\t=  "]))
+            lines.append(name + equals + value + data.draw(LINE_ENDS))
+    assert parse_config("\n".join(lines)) == config
+    section, key, number = data.draw(st.sampled_from(keys))
+    lines[number - 1] = f"{key} = ?\r?"  # a '\r' within a value: no kind reads it
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} \(line {number}\): "):
+        parse_config("\n".join(lines))
 
 
 def test_every_field_is_set_by_exactly_one_key():
