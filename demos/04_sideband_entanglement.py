@@ -3,8 +3,10 @@
 A single squeezed RF mode is equivalently an entangled pair of upper and
 lower sideband modes.  The criterion Delta_sq < 1 (sum of the normalized
 variances of x+ + x- and p+ - p-) certifies that entanglement and equals the
-normalized squeezed-quadrature noise power, so entanglement survives the
-channel exactly when the output is still squeezed.
+normalized squeezed-quadrature noise power, so the criterion certifies
+entanglement after the channel exactly when the output is still squeezed.
+The criterion is sufficient, not necessary: the "certified" column reads
+False where Delta_sq >= 1 certifies nothing.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ pair_in = sidebands_from_single_mode(input_state)
 print(f"input state -6.2/+12.0 dB: Delta_sq = {delta_sq(pair_in):.4f} "
       f"(measured 0.24 +/- 0.01)")
 
-print("\nresource dB   Vx_out/vacuum   Delta_sq(out)   entangled")
+print("\nresource dB   Vx_out/vacuum   Delta_sq(out)   certified")
 for r in (0.0, 0.2, 0.4, 0.55, 0.7, 0.9):
     sq_db = 10.0 * np.log10(np.exp(-2.0 * r))
     report = teleport_analytic(

@@ -32,7 +32,6 @@ from cvteleport.gaussian import (
 )
 from cvteleport.sideband import (
     EntanglementVerdict,
-    SidebandPair,
     delta_sq,
     is_entangled,
     sidebands_from_single_mode,
@@ -81,8 +80,7 @@ __all__ = [
     "impure_squeezed_vacuum", "loss", "rotate", "symplectic_eigenvalues", "tensor",
     "vacuum", "variance_from_db",
     # sideband
-    "EntanglementVerdict", "SidebandPair", "delta_sq", "is_entangled",
-    "sidebands_from_single_mode",
+    "EntanglementVerdict", "delta_sq", "is_entangled", "sidebands_from_single_mode",
     # teleporter
     "CascadeStage", "EprCorrelations", "TeleportReport", "TeleporterParams", "cascade",
     "coherent_fidelity", "epr_correlations", "make_epr", "output_variances_pure",

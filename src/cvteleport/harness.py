@@ -424,15 +424,16 @@ def _noise_pair(*attrs: str):
         raise
 
 
-# The calibrate and cascade verbs' own inputs: not config keys, but flags
-# read and checked like the config's keys.
+# The calibrate and cascade verbs' own inputs, defaults included: not config
+# keys, but flags read and checked like the config's keys.
 CALIBRATION_FIELDS = (
-    ConfigField("calibrate", "target_epr_db", _pair("DB"),
+    ConfigField("calibrate", "target_epr_db", _pair("DB"), BENCHMARK_TARGET_EPR_DB,
                 help="measured x and p correlations of the beam pair"),
-    ConfigField("calibrate", "source_sq_db", _pair("DB"), help="squeezed level of each squeezer"),
+    ConfigField("calibrate", "source_sq_db", _pair("DB"), BENCHMARK_SOURCE_SQ_DB,
+                help="squeezed level of each squeezer"),
 )
 CASCADE_FIELDS = (
-    ConfigField("cascade", "stages", _count(1, MAX_STAGES), help="number of stages"),
+    ConfigField("cascade", "stages", _count(1, MAX_STAGES), 4, help="number of stages"),
 )
 _FIELDS_BY_KEY = {(field.section, field.key): field for field in CONFIG_FIELDS}
 _FIELDS_BY_ATTR = {field.attr: field for field in CONFIG_FIELDS}

@@ -9,62 +9,37 @@ are the p and x statistics of the carrier mode).  The criterion value
     delta_sq = Var(x+ + x-) + Var(p+ - p-)
 
 equals 1 for vacuum in the hbar = 1/2 convention, and delta_sq < 1 certifies
-entanglement between the sidebands.  For a single mode with x variance Vx the
-identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the analysis
-frequency is the same statement as sideband entanglement.
+entanglement between the sidebands; delta_sq >= 1 certifies nothing, for the
+criterion is sufficient, not necessary.  For a single mode with x variance Vx
+the identity delta_sq = Vx / (1/4) holds: squeezing below vacuum at the
+analysis frequency is the same statement as certified sideband entanglement.
 
-The pair's moments are formed in closed form on the mode's held Python
-floats, each covariance entry rounded once (vacuum gives delta_sq = 1
-exactly), and the pair holds them as built, through `gaussian._own`, as
-lists of Python floats; its arrays are built only if read.  Which
-constructor checks: `SidebandPair(state)`, a slotted `gaussian._Record`,
-and so its ``_replace``, checks that the state has two modes;
-`sidebands_from_single_mode` builds its pair without that check, by the
-slot's setter, as `_own` builds a state, around the two-mode state it has
-just built.  The gate chain that defines them (`quarter_turn`, `tensor`,
-`apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's held covariance floats and sums
-the entries its two combinations weigh, grouped so that the result is bit
-for bit that of the matrix products with the weights of x+ + x- and
-p+ - p-.
+A sideband pair is a two-mode `GaussianState` ordered (x+, p+, x-, p-), as
+the EPR beam pair is, and `delta_sq` and `is_entangled` check its mode count
+as `epr_correlations` does.  The pair's moments are formed in closed form on
+the mode's held Python floats, each covariance entry rounded once (vacuum
+gives delta_sq = 1 exactly), and the pair holds them as built, through
+`gaussian._own`, as lists of Python floats; its arrays are built only if
+read.  The gate chain that defines them (`quarter_turn`, `tensor`,
+`apply_symplectic`) is their test oracle.  `delta_sq` reads the pair's held
+covariance floats and sums the entries its two combinations weigh, grouped
+so that the result is bit for bit that of the matrix products with the
+weights of x+ + x- and p+ - p-.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from cvteleport.gaussian import GaussianState, _Record, _moments, _own
-
-if TYPE_CHECKING:
-    import numpy as np
+from cvteleport.gaussian import GaussianState, _moments, _own
 
 _ROOT_HALF = math.sqrt(0.5)  # np.sqrt(0.5)'s bits: both round correctly
 
 
-class SidebandPair(_Record):
-    """Two sideband modes ordered (x+, p+, x-, p-)."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: GaussianState):
-        if state.n_modes != 2:
-            raise ValueError("SidebandPair requires exactly two modes")
-        _SET_STATE(self, state)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.state.mean
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.state.cov
-
-
-_SET_STATE = SidebandPair.state.__set__  # the slot's setter
-
-
-def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
-    """Split one RF mode into its upper/lower sideband pair.
+def sidebands_from_single_mode(state: GaussianState) -> GaussianState:
+    """Split one RF mode into its upper/lower sideband pair, a two-mode state
+    ordered (x+, p+, x-, p-).
 
     The mirror mode is an independent copy with x and p statistics exchanged
     (covariance rotated by pi/2), and the pair is formed by the orthogonal
@@ -85,27 +60,33 @@ def sidebands_from_single_mode(state: GaussianState) -> SidebandPair:
     s, u, v = (cxx + cpp) * 0.5, (cxp - cpx) * 0.5, (cpx - cxp) * 0.5
     d, e, f = (cxx - cpp) * 0.5, (cxp + cpx) * 0.5, (cpp - cxx) * 0.5
     cov = [[s, u, d, e], [v, s, e, f], [d, e, s, u], [e, f, v, s]]
-    pair = object.__new__(SidebandPair)  # SidebandPair(state) without its two-mode check
-    _SET_STATE(pair, _own([mx, mp, mx, mp], cov))
-    return pair
+    return _own([mx, mp, mx, mp], cov)
 
 
-def delta_sq(pair: SidebandPair) -> float:
-    """Sum criterion Var(x+ + x-) + Var(p+ - p-); vacuum sidebands give 1.
+def delta_sq(pair: GaussianState) -> float:
+    """Sum criterion Var(x+ + x-) + Var(p+ - p-) of a two-mode sideband pair;
+    vacuum sidebands give 1.
 
     Read as Python floats.  Each vector-matrix product of x @ cov @ x +
     p @ cov @ p, x = (1, 0, 1, 0) and p = (0, 1, 0, -1), has two nonzero terms,
     so the sums below, grouped as those products group them, round alike."""
-    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = _moments(pair.state)[1]
+    if pair.n_modes != 2:
+        raise ValueError(f"a sideband pair has two modes, got {pair.n_modes}")
+    (c00, _, c02, _), (_, c11, _, c13), (c20, _, c22, _), (_, c31, _, c33) = _moments(pair)[1]
     return ((c00 + c20) + (c02 + c22)) + ((c11 - c31) - (c13 - c33))
 
 
 class EntanglementVerdict(NamedTuple):
+    """The sum criterion's verdict.  ``entangled`` is True when the criterion
+    certifies entanglement, delta_sq < 1; False claims nothing."""
+
     entangled: bool
     margin: float
 
 
-def is_entangled(pair: SidebandPair) -> EntanglementVerdict:
-    """Apply the sum criterion; margin = 1 - delta_sq (positive if entangled)."""
+def is_entangled(pair: GaussianState) -> EntanglementVerdict:
+    """Apply the sum criterion to a two-mode sideband pair: ``entangled`` is
+    "certified by delta_sq < 1", and margin = 1 - delta_sq (positive if
+    certified)."""
     value = delta_sq(pair)
     return EntanglementVerdict(value < 1.0, 1.0 - value)

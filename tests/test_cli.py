@@ -37,6 +37,18 @@ class TestRunVerb:
         assert "scenario = vacuum" in payload["config_text"]
         assert payload["provenance"]["seed"] == 9
 
+    @pytest.mark.parametrize("scenario, line", [
+        ("squeezed_x", "delta_sq_out: 0.74226 (entangled)"),
+        # the squeezed_x output turned by pi/2: its sidebands are entangled
+        # (PPT), yet delta_sq >= 1, and delta_sq < 1 is only sufficient
+        ("squeezed_p", "delta_sq_out: 16.35131 (not certified by the sum criterion)"),
+        ("vacuum", "delta_sq_out: 1.50238 (not certified by the sum criterion)"),
+    ], ids=["squeezed_x", "squeezed_p", "vacuum"])
+    def test_sideband_label_claims_only_what_the_criterion_certifies(
+            self, scenario, line, tmp_path, capsys):
+        assert invoke("run", "--scenario", scenario, "--out", str(tmp_path)) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_seed_above_float_range_is_accepted(self, tmp_path):
         seed = 10**400
         assert invoke("run", "--seed", str(seed), "--out", str(tmp_path)) == 0

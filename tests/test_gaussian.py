@@ -13,6 +13,7 @@ import inspect
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from cvteleport import (
     rotate,
     run,
     sample_record,
-    sidebands_from_single_mode,
     spectrum_trace,
     symplectic_eigenvalues,
     teleport_mc,
@@ -787,8 +787,8 @@ _BOUNDARY = {
     # callables with no count, number, fraction or pair argument
     **dict.fromkeys([
         "GaussianState", "PhysicsError", "apply_symplectic", "symplectic_eigenvalues", "tensor",
-        "EntanglementVerdict", "SidebandPair", "delta_sq", "is_entangled",
-        "sidebands_from_single_mode", "CascadeStage", "EprCorrelations", "TeleportReport",
+        "EntanglementVerdict", "delta_sq", "is_entangled", "sidebands_from_single_mode",
+        "CascadeStage", "EprCorrelations", "TeleportReport",
         "epr_correlations", "make_epr", "teleport_analytic", "PhaseScanTrace",
         "QuadratureRecord", "WignerGrid", "WignerMoments", "wigner_analytic", "wigner_moments",
         "CalibrationResult", "ConfigError", "ReproRow", "RunResult", "benchmark_config",
@@ -847,8 +847,6 @@ def test_boundary_table_covers_every_public_callable_with_arguments():
 _RULED_RECORDS = {
     "TeleporterParams": (lambda: TeleporterParams(coherent_state(1 + 2j), eta_prop=(0.9, 0.95)),
                          {"eta_hom": 2.0}, "eta_hom must lie in [0, 1], got 2.0", True),
-    "SidebandPair": (lambda: sidebands_from_single_mode(impure_squeezed_vacuum(-3.0, 4.0)),
-                     {"state": vacuum(1)}, "SidebandPair requires exactly two modes", True),
     "ExperimentConfig": (lambda: ExperimentConfig(scenario="squeezed_x", g_x=0.9),
                          {"shots": 1}, "shots: must be >= 2", True),
     "GridSpec": (lambda: GridSpec(-2, 2, -1, 3, 5, 7),
@@ -863,16 +861,29 @@ _RULED_RECORDS = {
 }
 
 
+def _readme_records() -> tuple[set[str], set[str]]:
+    """The records README's "Records follow one rule" paragraph names: those
+    whose constructor enforces a rule, and the named tuples."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("Records follow one rule.", 1)[1].split("\n\n", 1)[0]
+    ruled, named = " ".join(paragraph.split()).split(
+        "Every other record is a `typing.NamedTuple`:", 1)
+    names = lambda part: set(re.findall(r"`([A-Z]\w*)`", part))
+    return names(ruled), names(named.split(". ", 1)[0])
+
+
 def test_records_follow_one_rule():
     """A public record whose constructor enforces a rule is a `_Record`
     subclass that defines ``__init__`` and ``__slots__``, whose instances
-    have no ``__dict__``; every other one is a named tuple."""
+    have no ``__dict__``; every other one is a named tuple.  README names
+    each record of either kind."""
     classes = {name: obj for name, obj in _exports().items() if isinstance(obj, type)}
     records = {name: cls for name, cls in classes.items()
                if not issubclass(cls, Exception) and cls is not GaussianState}
-    assert len(records) == 15
+    ruled, named = _readme_records()
+    assert not ruled & named and set(records) == ruled | named
     assert {name for name, cls in records.items() if issubclass(cls, gaussian._Record)} == set(
-        _RULED_RECORDS)
+        _RULED_RECORDS) == ruled
     for name, cls in records.items():
         if issubclass(cls, gaussian._Record):
             assert "__init__" in vars(cls) and "__slots__" in vars(cls), name

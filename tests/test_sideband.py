@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +19,8 @@ from cvteleport import (
 )
 from cvteleport import gaussian, sideband
 from cvteleport.gaussian import apply_symplectic, quarter_turn, tensor
-from cvteleport.sideband import (
-    SidebandPair,
-    delta_sq,
-    is_entangled,
-    sidebands_from_single_mode,
-)
+from cvteleport.sideband import delta_sq, is_entangled, sidebands_from_single_mode
+from cvteleport.teleporter import TeleporterParams, make_epr
 from conftest import assert_float_form, assert_owns_its_arrays, random_physical_state
 
 ATOL = 1e-12
@@ -137,18 +131,20 @@ def test_pair_owns_read_only_float64_arrays(rng):
     for _ in range(30):
         state = random_physical_state(rng, 1)
         pair = sidebands_from_single_mode(state)
-        assert_owns_its_arrays(pair.state, state.mean, state.cov)
+        assert_owns_its_arrays(pair, state.mean, state.cov)
 
 
 def test_pair_holds_python_floats(rng):
     for state in (*(random_physical_state(rng, 1) for _ in range(30)), vacuum(1)):
-        assert_float_form(sidebands_from_single_mode(state).state)
+        assert_float_form(sidebands_from_single_mode(state))
 
 
 def test_delta_sq_equals_the_matrix_products_bytewise(rng):
     # the float sums group as the products do; summed left to right they
     # would round differently for some states
-    pairs = [SidebandPair(random_physical_state(rng, 2)) for _ in range(200)]
+    pairs = [random_physical_state(rng, 2) for _ in range(200)]
+    pairs += [make_epr(TeleporterParams(vacuum(1), epr_sq_db=(sq, sq), eta_prop=(0.9, 0.8)))
+              for sq in (-0.5, -3.0, -6.2, -20.0)]
     pairs += [sidebands_from_single_mode(random_physical_state(rng, 1)) for _ in range(200)]
     for pair in pairs:
         value = delta_sq(pair)
@@ -168,37 +164,17 @@ def test_displacement_does_not_change_criterion():
 
 
 def test_pair_requires_two_modes_and_single_mode_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sidebands_from_single_mode requires a single-mode"):
         sidebands_from_single_mode(vacuum(2))
-    with pytest.raises(ValueError):
-        SidebandPair(vacuum(1))
-    with pytest.raises(ValueError):
-        SidebandPair(vacuum(3))
 
 
-@pytest.mark.parametrize("copier", [
-    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
-], ids=["copy", "deepcopy", "pickle"])
-def test_split_pair_behaves_as_a_checked_pair(rng, copier):
-    # sidebands_from_single_mode builds its pair without SidebandPair's check
-    for state in (vacuum(1), *(random_physical_state(rng, 1) for _ in range(10))):
-        pair = sidebands_from_single_mode(state)
-        checked = SidebandPair(pair.state)
-        assert type(pair) is SidebandPair
-        assert pair == checked and hash(pair) == hash(checked)
-        assert repr(pair) == repr(checked)
-        copied = copier(pair)
-        assert type(copied) is SidebandPair and not hasattr(copied, "__dict__")
-        assert copied.mean.tobytes() == pair.mean.tobytes()
-        assert copied.cov.tobytes() == pair.cov.tobytes()
-        assert delta_sq(copied) == delta_sq(pair)
-        for array in (pair.mean, pair.cov, copied.mean, copied.cov):
-            assert not array.flags.writeable
-        with pytest.raises(AttributeError):
-            pair.state = vacuum(2)
-        with pytest.raises(ValueError, match="^SidebandPair requires exactly two modes$"):
-            pair._replace(state=vacuum(1))
-        assert pair._replace(state=vacuum(2)).state.n_modes == 2
+@pytest.mark.parametrize("n_modes", [1, 3])
+@pytest.mark.parametrize("criterion", [delta_sq, is_entangled])
+def test_criterion_refuses_a_state_that_is_not_a_pair(criterion, n_modes, rng):
+    # a sideband pair is a two-mode state, checked as epr_correlations checks it
+    for state in (vacuum(n_modes), random_physical_state(rng, n_modes)):
+        with pytest.raises(ValueError, match=f"^a sideband pair has two modes, got {n_modes}$"):
+            criterion(state)
 
 
 def test_rotated_input_uses_x_axis_combinations():
